@@ -78,7 +78,7 @@ fn bench_query_paths(c: &mut Criterion) {
     let size = 20_000usize;
     let snapshot = Snapshot::from_resolution(
         Resolution {
-            consistent: skewed(size),
+            consistent: skewed(size).into(),
             removed: Vec::new(),
             inferred: Vec::new(),
             conflicts: Vec::new(),

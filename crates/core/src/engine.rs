@@ -17,9 +17,10 @@
 //!   [`Engine::insert_fact`]/[`Engine::remove_fact`] (or any edit
 //!   through [`Engine::graph_mut`]) accumulate a [`Delta`] in the
 //!   graph's change log, and the next `resolve_incremental` applies
-//!   just that delta to the cached grounding and warm-starts the solver
-//!   from the previous MAP state — work proportional to the edit, not
-//!   the graph.
+//!   just that delta to the cached grounding, warm-starts the solver
+//!   from the previous MAP state, and derives the new snapshot from the
+//!   previous one by difference (`carry`) — one flat copy of the
+//!   resolved view plus work proportional to the edit, not the graph.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -35,6 +36,7 @@ use tecore_temporal::Interval;
 use tecore_wal::{InsertRecord, RecoveryReport, Wal, WalConfig, WalStats};
 
 use crate::batch::{self, ApplyReport, EditBatch, EditOutcome, PlannedOp};
+use crate::carry::{carry_forward, Carried, Resolved};
 use crate::error::TecoreError;
 use crate::pipeline::{check_solver_contract, interpret, SolverHandle, TecoreConfig};
 use crate::resolution::Resolution;
@@ -42,12 +44,24 @@ use crate::snapshot::Snapshot;
 use crate::translate::translate;
 
 /// The cached state of the incremental engine: the materialised
-/// grounding plus the last MAP state (the warm start for the next
-/// solve).
+/// grounding, the last MAP state (the warm start for the next solve)
+/// and the snapshot read from it (what the next one is derived from).
 #[derive(Debug, Clone)]
 struct EngineState {
     grounding: Grounding,
     last_state: Option<MapState>,
+    carried: Option<Carried>,
+}
+
+impl EngineState {
+    /// A freshly grounded state: nothing solved or published yet.
+    fn cold(grounding: Grounding) -> Self {
+        EngineState {
+            grounding,
+            last_state: None,
+            carried: None,
+        }
+    }
 }
 
 /// One solve dispatch's result: the (possibly merged) global MAP state
@@ -784,14 +798,9 @@ impl Engine {
         let outcome = solve_dispatch(solver, &mut grounding, &opts)?;
         let solve_time = solve_start.elapsed();
         check_solver_contract(solver, &grounding, &outcome.state)?;
-        let mut resolution = interpret(
-            &self.graph,
-            &grounding,
-            outcome.state,
-            &self.config,
-            grounding.stats.elapsed,
-            solve_time,
-        );
+        let (mut resolution, _) = interpret(&self.graph, &grounding, &outcome.state, &self.config);
+        resolution.stats.grounding_time = grounding.stats.elapsed;
+        resolution.stats.solve_time = solve_time;
         resolution.stats.components = outcome.components;
         resolution.stats.components_solved = outcome.components_solved;
         resolution.stats.fallback_regrounds = self.fallback_regrounds;
@@ -804,6 +813,13 @@ impl Engine {
     /// from the previous MAP state when its caps allow, and returns the
     /// result as a fresh [`Snapshot`] — exactly like [`Engine::resolve`]
     /// would on the same graph.
+    ///
+    /// The snapshot itself is derived from the one this method returned
+    /// last: its expanded graph and index are that snapshot's, copied
+    /// and patched, and arrive already built. Only when the edit is a
+    /// large share of the graph (or there is no previous snapshot to
+    /// start from) is the result read off the whole graph again and the
+    /// view left to build lazily, as on a cold resolve.
     pub fn resolve_incremental(&mut self) -> Result<Arc<Snapshot>, TecoreError> {
         let solver = self.config.backend.clone();
         let caps = solver.caps();
@@ -813,44 +829,44 @@ impl Engine {
         // except for advancing the epoch): the epoch must move so the
         // log truncation below can drop netted churn (insert+remove
         // pairs) instead of re-netting a growing log every resolve.
+        let translate = |engine: &Engine| {
+            translate(&engine.graph, &engine.program, &caps, &engine.config.ground)
+        };
+        // The net fact changes since the carried snapshot — read before
+        // the log is truncated.
+        let mut since_carried: Option<Delta> = None;
         let mut engine = match self.cache.take() {
             Some(mut engine) => match self.graph.since(engine.grounding.epoch()) {
                 Some(delta) => {
                     let config = self.effective_ground_config();
-                    let delta_stats = engine.grounding.apply_delta(&self.graph, &delta, &config);
-                    engine.grounding.stats.elapsed = delta_stats.elapsed;
+                    engine.grounding.apply_delta(&self.graph, &delta, &config);
+                    // Usually the very same delta; not after a public
+                    // `apply_delta` moved the grounding ahead on its own.
+                    let carried_at = engine.carried.as_ref().map(|c| c.snapshot.epoch());
+                    since_carried = if carried_at == Some(delta.from_epoch) {
+                        Some(delta)
+                    } else {
+                        carried_at.and_then(|epoch| self.graph.since(epoch))
+                    };
                     engine
                 }
                 None => {
                     // The change log no longer reaches back to the
                     // cached epoch: re-ground from scratch.
                     self.fallback_regrounds += 1;
-                    EngineState {
-                        grounding: translate(
-                            &self.graph,
-                            &self.program,
-                            &caps,
-                            &self.config.ground,
-                        )?,
-                        last_state: None,
-                    }
+                    EngineState::cold(translate(self)?)
                 }
             },
-            None => EngineState {
-                grounding: translate(&self.graph, &self.program, &caps, &self.config.ground)?,
-                last_state: None,
-            },
+            None => EngineState::cold(translate(self)?),
         };
         // Long churny sessions accumulate dead atom slots (ids are
         // never reused so solver vectors stay index-stable); once the
         // graveyard dominates, a compacting re-ground is cheaper than
-        // dragging it through every solve.
+        // dragging it through every solve. Atom ids change, so the warm
+        // state and the carried snapshot's maps are void.
         let dead = engine.grounding.store.dead_count();
         if dead > 64 && dead * 2 > engine.grounding.num_atoms() {
-            engine = EngineState {
-                grounding: translate(&self.graph, &self.program, &caps, &self.config.ground)?,
-                last_state: None, // atom ids changed: warm state is void
-            };
+            engine = EngineState::cold(translate(self)?);
         }
         // The cache has consumed the history; keep the log bounded.
         self.graph.truncate_log(engine.grounding.epoch());
@@ -873,21 +889,58 @@ impl Engine {
         // every component's cached slice is now current.
         engine.grounding.clear_component_dirty();
 
-        // 3. Interpret, then cache grounding + state for the next round.
-        let mut resolution = interpret(
-            &self.graph,
-            &engine.grounding,
-            state.clone(),
-            &self.config,
-            engine.grounding.stats.elapsed,
-            solve_time,
-        );
+        // 3. Interpret — by difference from the carried snapshot when
+        // there is one to start from — then cache grounding, state and
+        // snapshot for the next round. Grounding time is the deltas'
+        // since the last interpretation (a public `apply_delta` counts),
+        // or the cold grounding's when this call grounded.
+        let changes = engine.grounding.take_changes();
+        let grounding_time = if engine.last_state.is_some() {
+            changes.elapsed
+        } else {
+            engine.grounding.stats.elapsed
+        };
+        let forwarded = match (engine.carried.take(), &engine.last_state, &since_carried) {
+            (Some(carried), Some(before), Some(facts)) => carry_forward(
+                carried,
+                Resolved {
+                    graph: &self.graph,
+                    grounding: &engine.grounding,
+                    before,
+                    after: &state,
+                    facts,
+                    changes,
+                    config: &self.config,
+                },
+            ),
+            _ => None,
+        };
+        let (mut resolution, view, maps) = match forwarded {
+            Some(f) => (f.resolution, Some((f.expanded, f.index)), f.maps),
+            None => {
+                let (resolution, maps) =
+                    interpret(&self.graph, &engine.grounding, &state, &self.config);
+                (resolution, None, maps)
+            }
+        };
+        resolution.stats.grounding_time = grounding_time;
+        resolution.stats.solve_time = solve_time;
         resolution.stats.components = outcome.components;
         resolution.stats.components_solved = outcome.components_solved;
         resolution.stats.fallback_regrounds = self.fallback_regrounds;
+        let epoch = self.graph.epoch();
+        let snapshot = Arc::new(match view {
+            Some((expanded, index)) => Snapshot::prebuilt(resolution, epoch, expanded, index),
+            None => Snapshot::from_resolution(resolution, epoch),
+        });
         engine.last_state = Some(state);
+        engine.carried = Some(Carried {
+            snapshot: Arc::clone(&snapshot),
+            maps,
+        });
         self.cache = Some(engine);
-        Ok(self.publish(resolution))
+        self.latest = Some(Arc::clone(&snapshot));
+        Ok(snapshot)
     }
 }
 
@@ -957,6 +1010,7 @@ fn journal_planned(
 mod tests {
     use super::*;
     use crate::pipeline::{Backend, ConfidenceMode, SolverHandle};
+    use tecore_ground::GroundConfig;
     use tecore_kg::parser::parse_graph;
     use tecore_mln::marginal::GibbsConfig;
     use tecore_mln::{CpiConfig, WalkSatConfig};
@@ -1235,6 +1289,307 @@ mod tests {
         // The counter is cumulative, not reset by a clean resolve.
         let clean = engine.resolve_incremental().unwrap();
         assert_eq!(clean.stats.fallback_regrounds, 1);
+    }
+
+    /// ~120 facts over thirty independent subjects: coaching spells
+    /// (every third subject with a clash), a playing spell each (f1
+    /// derives `worksFor`) and some birth dates (f3 derives
+    /// `TeenPlayer`) — large enough that a single edit stays under the
+    /// rebuild threshold.
+    fn wide_graph() -> UtkGraph {
+        let mut text = String::new();
+        for i in 0..30 {
+            let conf = |base: f64, k: usize| base + ((i * 7 + k) % 11) as f64 * 0.0093;
+            text += &format!(
+                "(p{i}, coach, c{}, [{},{}]) {}\n",
+                i % 7,
+                2000 + i % 5,
+                2004 + i % 5,
+                conf(0.8, 0)
+            );
+            text += &format!(
+                "(p{i}, coach, c{}, [2010,2013]) {}\n",
+                (i + 3) % 7,
+                conf(0.7, 1)
+            );
+            if i % 3 == 0 {
+                text += &format!(
+                    "(p{i}, coach, c{}, [{},{}]) {}\n",
+                    (i + 1) % 7,
+                    2001 + i % 5,
+                    2003 + i % 5,
+                    conf(0.55, 2)
+                );
+            }
+            text += &format!(
+                "(p{i}, playsFor, c{}, [{},{}]) {}\n",
+                i % 5,
+                1980 + i % 9,
+                1983 + i % 9,
+                conf(0.75, 3)
+            );
+            if i % 4 == 0 {
+                text += &format!(
+                    "(p{i}, birthDate, y{}, [{},2017]) {}\n",
+                    i % 3,
+                    1965 + i % 4,
+                    conf(0.85, 4)
+                );
+            }
+        }
+        parse_graph(&text).unwrap()
+    }
+
+    /// One random edit: `(kind, subject, relation, object, start, len)`.
+    type Edit = (u8, u8, u8, u8, i64, i64);
+
+    /// Applies one step's edits as one batch.
+    fn apply_edits(engine: &mut Engine, edits: &[Edit], serial: &mut u32) {
+        let mut batch = EditBatch::new();
+        let live: Vec<FactId> = engine.graph().iter().map(|(id, _)| id).collect();
+        let mut gone = Vec::new();
+        let mut insert = |batch: EditBatch, s: String, rel: u8, o: u8, start: i64, len: i64| {
+            *serial += 1;
+            let conf = 0.52 + f64::from(*serial % 37) * 0.011 + f64::from(*serial % 7) * 0.0013;
+            let relation = ["coach", "playsFor", "birthDate"][usize::from(rel % 3)];
+            batch.insert(s, relation, format!("c{o}"), iv(start, start + len), conf)
+        };
+        for &(kind, s, rel, o, start, len) in edits {
+            match kind {
+                // Most edits touch the existing subjects.
+                0..=4 => batch = insert(batch, format!("p{s}"), rel, o, start, len),
+                5..=8 if !live.is_empty() => {
+                    let id = live[(usize::from(s) * 7 + usize::from(o)) % live.len()];
+                    if !gone.contains(&id) {
+                        gone.push(id);
+                        batch = batch.remove(id);
+                    }
+                }
+                // A flood: more than an eighth of the graph at once.
+                9 => {
+                    for j in 0..30u8 {
+                        batch = insert(
+                            batch,
+                            format!("q{s}_{j}"),
+                            rel.wrapping_add(j),
+                            o,
+                            start,
+                            len,
+                        );
+                    }
+                }
+                _ => {}
+            }
+        }
+        engine.apply(&batch).into_result().expect("valid batch");
+    }
+
+    fn rendered(graph: &UtkGraph) -> Vec<String> {
+        let mut out: Vec<String> = graph
+            .iter()
+            .map(|(_, f)| f.display(graph.dict()).to_string())
+            .collect();
+        out.sort();
+        out
+    }
+
+    /// The snapshot `resolve_incremental` just returned against a full
+    /// interpretation of the very grounding and MAP state it was read
+    /// from. Same state, so equality is exact — whatever the backend
+    /// found, the two ways of reading it must agree.
+    fn assert_equals_full_interpretation(engine: &Engine, carried: &Snapshot, what: &str) {
+        let cache = engine.cache.as_ref().expect("primed");
+        let state = cache.last_state.as_ref().expect("solved");
+        let (full, _) = interpret(&engine.graph, &cache.grounding, state, &engine.config);
+        let full = Snapshot::from_resolution(full, carried.epoch());
+        let removed = |s: &Snapshot| -> Vec<(FactId, String)> {
+            s.removed
+                .iter()
+                .map(|r| (r.id, r.fact.display(s.consistent.dict()).to_string()))
+                .collect()
+        };
+        assert_eq!(removed(carried), removed(&full), "{what}: removed");
+        assert_eq!(carried.inferred, full.inferred, "{what}: inferred");
+        assert_eq!(carried.conflicts, full.conflicts, "{what}: conflicts");
+        assert_eq!(
+            rendered(&carried.consistent),
+            rendered(&full.consistent),
+            "{what}: consistent"
+        );
+        assert_eq!(
+            rendered(carried.expanded()),
+            rendered(full.expanded()),
+            "{what}: expanded"
+        );
+        assert_eq!(
+            carried.index(),
+            &tecore_kg::GraphTemporalIndex::build(carried.expanded()),
+            "{what}: the patched index is the index of the patched graph"
+        );
+        let (a, b) = (&carried.stats, &full.stats);
+        assert_eq!(
+            (
+                a.total_facts,
+                a.conflicting_facts,
+                a.inferred_facts,
+                a.thresholded_facts
+            ),
+            (
+                b.total_facts,
+                b.conflicting_facts,
+                b.inferred_facts,
+                b.thresholded_facts
+            ),
+            "{what}: counts"
+        );
+        assert_eq!(a.per_constraint, b.per_constraint, "{what}: per_constraint");
+        assert_eq!((a.atoms, a.clauses), (b.atoms, b.clauses), "{what}: sizes");
+        // The carried maps name the facts they say they name.
+        let maps = &cache.carried.as_ref().expect("published").maps;
+        let expanded_ids = if maps.kept_expanded.is_empty() {
+            &maps.kept
+        } else {
+            &maps.kept_expanded
+        };
+        for (id, fact) in engine.graph.iter() {
+            let text = fact.display(engine.graph.dict()).to_string();
+            for (ids, view) in [
+                (&maps.kept, &*carried.consistent),
+                (expanded_ids, carried.expanded()),
+            ] {
+                match ids.get(id) {
+                    Some(at) => assert_eq!(
+                        view.fact(at)
+                            .expect("mapped facts are live")
+                            .display(view.dict())
+                            .to_string(),
+                        text,
+                        "{what}: id map"
+                    ),
+                    None => assert!(carried.removed.iter().any(|r| r.id == id), "{what}: {text}"),
+                }
+            }
+        }
+    }
+
+    /// Drives edit steps through every backend under both `parallel`
+    /// settings, checking each incremental snapshot; returns, per run,
+    /// the backend and which steps' snapshots were carried forward
+    /// (rather than rebuilt).
+    fn check_carried_forward(
+        steps: &[Vec<Edit>],
+        threshold: f64,
+    ) -> Vec<(&'static str, Vec<bool>)> {
+        let mut runs = Vec::new();
+        for backend in [
+            Backend::MlnExact,
+            Backend::MlnWalkSat(WalkSatConfig::default()),
+            Backend::MlnCuttingPlane(CpiConfig::default()),
+            Backend::default_psl(),
+        ] {
+            let name = backend.name();
+            for parallel in [false, true] {
+                let config = TecoreConfig {
+                    backend: backend.clone().into(),
+                    ground: GroundConfig {
+                        parallel,
+                        ..GroundConfig::default()
+                    },
+                    threshold,
+                    ..TecoreConfig::default()
+                };
+                let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
+                let mut engine = Engine::with_config(wide_graph(), program, config);
+                engine.resolve_incremental().unwrap();
+                let mut serial = 0;
+                let mut carried = Vec::new();
+                for (i, edits) in steps.iter().enumerate() {
+                    apply_edits(&mut engine, edits, &mut serial);
+                    let snapshot = engine.resolve_incremental().unwrap();
+                    carried.push(snapshot.built_index().is_some());
+                    let what = format!("{name}, parallel={parallel}, step {i} {edits:?}");
+                    assert_equals_full_interpretation(&engine, &snapshot, &what);
+                }
+                runs.push((name, carried));
+            }
+        }
+        runs
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn carried_forward_equals_full_interpretation(
+            steps in proptest::prop::collection::vec(
+                proptest::prop::collection::vec(
+                    (0u8..10, 0u8..34, 0u8..3, 0u8..7, 1976i64..2014, 0i64..6),
+                    1..4,
+                ),
+                1..8,
+            ),
+        ) {
+            check_carried_forward(&steps, 0.0);
+        }
+    }
+
+    /// Both sides of the patch-or-rebuild choice, and the transitions
+    /// in between: a removal takes the last derivation of a subject
+    /// away and an insert brings one back (the view splits from the
+    /// consistent graph and stays split), a duplicate statement
+    /// re-words a conflict without touching its clause, a flood takes
+    /// the rebuild branch, and with a threshold some derived facts are
+    /// accepted by MAP but not shown.
+    #[test]
+    fn carried_forward_patches_small_edits_and_rebuilds_on_floods() {
+        let steps: Vec<Vec<Edit>> = vec![
+            vec![(5, 0, 0, 3, 0, 0)],                             // remove one fact
+            vec![(0, 2, 1, 4, 1990, 2)], // a new playing spell: worksFor derived
+            vec![(0, 0, 0, 1, 2001, 2)], // same statement as p0's clashing spell
+            vec![(0, 31, 0, 2, 2000, 3), (0, 31, 0, 3, 2001, 3)], // a fresh clash
+            vec![(9, 1, 0, 2, 1990, 1)], // flood
+            vec![(6, 3, 0, 1, 0, 0), (7, 9, 0, 5, 0, 0)],
+        ];
+        for (name, carried) in check_carried_forward(&steps, 0.0) {
+            assert!(!carried[4], "{name}: the flood is rebuilt");
+            // An exact solve moves only the atoms an edit bears on; a
+            // stochastic or soft-valued one may move many more.
+            if name == "mln-exact" {
+                assert_eq!(carried, [true, true, true, true, false, true]);
+            }
+        }
+        // PSL grades derived facts: a bar between its values hides some.
+        check_carried_forward(&steps, 0.9);
+    }
+
+    /// The sequence a caller timing the stages uses: net the delta,
+    /// apply it through the public `apply_delta`, then resolve. The
+    /// resolve's own delta is empty by then, but the snapshot must
+    /// still be carried forward from everything that changed, and
+    /// `grounding_time` must count the delta that did the work.
+    #[test]
+    fn apply_delta_ahead_of_the_resolve_is_carried_and_timed() {
+        let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
+        let mut engine = Engine::new(wide_graph(), program);
+        let primed = engine.resolve_incremental().unwrap();
+        engine
+            .insert_fact("p1", "coach", "c9", iv(2001, 2003), 0.58)
+            .unwrap();
+        let delta = engine.graph().since(primed.epoch()).unwrap();
+        let applied = engine.apply_delta(&delta).expect("cached grounding");
+        assert_eq!(applied.facts_added, 1);
+        let snapshot = engine.resolve_incremental().unwrap();
+        assert!(
+            snapshot.built_index().is_some(),
+            "a one-fact edit is carried forward"
+        );
+        assert_equals_full_interpretation(&engine, &snapshot, "apply_delta first");
+        assert!(
+            snapshot.stats.grounding_time >= applied.elapsed,
+            "grounding_time {:?} leaves out the applied delta's {:?}",
+            snapshot.stats.grounding_time,
+            applied.elapsed
+        );
     }
 
     #[test]

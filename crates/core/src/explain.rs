@@ -12,8 +12,12 @@
 //!   (CR, coach, Napoli, [2001,2003]) 0.6
 //! ```
 
+use std::sync::Arc;
+
 use tecore_ground::violation::violated_clauses;
-use tecore_ground::{AtomKind, ClauseOrigin, Grounding, Lit};
+use tecore_ground::{AtomKind, ClauseOrigin, ConstraintKey, Grounding, Lit};
+
+use crate::carry::patch_sorted;
 
 /// One violated constraint grounding, rendered for display.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,56 +43,144 @@ impl std::fmt::Display for ConflictExplanation {
 /// Enumerates every constraint grounding violated by the *input* KG
 /// (the "keep everything" world) — these are the conflicts TeCoRe
 /// resolves, independent of which side MAP inference later removes.
-///
-/// Under an eagerly grounded backend this is a read off the clause
-/// arena: a constraint grounding violated by keep-everything is exactly
-/// a live `Formula`-origin clause with no positive literal (rule
-/// clauses carry their positive head, which is alive and hence
-/// satisfied). The incremental path calls this per resolve, so the
-/// O(clauses) scan replacing the full match search matters. Lazily
-/// grounded backends (cutting-plane) keep the search — their arena
-/// deliberately lacks the constraint clauses.
 pub fn explain_conflicts(grounding: &Grounding) -> Vec<ConflictExplanation> {
-    if grounding.constraints_grounded_eagerly() {
-        let mut hits: Vec<(usize, &[Lit])> = grounding
-            .clauses
-            .iter()
-            .filter_map(|c| match c.origin {
-                ClauseOrigin::Formula(idx) if c.lits.iter().all(|l| !l.positive) => {
-                    Some((idx, c.lits))
-                }
-                _ => None,
+    Conflicts::of(grounding)
+        .entries
+        .into_iter()
+        .map(|(_, e)| Arc::unwrap_or_clone(e))
+        .collect()
+}
+
+/// The detected conflicts of one grounding, in presentation order (by
+/// formula, then by literals), with what is needed to keep them current
+/// under deltas instead of re-deriving them.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Conflicts {
+    /// The explanations, each with the key of its clause, ascending.
+    /// Under a lazily grounded backend the conflicts come out of a
+    /// search rather than the arena, in search order, and are
+    /// re-searched per resolve: the keys are then not to be relied on.
+    entries: Vec<(ConstraintKey, Arc<ConflictExplanation>)>,
+    /// Conflicts per formula index.
+    per_formula: Vec<usize>,
+}
+
+impl Conflicts {
+    /// Under an eagerly grounded backend this is a read off the clause
+    /// arena: a constraint grounding violated by keep-everything is
+    /// exactly a live `Formula`-origin clause with no positive literal
+    /// (rule clauses carry their positive head, which is alive and
+    /// hence satisfied). Lazily grounded backends (cutting-plane) need
+    /// the match search — their arena deliberately lacks the constraint
+    /// clauses.
+    pub(crate) fn of(grounding: &Grounding) -> Conflicts {
+        let keys: Vec<ConstraintKey> = if grounding.constraints_grounded_eagerly() {
+            let mut keys: Vec<ConstraintKey> = grounding
+                .clauses
+                .iter()
+                .filter_map(|c| match c.origin {
+                    ClauseOrigin::Formula(idx) if c.lits.iter().all(|l| !l.positive) => {
+                        Some((idx, c.lits.to_vec()))
+                    }
+                    _ => None,
+                })
+                .collect();
+            // (The arena is already duplicate-free.)
+            keys.sort_unstable();
+            keys
+        } else {
+            // "Keep everything" means every *live* atom; atoms retracted
+            // by incremental deltas keep their slot but are not part of
+            // the KG.
+            let all_true: Vec<bool> = (0..grounding.num_atoms())
+                .map(|i| grounding.store.is_alive(tecore_ground::AtomId(i as u32)))
+                .collect();
+            violated_clauses(&grounding.store, &grounding.program, &all_true)
+                .into_iter()
+                .filter_map(|clause| match clause.origin {
+                    ClauseOrigin::Formula(idx) => Some((idx, clause.lits)),
+                    _ => None,
+                })
+                .collect()
+        };
+        let mut per_formula = vec![0; grounding.program.formulas.len()];
+        let entries = keys
+            .into_iter()
+            .map(|key| {
+                per_formula[key.0] += 1;
+                let explanation = Arc::new(explanation(grounding, key.0, &key.1));
+                (key, explanation)
             })
             .collect();
-        // Same presentation order as the search path: by formula, then
-        // by literals. (The arena is already duplicate-free.)
-        hits.sort_unstable();
-        return hits
-            .into_iter()
-            .map(|(idx, lits)| explanation(grounding, idx, lits))
-            .collect();
+        Conflicts {
+            entries,
+            per_formula,
+        }
     }
-    // "Keep everything" means every *live* atom; atoms retracted by
-    // incremental deltas keep their slot but are not part of the KG.
-    let all_true: Vec<bool> = (0..grounding.num_atoms())
-        .map(|i| grounding.store.is_alive(tecore_ground::AtomId(i as u32)))
-        .collect();
-    let mut out = Vec::new();
-    for clause in violated_clauses(&grounding.store, &grounding.program, &all_true) {
-        let ClauseOrigin::Formula(idx) = clause.origin else {
-            continue;
-        };
-        out.push(explanation(grounding, idx, &clause.lits));
+
+    /// The explanations, as a resolution lists them.
+    pub(crate) fn list(&self) -> Vec<Arc<ConflictExplanation>> {
+        self.entries.iter().map(|(_, e)| Arc::clone(e)).collect()
     }
-    out
+
+    /// Applies what deltas did to the constraint groundings (see
+    /// [`DeltaChanges::constraints`](tecore_ground::DeltaChanges)): a
+    /// live grounding is rendered (again — one of its atoms may read
+    /// differently now), a retracted one is dropped; every other
+    /// explanation stays the shared one it was. One pass over the list
+    /// per batch, whatever the batch's size.
+    pub(crate) fn apply(
+        &mut self,
+        grounding: &Grounding,
+        changes: impl IntoIterator<Item = (ConstraintKey, bool)>,
+    ) {
+        let (mut dropped, mut rendered) = (Vec::new(), Vec::new());
+        for (key, live) in changes {
+            let listed = self.entries.binary_search_by(|(k, _)| k.cmp(&key)).is_ok();
+            match (listed, live) {
+                (true, false) => self.per_formula[key.0] -= 1,
+                (false, true) => self.per_formula[key.0] += 1,
+                _ => {}
+            }
+            if live {
+                let explanation = Arc::new(explanation(grounding, key.0, &key.1));
+                rendered.push((key.clone(), explanation));
+            }
+            if listed {
+                dropped.push(key);
+            }
+        }
+        patch_sorted(&mut self.entries, |(key, _)| key, dropped, rendered);
+    }
+
+    /// Violated-constraint groundings per constraint name, in formula
+    /// order (formulas sharing a name share a row).
+    pub(crate) fn per_constraint(&self, grounding: &Grounding) -> Vec<(String, usize)> {
+        let mut out: Vec<(String, usize)> = Vec::new();
+        for (idx, &count) in self.per_formula.iter().enumerate() {
+            if count == 0 {
+                continue;
+            }
+            let name = constraint_name(grounding, idx);
+            match out.iter_mut().find(|(n, _)| *n == name) {
+                Some((_, total)) => *total += count,
+                None => out.push((name, count)),
+            }
+        }
+        out
+    }
+}
+
+fn constraint_name(grounding: &Grounding, idx: usize) -> String {
+    grounding.program.formulas[idx]
+        .name
+        .clone()
+        .unwrap_or_else(|| format!("formula#{idx}"))
 }
 
 /// Renders one violated constraint grounding.
 fn explanation(grounding: &Grounding, idx: usize, lits: &[Lit]) -> ConflictExplanation {
-    let constraint = grounding.program.formulas[idx]
-        .name
-        .clone()
-        .unwrap_or_else(|| format!("formula#{idx}"));
+    let constraint = constraint_name(grounding, idx);
     let participants: Vec<String> = lits
         .iter()
         .filter(|l| !l.positive)

@@ -52,6 +52,7 @@
 pub mod advisor;
 pub mod backends;
 pub mod batch;
+mod carry;
 pub mod engine;
 pub mod error;
 pub mod explain;

@@ -11,10 +11,10 @@
 //! [`crate::registry::SolverRegistry`] behave exactly like the built-in
 //! ones.
 
-use std::time::Duration;
+use std::sync::Arc;
 
-use tecore_ground::{AtomKind, ComponentMode, GroundConfig, Grounding, MapState};
-use tecore_kg::UtkGraph;
+use tecore_ground::{AtomKind, ComponentMode, GroundAtom, GroundConfig, Grounding, MapState};
+use tecore_kg::{FactId, FxHashSet, UtkGraph};
 use tecore_mln::marginal::{gibbs_marginals, GibbsConfig};
 use tecore_mln::SatProblem;
 
@@ -22,9 +22,11 @@ pub use crate::backends::{Backend, SolverHandle};
 // Compatibility re-exports: the pipeline struct moved to
 // [`crate::engine`] and now hands out snapshots; the old
 // `pipeline::Tecore` path keeps resolving to it.
+use crate::carry::{FactIds, Inferred, ViewMaps};
 pub use crate::engine::Engine;
 pub use crate::engine::Engine as Tecore;
 use crate::error::TecoreError;
+use crate::explain::Conflicts;
 use crate::resolution::{InferredFact, RemovedFact, Resolution};
 use crate::stats::DebugStats;
 use crate::threshold;
@@ -113,95 +115,127 @@ pub(crate) fn check_solver_contract(
     }
 }
 
-/// Interprets a MAP state as a repaired knowledge graph — shared by the
-/// batch and incremental paths.
+/// Interprets a MAP state as a repaired knowledge graph, reading the
+/// whole graph and grounding — the batch path, and what the
+/// incremental path falls back to when it cannot (or should not) carry
+/// its previous result forward (see [`crate::carry`]). Besides the
+/// resolution it returns the id maps that carrying forward starts from.
 pub(crate) fn interpret(
     graph: &UtkGraph,
     grounding: &Grounding,
-    mut state: MapState,
+    state: &MapState,
     config: &TecoreConfig,
-    grounding_time: Duration,
-    solve_time: Duration,
-) -> Resolution {
+) -> (Resolution, ViewMaps) {
     // Detected conflicts: constraint groundings violated by the
     // "keep everything" world, with full provenance.
-    let conflicts = crate::explain::explain_conflicts(grounding);
-    let mut per_constraint: Vec<(String, usize)> = Vec::new();
-    for c in &conflicts {
-        match per_constraint.iter_mut().find(|(n, _)| *n == c.constraint) {
-            Some((_, count)) => *count += 1,
-            None => per_constraint.push((c.constraint.clone(), 1)),
-        }
-    }
+    let conflicts = Conflicts::of(grounding);
 
-    // Partition evidence by the MAP world.
+    // Partition evidence by the MAP world. Kept facts are numbered in
+    // the order `filtered` inserts them.
     let mut removed = Vec::new();
+    let mut kept = FactIds::spanning(graph);
+    let mut kept_count = 0u32;
     let consistent = graph.filtered(|id, fact| {
         let atom = grounding.fact_atoms[&id];
         let keep = state.assignment[atom.index()];
-        if !keep {
+        if keep {
+            kept.set(id, FactId(kept_count));
+            kept_count += 1;
+        } else {
             removed.push(RemovedFact { id, fact: *fact });
         }
         keep
     });
 
-    // Confidence source for accepted derived facts: the solver's
-    // own soft truth values when it has them (taken, not cloned —
-    // on large groundings this vector is num_atoms wide), else the
-    // configured grading mode over the grounding.
-    let marginals: Option<Vec<f64>> = match (state.soft_values.take(), &config.confidence) {
-        (Some(values), _) => Some(values),
+    // Confidence source for accepted derived facts: the solver's own
+    // soft truth values when it has them, else the configured grading
+    // mode over the grounding.
+    let sampled: Option<Vec<f64>> = match (&state.soft_values, &config.confidence) {
         (None, ConfidenceMode::Gibbs(cfg)) => {
             let problem = SatProblem::from_grounding(grounding);
             Some(gibbs_marginals(&problem, Some(&state.assignment), cfg))
         }
-        (None, ConfidenceMode::Constant) => None,
+        _ => None,
     };
-    let mut inferred = Vec::new();
+    let marginals = state.soft_values.as_ref().or(sampled.as_ref());
+    let mut inferred: Vec<Inferred> = Vec::new();
+    let mut thresholded = FxHashSet::default();
     // Dead atoms (retracted by deltas) keep their assignment slot but
     // are not part of the result.
     for (id, atom) in grounding.store.iter_alive() {
         if matches!(atom.kind, AtomKind::Hidden) && state.assignment[id.index()] {
-            let confidence = marginals
-                .as_ref()
-                .map_or(1.0, |m| m[id.index()].clamp(0.0, 1.0));
-            inferred.push(InferredFact {
-                subject: grounding.dict.resolve(atom.subject).to_string(),
-                predicate: grounding.dict.resolve(atom.predicate).to_string(),
-                object: grounding.dict.resolve(atom.object).to_string(),
-                interval: atom.interval,
-                confidence,
-            });
+            let confidence = marginals.map_or(1.0, |m| m[id.index()].clamp(0.0, 1.0));
+            if threshold::passes(confidence, config.threshold) {
+                inferred.push(Inferred {
+                    atom: id,
+                    // The expanded graph appends the inferred facts, in
+                    // this order, behind the kept ones.
+                    id: FactId(kept_count + inferred.len() as u32),
+                    fact: Arc::new(inferred_fact(grounding, atom, confidence)),
+                });
+            } else {
+                thresholded.insert(id);
+            }
         }
     }
-    let (inferred, thresholded) = threshold::apply(inferred, config.threshold);
 
-    let stats = DebugStats {
+    let mut stats = DebugStats {
         total_facts: graph.len(),
         conflicting_facts: removed.len(),
         inferred_facts: inferred.len(),
-        thresholded_facts: thresholded,
-        atoms: grounding.num_atoms() - grounding.store.dead_count(),
-        clauses: state.active_clauses,
-        // Filled in by the engine after interpretation (the solve
-        // driver owns the component accounting; the engine owns the
-        // fallback-reground counter).
-        components: 0,
-        components_solved: 0,
-        fallback_regrounds: 0,
-        per_constraint,
-        backend: config.backend.name().to_string(),
-        feasible: state.feasible,
-        cost: state.cost,
-        grounding_time,
-        solve_time,
-        plans: grounding.plans.clone(),
+        thresholded_facts: thresholded.len(),
+        per_constraint: conflicts.per_constraint(grounding),
+        ..DebugStats::default()
     };
-    Resolution {
-        consistent,
-        removed,
+    solve_stats(&mut stats, grounding, state, config);
+    let maps = ViewMaps {
+        kept,
+        kept_expanded: FactIds::default(),
         inferred,
+        thresholded,
         conflicts,
+        threshold: config.threshold,
+    };
+    let resolution = Resolution {
+        consistent: Arc::new(consistent),
+        removed,
+        inferred: maps.inferred_facts(),
+        conflicts: maps.conflicts.list(),
         stats,
+    };
+    (resolution, maps)
+}
+
+/// A hidden atom accepted by MAP, as the derived fact it stands for.
+pub(crate) fn inferred_fact(
+    grounding: &Grounding,
+    atom: &GroundAtom,
+    confidence: f64,
+) -> InferredFact {
+    InferredFact {
+        subject: grounding.dict.resolve(atom.subject).to_string(),
+        predicate: grounding.dict.resolve(atom.predicate).to_string(),
+        object: grounding.dict.resolve(atom.object).to_string(),
+        interval: atom.interval,
+        confidence,
     }
+}
+
+/// Fills in the statistics that are read straight off the grounding and
+/// the MAP state, the same way on every interpretation path. The
+/// timings, the component accounting and the fallback-reground counter
+/// are the engine's to add afterwards (it holds the clocks and the
+/// counter; the solve driver owns the component accounting).
+pub(crate) fn solve_stats(
+    stats: &mut DebugStats,
+    grounding: &Grounding,
+    state: &MapState,
+    config: &TecoreConfig,
+) {
+    stats.atoms = grounding.num_atoms() - grounding.store.dead_count();
+    stats.clauses = state.active_clauses;
+    stats.backend = config.backend.name().to_string();
+    stats.feasible = state.feasible;
+    stats.cost = state.cost;
+    stats.plans = grounding.plans.clone();
 }

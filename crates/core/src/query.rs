@@ -623,15 +623,15 @@ mod tests {
         )
         .unwrap();
         let resolution = Resolution {
-            consistent: graph,
+            consistent: graph.into(),
             removed: Vec::new(),
-            inferred: vec![InferredFact {
+            inferred: vec![std::sync::Arc::new(InferredFact {
                 subject: "CR".into(),
                 predicate: "worksFor".into(),
                 object: "Palermo".into(),
                 interval: iv(1984, 1986),
                 confidence: 0.62,
-            }],
+            })],
             conflicts: Vec::new(),
             stats: DebugStats::default(),
         };

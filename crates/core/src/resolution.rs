@@ -1,5 +1,7 @@
 //! The outcome of conflict resolution.
 
+use std::sync::Arc;
+
 use tecore_kg::{FactId, TemporalFact, UtkGraph};
 use tecore_temporal::Interval;
 
@@ -45,17 +47,27 @@ impl std::fmt::Display for InferredFact {
 
 /// The most probable conflict-free temporal KG plus the debugging
 /// by-products the demo UI displays.
+///
+/// The graph, the inferred facts and the conflict explanations sit
+/// behind [`Arc`]s: an incremental resolve carries the parts an edit
+/// did not touch over from the previous resolution instead of copying
+/// or re-rendering them. All of them read through the `Arc` as before.
 #[derive(Debug, Clone)]
 pub struct Resolution {
-    /// The maximal consistent subgraph (evidence kept by MAP).
-    pub consistent: UtkGraph,
-    /// Evidence facts removed (the conflicting statements).
+    /// The maximal consistent subgraph (evidence kept by MAP). A
+    /// result, not an edit history: its change log is empty
+    /// ([`UtkGraph::since`] has nothing before its own epoch) and its
+    /// fact ids are its own — [`Resolution::removed`] is what carries
+    /// ids of the input graph.
+    pub consistent: Arc<UtkGraph>,
+    /// Evidence facts removed (the conflicting statements), in
+    /// ascending order of their id in the input graph.
     pub removed: Vec<RemovedFact>,
     /// Derived facts accepted by MAP, above the configured threshold.
-    pub inferred: Vec<InferredFact>,
+    pub inferred: Vec<Arc<InferredFact>>,
     /// Why each conflict was detected: the violated constraint and its
     /// participating facts (independent of which side was removed).
-    pub conflicts: Vec<ConflictExplanation>,
+    pub conflicts: Vec<Arc<ConflictExplanation>>,
     /// Statistics (Figure 8).
     pub stats: DebugStats,
 }
@@ -72,7 +84,7 @@ impl Resolution {
     /// hands it out by reference (and carries the temporal indexes the
     /// query layer needs).
     pub fn expanded_graph(&self) -> UtkGraph {
-        let mut g = self.consistent.clone();
+        let mut g = UtkGraph::clone(&self.consistent);
         for inf in &self.inferred {
             let conf = inf.confidence.clamp(0.001, 1.0);
             g.insert(
@@ -84,6 +96,8 @@ impl Resolution {
             )
             .expect("clamped confidence is valid");
         }
+        // Like `consistent`, the expansion carries no edit history.
+        g.truncate_log(g.epoch());
         g
     }
 }

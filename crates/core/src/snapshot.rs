@@ -14,7 +14,7 @@
 //! simply observe the epoch they captured.
 
 use std::ops::Deref;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use tecore_kg::{GraphTemporalIndex, UtkGraph};
 use tecore_temporal::TimePoint;
@@ -31,12 +31,21 @@ use crate::resolution::Resolution;
 /// is mechanical. On top of that it owns:
 ///
 /// * [`Snapshot::expanded`] — the expanded KG, built **once** per
-///   snapshot (lazily, on first access) instead of re-cloned per call
-///   like the old `Resolution::expanded_graph`;
+///   snapshot instead of re-cloned per call like the old
+///   `Resolution::expanded_graph`; when nothing was inferred it *is*
+///   the consistent graph, shared, not a copy of it;
 /// * [`Snapshot::index`] — a [`GraphTemporalIndex`] over the expanded
 ///   graph (global + per-predicate + per-subject interval indexes);
 /// * [`Snapshot::query`] — the entry point of the typed temporal query
 ///   layer.
+///
+/// Snapshots of a cold resolve ([`Snapshot::from_resolution`],
+/// [`Engine::resolve`](crate::engine::Engine::resolve)) build both
+/// members lazily, on first access. Snapshots of
+/// [`Engine::resolve_incremental`](crate::engine::Engine::resolve_incremental)
+/// that were carried forward from their predecessor arrive with both
+/// already in place — the previous snapshot's, copied and patched with
+/// what the edit changed — so no reader ever builds them.
 ///
 /// Lazy members use [`OnceLock`], so concurrent readers racing on the
 /// first access still build each structure exactly once.
@@ -44,7 +53,7 @@ use crate::resolution::Resolution;
 pub struct Snapshot {
     epoch: u64,
     resolution: Resolution,
-    expanded: OnceLock<UtkGraph>,
+    expanded: OnceLock<Arc<UtkGraph>>,
     index: OnceLock<GraphTemporalIndex>,
 }
 
@@ -59,6 +68,22 @@ impl Snapshot {
             resolution,
             expanded: OnceLock::new(),
             index: OnceLock::new(),
+        }
+    }
+
+    /// Wraps a resolution whose expanded graph and index the engine
+    /// already holds (carried forward from the previous snapshot).
+    pub(crate) fn prebuilt(
+        resolution: Resolution,
+        epoch: u64,
+        expanded: Arc<UtkGraph>,
+        index: GraphTemporalIndex,
+    ) -> Self {
+        Snapshot {
+            epoch,
+            resolution,
+            expanded: OnceLock::from(expanded),
+            index: OnceLock::from(index),
         }
     }
 
@@ -82,15 +107,36 @@ impl Snapshot {
     /// The expanded KG — consistent evidence plus inferred facts
     /// materialised as graph facts — by reference.
     ///
-    /// Materialised at most once per snapshot; every later call (from
-    /// any thread) returns the same graph.
+    /// Already in place on a snapshot an incremental resolve carried
+    /// forward; on a cold one it is materialised on the first call (at
+    /// most once — every later call, from any thread, returns the same
+    /// graph). With nothing inferred it is the consistent graph itself.
     pub fn expanded(&self) -> &UtkGraph {
-        self.expanded
-            .get_or_init(|| self.resolution.expanded_graph())
+        self.expanded_shared()
     }
 
-    /// The temporal index set over [`Snapshot::expanded`], built at
-    /// most once per snapshot.
+    /// [`Snapshot::expanded`] with its owner, for the engine to carry
+    /// into the next snapshot.
+    pub(crate) fn expanded_shared(&self) -> &Arc<UtkGraph> {
+        self.expanded.get_or_init(|| {
+            if self.resolution.inferred.is_empty() {
+                Arc::clone(&self.resolution.consistent)
+            } else {
+                Arc::new(self.resolution.expanded_graph())
+            }
+        })
+    }
+
+    /// The index, if it has been built (or arrived built).
+    pub(crate) fn built_index(&self) -> Option<&GraphTemporalIndex> {
+        self.index.get()
+    }
+
+    /// The temporal index set over [`Snapshot::expanded`].
+    ///
+    /// Already in place on a snapshot an incremental resolve carried
+    /// forward; on a cold one it is built on the first call, at most
+    /// once per snapshot.
     pub fn index(&self) -> &GraphTemporalIndex {
         self.index
             .get_or_init(|| GraphTemporalIndex::build(self.expanded()))
@@ -127,15 +173,15 @@ mod tests {
         )
         .unwrap();
         let resolution = Resolution {
-            consistent: graph,
+            consistent: Arc::new(graph),
             removed: Vec::new(),
-            inferred: vec![crate::resolution::InferredFact {
+            inferred: vec![Arc::new(crate::resolution::InferredFact {
                 subject: "CR".into(),
                 predicate: "worksFor".into(),
                 object: "Chelsea".into(),
                 interval: tecore_temporal::Interval::new(2000, 2004).unwrap(),
                 confidence: 0.8,
-            }],
+            })],
             conflicts: Vec::new(),
             stats: crate::stats::DebugStats::default(),
         };
@@ -157,6 +203,14 @@ mod tests {
         let second = snap.expanded() as *const UtkGraph;
         assert_eq!(first, second, "same materialisation on every access");
         assert_eq!(snap.expanded().len(), 3, "2 consistent + 1 inferred");
+    }
+
+    #[test]
+    fn nothing_inferred_shares_the_consistent_graph() {
+        let mut resolution = snapshot().into_resolution();
+        resolution.inferred.clear();
+        let snap = Snapshot::from_resolution(resolution, 7);
+        assert!(std::ptr::eq(snap.expanded(), &*snap.consistent));
     }
 
     #[test]

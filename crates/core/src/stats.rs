@@ -53,7 +53,11 @@ pub struct DebugStats {
     pub feasible: bool,
     /// Final MAP cost (violated soft weight).
     pub cost: f64,
-    /// Grounding wall-clock time.
+    /// Grounding wall-clock time: the cold grounding's on a batch
+    /// resolve (and on the incremental resolve that grounds cold), else
+    /// the total of the deltas applied since the previous incremental
+    /// resolve — including those a caller applied itself through
+    /// [`Engine::apply_delta`](crate::engine::Engine::apply_delta).
     pub grounding_time: Duration,
     /// Solver wall-clock time.
     pub solve_time: Duration,

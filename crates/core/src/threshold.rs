@@ -4,26 +4,19 @@
 //! below that" (paper §1). The threshold applies to *derived* facts
 //! only — evidence facts are governed by MAP inference itself.
 
+use std::sync::Arc;
+
 use crate::resolution::InferredFact;
 
-/// Retains inferred facts with `confidence >= threshold`; returns the
-/// kept facts and the number dropped.
-pub fn apply(inferred: Vec<InferredFact>, threshold: f64) -> (Vec<InferredFact>, usize) {
-    if threshold <= 0.0 {
-        return (inferred, 0);
-    }
-    let before = inferred.len();
-    let kept: Vec<InferredFact> = inferred
-        .into_iter()
-        .filter(|f| f.confidence >= threshold)
-        .collect();
-    let dropped = before - kept.len();
-    (kept, dropped)
+/// Does a derived fact of this confidence pass the threshold? A
+/// threshold of `0.0` (or below) keeps everything.
+pub fn passes(confidence: f64, threshold: f64) -> bool {
+    threshold <= 0.0 || confidence >= threshold
 }
 
 /// Sweeps a set of thresholds and reports `(threshold, kept)` pairs —
 /// the curve behind experiment E5.
-pub fn sweep(inferred: &[InferredFact], thresholds: &[f64]) -> Vec<(f64, usize)> {
+pub fn sweep(inferred: &[Arc<InferredFact>], thresholds: &[f64]) -> Vec<(f64, usize)> {
     thresholds
         .iter()
         .map(|&t| {
@@ -38,28 +31,27 @@ mod tests {
     use super::*;
     use tecore_temporal::Interval;
 
-    fn fact(conf: f64) -> InferredFact {
-        InferredFact {
+    fn fact(conf: f64) -> Arc<InferredFact> {
+        Arc::new(InferredFact {
             subject: "s".into(),
             predicate: "p".into(),
             object: "o".into(),
             interval: Interval::new(1, 2).unwrap(),
             confidence: conf,
-        }
+        })
     }
 
     #[test]
     fn zero_threshold_keeps_all() {
-        let (kept, dropped) = apply(vec![fact(0.1), fact(0.9)], 0.0);
-        assert_eq!(kept.len(), 2);
-        assert_eq!(dropped, 0);
+        assert!(passes(0.1, 0.0));
+        assert!(passes(0.0, 0.0));
     }
 
     #[test]
     fn filters_below() {
-        let (kept, dropped) = apply(vec![fact(0.1), fact(0.5), fact(0.9)], 0.5);
-        assert_eq!(kept.len(), 2); // 0.5 inclusive
-        assert_eq!(dropped, 1);
+        assert!(!passes(0.1, 0.5));
+        assert!(passes(0.5, 0.5)); // inclusive
+        assert!(passes(0.9, 0.5));
     }
 
     #[test]

@@ -21,13 +21,13 @@ fn build_snapshot(facts: &[(u8, u8, u8, i8, i8, u8)]) -> Snapshot {
         let iv = Interval::new(i64::from(start), i64::from(start) + i64::from(len)).unwrap();
         let confidence = 0.5 + f64::from(conf) * 0.09;
         if i % 5 == 4 {
-            inferred.push(InferredFact {
+            inferred.push(std::sync::Arc::new(InferredFact {
                 subject: format!("subj{s}"),
                 predicate: format!("pred{p}"),
                 object: format!("obj{o}"),
                 interval: iv,
                 confidence,
-            });
+            }));
         } else {
             graph
                 .insert(
@@ -41,7 +41,7 @@ fn build_snapshot(facts: &[(u8, u8, u8, i8, i8, u8)]) -> Snapshot {
         }
     }
     let resolution = Resolution {
-        consistent: graph,
+        consistent: graph.into(),
         removed: Vec::new(),
         inferred,
         conflicts: Vec::new(),

@@ -178,10 +178,35 @@ pub struct CompiledFormula {
     /// `schedule[k]` lists conditions evaluable after the `k`-th join
     /// step (0-based position in `join_order`).
     pub schedule: Vec<Vec<usize>>,
+    /// The delta rules of the body, one per position: `seeded[pos]`
+    /// binds `pos` first — from the atoms a delta made new — and joins
+    /// the remaining patterns outwards from it.
+    pub seeded: Vec<SeededPlan>,
     /// Consequent.
     pub consequent: CConsequent,
     /// Total number of variables in the formula.
     pub n_vars: usize,
+}
+
+/// A join order that starts at one fixed body position, with the
+/// condition schedule that goes with it (see
+/// [`CompiledFormula::seeded`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SeededPlan {
+    /// A permutation of `0..body.len()` whose first element is the
+    /// seeded position.
+    pub order: Vec<usize>,
+    /// `schedule[k]` lists the conditions evaluable after step `k` of
+    /// `order`.
+    pub schedule: Vec<Vec<usize>>,
+}
+
+impl SeededPlan {
+    /// The plan following `order`.
+    pub(crate) fn new(body: &[CPattern], order: Vec<usize>, conditions: &[CCondition]) -> Self {
+        let schedule = schedule_conditions(body, &order, conditions);
+        SeededPlan { order, schedule }
+    }
 }
 
 /// A compiled program.
@@ -256,8 +281,11 @@ fn compile_formula(
         Consequent::False => CConsequent::False,
     };
 
-    let join_order = plan_join_order(&body);
+    let join_order = plan_join_order(&body, None);
     let schedule = schedule_conditions(&body, &join_order, &conditions);
+    let seeded = (0..body.len())
+        .map(|pos| SeededPlan::new(&body, plan_join_order(&body, Some(pos)), &conditions))
+        .collect();
 
     Ok(CompiledFormula {
         index,
@@ -267,6 +295,7 @@ fn compile_formula(
         join_order,
         conditions,
         schedule,
+        seeded,
         consequent,
         n_vars: f.vars.len(),
     })
@@ -300,17 +329,23 @@ fn compile_condition(c: &Condition, dict: &mut Dictionary) -> CCondition {
     }
 }
 
-/// Greedy join-order planning: start from the most selective pattern
-/// (most constants), then repeatedly choose the pattern sharing the most
-/// already-bound variables (tie-break: more constants, then source
-/// order). This keeps joins index-backed: a shared variable means the
-/// next lookup can use the subject/object hash indexes.
-pub(crate) fn plan_join_order(body: &[CPattern]) -> Vec<usize> {
+/// Greedy join-order planning: start from `first` — or, without one,
+/// from the most selective pattern (most constants) — then repeatedly
+/// choose the pattern sharing the most already-bound variables
+/// (tie-break: more constants, then source order). This keeps joins
+/// index-backed: a shared variable means the next lookup can use the
+/// subject/object hash indexes.
+pub(crate) fn plan_join_order(body: &[CPattern], first: Option<usize>) -> Vec<usize> {
     let n = body.len();
     let mut order = Vec::with_capacity(n);
     let mut used = vec![false; n];
     let mut bound: Vec<VarId> = Vec::new();
-    for _ in 0..n {
+    if let Some(first) = first {
+        used[first] = true;
+        bound = body[first].vars();
+        order.push(first);
+    }
+    while order.len() < n {
         let mut best: Option<(usize, usize, usize)> = None; // (shared, consts, idx)
         for (i, p) in body.iter().enumerate() {
             if used[i] {
@@ -407,6 +442,26 @@ mod tests {
         assert_eq!(cf.join_order[0], 0);
         // Pattern 1 shares x with 0; pattern 2 shares z with 1 only.
         assert_eq!(cf.join_order, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn every_body_position_gets_a_seeded_plan() {
+        let (cf, _) = compile_one(
+            "quad(x, coach, Chelsea, t) ^ quad(x, coach, z, t') ^ quad(z, locatedIn, w1, t') \
+             ^ z != x -> false",
+        );
+        assert_eq!(cf.seeded.len(), 3);
+        for (pos, plan) in cf.seeded.iter().enumerate() {
+            assert_eq!(plan.order[0], pos, "the seeded position binds first");
+            let mut sorted = plan.order.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, vec![0, 1, 2], "a permutation");
+        }
+        // Seeded at the last pattern, z is bound first: the join walks
+        // back through the shared variables (2 → 1 → 0), and `z != x`
+        // runs as soon as pattern 1 has bound x.
+        assert_eq!(cf.seeded[2].order, vec![2, 1, 0]);
+        assert_eq!(cf.seeded[2].schedule, vec![vec![], vec![0], vec![]]);
     }
 
     #[test]

@@ -169,6 +169,9 @@ pub struct Grounding {
     /// re-plan when the live counts drift too far from this
     /// ([`GroundConfig::replan_drift`]).
     pub(crate) plan_fingerprint: Vec<(Symbol, usize)>,
+    /// What deltas changed since the consumer last took it (see
+    /// [`Grounding::take_changes`]).
+    pub(crate) changes: crate::incremental::DeltaChanges,
 }
 
 impl Grounding {
@@ -381,6 +384,7 @@ pub fn ground(
         eager_constraints: config.ground_constraints,
         plans,
         plan_fingerprint,
+        changes: Default::default(),
     })
 }
 
@@ -649,46 +653,47 @@ pub(crate) fn eval_condition(c: &CCondition, bindings: &Bindings) -> bool {
 /// per body position, this produces each new match exactly once. What
 /// "new" means is the variants' difference: the batch grounder's rounds
 /// append atoms, so newness is an id range; the incremental delta path
-/// revives atoms at arbitrary old ids, so newness is a membership set.
+/// revives atoms at arbitrary old ids, so newness is a list.
 #[derive(Clone, Copy)]
 pub(crate) enum Frontier<'a> {
     /// No restriction: enumerate every match once.
     All,
     /// New = atoms with `id >= start` (batch semi-naive rounds).
     Range { start: usize, pos: usize },
-    /// New = atoms flagged in `new` (incremental deltas; the slice may
-    /// be shorter than the store — missing entries are old).
-    Set { new: &'a [bool], pos: usize },
+    /// New = the atoms listed in `new`, ascending (incremental deltas).
+    /// Position `pos` is never looked up: [`enumerate_seeded`] binds it
+    /// from `new` directly, so only the positions before it are tested.
+    Seeded { new: &'a [AtomId], pos: usize },
 }
 
 impl Frontier<'_> {
     /// May `id` occupy body position `pat_idx` under this discipline?
     #[inline]
     fn admits(&self, pat_idx: usize, id: AtomId) -> bool {
-        let (is_new, pos) = match *self {
-            Frontier::All => return true,
-            Frontier::Range { start, pos } => (id.index() >= start, pos),
-            Frontier::Set { new, pos } => (new.get(id.index()).copied().unwrap_or(false), pos),
-        };
-        if pat_idx == pos {
-            is_new
-        } else if pat_idx < pos {
-            !is_new
-        } else {
-            true
+        match *self {
+            Frontier::All => true,
+            Frontier::Range { start, pos } => {
+                let is_new = id.index() >= start;
+                if pat_idx == pos {
+                    is_new
+                } else {
+                    pat_idx > pos || !is_new
+                }
+            }
+            Frontier::Seeded { new, pos } => pat_idx >= pos || new.binary_search(&id).is_err(),
         }
     }
 }
 
-/// Enumerates all body matches of `cf` against `store`.
+/// Enumerates all body matches of `cf` against `store`, following the
+/// formula's cold join order.
 ///
 /// * `horizon` — only atoms with `id < horizon` participate (atoms
 ///   created during the current round are next round's delta);
 /// * `frontier` — the semi-naive newness discipline (see [`Frontier`]);
 ///   [`Frontier::All`] enumerates everything once.
 /// * `filter` — optional per-atom admission test (used by cutting-plane
-///   violation search with "atom is true in the current world", and by
-///   the incremental path to skip dead atoms).
+///   violation search with "atom is true in the current world").
 pub(crate) fn enumerate_matches(
     store: &AtomStore,
     cf: &CompiledFormula,
@@ -697,110 +702,156 @@ pub(crate) fn enumerate_matches(
     filter: Option<&dyn Fn(AtomId) -> bool>,
     on_match: &mut dyn FnMut(&[AtomId], &Bindings),
 ) {
-    let mut bindings = Bindings::new(cf.n_vars);
-    let mut chosen: Vec<AtomId> = vec![AtomId(0); cf.body.len()];
-    descend(
+    let join = Join {
         store,
         cf,
+        order: &cf.join_order,
+        schedule: &cf.schedule,
         horizon,
         frontier,
         filter,
-        0,
-        &mut bindings,
-        &mut chosen,
-        on_match,
-    );
+    };
+    join.descend(0, &mut Search::new(cf), on_match);
 }
 
-#[allow(clippy::too_many_arguments)]
-fn descend(
+/// The delta rule of body position `pos`: enumerates the matches that
+/// bind one of the `new` atoms (ascending ids) at `pos` and old atoms
+/// at every position before it, by binding `pos` *first* — once per new
+/// atom — and joining the other patterns outwards through the store's
+/// indexes in the formula's seeded order. The work follows the new
+/// atoms and their join partners, not the predicate extensions.
+///
+/// Returns the number of candidate atoms examined. `filter` is used by
+/// the incremental path to skip dead atoms.
+pub(crate) fn enumerate_seeded(
     store: &AtomStore,
     cf: &CompiledFormula,
     horizon: usize,
-    frontier: Frontier<'_>,
+    new: &[AtomId],
+    pos: usize,
     filter: Option<&dyn Fn(AtomId) -> bool>,
-    step: usize,
-    bindings: &mut Bindings,
-    chosen: &mut Vec<AtomId>,
     on_match: &mut dyn FnMut(&[AtomId], &Bindings),
-) {
-    if step == cf.body.len() {
-        // `chosen` is indexed by body position (not join order).
-        on_match(chosen, bindings);
-        return;
+) -> usize {
+    let plan = &cf.seeded[pos];
+    let join = Join {
+        store,
+        cf,
+        order: &plan.order,
+        schedule: &plan.schedule,
+        horizon,
+        frontier: Frontier::Seeded { new, pos },
+        filter,
+    };
+    let mut search = Search::new(cf);
+    for &seed in new {
+        join.visit(0, seed, &mut search, on_match);
     }
-    let pat_idx = cf.join_order[step];
-    let pattern = &cf.body[pat_idx];
+    search.examined
+}
 
-    // Candidate list via the most selective available index.
-    let s = resolve_entity(&pattern.subject, bindings);
-    let p = resolve_entity(&pattern.predicate, bindings);
-    let o = resolve_entity(&pattern.object, bindings);
-    let candidates: Candidates = match (s, p, o) {
-        (Some(s), Some(p), _) => Candidates::Slice(store.with_subject_predicate(s, p)),
-        (_, Some(p), Some(o)) => Candidates::Slice(store.with_predicate_object(p, o)),
-        (_, Some(p), None) => Candidates::Slice(store.with_predicate(p)),
-        _ => Candidates::Range(0..store.len() as u32),
-    };
+/// One enumeration pass: what is joined, in which order, under which
+/// admission rules.
+struct Join<'a> {
+    store: &'a AtomStore,
+    cf: &'a CompiledFormula,
+    /// Body positions in join order, with the condition schedule
+    /// computed for that order.
+    order: &'a [usize],
+    schedule: &'a [Vec<usize>],
+    horizon: usize,
+    frontier: Frontier<'a>,
+    filter: Option<&'a dyn Fn(AtomId) -> bool>,
+}
 
-    let admit = |id: AtomId| -> bool {
-        if id.index() >= horizon {
-            return false;
-        }
-        if !frontier.admits(pat_idx, id) {
-            return false;
-        }
-        if let Some(f) = filter {
-            if !f(id) {
-                return false;
-            }
-        }
-        true
-    };
+/// The mutable state of one enumeration pass.
+struct Search {
+    bindings: Bindings,
+    /// Indexed by body position (not join step).
+    chosen: Vec<AtomId>,
+    /// Candidate atoms looked at so far.
+    examined: usize,
+}
 
-    let visit = |id: AtomId,
-                 bindings: &mut Bindings,
-                 chosen: &mut Vec<AtomId>,
-                 on_match: &mut dyn FnMut(&[AtomId], &Bindings)| {
-        if !admit(id) {
+impl Search {
+    fn new(cf: &CompiledFormula) -> Self {
+        Search {
+            bindings: Bindings::new(cf.n_vars),
+            chosen: vec![AtomId(0); cf.body.len()],
+            examined: 0,
+        }
+    }
+}
+
+impl Join<'_> {
+    fn descend(
+        &self,
+        step: usize,
+        search: &mut Search,
+        on_match: &mut dyn FnMut(&[AtomId], &Bindings),
+    ) {
+        if step == self.order.len() {
+            on_match(&search.chosen, &search.bindings);
             return;
         }
-        let atom = store.atom(id);
-        let Some(undo) = try_match(pattern, atom, bindings) else {
+        let pattern = &self.cf.body[self.order[step]];
+
+        // Candidate list via the most selective available index.
+        let s = resolve_entity(&pattern.subject, &search.bindings);
+        let p = resolve_entity(&pattern.predicate, &search.bindings);
+        let o = resolve_entity(&pattern.object, &search.bindings);
+        let candidates: Candidates = match (s, p, o) {
+            (Some(s), Some(p), _) => Candidates::Slice(self.store.with_subject_predicate(s, p)),
+            (_, Some(p), Some(o)) => Candidates::Slice(self.store.with_predicate_object(p, o)),
+            (_, Some(p), None) => Candidates::Slice(self.store.with_predicate(p)),
+            _ => Candidates::Range(0..self.store.len() as u32),
+        };
+        match candidates {
+            Candidates::Slice(ids) => {
+                for &id in ids {
+                    self.visit(step, id, search, on_match);
+                }
+            }
+            Candidates::Range(r) => {
+                for raw in r {
+                    self.visit(step, AtomId(raw), search, on_match);
+                }
+            }
+        }
+    }
+
+    /// Tries `id` at join step `step` and, if it is admitted, matches
+    /// the pattern and passes the step's conditions, joins on from it.
+    #[inline]
+    fn visit(
+        &self,
+        step: usize,
+        id: AtomId,
+        search: &mut Search,
+        on_match: &mut dyn FnMut(&[AtomId], &Bindings),
+    ) {
+        search.examined += 1;
+        let pat_idx = self.order[step];
+        if id.index() >= self.horizon
+            || !self.frontier.admits(pat_idx, id)
+            || self.filter.is_some_and(|f| !f(id))
+        {
+            return;
+        }
+        let Some(undo) = try_match(
+            &self.cf.body[pat_idx],
+            self.store.atom(id),
+            &mut search.bindings,
+        ) else {
             return;
         };
-        // Scheduled conditions for this step.
-        let ok = cf.schedule[step]
+        let ok = self.schedule[step]
             .iter()
-            .all(|&ci| eval_condition(&cf.conditions[ci], bindings));
+            .all(|&ci| eval_condition(&self.cf.conditions[ci], &search.bindings));
         if ok {
-            chosen[pat_idx] = id;
-            descend(
-                store,
-                cf,
-                horizon,
-                frontier,
-                filter,
-                step + 1,
-                bindings,
-                chosen,
-                on_match,
-            );
+            search.chosen[pat_idx] = id;
+            self.descend(step + 1, search, on_match);
         }
-        undo_bindings(bindings, &undo);
-    };
-
-    match candidates {
-        Candidates::Slice(ids) => {
-            for &id in ids {
-                visit(id, bindings, chosen, on_match);
-            }
-        }
-        Candidates::Range(r) => {
-            for raw in r {
-                visit(AtomId(raw), bindings, chosen, on_match);
-            }
-        }
+        undo_bindings(&mut search.bindings, &undo);
     }
 }
 

@@ -11,10 +11,18 @@
 //!   clause touching a killed atom is retracted — cascading through
 //!   derived atoms whose last deriving clause disappears;
 //! * **added facts** merge into an existing atom, revive a dead one, or
-//!   create a fresh one; the semi-naive binding search then re-runs
-//!   restricted to the *set* of new/revived atoms
-//!   (`Frontier::Set` in the grounder), so only matches that touch
-//!   the delta are enumerated.
+//!   create a fresh one; the semi-naive binding search then re-runs as
+//!   *delta rules*: for every formula and body position, that position
+//!   is bound first — from the list of new/revived atoms — and the
+//!   remaining patterns are joined outwards from it through the atom
+//!   store's indexes (`enumerate_seeded` in the grounder), so the work
+//!   follows the delta, not the predicate extensions.
+//!
+//! What the deltas did to the things a resolved result is read from —
+//! which atoms came, went or changed kind, which constraint groundings
+//! were emitted or retracted — is kept in [`DeltaChanges`] until the
+//! consumer takes it ([`Grounding::take_changes`]), so the result can
+//! be carried forward by difference instead of being re-derived.
 //!
 //! Atom ids are never reused and dead atoms keep their slot, so solver
 //! assignment vectors stay index-stable across deltas — which is what
@@ -26,14 +34,14 @@
 
 use std::time::{Duration, Instant};
 
+use tecore_kg::fxhash::{FxHashMap, FxHashSet};
 use tecore_kg::{Delta, UtkGraph};
 use tecore_logic::formula::Weight;
 
 use crate::atoms::{AtomId, AtomKind};
 use crate::clause::{ClauseId, ClauseOrigin, ClauseWeight, GroundClause, Lit};
 use crate::grounder::{
-    collect_match, enumerate_matches, evidence_unit, prior_unit, Frontier, GroundConfig, Grounding,
-    HeadKey,
+    collect_match, enumerate_seeded, evidence_unit, prior_unit, GroundConfig, Grounding, HeadKey,
 };
 use crate::planner::{self, JoinPlanner};
 
@@ -55,7 +63,33 @@ pub struct DeltaStats {
     pub atoms_killed: usize,
     /// Semi-naive rounds run over the delta frontier.
     pub rounds: usize,
+    /// Candidate atoms the delta rules looked at (seeds and join
+    /// partners): the binding search's work, independent of the clock.
+    pub candidates_examined: usize,
     /// Wall-clock time of the delta application.
+    pub elapsed: Duration,
+}
+
+/// One violated-constraint grounding: the formula's index and the
+/// literals of its clause (a formula clause without a positive
+/// literal — the keep-everything world violates exactly those).
+pub type ConstraintKey = (usize, Vec<Lit>);
+
+/// What the deltas applied since the last [`Grounding::take_changes`]
+/// did to the parts of the grounding a resolved result is read from.
+/// Like the component dirty flags, this accumulates over any number of
+/// `apply_delta` calls until its consumer takes it.
+#[derive(Debug, Clone, Default)]
+pub struct DeltaChanges {
+    /// Atoms that were created, revived or killed, or that moved
+    /// between evidence and hidden.
+    pub atoms: FxHashSet<AtomId>,
+    /// Constraint groundings touched, with what happened last: `true`
+    /// when the clause is live (emitted, or one of its atoms changed
+    /// weight or kind, which changes how it reads), `false` when it was
+    /// retracted.
+    pub constraints: FxHashMap<ConstraintKey, bool>,
+    /// Total wall-clock time of those deltas.
     pub elapsed: Duration,
 }
 
@@ -136,6 +170,8 @@ impl Grounding {
                         // atom survives as hidden (exactly what a cold
                         // re-ground would produce).
                         *self.store.kind_mut(aid) = AtomKind::Hidden;
+                        self.changes.atoms.insert(aid);
+                        self.note_reworded(aid);
                         if let Some(j) = self.find_unit(aid, ClauseOrigin::Evidence) {
                             self.retract_clause(j, &mut kills, &mut stats);
                         }
@@ -160,6 +196,7 @@ impl Grounding {
                 continue; // already processed via another path
             }
             self.store.kill(aid);
+            self.changes.atoms.insert(aid);
             stats.atoms_killed += 1;
             while let Some(&ci) = self.atom_clauses[aid.index()].last() {
                 self.retract_clause(ci, &mut kills, &mut stats);
@@ -168,8 +205,7 @@ impl Grounding {
 
         // --- 3. Added facts: merge / upgrade / revive / create their
         // evidence atoms. ---
-        let mut frontier: Vec<bool> = vec![false; self.store.len()];
-        let mut frontier_nonempty = false;
+        let mut frontier: Vec<AtomId> = Vec::new();
         for &fid in &delta.added {
             let Some(fact) = graph.fact(fid) else {
                 continue;
@@ -199,17 +235,13 @@ impl Grounding {
                 if let Some(j) = self.find_unit(aid, ClauseOrigin::Prior) {
                     self.retract_clause(j, &mut kills, &mut stats);
                 }
+                self.changes.atoms.insert(aid);
             }
             if !was_alive {
                 // Fresh or revived: its matches must be (re-)enumerated.
-                if aid.index() >= frontier.len() {
-                    frontier.resize(aid.index() + 1, false);
-                }
-                if !frontier[aid.index()] {
-                    frontier[aid.index()] = true;
-                    frontier_nonempty = true;
-                    stats.atoms_created += 1;
-                }
+                frontier.push(aid);
+                self.changes.atoms.insert(aid);
+                stats.atoms_created += 1;
             }
             self.fact_atoms.insert(fid, aid);
             unit_dirty.push(aid);
@@ -258,11 +290,14 @@ impl Grounding {
                 }
                 let (lit, weight) = evidence_unit(aid, log_odds, config);
                 self.emit_unit(lit, weight, ClauseOrigin::Evidence, &mut stats);
+                self.note_reworded(aid);
             }
         }
         debug_assert!(next_kill == kills.len(), "unit retraction never kills");
 
-        // --- 5. Semi-naive rounds restricted to the frontier set. ---
+        // --- 5. Semi-naive rounds of delta rules seeded from the
+        // frontier. A dead atom revived by a second fact of the same
+        // delta was alive by then, so no atom is listed twice. ---
         let active: Vec<usize> = self
             .program
             .formulas
@@ -272,9 +307,10 @@ impl Grounding {
             .map(|(i, _)| i)
             .collect();
         let mut rounds = 0;
-        while frontier_nonempty && rounds < config.max_rounds {
+        while !frontier.is_empty() && rounds < config.max_rounds {
             rounds += 1;
             stats.rounds = rounds;
+            frontier.sort_unstable();
             let horizon = self.store.len();
             let mut pending: Vec<(usize, Vec<AtomId>, Option<HeadKey>)> = Vec::new();
             let mut round_matches: Vec<(usize, usize)> = Vec::with_capacity(active.len());
@@ -285,14 +321,12 @@ impl Grounding {
                     let cf = &self.program.formulas[fi];
                     let mut matches = 0usize;
                     for pos in 0..cf.body.len() {
-                        enumerate_matches(
+                        stats.candidates_examined += enumerate_seeded(
                             store,
                             cf,
                             horizon,
-                            Frontier::Set {
-                                new: &frontier,
-                                pos,
-                            },
+                            &frontier,
+                            pos,
                             Some(&alive),
                             &mut |chosen, bindings| {
                                 matches += 1;
@@ -308,8 +342,7 @@ impl Grounding {
                     plan.actual_matches += matches;
                 }
             }
-            let mut next: Vec<bool> = Vec::new();
-            frontier_nonempty = false;
+            let mut next: Vec<AtomId> = Vec::new();
             for (fidx, body, head) in pending {
                 let mut lits: Vec<Lit> = body.iter().map(|&a| Lit::neg(a)).collect();
                 if let Some(key) = head {
@@ -329,11 +362,8 @@ impl Grounding {
                             let (lit, weight) = prior_unit(head_id, config);
                             self.emit_unit(lit, weight, ClauseOrigin::Prior, &mut stats);
                         }
-                        if head_id.index() >= next.len() {
-                            next.resize(head_id.index() + 1, false);
-                        }
-                        next[head_id.index()] = true;
-                        frontier_nonempty = true;
+                        next.push(head_id);
+                        self.changes.atoms.insert(head_id);
                     }
                     lits.push(Lit::pos(head_id));
                 }
@@ -352,7 +382,37 @@ impl Grounding {
 
         self.epoch = delta.to_epoch;
         stats.elapsed = start.elapsed();
+        self.changes.elapsed += stats.elapsed;
         stats
+    }
+
+    /// Hands over what the deltas since the previous call changed, and
+    /// starts a fresh account.
+    pub fn take_changes(&mut self) -> DeltaChanges {
+        std::mem::take(&mut self.changes)
+    }
+
+    /// The key under which a clause counts as a violated-constraint
+    /// grounding, if it is one.
+    fn constraint_key(&self, id: ClauseId) -> Option<ConstraintKey> {
+        let ClauseOrigin::Formula(fidx) = self.clauses.origin(id) else {
+            return None;
+        };
+        let lits = self.clauses.lits(id);
+        lits.iter()
+            .all(|l| !l.positive)
+            .then(|| (fidx, lits.to_vec()))
+    }
+
+    /// An atom's weight or kind changed: every constraint grounding it
+    /// takes part in now reads differently.
+    fn note_reworded(&mut self, aid: AtomId) {
+        for i in 0..self.atom_clauses[aid.index()].len() {
+            let ci = self.atom_clauses[aid.index()][i];
+            if let Some(key) = self.constraint_key(ci) {
+                self.changes.constraints.insert(key, true);
+            }
+        }
     }
 
     /// Re-plans the compiled program's join orders when the graph's
@@ -427,6 +487,9 @@ impl Grounding {
         if let Some(index) = &mut self.components {
             index.note_emit(self.clauses.lits(id));
         }
+        if let Some(key) = self.constraint_key(id) {
+            self.changes.constraints.insert(key, true);
+        }
         stats.clauses_emitted += 1;
     }
 
@@ -457,6 +520,9 @@ impl Grounding {
         stats.clauses_retracted += 1;
         if let Some(index) = &mut self.components {
             index.note_retract(self.clauses.lits(j));
+        }
+        if let Some(key) = self.constraint_key(j) {
+            self.changes.constraints.insert(key, false);
         }
         for lit in self.clauses.lits(j) {
             let entries = &mut self.atom_clauses[lit.atom.index()];

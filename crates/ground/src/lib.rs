@@ -47,7 +47,7 @@ pub use clause::{ClauseId, ClauseOrigin, ClauseRef, ClauseStore, ClauseWeight, G
 pub use compile::{CompiledFormula, CompiledProgram};
 pub use component::{ComponentIndex, ComponentView, Partition};
 pub use grounder::{ground, GroundConfig, Grounding, GroundingStats};
-pub use incremental::DeltaStats;
+pub use incremental::{ConstraintKey, DeltaChanges, DeltaStats};
 pub use planner::{FormulaPlan, JoinPlanner};
 pub use solver::{
     evaluate_world, ComponentMode, MapSolver, MapState, SolveError, SolveOpts, SolverCaps,

@@ -19,7 +19,7 @@
 use tecore_kg::{Cardinalities, Symbol};
 use tecore_logic::term::VarId;
 
-use crate::compile::{schedule_conditions, CPattern, CTerm, CTime, CompiledProgram};
+use crate::compile::{schedule_conditions, CPattern, CTerm, CTime, CompiledProgram, SeededPlan};
 
 /// Which join planner the grounder uses
 /// ([`crate::GroundConfig::planner`]).
@@ -214,27 +214,34 @@ impl<'a> CostModel<'a> {
 }
 
 /// Plans one body: returns the chosen permutation and the estimated
-/// number of complete matches.
-fn plan_body(body: &[CPattern], cards: &Cardinalities) -> (Vec<usize>, f64) {
+/// number of complete matches. With `first`, the permutation starts at
+/// that body position, already bound by one given atom (a delta rule),
+/// and the estimate is per such atom.
+fn plan_body(body: &[CPattern], cards: &Cardinalities, first: Option<usize>) -> (Vec<usize>, f64) {
     let n = body.len();
     if n <= 1 {
         return ((0..n).collect(), 0.0);
     }
     let model = CostModel::new(body, cards);
     if n <= EXACT_PLAN_LIMIT {
-        plan_exact(&model, n)
+        plan_exact(&model, n, first)
     } else {
-        plan_greedy(&model, n)
+        plan_greedy(&model, n, first)
     }
 }
 
 /// Exact Selinger-style DP over atom subsets: `dp[mask]` holds the
 /// cheapest way to have joined exactly the atoms in `mask`.
-fn plan_exact(model: &CostModel<'_>, n: usize) -> (Vec<usize>, f64) {
+fn plan_exact(model: &CostModel<'_>, n: usize, first: Option<usize>) -> (Vec<usize>, f64) {
     let full = (1usize << n) - 1;
     // (cost, rows, last pattern joined)
     let mut dp: Vec<Option<(f64, f64, usize)>> = vec![None; full + 1];
-    dp[0] = Some((0.0, 1.0, usize::MAX));
+    // A seeded plan starts from the one-pattern subset instead of the
+    // empty one, so only supersets of it are ever reached.
+    match first {
+        Some(first) => dp[1 << first] = Some((0.0, 1.0, first)),
+        None => dp[0] = Some((0.0, 1.0, usize::MAX)),
+    }
     for mask in 0..=full {
         let Some((cost, rows, _)) = dp[mask] else {
             continue;
@@ -269,10 +276,10 @@ fn plan_exact(model: &CostModel<'_>, n: usize) -> (Vec<usize>, f64) {
 /// Greedy search with one-step lookahead for long bodies: each step
 /// picks the atom minimising its own cost plus the cheapest possible
 /// next step after it.
-fn plan_greedy(model: &CostModel<'_>, n: usize) -> (Vec<usize>, f64) {
-    let mut remaining: Vec<usize> = (0..n).collect();
-    let mut order = Vec::with_capacity(n);
-    let mut bound = 0u64;
+fn plan_greedy(model: &CostModel<'_>, n: usize, first: Option<usize>) -> (Vec<usize>, f64) {
+    let mut remaining: Vec<usize> = (0..n).filter(|&i| Some(i) != first).collect();
+    let mut order: Vec<usize> = first.into_iter().collect();
+    let mut bound = first.map_or(0, |i| model.var_bits[i]);
     let mut rows = 1.0f64;
     while !remaining.is_empty() {
         let mut best: Option<(f64, usize)> = None;
@@ -319,8 +326,9 @@ fn bound_vars(model: &CostModel<'_>, mask: usize) -> u64 {
     bound
 }
 
-/// Re-plans every formula of `compiled` in place (join order and
-/// condition schedule) and returns the chosen plans. Under
+/// Re-plans every formula of `compiled` in place (the cold join order,
+/// the seeded order of every body position, and their condition
+/// schedules) and returns the chosen plans. Under
 /// [`JoinPlanner::Syntactic`], or when the graph has no statistics to
 /// plan from, the compiler's syntactic order is kept and merely
 /// recorded.
@@ -336,11 +344,17 @@ pub(crate) fn plan_program(
         .map(|cf| {
             let mut estimated = 0.0;
             if cost_based {
-                let (order, est) = plan_body(&cf.body, cards);
+                let (order, est) = plan_body(&cf.body, cards, None);
                 estimated = est;
                 if order != cf.join_order {
                     cf.schedule = schedule_conditions(&cf.body, &order, &cf.conditions);
                     cf.join_order = order;
+                }
+                for pos in 0..cf.body.len() {
+                    let (order, _) = plan_body(&cf.body, cards, Some(pos));
+                    if order != cf.seeded[pos].order {
+                        cf.seeded[pos] = SeededPlan::new(&cf.body, order, &cf.conditions);
+                    }
                 }
             }
             FormulaPlan {
@@ -446,6 +460,32 @@ mod tests {
             "quad(x, big, y, t) ^ quad(x, absent, z, t') -> false w = inf",
         );
         assert_eq!(order[0], 1);
+    }
+
+    #[test]
+    fn seeded_plans_start_at_their_position_and_follow_the_costs() {
+        let g = skewed_graph();
+        // Seeded at pattern 0 (x and y bound), the syntactic tie-break
+        // would join pattern 1 next — ~29 `big` atoms per object — but
+        // the subject's single `small` atom is the cheaper next step.
+        let program = LogicProgram::parse(
+            "quad(x, big, y, t) ^ quad(z, big, y, t') ^ quad(x, small, w, t'') -> false w = inf",
+        )
+        .unwrap();
+        let mut dict = g.dict().clone();
+        let mut compiled = CompiledProgram::compile(&program, &mut dict).unwrap();
+        assert_eq!(compiled.formulas[0].seeded[0].order, vec![0, 1, 2]);
+        plan_program(&mut compiled, g.cardinalities(), JoinPlanner::CostBased);
+        let cf = &compiled.formulas[0];
+        assert_eq!(cf.seeded[0].order, vec![0, 2, 1]);
+        for (pos, plan) in cf.seeded.iter().enumerate() {
+            assert_eq!(plan.order[0], pos);
+            assert_eq!(
+                plan.schedule,
+                schedule_conditions(&cf.body, &plan.order, &cf.conditions),
+                "schedule recomputed for the seeded order"
+            );
+        }
     }
 
     #[test]

@@ -108,6 +108,14 @@ impl UtkGraph {
     /// Inserts a pre-built fact (symbols must come from this graph's
     /// dictionary).
     pub fn insert_fact(&mut self, fact: TemporalFact) -> FactId {
+        let id = self.push_fact(fact);
+        self.record(FactChange::Added(id));
+        id
+    }
+
+    /// Stores and indexes a fact and bumps the epoch, without a change
+    /// log entry.
+    fn push_fact(&mut self, fact: TemporalFact) -> FactId {
         let id = FactId(self.facts.len() as u32);
         self.by_predicate
             .entry(fact.predicate)
@@ -126,7 +134,6 @@ impl UtkGraph {
         self.alive.push(true);
         self.live_count += 1;
         self.epoch += 1;
-        self.record(FactChange::Added(id));
         id
     }
 
@@ -415,6 +422,10 @@ impl UtkGraph {
 
     /// Duplicates the graph, retaining only facts for which `keep` holds.
     /// Symbols remain valid (the dictionary is shared by clone).
+    ///
+    /// The copy is a result, not an edit history: its change log starts
+    /// empty at its own epoch, so [`UtkGraph::since`] on it answers
+    /// `None` for anything earlier and building it records nothing.
     pub fn filtered(&self, mut keep: impl FnMut(FactId, &TemporalFact) -> bool) -> UtkGraph {
         let mut out = UtkGraph {
             dict: self.dict.clone(),
@@ -422,9 +433,10 @@ impl UtkGraph {
         };
         for (id, f) in self.iter() {
             if keep(id, f) {
-                out.insert_fact(*f);
+                out.push_fact(*f);
             }
         }
+        out.log_start = out.epoch;
         out
     }
 }
@@ -525,6 +537,22 @@ mod tests {
         assert_eq!(only_coach.len(), 3);
         // Dictionary shared: symbol still resolves.
         assert_eq!(only_coach.dict().resolve(coach), "coach");
+    }
+
+    #[test]
+    fn filtered_copy_has_no_history() {
+        let g = ranieri();
+        let copy = g.filtered(|_, _| true);
+        assert_eq!(copy.len(), 5);
+        assert!(copy.log.is_empty(), "building the copy records nothing");
+        assert!(copy.since(0).is_none(), "no history before its own epoch");
+        assert!(copy.since(copy.epoch()).unwrap().is_empty());
+        // Edits after the copy are logged as usual.
+        let mut copy = copy;
+        let at = copy.epoch();
+        copy.insert("CR", "coach", "Roma", iv(2019, 2021), 0.8)
+            .unwrap();
+        assert_eq!(copy.since(at).unwrap().added.len(), 1);
     }
 
     #[test]

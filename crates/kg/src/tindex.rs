@@ -1,4 +1,4 @@
-//! Static interval index for overlap queries.
+//! Interval index for overlap queries.
 //!
 //! The grounder's joins are hash-based (subject/predicate/object), but
 //! analytics — conflict pre-screening, the constraint advisor, graph
@@ -6,18 +6,24 @@
 //! p intersect this window?". [`IntervalIndex`] answers that in
 //! `O(log n + answers)` using the classic sorted-by-start layout with a
 //! running maximum of end points (a flattened static interval tree).
+//!
+//! The layout is flat but not frozen: [`IntervalIndex::patch`] (and
+//! its one-entry forms `insert` / `remove`) rewrites the sorted array
+//! and the running maximum from the first touched position on, so a
+//! resolved view carried from one snapshot to the next is patched, not
+//! rebuilt.
 
 use tecore_temporal::{Interval, TimePoint};
 
 use crate::dict::Symbol;
-use crate::fact::FactId;
+use crate::fact::{FactId, TemporalFact};
 use crate::fxhash::FxHashMap;
 use crate::graph::UtkGraph;
 
-/// A static index over `(FactId, Interval)` pairs.
-#[derive(Debug, Clone, Default)]
+/// An index over `(FactId, Interval)` pairs.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IntervalIndex {
-    /// Entries sorted by interval start.
+    /// Entries sorted by `(start, end, id)`.
     entries: Vec<(FactId, Interval)>,
     /// `max_end[i]` = max end point among `entries[..=i]`.
     max_end: Vec<TimePoint>,
@@ -27,7 +33,7 @@ impl IntervalIndex {
     /// Builds an index from arbitrary (id, interval) pairs.
     pub fn build<I: IntoIterator<Item = (FactId, Interval)>>(items: I) -> Self {
         let mut entries: Vec<(FactId, Interval)> = items.into_iter().collect();
-        entries.sort_unstable_by_key(|(_, iv)| (iv.start(), iv.end()));
+        entries.sort_unstable_by_key(|&(id, iv)| sort_key(id, iv));
         let mut max_end = Vec::with_capacity(entries.len());
         let mut running = TimePoint::MIN;
         for (_, iv) in &entries {
@@ -35,6 +41,54 @@ impl IntervalIndex {
             max_end.push(running);
         }
         IntervalIndex { entries, max_end }
+    }
+
+    /// Adds one entry (see [`IntervalIndex::patch`]).
+    pub fn insert(&mut self, id: FactId, interval: Interval) {
+        self.patch(&mut [], &mut [(id, interval)]);
+    }
+
+    /// Removes one entry; a no-op when it is not indexed (see
+    /// [`IntervalIndex::patch`]).
+    pub fn remove(&mut self, id: FactId, interval: Interval) {
+        self.patch(&mut [(id, interval)], &mut []);
+    }
+
+    /// Applies a batch of removals and insertions in one pass: the
+    /// sorted array is kept up to the first position the batch touches,
+    /// the rest is merged with the (sorted) batch, and the running
+    /// maximum is recomputed from that position on. One entry costs one
+    /// copy of the array's tail, like a shift would; a large batch costs
+    /// one pass, not one shift per entry. Removals of entries that are
+    /// not indexed are ignored.
+    pub fn patch(&mut self, remove: &mut [(FactId, Interval)], insert: &mut [(FactId, Interval)]) {
+        let key = |&(id, iv): &(FactId, Interval)| sort_key(id, iv);
+        remove.sort_unstable_by_key(key);
+        insert.sort_unstable_by_key(key);
+        let Some(first) = remove.iter().chain(insert.iter()).map(key).min() else {
+            return;
+        };
+        let from = self.entries.partition_point(|e| key(e) < first);
+        let tail = self.entries.split_off(from);
+        self.max_end.truncate(from);
+        let (mut remove, mut insert) = (remove.iter().peekable(), insert.iter().peekable());
+        for entry in tail {
+            while let Some(new) = insert.next_if(|new| key(new) < key(&entry)) {
+                self.entries.push(*new);
+            }
+            while remove.next_if(|gone| key(gone) < key(&entry)).is_some() {}
+            if remove.next_if_eq(&&entry).is_none() {
+                self.entries.push(entry);
+            }
+        }
+        self.entries.extend(insert);
+        let mut running = from
+            .checked_sub(1)
+            .map_or(TimePoint::MIN, |p| self.max_end[p]);
+        for (_, iv) in &self.entries[from..] {
+            running = running.max(iv.end());
+            self.max_end.push(running);
+        }
     }
 
     /// Number of indexed intervals.
@@ -112,6 +166,12 @@ impl IntervalIndex {
     }
 }
 
+/// The total order of index entries: ties on the interval are broken
+/// by id, so an index patched entry by entry equals one built in bulk.
+fn sort_key(id: FactId, iv: Interval) -> (TimePoint, TimePoint, FactId) {
+    (iv.start(), iv.end(), id)
+}
+
 /// Zero-allocation iterator over the facts of an [`IntervalIndex`]
 /// intersecting a window (see [`IntervalIndex::iter_overlapping`]).
 ///
@@ -159,7 +219,7 @@ impl Iterator for OverlapIter<'_> {
 /// `O(log n + answers)` instead of a full predicate scan. Snapshots of
 /// resolved KGs build one per materialised graph; all lookups are
 /// `&self`, so any number of reader threads can share it.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GraphTemporalIndex {
     all: IntervalIndex,
     by_predicate: FxHashMap<Symbol, IntervalIndex>,
@@ -193,6 +253,61 @@ impl GraphTemporalIndex {
                 .into_iter()
                 .map(|(s, items)| (s, IntervalIndex::build(items)))
                 .collect(),
+        }
+    }
+
+    /// Indexes one more fact (`id` is its id in the indexed graph).
+    pub fn insert(&mut self, id: FactId, fact: &TemporalFact) {
+        self.patch(&[], &[(id, *fact)]);
+    }
+
+    /// Drops one fact from every sub-index.
+    pub fn remove(&mut self, id: FactId, fact: &TemporalFact) {
+        self.patch(&[(id, *fact)], &[]);
+    }
+
+    /// Applies a batch of removed and added facts (with their ids in
+    /// the indexed graph): the global index and every predicate and
+    /// subject sub-index the batch names take one
+    /// [`IntervalIndex::patch`] each. A sub-index left empty goes, as
+    /// [`GraphTemporalIndex::build`] never creates one.
+    pub fn patch(&mut self, removed: &[(FactId, TemporalFact)], added: &[(FactId, TemporalFact)]) {
+        type Batch = (Vec<(FactId, Interval)>, Vec<(FactId, Interval)>);
+        let mut all = Batch::default();
+        let mut by_predicate: FxHashMap<Symbol, Batch> = FxHashMap::default();
+        let mut by_subject: FxHashMap<Symbol, Batch> = FxHashMap::default();
+        for (id, fact) in removed {
+            let entry = (*id, fact.interval);
+            all.0.push(entry);
+            by_predicate
+                .entry(fact.predicate)
+                .or_default()
+                .0
+                .push(entry);
+            by_subject.entry(fact.subject).or_default().0.push(entry);
+        }
+        for (id, fact) in added {
+            let entry = (*id, fact.interval);
+            all.1.push(entry);
+            by_predicate
+                .entry(fact.predicate)
+                .or_default()
+                .1
+                .push(entry);
+            by_subject.entry(fact.subject).or_default().1.push(entry);
+        }
+        self.all.patch(&mut all.0, &mut all.1);
+        for (indexes, batches) in [
+            (&mut self.by_predicate, by_predicate),
+            (&mut self.by_subject, by_subject),
+        ] {
+            for (term, (mut gone, mut new)) in batches {
+                let index = indexes.entry(term).or_default();
+                index.patch(&mut gone, &mut new);
+                if index.is_empty() {
+                    indexes.remove(&term);
+                }
+            }
         }
     }
 
@@ -329,7 +444,73 @@ mod tests {
         assert!(idx.predicate(Symbol(999)).is_none());
     }
 
+    #[test]
+    fn insert_and_remove_repair_the_running_maximum() {
+        let mut idx = index(&[(0, (1, 3)), (1, (5, 6)), (2, (8, 9))]);
+        idx.insert(FactId(3), iv(2, 20));
+        assert_eq!(
+            idx,
+            index(&[(0, (1, 3)), (1, (5, 6)), (2, (8, 9)), (3, (2, 20))])
+        );
+        assert_eq!(idx.overlapping(iv(15, 16)), vec![FactId(3)]);
+        idx.remove(FactId(3), iv(2, 20));
+        assert_eq!(idx, index(&[(0, (1, 3)), (1, (5, 6)), (2, (8, 9))]));
+        assert!(idx.overlapping(iv(15, 16)).is_empty());
+        // Removing what is not there changes nothing.
+        idx.remove(FactId(7), iv(5, 6));
+        assert_eq!(idx.len(), 3);
+    }
+
+    /// A random edit script over a small graph: `Some(fact)` inserts,
+    /// `None` removes the oldest live fact.
+    fn arb_edits() -> impl Strategy<Value = Vec<Option<(u8, u8, i64, i64)>>> {
+        prop::collection::vec(
+            prop::option::of((0u8..5, 0u8..3, -20i64..20, 0i64..8)),
+            0..60,
+        )
+    }
+
     proptest! {
+        /// Patching the index fact by fact lands on exactly the index a
+        /// bulk build of the same graph produces — entries, their
+        /// order, the running maxima, and which sub-indexes exist.
+        #[test]
+        fn patched_index_equals_bulk_build(edits in arb_edits()) {
+            let mut g = UtkGraph::new();
+            let mut patched = GraphTemporalIndex::build(&g);
+            let mut live: std::collections::VecDeque<FactId> = Default::default();
+            for edit in edits {
+                match edit {
+                    Some((s, p, start, len)) => {
+                        let id = g
+                            .insert(&format!("s{s}"), &format!("p{p}"), "o", iv(start, start + len), 0.9)
+                            .unwrap();
+                        patched.insert(id, g.fact(id).unwrap());
+                        live.push_back(id);
+                    }
+                    None => {
+                        if let Some(id) = live.pop_front() {
+                            let fact = g.remove(id).unwrap();
+                            patched.remove(id, &fact);
+                        }
+                    }
+                }
+                prop_assert_eq!(&patched, &GraphTemporalIndex::build(&g));
+            }
+            // And the whole script as one batch, from an empty index.
+            let added: Vec<(FactId, TemporalFact)> = g.iter().map(|(id, f)| (id, *f)).collect();
+            let gone: Vec<(FactId, TemporalFact)> = (0..g.arena_len() as u32)
+                .map(FactId)
+                .filter(|&id| !g.is_alive(id))
+                .map(|id| (id, *g.arena_fact(id).unwrap()))
+                .collect();
+            let mut batched = GraphTemporalIndex::default();
+            batched.patch(&[], &added);
+            batched.patch(&[], &gone);
+            batched.patch(&gone, &[]);
+            prop_assert_eq!(&batched, &GraphTemporalIndex::build(&g));
+        }
+
         /// The index agrees with the naive scan on every window.
         #[test]
         fn matches_naive_scan(items in arb_items(), ws in -60i64..60, wl in 0i64..30) {

@@ -17,18 +17,21 @@
 //!
 //! # Design
 //!
-//! A ring of `SLOTS` slots, each an `RwLock<Arc<Snapshot>>`, plus a
-//! packed `current` word `(seq << SLOT_BITS) | slot` naming the live
-//! slot. Publishing writes the *next* slot in the ring (readers are
-//! still served from the current one, so they are undisturbed) and
-//! then advances `current` with a release store. Loading reads
-//! `current`, `try_read`s the named slot, and **re-validates**
-//! `current` is unchanged before cloning out the `Arc`:
+//! Two slots, each an `RwLock<Arc<Snapshot>>`, plus a packed `current`
+//! word `(seq << SLOT_BITS) | slot` naming the live slot. Publishing
+//! writes the *other* slot (readers are still served from the current
+//! one, so they are undisturbed) and then advances `current` with a
+//! release store. The cell therefore keeps exactly two snapshots
+//! alive — the current one and the one before it — and a snapshot is
+//! freed two publications after its own (once the readers still holding
+//! it let go). Loading reads `current`, `try_read`s the named slot, and
+//! **re-validates** `current` is unchanged before cloning out the
+//! `Arc`:
 //!
 //! * if the `try_read` fails, the writer is mid-overwrite of that slot
 //!   — which means `current` has already moved on (the writer only
-//!   overwrites a slot `SLOTS` publications after it was current), so
-//!   the retry picks up the newer word and succeeds elsewhere;
+//!   overwrites the slot that is *not* current), so the retry picks up
+//!   the newer word and succeeds on the other slot;
 //! * if the re-validation fails, `current` moved between the first
 //!   load and the lock acquisition; retry. The monotone packed `seq`
 //!   makes the check ABA-proof.
@@ -41,9 +44,9 @@
 //! `unsafe` (the whole workspace is `unsafe`-free and stays that way).
 //!
 //! A writer can stall behind a reader only if that reader still holds
-//! a read guard `SLOTS` publications later; guards here live for the
-//! duration of an `Arc::clone`, so in practice the writer's
-//! `try_write` loop succeeds on the first spin.
+//! a read guard on a slot one publication after it stopped being
+//! current; guards here live for the duration of an `Arc::clone`, so in
+//! practice the writer's `try_write` loop succeeds on the first spin.
 
 use std::sync::atomic::AtomicU64 as StatAtomicU64;
 use std::sync::Arc;
@@ -53,11 +56,11 @@ use crate::sync::{hint, Mutex, RwLock};
 
 use tecore_core::snapshot::Snapshot;
 
-/// Ring size. Publishing `SLOTS - 1` times while one reader is stuck
-/// between its `current` load and its slot lock still leaves that
-/// reader a valid (if stale) slot to fail-and-retry from; 8 gives the
-/// writer ample headroom without measurable footprint.
-const SLOTS: usize = 8;
+/// Slot count: the current publication and the one the next publish
+/// overwrites. Every further slot would pin one more whole snapshot
+/// (graph, index, explanations) for no reader's benefit — a reader that
+/// loses the race for a slot retries against the new `current` anyway.
+const SLOTS: usize = 2;
 
 /// Bits of the packed `current` word naming the slot.
 const SLOT_BITS: u32 = SLOTS.trailing_zeros();
@@ -166,8 +169,9 @@ impl SnapshotCell {
 
     /// Publishes `snapshot` as the new current snapshot.
     ///
-    /// Writes the next ring slot (readers keep loading the previous
-    /// slot meanwhile) and advances `current` with a release store, so
+    /// Writes the slot that is not current (readers keep loading the
+    /// current one meanwhile), dropping the snapshot published before
+    /// the current one, and advances `current` with a release store, so
     /// any reader that observes the new word also observes the fully
     /// written slot.
     pub fn publish(&self, snapshot: Arc<Snapshot>) {
@@ -179,9 +183,9 @@ impl SnapshotCell {
         let seq = cur >> SLOT_BITS;
         let next_slot = ((cur & SLOT_MASK) as usize + 1) % SLOTS;
         // Readers only touch the slot `current` names; this one left
-        // currency `SLOTS - 1` publications ago, so the write lock is
-        // free modulo a reader that raced `current` moving and is
-        // about to fail its re-validation. Spin it out.
+        // currency one publication ago, so the write lock is free
+        // modulo a reader that raced `current` moving and is about to
+        // fail its re-validation. Spin it out.
         let mut guard = loop {
             match self.slots[next_slot].try_write() {
                 Ok(guard) => break guard,
@@ -246,6 +250,25 @@ mod tests {
             assert_eq!(cell.load().epoch(), n);
         }
         assert_eq!(cell.publications(), 2 * SLOTS as u64 + 3);
+    }
+
+    /// The cell holds on to the current snapshot and the one before it,
+    /// nothing older: a snapshot is a whole resolved graph plus index.
+    #[test]
+    fn only_the_last_two_publications_stay_alive() {
+        let first = snapshot_at_epoch(0);
+        let mut handles = vec![Arc::downgrade(&first)];
+        let cell = SnapshotCell::new(first);
+        for n in 1..=6 {
+            let snapshot = snapshot_at_epoch(n);
+            handles.push(Arc::downgrade(&snapshot));
+            cell.publish(snapshot);
+            let alive: Vec<u64> = handles
+                .iter()
+                .filter_map(|w| w.upgrade().map(|s| s.epoch()))
+                .collect();
+            assert_eq!(alive, [n - 1, n], "after {n} publications");
+        }
     }
 
     /// Readers hammering `load` while a writer publishes must only ever

@@ -15,11 +15,15 @@
 //! * the `reader_spins` / `publish_retries` observability counters
 //!   (surfaced in `STATS`) stay live under the checker.
 //!
+//! With two slots, the second of the two publications below overwrites
+//! the slot the initial snapshot was served from, so slot reuse — a
+//! reader holding or about to take the lock of the slot the publisher
+//! wants — is part of what is explored.
+//!
 //! The Release→Relaxed publish mutation is *not* killable through the
-//! real cell in this window: readers synchronize via the per-slot
-//! `RwLock` as well, and the ring means no slot is reused within a few
-//! publications. The seqlock publish edge on its own is modelled (and
-//! its mutation killed) in `crates/check/tests/cell_publish.rs`.
+//! real cell: readers synchronize via the per-slot `RwLock` as well.
+//! The seqlock publish edge on its own is modelled (and its mutation
+//! killed) in `crates/check/tests/cell_publish.rs`.
 
 #![cfg(feature = "model-check")]
 

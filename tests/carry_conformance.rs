@@ -1,0 +1,541 @@
+//! Carried-forward snapshots ≡ cold snapshots.
+//!
+//! `Engine::resolve_incremental` derives each snapshot from the one
+//! before it: facts that came and went, atoms whose value moved and
+//! constraint groundings the deltas touched patch the previous
+//! resolution, and the resolved view (expanded graph + temporal index)
+//! is the previous one copied and patched. This suite drives random
+//! `EditBatch` sequences — inserts, removes, upserts, net-zero churn,
+//! and batches large enough to cross the rebuild threshold — through
+//! every backend under both `parallel` settings, and after every batch
+//! compares the carried-forward snapshot with
+//! `Snapshot::from_resolution(engine.resolve_raw()?, epoch)`, and its
+//! index-backed queries with a brute-force scan of its expanded graph.
+//! The paper program is used so that inferred facts appear, change and
+//! disappear along the way.
+
+use proptest::prelude::*;
+use tecore_core::pipeline::{Backend, Engine, TecoreConfig};
+use tecore_core::{EditBatch, Snapshot};
+use tecore_datagen::standard::paper_program;
+use tecore_ground::{ComponentMode, GroundConfig};
+use tecore_kg::{FactId, TemporalFact, UtkGraph};
+use tecore_mln::{CpiConfig, WalkSatConfig};
+use tecore_temporal::Interval;
+
+const SUBJECTS: u32 = 40;
+
+fn iv(start: i64, len: i64) -> Interval {
+    Interval::new(start, start + len).expect("len >= 0")
+}
+
+/// ~160 facts over forty independent subjects: two coaching spells each
+/// (every fourth subject has a third one clashing with the first), one
+/// playing spell (f1 derives `worksFor`), and birth dates for a third
+/// of them (f3 derives `TeenPlayer` for the early starters). Subjects
+/// share no atom, so the ground problem falls into small components,
+/// and confidences are distinct and irregular: every backend, warm or
+/// cold, lands on the same repair.
+fn base_graph() -> UtkGraph {
+    let mut g = UtkGraph::new();
+    let mut n = 0u32;
+    let mut conf = |base: f64| {
+        n += 1;
+        base + f64::from(n % 13) * 0.0071 + f64::from(n % 5) * 0.0013
+    };
+    for i in 0..SUBJECTS {
+        let s = format!("p{i}");
+        let k = i64::from(i);
+        g.insert(
+            &s,
+            "coach",
+            &format!("club{}", i % 7),
+            iv(2000 + k % 5, 4),
+            conf(0.8),
+        )
+        .unwrap();
+        g.insert(
+            &s,
+            "coach",
+            &format!("club{}", (i + 3) % 7),
+            iv(2010, 3),
+            conf(0.7),
+        )
+        .unwrap();
+        if i % 4 == 0 {
+            g.insert(
+                &s,
+                "coach",
+                &format!("club{}", (i + 1) % 7),
+                iv(2001 + k % 5, 2),
+                conf(0.55),
+            )
+            .unwrap();
+        }
+        g.insert(
+            &s,
+            "playsFor",
+            &format!("club{}", i % 5),
+            iv(1980 + k % 9, 3),
+            conf(0.75),
+        )
+        .unwrap();
+        if i % 3 == 0 {
+            g.insert(
+                &s,
+                "birthDate",
+                &format!("{}", 1965 + i % 4),
+                iv(1965 + k % 4, 50),
+                conf(0.9),
+            )
+            .unwrap();
+        }
+    }
+    g
+}
+
+/// One scripted edit; a step of the sequence is a batch of these.
+#[derive(Debug, Clone)]
+enum Op {
+    Insert {
+        subject: u32,
+        relation: u8,
+        object: u32,
+        start: i64,
+        len: i64,
+        conf_step: u8,
+    },
+    /// Remove the `index`-th live fact.
+    Remove { index: usize },
+    /// Re-time the `index`-th live fact's statement.
+    Upsert {
+        index: usize,
+        start: i64,
+        len: i64,
+        conf_step: u8,
+    },
+    /// Insert a fact and remove it again inside the same batch.
+    Churn { subject: u32, object: u32 },
+    /// Forty inserts at once, each on a subject of its own: more than
+    /// an eighth of the graph.
+    Flood { seed: u32 },
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    (
+        0u8..12,
+        (0u32..SUBJECTS + 4, 0u8..3, 0u32..7),
+        (1975i64..2015, 0i64..6, 0u8..40),
+        0usize..512,
+    )
+        .prop_map(
+            |(kind, (subject, relation, object), (start, len, conf_step), index)| match kind {
+                0..=4 => Op::Insert {
+                    subject,
+                    relation,
+                    object,
+                    start,
+                    len,
+                    conf_step,
+                },
+                5..=7 => Op::Remove { index },
+                8..=9 => Op::Upsert {
+                    index,
+                    start,
+                    len,
+                    conf_step,
+                },
+                10 => Op::Churn { subject, object },
+                _ => Op::Flood { seed: index as u32 },
+            },
+        )
+}
+
+const RELATIONS: [&str; 3] = ["coach", "playsFor", "birthDate"];
+
+/// Turns one step's ops into a batch against the engine's current
+/// graph. `serial` keeps confidences distinct across the run.
+fn batch_of(engine: &Engine, ops: &[Op], serial: &mut u32) -> EditBatch {
+    let graph = engine.graph();
+    let live: Vec<(FactId, TemporalFact)> = graph.iter().map(|(id, f)| (id, *f)).collect();
+    let mut conf = |step: u8| {
+        *serial += 1;
+        0.52 + f64::from(step) * 0.011 + f64::from(*serial % 7) * 0.0013
+    };
+    let mut batch = EditBatch::new();
+    // Ids the batch's own inserts will be given, for the churn pairs.
+    let mut next_id = graph.arena_len() as u32;
+    let mut gone: Vec<FactId> = Vec::new();
+    for op in ops {
+        match *op {
+            Op::Insert {
+                subject,
+                relation,
+                object,
+                start,
+                len,
+                conf_step,
+            } => {
+                batch = batch.insert(
+                    format!("p{subject}"),
+                    RELATIONS[usize::from(relation)],
+                    format!("club{object}"),
+                    iv(start, len),
+                    conf(conf_step),
+                );
+                next_id += 1;
+            }
+            Op::Remove { index } if !live.is_empty() => {
+                let id = live[index % live.len()].0;
+                if !gone.contains(&id) {
+                    gone.push(id);
+                    batch = batch.remove(id);
+                }
+            }
+            Op::Upsert {
+                index,
+                start,
+                len,
+                conf_step,
+            } if !live.is_empty() => {
+                let (id, f) = live[index % live.len()];
+                if gone.contains(&id) {
+                    continue;
+                }
+                // An upsert replaces every fact of the statement.
+                let dict = graph.dict();
+                let (s, p, o) = (
+                    dict.resolve(f.subject),
+                    dict.resolve(f.predicate),
+                    dict.resolve(f.object),
+                );
+                if graph
+                    .statement_ids(s, p, o)
+                    .iter()
+                    .any(|d| gone.contains(d))
+                {
+                    continue;
+                }
+                gone.extend(graph.statement_ids(s, p, o));
+                batch = batch.upsert(s, p, o, iv(start, len), conf(conf_step));
+                next_id += 1;
+            }
+            Op::Churn { subject, object } => {
+                batch = batch
+                    .insert(
+                        format!("p{subject}"),
+                        "coach",
+                        format!("club{object}"),
+                        iv(1990, 1),
+                        conf(3),
+                    )
+                    .remove(FactId(next_id));
+                next_id += 1;
+            }
+            Op::Flood { seed } => {
+                for j in 0..40u32 {
+                    let k = seed.wrapping_mul(31).wrapping_add(j * 7);
+                    batch = batch.insert(
+                        format!("q{seed}_{j}"),
+                        RELATIONS[(k % 3) as usize],
+                        format!("club{}", k % 7),
+                        iv(1976 + i64::from(k % 35), i64::from(k % 5)),
+                        conf((k % 40) as u8),
+                    );
+                    next_id += 1;
+                }
+            }
+            Op::Remove { .. } | Op::Upsert { .. } => {}
+        }
+    }
+    batch
+}
+
+fn rendered(graph: &UtkGraph) -> Vec<String> {
+    let mut out: Vec<String> = graph
+        .iter()
+        .map(|(_, f)| f.display(graph.dict()).to_string())
+        .collect();
+    out.sort();
+    out
+}
+
+fn rendered_conflicts(s: &Snapshot) -> Vec<(String, Vec<String>)> {
+    let mut out: Vec<(String, Vec<String>)> = s
+        .conflicts
+        .iter()
+        .map(|c| {
+            let mut participants = c.participants.clone();
+            participants.sort();
+            (c.constraint.clone(), participants)
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+fn rendered_inferred(s: &Snapshot) -> Vec<String> {
+    let mut out: Vec<String> = s
+        .inferred
+        .iter()
+        .map(|f| {
+            format!(
+                "({}, {}, {}, {})",
+                f.subject, f.predicate, f.object, f.interval
+            )
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// `(s, p, o, interval)` of every fact, sorted — the graph without the
+/// confidences.
+fn statements(graph: &UtkGraph) -> Vec<String> {
+    let dict = graph.dict();
+    let mut out: Vec<String> = graph
+        .iter()
+        .map(|(_, f)| {
+            format!(
+                "({}, {}, {}, {})",
+                dict.resolve(f.subject),
+                dict.resolve(f.predicate),
+                dict.resolve(f.object),
+                f.interval
+            )
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// The carried-forward snapshot against the cold one. `reproducible`:
+/// the two solves found the same repair (see [`backends`]).
+fn assert_equivalent(what: &str, carried: &Snapshot, cold: &Snapshot, reproducible: bool) {
+    // What no solver decides: the conflicts of the keep-everything
+    // world and the size of the input.
+    assert_eq!(
+        rendered_conflicts(carried),
+        rendered_conflicts(cold),
+        "{what}: conflicts"
+    );
+    let (a, b) = (&carried.stats, &cold.stats);
+    assert_eq!(a.total_facts, b.total_facts, "{what}: total_facts");
+    assert_eq!(a.per_constraint, b.per_constraint, "{what}: per_constraint");
+    // What must hold of any snapshot: the counts describe the lists,
+    // the removed facts are in input-id order, and the expanded graph
+    // is the consistent one plus the inferred facts.
+    assert_eq!(a.conflicting_facts, carried.removed.len(), "{what}");
+    assert_eq!(a.inferred_facts, carried.inferred.len(), "{what}");
+    assert!(
+        carried.removed.windows(2).all(|w| w[0].id < w[1].id),
+        "{what}: removed ascending"
+    );
+    assert_eq!(
+        carried.consistent.len() + carried.removed.len(),
+        a.total_facts,
+        "{what}: kept + removed = input"
+    );
+    let mut expected = statements(&carried.consistent);
+    expected.extend(rendered_inferred(carried));
+    expected.sort();
+    assert_eq!(
+        statements(carried.expanded()),
+        expected,
+        "{what}: expanded = consistent + inferred"
+    );
+    if !reproducible {
+        return;
+    }
+    let removed = |s: &Snapshot| -> Vec<(FactId, String)> {
+        s.removed
+            .iter()
+            .map(|r| (r.id, r.fact.display(s.consistent.dict()).to_string()))
+            .collect()
+    };
+    assert_eq!(removed(carried), removed(cold), "{what}: removed");
+    assert_eq!(
+        rendered(&carried.consistent),
+        rendered(&cold.consistent),
+        "{what}: consistent"
+    );
+    // Soft confidences differ within solver tolerance between a warm
+    // and a cold solve; inferred facts are compared without them.
+    assert_eq!(
+        rendered_inferred(carried),
+        rendered_inferred(cold),
+        "{what}: inferred"
+    );
+    assert_eq!(
+        statements(carried.expanded()),
+        statements(cold.expanded()),
+        "{what}: expanded"
+    );
+    assert_eq!(
+        a.conflicting_facts, b.conflicting_facts,
+        "{what}: conflicting_facts"
+    );
+    assert_eq!(a.inferred_facts, b.inferred_facts, "{what}: inferred_facts");
+}
+
+/// 32 queries (at / over, with and without subject and predicate)
+/// through the snapshot's index against a scan of its expanded graph.
+fn assert_queries_match_scan(what: &str, snapshot: &Snapshot, seed: u32) {
+    let graph = snapshot.expanded();
+    let dict = graph.dict();
+    let mut state = seed.wrapping_mul(2_654_435_761).wrapping_add(1);
+    let mut next = |n: u32| {
+        state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+        (state >> 8) % n
+    };
+    for _ in 0..32 {
+        let subject = (next(3) > 0).then(|| format!("p{}", next(SUBJECTS + 4)));
+        let predicate = (next(3) > 0)
+            .then(|| ["coach", "playsFor", "worksFor", "livesIn", "type"][next(5) as usize]);
+        let start = 1975 + i64::from(next(45));
+        let window = if next(2) == 0 {
+            iv(start, 0)
+        } else {
+            iv(start, i64::from(next(8)))
+        };
+        let mut query = snapshot.query().overlapping(window);
+        if let Some(s) = &subject {
+            query = query.subject(s);
+        }
+        if let Some(p) = predicate {
+            query = query.predicate(p);
+        }
+        let mut indexed: Vec<String> = query
+            .iter()
+            .map(|(_, f)| f.display(dict).to_string())
+            .collect();
+        indexed.sort();
+        let mut scanned: Vec<String> = graph
+            .iter()
+            .filter(|(_, f)| {
+                f.interval.intersects(window)
+                    && subject
+                        .as_deref()
+                        .is_none_or(|s| dict.resolve(f.subject) == s)
+                    && predicate.is_none_or(|p| dict.resolve(f.predicate) == p)
+            })
+            .map(|(_, f)| f.display(dict).to_string())
+            .collect();
+        scanned.sort();
+        assert_eq!(
+            indexed, scanned,
+            "{what}: {subject:?} {predicate:?} over {window}"
+        );
+    }
+}
+
+/// The four substrates, with whether a cold solve and a warm one can be
+/// expected to find the same repair on a graph this size. Solved
+/// component by component (a component is one subject's handful of
+/// atoms) they do. Cutting-plane inference solves monolithically with a
+/// stochastic inner solver, and two runs over differently numbered
+/// groundings need not agree: for it the parts of a snapshot that do
+/// not depend on the solver are compared here, and the repair itself
+/// against a full interpretation of the *same* MAP state in
+/// `tecore-core`'s `carried_forward_equals_full_interpretation`.
+fn backends() -> Vec<(Backend, bool)> {
+    vec![
+        (Backend::MlnExact, true),
+        (Backend::MlnWalkSat(WalkSatConfig::default()), true),
+        (Backend::MlnCuttingPlane(CpiConfig::default()), false),
+        (Backend::default_psl(), true),
+    ]
+}
+
+fn check_sequence(steps: &[Vec<Op>]) {
+    for (backend, reproducible) in backends() {
+        let name = backend.name();
+
+        for parallel in [false, true] {
+            let config = TecoreConfig {
+                backend: backend.clone().into(),
+                ground: GroundConfig {
+                    parallel,
+                    ..GroundConfig::default()
+                },
+                component_mode: ComponentMode::Components,
+                ..TecoreConfig::default()
+            };
+            let mut engine = Engine::with_config(base_graph(), paper_program(), config);
+            engine.resolve_incremental().expect("prime");
+            let mut serial = 0u32;
+            for (i, ops) in steps.iter().enumerate() {
+                let batch = batch_of(&engine, ops, &mut serial);
+                engine.apply(&batch).into_result().expect("valid batch");
+                let carried = engine.resolve_incremental().expect("incremental");
+                let cold = Snapshot::from_resolution(
+                    engine.resolve_raw().expect("cold"),
+                    engine.graph().epoch(),
+                );
+                let what = format!("{name}, parallel={parallel}, step {i} {ops:?}");
+                assert_eq!(carried.epoch(), cold.epoch(), "{what}");
+                assert_equivalent(&what, &carried, &cold, reproducible);
+                assert_queries_match_scan(&what, &carried, serial + i as u32);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn carried_forward_snapshots_equal_cold_ones(
+        steps in prop::collection::vec(prop::collection::vec(arb_op(), 1..4), 1..10),
+    ) {
+        check_sequence(&steps);
+    }
+}
+
+/// The transitions the random walk may take a while to find, in one
+/// directed run: the first inferred fact splits the view from the
+/// consistent graph, a duplicate statement re-words a conflict without
+/// touching its clause, a flood takes the rebuild branch, and removals
+/// shrink everything back.
+#[test]
+fn directed_split_reword_flood_sequence() {
+    let steps = vec![
+        // Remove every playsFor fact's support of one subject, then
+        // bring it back: inferred facts go and come.
+        vec![Op::Remove { index: 8 }],
+        vec![Op::Insert {
+            subject: 0,
+            relation: 1,
+            object: 0,
+            start: 1980,
+            len: 3,
+            conf_step: 9,
+        }],
+        // Same statement as a clashing coach fact: merges into its atom
+        // and changes how the conflict reads.
+        vec![Op::Insert {
+            subject: 0,
+            relation: 0,
+            object: 1,
+            start: 2001,
+            len: 2,
+            conf_step: 30,
+        }],
+        vec![Op::Churn {
+            subject: 3,
+            object: 2,
+        }],
+        vec![Op::Flood { seed: 7 }],
+        vec![
+            Op::Upsert {
+                index: 20,
+                start: 2002,
+                len: 4,
+                conf_step: 11,
+            },
+            Op::Remove { index: 100 },
+        ],
+        vec![Op::Remove { index: 3 }, Op::Remove { index: 60 }],
+    ];
+    check_sequence(&steps);
+}

@@ -333,6 +333,56 @@ fn truncated_log_fallback_matches_cold_resolve_and_is_counted() {
     }
 }
 
+/// Work, not time: a one-fact delta binds its new atom first and joins
+/// outwards from it, so on a 20k-fact graph whose dominant predicate
+/// holds ~12k atoms it looks at the new atom (once per formula and body
+/// position) and that subject's few facts — not at the predicate's
+/// extension, which a scan per formula and position would walk (~2 ×
+/// 12k candidates).
+#[test]
+fn one_fact_delta_examines_a_handful_of_candidates() {
+    use tecore_datagen::standard::wikidata_program;
+    use tecore_datagen::{generate_wikidata, WikidataConfig};
+
+    let generated = generate_wikidata(&WikidataConfig {
+        total_facts: 20_000,
+        noise_ratio: 0.1,
+        seed: 0x7ec0_2017,
+    });
+    let graph = generated.graph;
+    let plays = graph.dict().lookup("playsFor").expect("generated");
+    assert!(graph.facts_with_predicate(plays).count() > 10_000);
+    let (_, spell) = graph.facts_with_predicate(plays).next().expect("non-empty");
+    let (subject, interval) = (
+        graph.dict().resolve(spell.subject).to_string(),
+        spell.interval,
+    );
+
+    let registry = SolverRegistry::with_default_backends();
+    let config = TecoreConfig {
+        backend: registry.resolve("mln-walksat").expect("registered"),
+        ..TecoreConfig::default()
+    };
+    let mut engine = Engine::with_config(graph, wikidata_program(), config);
+    let primed = engine.resolve_incremental().expect("prime");
+    // A second club over the same years: one new atom, one new clash.
+    engine
+        .insert_fact(&subject, "playsFor", "QRivalClub", interval, 0.61)
+        .expect("valid insert");
+    let delta = engine.graph().since(primed.epoch()).expect("log retained");
+    let stats = engine.apply_delta(&delta).expect("cached grounding");
+    assert_eq!((stats.facts_added, stats.atoms_created), (1, 1));
+    assert!(
+        stats.clauses_emitted >= 2,
+        "evidence unit + clash: {stats:?}"
+    );
+    assert!(
+        stats.candidates_examined < 64,
+        "a one-fact delta examined {} candidates",
+        stats.candidates_examined
+    );
+}
+
 /// Removing every fact must leave an empty, conflict-free resolution —
 /// and the engine must survive resolving an empty graph.
 #[test]

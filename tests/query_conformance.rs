@@ -63,17 +63,19 @@ fn snapshot_from(facts: &[RawFact]) -> Snapshot {
     }
     let inferred = inferred_raw
         .iter()
-        .map(|f| InferredFact {
-            subject: format!("s{}", f.s),
-            predicate: format!("p{}", f.p),
-            object: format!("o{}", f.o),
-            interval: iv(f.start, f.start + f.len),
-            confidence: f64::from(f.conf) / 10.0,
+        .map(|f| {
+            std::sync::Arc::new(InferredFact {
+                subject: format!("s{}", f.s),
+                predicate: format!("p{}", f.p),
+                object: format!("o{}", f.o),
+                interval: iv(f.start, f.start + f.len),
+                confidence: f64::from(f.conf) / 10.0,
+            })
         })
         .collect();
     Snapshot::from_resolution(
         Resolution {
-            consistent: graph,
+            consistent: graph.into(),
             removed: Vec::new(),
             inferred,
             conflicts: Vec::new(),

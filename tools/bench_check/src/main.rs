@@ -13,8 +13,15 @@
 //!
 //! ```text
 //! bench_check --baseline-dir crates/bench --reports-dir bench-reports \
-//!             [--tolerance 3.0] [--min-ns 1000000]
+//!             [--tolerance 3.0] [--min-ns 1000000] [--ratio 'a/b<=x']...
 //! ```
+//!
+//! A `--ratio` rule compares two benchmarks of the *same* run with each
+//! other — `median(a) / median(b)` must not exceed `x` — so it holds or
+//! fails the same way on a fast machine and a slow one, and can be set
+//! far tighter than the baseline tolerance. `a` and `b` are full
+//! benchmark names (which contain `/` themselves: the rule is split at
+//! the one `/` that leaves a reported name on either side).
 //!
 //! Only benchmarks present in *both* a baseline file and the matching
 //! report are compared; a missing report file fails the gate (a bench
@@ -110,6 +117,70 @@ struct Args {
     reports_dir: PathBuf,
     tolerance: f64,
     min_ns: u64,
+    ratios: Vec<RatioRule>,
+}
+
+/// One `--ratio 'a/b<=x'` rule, not yet split into its two names.
+#[derive(Debug, Clone, PartialEq)]
+struct RatioRule {
+    /// `a/b` as written.
+    names: String,
+    /// The largest `median(a) / median(b)` allowed.
+    at_most: f64,
+}
+
+impl RatioRule {
+    fn parse(text: &str) -> Result<RatioRule, String> {
+        let (names, bound) = text
+            .split_once("<=")
+            .ok_or_else(|| format!("bad --ratio {text:?}: expected 'a/b<=x'"))?;
+        let at_most: f64 = bound
+            .trim()
+            .parse()
+            .map_err(|e| format!("bad --ratio bound in {text:?}: {e}"))?;
+        if !(at_most.is_finite() && at_most > 0.0) {
+            return Err(format!("bad --ratio bound in {text:?}: must be positive"));
+        }
+        Ok(RatioRule {
+            names: names.trim().to_string(),
+            at_most,
+        })
+    }
+
+    /// Evaluates the rule over the entries of one run: `Ok` carries the
+    /// report line, `Err` the failure.
+    fn check(&self, entries: &[Entry]) -> Result<String, String> {
+        let median = |name: &str| entries.iter().find(|e| e.name == name).map(|e| e.median_ns);
+        let split = self
+            .names
+            .match_indices('/')
+            .filter_map(|(at, _)| {
+                let (a, b) = (&self.names[..at], &self.names[at + 1..]);
+                Some((a, median(a)?, b, median(b)?))
+            })
+            .next();
+        let Some((a, a_ns, b, b_ns)) = split else {
+            return Err(format!(
+                "ratio {}: no split into two reported benchmarks (renamed or dropped?)",
+                self.names
+            ));
+        };
+        if b_ns == 0 {
+            return Err(format!("ratio {a} / {b}: denominator measured 0 ns"));
+        }
+        let ratio = a_ns as f64 / b_ns as f64;
+        let line = format!(
+            "{a} / {b} = {} / {} = {ratio:.3} (allowed {:.3})",
+            format_ms(a_ns),
+            format_ms(b_ns),
+            self.at_most
+        );
+        if ratio <= self.at_most {
+            Ok(line)
+        } else {
+            Err(format!("ratio {line}"))
+        }
+    }
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -117,6 +188,7 @@ fn parse_args() -> Result<Args, String> {
     let mut reports_dir = None;
     let mut tolerance = 3.0f64;
     let mut min_ns = 1_000_000u64;
+    let mut ratios = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = |flag: &str| {
@@ -136,6 +208,7 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad --min-ns: {e}"))?;
             }
+            "--ratio" => ratios.push(RatioRule::parse(&value("--ratio")?)?),
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -144,6 +217,7 @@ fn parse_args() -> Result<Args, String> {
         reports_dir: reports_dir.ok_or("--reports-dir is required")?,
         tolerance,
         min_ns,
+        ratios,
     })
 }
 
@@ -227,6 +301,21 @@ fn check_file(baseline_path: &Path, args: &Args, failures: &mut Vec<String>) {
     }
 }
 
+/// The `BENCH_*.json` files of a directory, sorted.
+fn bench_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)?
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+        })
+        .collect();
+    files.sort();
+    Ok(files)
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(args) => args,
@@ -235,16 +324,8 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut baselines: Vec<PathBuf> = match std::fs::read_dir(&args.baseline_dir) {
-        Ok(dir) => dir
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-            })
-            .collect(),
+    let baselines = match bench_files(&args.baseline_dir) {
+        Ok(files) => files,
         Err(e) => {
             eprintln!(
                 "bench_check: cannot read {}: {e}",
@@ -253,7 +334,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    baselines.sort();
     if baselines.is_empty() {
         eprintln!(
             "bench_check: no BENCH_*.json baselines in {}",
@@ -270,6 +350,21 @@ fn main() -> ExitCode {
     let mut failures = Vec::new();
     for baseline in &baselines {
         check_file(baseline, &args, &mut failures);
+    }
+    if !args.ratios.is_empty() {
+        // Ratio rules read the run's own reports, baselined or not.
+        let reported: Vec<Entry> = bench_files(&args.reports_dir)
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|report| std::fs::read_to_string(report).ok())
+            .flat_map(|text| parse_report(&text))
+            .collect();
+        for rule in &args.ratios {
+            match rule.check(&reported) {
+                Ok(line) => println!("{:>9}  {line}", "ok"),
+                Err(failure) => failures.push(failure),
+            }
+        }
     }
     if failures.is_empty() {
         println!("bench_check: all tracked medians within tolerance");
@@ -299,6 +394,36 @@ mod tests {
         assert_eq!(entries[0].name, "streaming_updates/from_scratch/mln-cpi");
         assert_eq!(entries[0].median_ns, 9_253_598);
         assert_eq!(entries[1].median_ns, 8_417_035);
+    }
+
+    #[test]
+    fn ratio_rule_splits_at_reported_names_and_gates() {
+        let entries = parse_report(SAMPLE);
+        let names = "streaming_updates/incremental/mln-cpi/streaming_updates/from_scratch/mln-cpi";
+        // 8417035 / 9253598 = 0.9096.
+        let loose = RatioRule::parse(&format!("{names}<=0.95")).unwrap();
+        let line = loose.check(&entries).expect("within the bound");
+        assert!(line.contains("= 0.910"), "{line}");
+        let tight = RatioRule::parse(&format!("{names} <= 0.5")).unwrap();
+        let failure = tight.check(&entries).expect_err("past the bound");
+        assert!(failure.contains("allowed 0.500"), "{failure}");
+        // A rule naming a benchmark the run did not report fails.
+        let gone = RatioRule::parse("streaming_updates/incremental/mln-cpi/nope<=2").unwrap();
+        assert!(gone.check(&entries).unwrap_err().contains("no split"));
+    }
+
+    #[test]
+    fn malformed_ratio_rules_are_rejected() {
+        assert!(RatioRule::parse("a/b").is_err(), "no bound");
+        assert!(RatioRule::parse("a/b<=fast").is_err(), "bound not a number");
+        assert!(RatioRule::parse("a/b<=0").is_err(), "bound not positive");
+        assert_eq!(
+            RatioRule::parse(" a/b <= 0.25 ").unwrap(),
+            RatioRule {
+                names: "a/b".to_string(),
+                at_most: 0.25
+            }
+        );
     }
 
     #[test]
@@ -338,6 +463,7 @@ mod tests {
             reports_dir: reports,
             tolerance: 3.0,
             min_ns: 1_000_000,
+            ratios: Vec::new(),
         };
         let mut failures = Vec::new();
         check_file(
@@ -372,6 +498,7 @@ mod tests {
             reports_dir: reports,
             tolerance: 3.0,
             min_ns: 1_000_000,
+            ratios: Vec::new(),
         };
         let mut failures = Vec::new();
         check_file(
@@ -422,6 +549,7 @@ mod tests {
             reports_dir: reports,
             tolerance: 3.0,
             min_ns: 1_000_000,
+            ratios: Vec::new(),
         };
         let mut failures = Vec::new();
         check_file(
@@ -455,6 +583,7 @@ mod tests {
             reports_dir: reports,
             tolerance: 3.0,
             min_ns: 1_000_000,
+            ratios: Vec::new(),
         };
         let mut failures = Vec::new();
         check_file(
@@ -483,6 +612,7 @@ mod tests {
             reports_dir: dir.join("reports"),
             tolerance: 3.0,
             min_ns: 1_000_000,
+            ratios: Vec::new(),
         };
         let mut failures = Vec::new();
         check_file(
