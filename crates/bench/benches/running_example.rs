@@ -9,8 +9,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use tecore_core::pipeline::{Engine, TecoreConfig};
 use tecore_core::registry::SolverRegistry;
+use tecore_core::{Engine, TecoreConfig};
 use tecore_datagen::standard::{paper_program, ranieri_utkg};
 
 fn bench_running_example(c: &mut Criterion) {

@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use tecore_bench::harness;
-use tecore_core::pipeline::{Engine, TecoreConfig};
+use tecore_core::{Engine, TecoreConfig};
 use tecore_datagen::standard::wikidata_program;
 use tecore_server::{Server, ServerConfig};
 

@@ -26,7 +26,7 @@
 use std::time::Instant;
 
 use tecore_bench::harness;
-use tecore_core::pipeline::{Engine, TecoreConfig};
+use tecore_core::{Engine, TecoreConfig};
 use tecore_datagen::{generate_stream, StreamConfig};
 use tecore_kg::UtkGraph;
 use tecore_logic::LogicProgram;

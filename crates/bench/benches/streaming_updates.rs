@@ -28,7 +28,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use tecore_bench::harness;
-use tecore_core::pipeline::{Engine, TecoreConfig};
+use tecore_core::{Engine, TecoreConfig};
 use tecore_datagen::standard::wikidata_program;
 use tecore_temporal::Interval;
 

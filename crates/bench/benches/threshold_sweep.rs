@@ -9,8 +9,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use tecore_core::pipeline::{Backend, ConfidenceMode, Engine, TecoreConfig};
 use tecore_core::threshold;
+use tecore_core::{Backend, ConfidenceMode, Engine, TecoreConfig};
 use tecore_datagen::standard::{paper_rules, ranieri_utkg};
 use tecore_mln::marginal::GibbsConfig;
 

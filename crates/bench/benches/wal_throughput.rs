@@ -27,7 +27,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use tecore_bench::harness;
-use tecore_core::pipeline::{Engine, TecoreConfig};
+use tecore_core::{Engine, TecoreConfig};
 use tecore_datagen::standard::wikidata_program;
 use tecore_kg::FactId;
 use tecore_temporal::Interval;

@@ -7,8 +7,8 @@
 use std::time::{Duration, Instant};
 
 use tecore_bench::harness;
-use tecore_core::pipeline::{Backend, ConfidenceMode, Engine, TecoreConfig};
 use tecore_core::threshold;
+use tecore_core::{Backend, ConfidenceMode, Engine, TecoreConfig};
 use tecore_datagen::config::FootballConfig;
 use tecore_datagen::football::generate_football;
 use tecore_datagen::noise::repair_metrics;

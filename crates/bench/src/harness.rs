@@ -2,9 +2,9 @@
 
 use std::sync::Arc;
 
-use tecore_core::pipeline::{Engine, SolverHandle, TecoreConfig};
 use tecore_core::registry::SolverRegistry;
 use tecore_core::snapshot::Snapshot;
+use tecore_core::{Engine, SolverHandle, TecoreConfig};
 use tecore_datagen::config::{FootballConfig, WikidataConfig};
 use tecore_datagen::football::generate_football;
 use tecore_datagen::noise::GeneratedKg;

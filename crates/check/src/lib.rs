@@ -1,9 +1,14 @@
 //! # tecore-check — deterministic concurrency model checking
 //!
-//! A loom-style model checker for the hand-rolled concurrent structures in
-//! this workspace (`SnapshotCell`, `ShardedDictionary`, the writer loop's
-//! journal-before-ACK protocol, WAL poisoning). Like the `crates/shims/*`
-//! stand-ins it is completely offline: no dependencies beyond `std`.
+//! A loom-style model checker for the concurrent protocols in this
+//! workspace. It checks a litmus suite validating the checker itself
+//! (`tests/litmus.rs`, always on) and, behind the `model-check`
+//! feature, protocol models of the writer loop's journal-before-ACK /
+//! fsync-before-FLUSH-ACK contract (`tests/writer_ack.rs`) and of WAL
+//! poisoning under concurrent flush/checkpoint (`tests/wal_poison.rs`);
+//! the server's `SnapshotCell` is a plain `std` `RwLock` and is not
+//! modelled. Like the `crates/shims/*` stand-ins it is completely
+//! offline: no dependencies beyond `std`.
 //!
 //! ## How it works
 //!
@@ -74,12 +79,12 @@
 //!
 //! ## Mutation testing
 //!
-//! [`mutation::ordering`] marks an ordering that a test may deliberately
-//! weaken to `Relaxed` ([`Checker::mutate`] or the `TECORE_CHECK_MUTATE`
-//! environment variable). The protocol models under `tests/` prove the
-//! checker's teeth this way: weakening the `SnapshotCell` publish store
-//! or reordering ACK-before-journal must make the model fail with a
-//! trace.
+//! [`mutation::reorder`] marks a step that a test may deliberately
+//! perform out of order ([`Checker::mutate`] or the
+//! `TECORE_CHECK_MUTATE` environment variable). The protocol models
+//! under `tests/` prove the checker's teeth this way: ACKing before
+//! journaling, or forgetting to poison the log after a failed flush,
+//! must make the model fail with a trace.
 
 #![forbid(unsafe_code)]
 

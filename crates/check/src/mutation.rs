@@ -1,20 +1,18 @@
-//! Mutation sites: deliberately-weakenable points that prove the
+//! Mutation sites: deliberately-breakable points that prove the
 //! checker has teeth.
 //!
-//! Production code (or a protocol model mirroring it) tags an ordering
-//! with a site name:
+//! A protocol model tags a step with a site name:
 //!
 //! ```ignore
-//! cell.store(next, mutation::ordering("cell.publish.release", Ordering::Release));
+//! let ack_first = mutation::reorder("server.ack_before_journal");
 //! ```
 //!
-//! Normally the tag is a no-op. A mutation test activates the site with
+//! Normally the tag is `false`. A mutation test activates the site with
 //! [`crate::Checker::mutate`] (or the `TECORE_CHECK_MUTATE` environment
 //! variable, comma-separated) and asserts that the model checker now
 //! *fails* with an interleaving trace — if it still passes, the checker
 //! would also miss the real bug.
 
-use std::sync::atomic::Ordering;
 use std::sync::OnceLock;
 
 use crate::sched::cur_ctx;
@@ -35,30 +33,14 @@ fn env_sites() -> &'static [String] {
     })
 }
 
-/// Is the mutation site active? Inside a model run this consults the
-/// running [`crate::Checker`]'s mutation set; outside, the
-/// `TECORE_CHECK_MUTATE` environment variable.
-pub fn enabled(site: &str) -> bool {
+/// Is the mutation site active, i.e. should the model perform the
+/// tagged step out of order (e.g. ACK before journal)? Inside a model
+/// run this consults the running [`crate::Checker`]'s mutation set;
+/// outside, the `TECORE_CHECK_MUTATE` environment variable.
+pub fn reorder(site: &str) -> bool {
     if let Some(ctx) = cur_ctx() {
         ctx.ctrl.muts.iter().any(|m| m == site)
     } else {
         env_sites().iter().any(|m| m == site)
     }
-}
-
-/// Weaken `ord` to `Relaxed` when `site` is active; otherwise return it
-/// unchanged.
-pub fn ordering(site: &str, ord: Ordering) -> Ordering {
-    if enabled(site) {
-        Ordering::Relaxed
-    } else {
-        ord
-    }
-}
-
-/// Flip a boolean step when `site` is active — used to model statement
-/// reorderings (e.g. ACK-before-journal) rather than ordering
-/// weakenings.
-pub fn reorder(site: &str) -> bool {
-    enabled(site)
 }

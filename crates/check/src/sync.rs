@@ -6,8 +6,7 @@
 //! the scheduler's blocking protocol. **Outside** a model run (or when
 //! the object was created outside the current execution) every
 //! primitive falls back to its plain `std` twin, so code compiled
-//! against this module — e.g. `tecore-server` built with its
-//! `model-check` feature — still behaves normally in ordinary tests.
+//! against this module still behaves normally in ordinary tests.
 //!
 //! The one exception is [`mpsc`], which is model-only: channels must be
 //! created inside a model closure.

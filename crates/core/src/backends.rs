@@ -68,7 +68,7 @@ impl Default for Backend {
 
 /// A shared, cloneable handle to a MAP solver.
 ///
-/// This is what [`crate::pipeline::TecoreConfig`] stores and what the
+/// This is what [`crate::TecoreConfig`] stores and what the
 /// [`crate::registry::SolverRegistry`] hands out. It derefs to
 /// `dyn MapSolver`, so `handle.name()`, `handle.caps()` and
 /// `handle.solve(..)` all work directly.

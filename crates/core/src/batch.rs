@@ -1,9 +1,7 @@
 //! The unified edit surface: [`EditBatch`] → [`Engine::apply`].
 //!
-//! Historically the system had three ad-hoc per-fact edit paths — the
-//! engine's `insert_fact`/`remove_fact` pair, the session's mirrored
-//! twins, and the server writer loop applying queued edits one by one.
-//! [`EditBatch`] replaces all three with one builder: a group of
+//! [`EditBatch`] is the one builder every edit path (per-fact methods,
+//! session, server writer loop, stream windows) goes through: a group of
 //! inserts, removes and upserts that [`Engine::apply`] validates and
 //! applies **as one delta** — the ops land in consecutive epochs of the
 //! graph's change log, so the next `resolve_incremental` sees them
@@ -389,9 +387,9 @@ pub(crate) fn execute_op(graph: &mut UtkGraph, planned: PlannedOp<'_>) -> EditOu
 }
 
 /// Applies a batch to a bare (non-journaled) graph with the same
-/// sequential semantics as [`Engine::apply`](crate::Engine::apply).
-/// Used by [`Session`](crate::Session) for its dataset copies and by
-/// tests that model batch application without an engine.
+/// sequential semantics as [`Engine::apply`](crate::Engine::apply):
+/// the reference that tests modelling batch application without an
+/// engine compare it against.
 pub fn apply_to_graph(graph: &mut UtkGraph, batch: &EditBatch) -> ApplyReport {
     let mut report = ApplyReport {
         outcomes: Vec::with_capacity(batch.len()),

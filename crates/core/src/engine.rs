@@ -414,6 +414,32 @@ fn solve_components(
         .collect()
 }
 
+/// The batch path over borrowed parts: translate, ground and solve
+/// `map(θ(G), F ∪ C)` from scratch. [`Engine::resolve_raw`] and
+/// [`Session::run`](crate::Session::run) both end here.
+pub(crate) fn resolve_cold(
+    graph: &UtkGraph,
+    program: &LogicProgram,
+    config: &TecoreConfig,
+) -> Result<Resolution, TecoreError> {
+    let solver = &config.backend;
+    let mut grounding = translate(graph, program, &solver.caps(), &config.ground)?;
+    let opts = SolveOpts {
+        component_mode: config.component_mode,
+        ..SolveOpts::default()
+    };
+    let solve_start = Instant::now();
+    let outcome = solve_dispatch(solver, &mut grounding, &opts)?;
+    let solve_time = solve_start.elapsed();
+    check_solver_contract(solver, &grounding, &outcome.state)?;
+    let (mut resolution, _) = interpret(graph, &grounding, &outcome.state, config);
+    resolution.stats.grounding_time = grounding.stats.elapsed;
+    resolution.stats.solve_time = solve_time;
+    resolution.stats.components = outcome.components;
+    resolution.stats.components_solved = outcome.components_solved;
+    Ok(resolution)
+}
+
 /// The TeCoRe system: a versioned uTKG plus rules and constraints,
 /// resolving into immutable [`Snapshot`]s.
 ///
@@ -580,6 +606,17 @@ impl Engine {
             self.config.ground.planner = planner;
             self.cache = None;
         }
+    }
+
+    /// Replaces the logic program and the configuration. The engine
+    /// starts over on the same graph: the cached incremental state
+    /// drops (the next resolve re-grounds cold) and so does the latest
+    /// snapshot, which answered the old program.
+    pub fn reconfigure(&mut self, program: LogicProgram, config: TecoreConfig) {
+        self.program = program;
+        self.config = config;
+        self.cache = None;
+        self.latest = None;
     }
 
     /// Applies an [`EditBatch`] — the unified edit surface every other
@@ -783,26 +820,7 @@ impl Engine {
     /// [`Engine::resolve`]; this exists for callers that only consume
     /// the resolution once and want to skip the `Arc`.
     pub fn resolve_raw(&self) -> Result<Resolution, TecoreError> {
-        let solver = &self.config.backend;
-        let mut grounding = translate(
-            &self.graph,
-            &self.program,
-            &solver.caps(),
-            &self.config.ground,
-        )?;
-        let opts = SolveOpts {
-            component_mode: self.config.component_mode,
-            ..SolveOpts::default()
-        };
-        let solve_start = Instant::now();
-        let outcome = solve_dispatch(solver, &mut grounding, &opts)?;
-        let solve_time = solve_start.elapsed();
-        check_solver_contract(solver, &grounding, &outcome.state)?;
-        let (mut resolution, _) = interpret(&self.graph, &grounding, &outcome.state, &self.config);
-        resolution.stats.grounding_time = grounding.stats.elapsed;
-        resolution.stats.solve_time = solve_time;
-        resolution.stats.components = outcome.components;
-        resolution.stats.components_solved = outcome.components_solved;
+        let mut resolution = resolve_cold(&self.graph, &self.program, &self.config)?;
         resolution.stats.fallback_regrounds = self.fallback_regrounds;
         Ok(resolution)
     }

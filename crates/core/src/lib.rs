@@ -72,7 +72,7 @@ pub use batch::{ApplyReport, EditBatch, EditOp, EditOutcome};
 pub use engine::Engine;
 pub use error::TecoreError;
 pub use explain::ConflictExplanation;
-pub use pipeline::{ConfidenceMode, Tecore, TecoreConfig};
+pub use pipeline::{ConfidenceMode, TecoreConfig};
 pub use query::{QueryIter, TemporalQuery, TimelineEntry};
 pub use registry::{BackendSelector, SolverRegistry};
 pub use resolution::{InferredFact, RemovedFact, Resolution};
@@ -92,7 +92,7 @@ pub mod prelude {
     pub use crate::batch::{ApplyReport, EditBatch, EditOp, EditOutcome};
     pub use crate::engine::Engine;
     pub use crate::error::TecoreError;
-    pub use crate::pipeline::{ConfidenceMode, Tecore, TecoreConfig};
+    pub use crate::pipeline::{ConfidenceMode, TecoreConfig};
     pub use crate::query::{TemporalQuery, TimelineEntry};
     pub use crate::registry::SolverRegistry;
     pub use crate::resolution::Resolution;

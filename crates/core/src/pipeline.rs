@@ -1,7 +1,7 @@
 //! Pipeline configuration and MAP-state interpretation.
 //!
-//! The compute pipeline is **backend-agnostic**: the [`Engine`]
-//! translates, asks its configured
+//! The compute pipeline is **backend-agnostic**: the
+//! [`Engine`](crate::engine::Engine) translates, asks its configured
 //! [`MapSolver`](tecore_ground::MapSolver) for a [`MapState`], and the
 //! interpretation step turns that state into a repaired knowledge
 //! graph. There is deliberately no
@@ -19,12 +19,7 @@ use tecore_mln::marginal::{gibbs_marginals, GibbsConfig};
 use tecore_mln::SatProblem;
 
 pub use crate::backends::{Backend, SolverHandle};
-// Compatibility re-exports: the pipeline struct moved to
-// [`crate::engine`] and now hands out snapshots; the old
-// `pipeline::Tecore` path keeps resolving to it.
 use crate::carry::{FactIds, Inferred, ViewMaps};
-pub use crate::engine::Engine;
-pub use crate::engine::Engine as Tecore;
 use crate::error::TecoreError;
 use crate::explain::Conflicts;
 use crate::resolution::{InferredFact, RemovedFact, Resolution};

@@ -16,20 +16,31 @@ use tecore_temporal::Interval;
 
 use std::sync::Arc;
 
-use crate::batch::{self, ApplyReport, EditBatch, EditOutcome};
-use crate::engine::Engine;
+use crate::batch::{ApplyReport, EditBatch};
+use crate::engine::{resolve_cold, Engine};
 use crate::error::TecoreError;
-use crate::pipeline::TecoreConfig;
 use crate::registry::{BackendSelector, SolverRegistry};
 use crate::snapshot::Snapshot;
+use crate::TecoreConfig;
+
+/// One registered dataset: the engine that owns its graph.
+#[derive(Debug)]
+struct Dataset {
+    name: String,
+    engine: Engine,
+    /// The session revision whose program and configuration `engine`
+    /// carries. When the session has moved on, the next
+    /// [`Session::resolve_incremental`] on the dataset reconfigures the
+    /// engine, which drops its cached grounding.
+    revision: u64,
+}
 
 /// An interactive TeCoRe session — a thin compatibility wrapper over
 /// the [`Engine`] → [`Snapshot`] API that adds dataset bookkeeping and
 /// the editor conveniences (completion, validation, registry). Both
 /// [`Session::run`] and [`Session::resolve_incremental`] return
 /// `Arc<Snapshot>`, which dereferences to
-/// [`Resolution`](crate::Resolution) so existing result-consuming code
-/// migrates mechanically.
+/// [`Resolution`](crate::Resolution).
 ///
 /// Each session owns a [`SolverRegistry`] pre-loaded with the four seed
 /// substrates, so backends are selectable **by name** —
@@ -40,18 +51,14 @@ use crate::snapshot::Snapshot;
 /// [`Backend`]: crate::backends::Backend
 #[derive(Debug, Default)]
 pub struct Session {
-    datasets: Vec<(String, UtkGraph)>,
+    /// One engine per dataset; the engine's graph *is* the dataset.
+    datasets: Vec<Dataset>,
     selected: Option<usize>,
     program: LogicProgram,
     config: TecoreConfig,
+    /// Bumped by every program, backend or grounding-option change.
+    revision: u64,
     registry: SolverRegistry,
-    /// The incremental engine for the selected dataset, if one has been
-    /// primed by [`Session::resolve_incremental`]. Its graph is a clone
-    /// of the dataset kept in lock-step by
-    /// [`Session::insert_fact`]/[`Session::remove_fact`] (identical
-    /// operation order ⇒ identical fact ids); program/backend edits
-    /// invalidate it.
-    engine: Option<(usize, Engine)>,
 }
 
 impl Session {
@@ -62,10 +69,12 @@ impl Session {
 
     /// Registers a dataset under a display name.
     pub fn add_dataset(&mut self, name: impl Into<String>, graph: UtkGraph) {
-        self.datasets.push((name.into(), graph));
-        if self.selected.is_none() {
-            self.selected = Some(self.datasets.len() - 1);
-        }
+        self.datasets.push(Dataset {
+            name: name.into(),
+            engine: Engine::with_config(graph, self.program.clone(), self.config.clone()),
+            revision: self.revision,
+        });
+        self.selected.get_or_insert(self.datasets.len() - 1);
     }
 
     /// Registers a dataset recovered from a write-ahead-log directory
@@ -86,16 +95,13 @@ impl Session {
 
     /// Lists registered dataset names.
     pub fn dataset_names(&self) -> Vec<&str> {
-        self.datasets.iter().map(|(n, _)| n.as_str()).collect()
+        self.datasets.iter().map(|d| d.name.as_str()).collect()
     }
 
     /// Selects a dataset by name.
     pub fn select(&mut self, name: &str) -> Result<(), TecoreError> {
-        match self.datasets.iter().position(|(n, _)| n == name) {
+        match self.datasets.iter().position(|d| d.name == name) {
             Some(i) => {
-                if self.selected != Some(i) {
-                    self.engine = None;
-                }
                 self.selected = Some(i);
                 Ok(())
             }
@@ -106,16 +112,18 @@ impl Session {
     /// Index of the selected dataset.
     fn selected_index(&self) -> Result<usize, TecoreError> {
         self.selected
-            .filter(|&i| i < self.datasets.len())
             .ok_or_else(|| TecoreError::Session("no dataset selected".into()))
+    }
+
+    /// The selected dataset's engine.
+    fn engine_mut(&mut self) -> Result<&mut Engine, TecoreError> {
+        let idx = self.selected_index()?;
+        Ok(&mut self.datasets[idx].engine)
     }
 
     /// The currently selected graph.
     pub fn graph(&self) -> Result<&UtkGraph, TecoreError> {
-        self.selected
-            .and_then(|i| self.datasets.get(i))
-            .map(|(_, g)| g)
-            .ok_or_else(|| TecoreError::Session("no dataset selected".into()))
+        Ok(self.datasets[self.selected_index()?].engine.graph())
     }
 
     /// Statistics of the selected graph.
@@ -146,7 +154,7 @@ impl Session {
         check_formula(&formula)?;
         let rendered = format_formula(&formula);
         self.program.push(formula);
-        self.engine = None; // program changed: cached grounding is stale
+        self.revision += 1; // program changed: cached grounding is stale
         Ok(rendered)
     }
 
@@ -156,7 +164,7 @@ impl Session {
         program.validate()?;
         let added = program.len();
         self.program.extend(program);
-        self.engine = None;
+        self.revision += 1;
         Ok(added)
     }
 
@@ -171,7 +179,7 @@ impl Session {
             .cloned()
             .collect();
         if self.program.len() < before {
-            self.engine = None;
+            self.revision += 1;
             true
         } else {
             false
@@ -186,7 +194,7 @@ impl Session {
     /// Clears all rules and constraints.
     pub fn clear_program(&mut self) {
         self.program = LogicProgram::new();
-        self.engine = None;
+        self.revision += 1;
     }
 
     /// Sets the reasoner: by registered name (`"mln-cpi"`,
@@ -194,7 +202,7 @@ impl Session {
     /// spec, or by [`SolverHandle`](crate::backends::SolverHandle).
     pub fn set_backend(&mut self, backend: impl BackendSelector) -> Result<(), TecoreError> {
         self.config.backend = backend.select(&self.registry)?;
-        self.engine = None; // different solver: grounding caps may differ
+        self.revision += 1; // different solver: grounding caps may differ
         Ok(())
     }
 
@@ -226,22 +234,16 @@ impl Session {
     /// Sets the conflict-component treatment for the solve step (see
     /// [`ComponentMode`](tecore_ground::ComponentMode)). The mode only
     /// affects solve dispatch, never the grounding, so a primed
-    /// incremental engine survives (its config is updated in place).
+    /// incremental engine survives (taking the mode at its next resolve).
     pub fn set_component_mode(&mut self, mode: tecore_ground::ComponentMode) {
         self.config.component_mode = mode;
-        if let Some((_, engine)) = &mut self.engine {
-            engine.set_component_mode(mode);
-        }
     }
 
     /// Sets the derived-fact confidence threshold. Thresholding only
     /// affects result interpretation, so a primed incremental engine
-    /// survives (its config is updated in place).
+    /// survives (it takes the threshold at its next resolve).
     pub fn set_threshold(&mut self, threshold: f64) {
         self.config.threshold = threshold;
-        if let Some((_, engine)) = &mut self.engine {
-            engine.set_threshold(threshold);
-        }
     }
 
     /// Sets the grounding join planner (cost-based vs syntactic). The
@@ -250,39 +252,34 @@ impl Session {
     /// (the engine survives, only its grounding cache drops).
     pub fn set_planner(&mut self, planner: tecore_ground::JoinPlanner) {
         self.config.ground.planner = planner;
-        if let Some((_, engine)) = &mut self.engine {
-            engine.set_planner(planner);
-        }
     }
 
     /// Mutable access to the full configuration. Conservatively drops
-    /// the incremental engine: the caller may change grounding options.
+    /// every engine's incremental state: the caller may change
+    /// grounding options.
     pub fn config_mut(&mut self) -> &mut TecoreConfig {
-        self.engine = None;
+        self.revision += 1;
         &mut self.config
     }
 
     /// Runs conflict resolution on the selected dataset (batch path:
     /// translates, grounds and solves from scratch) and returns the
     /// resolved [`Snapshot`].
-    ///
-    /// The snapshot dereferences to [`Resolution`](crate::Resolution),
-    /// so pre-snapshot code reading `run()?.stats` / `.consistent` /
-    /// `.removed` keeps compiling unchanged.
     pub fn run(&self) -> Result<Arc<Snapshot>, TecoreError> {
-        let graph = self.graph()?.clone();
+        let graph = self.graph()?;
         self.require_program()?;
-        Engine::with_config(graph, self.program.clone(), self.config.clone()).resolve()
+        let resolution = resolve_cold(graph, &self.program, &self.config)?;
+        let snapshot = Snapshot::from_resolution(resolution, graph.epoch());
+        Ok(Arc::new(snapshot))
     }
 
     /// The most recent snapshot produced by
-    /// [`Session::resolve_incremental`] on the selected dataset, if the
-    /// incremental engine is primed.
+    /// [`Session::resolve_incremental`] on the selected dataset, if no
+    /// program or configuration change has invalidated it since.
     pub fn snapshot(&self) -> Option<Arc<Snapshot>> {
-        match (&self.engine, self.selected) {
-            (Some((engine_idx, engine)), Some(idx)) if *engine_idx == idx => engine.latest(),
-            _ => None,
-        }
+        let dataset = &self.datasets[self.selected_index().ok()?];
+        let current = dataset.revision == self.revision;
+        dataset.engine.latest().filter(|_| current)
     }
 
     fn require_program(&self) -> Result<(), TecoreError> {
@@ -294,8 +291,7 @@ impl Session {
         Ok(())
     }
 
-    /// Applies an [`EditBatch`] to the selected dataset, mirroring it
-    /// into the primed incremental engine (if any), so the next
+    /// Applies an [`EditBatch`] to the selected dataset, so the next
     /// [`Session::resolve_incremental`] re-solves in time proportional
     /// to the batch — one netted delta, one warm-started solve.
     ///
@@ -303,38 +299,11 @@ impl Session {
     /// (including semantic rejections) are in the returned
     /// [`ApplyReport`].
     pub fn apply(&mut self, edits: &EditBatch) -> Result<ApplyReport, TecoreError> {
-        let idx = self.selected_index()?;
-        let report = batch::apply_to_graph(&mut self.datasets[idx].1, edits);
-        if let Some((engine_idx, engine)) = &mut self.engine {
-            if *engine_idx == idx {
-                let mirrored = engine.apply(edits);
-                let lockstep = report.outcomes.len() == mirrored.outcomes.len()
-                    && report
-                        .outcomes
-                        .iter()
-                        .zip(&mirrored.outcomes)
-                        .all(|(a, b)| outcomes_in_lockstep(a, b));
-                if !lockstep {
-                    // The engine's copy drifted from the dataset (a
-                    // mutation path that bypassed the mirroring). Drop
-                    // it: the next resolve_incremental re-primes from
-                    // the dataset instead of serving stale results.
-                    debug_assert!(lockstep, "engine graph in lock-step with dataset");
-                    self.engine = None;
-                }
-            }
-        }
-        Ok(report)
+        Ok(self.engine_mut()?.apply(edits))
     }
 
-    /// Inserts a fact into the selected dataset. The edit is mirrored
-    /// into the primed incremental engine (if any), so the next
-    /// [`Session::resolve_incremental`] re-solves in time proportional
-    /// to the edit.
-    ///
-    /// Thin wrapper over [`Session::apply`] with a one-op batch, kept
-    /// for convenience and compatibility; prefer building an
-    /// [`EditBatch`] when issuing more than one edit per resolve.
+    /// [`Engine::insert_fact`] on the selected dataset; prefer building
+    /// an [`EditBatch`] when issuing more than one edit per resolve.
     pub fn insert_fact(
         &mut self,
         subject: &str,
@@ -343,74 +312,39 @@ impl Session {
         interval: Interval,
         confidence: f64,
     ) -> Result<FactId, TecoreError> {
-        let edits = EditBatch::new().insert(subject, predicate, object, interval, confidence);
-        match self.apply(&edits)?.outcomes.pop() {
-            Some(EditOutcome::Inserted(id)) => Ok(id),
-            Some(EditOutcome::Rejected(e) | EditOutcome::Failed(e)) => Err(e),
-            _ => Err(TecoreError::Session(
-                "single-op batch produced no outcome".into(),
-            )),
-        }
+        self.engine_mut()?
+            .insert_fact(subject, predicate, object, interval, confidence)
     }
 
-    /// Removes a fact from the selected dataset, mirroring the edit
-    /// into the primed incremental engine (if any).
-    ///
-    /// Thin wrapper over [`Session::apply`] with a one-op batch, kept
-    /// for convenience and compatibility; prefer building an
-    /// [`EditBatch`] when issuing more than one edit per resolve.
+    /// [`Engine::remove_fact`] on the selected dataset.
     pub fn remove_fact(&mut self, id: FactId) -> Result<TemporalFact, TecoreError> {
-        let edits = EditBatch::new().remove(id);
-        match self.apply(&edits)?.outcomes.pop() {
-            Some(EditOutcome::Removed(fact)) => Ok(fact),
-            Some(EditOutcome::Rejected(e) | EditOutcome::Failed(e)) => Err(e),
-            _ => Err(TecoreError::Session(
-                "single-op batch produced no outcome".into(),
-            )),
-        }
+        self.engine_mut()?.remove_fact(id)
     }
 
     /// Runs conflict resolution incrementally on the selected dataset.
     ///
-    /// The first call (or the first after a program/backend/dataset
-    /// change) grounds from scratch and primes the engine; subsequent
-    /// calls consume only the [`Session::insert_fact`] /
-    /// [`Session::remove_fact`] edits since the previous call and
-    /// warm-start the solver from the previous MAP state.
+    /// The first call (or the first after a program/backend change)
+    /// grounds from scratch; subsequent calls consume only the
+    /// [`Session::insert_fact`] / [`Session::remove_fact`] edits since
+    /// the previous call and warm-start the solver from the previous
+    /// MAP state.
     pub fn resolve_incremental(&mut self) -> Result<Arc<Snapshot>, TecoreError> {
         let idx = self.selected_index()?;
         self.require_program()?;
-        let stale = !matches!(&self.engine, Some((engine_idx, _)) if *engine_idx == idx);
-        if stale {
-            let graph = self.datasets[idx].1.clone();
-            self.engine = Some((
-                idx,
-                Engine::with_config(graph, self.program.clone(), self.config.clone()),
-            ));
+        let Dataset {
+            engine, revision, ..
+        } = &mut self.datasets[idx];
+        if *revision == self.revision {
+            // The knobs a primed engine survives: its cached grounding
+            // drops only if the planner actually changed.
+            engine.set_threshold(self.config.threshold);
+            engine.set_component_mode(self.config.component_mode);
+            engine.set_planner(self.config.ground.planner);
+        } else {
+            engine.reconfigure(self.program.clone(), self.config.clone());
+            *revision = self.revision;
         }
-        let (_, engine) = self.engine.as_mut().expect("engine just primed");
         engine.resolve_incremental()
-    }
-}
-
-/// Do a dataset-side and an engine-side outcome describe the same
-/// state change? (The drift guard for [`Session::apply`]'s mirroring:
-/// identical operation order on identical graphs must mint identical
-/// ids.)
-fn outcomes_in_lockstep(a: &EditOutcome, b: &EditOutcome) -> bool {
-    match (a, b) {
-        (EditOutcome::Inserted(x), EditOutcome::Inserted(y)) => x == y,
-        (EditOutcome::Removed(_), EditOutcome::Removed(_)) => true,
-        (
-            EditOutcome::Upserted {
-                id: x, removed: rx, ..
-            },
-            EditOutcome::Upserted {
-                id: y, removed: ry, ..
-            },
-        ) => x == y && rx.len() == ry.len(),
-        (EditOutcome::Rejected(_), EditOutcome::Rejected(_)) => true,
-        _ => false,
     }
 }
 

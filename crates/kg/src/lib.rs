@@ -38,9 +38,7 @@ pub mod fact;
 pub mod fxhash;
 pub mod graph;
 pub mod parser;
-pub mod shard;
 pub mod stats;
-pub mod sync;
 pub mod tindex;
 pub mod writer;
 
@@ -51,6 +49,5 @@ pub use event::StreamEvent;
 pub use fact::{Confidence, FactId, TemporalFact};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use graph::UtkGraph;
-pub use shard::ShardedDictionary;
 pub use stats::{Cardinalities, GraphStats, PredicateCardinality};
 pub use tindex::{GraphTemporalIndex, IntervalIndex, OverlapIter};

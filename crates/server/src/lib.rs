@@ -7,9 +7,9 @@
 //!
 //! Three layers (see the module docs for the details):
 //!
-//! * [`cell`] — [`SnapshotCell`]: lock-free snapshot publication; a
-//!   reader loads the current snapshot with a couple of atomic ops and
-//!   never blocks on the writer.
+//! * [`cell`] — [`SnapshotCell`]: the published snapshot behind one
+//!   `RwLock<Arc<Snapshot>>`; a reader clones the `Arc` under a read
+//!   guard, the writer holds the write guard for one pointer swap.
 //! * [`server`] — [`Server`]: the acceptor, the thread-per-core reader
 //!   pool with per-connection reusable buffers (the steady-state
 //!   query path allocates nothing), and the single-writer loop that
@@ -24,7 +24,7 @@
 //! use std::io::{BufRead, BufReader, Write};
 //! use std::net::TcpStream;
 //!
-//! use tecore_core::pipeline::Engine;
+//! use tecore_core::Engine;
 //! use tecore_kg::UtkGraph;
 //! use tecore_logic::LogicProgram;
 //! use tecore_server::{Server, ServerConfig};
@@ -50,7 +50,6 @@
 pub mod cell;
 pub mod proto;
 pub mod server;
-pub mod sync;
 
 pub use cell::SnapshotCell;
 pub use proto::{Clauses, ProtoError, QueryKind, Request, TimeClause};

@@ -20,7 +20,7 @@
 //!          | "minconf=" float | "limit=" int
 //! term     = bare-term | DQUOTE any-but-dquote DQUOTE
 //! insert   = "INSERT" term term term "[" int "," int "]" float
-//! remove   = "REMOVE" fact-id
+//! remove   = "REMOVE" fact-id               ; engine id, see "Fact ids"
 //! feed     = "FEED" int term term term "[" int "," int "]" float
 //! sub      = "SUB" *clause                  ; → "OK epoch=E n=0 sub=I"
 //! unsub    = "UNSUB" int                    ; → "OK epoch=E n=0"
@@ -58,6 +58,18 @@
 //! epoch (`durable=0` on an in-memory server).
 //! Malformed requests answer `ERR reason` without closing the
 //! connection.
+//!
+//! # Fact ids
+//!
+//! The id in an `F` line and the id `REMOVE` takes are **different id
+//! spaces**. `F` ids number the answering snapshot's resolved view,
+//! renumbered whenever a repair drops a fact; `REMOVE` addresses the
+//! engine's input graph (arena ids in insertion order: loaded facts,
+//! then one per applied `INSERT`; never reused). They coincide only
+//! while nothing has been repaired away: with Napoli (0), Chelsea (1),
+//! Leicester (2) loaded and Napoli removed by a disjointness
+//! constraint, a query reports `F 1 … Leicester` and `REMOVE 1` removes
+//! Chelsea. An editing client tracks the arena ids of its own inserts.
 //!
 //! Parsing borrows every term straight from the request line
 //! ([`Request`] is lifetime-parametric) and response rendering writes
@@ -157,7 +169,8 @@ pub enum Request<'a> {
         /// Confidence in `(0, 1]`.
         confidence: f64,
     },
-    /// Queue a fact removal by the id reported in `F` lines.
+    /// Queue a fact removal by its id in the engine's input graph —
+    /// not the id `F` lines report (see the module docs, "Fact ids").
     Remove(FactId),
     /// Offer a timestamped stream event (streaming servers only).
     Feed {
@@ -255,10 +268,6 @@ impl fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-/// Historical alias for [`ProtoError`] (the parser's error type used to
-/// be a bare `&'static str`).
-pub type ParseError = ProtoError;
-
 /// Splits a request line into whitespace-separated tokens, keeping
 /// double-quoted spans (which may contain spaces) intact.
 struct Tokens<'a> {
@@ -303,20 +312,20 @@ fn unquote(term: &str) -> &str {
         .unwrap_or(term)
 }
 
-fn parse_int(s: &str) -> Result<i64, ParseError> {
+fn parse_int(s: &str) -> Result<i64, ProtoError> {
     s.parse().map_err(|_| ProtoError::MalformedInt)
 }
 
-fn parse_float(s: &str) -> Result<f64, ParseError> {
+fn parse_float(s: &str) -> Result<f64, ProtoError> {
     s.parse().map_err(|_| ProtoError::MalformedFloat)
 }
 
-fn parse_range(s: &str) -> Result<Interval, ParseError> {
+fn parse_range(s: &str) -> Result<Interval, ProtoError> {
     let (a, b) = s.split_once("..").ok_or(ProtoError::RangeWantsDots)?;
     Interval::new(parse_int(a)?, parse_int(b)?).map_err(|_| ProtoError::EmptyInterval)
 }
 
-fn parse_clauses(line: &str) -> Result<Clauses<'_>, ParseError> {
+fn parse_clauses(line: &str) -> Result<Clauses<'_>, ProtoError> {
     let mut clauses = Clauses::default();
     for token in tokens(line) {
         let (key, value) = token
@@ -343,7 +352,7 @@ fn parse_clauses(line: &str) -> Result<Clauses<'_>, ParseError> {
     Ok(clauses)
 }
 
-fn parse_insert(line: &str) -> Result<Request<'_>, ParseError> {
+fn parse_insert(line: &str) -> Result<Request<'_>, ProtoError> {
     let mut parts = tokens(line);
     let subject = unquote(parts.next().ok_or(ProtoError::InsertArity)?);
     let predicate = unquote(parts.next().ok_or(ProtoError::InsertArity)?);
@@ -372,7 +381,7 @@ fn parse_insert(line: &str) -> Result<Request<'_>, ParseError> {
     })
 }
 
-fn parse_feed(line: &str) -> Result<Request<'_>, ParseError> {
+fn parse_feed(line: &str) -> Result<Request<'_>, ProtoError> {
     // `FEED <t> <insert-shape>`: split the leading event time, then
     // reuse the INSERT grammar for the fact itself.
     let line = line.trim_start();
@@ -400,7 +409,7 @@ fn parse_feed(line: &str) -> Result<Request<'_>, ParseError> {
 }
 
 /// Parses one request line (without its trailing newline).
-pub fn parse(line: &str) -> Result<Request<'_>, ParseError> {
+pub fn parse(line: &str) -> Result<Request<'_>, ProtoError> {
     let line = line.trim();
     let (verb, rest) = match line.split_once([' ', '\t']) {
         Some((v, r)) => (v, r),

@@ -14,8 +14,8 @@
 //!                                          └──────────────────┘     publish()
 //! ```
 //!
-//! Readers answer every query from [`SnapshotCell::load`] — one atomic
-//! hand-off, no engine lock, no writer dependency. The writer loop
+//! Readers answer every query from [`SnapshotCell::load`] — one `Arc`
+//! clone under a read guard, no engine lock. The writer loop
 //! owns the [`Engine`] outright: it drains the edit queue each tick,
 //! applies the whole batch to the graph (the change log nets it into
 //! one delta), runs one incremental resolve, and publishes. Queries
@@ -30,9 +30,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tecore_core::pipeline::Engine;
 use tecore_core::snapshot::Snapshot;
-use tecore_core::{EditBatch, EditOutcome};
+use tecore_core::{EditBatch, EditOutcome, Engine};
 use tecore_kg::writer::write_fact;
 use tecore_kg::{FactId, StreamEvent};
 use tecore_stream::{QuerySpec, StreamError, StreamSession, WindowFire, WindowSpec};
@@ -691,8 +690,7 @@ fn handle_line(
                 out,
                 "S queries={} edits={} publishes={} connections={} \
                  wal_bytes={} wal_segments={} last_checkpoint_epoch={} \
-                 durable_epoch={} read_only={} cell_reader_spins={} \
-                 cell_publish_retries={} stream_windows={} \
+                 durable_epoch={} read_only={} stream_windows={} \
                  stream_events_admitted={} stream_events_expired={} \
                  stream_lag_ms={}",
                 stats.queries.load(Ordering::Relaxed),
@@ -704,8 +702,6 @@ fn handle_line(
                 stats.last_checkpoint_epoch.load(Ordering::Relaxed),
                 stats.durable_epoch.load(Ordering::Relaxed),
                 stats.read_only.load(Ordering::Relaxed),
-                cell.reader_spins(),
-                cell.publish_retries(),
                 stats.stream_windows.load(Ordering::Relaxed),
                 stats.stream_events_admitted.load(Ordering::Relaxed),
                 stats.stream_events_expired.load(Ordering::Relaxed),

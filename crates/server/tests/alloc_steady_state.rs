@@ -20,7 +20,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use tecore_core::pipeline::Engine;
+use tecore_core::Engine;
 use tecore_kg::UtkGraph;
 use tecore_logic::LogicProgram;
 use tecore_server::proto::{self, Request};

@@ -13,8 +13,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use tecore_core::pipeline::Engine;
-use tecore_core::TecoreConfig;
+use tecore_core::{Engine, TecoreConfig};
 use tecore_logic::LogicProgram;
 use tecore_server::{Server, ServerConfig};
 use tecore_wal::{FsyncPolicy, MemStorage, Wal, WalConfig};

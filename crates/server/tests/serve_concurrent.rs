@@ -9,7 +9,7 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use tecore_core::pipeline::Engine;
+use tecore_core::Engine;
 use tecore_kg::UtkGraph;
 use tecore_logic::LogicProgram;
 use tecore_server::{Server, ServerConfig};

@@ -11,7 +11,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use tecore_core::pipeline::Engine;
+use tecore_core::Engine;
 use tecore_kg::UtkGraph;
 use tecore_logic::LogicProgram;
 use tecore_server::{Server, ServerConfig, StreamServing};

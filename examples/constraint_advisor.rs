@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release --example constraint_advisor`
 
 use tecore_core::advisor::{suggest_constraints, suggest_order, AdvisorConfig};
-use tecore_core::pipeline::Engine;
+use tecore_core::Engine;
 use tecore_datagen::config::FootballConfig;
 use tecore_datagen::football::generate_football;
 use tecore_datagen::noise::repair_metrics;

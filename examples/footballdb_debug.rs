@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use tecore_core::pipeline::{Backend, Engine, TecoreConfig};
+use tecore_core::{Backend, Engine, TecoreConfig};
 use tecore_datagen::config::FootballConfig;
 use tecore_datagen::football::generate_football;
 use tecore_datagen::noise::repair_metrics;

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example noisy_repair`
 
-use tecore_core::pipeline::{Backend, Engine, TecoreConfig};
+use tecore_core::{Backend, Engine, TecoreConfig};
 use tecore_datagen::config::FootballConfig;
 use tecore_datagen::football::generate_football;
 use tecore_datagen::noise::repair_metrics;

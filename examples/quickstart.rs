@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use tecore_core::pipeline::{Backend, ConfidenceMode, Engine, TecoreConfig};
+use tecore_core::{Backend, ConfidenceMode, Engine, TecoreConfig};
 use tecore_datagen::standard::{paper_program, ranieri_utkg};
 use tecore_mln::marginal::GibbsConfig;
 

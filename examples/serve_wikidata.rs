@@ -22,8 +22,8 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use tecore_core::pipeline::{Engine, TecoreConfig};
 use tecore_core::registry::SolverRegistry;
+use tecore_core::{Engine, TecoreConfig};
 use tecore_datagen::config::WikidataConfig;
 use tecore_datagen::standard::wikidata_program;
 use tecore_datagen::wikidata::generate_wikidata;

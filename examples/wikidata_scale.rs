@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use tecore_core::pipeline::{Backend, Engine, TecoreConfig};
+use tecore_core::{Backend, Engine, TecoreConfig};
 use tecore_datagen::config::WikidataConfig;
 use tecore_datagen::standard::wikidata_program;
 use tecore_datagen::wikidata::generate_wikidata;

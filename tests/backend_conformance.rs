@@ -12,8 +12,8 @@
 //! * derive exactly `worksFor(CR, Palermo, [1984,1986])`, with a
 //!   confidence within tolerance of 1 for PSL-style soft backends.
 
-use tecore_core::pipeline::{Engine, TecoreConfig};
 use tecore_core::registry::SolverRegistry;
+use tecore_core::{Engine, TecoreConfig};
 use tecore_datagen::standard::{paper_program, ranieri_utkg};
 
 /// Kept facts rendered canonically (sorted display strings).

@@ -15,8 +15,7 @@
 //! disappear along the way.
 
 use proptest::prelude::*;
-use tecore_core::pipeline::{Backend, Engine, TecoreConfig};
-use tecore_core::{EditBatch, Snapshot};
+use tecore_core::{Backend, EditBatch, Engine, Snapshot, TecoreConfig};
 use tecore_datagen::standard::paper_program;
 use tecore_ground::{ComponentMode, GroundConfig};
 use tecore_kg::{FactId, TemporalFact, UtkGraph};

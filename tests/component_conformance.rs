@@ -13,9 +13,9 @@
 use std::collections::HashSet;
 
 use proptest::prelude::*;
-use tecore_core::pipeline::{Engine, TecoreConfig};
 use tecore_core::registry::SolverRegistry;
 use tecore_core::resolution::Resolution;
+use tecore_core::{Engine, TecoreConfig};
 use tecore_ground::{ground, ComponentMode, GroundConfig};
 use tecore_kg::{FactId, UtkGraph};
 use tecore_logic::LogicProgram;

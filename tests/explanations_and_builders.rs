@@ -1,7 +1,7 @@
 //! Integration tests for conflict explanations and the programmatic
 //! constraint builders (the editor's click-path), end to end.
 
-use tecore_core::pipeline::{Backend, Engine, TecoreConfig};
+use tecore_core::{Backend, Engine, TecoreConfig};
 use tecore_datagen::standard::{paper_program, ranieri_utkg};
 use tecore_logic::builder;
 use tecore_logic::formula::Weight;

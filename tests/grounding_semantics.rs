@@ -2,7 +2,7 @@
 //! level: inclusion dependencies, interval expressions in heads,
 //! numerical conditions at their boundaries, and evidence merging.
 
-use tecore_core::pipeline::{Backend, Engine, TecoreConfig};
+use tecore_core::{Backend, Engine, TecoreConfig};
 use tecore_ground::{ground, GroundConfig};
 use tecore_kg::parser::parse_graph;
 use tecore_logic::LogicProgram;

@@ -10,9 +10,9 @@
 //! repair, the surviving KG, or the derived facts.
 
 use proptest::prelude::*;
-use tecore_core::pipeline::{Engine, TecoreConfig};
 use tecore_core::registry::SolverRegistry;
 use tecore_core::resolution::Resolution;
+use tecore_core::{Engine, TecoreConfig};
 use tecore_kg::{FactId, UtkGraph};
 use tecore_logic::LogicProgram;
 use tecore_temporal::Interval;

@@ -4,8 +4,7 @@
 //! ones". These tests pin quantitative floors so regressions in the
 //! solvers or the translator show up as failures.
 
-use tecore_core::pipeline::Backend;
-use tecore_core::pipeline::{Engine, TecoreConfig};
+use tecore_core::{Backend, Engine, TecoreConfig};
 use tecore_datagen::config::FootballConfig;
 use tecore_datagen::football::generate_football;
 use tecore_datagen::noise::{repair_metrics, RepairMetrics};

@@ -7,7 +7,7 @@
 //! have to delete. These tests pin the crossover behaviour on both
 //! backends.
 
-use tecore_core::pipeline::{Backend, Engine, TecoreConfig};
+use tecore_core::{Backend, Engine, TecoreConfig};
 use tecore_kg::parser::parse_graph;
 use tecore_kg::UtkGraph;
 use tecore_logic::LogicProgram;

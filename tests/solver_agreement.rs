@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 
-use tecore_core::pipeline::{Backend, Engine, TecoreConfig};
+use tecore_core::{Backend, Engine, TecoreConfig};
 use tecore_kg::UtkGraph;
 use tecore_logic::LogicProgram;
 use tecore_mln::{CpiConfig, WalkSatConfig};

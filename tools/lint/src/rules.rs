@@ -310,7 +310,7 @@ mod tests {
         assert!(f.iter().all(|f| f.rule == "R3"));
         // Out of scope: kg may unwrap.
         assert!(active(
-            "crates/kg/src/shard.rs",
+            "crates/kg/src/dict.rs",
             "fn f(x: Option<u32>) -> u32 { x.unwrap() }"
         )
         .is_empty());
