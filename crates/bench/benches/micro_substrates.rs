@@ -1,6 +1,6 @@
 //! A3 — microbenchmarks of the substrates every experiment rests on:
-//! Allen relation evaluation and composition, interval coalescing,
-//! dictionary interning, uTKG parsing, and grounding throughput.
+//! Allen relation evaluation, interval coalescing, dictionary
+//! interning, uTKG parsing, and grounding throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -10,7 +10,7 @@ use tecore_datagen::standard::football_program;
 use tecore_ground::{ground, GroundConfig};
 use tecore_kg::writer::write_graph;
 use tecore_kg::Dictionary;
-use tecore_temporal::{compose, AllenRelation, AllenSet, Interval, TemporalElement};
+use tecore_temporal::{AllenRelation, AllenSet, Interval, TemporalElement};
 
 fn bench_allen(c: &mut Criterion) {
     let intervals: Vec<Interval> = (0..512)
@@ -40,17 +40,6 @@ fn bench_allen(c: &mut Criterion) {
             for &x in &intervals {
                 for &y in &intervals {
                     acc += usize::from(AllenSet::DISJOINT.holds(x, y));
-                }
-            }
-            black_box(acc)
-        })
-    });
-    group.bench_function("compose_full_table", |b| {
-        b.iter(|| {
-            let mut acc = 0u32;
-            for r1 in AllenRelation::ALL {
-                for r2 in AllenRelation::ALL {
-                    acc += compose::compose(r1, r2).len();
                 }
             }
             black_box(acc)

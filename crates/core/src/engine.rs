@@ -83,9 +83,9 @@ struct SolveOutcome {
 /// partitioned into independent conflict components
 /// (`tecore_ground::component`); each **dirty** component is dispatched
 /// to [`MapSolver::solve_component`](tecore_ground::MapSolver) as a
-/// zero-copy sub-view in its local atom id space — in parallel across
-/// worker threads when the `parallel` feature is on — while **clean**
-/// components splice their slice of the previous MAP state untouched.
+/// zero-copy sub-view in its local atom id space, one after the other,
+/// while **clean** components splice their slice of the previous MAP
+/// state untouched.
 /// The per-component states merge into one global state whose cost and
 /// feasibility are re-derived from the full arena, so the merged state
 /// satisfies exactly the contract a monolithic solve would.
@@ -150,7 +150,10 @@ fn solve_dispatch(
     let dirty: Vec<usize> = (0..partition.len())
         .filter(|&i| warm.is_none() || partition.is_dirty(i))
         .collect();
-    let solved = solve_components(solver, grounding, &partition, &dirty, warm, opts)?;
+    let solved = dirty
+        .iter()
+        .map(|&comp| solve_one_component(solver, grounding, &partition, comp, warm, opts))
+        .collect::<Result<Vec<MapState>, TecoreError>>()?;
 
     // Merge. The base is the previous assignment (which *is* the
     // spliced value of every clean component, and carries dead or
@@ -323,95 +326,6 @@ fn local_warm(view: &ComponentView<'_>, warm: &MapState) -> Option<MapState> {
             .as_ref()
             .map(|values| atoms[..known].iter().map(|a| values[a.index()]).collect()),
     })
-}
-
-/// Below this many clauses across the dirty components the parallel
-/// driver stays serial: thread spawns cost more than the solves.
-#[cfg(feature = "parallel")]
-const PARALLEL_SOLVE_THRESHOLD: usize = 256;
-
-/// Solves the dirty components, fanning out over scoped worker threads
-/// when the workload warrants it (requires the `parallel` feature; the
-/// environment ships no rayon, so this is plain `std::thread::scope`
-/// with results re-slotted in component order — byte-identical output
-/// to the serial path).
-#[cfg(feature = "parallel")]
-fn solve_components(
-    solver: &SolverHandle,
-    grounding: &Grounding,
-    partition: &Partition,
-    dirty: &[usize],
-    warm: Option<&MapState>,
-    opts: &SolveOpts<'_>,
-) -> Result<Vec<MapState>, TecoreError> {
-    let total_clauses: usize = dirty.iter().map(|&i| partition.clause_ids(i).len()).sum();
-    // Worker count: `TECORE_SOLVE_WORKERS` (ops/test knob — also how
-    // single-core CI exercises the fan-out; read per solve, the lookup
-    // is trivial next to one) else the machine's parallelism.
-    let cores = std::env::var("TECORE_SOLVE_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        });
-    let workers = cores.min(dirty.len());
-    if workers < 2 || total_clauses < PARALLEL_SOLVE_THRESHOLD {
-        return dirty
-            .iter()
-            .map(|&comp| solve_one_component(solver, grounding, partition, comp, warm, opts))
-            .collect();
-    }
-    let mut slots: Vec<Option<Result<MapState, TecoreError>>> =
-        std::iter::repeat_with(|| None).take(dirty.len()).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || -> Vec<(usize, Result<MapState, TecoreError>)> {
-                    dirty
-                        .iter()
-                        .enumerate()
-                        .skip(w)
-                        .step_by(workers)
-                        .map(|(slot, &comp)| {
-                            (
-                                slot,
-                                solve_one_component(solver, grounding, partition, comp, warm, opts),
-                            )
-                        })
-                        .collect()
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (slot, result) in handle.join().expect("component solver panicked") {
-                slots[slot] = Some(result);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|r| r.expect("every dirty component produced a result"))
-        .collect()
-}
-
-/// Serial fallback when the crate is built without the `parallel`
-/// feature.
-#[cfg(not(feature = "parallel"))]
-fn solve_components(
-    solver: &SolverHandle,
-    grounding: &Grounding,
-    partition: &Partition,
-    dirty: &[usize],
-    warm: Option<&MapState>,
-    opts: &SolveOpts<'_>,
-) -> Result<Vec<MapState>, TecoreError> {
-    dirty
-        .iter()
-        .map(|&comp| solve_one_component(solver, grounding, partition, comp, warm, opts))
-        .collect()
 }
 
 /// The batch path over borrowed parts: translate, ground and solve
@@ -1028,7 +942,6 @@ fn journal_planned(
 mod tests {
     use super::*;
     use crate::pipeline::{Backend, ConfidenceMode, SolverHandle};
-    use tecore_ground::GroundConfig;
     use tecore_kg::parser::parse_graph;
     use tecore_mln::marginal::GibbsConfig;
     use tecore_mln::{CpiConfig, WalkSatConfig};
@@ -1490,10 +1403,9 @@ mod tests {
         }
     }
 
-    /// Drives edit steps through every backend under both `parallel`
-    /// settings, checking each incremental snapshot; returns, per run,
-    /// the backend and which steps' snapshots were carried forward
-    /// (rather than rebuilt).
+    /// Drives edit steps through every backend, checking each
+    /// incremental snapshot; returns, per backend, which steps'
+    /// snapshots were carried forward (rather than rebuilt).
     fn check_carried_forward(
         steps: &[Vec<Edit>],
         threshold: f64,
@@ -1506,30 +1418,24 @@ mod tests {
             Backend::default_psl(),
         ] {
             let name = backend.name();
-            for parallel in [false, true] {
-                let config = TecoreConfig {
-                    backend: backend.clone().into(),
-                    ground: GroundConfig {
-                        parallel,
-                        ..GroundConfig::default()
-                    },
-                    threshold,
-                    ..TecoreConfig::default()
-                };
-                let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
-                let mut engine = Engine::with_config(wide_graph(), program, config);
-                engine.resolve_incremental().unwrap();
-                let mut serial = 0;
-                let mut carried = Vec::new();
-                for (i, edits) in steps.iter().enumerate() {
-                    apply_edits(&mut engine, edits, &mut serial);
-                    let snapshot = engine.resolve_incremental().unwrap();
-                    carried.push(snapshot.built_index().is_some());
-                    let what = format!("{name}, parallel={parallel}, step {i} {edits:?}");
-                    assert_equals_full_interpretation(&engine, &snapshot, &what);
-                }
-                runs.push((name, carried));
+            let config = TecoreConfig {
+                backend: backend.into(),
+                threshold,
+                ..TecoreConfig::default()
+            };
+            let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
+            let mut engine = Engine::with_config(wide_graph(), program, config);
+            engine.resolve_incremental().unwrap();
+            let mut serial = 0;
+            let mut carried = Vec::new();
+            for (i, edits) in steps.iter().enumerate() {
+                apply_edits(&mut engine, edits, &mut serial);
+                let snapshot = engine.resolve_incremental().unwrap();
+                carried.push(snapshot.built_index().is_some());
+                let what = format!("{name}, step {i} {edits:?}");
+                assert_equals_full_interpretation(&engine, &snapshot, &what);
             }
+            runs.push((name, carried));
         }
         runs
     }

@@ -453,7 +453,7 @@ impl ClauseStore {
 /// participate, but slot *reuse* does affect iteration order — two
 /// stores reaching the same live set through different churn histories
 /// may compare unequal. Intended for comparing stores built the same
-/// way (e.g. serial vs parallel grounding parity).
+/// way.
 impl PartialEq for ClauseStore {
     fn eq(&self, other: &Self) -> bool {
         self.live == other.live

@@ -19,57 +19,40 @@ use crate::compile::{
 };
 use crate::planner::{self, FormulaPlan, JoinPlanner};
 
+/// Closed-world prior weight on hidden atoms (soft unit clause `¬h`).
+/// Keeps unsupported derivations false in the MAP state.
+const HIDDEN_PRIOR: f64 = 0.05;
+
+/// Safety valve on semi-naive rounds (rule-chain depth).
+pub(crate) const MAX_ROUNDS: usize = 16;
+
+/// On incremental deltas, re-plan join orders when some predicate's
+/// fact count has drifted by more than this relative fraction since
+/// the current plans were chosen (cost-based planner only).
+pub(crate) const REPLAN_DRIFT: f64 = 0.5;
+
 /// Grounding configuration.
 #[derive(Debug, Clone)]
 pub struct GroundConfig {
     /// Pin confidence-1 facts as hard evidence (default: `false`, so a
     /// conflict between two "certain" facts stays resolvable).
     pub pin_certain: bool,
-    /// Closed-world prior weight on hidden atoms (soft unit clause
-    /// `¬h`). Keeps unsupported derivations false in the MAP state.
-    pub hidden_prior: f64,
-    /// Safety valve on semi-naive rounds (rule-chain depth).
-    pub max_rounds: usize,
-    /// Emit per-evidence-atom soft unit clauses (default `true`).
-    pub emit_evidence_units: bool,
     /// Ground constraint formulas eagerly (default `true`; cutting-plane
     /// inference sets this to `false` and grounds violations lazily).
     pub ground_constraints: bool,
-    /// Enumerate each round's body matches with one worker thread per
-    /// formula (default: `true` when the crate is built with the
-    /// `parallel` feature). Output is byte-identical to the serial
-    /// path — per-formula match streams are merged in formula order —
-    /// and small stores fall back to serial to dodge spawn overhead.
-    /// Without the `parallel` feature this flag is ignored.
-    pub parallel: bool,
-    /// Worker-thread count for parallel matching. `None` (the default)
-    /// auto-detects: the `TECORE_GROUND_WORKERS` environment variable
-    /// if set (read once per process), else the machine's available
-    /// parallelism. One worker means serial.
-    pub parallel_workers: Option<usize>,
     /// Join-order planner: cost-based over live cardinality statistics
     /// (default), or the compiler's syntactic heuristic. Either choice
     /// grounds the same clause multiset; only the enumeration work
     /// differs.
     pub planner: JoinPlanner,
-    /// On incremental deltas, re-plan join orders when some predicate's
-    /// fact count has drifted by more than this relative fraction since
-    /// the current plans were chosen (cost-based planner only).
-    pub replan_drift: f64,
 }
 
 impl Default for GroundConfig {
     fn default() -> Self {
         GroundConfig {
             pin_certain: false,
-            hidden_prior: 0.05,
-            max_rounds: 16,
-            emit_evidence_units: true,
             ground_constraints: true,
-            parallel: cfg!(feature = "parallel"),
-            parallel_workers: None,
             planner: JoinPlanner::default(),
-            replan_drift: 0.5,
         }
     }
 }
@@ -167,7 +150,7 @@ pub struct Grounding {
     pub plans: Vec<FormulaPlan>,
     /// Per-predicate fact counts at plan time; incremental deltas
     /// re-plan when the live counts drift too far from this
-    /// ([`GroundConfig::replan_drift`]).
+    /// (`REPLAN_DRIFT`).
     pub(crate) plan_fingerprint: Vec<(Symbol, usize)>,
     /// What deltas changed since the consumer last took it (see
     /// [`Grounding::take_changes`]).
@@ -267,54 +250,40 @@ pub fn ground(
     let mut delta_start = 0usize;
     loop {
         stats.rounds += 1;
-        if stats.rounds > config.max_rounds {
+        if stats.rounds > MAX_ROUNDS {
             break;
         }
         let horizon = store.len();
         if delta_start >= horizon {
             break;
         }
-        // Buffered matches: (formula idx, body atoms, head key).
-        // Formulas are independent given the frozen store snapshot, so
-        // each can be matched by its own worker; merging per-formula
-        // buffers in formula order keeps the output identical to the
-        // serial enumeration.
-        let active: Vec<&CompiledFormula> = compiled
-            .formulas
-            .iter()
-            .filter(|cf| cf.consequent.derives() || config.ground_constraints)
-            .collect();
-        let per_formula = map_formulas(
-            &active,
-            |cf| {
-                let mut local: Vec<(usize, Vec<AtomId>, Option<HeadKey>)> = Vec::new();
-                let mut matches = 0usize;
-                for delta_pos in 0..cf.body.len() {
-                    enumerate_matches(
-                        &store,
-                        cf,
-                        horizon,
-                        Frontier::Range {
-                            start: delta_start,
-                            pos: delta_pos,
-                        },
-                        None,
-                        &mut |chosen, bindings| {
-                            matches += 1;
-                            collect_match(cf, chosen, bindings, &store, &mut local);
-                        },
-                    );
-                }
-                (local, matches)
-            },
-            config.parallel && store.len() >= PARALLEL_STORE_THRESHOLD,
-            config.parallel_workers,
-        );
+        // Buffered matches: (formula idx, body atoms, head key). The
+        // store is frozen while the formulas are matched in order; head
+        // atoms are interned only once every match is collected.
         let mut pending: Vec<(usize, Vec<AtomId>, Option<HeadKey>)> = Vec::new();
-        for (cf, (local, matches)) in active.iter().zip(per_formula) {
+        for cf in &compiled.formulas {
+            if !(cf.consequent.derives() || config.ground_constraints) {
+                continue;
+            }
+            let mut matches = 0usize;
+            for delta_pos in 0..cf.body.len() {
+                enumerate_matches(
+                    &store,
+                    cf,
+                    horizon,
+                    Frontier::Range {
+                        start: delta_start,
+                        pos: delta_pos,
+                    },
+                    None,
+                    &mut |chosen, bindings| {
+                        matches += 1;
+                        collect_match(cf, chosen, bindings, &store, &mut pending);
+                    },
+                );
+            }
             stats.body_matches += matches;
             plans[cf.index].actual_matches += matches;
-            pending.extend(local);
         }
         // Apply buffered matches: intern head atoms, emit clauses.
         for (fidx, body_atoms, head) in pending {
@@ -344,21 +313,17 @@ pub fn ground(
 
     // Evidence unit clauses — emitted straight into the arena (no
     // per-clause `Vec<Lit>` intermediates).
-    if config.emit_evidence_units {
-        for (id, atom) in store.iter() {
-            if let crate::atoms::AtomKind::Evidence { log_odds, .. } = &atom.kind {
-                let (lit, weight) = evidence_unit(id, *log_odds, config);
-                clauses.push_lits(&[lit], weight, ClauseOrigin::Evidence);
-            }
+    for (id, atom) in store.iter() {
+        if let crate::atoms::AtomKind::Evidence { log_odds, .. } = &atom.kind {
+            let (lit, weight) = evidence_unit(id, *log_odds, config);
+            clauses.push_lits(&[lit], weight, ClauseOrigin::Evidence);
         }
     }
     // Closed-world priors on hidden atoms.
-    if config.hidden_prior > 0.0 {
-        for (id, atom) in store.iter() {
-            if !atom.kind.is_evidence() {
-                let (lit, weight) = prior_unit(id, config);
-                clauses.push_lits(&[lit], weight, ClauseOrigin::Prior);
-            }
+    for (id, atom) in store.iter() {
+        if !atom.kind.is_evidence() {
+            let (lit, weight) = prior_unit(id);
+            clauses.push_lits(&[lit], weight, ClauseOrigin::Prior);
         }
     }
 
@@ -408,7 +373,7 @@ pub(crate) fn evidence_unit(
     if log_odds.abs() <= 1e-9 {
         (
             Lit::pos(id),
-            ClauseWeight::Soft((4.0 * config.hidden_prior).max(0.2)),
+            ClauseWeight::Soft((4.0 * HIDDEN_PRIOR).max(0.2)),
         )
     } else if log_odds > 0.0 {
         (Lit::pos(id), ClauseWeight::Soft(log_odds))
@@ -418,104 +383,8 @@ pub(crate) fn evidence_unit(
 }
 
 /// The closed-world prior unit clause on a hidden atom.
-pub(crate) fn prior_unit(id: AtomId, config: &GroundConfig) -> (Lit, ClauseWeight) {
-    (Lit::neg(id), ClauseWeight::Soft(config.hidden_prior))
-}
-
-/// Stores smaller than this are always matched serially: thread spawn
-/// costs more than the whole enumeration at that size.
-const PARALLEL_STORE_THRESHOLD: usize = 1024;
-
-/// Applies `f` to every formula, fanning out one scoped worker thread
-/// per formula when `parallel` holds (requires the `parallel` feature;
-/// the environment ships no rayon, so this is plain `std::thread::scope`
-/// with the same collect-in-order semantics a `par_iter().map().collect()`
-/// would have). Results come back in formula order either way.
-#[cfg(feature = "parallel")]
-fn map_formulas<'a, R, F>(
-    formulas: &[&'a CompiledFormula],
-    f: F,
-    parallel: bool,
-    workers_override: Option<usize>,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&'a CompiledFormula) -> R + Sync,
-{
-    if !parallel || formulas.len() < 2 {
-        return formulas.iter().map(|&cf| f(cf)).collect();
-    }
-    // Worker count: explicit config override, else `TECORE_GROUND_WORKERS`
-    // (ops knob, read once per process so the serial path never pays
-    // env-var I/O and there is no repeated getenv to race against),
-    // else the machine's parallelism. One core ⇒ serial: spawning
-    // would be pure overhead.
-    static ENV_WORKERS: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    let cores = workers_override
-        .or_else(|| {
-            *ENV_WORKERS.get_or_init(|| {
-                std::env::var("TECORE_GROUND_WORKERS")
-                    .ok()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n >= 1)
-            })
-        })
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-    let workers = cores.min(formulas.len());
-    if workers < 2 {
-        return formulas.iter().map(|&cf| f(cf)).collect();
-    }
-    let f = &f;
-    // Strided distribution: worker `w` takes formulas w, w+W, w+2W, ...
-    // Results are re-slotted by index, so the caller sees formula order
-    // regardless of completion order.
-    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None)
-        .take(formulas.len())
-        .collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || -> Vec<(usize, R)> {
-                    formulas
-                        .iter()
-                        .enumerate()
-                        .skip(w)
-                        .step_by(workers)
-                        .map(|(i, &cf)| (i, f(cf)))
-                        .collect()
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, r) in handle.join().expect("grounder worker panicked") {
-                slots[i] = Some(r);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|r| r.expect("every formula produced a result"))
-        .collect()
-}
-
-/// Serial fallback when the crate is built without the `parallel`
-/// feature (the `parallel` flag and worker count are ignored).
-#[cfg(not(feature = "parallel"))]
-fn map_formulas<'a, R, F>(
-    formulas: &[&'a CompiledFormula],
-    f: F,
-    _parallel: bool,
-    _workers_override: Option<usize>,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&'a CompiledFormula) -> R + Sync,
-{
-    formulas.iter().map(|&cf| f(cf)).collect()
+pub(crate) fn prior_unit(id: AtomId) -> (Lit, ClauseWeight) {
+    (Lit::neg(id), ClauseWeight::Soft(HIDDEN_PRIOR))
 }
 
 /// Ground key of a pending head atom.
@@ -1141,84 +1010,6 @@ mod tests {
             .unwrap();
         // conf 0.2 → negative log-odds → unit clause prefers ¬a.
         assert!(!unit.lits[0].positive);
-    }
-
-    #[test]
-    fn parallel_flag_grounds_identically() {
-        // The parallel path must be byte-identical to the serial one
-        // (per-formula buffers merged in formula order). With the
-        // `parallel` feature off this still checks flag inertness.
-        let graph = parse_graph(RANIERI).unwrap();
-        let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
-        let serial = ground(
-            &graph,
-            &program,
-            &GroundConfig {
-                parallel: false,
-                ..GroundConfig::default()
-            },
-        )
-        .unwrap();
-        let parallel = ground(
-            &graph,
-            &program,
-            &GroundConfig {
-                parallel: true,
-                ..GroundConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(serial.clauses, parallel.clauses);
-        assert_eq!(serial.stats.body_matches, parallel.stats.body_matches);
-        assert_eq!(serial.num_atoms(), parallel.num_atoms());
-    }
-
-    /// Same check over a store large enough to cross
-    /// [`PARALLEL_STORE_THRESHOLD`], so the threaded path really runs
-    /// when the `parallel` feature is enabled.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_threads_match_serial_on_large_store() {
-        let mut text = String::new();
-        for i in 0..1500u32 {
-            let player = i % 500;
-            let club = i % 11;
-            let start = 1980 + i64::from(i % 25);
-            text.push_str(&format!(
-                "(p{player}, playsFor, c{club}, [{start},{}]) 0.8\n",
-                start + 3
-            ));
-        }
-        let graph = parse_graph(&text).unwrap();
-        let program = LogicProgram::parse(
-            "f1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = 2.5\n\
-             cSpell: quad(x, playsFor, y, t) ^ quad(x, playsFor, z, t') ^ y != z \
-                 -> disjoint(t, t') w = inf\n",
-        )
-        .unwrap();
-        let serial = ground(
-            &graph,
-            &program,
-            &GroundConfig {
-                parallel: false,
-                ..GroundConfig::default()
-            },
-        )
-        .unwrap();
-        let parallel = ground(
-            &graph,
-            &program,
-            &GroundConfig {
-                parallel: true,
-                // Force real fan-out even on single-core CI machines.
-                parallel_workers: Some(4),
-                ..GroundConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(graph.len() >= PARALLEL_STORE_THRESHOLD);
-        assert_eq!(serial.clauses, parallel.clauses);
-        assert_eq!(serial.stats.body_matches, parallel.stats.body_matches);
     }
 
     #[test]

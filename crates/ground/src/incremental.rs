@@ -42,6 +42,7 @@ use crate::atoms::{AtomId, AtomKind};
 use crate::clause::{ClauseId, ClauseOrigin, ClauseWeight, GroundClause, Lit};
 use crate::grounder::{
     collect_match, enumerate_seeded, evidence_unit, prior_unit, GroundConfig, Grounding, HeadKey,
+    MAX_ROUNDS, REPLAN_DRIFT,
 };
 use crate::planner::{self, JoinPlanner};
 
@@ -175,10 +176,8 @@ impl Grounding {
                         if let Some(j) = self.find_unit(aid, ClauseOrigin::Evidence) {
                             self.retract_clause(j, &mut kills, &mut stats);
                         }
-                        if config.hidden_prior > 0.0 {
-                            let (lit, weight) = prior_unit(aid, config);
-                            self.emit_unit(lit, weight, ClauseOrigin::Prior, &mut stats);
-                        }
+                        let (lit, weight) = prior_unit(aid);
+                        self.emit_unit(lit, weight, ClauseOrigin::Prior, &mut stats);
                     } else {
                         kills.push(aid);
                     }
@@ -274,24 +273,22 @@ impl Grounding {
 
         // --- 4. Refresh the evidence unit clauses of weight-changed
         // atoms. ---
-        if config.emit_evidence_units {
-            unit_dirty.sort_unstable();
-            unit_dirty.dedup();
-            for aid in unit_dirty {
-                if !self.store.is_alive(aid) {
-                    continue;
-                }
-                let AtomKind::Evidence { log_odds, .. } = &self.store.atom(aid).kind else {
-                    continue; // demoted in the same delta
-                };
-                let log_odds = *log_odds;
-                if let Some(j) = self.find_unit(aid, ClauseOrigin::Evidence) {
-                    self.retract_clause(j, &mut kills, &mut stats);
-                }
-                let (lit, weight) = evidence_unit(aid, log_odds, config);
-                self.emit_unit(lit, weight, ClauseOrigin::Evidence, &mut stats);
-                self.note_reworded(aid);
+        unit_dirty.sort_unstable();
+        unit_dirty.dedup();
+        for aid in unit_dirty {
+            if !self.store.is_alive(aid) {
+                continue;
             }
+            let AtomKind::Evidence { log_odds, .. } = &self.store.atom(aid).kind else {
+                continue; // demoted in the same delta
+            };
+            let log_odds = *log_odds;
+            if let Some(j) = self.find_unit(aid, ClauseOrigin::Evidence) {
+                self.retract_clause(j, &mut kills, &mut stats);
+            }
+            let (lit, weight) = evidence_unit(aid, log_odds, config);
+            self.emit_unit(lit, weight, ClauseOrigin::Evidence, &mut stats);
+            self.note_reworded(aid);
         }
         debug_assert!(next_kill == kills.len(), "unit retraction never kills");
 
@@ -307,7 +304,7 @@ impl Grounding {
             .map(|(i, _)| i)
             .collect();
         let mut rounds = 0;
-        while !frontier.is_empty() && rounds < config.max_rounds {
+        while !frontier.is_empty() && rounds < MAX_ROUNDS {
             rounds += 1;
             stats.rounds = rounds;
             frontier.sort_unstable();
@@ -358,10 +355,8 @@ impl Grounding {
                     }
                     if newly_live {
                         stats.atoms_created += 1;
-                        if config.hidden_prior > 0.0 {
-                            let (lit, weight) = prior_unit(head_id, config);
-                            self.emit_unit(lit, weight, ClauseOrigin::Prior, &mut stats);
-                        }
+                        let (lit, weight) = prior_unit(head_id);
+                        self.emit_unit(lit, weight, ClauseOrigin::Prior, &mut stats);
                         next.push(head_id);
                         self.changes.atoms.insert(head_id);
                     }
@@ -416,16 +411,16 @@ impl Grounding {
     }
 
     /// Re-plans the compiled program's join orders when the graph's
-    /// per-predicate fact counts have drifted past
-    /// [`GroundConfig::replan_drift`] since the current plans were
-    /// chosen. Join orders only move work, never change the grounded
-    /// clause multiset, so swapping them mid-materialisation is safe.
+    /// per-predicate fact counts have drifted past `REPLAN_DRIFT`
+    /// since the current plans were chosen. Join orders only move work,
+    /// never change the grounded clause multiset, so swapping them
+    /// mid-materialisation is safe.
     fn maybe_replan(&mut self, graph: &UtkGraph, config: &GroundConfig) {
         if config.planner != JoinPlanner::CostBased || graph.cardinalities().is_empty() {
             return;
         }
         let fp = planner::fingerprint(graph.cardinalities());
-        if planner::drift(&self.plan_fingerprint, &fp) <= config.replan_drift {
+        if planner::drift(&self.plan_fingerprint, &fp) <= REPLAN_DRIFT {
             return;
         }
         let new_plans =

@@ -29,11 +29,9 @@
 #![forbid(unsafe_code)]
 
 pub mod marginal;
-pub mod preprocess;
 pub mod problem;
 pub mod solver;
 
-pub use preprocess::{preprocess, Preprocessed};
 pub use problem::{MapResult, SatProblem, SolveStats};
 pub use solver::bnb::BranchAndBound;
 pub use solver::cpi::{CpiConfig, CpiSolver};

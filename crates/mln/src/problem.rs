@@ -3,7 +3,7 @@
 //! A [`SatProblem`] is a *view* over the grounding's flat
 //! [`ClauseStore`] arena: built from a [`Grounding`] it borrows the
 //! arena zero-copy (no per-clause re-boxing of literals), while
-//! preprocessing and tests can hold an owned store through the same
+//! component solves and tests can hold an owned store through the same
 //! type (`Cow` keeps one API for both). Clause weights come back as raw
 //! `f64` with `f64::INFINITY` marking hard clauses — the exact encoding
 //! the arena stores, so solver hot loops read arrays without
@@ -52,7 +52,7 @@ impl<'a> SatProblem<'a> {
         }
     }
 
-    /// Wraps an owned store (preprocessing output).
+    /// Wraps an owned store (a component view copied out of the arena).
     pub fn from_owned_store(n_vars: usize, store: ClauseStore) -> SatProblem<'static> {
         SatProblem {
             n_vars,

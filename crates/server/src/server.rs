@@ -91,6 +91,9 @@ pub struct StreamServing {
     pub lateness: i64,
 }
 
+/// Upper bound on edits coalesced into one resolve.
+const MAX_COALESCE: usize = 4096;
+
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -101,8 +104,6 @@ pub struct ServerConfig {
     /// Writer tick: how long the writer waits for a first edit before
     /// re-checking shutdown, and the batching window once idle.
     pub tick: Duration,
-    /// Upper bound on edits coalesced into one resolve.
-    pub max_coalesce: usize,
     /// Streaming windows: `Some` enables `FEED`/`SUB`/`UNSUB`.
     pub stream: Option<StreamServing>,
 }
@@ -115,7 +116,6 @@ impl Default for ServerConfig {
                 .map(|n| n.get())
                 .unwrap_or(2),
             tick: Duration::from_millis(2),
-            max_coalesce: 4096,
             stream: None,
         }
     }
@@ -365,7 +365,6 @@ impl Server {
             let abort = Arc::clone(&abort);
             let subs = Arc::clone(&subs);
             let tick = config.tick;
-            let max_coalesce = config.max_coalesce.max(1);
             threads.push(
                 std::thread::Builder::new()
                     .name("tecore-write".to_string())
@@ -377,7 +376,6 @@ impl Server {
                             abort,
                             subs,
                             tick,
-                            max_coalesce,
                         };
                         writer_loop(host, edit_rx, &ctx)
                     })?,
@@ -810,7 +808,6 @@ struct WriterCtx {
     abort: Arc<AtomicBool>,
     subs: Arc<SubRegistry>,
     tick: Duration,
-    max_coalesce: usize,
 }
 
 /// Edits accumulated within one tick, flushed as a single
@@ -912,7 +909,7 @@ fn writer_loop(mut host: EngineHost, edits: Receiver<WriterMsg>, ctx: &WriterCtx
             let mut next = Some(msg);
             while let Some(msg) = next {
                 consume_writer_msg(&mut host, ctx, msg, &mut pending, &mut applied);
-                next = if handled < ctx.max_coalesce {
+                next = if handled < MAX_COALESCE {
                     handled += 1;
                     edits.try_recv().ok()
                 } else {

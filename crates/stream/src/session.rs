@@ -156,7 +156,6 @@ pub struct StreamSession {
     live: BTreeMap<i64, Vec<(FactId, StreamEvent)>>,
     /// Duplicate suppression over pending + live events.
     seen: FxHashMap<EventKey, u32>,
-    dedup: bool,
     queries: Vec<ContinuousQuery>,
     next_query: u64,
     totals: StreamTotals,
@@ -199,7 +198,6 @@ impl StreamSession {
             pending_len: 0,
             live: BTreeMap::new(),
             seen: FxHashMap::default(),
-            dedup: true,
             queries: Vec::new(),
             next_query: 0,
             totals: StreamTotals::default(),
@@ -243,11 +241,6 @@ impl StreamSession {
     #[inline]
     pub fn totals(&self) -> &StreamTotals {
         &self.totals
-    }
-
-    /// Toggles duplicate suppression (on by default).
-    pub fn set_dedup(&mut self, on: bool) {
-        self.dedup = on;
     }
 
     /// Read access to the wrapped engine.
@@ -304,16 +297,13 @@ impl StreamSession {
                 return Ok(Vec::new());
             }
         }
-        if self.dedup {
-            let key = event_key(&event);
-            let count = self.seen.entry(key).or_insert(0);
-            if *count > 0 {
-                self.dups_since_fire += 1;
-                self.totals.duplicates_dropped += 1;
-                return Ok(Vec::new());
-            }
-            *count += 1;
+        let count = self.seen.entry(event_key(&event)).or_insert(0);
+        if *count > 0 {
+            self.dups_since_fire += 1;
+            self.totals.duplicates_dropped += 1;
+            return Ok(Vec::new());
         }
+        *count += 1;
         self.max_seen = Some(self.max_seen.map_or(event.time, |m| m.max(event.time)));
         self.pending.entry(event.time).or_default().push(event);
         self.pending_len += 1;
@@ -410,12 +400,10 @@ impl StreamSession {
                     if self.engine.graph().is_alive(id) {
                         expire.push(id);
                     }
-                    if self.dedup {
-                        if let Some(count) = self.seen.get_mut(&event_key(&ev)) {
-                            *count = count.saturating_sub(1);
-                            if *count == 0 {
-                                self.seen.remove(&event_key(&ev));
-                            }
+                    if let Some(count) = self.seen.get_mut(&event_key(&ev)) {
+                        *count = count.saturating_sub(1);
+                        if *count == 0 {
+                            self.seen.remove(&event_key(&ev));
                         }
                     }
                 }

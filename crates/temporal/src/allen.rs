@@ -7,8 +7,8 @@ use crate::interval::Interval;
 /// One of the 13 basic relations of Allen's interval algebra.
 ///
 /// The variant order is the canonical "distance from Before" order used
-/// throughout the crate (and by the composition table): the first six
-/// variants and their converses mirror around [`AllenRelation::Equals`].
+/// throughout the crate: the first six variants and their converses
+/// mirror around [`AllenRelation::Equals`].
 ///
 /// Over the discrete time domain with closed intervals the relations are
 /// defined so that they partition all interval pairs (see crate docs):

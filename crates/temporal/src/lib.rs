@@ -11,8 +11,7 @@
 //!
 //! * [`TimePoint`] — an integer time point (year, day, millisecond, ...);
 //! * [`Interval`] — a closed, non-empty interval over time points;
-//! * [`AllenRelation`] — the 13 basic Allen relations, with converse and
-//!   the full 13×13 composition table;
+//! * [`AllenRelation`] — the 13 basic Allen relations, with converse;
 //! * [`AllenSet`] — sets of Allen relations (the "named" relations of the
 //!   constraint language such as `disjoint` are proper relation sets);
 //! * [`TemporalElement`] — a coalesced union of disjoint intervals;
@@ -46,11 +45,9 @@
 
 pub mod allen;
 pub mod coalesce;
-pub mod compose;
 pub mod domain;
 pub mod error;
 pub mod interval;
-pub mod network;
 pub mod point;
 pub mod set;
 
@@ -59,6 +56,5 @@ pub use coalesce::TemporalElement;
 pub use domain::TimeDomain;
 pub use error::TemporalError;
 pub use interval::Interval;
-pub use network::AllenNetwork;
 pub use point::TimePoint;
 pub use set::AllenSet;

@@ -7,17 +7,17 @@
 //! is the previous one copied and patched. This suite drives random
 //! `EditBatch` sequences — inserts, removes, upserts, net-zero churn,
 //! and batches large enough to cross the rebuild threshold — through
-//! every backend under both `parallel` settings, and after every batch
-//! compares the carried-forward snapshot with
-//! `Snapshot::from_resolution(engine.resolve_raw()?, epoch)`, and its
-//! index-backed queries with a brute-force scan of its expanded graph.
+//! every backend, and after every batch compares the carried-forward
+//! snapshot with `Snapshot::from_resolution(engine.resolve_raw()?,
+//! epoch)`, and its index-backed queries with a brute-force scan of its
+//! expanded graph.
 //! The paper program is used so that inferred facts appear, change and
 //! disappear along the way.
 
 use proptest::prelude::*;
 use tecore_core::{Backend, EditBatch, Engine, Snapshot, TecoreConfig};
 use tecore_datagen::standard::paper_program;
-use tecore_ground::{ComponentMode, GroundConfig};
+use tecore_ground::ComponentMode;
 use tecore_kg::{FactId, TemporalFact, UtkGraph};
 use tecore_mln::{CpiConfig, WalkSatConfig};
 use tecore_temporal::Interval;
@@ -449,33 +449,26 @@ fn backends() -> Vec<(Backend, bool)> {
 fn check_sequence(steps: &[Vec<Op>]) {
     for (backend, reproducible) in backends() {
         let name = backend.name();
-
-        for parallel in [false, true] {
-            let config = TecoreConfig {
-                backend: backend.clone().into(),
-                ground: GroundConfig {
-                    parallel,
-                    ..GroundConfig::default()
-                },
-                component_mode: ComponentMode::Components,
-                ..TecoreConfig::default()
-            };
-            let mut engine = Engine::with_config(base_graph(), paper_program(), config);
-            engine.resolve_incremental().expect("prime");
-            let mut serial = 0u32;
-            for (i, ops) in steps.iter().enumerate() {
-                let batch = batch_of(&engine, ops, &mut serial);
-                engine.apply(&batch).into_result().expect("valid batch");
-                let carried = engine.resolve_incremental().expect("incremental");
-                let cold = Snapshot::from_resolution(
-                    engine.resolve_raw().expect("cold"),
-                    engine.graph().epoch(),
-                );
-                let what = format!("{name}, parallel={parallel}, step {i} {ops:?}");
-                assert_eq!(carried.epoch(), cold.epoch(), "{what}");
-                assert_equivalent(&what, &carried, &cold, reproducible);
-                assert_queries_match_scan(&what, &carried, serial + i as u32);
-            }
+        let config = TecoreConfig {
+            backend: backend.into(),
+            component_mode: ComponentMode::Components,
+            ..TecoreConfig::default()
+        };
+        let mut engine = Engine::with_config(base_graph(), paper_program(), config);
+        engine.resolve_incremental().expect("prime");
+        let mut serial = 0u32;
+        for (i, ops) in steps.iter().enumerate() {
+            let batch = batch_of(&engine, ops, &mut serial);
+            engine.apply(&batch).into_result().expect("valid batch");
+            let carried = engine.resolve_incremental().expect("incremental");
+            let cold = Snapshot::from_resolution(
+                engine.resolve_raw().expect("cold"),
+                engine.graph().epoch(),
+            );
+            let what = format!("{name}, step {i} {ops:?}");
+            assert_eq!(carried.epoch(), cold.epoch(), "{what}");
+            assert_equivalent(&what, &carried, &cold, reproducible);
+            assert_queries_match_scan(&what, &carried, serial + i as u32);
         }
     }
 }

@@ -474,61 +474,6 @@ fn same_batch_churn_dirties_the_aliased_component() {
     );
 }
 
-/// The threaded component dispatch must be byte-identical to the
-/// serial one. The workload crosses the driver's clause threshold and
-/// `TECORE_SOLVE_WORKERS` forces real fan-out even on a single-core
-/// machine (the same trick the grounder's parallel test uses).
-#[cfg(feature = "parallel")]
-#[test]
-fn parallel_component_dispatch_matches_serial() {
-    let registry = SolverRegistry::with_default_backends();
-    // 150 independent clashes → 450 live clauses, comfortably past the
-    // 256-clause parallel threshold.
-    let mut graph = UtkGraph::new();
-    for s in 0..150 {
-        graph
-            .insert(
-                &format!("p{s}"),
-                "coach",
-                &format!("a{s}"),
-                Interval::new(2000, 2006).unwrap(),
-                0.9 - f64::from(s % 30) * 0.003,
-            )
-            .unwrap();
-        graph
-            .insert(
-                &format!("p{s}"),
-                "coach",
-                &format!("b{s}"),
-                Interval::new(2002, 2004).unwrap(),
-                0.6 + f64::from(s % 30) * 0.003,
-            )
-            .unwrap();
-    }
-    let resolve_with_workers = |workers: &str| {
-        std::env::set_var("TECORE_SOLVE_WORKERS", workers);
-        let snapshot = Engine::with_config(
-            graph.clone(),
-            program(),
-            config_with_mode(&registry, "mln-walksat", ComponentMode::Components),
-        )
-        .resolve()
-        .expect("resolve");
-        std::env::remove_var("TECORE_SOLVE_WORKERS");
-        snapshot
-    };
-    let serial = resolve_with_workers("1");
-    let threaded = resolve_with_workers("4");
-    assert!(serial.stats.components >= 150);
-    assert_eq!(
-        canonical(serial.resolution()),
-        canonical(threaded.resolution()),
-        "threaded dispatch must match the serial path exactly"
-    );
-    assert_eq!(serial.stats.cost, threaded.stats.cost);
-    assert_eq!(serial.stats.feasible, threaded.stats.feasible);
-}
-
 /// `Auto` mode on a single-component problem falls back to one
 /// monolithic solve (and reports it as such).
 #[test]

@@ -94,17 +94,3 @@ fn three_way_clash_fully_enumerated() {
     assert_eq!(r.removed.len(), 2);
     assert_eq!(r.stats.per_constraint, vec![("c2".to_string(), 3)]);
 }
-
-/// The Allen constraint network vets constraint sets: a cyclic `before`
-/// arrangement over shared variables is unsatisfiable and detectable
-/// before grounding.
-#[test]
-fn allen_network_detects_unsatisfiable_selection() {
-    use tecore_temporal::AllenNetwork;
-    let before = AllenSet::from_relation(AllenRelation::Before);
-    let mut net = AllenNetwork::new(3);
-    assert!(net.constrain(0, 1, before));
-    assert!(net.constrain(1, 2, before));
-    assert!(net.constrain(2, 0, before));
-    assert!(!net.propagate(), "editor can reject the selection upfront");
-}
