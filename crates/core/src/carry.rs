@@ -5,23 +5,43 @@
 //! ([`UtkGraph::since`]), the atoms the deltas created, killed or moved
 //! between evidence and hidden and the constraint groundings they
 //! emitted or retracted ([`DeltaChanges`]), and the atoms whose value
-//! differs between the previous MAP state and the new one (one linear
-//! compare). Everything a [`Resolution`] holds is a function of those,
-//! so [`carry_forward`] derives the next resolution from the previous
-//! one by difference — and the resolved view (expanded graph + temporal
-//! index) by one flat copy plus a patch — instead of re-reading the
-//! whole graph the way [`interpret`](crate::pipeline::interpret) does.
+//! differs between the previous MAP state and the new one (compared
+//! over the components the solve touched). Everything a [`Resolution`]
+//! holds is a function of those, so [`carry_forward`] derives the next
+//! resolution and its resolved view (graphs, temporal index, result
+//! lists — a [`View`]) from the previous one by difference, as a
+//! [`ViewPatch`], instead of re-reading the whole graph the way
+//! [`interpret`](crate::pipeline::interpret) does.
+//!
+//! The patch needs a view to land on that no reader holds, and the
+//! engine keeps one in circulation: the snapshot it published *before*
+//! its latest one — the [`Spare`] — sends its view home when its last
+//! holder lets go ([`Snapshot::send_home`]), together with the patch
+//! that separated it from the latest. Replayed, that patch makes the
+//! spare a second copy of the latest view, entry for entry and id for
+//! id; the new patch goes on top and the result is published. Nothing
+//! is cloned and nothing torn down — a publish costs what its patches
+//! name. Only when no spare comes home (the first publishes after a
+//! cold resolve or a rebuild, a caller still holding it) is the latest
+//! view copied flat instead, which is where the second buffer comes
+//! from.
 //!
 //! The three dictionaries involved number their terms independently
 //! once they exist (the graph's, the grounding's, the view's), so facts
 //! cross between them by string.
 
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use tecore_ground::{AtomId, AtomKind, DeltaChanges, Grounding, MapState};
-use tecore_kg::{Delta, Dictionary, FactId, FxHashSet, GraphTemporalIndex, TemporalFact, UtkGraph};
+use tecore_kg::{
+    splice, Confidence, Delta, Dictionary, FactId, FxHashSet, GraphTemporalIndex, Symbol,
+    TemporalFact, UtkGraph,
+};
 
-use crate::explain::Conflicts;
+use crate::engine::Moved;
+use crate::explain::{ConflictExplanation, Conflicts};
 use crate::pipeline::{inferred_fact, solve_stats, ConfidenceMode, TecoreConfig};
 use crate::resolution::{InferredFact, RemovedFact, Resolution};
 use crate::snapshot::Snapshot;
@@ -129,20 +149,333 @@ impl ViewMaps {
     }
 }
 
-/// The snapshot the incremental engine published last, with its maps.
+/// Edits to a list by position: entries dropped and entries put in,
+/// each before the entry then at its position (see [`splice`]).
+/// Positions, not keys, so that the one patch serves a keyed list and
+/// the plain list a resolution shows of it, on either buffer.
 #[derive(Debug, Clone)]
+pub(crate) struct ListPatch<T> {
+    drop: Vec<usize>,
+    add: Vec<(usize, T)>,
+}
+
+impl<T> Default for ListPatch<T> {
+    fn default() -> Self {
+        ListPatch {
+            drop: Vec::new(),
+            add: Vec::new(),
+        }
+    }
+}
+
+impl<T> ListPatch<T> {
+    /// The patch that takes the entries keyed `drop` out of `items`
+    /// (ascending by `key`; keys not listed are ignored) and puts `add`
+    /// in.
+    pub(crate) fn sorted<K: Ord>(
+        items: &[T],
+        key: impl Fn(&T) -> &K,
+        drop: &[K],
+        mut add: Vec<T>,
+    ) -> Self {
+        let mut gone: Vec<usize> = drop
+            .iter()
+            .filter_map(|k| items.binary_search_by(|item| key(item).cmp(k)).ok())
+            .collect();
+        gone.sort_unstable();
+        gone.dedup();
+        add.sort_by(|a, b| key(a).cmp(key(b)));
+        let add = add
+            .into_iter()
+            .map(|new| (items.partition_point(|item| key(item) < key(&new)), new))
+            .collect();
+        ListPatch { drop: gone, add }
+    }
+
+    /// The patch that replaces all `len` entries by `items`.
+    pub(crate) fn replace(len: usize, items: Vec<T>) -> Self {
+        ListPatch {
+            drop: (0..len).collect(),
+            add: items.into_iter().map(|item| (len, item)).collect(),
+        }
+    }
+
+    /// The same edits for a list that runs parallel to the patched one.
+    pub(crate) fn map<U>(&self, f: impl Fn(&T) -> U) -> ListPatch<U> {
+        ListPatch {
+            drop: self.drop.clone(),
+            add: self.add.iter().map(|(at, new)| (*at, f(new))).collect(),
+        }
+    }
+
+    pub(crate) fn apply(&self, items: &mut Vec<T>)
+    where
+        T: Clone,
+    {
+        splice(items, &self.drop, self.add.clone());
+    }
+}
+
+/// What one publish did to a resolved graph: the terms it interned, in
+/// interning order, the facts it tombstoned and the facts it appended,
+/// with their ids in that graph. Applied in this order to two graphs
+/// that were equal, it leaves them equal — symbols, ids, indexes,
+/// epoch.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct GraphPatch {
+    terms: Vec<Box<str>>,
+    gone: Vec<(FactId, TemporalFact)>,
+    new: Vec<(FactId, TemporalFact)>,
+}
+
+impl GraphPatch {
+    /// `term`'s symbol in `view`, noting the term when it is new there.
+    fn intern(&mut self, view: &mut UtkGraph, term: &str) -> Symbol {
+        let known = view.dict().len();
+        let symbol = view.dict_mut().intern(term);
+        if view.dict().len() > known {
+            self.terms.push(term.into());
+        }
+        symbol
+    }
+
+    /// `fact`, its terms taken from `from`, in `view`'s terms.
+    fn translated(
+        &mut self,
+        view: &mut UtkGraph,
+        fact: &TemporalFact,
+        from: &Dictionary,
+    ) -> TemporalFact {
+        TemporalFact {
+            subject: self.intern(view, from.resolve(fact.subject)),
+            predicate: self.intern(view, from.resolve(fact.predicate)),
+            object: self.intern(view, from.resolve(fact.object)),
+            ..*fact
+        }
+    }
+
+    /// Lists `fact` (in `view`'s terms) as appended to `view`; returns
+    /// the id it will have there.
+    fn append(&mut self, view: &UtkGraph, fact: TemporalFact) -> FactId {
+        let id = FactId((view.arena_len() + self.new.len()) as u32);
+        self.new.push((id, fact));
+        id
+    }
+
+    /// Lists the fact `view` holds under `id` as tombstoned.
+    fn tombstone(&mut self, view: &UtkGraph, id: FactId) {
+        let fact = view.fact(id).expect("a fact leaving the view is live");
+        self.gone.push((id, *fact));
+    }
+
+    fn apply(&self, view: &mut UtkGraph) {
+        for term in &self.terms {
+            view.dict_mut().intern(term);
+        }
+        for (id, _) in &self.gone {
+            view.remove(*id)
+                .expect("listed off this graph, or its equal");
+        }
+        for (id, fact) in &self.new {
+            let at = view.insert_fact(*fact);
+            debug_assert_eq!(at, *id, "the two buffers number their facts alike");
+        }
+        // The view stays free of edit history.
+        view.truncate_log(view.epoch());
+    }
+}
+
+/// What one publish did to the resolved view.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ViewPatch {
+    consistent: GraphPatch,
+    /// The expanded graph's own patch, from the publish on at which it
+    /// became a graph of its own.
+    expanded: Option<GraphPatch>,
+    removed: ListPatch<RemovedFact>,
+    inferred: ListPatch<Arc<InferredFact>>,
+    conflicts: ListPatch<Arc<ConflictExplanation>>,
+}
+
+/// The resolved view a snapshot is made of, owned: what a patch lands
+/// on before the result is published.
+#[derive(Debug)]
+pub(crate) struct View {
+    consistent: UtkGraph,
+    /// `None` while nothing is inferred and `consistent` is the
+    /// expanded graph too.
+    expanded: Option<UtkGraph>,
+    index: GraphTemporalIndex,
+    removed: Vec<RemovedFact>,
+    inferred: Vec<Arc<InferredFact>>,
+    conflicts: Vec<Arc<ConflictExplanation>>,
+    /// Facts copied into this view since it last came home.
+    copied: usize,
+}
+
+impl View {
+    /// Takes a dropped snapshot's parts back. `None` when they are not
+    /// all there to take: the view was never built, or somebody else
+    /// still holds one of the graphs.
+    pub(crate) fn reclaim(
+        resolution: Resolution,
+        expanded: Option<Arc<UtkGraph>>,
+        index: Option<GraphTemporalIndex>,
+    ) -> Option<View> {
+        let Resolution {
+            consistent,
+            removed,
+            inferred,
+            conflicts,
+            ..
+        } = resolution;
+        let (expanded, index) = (expanded?, index?);
+        let expanded = if Arc::ptr_eq(&consistent, &expanded) {
+            drop(expanded); // the same graph, held twice
+            None
+        } else {
+            Some(Arc::try_unwrap(expanded).ok()?)
+        };
+        Some(View {
+            consistent: Arc::try_unwrap(consistent).ok()?,
+            expanded,
+            index,
+            removed,
+            inferred,
+            conflicts,
+            copied: 0,
+        })
+    }
+
+    /// A flat copy of a snapshot's view.
+    fn copy_of(snapshot: &Snapshot) -> View {
+        let expanded = snapshot.expanded_shared();
+        let split = !Arc::ptr_eq(&snapshot.consistent, expanded);
+        View {
+            consistent: UtkGraph::clone(&snapshot.consistent),
+            expanded: split.then(|| UtkGraph::clone(expanded)),
+            // A snapshot nobody queried (a cold one, built lazily) has
+            // no index yet.
+            index: match snapshot.built_index() {
+                Some(index) => index.clone(),
+                None => GraphTemporalIndex::build(expanded),
+            },
+            removed: snapshot.removed.clone(),
+            inferred: snapshot.inferred.clone(),
+            conflicts: snapshot.conflicts.clone(),
+            copied: snapshot.consistent.len() + if split { expanded.len() } else { 0 },
+        }
+    }
+
+    /// Makes the expanded graph a graph of its own, from now on.
+    fn split(&mut self) {
+        if self.expanded.is_none() {
+            self.copied += self.consistent.len();
+            self.expanded = Some(self.consistent.clone());
+        }
+    }
+
+    fn apply(&mut self, patch: &ViewPatch) {
+        let mut indexed = &patch.consistent;
+        if let Some(expanded) = &patch.expanded {
+            self.split();
+            expanded.apply(self.expanded.as_mut().expect("split above"));
+            indexed = expanded;
+        }
+        patch.consistent.apply(&mut self.consistent);
+        self.index.patch(&indexed.gone, &indexed.new);
+        patch.removed.apply(&mut self.removed);
+        patch.inferred.apply(&mut self.inferred);
+        patch.conflicts.apply(&mut self.conflicts);
+    }
+}
+
+/// The view of the snapshot published before the latest one, on its
+/// way home, and what the latest publish did to it.
+#[derive(Debug)]
+pub(crate) struct Spare {
+    home: Receiver<View>,
+    patch: ViewPatch,
+}
+
+/// What the engine has learnt about getting its spare back.
+#[derive(Debug, Clone)]
+pub(crate) struct Reclaim {
+    /// What the last flat copy of the view took. Waiting longer than
+    /// that for a spare somebody still holds costs more than the copy
+    /// it saves; waiting less keeps a third view out of memory for as
+    /// long as a reader needs to answer one query.
+    copy_cost: Duration,
+    /// Wait at all? Not after a wait ran out — a caller that keeps its
+    /// snapshots must not pay it per publish — until a spare is found
+    /// at home again.
+    patient: bool,
+}
+
+impl Default for Reclaim {
+    fn default() -> Self {
+        Reclaim {
+            copy_cost: Duration::ZERO,
+            patient: true,
+        }
+    }
+}
+
+impl Spare {
+    /// The spare, caught up with the latest view — if it is home, or
+    /// gets there within the time a copy would take.
+    fn caught_up(self, reclaim: &mut Reclaim) -> Option<View> {
+        let arrived = if reclaim.patient {
+            match self.home.recv_timeout(reclaim.copy_cost) {
+                Ok(view) => Some(view),
+                Err(RecvTimeoutError::Timeout) => {
+                    reclaim.patient = false;
+                    None
+                }
+                // Torn down where it was dropped: nothing to wait for.
+                Err(RecvTimeoutError::Disconnected) => None,
+            }
+        } else {
+            self.home.try_recv().ok()
+        };
+        let mut view = arrived?;
+        reclaim.patient = true;
+        view.apply(&self.patch);
+        Some(view)
+    }
+}
+
+/// The snapshot the incremental engine published last, with its maps
+/// and the spare the next publish may land on.
+#[derive(Debug)]
 pub(crate) struct Carried {
     pub(crate) snapshot: Arc<Snapshot>,
     pub(crate) maps: ViewMaps,
+    pub(crate) spare: Option<Spare>,
+    pub(crate) reclaim: Reclaim,
+}
+
+impl Clone for Carried {
+    /// A spare comes home to one engine: the clone starts without.
+    fn clone(&self) -> Self {
+        Carried {
+            snapshot: Arc::clone(&self.snapshot),
+            maps: self.maps.clone(),
+            spare: None,
+            reclaim: self.reclaim.clone(),
+        }
+    }
 }
 
 /// The next snapshot's parts: the resolution (statistics still missing
-/// what only the engine knows) with its view already built.
+/// what only the engine knows), its expanded graph and index when they
+/// are already built, and what the publish after it will start from.
 pub(crate) struct Forwarded {
     pub(crate) resolution: Resolution,
-    pub(crate) expanded: Arc<UtkGraph>,
-    pub(crate) index: GraphTemporalIndex,
+    pub(crate) view: Option<(Arc<UtkGraph>, GraphTemporalIndex)>,
     pub(crate) maps: ViewMaps,
+    pub(crate) spare: Option<Spare>,
+    pub(crate) reclaim: Reclaim,
 }
 
 /// What the engine hands [`carry_forward`] about the resolve it just
@@ -152,10 +485,11 @@ pub(crate) struct Resolved<'a> {
     pub(crate) graph: &'a UtkGraph,
     /// The grounding, synced to that epoch.
     pub(crate) grounding: &'a Grounding,
-    /// The MAP state the previous snapshot was read from.
-    pub(crate) before: &'a MapState,
     /// The MAP state of this resolve.
     pub(crate) after: &'a MapState,
+    /// Where it differs from the one the previous snapshot was read
+    /// from.
+    pub(crate) moved: Moved,
     /// Net fact changes since the previous snapshot's epoch.
     pub(crate) facts: &'a Delta,
     /// What the deltas since then did to the grounding.
@@ -171,8 +505,8 @@ pub(crate) fn carry_forward(prev: Carried, now: Resolved<'_>) -> Option<Forwarde
     let Resolved {
         graph,
         grounding,
-        before,
         after,
+        moved,
         facts,
         changes,
         config,
@@ -180,27 +514,39 @@ pub(crate) fn carry_forward(prev: Carried, now: Resolved<'_>) -> Option<Forwarde
     let Carried {
         snapshot: prev,
         mut maps,
+        spare,
+        mut reclaim,
     } = prev;
     // Sampled marginals are drawn over the whole grounding per resolve;
     // there is no previous value to carry.
     let graded_by_solver =
         after.soft_values.is_some() || matches!(config.confidence, ConfidenceMode::Constant);
-    let comparable = before.assignment.len() <= after.assignment.len()
-        && before.soft_values.is_some() == after.soft_values.is_some();
-    if !graded_by_solver || !comparable || maps.threshold != config.threshold {
+    if !graded_by_solver || maps.threshold != config.threshold {
         return None;
     }
 
-    // --- What changed. Atoms past the previous state's width are new,
-    // and new atoms are among the delta's. ---
-    let known = before.assignment.len();
+    // --- What changed: the delta's atoms (new atoms are among them)
+    // and the atoms whose value moved. Soft values grade derived facts
+    // only. ---
+    let derived = |a: &AtomId| !grounding.store.atom(*a).kind.is_evidence();
     let mut atoms: Vec<AtomId> = changes.atoms.into_iter().collect();
-    atoms.extend(differing(&before.assignment, &after.assignment[..known]));
-    if let (Some(old), Some(new)) = (&before.soft_values, &after.soft_values) {
-        // Soft values grade derived facts only.
-        atoms.extend(
-            differing(old, &new[..known]).filter(|&a| !grounding.store.atom(a).kind.is_evidence()),
-        );
+    match moved {
+        Moved::Atoms {
+            flipped, regraded, ..
+        } => {
+            atoms.extend(flipped);
+            atoms.extend(regraded.into_iter().filter(derived));
+        }
+        Moved::Anywhere(Some(before))
+            if before.assignment.len() <= after.assignment.len()
+                && before.soft_values.is_some() == after.soft_values.is_some() =>
+        {
+            atoms.extend(differing(&before.assignment, &after.assignment));
+            if let (Some(old), Some(new)) = (&before.soft_values, &after.soft_values) {
+                atoms.extend(differing(old, new).filter(derived));
+            }
+        }
+        Moved::Anywhere(_) => return None,
     }
     atoms.sort_unstable();
     atoms.dedup();
@@ -283,103 +629,149 @@ pub(crate) fn carry_forward(prev: Carried, now: Resolved<'_>) -> Option<Forwarde
         return None;
     }
 
-    // --- Conflicts: only the groundings the deltas touched. ---
-    if grounding.constraints_grounded_eagerly() {
-        maps.conflicts.apply(grounding, changes.constraints);
-    } else {
-        maps.conflicts = Conflicts::of(grounding);
+    // --- The buffer: the spare, caught up, or else a flat copy. With
+    // nothing inferred, before or now, the consistent graph is the
+    // expanded one too. ---
+    let mut view = spare
+        .and_then(|spare| spare.caught_up(&mut reclaim))
+        .unwrap_or_else(|| {
+            let start = Instant::now();
+            let view = View::copy_of(&prev);
+            reclaim.copy_cost = start.elapsed();
+            view
+        });
+    let split = view.expanded.is_some() || !come.is_empty();
+    if split {
+        view.split();
+        if maps.kept_expanded.is_empty() {
+            maps.kept_expanded = maps.kept.clone();
+        }
     }
 
-    // --- The view: one flat copy, then the patch. With nothing
-    // inferred, before or now, the consistent graph is the view. ---
-    let split = !Arc::ptr_eq(&prev.consistent, expanded_before) || !come.is_empty();
-    if split && maps.kept_expanded.is_empty() {
-        maps.kept_expanded = maps.kept.clone();
+    // --- The patch. Its parts are worked out against the buffer —
+    // facts cross into its dictionaries here — and then applied to it
+    // the way they will be replayed on the other one. ---
+    let mut patch = ViewPatch::default();
+    for f in &leave {
+        let id = maps.kept.take(*f).expect("a leaving fact is mapped");
+        patch.consistent.tombstone(&view.consistent, id);
     }
-    let mut consistent = UtkGraph::clone(&prev.consistent);
-    let mut indexed = patch_facts(&mut consistent, &mut maps.kept, graph, &leave, &enter);
-    let mut removed = prev.removed.clone();
+    for f in &enter {
+        let fact = graph.fact(*f).expect("an entering fact is live");
+        let fact = patch
+            .consistent
+            .translated(&mut view.consistent, fact, graph.dict());
+        maps.kept
+            .set(*f, patch.consistent.append(&view.consistent, fact));
+    }
     let reject = reject
         .into_iter()
         .map(|id| {
             let fact = graph.fact(id).expect("a rejected fact is live");
             // `removed` reads against the consistent graph's dictionary.
-            let fact = translated(fact, graph.dict(), consistent.dict_mut());
+            let fact = patch
+                .consistent
+                .translated(&mut view.consistent, fact, graph.dict());
             RemovedFact { id, fact }
         })
         .collect();
-    patch_sorted(&mut removed, |r| &r.id, unreject, reject);
-    let consistent = Arc::new(consistent);
-    let expanded = if split {
-        let mut expanded = UtkGraph::clone(expanded_before);
-        indexed = patch_facts(
-            &mut expanded,
-            &mut maps.kept_expanded,
-            graph,
-            &leave,
-            &enter,
-        );
+    patch.removed = ListPatch::sorted(&view.removed, |r| &r.id, &unreject, reject);
+    if let Some(graph_of_its_own) = &mut view.expanded {
+        let mut expanded = GraphPatch::default();
+        for f in &leave {
+            let id = maps.kept_expanded.take(*f);
+            expanded.tombstone(graph_of_its_own, id.expect("a leaving fact is mapped"));
+        }
         for atom in &gone {
             let at = maps.inferred.binary_search_by_key(atom, |i| i.atom);
-            let id = maps.inferred[at.expect("listed above")].id;
-            let fact = expanded.remove(id).expect("an inferred fact is live");
-            indexed.0.push((id, fact));
+            expanded.tombstone(
+                graph_of_its_own,
+                maps.inferred[at.expect("listed above")].id,
+            );
+        }
+        for f in &enter {
+            let fact = graph.fact(*f).expect("an entering fact is live");
+            let fact = expanded.translated(graph_of_its_own, fact, graph.dict());
+            maps.kept_expanded
+                .set(*f, expanded.append(graph_of_its_own, fact));
         }
         for new in &mut come {
-            new.id = expanded
-                .insert(
-                    &new.fact.subject,
-                    &new.fact.predicate,
-                    &new.fact.object,
-                    new.fact.interval,
-                    new.fact.confidence.clamp(0.001, 1.0),
-                )
-                .expect("clamped confidence is valid");
-            indexed
-                .1
-                .push((new.id, *expanded.fact(new.id).expect("just inserted")));
+            let stated = TemporalFact::new(
+                expanded.intern(graph_of_its_own, &new.fact.subject),
+                expanded.intern(graph_of_its_own, &new.fact.predicate),
+                expanded.intern(graph_of_its_own, &new.fact.object),
+                new.fact.interval,
+                Confidence::new(new.fact.confidence.clamp(0.001, 1.0))
+                    .expect("clamped confidence is valid"),
+            );
+            new.id = expanded.append(graph_of_its_own, stated);
         }
-        expanded.truncate_log(expanded.epoch());
-        Arc::new(expanded)
+        patch.expanded = Some(expanded);
+    }
+    let inferred = ListPatch::sorted(&maps.inferred, |i| &i.atom, &gone, come);
+    patch.inferred = inferred.map(|i| Arc::clone(&i.fact));
+    inferred.apply(&mut maps.inferred);
+    // Conflicts: only the groundings the deltas touched.
+    patch.conflicts = if grounding.constraints_grounded_eagerly() {
+        maps.conflicts.apply(grounding, changes.constraints)
     } else {
-        Arc::clone(&consistent)
+        maps.conflicts = Conflicts::of(grounding);
+        ListPatch::replace(view.conflicts.len(), maps.conflicts.list())
     };
-    patch_sorted(&mut maps.inferred, |i| &i.atom, gone, come);
-    // A previous snapshot nobody queried (a cold one, built lazily) has
-    // no index yet: building it only to copy it would cost both.
-    let index = match prev.built_index() {
-        Some(index) => {
-            let mut index = index.clone();
-            index.patch(&indexed.0, &indexed.1);
-            index
-        }
-        None => GraphTemporalIndex::build(&expanded),
-    };
+    view.apply(&patch);
 
     let mut stats = DebugStats {
         total_facts: graph.len(),
-        conflicting_facts: removed.len(),
+        conflicting_facts: view.removed.len(),
         inferred_facts: maps.inferred.len(),
         thresholded_facts: maps.thresholded.len(),
         per_constraint: maps.conflicts.per_constraint(grounding),
+        view_facts_copied: view.copied,
         ..DebugStats::default()
     };
     solve_stats(&mut stats, grounding, after, config);
+
+    // --- The previous snapshot becomes the spare: it is asked home,
+    // and this publish's patch waits there for it. Not after a publish
+    // that changed no fact — an engine nobody edits keeps one view —
+    // and not when it has no view built to send. ---
+    let spare = (!facts.is_empty() && prev.built_index().is_some()).then(|| {
+        let (home, arrivals) = mpsc::channel();
+        prev.send_home(home);
+        Spare {
+            home: arrivals,
+            patch,
+        }
+    });
+
+    let View {
+        consistent,
+        expanded,
+        index,
+        removed,
+        inferred,
+        conflicts,
+        ..
+    } = view;
+    let consistent = Arc::new(consistent);
+    let expanded = expanded.map_or_else(|| Arc::clone(&consistent), Arc::new);
     Some(Forwarded {
+        view: Some((expanded, index)),
         resolution: Resolution {
             consistent,
             removed,
-            inferred: maps.inferred_facts(),
-            conflicts: maps.conflicts.list(),
+            inferred,
+            conflicts,
             stats,
         },
-        expanded,
-        index,
         maps,
+        spare,
+        reclaim,
     })
 }
 
-/// Positions at which two equally long slices differ, as atom ids.
+/// Positions at which two slices differ, up to the shorter one's
+/// length, as atom ids.
 fn differing<'a, T: PartialEq>(old: &'a [T], new: &'a [T]) -> impl Iterator<Item = AtomId> + 'a {
     old.iter()
         .zip(new)
@@ -388,62 +780,103 @@ fn differing<'a, T: PartialEq>(old: &'a [T], new: &'a [T]) -> impl Iterator<Item
         .map(|(i, _)| AtomId(i as u32))
 }
 
-/// `fact` with its terms taken from `from` and interned into `into`.
-fn translated(fact: &TemporalFact, from: &Dictionary, into: &mut Dictionary) -> TemporalFact {
-    TemporalFact {
-        subject: into.intern(from.resolve(fact.subject)),
-        predicate: into.intern(from.resolve(fact.predicate)),
-        object: into.intern(from.resolve(fact.object)),
-        ..*fact
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::thread;
+    use tecore_kg::parser::parse_graph;
 
-/// Applies a batch of removals (by key) and insertions to a vector kept
-/// ascending by `key`, in one pass each: dropping is a `retain`, adding
-/// a stable sort of two sorted runs — a merge.
-pub(crate) fn patch_sorted<T, K: Ord>(
-    items: &mut Vec<T>,
-    key: impl Fn(&T) -> &K,
-    mut drop: Vec<K>,
-    add: Vec<T>,
-) {
-    if !drop.is_empty() {
-        drop.sort_unstable();
-        items.retain(|item| drop.binary_search(key(item)).is_err());
+    /// A snapshot whose view is built, as the engine publishes them.
+    fn published() -> Arc<Snapshot> {
+        let graph = Arc::new(parse_graph("(CR, coach, Chelsea, [2000,2004]) 0.9\n").unwrap());
+        let index = GraphTemporalIndex::build(&graph);
+        let resolution = Resolution {
+            consistent: Arc::clone(&graph),
+            ..Resolution::default()
+        };
+        Arc::new(Snapshot::prebuilt(resolution, 1, graph, index))
     }
-    if !add.is_empty() {
-        items.extend(add);
-        items.sort_by(|a, b| key(a).cmp(key(b)));
-    }
-}
 
-/// The facts a view patch dropped and added, with their ids in the
-/// view — what its index has to follow.
-type Indexed = (Vec<(FactId, TemporalFact)>, Vec<(FactId, TemporalFact)>);
+    fn spare_of(snapshot: &Snapshot) -> Spare {
+        let (home, arrivals) = mpsc::channel();
+        snapshot.send_home(home);
+        Spare {
+            home: arrivals,
+            patch: ViewPatch::default(),
+        }
+    }
 
-/// Tombstones the `leave` facts of `source` in `view` and appends its
-/// `enter` facts, keeping the id map in step. The view stays free of
-/// edit history.
-fn patch_facts(
-    view: &mut UtkGraph,
-    ids: &mut FactIds,
-    source: &UtkGraph,
-    leave: &[FactId],
-    enter: &[FactId],
-) -> Indexed {
-    let mut indexed = Indexed::default();
-    for f in leave {
-        let id = ids.take(*f).expect("a leaving fact is mapped");
-        let fact = view.remove(id).expect("a kept fact is live in the view");
-        indexed.0.push((id, fact));
+    /// A spare somebody still holds when the publish wants it is waited
+    /// for, and the wait ends with the release — the budget here is a
+    /// minute, the release comes once the wait was about to start.
+    #[test]
+    fn the_wait_for_a_held_spare_ends_with_its_release() {
+        let snapshot = published();
+        let spare = spare_of(&snapshot);
+        let mut reclaim = Reclaim {
+            copy_cost: Duration::from_secs(60),
+            patient: true,
+        };
+        let (start, started) = mpsc::channel();
+        let holder = thread::spawn(move || {
+            started.recv().expect("the wait starts");
+            drop(snapshot);
+        });
+        start.send(()).expect("the holder listens");
+        let waited = Instant::now();
+        let view = spare.caught_up(&mut reclaim).expect("woken by the release");
+        assert!(waited.elapsed() < Duration::from_secs(30));
+        holder.join().expect("the holder let go");
+        assert_eq!(view.consistent.len(), 1);
+        assert!(
+            view.expanded.is_none(),
+            "one graph, held twice, came home once"
+        );
+        assert!(reclaim.patient);
     }
-    for f in enter {
-        let fact = source.fact(*f).expect("an entering fact is live");
-        let fact = translated(fact, source.dict(), view.dict_mut());
-        let id = view.insert_fact(fact);
-        ids.set(*f, id);
-        indexed.1.push((id, fact));
+
+    /// A wait that runs out is the last one until a spare is found at
+    /// home again: a caller that keeps its snapshots pays it once.
+    #[test]
+    fn a_wait_that_runs_out_is_not_repeated() {
+        let kept = published();
+        let mut reclaim = Reclaim {
+            copy_cost: Duration::from_millis(1),
+            patient: true,
+        };
+        assert!(spare_of(&kept).caught_up(&mut reclaim).is_none());
+        assert!(!reclaim.patient, "the wait ran out");
+        // Not waited for now — a minute's budget would show.
+        reclaim.copy_cost = Duration::from_secs(60);
+        let still_kept = published();
+        let waited = Instant::now();
+        assert!(spare_of(&still_kept).caught_up(&mut reclaim).is_none());
+        assert!(waited.elapsed() < Duration::from_secs(30));
+        assert!(!reclaim.patient);
+        // Found at home: worth waiting for again.
+        let released = published();
+        let spare = spare_of(&released);
+        drop(released);
+        assert!(spare.caught_up(&mut reclaim).is_some());
+        assert!(reclaim.patient);
     }
-    view.truncate_log(view.epoch());
-    indexed
+
+    /// A graph of the snapshot still held elsewhere cannot come home;
+    /// the channel closes instead and nobody waits.
+    #[test]
+    fn a_view_held_from_inside_is_torn_down_not_waited_for() {
+        let snapshot = published();
+        let inner = Arc::clone(&snapshot.consistent);
+        let spare = spare_of(&snapshot);
+        drop(snapshot);
+        let mut reclaim = Reclaim {
+            copy_cost: Duration::from_secs(60),
+            patient: true,
+        };
+        let waited = Instant::now();
+        assert!(spare.caught_up(&mut reclaim).is_none());
+        assert!(waited.elapsed() < Duration::from_secs(30));
+        assert!(reclaim.patient, "nothing ran out");
+        assert_eq!(inner.len(), 1);
+    }
 }

@@ -19,8 +19,12 @@
 //!   graph's change log, and the next `resolve_incremental` applies
 //!   just that delta to the cached grounding, warm-starts the solver
 //!   from the previous MAP state, and derives the new snapshot from the
-//!   previous one by difference (`carry`) — one flat copy of the
-//!   resolved view plus work proportional to the edit, not the graph.
+//!   previous one by difference (`carry`), patching a spare copy of the
+//!   resolved view that it keeps in circulation — work proportional to
+//!   the edit, not the graph. The components the delta touched are
+//!   found by a walk from the flagged atoms, and cost and feasibility
+//!   are summed from a per-component ledger, so nothing on this path
+//!   reads the whole arena either.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -28,7 +32,8 @@ use std::time::Instant;
 use tecore_ground::component::{ComponentView, Partition};
 use tecore_ground::incremental::DeltaStats;
 use tecore_ground::{
-    ComponentMode, GroundConfig, Grounding, JoinPlanner, MapState, SolveError, SolveOpts,
+    AtomId, ComponentIndex, ComponentMode, GroundConfig, Grounding, JoinPlanner, MapState,
+    SolveError, SolveOpts,
 };
 use tecore_kg::{Delta, FactId, TemporalFact, UtkGraph};
 use tecore_logic::LogicProgram;
@@ -36,7 +41,7 @@ use tecore_temporal::Interval;
 use tecore_wal::{InsertRecord, RecoveryReport, Wal, WalConfig, WalStats};
 
 use crate::batch::{self, ApplyReport, EditBatch, EditOutcome, PlannedOp};
-use crate::carry::{carry_forward, Carried, Resolved};
+use crate::carry::{carry_forward, Carried, Forwarded, Reclaim, Resolved};
 use crate::error::TecoreError;
 use crate::pipeline::{check_solver_contract, interpret, SolverHandle, TecoreConfig};
 use crate::resolution::Resolution;
@@ -68,27 +73,49 @@ impl EngineState {
 /// plus the component accounting for the stats screen.
 struct SolveOutcome {
     state: MapState,
-    /// Components the problem was partitioned into (`0` = monolithic).
+    /// Components the problem falls into (`0` = solved monolithically).
     components: usize,
     /// Components actually solved (the rest were spliced from the
     /// previous state).
     components_solved: usize,
+    /// Atoms the partition pass visited.
+    atoms_visited: usize,
+    moved: Moved,
+}
+
+/// Where a solve's state may differ from the state it started from.
+pub(crate) enum Moved {
+    /// Anywhere (a monolithic solve): here is that state, to compare
+    /// with. `None` when there was none, or none to compare with.
+    Anywhere(Option<MapState>),
+    /// In the components that were solved, whose solutions were written
+    /// over the previous state in place.
+    /// (Atoms the previous state did not know are the delta's to name.)
+    Atoms {
+        /// Atoms whose truth value changed.
+        flipped: Vec<AtomId>,
+        /// Atoms whose truth value stayed and soft value changed.
+        regraded: Vec<AtomId>,
+    },
 }
 
 /// The **component-wise solve driver** — the seam between the engine
 /// and the configured [`MapSolver`](tecore_ground::MapSolver).
 ///
 /// When the backend declares [`SolverCaps::components`] (and does not
-/// ground lazily) and the mode allows it, the ground problem is
-/// partitioned into independent conflict components
-/// (`tecore_ground::component`); each **dirty** component is dispatched
-/// to [`MapSolver::solve_component`](tecore_ground::MapSolver) as a
-/// zero-copy sub-view in its local atom id space, one after the other,
-/// while **clean** components splice their slice of the previous MAP
-/// state untouched.
+/// ground lazily) and the mode allows it, the ground problem is solved
+/// one independent conflict component at a time
+/// (`tecore_ground::component`). Without a previous state that is every
+/// component (the full partition pass). With one it is the components a
+/// delta touched, found by the dirty-only pass — a walk from the
+/// flagged atoms — while everything else keeps its slice of the
+/// previous MAP state untouched and unread. Each component goes to
+/// [`MapSolver::solve_component`](tecore_ground::MapSolver) as a
+/// zero-copy sub-view in its local atom id space, one after the other.
 /// The per-component states merge into one global state whose cost and
-/// feasibility are re-derived from the full arena, so the merged state
-/// satisfies exactly the contract a monolithic solve would.
+/// feasibility are the totals of the per-component ledger the solved
+/// components are entered in, so the merged state satisfies exactly the
+/// contract a monolithic solve would.
 ///
 /// Everything else (unsupported backend, `Monolithic` mode, a single
 /// component under `Auto`, an unpartitionable arena) falls back to one
@@ -96,7 +123,8 @@ struct SolveOutcome {
 fn solve_dispatch(
     solver: &SolverHandle,
     grounding: &mut Grounding,
-    opts: &SolveOpts<'_>,
+    warm: Option<MapState>,
+    mode: ComponentMode,
 ) -> Result<SolveOutcome, TecoreError> {
     let caps = solver.caps();
     // A lazily grounded arena lacks the not-yet-activated constraint
@@ -104,7 +132,7 @@ fn solve_dispatch(
     // unsound — such backends always solve monolithically.
     let component_capable = caps.components && !caps.lazy_grounding;
     let use_components = component_capable
-        && match opts.component_mode {
+        && match mode {
             ComponentMode::Monolithic => false,
             ComponentMode::Components => true,
             // `Auto` partitions where partitioning reliably pays: on
@@ -114,91 +142,100 @@ fn solve_dispatch(
             // *per component*, so splitting wins even cold). A cold
             // heuristic solve sees no dirty-set benefit and keeps the
             // tuned monolithic path; force `Components` to override.
-            ComponentMode::Auto => opts.warm_start.is_some() || caps.exact,
+            ComponentMode::Auto => warm.is_some() || caps.exact,
         };
     if !use_components {
-        return monolithic_solve(solver, grounding, opts);
+        // A monolithic solve may move any atom, which voids whatever
+        // the ledger says about the components.
+        grounding.drop_component_index();
+        return monolithic_solve(solver, grounding, warm);
     }
-    // Clean fast path: when the component index is current, nothing is
-    // dirty and the previous state covers every atom, the problem is
-    // byte-identical to the one that state solved — return it without
-    // re-partitioning (a no-op resolve then costs O(1) instead of
-    // O(atoms + clauses)).
-    if let (Some(warm), Some(index)) = (opts.warm_start, grounding.component_index()) {
-        if !index.any_dirty()
-            && index.num_atoms() == grounding.num_atoms()
-            && warm.assignment.len() == grounding.num_atoms()
-            && warm.soft_values.is_some() == caps.soft_values
-        {
+    let n = grounding.num_atoms();
+    // Clean fast path: when nothing is flagged and the previous state
+    // covers every atom, the problem is byte-identical to the one that
+    // state solved — it is the answer, without partitioning anything.
+    let clean = |state: &MapState, index: &ComponentIndex| {
+        !index.any_dirty()
+            && index.num_atoms() == n
+            && state.assignment.len() == n
+            && state.soft_values.is_some() == caps.soft_values
+    };
+    let warm = match (warm, grounding.component_index()) {
+        (Some(state), Some(index)) if clean(&state, index) => {
             return Ok(SolveOutcome {
-                state: warm.clone(),
+                state,
                 components: index.component_count(),
                 components_solved: 0,
+                atoms_visited: 0,
+                moved: Moved::Atoms {
+                    flipped: Vec::new(),
+                    regraded: Vec::new(),
+                },
             });
         }
-    }
-    let partition = grounding.partition_components();
-    if partition.is_unpartitionable()
-        || (matches!(opts.component_mode, ComponentMode::Auto) && partition.len() <= 1)
-    {
-        return monolithic_solve(solver, grounding, opts);
-    }
-
+        (warm, _) => warm,
+    };
     // Without a previous state there is nothing to splice: every
-    // component is solved. With one, only dirty components are.
-    let warm = opts.warm_start;
-    let dirty: Vec<usize> = (0..partition.len())
-        .filter(|&i| warm.is_none() || partition.is_dirty(i))
-        .collect();
-    let solved = dirty
-        .iter()
-        .map(|&comp| solve_one_component(solver, grounding, &partition, comp, warm, opts))
+    // component is solved. With one, only those a delta touched are.
+    let partition = match warm {
+        Some(_) => grounding.partition_dirty_components(),
+        None => grounding.partition_components(),
+    };
+    let components = grounding
+        .component_index()
+        .map_or(0, ComponentIndex::component_count);
+    if partition.is_unpartitionable() || (matches!(mode, ComponentMode::Auto) && components <= 1) {
+        let outcome = monolithic_solve(solver, grounding, warm)?;
+        grounding.commit_components(&partition, &outcome.state.assignment);
+        return Ok(outcome);
+    }
+    let solved = (0..partition.len())
+        .map(|comp| solve_one_component(solver, grounding, &partition, comp, warm.as_ref()))
         .collect::<Result<Vec<MapState>, TecoreError>>()?;
 
-    // Merge. The base is the previous assignment (which *is* the
-    // spliced value of every clean component, and carries dead or
-    // clause-free atoms across); solved components scatter over it.
-    let n = grounding.num_atoms();
-    let mut assignment: Vec<bool> = match warm {
-        Some(w) => {
-            let mut v = w.assignment.clone();
-            v.resize(n, false);
-            v
-        }
-        None => vec![false; n],
+    // Merge, in place. The previous assignment *is* the spliced value
+    // of every clean component, and carries dead or clause-free atoms
+    // across; the solved components are written over it, and what they
+    // changed is noted on the way — nothing else is read.
+    let (known, mut assignment, warm_soft) = match warm {
+        Some(w) => (w.assignment.len(), w.assignment, w.soft_values),
+        None => (0, Vec::new(), None),
     };
-    let mut soft: Option<Vec<f64>> = if caps.soft_values {
-        let mut base: Vec<f64> = match warm.and_then(|w| w.soft_values.as_ref()) {
-            Some(values) => values.clone(),
-            None => assignment.iter().map(|&b| f64::from(u8::from(b))).collect(),
-        };
+    // A previous state without the soft values this one must have
+    // gives no grades to compare with.
+    let comparable = known == 0 || warm_soft.is_some() == caps.soft_values;
+    assignment.resize(n, false);
+    let mut soft: Option<Vec<f64>> = caps.soft_values.then(|| {
+        let mut base = warm_soft
+            .unwrap_or_else(|| assignment.iter().map(|&b| f64::from(u8::from(b))).collect());
         base.resize(n, 0.0);
-        Some(base)
-    } else {
-        None
-    };
-    for (&comp, state) in dirty.iter().zip(&solved) {
-        let atoms = partition.atoms(comp);
-        for (local, &atom) in atoms.iter().enumerate() {
-            assignment[atom.index()] = state.assignment[local];
-        }
-        if let Some(soft) = &mut soft {
-            // The merge buffer exists iff caps declare soft values, and
-            // `solve_one_component` rejects any component state whose
-            // soft-value presence disagrees with the caps.
-            let values = state
-                .soft_values
-                .as_ref()
-                .expect("per-component contract enforced by solve_one_component");
-            for (local, &atom) in atoms.iter().enumerate() {
-                soft[atom.index()] = values[local];
+        base
+    });
+    let (mut flipped, mut regraded) = (Vec::new(), Vec::new());
+    for (comp, state) in solved.iter().enumerate() {
+        // The merge buffer exists iff caps declare soft values, and
+        // `solve_one_component` rejects any component state whose
+        // soft-value presence disagrees with the caps.
+        let mut grades = state.soft_values.as_deref().zip(soft.as_deref_mut());
+        for (local, &atom) in partition.atoms(comp).iter().enumerate() {
+            let at = atom.index();
+            let value = state.assignment[local];
+            let flip = std::mem::replace(&mut assignment[at], value) != value;
+            let regrade = grades.as_mut().is_some_and(|(new, old)| {
+                std::mem::replace(&mut old[at], new[local]) != new[local]
+            });
+            if at < known && flip {
+                flipped.push(atom);
+            } else if at < known && regrade {
+                regraded.push(atom);
             }
         }
     }
-    // Cost and feasibility are re-derived from the full arena rather
-    // than summed per component: one O(live lits) pass that is exact by
-    // construction for spliced and solved components alike.
-    let (cost, hard_violations) = tecore_ground::evaluate_world(&grounding.clauses, &assignment);
+    // Cost and feasibility come off the ledger: each solved component
+    // is evaluated and entered, the others stand as they were entered
+    // when they were solved, and the totals are summed per label — no
+    // clause outside the solved components is read.
+    let (cost, hard_violations) = grounding.commit_components(&partition, &assignment);
     Ok(SolveOutcome {
         state: MapState {
             assignment,
@@ -207,32 +244,39 @@ fn solve_dispatch(
             active_clauses: grounding.clauses.len(),
             soft_values: soft,
         },
-        components: partition.len(),
-        components_solved: dirty.len(),
+        components,
+        components_solved: partition.len(),
+        atoms_visited: partition.atoms_visited(),
+        moved: if comparable {
+            Moved::Atoms { flipped, regraded }
+        } else {
+            Moved::Anywhere(None)
+        },
     })
 }
 
 /// The monolithic fallback: one [`MapSolver::solve`](tecore_ground::MapSolver)
 /// over the whole grounding, with the warm start gated on the backend's
-/// declared capability (exactly the pre-component behaviour).
+/// declared capability (exactly the pre-component behaviour), and the
+/// returned state held to the solver contract.
 fn monolithic_solve(
     solver: &SolverHandle,
     grounding: &Grounding,
-    opts: &SolveOpts<'_>,
+    warm: Option<MapState>,
 ) -> Result<SolveOutcome, TecoreError> {
-    let mono = SolveOpts {
-        seed: opts.seed,
-        warm_start: if solver.caps().warm_start {
-            opts.warm_start
-        } else {
-            None
-        },
+    let opts = SolveOpts {
+        seed: None,
+        warm_start: warm.as_ref().filter(|_| solver.caps().warm_start),
         component_mode: ComponentMode::Monolithic,
     };
+    let state = solver.solve(grounding, &opts)?;
+    check_solver_contract(solver, grounding, &state)?;
     Ok(SolveOutcome {
-        state: solver.solve(grounding, &mono)?,
+        state,
         components: 0,
         components_solved: 0,
+        atoms_visited: 0,
+        moved: Moved::Anywhere(warm),
     })
 }
 
@@ -245,7 +289,6 @@ fn solve_one_component(
     partition: &Partition,
     comp: usize,
     warm: Option<&MapState>,
-    opts: &SolveOpts<'_>,
 ) -> Result<MapState, TecoreError> {
     let view = partition.view(&grounding.clauses, comp);
     let local_warm_state = match (solver.caps().warm_start, warm) {
@@ -253,7 +296,7 @@ fn solve_one_component(
         _ => None,
     };
     let local_opts = SolveOpts {
-        seed: opts.seed,
+        seed: None,
         warm_start: local_warm_state.as_ref(),
         component_mode: ComponentMode::Monolithic,
     };
@@ -338,19 +381,15 @@ pub(crate) fn resolve_cold(
 ) -> Result<Resolution, TecoreError> {
     let solver = &config.backend;
     let mut grounding = translate(graph, program, &solver.caps(), &config.ground)?;
-    let opts = SolveOpts {
-        component_mode: config.component_mode,
-        ..SolveOpts::default()
-    };
     let solve_start = Instant::now();
-    let outcome = solve_dispatch(solver, &mut grounding, &opts)?;
+    let outcome = solve_dispatch(solver, &mut grounding, None, config.component_mode)?;
     let solve_time = solve_start.elapsed();
-    check_solver_contract(solver, &grounding, &outcome.state)?;
     let (mut resolution, _) = interpret(graph, &grounding, &outcome.state, config);
     resolution.stats.grounding_time = grounding.stats.elapsed;
     resolution.stats.solve_time = solve_time;
     resolution.stats.components = outcome.components;
     resolution.stats.components_solved = outcome.components_solved;
+    resolution.stats.partition_atoms_visited = outcome.atoms_visited;
     Ok(resolution)
 }
 
@@ -747,11 +786,15 @@ impl Engine {
     /// would on the same graph.
     ///
     /// The snapshot itself is derived from the one this method returned
-    /// last: its expanded graph and index are that snapshot's, copied
-    /// and patched, and arrive already built. Only when the edit is a
-    /// large share of the graph (or there is no previous snapshot to
-    /// start from) is the result read off the whole graph again and the
-    /// view left to build lazily, as on a cold resolve.
+    /// last: its graphs, index and result lists are an earlier
+    /// snapshot's — the one returned before that, taken back once
+    /// nobody holds it — patched with what the edits since changed, and
+    /// arrive already built (module `carry`; a caller that keeps
+    /// hold of its snapshots gets a patched copy of the last one
+    /// instead). Only when the edit is a large share of the graph (or
+    /// there is no previous snapshot to start from) is the result read
+    /// off the whole graph again and the view left to build lazily, as
+    /// on a cold resolve.
     pub fn resolve_incremental(&mut self) -> Result<Arc<Snapshot>, TecoreError> {
         let solver = self.config.backend.clone();
         let caps = solver.caps();
@@ -807,19 +850,17 @@ impl Engine {
         // offered to the *driver* — it splices clean components from it
         // even for backends without warm-start support — and the driver
         // gates what each backend actually sees on its caps.
-        let opts = SolveOpts {
-            seed: None,
-            warm_start: engine.last_state.as_ref(),
-            component_mode: self.config.component_mode,
-        };
+        let warm = engine.last_state.take();
+        let was_solved = warm.is_some();
         let solve_start = Instant::now();
-        let outcome = solve_dispatch(&solver, &mut engine.grounding, &opts)?;
+        let outcome = solve_dispatch(
+            &solver,
+            &mut engine.grounding,
+            warm,
+            self.config.component_mode,
+        )?;
         let solve_time = solve_start.elapsed();
         let state = outcome.state;
-        check_solver_contract(&solver, &engine.grounding, &state)?;
-        // The merged state is about to become the cached splice source;
-        // every component's cached slice is now current.
-        engine.grounding.clear_component_dirty();
 
         // 3. Interpret — by difference from the carried snapshot when
         // there is one to start from — then cache grounding, state and
@@ -827,19 +868,19 @@ impl Engine {
         // since the last interpretation (a public `apply_delta` counts),
         // or the cold grounding's when this call grounded.
         let changes = engine.grounding.take_changes();
-        let grounding_time = if engine.last_state.is_some() {
+        let grounding_time = if was_solved {
             changes.elapsed
         } else {
             engine.grounding.stats.elapsed
         };
-        let forwarded = match (engine.carried.take(), &engine.last_state, &since_carried) {
-            (Some(carried), Some(before), Some(facts)) => carry_forward(
+        let forwarded = match (engine.carried.take(), &since_carried) {
+            (Some(carried), Some(facts)) => carry_forward(
                 carried,
                 Resolved {
                     graph: &self.graph,
                     grounding: &engine.grounding,
-                    before,
                     after: &state,
+                    moved: outcome.moved,
                     facts,
                     changes,
                     config: &self.config,
@@ -847,18 +888,28 @@ impl Engine {
             ),
             _ => None,
         };
-        let (mut resolution, view, maps) = match forwarded {
-            Some(f) => (f.resolution, Some((f.expanded, f.index)), f.maps),
-            None => {
-                let (resolution, maps) =
-                    interpret(&self.graph, &engine.grounding, &state, &self.config);
-                (resolution, None, maps)
+        let Forwarded {
+            mut resolution,
+            view,
+            maps,
+            spare,
+            reclaim,
+        } = forwarded.unwrap_or_else(|| {
+            let (resolution, maps) =
+                interpret(&self.graph, &engine.grounding, &state, &self.config);
+            Forwarded {
+                resolution,
+                view: None,
+                maps,
+                spare: None,
+                reclaim: Reclaim::default(),
             }
-        };
+        });
         resolution.stats.grounding_time = grounding_time;
         resolution.stats.solve_time = solve_time;
         resolution.stats.components = outcome.components;
         resolution.stats.components_solved = outcome.components_solved;
+        resolution.stats.partition_atoms_visited = outcome.atoms_visited;
         resolution.stats.fallback_regrounds = self.fallback_regrounds;
         let epoch = self.graph.epoch();
         let snapshot = Arc::new(match view {
@@ -869,6 +920,8 @@ impl Engine {
         engine.carried = Some(Carried {
             snapshot: Arc::clone(&snapshot),
             maps,
+            spare,
+            reclaim,
         });
         self.cache = Some(engine);
         self.latest = Some(Arc::clone(&snapshot));
@@ -1405,7 +1458,10 @@ mod tests {
 
     /// Drives edit steps through every backend, checking each
     /// incremental snapshot; returns, per backend, which steps'
-    /// snapshots were carried forward (rather than rebuilt).
+    /// snapshots were carried forward (rather than rebuilt). Every
+    /// sequence runs twice: with each snapshot dropped before the next
+    /// publish, which then lands on the spare view, and with all of
+    /// them kept, which makes every publish copy the latest one.
     fn check_carried_forward(
         steps: &[Vec<Edit>],
         threshold: f64,
@@ -1423,19 +1479,26 @@ mod tests {
                 threshold,
                 ..TecoreConfig::default()
             };
-            let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
-            let mut engine = Engine::with_config(wide_graph(), program, config);
-            engine.resolve_incremental().unwrap();
-            let mut serial = 0;
-            let mut carried = Vec::new();
-            for (i, edits) in steps.iter().enumerate() {
-                apply_edits(&mut engine, edits, &mut serial);
-                let snapshot = engine.resolve_incremental().unwrap();
-                carried.push(snapshot.built_index().is_some());
-                let what = format!("{name}, step {i} {edits:?}");
-                assert_equals_full_interpretation(&engine, &snapshot, &what);
+            for keep_all in [false, true] {
+                let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
+                let mut engine = Engine::with_config(wide_graph(), program, config.clone());
+                engine.resolve_incremental().unwrap();
+                let mut serial = 0;
+                let mut carried = Vec::new();
+                let mut kept = Vec::new();
+                for (i, edits) in steps.iter().enumerate() {
+                    apply_edits(&mut engine, edits, &mut serial);
+                    let snapshot = engine.resolve_incremental().unwrap();
+                    carried.push(snapshot.built_index().is_some());
+                    let what = format!("{name}, keep_all {keep_all}, step {i} {edits:?}");
+                    assert_equals_full_interpretation(&engine, &snapshot, &what);
+                    if keep_all {
+                        assert!(snapshot.stats.view_facts_copied > 0, "{what}");
+                        kept.push(snapshot);
+                    }
+                }
+                runs.push((name, carried));
             }
-            runs.push((name, carried));
         }
         runs
     }

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use tecore_ground::violation::violated_clauses;
 use tecore_ground::{AtomKind, ClauseOrigin, ConstraintKey, Grounding, Lit};
 
-use crate::carry::patch_sorted;
+use crate::carry::ListPatch;
 
 /// One violated constraint grounding, rendered for display.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,6 +60,7 @@ pub(crate) struct Conflicts {
     /// Under a lazily grounded backend the conflicts come out of a
     /// search rather than the arena, in search order, and are
     /// re-searched per resolve: the keys are then not to be relied on.
+    /// (Keys are boxed: patching shifts entries, two words each.)
     entries: Vec<(ConstraintKey, Arc<ConflictExplanation>)>,
     /// Conflicts per formula index.
     per_formula: Vec<usize>,
@@ -127,13 +128,13 @@ impl Conflicts {
     /// [`DeltaChanges::constraints`](tecore_ground::DeltaChanges)): a
     /// live grounding is rendered (again — one of its atoms may read
     /// differently now), a retracted one is dropped; every other
-    /// explanation stays the shared one it was. One pass over the list
-    /// per batch, whatever the batch's size.
+    /// explanation stays the shared one it was. Returns the same edits
+    /// for the plain list a resolution shows ([`Conflicts::list`]).
     pub(crate) fn apply(
         &mut self,
         grounding: &Grounding,
         changes: impl IntoIterator<Item = (ConstraintKey, bool)>,
-    ) {
+    ) -> ListPatch<Arc<ConflictExplanation>> {
         let (mut dropped, mut rendered) = (Vec::new(), Vec::new());
         for (key, live) in changes {
             let listed = self.entries.binary_search_by(|(k, _)| k.cmp(&key)).is_ok();
@@ -150,7 +151,9 @@ impl Conflicts {
                 dropped.push(key);
             }
         }
-        patch_sorted(&mut self.entries, |(key, _)| key, dropped, rendered);
+        let patch = ListPatch::sorted(&self.entries, |(key, _)| key, &dropped, rendered);
+        patch.apply(&mut self.entries);
+        patch.map(|(_, explanation)| Arc::clone(explanation))
     }
 
     /// Violated-constraint groundings per constraint name, in formula

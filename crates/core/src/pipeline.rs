@@ -180,6 +180,7 @@ pub(crate) fn interpret(
         inferred_facts: inferred.len(),
         thresholded_facts: thresholded.len(),
         per_constraint: conflicts.per_constraint(grounding),
+        view_facts_copied: consistent.len(),
         ..DebugStats::default()
     };
     solve_stats(&mut stats, grounding, state, config);

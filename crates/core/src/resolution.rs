@@ -52,7 +52,9 @@ impl std::fmt::Display for InferredFact {
 /// behind [`Arc`]s: an incremental resolve carries the parts an edit
 /// did not touch over from the previous resolution instead of copying
 /// or re-rendering them. All of them read through the `Arc` as before.
-#[derive(Debug, Clone)]
+///
+/// The default is the resolution of nothing: an empty graph, no lists.
+#[derive(Debug, Clone, Default)]
 pub struct Resolution {
     /// The maximal consistent subgraph (evidence kept by MAP). A
     /// result, not an edit history: its change log is empty

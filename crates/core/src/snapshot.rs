@@ -14,11 +14,13 @@
 //! simply observe the epoch they captured.
 
 use std::ops::Deref;
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, OnceLock};
 
 use tecore_kg::{GraphTemporalIndex, UtkGraph};
 use tecore_temporal::TimePoint;
 
+use crate::carry::View;
 use crate::query::TemporalQuery;
 use crate::resolution::Resolution;
 
@@ -44,17 +46,25 @@ use crate::resolution::Resolution;
 /// members lazily, on first access. Snapshots of
 /// [`Engine::resolve_incremental`](crate::engine::Engine::resolve_incremental)
 /// that were carried forward from their predecessor arrive with both
-/// already in place — the previous snapshot's, copied and patched with
-/// what the edit changed — so no reader ever builds them.
+/// already in place — an earlier snapshot's, patched with what the
+/// edits since changed — so no reader ever builds them.
 ///
 /// Lazy members use [`OnceLock`], so concurrent readers racing on the
 /// first access still build each structure exactly once.
+///
+/// A snapshot is never touched while anybody holds it. What happens to
+/// its graphs, index and lists when the *last* holder lets go is the
+/// engine's to say: the snapshot it published before its latest one it
+/// asks to come home, to be patched into the next instead of being torn
+/// down (module `carry`).
 #[derive(Debug)]
 pub struct Snapshot {
     epoch: u64,
     resolution: Resolution,
     expanded: OnceLock<Arc<UtkGraph>>,
     index: OnceLock<GraphTemporalIndex>,
+    /// Where the view goes when the snapshot drops, if anywhere.
+    home: OnceLock<Sender<View>>,
 }
 
 impl Snapshot {
@@ -68,6 +78,7 @@ impl Snapshot {
             resolution,
             expanded: OnceLock::new(),
             index: OnceLock::new(),
+            home: OnceLock::new(),
         }
     }
 
@@ -84,7 +95,18 @@ impl Snapshot {
             resolution,
             expanded: OnceLock::from(expanded),
             index: OnceLock::from(index),
+            home: OnceLock::new(),
         }
+    }
+
+    /// Asks for the snapshot's view to be sent `home` when its last
+    /// holder lets go, instead of being torn down there. Whoever drops
+    /// last then pays one channel send; a view that cannot be taken
+    /// apart (a caller kept `consistent`'s inner `Arc`, or nobody built
+    /// the index) is torn down after all and the channel just closes.
+    pub(crate) fn send_home(&self, home: Sender<View>) {
+        // One engine publishes a snapshot and asks at most once.
+        let _ = self.home.set(home);
     }
 
     /// The graph epoch this snapshot was resolved at. Monotonically
@@ -100,8 +122,8 @@ impl Snapshot {
     }
 
     /// Unwraps into the resolution, discarding the indexes.
-    pub fn into_resolution(self) -> Resolution {
-        self.resolution
+    pub fn into_resolution(mut self) -> Resolution {
+        std::mem::take(&mut self.resolution)
     }
 
     /// The expanded KG — consistent evidence plus inferred facts
@@ -150,6 +172,24 @@ impl Snapshot {
     /// Shortcut: a point-in-time stabbing query (`who/what held at t`).
     pub fn at(&self, t: impl Into<TimePoint>) -> TemporalQuery<'_> {
         self.query().at(t)
+    }
+}
+
+impl Drop for Snapshot {
+    fn drop(&mut self) {
+        let Some(home) = self.home.take() else {
+            return;
+        };
+        let view = View::reclaim(
+            std::mem::take(&mut self.resolution),
+            self.expanded.take(),
+            self.index.take(),
+        );
+        if let Some(view) = view {
+            // A closed channel hands the view back: the engine has
+            // moved on, and it is torn down here after all.
+            let _ = home.send(view);
+        }
     }
 }
 

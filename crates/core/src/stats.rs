@@ -36,6 +36,19 @@ pub struct DebugStats {
     /// were clean and their cached per-component states were spliced.
     /// Equals `components` on a cold solve.
     pub components_solved: usize,
+    /// Atoms the component partition pass visited: every atom in a
+    /// clause on a full pass (a cold component-wise solve, the first
+    /// warm one), on a dirty-only pass the members of the components
+    /// the delta touched plus the flagged atoms left in no clause —
+    /// whatever the size of the graph. `0` when nothing was
+    /// partitioned.
+    pub partition_atoms_visited: usize,
+    /// View facts this resolve wrote to have a buffer for its result:
+    /// `0` when an incremental publish patched the spare view it got
+    /// back, the view's size when it had to copy the previous view (the
+    /// first publishes after a cold resolve or a rebuild, or a spare
+    /// still held elsewhere) or built one from the graph.
+    pub view_facts_copied: usize,
     /// Times this engine's incremental path fell back to a full
     /// re-ground because the graph's change log had been truncated
     /// past the cached epoch (cumulative over the engine's lifetime;

@@ -14,16 +14,20 @@
 //!
 //! Three pieces live here:
 //!
-//! * [`ComponentIndex`] — a union-find over atom ids, built from the
-//!   clause arena and maintained incrementally by
-//!   [`Grounding::apply_delta`](crate::Grounding) (clause emissions
-//!   union their atoms; retractions mark atoms dirty and are counted so
-//!   the index can rebuild once coarsening accumulates — union-find
-//!   cannot split, so a retraction-heavy history over-merges until the
-//!   next rebuild, which costs accuracy of the partition but never
-//!   correctness);
-//! * [`Partition`] — one concrete partitioning pass: per-component atom
-//!   and clause lists plus the global→local atom id remap table;
+//! * [`ComponentIndex`] — what is kept between solves: the atoms whose
+//!   local problem changed (a flag per atom plus the flagged atoms as a
+//!   list), a component **label** per atom, and a **ledger** of cost and
+//!   hard violations per label. Components are found by walking from
+//!   atom to clause to atom through an atom → clauses table: the full
+//!   pass ([`ComponentIndex::partition`]) reads that table off the
+//!   arena and walks everything, the dirty-only pass
+//!   ([`ComponentIndex::partition_dirty`]) is handed the dependency
+//!   index [`Grounding::apply_delta`](crate::Grounding) maintains and
+//!   walks from the flagged atoms only — it merges what an emission
+//!   joined and splits what a retraction split, so nothing needs
+//!   maintaining in between;
+//! * [`Partition`] — the components one pass found: per-component atom
+//!   and clause lists in flat tables;
 //! * [`ComponentView`] — a zero-copy sub-view of the arena for one
 //!   component, handed to
 //!   [`MapSolver::solve_component`](crate::MapSolver::solve_component);
@@ -31,321 +35,443 @@
 //!   the fly (the remap is monotone in atom id, so normalised clauses
 //!   stay normalised).
 
-use tecore_kg::fxhash::FxHashMap;
-
 use crate::atoms::AtomId;
 use crate::clause::{ClauseId, ClauseStore, Lit};
 
-/// Union-find over ground atoms with a per-atom dirty flag.
+/// The label of an atom that is in no live clause.
+const NO_LABEL: u32 = u32::MAX;
+
+/// What the solve driver keeps about the components between solves.
 ///
-/// The flag records "this atom's local problem changed since the last
-/// [`ComponentIndex::clear_dirty`]"; a component is dirty when any of
-/// its member atoms is. Flags are deliberately per-atom rather than
-/// per-root so they survive rebuilds (component identities change, the
-/// set of touched atoms does not).
+/// A **flag** records "this atom's local problem changed since the last
+/// [`ComponentIndex::commit`]"; a component is dirty when any of its
+/// member atoms is. Flags are per atom, so they stay meaningful while
+/// components merge and split under them.
+///
+/// A **label** names the component an atom was in when a pass last
+/// walked it. A pass retires every label it meets and mints a new one
+/// per component it finds; every component a delta changed holds a
+/// flagged atom (an emitted clause flags one of its atoms, a retracted
+/// one all of them), so after a dirty-only pass the labels are exactly
+/// those a full pass would give, and the number of labels in use is the
+/// number of components.
+///
+/// The **ledger** holds, per label, the violated soft weight and the
+/// violated hard clauses of that component under the MAP state it was
+/// last solved to ([`ComponentIndex::commit`]); their totals are the
+/// cost and feasibility of the spliced global state.
 #[derive(Debug, Clone, Default)]
 pub struct ComponentIndex {
-    /// Union-find parent per atom id.
-    parent: Vec<u32>,
-    /// Union-by-rank.
-    rank: Vec<u8>,
     /// Per-atom "local problem changed" flag.
-    dirty: Vec<bool>,
-    /// Clause retractions since the last rebuild (union-find cannot
-    /// split, so retractions coarsen the partition until a rebuild).
-    retracted_since_rebuild: usize,
-    /// Component count of the most recent [`ComponentIndex::partition`]
-    /// pass (`0` before the first) — lets a clean no-dirty resolve
-    /// report its component stats without re-partitioning.
-    last_count: usize,
+    flagged: Vec<bool>,
+    /// The flagged atoms, each once.
+    dirty: Vec<AtomId>,
+    /// Per-atom component label; [`NO_LABEL`] outside every live clause.
+    label: Vec<u32>,
+    ledger: Ledger,
+    /// Live clauses without literals. They belong to no component, so
+    /// one of them makes the arena unpartitionable.
+    empty_clauses: usize,
+}
+
+/// Cost and hard violations per component label.
+///
+/// The total cost is a function of the entries alone — entries summed
+/// in label order, a block at a time — never a running total that
+/// additions and subtractions drift. Blocks an entry changed in are
+/// summed again when the pass is closed ([`Ledger::settle`]), each
+/// once, however many of its entries changed.
+#[derive(Debug, Clone, Default)]
+struct Ledger {
+    cost: Vec<f64>,
+    hard: Vec<u32>,
+    state: Vec<Label>,
+    /// Labels free to be minted again.
+    free: Vec<u32>,
+    /// `cost` summed per block of [`Ledger::BLOCK`] labels, as of the
+    /// last [`Ledger::settle`].
+    block_cost: Vec<f64>,
+    /// Blocks with an entry written since, each once.
+    unsettled: Vec<u32>,
+    is_unsettled: Vec<bool>,
+    hard_total: usize,
+    in_use: usize,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Label {
+    Free,
+    InUse,
+    /// In use, and minted by the pass in progress (see
+    /// [`ComponentIndex::walk`]).
+    Fresh,
+}
+
+impl Ledger {
+    const BLOCK: usize = 256;
+
+    fn mint(&mut self) -> u32 {
+        let label = self.free.pop().unwrap_or_else(|| {
+            self.cost.push(0.0);
+            self.hard.push(0);
+            self.state.push(Label::Free);
+            let blocks = self.cost.len().div_ceil(Self::BLOCK);
+            self.block_cost.resize(blocks, 0.0);
+            self.is_unsettled.resize(blocks, false);
+            (self.cost.len() - 1) as u32
+        });
+        self.state[label as usize] = Label::Fresh;
+        self.in_use += 1;
+        label
+    }
+
+    /// Takes the label out of use. It may be minted again once the
+    /// caller hands it to `free` — after the pass, when no atom carries
+    /// it any more.
+    fn retire(&mut self, label: u32) {
+        self.set(label, 0.0, 0);
+        self.state[label as usize] = Label::Free;
+        self.in_use -= 1;
+    }
+
+    fn set(&mut self, label: u32, cost: f64, hard: usize) {
+        let at = label as usize;
+        self.hard_total = self.hard_total - self.hard[at] as usize + hard;
+        self.hard[at] = hard as u32;
+        self.cost[at] = cost;
+        let block = at / Self::BLOCK;
+        if !std::mem::replace(&mut self.is_unsettled[block], true) {
+            self.unsettled.push(block as u32);
+        }
+    }
+
+    fn settle(&mut self) {
+        for block in self.unsettled.drain(..) {
+            let block = block as usize;
+            let end = self.cost.len().min((block + 1) * Self::BLOCK);
+            self.block_cost[block] = self.cost[block * Self::BLOCK..end].iter().sum();
+            self.is_unsettled[block] = false;
+        }
+    }
+
+    /// Totals as of the last [`Ledger::settle`].
+    fn total(&self) -> (f64, usize) {
+        (self.block_cost.iter().sum(), self.hard_total)
+    }
+}
+
+/// atom → ids of the live clauses naming it, read off the arena in two
+/// counting passes (the full pass's stand-in for the dependency index,
+/// which a grounding that never saw a delta does not have).
+struct Occurrences {
+    starts: Vec<u32>,
+    ids: Vec<ClauseId>,
+}
+
+impl Occurrences {
+    fn of(clauses: &ClauseStore, num_atoms: usize) -> Self {
+        let mut starts = vec![0u32; num_atoms + 1];
+        for clause in clauses.iter() {
+            for l in clause.lits {
+                starts[l.atom.index() + 1] += 1;
+            }
+        }
+        for a in 0..num_atoms {
+            starts[a + 1] += starts[a];
+        }
+        let mut fill = starts.clone();
+        let mut ids = vec![0; starts[num_atoms] as usize];
+        for clause in clauses.iter() {
+            for l in clause.lits {
+                let slot = &mut fill[l.atom.index()];
+                ids[*slot as usize] = clause.id;
+                *slot += 1;
+            }
+        }
+        Occurrences { starts, ids }
+    }
+
+    fn of_atom(&self, atom: usize) -> &[ClauseId] {
+        &self.ids[self.starts[atom] as usize..self.starts[atom + 1] as usize]
+    }
 }
 
 impl ComponentIndex {
-    /// Builds the index from the live clauses of `clauses`, sized for
-    /// `num_atoms` atoms. Every atom starts **dirty**: a fresh index
-    /// pairs with no cached per-component state, so everything must be
-    /// solved once.
-    pub fn build(clauses: &ClauseStore, num_atoms: usize) -> Self {
-        let mut index = ComponentIndex {
-            parent: (0..num_atoms as u32).collect(),
-            rank: vec![0; num_atoms],
-            dirty: vec![true; num_atoms],
-            retracted_since_rebuild: 0,
-            last_count: 0,
-        };
-        // The arena may name atoms past the caller's count (callers can
-        // under-size; clause literals are the source of truth).
-        let max_named = clauses
-            .iter()
-            .flat_map(|c| c.lits.iter().map(|l| l.atom.index() + 1))
-            .max()
-            .unwrap_or(0);
-        index.ensure_atoms(max_named);
-        index.union_live_clauses(clauses);
+    /// An index over `num_atoms` atoms. Every atom starts **flagged**: a
+    /// fresh index pairs with no cached per-component state, so
+    /// everything must be solved once.
+    pub fn new(num_atoms: usize) -> Self {
+        let mut index = ComponentIndex::default();
+        index.ensure_atoms(num_atoms);
         index
     }
 
     /// Number of atoms the index covers.
     pub fn num_atoms(&self) -> usize {
-        self.parent.len()
+        self.flagged.len()
     }
 
-    /// Extends the tables for atoms `< n` (fresh atoms are singleton
-    /// components, dirty).
+    /// Extends the tables for atoms `< n` (fresh atoms are flagged and
+    /// in no component).
     pub fn ensure_atoms(&mut self, n: usize) {
-        while self.parent.len() < n {
-            self.parent.push(self.parent.len() as u32);
-            self.rank.push(0);
-            self.dirty.push(true);
+        for a in self.flagged.len()..n {
+            self.flagged.push(true);
+            self.dirty.push(AtomId(a as u32));
+            self.label.push(NO_LABEL);
         }
     }
 
-    /// Root of `a`'s component, with path compression.
-    fn find(&mut self, a: u32) -> u32 {
-        let mut root = a;
-        while self.parent[root as usize] != root {
-            root = self.parent[root as usize];
-        }
-        // Compress the walked path.
-        let mut cur = a;
-        while self.parent[cur as usize] != root {
-            let next = self.parent[cur as usize];
-            self.parent[cur as usize] = root;
-            cur = next;
-        }
-        root
-    }
-
-    fn union(&mut self, a: u32, b: u32) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return;
-        }
-        let (hi, lo) = if self.rank[ra as usize] >= self.rank[rb as usize] {
-            (ra, rb)
-        } else {
-            (rb, ra)
-        };
-        self.parent[lo as usize] = hi;
-        if self.rank[hi as usize] == self.rank[lo as usize] {
-            self.rank[hi as usize] += 1;
-        }
-    }
-
-    /// Records an emitted clause: unions its atoms into one component
-    /// and marks it dirty.
-    pub fn note_emit(&mut self, lits: &[Lit]) {
-        let Some(first) = lits.first() else {
-            return;
-        };
-        self.ensure_atoms(lits.iter().map(|l| l.atom.index() + 1).max().unwrap_or(0));
-        for l in &lits[1..] {
-            self.union(first.atom.0, l.atom.0);
-        }
-        // One member flag suffices: the whole (now united) component
-        // reads as dirty.
-        self.dirty[first.atom.index()] = true;
-    }
-
-    /// Records a retracted clause: every named atom is marked dirty
-    /// (after a rebuild they may land in *different* components, each
-    /// of which must re-solve), and the coarsening counter advances.
-    pub fn note_retract(&mut self, lits: &[Lit]) {
-        self.ensure_atoms(lits.iter().map(|l| l.atom.index() + 1).max().unwrap_or(0));
-        for l in lits {
-            self.dirty[l.atom.index()] = true;
-        }
-        self.retracted_since_rebuild += 1;
-    }
-
-    /// Marks one atom's component dirty without any structural change —
-    /// used for net-zero churn ([`tecore_kg::Delta::churned`]) where the
-    /// ground problem is untouched but cached per-component solver
-    /// state must be conservatively invalidated.
-    pub fn note_touched(&mut self, atom: AtomId) {
+    fn flag(&mut self, atom: AtomId) {
         self.ensure_atoms(atom.index() + 1);
-        self.dirty[atom.index()] = true;
-    }
-
-    /// Is the atom's flag set? (Component dirtiness is evaluated by
-    /// [`ComponentIndex::partition`]; this exposes the raw flag for
-    /// tests and diagnostics.)
-    pub fn is_atom_dirty(&self, atom: AtomId) -> bool {
-        self.dirty.get(atom.index()).copied().unwrap_or(true)
-    }
-
-    /// Is any atom flagged dirty? (`false` means the clause arena is
-    /// byte-identical to the one the last cleared solve ran over.)
-    pub fn any_dirty(&self) -> bool {
-        self.dirty.iter().any(|&d| d)
-    }
-
-    /// Component count of the most recent [`ComponentIndex::partition`]
-    /// pass (`0` before the first).
-    pub fn component_count(&self) -> usize {
-        self.last_count
-    }
-
-    /// Clears every dirty flag — called by the solve driver once all
-    /// dirty components have been re-solved and their states cached.
-    pub fn clear_dirty(&mut self) {
-        self.dirty.iter_mut().for_each(|d| *d = false);
-    }
-
-    /// Re-derives the union structure from the live clauses when
-    /// retraction-driven coarsening has accumulated. Dirty flags are
-    /// preserved (they describe atoms, not components).
-    fn maybe_rebuild(&mut self, clauses: &ClauseStore) {
-        if self.retracted_since_rebuild <= 32 || self.retracted_since_rebuild * 4 <= clauses.len() {
-            return;
+        if !std::mem::replace(&mut self.flagged[atom.index()], true) {
+            self.dirty.push(atom);
         }
-        for (i, p) in self.parent.iter_mut().enumerate() {
-            *p = i as u32;
-        }
-        self.rank.iter_mut().for_each(|r| *r = 0);
-        self.retracted_since_rebuild = 0;
-        self.union_live_clauses(clauses);
     }
 
-    fn union_live_clauses(&mut self, clauses: &ClauseStore) {
-        for clause in clauses.iter() {
-            if let Some(first) = clause.lits.first() {
-                for l in &clause.lits[1..] {
-                    self.union(first.atom.0, l.atom.0);
-                }
+    /// Records an emitted clause. One flagged member suffices: the pass
+    /// walks the whole component the clause now belongs to.
+    pub fn note_emit(&mut self, lits: &[Lit]) {
+        match lits.last() {
+            // Literals ascend by atom: the last names the widest id.
+            Some(last) => {
+                self.ensure_atoms(last.atom.index() + 1);
+                self.flag(lits[0].atom);
             }
+            None => self.empty_clauses += 1,
         }
     }
 
-    /// Runs one partitioning pass over the live clauses: groups clauses
-    /// and their atoms by component (rebuilding the union structure
-    /// first if it has coarsened), assigns dense local atom ids in
-    /// ascending global order, and evaluates per-component dirtiness.
-    ///
-    /// The grouped lists are laid out as two flat CSR tables (one
-    /// counting-sort pass each) rather than per-component `Vec`s — the
-    /// streaming path re-partitions after every delta, and thousands of
-    /// tiny allocations per resolve would dominate the dirty-component
-    /// solve itself.
+    /// Records a retracted clause: every named atom is flagged, as they
+    /// may now lie in *different* components, each of which must be
+    /// walked and re-solved.
+    pub fn note_retract(&mut self, lits: &[Lit]) {
+        if lits.is_empty() {
+            self.empty_clauses = self.empty_clauses.saturating_sub(1);
+        }
+        for l in lits {
+            self.flag(l.atom);
+        }
+    }
+
+    /// Flags one atom without any structural change — used for net-zero
+    /// churn ([`tecore_kg::Delta::churned`]) where the ground problem is
+    /// untouched but cached per-component solver state must be
+    /// conservatively invalidated.
+    pub fn note_touched(&mut self, atom: AtomId) {
+        self.flag(atom);
+    }
+
+    /// Is the atom's flag set? (Component dirtiness is evaluated by the
+    /// partition passes; this exposes the raw flag for tests and
+    /// diagnostics.)
+    pub fn is_atom_dirty(&self, atom: AtomId) -> bool {
+        self.flagged.get(atom.index()).copied().unwrap_or(true)
+    }
+
+    /// Is any atom flagged? (`false` means the clause arena is
+    /// byte-identical to the one the last committed solve ran over.)
+    pub fn any_dirty(&self) -> bool {
+        !self.dirty.is_empty()
+    }
+
+    /// Number of components, as of the most recent pass (`0` before the
+    /// first).
+    pub fn component_count(&self) -> usize {
+        self.ledger.in_use
+    }
+
+    /// With an empty clause in the arena — it belongs to every and no
+    /// component — the driver must solve monolithically, after which no
+    /// per-component account holds: the index goes back to its fresh
+    /// state, every atom flagged.
+    fn unpartitionable(&mut self) -> Option<Partition> {
+        if self.empty_clauses == 0 {
+            return None;
+        }
+        let empty_clauses = self.empty_clauses;
+        *self = ComponentIndex::new(self.num_atoms());
+        self.empty_clauses = empty_clauses;
+        Some(Partition::unpartitionable())
+    }
+
+    /// The **full pass**: every component of the live clauses, each
+    /// marked dirty when it holds a flagged atom. Labels and ledger
+    /// start over (flags stay), so this is what a fresh index runs
+    /// once, and what a cold component-wise solve runs.
     ///
     /// Atoms in no live clause (dead slots, clause-free atoms) belong
     /// to no component; the solve driver fills their assignment from
     /// the warm state or a default.
     pub fn partition(&mut self, clauses: &ClauseStore) -> Partition {
-        // Invariant: every atom named by a clause has been announced
-        // (`build`, `note_emit`, `note_retract` and `ensure_atoms` all
-        // extend the tables) — the hot path must not re-scan every
-        // literal to re-derive the atom count.
-        debug_assert!(
-            clauses
-                .iter()
-                .flat_map(|c| c.lits)
-                .all(|l| l.atom.index() < self.parent.len()),
-            "clause names an unannounced atom"
-        );
-        self.maybe_rebuild(clauses);
-        let n = self.parent.len();
-        // Pass 1: number the components (dense, in order of first
-        // clause appearance), tag every clause and member atom.
-        let mut comp_of: Vec<u32> = vec![u32::MAX; n];
-        let mut root_comp: FxHashMap<u32, u32> = FxHashMap::default();
-        let mut clause_comp: Vec<(ClauseId, u32)> = Vec::with_capacity(clauses.len());
-        let mut clause_counts: Vec<u32> = Vec::new();
+        // Literals ascend by atom: the last names the widest id.
+        let (mut named, mut empty_clauses) = (0, 0);
         for clause in clauses.iter() {
-            let Some(first) = clause.lits.first() else {
-                // An empty clause belongs to every and no component;
-                // the driver must fall back to monolithic solving.
-                self.last_count = 0;
-                return Partition::unpartitionable(n);
-            };
-            let root = self.find(first.atom.0);
-            let comp = *root_comp.entry(root).or_insert_with(|| {
-                clause_counts.push(0);
-                (clause_counts.len() - 1) as u32
-            });
-            clause_counts[comp as usize] += 1;
-            clause_comp.push((clause.id, comp));
-            for l in clause.lits {
-                debug_assert_eq!(self.find(l.atom.0), root, "clause spans components");
-                comp_of[l.atom.index()] = comp;
+            match clause.lits.last() {
+                Some(last) => named = named.max(last.atom.index() + 1),
+                None => empty_clauses += 1,
             }
         }
-        let count = clause_counts.len();
-        // Counting-sort the clause ids into their CSR rows (clause ids
-        // stay in ascending slot order within each row: the fill pass
-        // runs in arena order).
-        let mut clause_starts: Vec<u32> = Vec::with_capacity(count + 1);
-        let mut running = 0u32;
-        clause_starts.push(0);
-        for &c in &clause_counts {
-            running += c;
-            clause_starts.push(running);
+        self.ensure_atoms(named);
+        self.empty_clauses = empty_clauses;
+        if let Some(unpartitionable) = self.unpartitionable() {
+            return unpartitionable;
         }
-        let mut clause_fill: Vec<u32> = clause_starts[..count].to_vec();
-        let mut clause_ids: Vec<ClauseId> = vec![0; running as usize];
-        for (ci, comp) in clause_comp {
-            let slot = &mut clause_fill[comp as usize];
-            clause_ids[*slot as usize] = ci;
-            *slot += 1;
+        let n = self.num_atoms();
+        self.label.clear();
+        self.label.resize(n, NO_LABEL);
+        self.ledger = Ledger::default();
+        let occurrences = Occurrences::of(clauses, n);
+        // Seeded in arena order, components come out ordered by their
+        // first clause.
+        let seeds = clauses
+            .iter()
+            .filter_map(|c| c.lits.first().map(|l| l.atom));
+        self.walk(clauses, |a| occurrences.of_atom(a), seeds)
+    }
+
+    /// The **dirty-only pass**: exactly the components that hold a
+    /// flagged atom — the ones a full pass would mark dirty, with the
+    /// same atoms and clauses in the same order — found by walking from
+    /// the flagged atoms through `atom_clauses` (atom id → ids of the
+    /// live clauses naming it). Visits no atom or clause outside those
+    /// components.
+    pub fn partition_dirty(
+        &mut self,
+        clauses: &ClauseStore,
+        atom_clauses: &[Vec<ClauseId>],
+    ) -> Partition {
+        self.ensure_atoms(atom_clauses.len());
+        if let Some(unpartitionable) = self.unpartitionable() {
+            return unpartitionable;
         }
-        // Pass 2 (counting sort over atoms, ascending): member lists,
-        // dense local ids (ascending with global ids, so the remap is
-        // monotone and normalised clauses stay normalised), and the
-        // per-atom dirty flags folded into per-component dirtiness.
-        let mut atom_counts: Vec<u32> = vec![0; count];
-        for &comp in comp_of.iter() {
-            if comp != u32::MAX {
-                atom_counts[comp as usize] += 1;
+        let seeds = std::mem::take(&mut self.dirty);
+        let partition = self.walk(
+            clauses,
+            |a| atom_clauses.get(a).map_or(&[], Vec::as_slice),
+            seeds.iter().copied(),
+        );
+        self.dirty = seeds;
+        partition
+    }
+
+    /// Walks the components of the `seeds`, retiring the labels met and
+    /// minting one per component found.
+    fn walk<'a>(
+        &mut self,
+        clauses: &ClauseStore,
+        clauses_of: impl Fn(usize) -> &'a [ClauseId],
+        seeds: impl Iterator<Item = AtomId>,
+    ) -> Partition {
+        let mut found = Partition::default();
+        // (first clause, label, end in `atoms`, end in `clause_ids`)
+        let mut rows: Vec<(ClauseId, u32, u32, u32)> = Vec::new();
+        let mut retired: Vec<u32> = Vec::new();
+        let mut stack: Vec<AtomId> = Vec::new();
+        for seed in seeds {
+            let old = self.label[seed.index()];
+            if old != NO_LABEL && self.ledger.state[old as usize] == Label::Fresh {
+                continue; // walked from an earlier seed
             }
-        }
-        let mut atom_starts: Vec<u32> = Vec::with_capacity(count + 1);
-        let mut running = 0u32;
-        atom_starts.push(0);
-        for &c in &atom_counts {
-            running += c;
-            atom_starts.push(running);
-        }
-        let mut atom_fill: Vec<u32> = atom_starts[..count].to_vec();
-        let mut atoms: Vec<AtomId> = vec![AtomId(0); running as usize];
-        let mut local_id: Vec<u32> = vec![0; n];
-        let mut dirty: Vec<bool> = vec![false; count];
-        for (a, &comp) in comp_of.iter().enumerate() {
-            if comp == u32::MAX {
+            if clauses_of(seed.index()).is_empty() {
+                found.visited += 1;
+                self.relabel(seed, NO_LABEL, &mut retired);
                 continue;
             }
-            let slot = &mut atom_fill[comp as usize];
-            local_id[a] = *slot - atom_starts[comp as usize];
-            atoms[*slot as usize] = AtomId(a as u32);
-            *slot += 1;
-            if self.dirty[a] {
-                dirty[comp as usize] = true;
+            let (atoms_from, clauses_from) = (found.atoms.len(), found.clause_ids.len());
+            let label = self.ledger.mint();
+            self.relabel(seed, label, &mut retired);
+            found.atoms.push(seed);
+            stack.push(seed);
+            while let Some(atom) = stack.pop() {
+                for &ci in clauses_of(atom.index()) {
+                    // Met once per member; duplicates go below.
+                    found.clause_ids.push(ci);
+                    for l in clauses.lits(ci) {
+                        if self.label[l.atom.index()] != label {
+                            self.relabel(l.atom, label, &mut retired);
+                            found.atoms.push(l.atom);
+                            stack.push(l.atom);
+                        }
+                    }
+                }
             }
+            // Ascending atoms are the local id space; ascending clause
+            // slots are the order the arena lists them in.
+            found.atoms[atoms_from..].sort_unstable();
+            found.clause_ids[clauses_from..].sort_unstable();
+            let mut kept = clauses_from;
+            for at in clauses_from..found.clause_ids.len() {
+                if at == clauses_from || found.clause_ids[at] != found.clause_ids[kept - 1] {
+                    found.clause_ids[kept] = found.clause_ids[at];
+                    kept += 1;
+                }
+            }
+            found.clause_ids.truncate(kept);
+            found.visited += found.atoms.len() - atoms_from;
+            rows.push((
+                found.clause_ids[clauses_from],
+                label,
+                found.atoms.len() as u32,
+                found.clause_ids.len() as u32,
+            ));
         }
-        self.last_count = count;
-        Partition {
-            comp_of,
-            local_id,
-            atoms,
-            atom_starts,
-            clause_ids,
-            clause_starts,
-            dirty,
-            unpartitionable: false,
+        // No atom carries a retired label any more (every piece of a
+        // component that changed holds a flagged atom and was walked),
+        // so those are free from the next pass on.
+        self.ledger.free.extend(retired);
+        for &(_, label, _, _) in &rows {
+            self.ledger.state[label as usize] = Label::InUse;
         }
+        found.order_by_first_clause(rows, &self.flagged);
+        found
+    }
+
+    /// Moves `atom` under `label`, retiring the label it carried.
+    fn relabel(&mut self, atom: AtomId, label: u32, retired: &mut Vec<u32>) {
+        let old = std::mem::replace(&mut self.label[atom.index()], label);
+        if old != NO_LABEL && self.ledger.state[old as usize] == Label::InUse {
+            self.ledger.retire(old);
+            retired.push(old);
+        }
+    }
+
+    /// Closes a pass once its components are solved: enters every
+    /// component of `partition` in the ledger as `world` (the merged
+    /// MAP assignment, by global atom id) leaves it, and clears every
+    /// flag. Returns the ledger's totals — cost and hard violations of
+    /// `world` over the whole arena, without reading any clause outside
+    /// the partition.
+    pub fn commit(
+        &mut self,
+        partition: &Partition,
+        clauses: &ClauseStore,
+        world: &[bool],
+    ) -> (f64, usize) {
+        if partition.is_unpartitionable() {
+            return self.ledger.total(); // everything stays flagged
+        }
+        for i in 0..partition.len() {
+            let (cost, hard) = partition.view(clauses, i).evaluate(world);
+            self.ledger.set(partition.labels[i], cost, hard);
+        }
+        self.ledger.settle();
+        // (Taken, not drained: after a full pass the list is as long
+        // as the atom table, and the next delta flags a handful.)
+        for atom in std::mem::take(&mut self.dirty) {
+            self.flagged[atom.index()] = false;
+        }
+        self.ledger.total()
     }
 }
 
-/// One concrete component partitioning of a clause arena — the output
-/// of [`ComponentIndex::partition`], consumed by the solve driver.
-/// Member and clause lists live in flat CSR tables; components are
-/// contiguous rows.
-#[derive(Debug, Clone)]
+/// The components one pass found — the output of
+/// [`ComponentIndex::partition`] (all of them) or
+/// [`ComponentIndex::partition_dirty`] (those holding a flagged atom),
+/// consumed by the solve driver. Member and clause lists live in flat
+/// CSR tables; components are contiguous rows, ordered by their first
+/// clause.
+#[derive(Debug, Clone, Default)]
 pub struct Partition {
-    /// atom id → component index (`u32::MAX` for atoms in no live
-    /// clause).
-    comp_of: Vec<u32>,
-    /// atom id → dense local id within its component.
-    local_id: Vec<u32>,
     /// Member atoms, grouped by component, ascending global id within
     /// each row.
     atoms: Vec<AtomId>,
@@ -356,8 +482,12 @@ pub struct Partition {
     clause_ids: Vec<ClauseId>,
     /// Row offsets into `clause_ids` (`len() + 1` entries).
     clause_starts: Vec<u32>,
-    /// Per component: does it contain a dirty atom?
+    /// Per component: its label in the index's ledger.
+    labels: Vec<u32>,
+    /// Per component: does it contain a flagged atom?
     dirty: Vec<bool>,
+    /// Atoms the pass walked, those it found in no clause included.
+    visited: usize,
     /// `true` when the arena contains a clause that cannot be assigned
     /// to a component (an empty clause); the driver must solve
     /// monolithically.
@@ -365,16 +495,51 @@ pub struct Partition {
 }
 
 impl Partition {
-    fn unpartitionable(n: usize) -> Partition {
+    fn unpartitionable() -> Partition {
         Partition {
-            comp_of: vec![u32::MAX; n],
-            local_id: vec![0; n],
-            atoms: Vec::new(),
             atom_starts: vec![0],
-            clause_ids: Vec::new(),
             clause_starts: vec![0],
-            dirty: Vec::new(),
             unpartitionable: true,
+            ..Partition::default()
+        }
+    }
+
+    /// Lays the walked components (`rows`, in discovery order over the
+    /// flat lists) out ordered by first clause, and reads each one's
+    /// dirtiness off the flags. The full pass discovers them in that
+    /// order and keeps its lists as they are.
+    fn order_by_first_clause(&mut self, rows: Vec<(ClauseId, u32, u32, u32)>, flagged: &[bool]) {
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        let in_order = rows.windows(2).all(|w| w[0].0 < w[1].0);
+        if !in_order {
+            order.sort_unstable_by_key(|&r| rows[r].0);
+        }
+        let begin = |r: usize| r.checked_sub(1).map_or((0, 0), |p| (rows[p].2, rows[p].3));
+        let (atoms, clause_ids) = (
+            std::mem::take(&mut self.atoms),
+            std::mem::take(&mut self.clause_ids),
+        );
+        self.atom_starts.push(0);
+        self.clause_starts.push(0);
+        for r in order {
+            let (atoms_from, clauses_from) = begin(r);
+            let (_, label, atoms_to, clauses_to) = rows[r];
+            let members = &atoms[atoms_from as usize..atoms_to as usize];
+            self.dirty.push(members.iter().any(|a| flagged[a.index()]));
+            let (atoms_end, clauses_end) = if in_order {
+                (atoms_to, clauses_to)
+            } else {
+                self.atoms.extend_from_slice(members);
+                self.clause_ids
+                    .extend_from_slice(&clause_ids[clauses_from as usize..clauses_to as usize]);
+                (self.atoms.len() as u32, self.clause_ids.len() as u32)
+            };
+            self.atom_starts.push(atoms_end);
+            self.clause_starts.push(clauses_end);
+            self.labels.push(label);
+        }
+        if in_order {
+            (self.atoms, self.clause_ids) = (atoms, clause_ids);
         }
     }
 
@@ -383,7 +548,7 @@ impl Partition {
         self.dirty.len()
     }
 
-    /// Is the partition empty (no live clauses)?
+    /// Is the partition empty (no component found)?
     pub fn is_empty(&self) -> bool {
         self.dirty.is_empty()
     }
@@ -393,8 +558,8 @@ impl Partition {
         self.unpartitionable
     }
 
-    /// Is component `i` dirty (touched since the last
-    /// [`ComponentIndex::clear_dirty`])?
+    /// Is component `i` dirty (holds an atom flagged since the last
+    /// [`ComponentIndex::commit`])?
     pub fn is_dirty(&self, i: usize) -> bool {
         self.dirty[i]
     }
@@ -404,12 +569,17 @@ impl Partition {
         self.dirty.iter().filter(|&&d| d).count()
     }
 
-    /// The component of an atom, if it belongs to one.
+    /// Atoms the pass visited — its work, independent of the clock: the
+    /// members of the components found, plus the seeds that turned out
+    /// to be in no live clause.
+    pub fn atoms_visited(&self) -> usize {
+        self.visited
+    }
+
+    /// The component of an atom, if it belongs to one of this
+    /// partition's (tests and diagnostics: a search over the rows).
     pub fn component_of(&self, atom: AtomId) -> Option<usize> {
-        match self.comp_of.get(atom.index()) {
-            Some(&c) if c != u32::MAX => Some(c as usize),
-            _ => None,
-        }
+        (0..self.len()).find(|&i| self.atoms(i).binary_search(&atom).is_ok())
     }
 
     /// Member atoms of component `i` (ascending global id — the local
@@ -429,13 +599,12 @@ impl Partition {
             store,
             atoms: self.atoms(i),
             clause_ids: self.clause_ids(i),
-            local_id: &self.local_id,
         }
     }
 }
 
 /// A zero-copy view of one conflict component: borrows the parent
-/// arena and the partition's remap tables; nothing is materialised
+/// arena and the partition's member lists; nothing is materialised
 /// until a solver asks for a compact sub-store
 /// ([`ComponentView::to_store`]).
 ///
@@ -446,7 +615,6 @@ pub struct ComponentView<'a> {
     store: &'a ClauseStore,
     atoms: &'a [AtomId],
     clause_ids: &'a [ClauseId],
-    local_id: &'a [u32],
 }
 
 impl<'a> ComponentView<'a> {
@@ -470,16 +638,45 @@ impl<'a> ComponentView<'a> {
         self.clause_ids
     }
 
-    /// Local id of a member atom.
+    /// Local id of a member atom: its rank among the members.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `atom` is not a member.
     #[inline]
     pub fn local(&self, atom: AtomId) -> u32 {
-        self.local_id[atom.index()]
+        self.atoms
+            .binary_search(&atom)
+            .expect("a component's clauses name its member atoms only") as u32
     }
 
     /// Global atom behind a local id.
     #[inline]
     pub fn global(&self, local: u32) -> AtomId {
         self.atoms[local as usize]
+    }
+
+    /// Total violated soft weight and number of violated hard clauses
+    /// of `world` (indexed by **global** atom id) over the component's
+    /// clauses — [`evaluate_world`](crate::evaluate_world) restricted
+    /// to the component.
+    pub fn evaluate(&self, world: &[bool]) -> (f64, usize) {
+        let (mut cost, mut hard) = (0.0, 0usize);
+        for &ci in self.clause_ids {
+            let satisfied = self
+                .store
+                .lits(ci)
+                .iter()
+                .any(|l| l.satisfied_by(world[l.atom.index()]));
+            if !satisfied {
+                if self.store.is_hard(ci) {
+                    hard += 1;
+                } else {
+                    cost += self.store.weight_raw(ci);
+                }
+            }
+        }
+        (cost, hard)
     }
 
     /// Materialises the component as a compact [`ClauseStore`] in the
@@ -511,6 +708,7 @@ impl<'a> ComponentView<'a> {
 mod tests {
     use super::*;
     use crate::clause::{ClauseOrigin, ClauseWeight, GroundClause};
+    use crate::solver::evaluate_world;
 
     fn soft(lits: Vec<Lit>, w: f64) -> GroundClause {
         GroundClause::new(lits, ClauseWeight::Soft(w), ClauseOrigin::Evidence).unwrap()
@@ -518,6 +716,17 @@ mod tests {
 
     fn store(clauses: &[GroundClause]) -> ClauseStore {
         ClauseStore::from_ground_clauses(clauses)
+    }
+
+    /// The atom → clauses table a grounding would hand the dirty pass.
+    fn atom_clauses(s: &ClauseStore, n: usize) -> Vec<Vec<ClauseId>> {
+        let mut out = vec![Vec::new(); n];
+        for c in s.iter() {
+            for l in c.lits {
+                out[l.atom.index()].push(c.id);
+            }
+        }
+        out
     }
 
     #[test]
@@ -528,7 +737,7 @@ mod tests {
             soft(vec![Lit::pos(AtomId(1))], 0.5),
             soft(vec![Lit::pos(AtomId(2)), Lit::pos(AtomId(3))], 2.0),
         ]);
-        let mut index = ComponentIndex::build(&s, 4);
+        let mut index = ComponentIndex::new(4);
         let p = index.partition(&s);
         assert_eq!(p.len(), 2);
         assert!(!p.is_unpartitionable());
@@ -537,6 +746,8 @@ mod tests {
         assert_ne!(p.component_of(AtomId(0)), p.component_of(AtomId(2)));
         // Fresh index: everything dirty.
         assert_eq!(p.dirty_count(), 2);
+        assert_eq!(index.component_count(), 2);
+        assert_eq!(p.atoms_visited(), 4);
     }
 
     #[test]
@@ -545,7 +756,7 @@ mod tests {
             soft(vec![Lit::pos(AtomId(5)), Lit::neg(AtomId(9))], 1.0),
             soft(vec![Lit::neg(AtomId(5))], 0.25),
         ]);
-        let mut index = ComponentIndex::build(&s, 10);
+        let mut index = ComponentIndex::new(10);
         let p = index.partition(&s);
         assert_eq!(p.len(), 1);
         let comp = p.component_of(AtomId(5)).unwrap();
@@ -569,41 +780,46 @@ mod tests {
             soft(vec![Lit::pos(AtomId(0))], 1.0),
             soft(vec![Lit::pos(AtomId(1))], 1.0),
         ]);
-        let mut index = ComponentIndex::build(&s, 2);
-        index.clear_dirty();
+        let mut index = ComponentIndex::new(2);
+        let p = index.partition(&s);
+        index.commit(&p, &s, &[true, true]);
         assert!(!index.is_atom_dirty(AtomId(0)));
+        assert!(!index.any_dirty());
 
         // Emitting a bridge clause merges the islands and dirties them.
         let mut s2 = s.clone();
         let bridge = soft(vec![Lit::neg(AtomId(0)), Lit::neg(AtomId(1))], 2.0);
         let id = s2.push(bridge.clone());
         index.note_emit(&bridge.lits);
-        let p = index.partition(&s2);
+        let p = index.partition_dirty(&s2, &atom_clauses(&s2, 2));
         assert_eq!(p.len(), 1);
         assert!(p.is_dirty(0));
         assert_eq!(p.clause_ids(0), &[0, 1, id]);
+        assert_eq!(index.component_count(), 1);
 
         // Retraction marks every named atom dirty.
-        index.clear_dirty();
+        index.commit(&p, &s2, &[true, true]);
         s2.retract(id);
         index.note_retract(&bridge.lits);
         assert!(index.is_atom_dirty(AtomId(0)));
         assert!(index.is_atom_dirty(AtomId(1)));
-        // The partition stays coarse (union-find cannot split) but both
-        // pseudo-merged atoms read dirty, so nothing stale survives.
-        let p = index.partition(&s2);
+        // The walk splits what the retraction split, and both halves
+        // read dirty, so nothing stale survives.
+        let p = index.partition_dirty(&s2, &atom_clauses(&s2, 2));
+        assert_eq!(p.len(), 2);
         assert_eq!(p.dirty_count(), p.len());
+        assert_eq!(index.component_count(), 2);
     }
 
     #[test]
     fn rebuild_splits_after_heavy_retraction() {
-        // A chain of bridges 0-1, 1-2, ..., all retracted again: after
-        // enough churn the index re-derives singleton components.
+        // A chain of bridges 0-1, 1-2, ..., all retracted again: the
+        // next pass is back at singleton components.
         let units: Vec<GroundClause> = (0..40)
             .map(|i| soft(vec![Lit::pos(AtomId(i))], 1.0))
             .collect();
         let mut s = store(&units);
-        let mut index = ComponentIndex::build(&s, 40);
+        let mut index = ComponentIndex::new(40);
         let mut bridges = Vec::new();
         for i in 0..39u32 {
             let bridge = soft(vec![Lit::neg(AtomId(i)), Lit::pos(AtomId(i + 1))], 1.0);
@@ -616,16 +832,17 @@ mod tests {
             s.retract(id);
             index.note_retract(&bridge.lits);
         }
-        // 39 retractions > 32 and > live/4 (40 units live): rebuild.
-        let p = index.partition(&s);
-        assert_eq!(p.len(), 40, "rebuild recovers the fine partition");
+        let p = index.partition_dirty(&s, &atom_clauses(&s, 40));
+        assert_eq!(p.len(), 40, "the walk recovers the fine partition");
+        assert_eq!(index.component_count(), 40);
+        assert_eq!(index.partition(&s).len(), 40);
     }
 
     #[test]
     fn empty_clause_is_unpartitionable() {
         let mut s = ClauseStore::new();
         s.push_lits(&[], ClauseWeight::Hard, ClauseOrigin::Evidence);
-        let mut index = ComponentIndex::build(&s, 0);
+        let mut index = ComponentIndex::new(0);
         let p = index.partition(&s);
         assert!(p.is_unpartitionable());
     }
@@ -633,12 +850,67 @@ mod tests {
     #[test]
     fn churn_touch_dirties_without_structure_change() {
         let s = store(&[soft(vec![Lit::pos(AtomId(0))], 1.0)]);
-        let mut index = ComponentIndex::build(&s, 1);
-        index.clear_dirty();
-        assert_eq!(index.partition(&s).dirty_count(), 0);
-        index.note_touched(AtomId(0));
+        let mut index = ComponentIndex::new(1);
         let p = index.partition(&s);
+        index.commit(&p, &s, &[true]);
+        assert_eq!(index.partition(&s).dirty_count(), 0);
+        assert!(index.partition_dirty(&s, &atom_clauses(&s, 1)).is_empty());
+        index.note_touched(AtomId(0));
+        let p = index.partition_dirty(&s, &atom_clauses(&s, 1));
         assert_eq!(p.dirty_count(), 1);
         assert_eq!(p.len(), 1);
+        assert_eq!(index.component_count(), 1);
+    }
+
+    /// The dirty pass returns the dirty components of the full pass —
+    /// same atoms, same clauses, same order — whatever order the atoms
+    /// were flagged in, and the ledger's totals are `evaluate_world`'s.
+    #[test]
+    fn dirty_pass_matches_the_dirty_rows_of_the_full_pass() {
+        // Components by first clause: {4,5} (clause 0), {0,1,2}
+        // (clause 1), {3} (clause 4), {6} (clause 5).
+        let mut s = store(&[
+            soft(vec![Lit::neg(AtomId(4)), Lit::neg(AtomId(5))], 3.0),
+            soft(vec![Lit::pos(AtomId(1)), Lit::neg(AtomId(2))], 1.5),
+            soft(vec![Lit::neg(AtomId(0)), Lit::neg(AtomId(1))], 2.0),
+            soft(vec![Lit::pos(AtomId(0))], 0.5),
+            soft(vec![Lit::pos(AtomId(3))], 0.25),
+            soft(vec![Lit::neg(AtomId(6))], 0.75),
+        ]);
+        let world = [true, true, false, false, true, true, true];
+        let mut index = ComponentIndex::new(7);
+        let p = index.partition(&s);
+        assert_eq!(p.len(), 4);
+        assert_eq!(p.atoms(1), &[AtomId(0), AtomId(1), AtomId(2)]);
+        let totals = index.commit(&p, &s, &world);
+        assert_eq!(totals, evaluate_world(&s, &world));
+        assert_eq!(totals, (2.0 + 0.25 + 3.0 + 0.75, 0));
+
+        // Flag late components first.
+        index.note_touched(AtomId(6));
+        index.note_touched(AtomId(2));
+        let hard = s.push_lits(
+            &[Lit::neg(AtomId(4))],
+            ClauseWeight::Hard,
+            ClauseOrigin::Evidence,
+        );
+        index.note_emit(s.lits(hard));
+        let adjacency = atom_clauses(&s, 7);
+        let mut reference = index.clone();
+        let dirty = index.partition_dirty(&s, &adjacency);
+        let full = reference.partition(&s);
+        let rows = |p: &Partition, only_dirty: bool| -> Vec<(Vec<AtomId>, Vec<ClauseId>)> {
+            (0..p.len())
+                .filter(|&i| !only_dirty || p.is_dirty(i))
+                .map(|i| (p.atoms(i).to_vec(), p.clause_ids(i).to_vec()))
+                .collect()
+        };
+        assert_eq!(rows(&dirty, false), rows(&full, true));
+        assert_eq!(dirty.len(), 3);
+        assert_eq!(dirty.atoms_visited(), 2 + 3 + 1);
+        assert_eq!(index.component_count(), full.len());
+        let totals = index.commit(&dirty, &s, &world);
+        assert_eq!(totals, evaluate_world(&s, &world));
+        assert_eq!(totals.1, 1);
     }
 }

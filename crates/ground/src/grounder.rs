@@ -133,9 +133,10 @@ pub struct Grounding {
     /// Has the dependency index been materialised yet?
     pub(crate) dep_built: bool,
     /// Conflict-component index over the clause arena. Like the
-    /// dependency index it is built lazily — on the first component
-    /// partition — and maintained by the incremental emit/retract paths
-    /// from then on; monolithic solves never pay for it.
+    /// dependency index it is created lazily — on the first component
+    /// partition — and told of every emission and retraction by the
+    /// incremental paths from then on; monolithic solves never pay for
+    /// it.
     pub(crate) components: Option<crate::component::ComponentIndex>,
     /// Were constraint formulas grounded eagerly
     /// ([`GroundConfig::ground_constraints`])? When `true`, every
@@ -169,15 +170,13 @@ impl Grounding {
         self.epoch
     }
 
-    /// Runs one conflict-component partitioning pass over the live
-    /// clauses, building the [`ComponentIndex`](crate::ComponentIndex)
-    /// on first use (everything starts dirty) and updating it
-    /// incrementally afterwards via
-    /// [`apply_delta`](Grounding::apply_delta).
+    /// The **full** conflict-component partition of the live clauses
+    /// (see [`ComponentIndex::partition`](crate::ComponentIndex)),
+    /// creating the index on first use — with every atom flagged, so
+    /// every component reads dirty. What a cold component-wise solve
+    /// runs; [`Grounding::commit_components`] closes it.
     pub fn partition_components(&mut self) -> crate::component::Partition {
-        let index = self.components.get_or_insert_with(|| {
-            crate::component::ComponentIndex::build(&self.clauses, self.store.len())
-        });
+        let index = self.components.get_or_insert_with(Default::default);
         // Deltas may have interned atoms the incremental hooks never
         // mentioned (e.g. clause-free ones); the store count is the
         // authoritative width.
@@ -185,13 +184,44 @@ impl Grounding {
         index.partition(&self.clauses)
     }
 
-    /// Marks every component clean — called by the solve driver after
-    /// all dirty components were re-solved and their merged state
-    /// cached. A no-op until the index exists.
-    pub fn clear_component_dirty(&mut self) {
-        if let Some(index) = &mut self.components {
-            index.clear_dirty();
+    /// The components a delta touched since the last
+    /// [`Grounding::commit_components`], and only those: a walk from
+    /// the flagged atoms through the atom → clause dependency index
+    /// (see [`ComponentIndex::partition_dirty`](crate::ComponentIndex)).
+    /// What a warm solve runs. Without an index yet everything is
+    /// flagged, and this is the full pass.
+    pub fn partition_dirty_components(&mut self) -> crate::component::Partition {
+        self.ensure_dep_index();
+        match &mut self.components {
+            Some(index) => {
+                index.ensure_atoms(self.store.len());
+                index.partition_dirty(&self.clauses, &self.atom_clauses)
+            }
+            None => self.partition_components(),
         }
+    }
+
+    /// Closes a partition pass once `world` — the merged MAP
+    /// assignment — holds the solution of every component of
+    /// `partition`: their cost and hard violations enter the ledger and
+    /// every component reads clean. Returns cost and hard violations of
+    /// `world` over the whole arena, summed from the ledger.
+    pub fn commit_components(
+        &mut self,
+        partition: &crate::component::Partition,
+        world: &[bool],
+    ) -> (f64, usize) {
+        match &mut self.components {
+            Some(index) => index.commit(partition, &self.clauses, world),
+            None => crate::solver::evaluate_world(&self.clauses, world),
+        }
+    }
+
+    /// Drops the component index. A monolithic solve may move any atom,
+    /// which voids every per-component account; the next component-wise
+    /// solve starts from a fresh index (everything flagged).
+    pub fn drop_component_index(&mut self) {
+        self.components = None;
     }
 
     /// The component index, if one has been materialised (tests and

@@ -442,7 +442,7 @@ impl Grounding {
     /// derivation-support counters. Built on the first delta rather
     /// than at grounding time, so batch resolves never pay for it; the
     /// incremental emit/retract paths keep it current from then on.
-    fn ensure_dep_index(&mut self) {
+    pub(crate) fn ensure_dep_index(&mut self) {
         if self.dep_built {
             return;
         }

@@ -50,4 +50,4 @@ pub use fact::{Confidence, FactId, TemporalFact};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use graph::UtkGraph;
 pub use stats::{Cardinalities, GraphStats, PredicateCardinality};
-pub use tindex::{GraphTemporalIndex, IntervalIndex, OverlapIter};
+pub use tindex::{splice, GraphTemporalIndex, IntervalIndex, OverlapIter};

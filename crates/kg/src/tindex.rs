@@ -8,10 +8,11 @@
 //! running maximum of end points (a flattened static interval tree).
 //!
 //! The layout is flat but not frozen: [`IntervalIndex::patch`] (and
-//! its one-entry forms `insert` / `remove`) rewrites the sorted array
-//! and the running maximum from the first touched position on, so a
-//! resolved view carried from one snapshot to the next is patched, not
-//! rebuilt.
+//! its one-entry forms `insert` / `remove`) edits the sorted array in
+//! place — a few entries by binary search and one `memmove` of the tail
+//! each, a batch in one merge pass ([`splice`] picks) — and repairs the
+//! running maximum only as far as it changed, so a resolved view
+//! carried from one snapshot to the next is patched, not rebuilt.
 
 use tecore_temporal::{Interval, TimePoint};
 
@@ -54,40 +55,45 @@ impl IntervalIndex {
         self.patch(&mut [(id, interval)], &mut []);
     }
 
-    /// Applies a batch of removals and insertions in one pass: the
-    /// sorted array is kept up to the first position the batch touches,
-    /// the rest is merged with the (sorted) batch, and the running
-    /// maximum is recomputed from that position on. One entry costs one
-    /// copy of the array's tail, like a shift would; a large batch costs
-    /// one pass, not one shift per entry. Removals of entries that are
-    /// not indexed are ignored.
+    /// Applies a batch of removals and insertions: positions come from
+    /// binary searches, the sorted array and the running maxima take one
+    /// [`splice`] each, and the maxima are recomputed from the first
+    /// touched position until, past the last one, they agree with what
+    /// is stored — from there on nothing the batch did can show.
+    /// Removals of entries that are not indexed are ignored.
     pub fn patch(&mut self, remove: &mut [(FactId, Interval)], insert: &mut [(FactId, Interval)]) {
         let key = |&(id, iv): &(FactId, Interval)| sort_key(id, iv);
         remove.sort_unstable_by_key(key);
         insert.sort_unstable_by_key(key);
-        let Some(first) = remove.iter().chain(insert.iter()).map(key).min() else {
+        let mut drop: Vec<usize> = remove
+            .iter()
+            .filter_map(|gone| self.entries.binary_search_by_key(&key(gone), key).ok())
+            .collect();
+        drop.dedup();
+        let add: Vec<(usize, (FactId, Interval))> = insert
+            .iter()
+            .map(|new| (self.entries.partition_point(|e| key(e) < key(new)), *new))
+            .collect();
+        let first = drop.first().copied().into_iter();
+        let Some(first) = first.chain(add.first().map(|a| a.0)).min() else {
             return;
         };
-        let from = self.entries.partition_point(|e| key(e) < first);
-        let tail = self.entries.split_off(from);
-        self.max_end.truncate(from);
-        let (mut remove, mut insert) = (remove.iter().peekable(), insert.iter().peekable());
-        for entry in tail {
-            while let Some(new) = insert.next_if(|new| key(new) < key(&entry)) {
-                self.entries.push(*new);
-            }
-            while remove.next_if(|gone| key(gone) < key(&entry)).is_some() {}
-            if remove.next_if_eq(&&entry).is_none() {
-                self.entries.push(entry);
-            }
-        }
-        self.entries.extend(insert);
-        let mut running = from
+        // The entries from here on are the ones they were, one for one.
+        let untouched = drop.last().map(|p| p + 1).max(add.last().map(|a| a.0));
+        let untouched = self.entries.len() - untouched.unwrap_or(first);
+        let placeholders = add.iter().map(|&(at, _)| (at, TimePoint::MIN)).collect();
+        splice(&mut self.entries, &drop, add);
+        splice(&mut self.max_end, &drop, placeholders);
+        let settled = self.entries.len() - untouched;
+        let mut running = first
             .checked_sub(1)
             .map_or(TimePoint::MIN, |p| self.max_end[p]);
-        for (_, iv) in &self.entries[from..] {
-            running = running.max(iv.end());
-            self.max_end.push(running);
+        for at in first..self.entries.len() {
+            running = running.max(self.entries[at].1.end());
+            if at >= settled && self.max_end[at] == running {
+                break;
+            }
+            self.max_end[at] = running;
         }
     }
 
@@ -164,6 +170,55 @@ impl IntervalIndex {
         }
         count
     }
+}
+
+/// One pass over a vector's tail handles an entry in about the time
+/// `memmove` moves this many.
+const PASS_COST: usize = 4;
+
+/// Edits a vector by position: drops the entries at `drop` (ascending,
+/// distinct) and inserts each `add` entry before the entry at its
+/// position (ascending; equal positions keep their order; `len()`
+/// appends). Every position is one of `items` as passed in.
+///
+/// A handful of edits in a long vector cost one `memmove` of the tail
+/// behind each; a batch costs one pass from the first touched position
+/// on. Which, is decided from how many entries each way would move.
+pub fn splice<T>(items: &mut Vec<T>, drop: &[usize], mut add: Vec<(usize, T)>) {
+    let first = drop.first().copied().into_iter();
+    let Some(first) = first.chain(add.first().map(|a| a.0)).min() else {
+        return;
+    };
+    let len = items.len();
+    let shifted: usize = drop.iter().map(|at| len - at).sum::<usize>()
+        + add.iter().map(|(at, _)| len - at).sum::<usize>()
+        + add.len() * add.len();
+    if shifted <= PASS_COST * (len - first + add.len()) {
+        // Back to front, so the positions ahead stay what they were.
+        let mut drop = drop.iter().rev().peekable();
+        while let Some(&(at, _)) = add.last() {
+            while let Some(gone) = drop.next_if(|&&gone| gone >= at) {
+                items.remove(*gone);
+            }
+            let (at, new) = add.pop().expect("peeked above");
+            items.insert(at, new);
+        }
+        for gone in drop {
+            items.remove(*gone);
+        }
+        return;
+    }
+    let tail = items.split_off(first);
+    let (mut drop, mut add) = (drop.iter().peekable(), add.into_iter().peekable());
+    for (at, item) in (first..).zip(tail) {
+        while let Some((_, new)) = add.next_if(|(to, _)| *to == at) {
+            items.push(new);
+        }
+        if drop.next_if(|&&gone| gone == at).is_none() {
+            items.push(item);
+        }
+    }
+    items.extend(add.map(|(_, new)| new));
 }
 
 /// The total order of index entries: ties on the interval are broken
@@ -461,6 +516,55 @@ mod tests {
         assert_eq!(idx.len(), 3);
     }
 
+    /// Both ways `patch` can go — a couple of entries spliced into a
+    /// long array, and a batch merged in one pass — against a bulk
+    /// build, with intervals long enough to carry the running maximum
+    /// to the end of the array and short ones that leave it alone.
+    #[test]
+    fn patch_equals_bulk_build_on_both_branches() {
+        let mut items: Vec<(u32, (i64, i64))> = (0..400)
+            .map(|i| {
+                (
+                    i,
+                    (
+                        i64::from(i % 97) * 3,
+                        i64::from(i % 97) * 3 + i64::from(i % 5),
+                    ),
+                )
+            })
+            .collect();
+        let mut idx = index(&items);
+        let mut next = 400u32;
+        for round in 0..40u32 {
+            // One entry in, one out: spliced. Every fifth one outlasts
+            // everything behind it.
+            let gone = items.remove((round as usize * 37) % items.len());
+            let start = i64::from(round * 7 % 290);
+            let new = (next, (start, start + if round % 5 == 0 { 1000 } else { 2 }));
+            next += 1;
+            items.push(new);
+            idx.patch(
+                &mut [(FactId(gone.0), iv(gone.1 .0, gone.1 .1))],
+                &mut [(FactId(new.0), iv(new.1 .0, new.1 .1))],
+            );
+            assert_eq!(idx, index(&items), "round {round}");
+        }
+        // A batch: a quarter of the entries out, as many in.
+        let mut gone: Vec<(FactId, Interval)> = Vec::new();
+        let mut new: Vec<(FactId, Interval)> = Vec::new();
+        for k in 0..100usize {
+            let (id, (a, b)) = items.remove((k * 3) % items.len());
+            gone.push((FactId(id), iv(a, b)));
+            let start = (k as i64 * 11) % 300;
+            let entry = (next, (start, start + (k as i64 % 9)));
+            next += 1;
+            items.push(entry);
+            new.push((FactId(entry.0), iv(entry.1 .0, entry.1 .1)));
+        }
+        idx.patch(&mut gone, &mut new);
+        assert_eq!(idx, index(&items));
+    }
+
     /// A random edit script over a small graph: `Some(fact)` inserts,
     /// `None` removes the oldest live fact.
     fn arb_edits() -> impl Strategy<Value = Vec<Option<(u8, u8, i64, i64)>>> {
@@ -509,6 +613,34 @@ mod tests {
             batched.patch(&[], &gone);
             batched.patch(&gone, &[]);
             prop_assert_eq!(&batched, &GraphTemporalIndex::build(&g));
+        }
+
+        /// `splice` against the obvious model; small batches in long
+        /// vectors shift, the others take the pass.
+        #[test]
+        fn splice_matches_the_model(
+            len in 0usize..60,
+            drop in prop::collection::vec(0usize..60, 0..10),
+            add in prop::collection::vec(0usize..61, 0..10),
+        ) {
+            let items: Vec<usize> = (0..len).collect();
+            let mut drop: Vec<usize> = drop.into_iter().filter(|&at| at < len).collect();
+            drop.sort_unstable();
+            drop.dedup();
+            let mut add: Vec<usize> = add.into_iter().map(|at| at.min(len)).collect();
+            add.sort_unstable();
+            let add: Vec<(usize, usize)> =
+                add.into_iter().enumerate().map(|(n, at)| (at, 1000 + n)).collect();
+            let mut model = Vec::new();
+            for at in 0..=len {
+                model.extend(add.iter().filter(|(to, _)| *to == at).map(|(_, new)| *new));
+                if at < len && !drop.contains(&at) {
+                    model.push(at);
+                }
+            }
+            let mut spliced = items;
+            splice(&mut spliced, &drop, add);
+            prop_assert_eq!(spliced, model);
         }
 
         /// The index agrees with the naive scan on every window.

@@ -8,9 +8,14 @@
 //!   clones the `Arc` under a read guard;
 //! * **monotone epochs** — repeated loads see publications in order;
 //! * **readers are not held up by the writer** — a guard is held for
-//!   one pointer clone or swap, and the replaced snapshot (a whole
-//!   resolved graph plus index, ≈ 3 ms to tear down) is dropped *after*
-//!   the write guard is released.
+//!   one pointer clone or swap, and the replaced snapshot is let go of
+//!   *after* the write guard is released. Usually that costs one
+//!   channel send: the engine asks the snapshot before its latest one
+//!   home, to patch its view into the next (`tecore_core`'s `carry`
+//!   module), and whoever drops the last `Arc` sends it. A snapshot the
+//!   engine did not ask back (after a rebuild, or a publish that
+//!   changed no fact) is torn down by its last holder — a whole
+//!   resolved graph plus index, milliseconds.
 //!
 //! The cell keeps exactly one snapshot alive; an older one lives only
 //! as long as the readers still holding its `Arc`.
@@ -74,8 +79,9 @@ impl SnapshotCell {
             std::mem::replace(&mut *current, snapshot)
         };
         self.publications.fetch_add(1, Ordering::Relaxed);
-        // Tearing down a snapshot nobody else holds takes milliseconds;
-        // no reader may wait on it, so it happens outside the guard.
+        // Letting go of a snapshot nobody else holds sends its view
+        // home or tears it down (milliseconds); no reader may wait on
+        // either, so it happens outside the guard.
         drop(replaced);
     }
 }

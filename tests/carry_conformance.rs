@@ -9,16 +9,29 @@
 //! and batches large enough to cross the rebuild threshold — through
 //! every backend, and after every batch compares the carried-forward
 //! snapshot with `Snapshot::from_resolution(engine.resolve_raw()?,
-//! epoch)`, and its index-backed queries with a brute-force scan of its
-//! expanded graph.
+//! epoch)`, its index with a bulk build over its expanded graph, and
+//! its index-backed queries with a brute-force scan of that graph.
 //! The paper program is used so that inferred facts appear, change and
-//! disappear along the way.
+//! disappear along the way (two graphs to patch, not one).
+//!
+//! Every sequence runs twice, once per source the engine has for the
+//! buffer a patch lands on: with each snapshot dropped before the next
+//! publish, so that the spare view comes home and is reused, and with
+//! every snapshot kept, so that each publish copies the latest one.
+//! The work counters at the end hold the publish path to what the
+//! edit names, by count rather than by the clock.
+
+use std::sync::mpsc;
+use std::sync::Arc;
+use std::thread;
 
 use proptest::prelude::*;
+use tecore_core::translate::translate;
 use tecore_core::{Backend, EditBatch, Engine, Snapshot, TecoreConfig};
-use tecore_datagen::standard::paper_program;
+use tecore_datagen::standard::{paper_program, wikidata_program};
+use tecore_datagen::{generate_wikidata, WikidataConfig};
 use tecore_ground::ComponentMode;
-use tecore_kg::{FactId, TemporalFact, UtkGraph};
+use tecore_kg::{FactId, GraphTemporalIndex, TemporalFact, UtkGraph};
 use tecore_mln::{CpiConfig, WalkSatConfig};
 use tecore_temporal::Interval;
 
@@ -446,7 +459,19 @@ fn backends() -> Vec<(Backend, bool)> {
     ]
 }
 
-fn check_sequence(steps: &[Vec<Op>]) {
+/// What the engine's callers do with the snapshots they are handed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Hold {
+    /// Drop each before the next publish: the spare view is reused.
+    Latest,
+    /// Keep them all: every publish copies the latest view.
+    All,
+}
+
+/// Runs the steps on every backend under `hold`; returns, per backend,
+/// how many view facts each step's publish copied.
+fn check_sequence_holding(steps: &[Vec<Op>], hold: Hold) -> Vec<(&'static str, Vec<usize>)> {
+    let mut copied = Vec::new();
     for (backend, reproducible) in backends() {
         let name = backend.name();
         let config = TecoreConfig {
@@ -455,9 +480,13 @@ fn check_sequence(steps: &[Vec<Op>]) {
             ..TecoreConfig::default()
         };
         let mut engine = Engine::with_config(base_graph(), paper_program(), config);
-        engine.resolve_incremental().expect("prime");
+        let mut held = vec![engine.resolve_incremental().expect("prime")];
         let mut serial = 0u32;
+        let mut run = Vec::new();
         for (i, ops) in steps.iter().enumerate() {
+            if hold == Hold::Latest {
+                held.clear();
+            }
             let batch = batch_of(&engine, ops, &mut serial);
             engine.apply(&batch).into_result().expect("valid batch");
             let carried = engine.resolve_incremental().expect("incremental");
@@ -465,12 +494,34 @@ fn check_sequence(steps: &[Vec<Op>]) {
                 engine.resolve_raw().expect("cold"),
                 engine.graph().epoch(),
             );
-            let what = format!("{name}, step {i} {ops:?}");
+            let what = format!("{name}, {hold:?}, step {i} {ops:?}");
             assert_eq!(carried.epoch(), cold.epoch(), "{what}");
             assert_equivalent(&what, &carried, &cold, reproducible);
+            assert_eq!(
+                carried.index(),
+                &GraphTemporalIndex::build(carried.expanded()),
+                "{what}: the index is the index of the expanded graph"
+            );
             assert_queries_match_scan(&what, &carried, serial + i as u32);
+            run.push(carried.stats.view_facts_copied);
+            held.push(carried);
         }
+        copied.push((name, run));
     }
+    copied
+}
+
+/// Both ways; returns what the publishes copied while each snapshot
+/// was let go in time.
+fn check_sequence(steps: &[Vec<Op>]) -> Vec<(&'static str, Vec<usize>)> {
+    let reusing = check_sequence_holding(steps, Hold::Latest);
+    for (name, copied) in check_sequence_holding(steps, Hold::All) {
+        assert!(
+            copied.iter().all(|&facts| facts > 0),
+            "{name}: no spare comes home while every snapshot is held: {copied:?}"
+        );
+    }
+    reusing
 }
 
 proptest! {
@@ -529,5 +580,221 @@ fn directed_split_reword_flood_sequence() {
         ],
         vec![Op::Remove { index: 3 }, Op::Remove { index: 60 }],
     ];
-    check_sequence(&steps);
+    // With each snapshot let go in time, a publish copies a view only
+    // to have a second buffer at all: twice after the cold resolve (its
+    // snapshot has no index to come home with), once after the flood's
+    // rebuild. The churn step changes no fact and still lands on the
+    // spare. (An exact solve moves only the atoms an edit bears on; a
+    // stochastic or soft-valued one may cross the rebuild threshold
+    // elsewhere.)
+    for (name, copied) in check_sequence(&steps) {
+        if name == "mln-exact" {
+            let reused: Vec<bool> = copied.iter().map(|&facts| facts == 0).collect();
+            assert_eq!(
+                reused,
+                [false, false, true, true, false, false, true],
+                "{copied:?}"
+            );
+        }
+    }
+}
+
+// --- Work counters: what a publish touches, counted, not timed. ---
+
+/// A primed `mln-walksat` engine over the generated Wikidata mix.
+fn wikidata_engine(facts: usize) -> Engine {
+    let generated = generate_wikidata(&WikidataConfig {
+        total_facts: facts,
+        noise_ratio: 0.1,
+        seed: 1,
+    });
+    let config = TecoreConfig {
+        backend: Backend::MlnWalkSat(WalkSatConfig::default()).into(),
+        ..TecoreConfig::default()
+    };
+    let mut engine = Engine::with_config(generated.graph, wikidata_program(), config);
+    engine.resolve_incremental().expect("prime");
+    engine
+}
+
+/// Inserts a `playsFor` spell that contradicts the `n`-th existing one.
+fn insert_clash(engine: &mut Engine, n: usize) -> FactId {
+    let graph = engine.graph();
+    let plays = graph.dict().lookup("playsFor").expect("the mix has spells");
+    let spells = graph.facts_with_predicate(plays).count();
+    let (_, spell) = graph
+        .facts_with_predicate(plays)
+        .nth(n * 97 % spells)
+        .expect("within the count");
+    let (subject, interval) = (
+        graph.dict().resolve(spell.subject).to_string(),
+        spell.interval,
+    );
+    engine
+        .insert_fact(
+            &subject,
+            "playsFor",
+            &format!("Elsewhere{n}"),
+            interval,
+            0.4,
+        )
+        .expect("valid insert")
+}
+
+/// The first publishes after a cold resolve copy the view (the cold
+/// snapshot has no index to come home with; its successor is the first
+/// that can be a spare). From the third on the engine is warm.
+fn warm_up(engine: &mut Engine) {
+    for n in 0..2 {
+        insert_clash(engine, 1000 + n);
+        let warm = engine.resolve_incremental().expect("warm-up");
+        assert!(warm.stats.view_facts_copied > 0, "warm-up {n} copies");
+    }
+}
+
+#[test]
+fn a_one_fact_edit_copies_nothing_and_walks_its_component_only() {
+    let mut engine = wikidata_engine(20_000);
+    warm_up(&mut engine);
+    let id = insert_clash(&mut engine, 3);
+    let snapshot = engine.resolve_incremental().expect("incremental");
+    assert_eq!(snapshot.stats.view_facts_copied, 0, "the spare is reused");
+    assert_eq!(snapshot.stats.components_solved, 1);
+    // What the pass should have walked: the new fact's component, as a
+    // full pass over a cold grounding of the same graph finds it.
+    let config = engine.config();
+    let mut cold = translate(
+        engine.graph(),
+        engine.program(),
+        &config.backend.caps(),
+        &config.ground,
+    )
+    .expect("grounds");
+    let partition = cold.partition_components();
+    let component = partition
+        .component_of(cold.fact_atoms[&id])
+        .expect("the fact's atom has its evidence clause");
+    let members = partition.atoms(component).len();
+    assert!(members >= 2, "the new spell clashes with the old one");
+    assert_eq!(snapshot.stats.partition_atoms_visited, members);
+    assert_eq!(
+        snapshot.stats.components,
+        partition.len(),
+        "the labels in use are the components there are"
+    );
+}
+
+#[test]
+fn a_fresh_subject_insert_costs_the_same_walk_at_any_size() {
+    let visited: Vec<usize> = [5_000, 20_000]
+        .into_iter()
+        .map(|facts| {
+            let mut engine = wikidata_engine(facts);
+            warm_up(&mut engine);
+            // The serving workload's marker: it joins nothing.
+            engine
+                .insert_fact("QB7", "memberOf", "Mark7", iv(2000, 1), 0.9)
+                .expect("valid insert");
+            let snapshot = engine.resolve_incremental().expect("incremental");
+            assert_eq!(snapshot.stats.view_facts_copied, 0, "at {facts} facts");
+            snapshot.stats.partition_atoms_visited
+        })
+        .collect();
+    assert_eq!(visited, [1, 1]);
+}
+
+/// Two snapshots of two engines that were fed the same edits: the same
+/// result, fact id for fact id and index entry for index entry —
+/// whichever buffer each engine's publish landed on.
+fn assert_same_view(what: &str, a: &Snapshot, b: &Snapshot) {
+    assert_eq!(a.epoch(), b.epoch(), "{what}");
+    assert_eq!(a.removed, b.removed, "{what}: removed");
+    assert_eq!(a.conflicts, b.conflicts, "{what}: conflicts");
+    let facts = |s: &Snapshot| -> Vec<(FactId, String)> {
+        let graph = s.expanded();
+        graph
+            .iter()
+            .map(|(id, f)| (id, f.display(graph.dict()).to_string()))
+            .collect()
+    };
+    assert_eq!(facts(a), facts(b), "{what}: expanded, by id");
+    assert_eq!(a.index(), b.index(), "{what}: index");
+    assert_eq!(
+        a.index(),
+        &GraphTemporalIndex::build(a.expanded()),
+        "{what}: the index is the index of the expanded graph"
+    );
+}
+
+#[test]
+fn holding_a_snapshot_across_publishes_copies_the_view_once() {
+    let mut reusing = wikidata_engine(20_000);
+    let mut holding = wikidata_engine(20_000);
+    let mut held: Option<Arc<Snapshot>> = None;
+    let mut copied = Vec::new();
+    for n in 0..6 {
+        insert_clash(&mut reusing, n);
+        insert_clash(&mut holding, n);
+        let view_before = holding.latest().expect("primed").expanded().len();
+        let reference = reusing.resolve_incremental().expect("incremental");
+        let snapshot = holding.resolve_incremental().expect("incremental");
+        assert_same_view(&format!("publish {n}"), &snapshot, &reference);
+        copied.push(snapshot.stats.view_facts_copied);
+        match n {
+            // Held while it is the latest, and on while it is the spare
+            // publish 4 is waiting for.
+            2 => held = Some(snapshot),
+            4 => {
+                assert_eq!(copied[4], view_before, "the whole view, once");
+                held = None;
+            }
+            _ => {}
+        }
+    }
+    assert!(held.is_none());
+    assert!(copied[0] > 0 && copied[1] > 0, "{copied:?}");
+    assert_eq!(copied[2..4], [0, 0], "{copied:?}");
+    assert_eq!(copied[5], 0, "a spare is home again: {copied:?}");
+}
+
+/// The spare is held by another thread when the publish that wants it
+/// starts, and let go while that publish runs. Whether the engine gets
+/// it back in time (woken by the release) or gives up and copies, the
+/// snapshot is the one an undisturbed engine publishes, and the publish
+/// after it finds a spare at home again.
+#[test]
+fn a_spare_released_during_the_publish_is_waited_for_or_copied() {
+    let mut reference = wikidata_engine(20_000);
+    let mut engine = wikidata_engine(20_000);
+    warm_up(&mut reference);
+    warm_up(&mut engine);
+    let spare = engine.latest().expect("primed");
+    for n in 0..3 {
+        insert_clash(&mut reference, n);
+        insert_clash(&mut engine, n);
+        let expected = reference.resolve_incremental().expect("incremental");
+        let view_before = engine.latest().expect("primed").expanded().len();
+        let snapshot = match n {
+            1 => {
+                // `spare` is the snapshot before the latest by now.
+                let (start, started) = mpsc::channel();
+                let spare = Arc::clone(&spare);
+                let holder = thread::spawn(move || {
+                    started.recv().expect("the publish starts");
+                    drop(spare);
+                });
+                start.send(()).expect("the holder listens");
+                let snapshot = engine.resolve_incremental().expect("incremental");
+                holder.join().expect("the holder let go");
+                let copied = snapshot.stats.view_facts_copied;
+                assert!(copied == 0 || copied == view_before, "copied {copied}");
+                snapshot
+            }
+            _ => engine.resolve_incremental().expect("incremental"),
+        };
+        assert_same_view(&format!("publish {n}"), &snapshot, &expected);
+        if n == 2 {
+            assert_eq!(snapshot.stats.view_facts_copied, 0);
+        }
+    }
 }

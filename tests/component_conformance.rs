@@ -16,7 +16,9 @@ use proptest::prelude::*;
 use tecore_core::registry::SolverRegistry;
 use tecore_core::resolution::Resolution;
 use tecore_core::{Engine, TecoreConfig};
-use tecore_ground::{ground, ComponentMode, GroundConfig};
+use tecore_ground::{
+    evaluate_world, ground, AtomId, ClauseId, ComponentMode, GroundConfig, Partition,
+};
 use tecore_kg::{FactId, UtkGraph};
 use tecore_logic::LogicProgram;
 use tecore_temporal::Interval;
@@ -332,6 +334,138 @@ proptest! {
                     cold.stats.cost
                 );
             }
+        }
+    }
+}
+
+/// One scripted edit against a bare graph, as [`apply_op`] makes it
+/// against an engine.
+fn apply_op_to_graph(graph: &mut UtkGraph, op: &Op, serial: &mut u32) {
+    match op {
+        Op::Insert((subject, relation, object, start, len, conf_step)) => {
+            *serial += 1;
+            let conf = 0.52 + f64::from(*conf_step) * 0.011 + f64::from(*serial % 7) * 0.0013;
+            let relation = if *relation { "coach" } else { "playsFor" };
+            graph
+                .insert(
+                    &format!("s{subject}"),
+                    relation,
+                    &format!("o{object}"),
+                    Interval::new(*start, *start + *len).expect("len >= 0"),
+                    conf,
+                )
+                .expect("valid insert");
+        }
+        Op::Remove { index } => {
+            let live: Vec<FactId> = graph.iter().map(|(id, _)| id).collect();
+            if !live.is_empty() {
+                graph
+                    .remove(live[index % live.len()])
+                    .expect("live fact removes");
+            }
+        }
+    }
+}
+
+/// A partition's components as `(atoms, clause ids)` rows, all of them
+/// or the dirty ones.
+fn rows(partition: &Partition, only_dirty: bool) -> Vec<(Vec<AtomId>, Vec<ClauseId>)> {
+    (0..partition.len())
+        .filter(|&i| !only_dirty || partition.is_dirty(i))
+        .map(|i| {
+            (
+                partition.atoms(i).to_vec(),
+                partition.clause_ids(i).to_vec(),
+            )
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Whatever deltas emitted, retracted and churned: the dirty-only
+    /// pass returns exactly the components a fresh full pass marks
+    /// dirty — same atoms, same clause ids, same order —, the labels in
+    /// use number the components of the full pass, and after the dirty
+    /// components are "solved" (every member atom may move, nothing
+    /// else does) the ledger's totals are `evaluate_world`'s over the
+    /// whole arena.
+    #[test]
+    fn dirty_pass_and_ledger_match_full_pass_and_whole_arena(
+        base in arb_facts(),
+        steps in prop::collection::vec(
+            (prop::collection::vec(arb_op(), 0..4), prop::bool::ANY),
+            1..10,
+        ),
+        seed in 1u64..u64::MAX,
+    ) {
+        let config = GroundConfig::default();
+        let mut graph = build_graph(&base);
+        let mut grounding = ground(&graph, &program(), &config).expect("grounds");
+        let mut world: Vec<bool> = Vec::new();
+        let mut bits = seed;
+        let mut serial = 0u32;
+        // The first round has no edits: a fresh index, everything dirty.
+        let rounds = std::iter::once((&[][..], false))
+            .chain(steps.iter().map(|(ops, churn)| (ops.as_slice(), *churn)));
+        for (round, (ops, churn)) in rounds.enumerate() {
+            for op in ops {
+                apply_op_to_graph(&mut graph, op, &mut serial);
+            }
+            let first = graph.iter().next().map(|(_, fact)| *fact);
+            if let (true, Some(fact)) = (churn, first) {
+                // Re-state a live fact and take it back: nets to
+                // nothing, but aliased a live atom on the way.
+                let id = graph.insert_fact(fact);
+                graph.remove(id).expect("just inserted");
+            }
+            let delta = graph.since(grounding.epoch()).expect("log retained");
+            grounding.apply_delta(&graph, &delta, &config);
+
+            // Flagged atoms the delta left in no clause (killed ones):
+            // the dirty pass looks at each once and finds nothing.
+            let in_a_clause: HashSet<u32> = grounding
+                .clauses
+                .iter()
+                .flat_map(|c| c.lits.iter().map(|l| l.atom.0))
+                .collect();
+            let stranded = grounding.component_index().map_or(0, |index| {
+                (0..grounding.num_atoms() as u32)
+                    .filter(|a| index.is_atom_dirty(AtomId(*a)) && !in_a_clause.contains(a))
+                    .count()
+            });
+            let mut reference = grounding.clone();
+            let full = reference.partition_components();
+            let dirty = grounding.partition_dirty_components();
+            prop_assert!(!full.is_unpartitionable());
+            prop_assert_eq!(rows(&dirty, false), rows(&full, true), "round {}", round);
+            prop_assert_eq!(dirty.dirty_count(), dirty.len());
+            let index = grounding.component_index().expect("partitioned");
+            prop_assert_eq!(index.component_count(), full.len(), "round {}", round);
+            let members: usize = (0..dirty.len()).map(|i| dirty.atoms(i).len()).sum();
+            prop_assert_eq!(dirty.atoms_visited(), members + stranded, "round {}", round);
+
+            world.resize(grounding.num_atoms(), false);
+            for i in 0..dirty.len() {
+                for atom in dirty.atoms(i) {
+                    bits ^= bits << 13;
+                    bits ^= bits >> 7;
+                    bits ^= bits << 17;
+                    world[atom.index()] = bits & 1 == 1;
+                }
+            }
+            let (cost, hard) = grounding.commit_components(&dirty, &world);
+            let (expected_cost, expected_hard) = evaluate_world(&grounding.clauses, &world);
+            prop_assert_eq!(hard, expected_hard, "round {}", round);
+            prop_assert!(
+                (cost - expected_cost).abs() <= 1e-9 * expected_cost.abs().max(1.0),
+                "round {}: ledger {} vs arena {}",
+                round,
+                cost,
+                expected_cost
+            );
+            prop_assert!(!grounding.component_index().expect("kept").any_dirty());
         }
     }
 }

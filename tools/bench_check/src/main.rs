@@ -170,7 +170,7 @@ impl RatioRule {
         }
         let ratio = a_ns as f64 / b_ns as f64;
         let line = format!(
-            "{a} / {b} = {} / {} = {ratio:.3} (allowed {:.3})",
+            "{a} / {b} = {} / {} = {ratio:.4} (allowed {:.4})",
             format_ms(a_ns),
             format_ms(b_ns),
             self.at_most
@@ -403,10 +403,10 @@ mod tests {
         // 8417035 / 9253598 = 0.9096.
         let loose = RatioRule::parse(&format!("{names}<=0.95")).unwrap();
         let line = loose.check(&entries).expect("within the bound");
-        assert!(line.contains("= 0.910"), "{line}");
+        assert!(line.contains("= 0.9096"), "{line}");
         let tight = RatioRule::parse(&format!("{names} <= 0.5")).unwrap();
         let failure = tight.check(&entries).expect_err("past the bound");
-        assert!(failure.contains("allowed 0.500"), "{failure}");
+        assert!(failure.contains("allowed 0.5000"), "{failure}");
         // A rule naming a benchmark the run did not report fails.
         let gone = RatioRule::parse("streaming_updates/incremental/mln-cpi/nope<=2").unwrap();
         assert!(gone.check(&entries).unwrap_err().contains("no split"));
