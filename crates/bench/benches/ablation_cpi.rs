@@ -1,12 +1,14 @@
 //! A1 — ablation of cutting-plane inference (DESIGN.md).
 //!
-//! RockIt's design bet is that lazily grounding only *violated*
-//! constraint instances beats eager grounding. Our eager grounder is
-//! already violation-only at grounding time (consequents are decidable
-//! on evidence), so the measured difference isolates (a) the deferred
-//! constraint-join work and (b) the re-solve loop, against (c) one
-//! bigger solve. Expected shape: CPI wins when conflicts are sparse and
-//! the gap narrows as conflict density rises.
+//! RockIt's design bet is that a solver which only ever sees the
+//! *violated* constraint instances beats one that carries them all.
+//! Our grounder is violation-only at grounding time (consequents are
+//! decidable on evidence), and both sides read the same arena — there
+//! is one constraint join, and it is the grounder's. So the measured
+//! difference isolates the re-solve loop (a relaxed solve, then one
+//! more per round of activated cuts) against one bigger solve.
+//! Expected shape: CPI wins when conflicts are sparse and the gap
+//! narrows as conflict density rises.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

@@ -19,9 +19,9 @@
 //!   component path re-solves tens of clauses instead of warm-walking
 //!   the whole problem.
 //!
-//! `mln-cpi` declines components by caps (lazy grounding) and falls
-//! back monolithically — its two variants are expected to tie, and
-//! being *in* the matrix pins exactly that.
+//! `mln-cpi` takes the component path like the others: a component is
+//! a sub-store the cutting-plane loop runs over, exact below its
+//! `exact_below` atoms.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;

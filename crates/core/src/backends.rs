@@ -24,10 +24,11 @@ use tecore_psl::{AdmmConfig, PslAdmm, PslConfig};
 pub enum Backend {
     /// MLN with the exact branch & bound solver.
     MlnExact,
-    /// MLN with MaxWalkSAT over the eager grounding.
+    /// MLN with MaxWalkSAT over the whole grounding.
     MlnWalkSat(WalkSatConfig),
-    /// MLN with cutting-plane inference (lazy constraint grounding) —
-    /// the nRockIt configuration.
+    /// MLN with cutting-plane inference (constraint groundings
+    /// activated only when an incumbent violates them) — the nRockIt
+    /// configuration.
     MlnCuttingPlane(CpiConfig),
     /// PSL solved by consensus ADMM — the nPSL configuration.
     PslAdmm {
@@ -79,11 +80,6 @@ impl SolverHandle {
     /// Wraps a concrete solver.
     pub fn new(solver: impl MapSolver + 'static) -> Self {
         SolverHandle(Arc::new(solver))
-    }
-
-    /// Wraps an already-shared solver.
-    pub fn from_arc(solver: Arc<dyn MapSolver>) -> Self {
-        SolverHandle(solver)
     }
 
     /// The underlying shared solver.
@@ -146,7 +142,6 @@ mod tests {
     #[test]
     fn default_backend_is_cpi() {
         assert_eq!(SolverHandle::default().name(), "mln-cpi");
-        assert!(SolverHandle::default().caps().lazy_grounding);
     }
 
     #[test]

@@ -192,14 +192,6 @@ impl<T> ListPatch<T> {
         ListPatch { drop: gone, add }
     }
 
-    /// The patch that replaces all `len` entries by `items`.
-    pub(crate) fn replace(len: usize, items: Vec<T>) -> Self {
-        ListPatch {
-            drop: (0..len).collect(),
-            add: items.into_iter().map(|item| (len, item)).collect(),
-        }
-    }
-
     /// The same edits for a list that runs parallel to the patched one.
     pub(crate) fn map<U>(&self, f: impl Fn(&T) -> U) -> ListPatch<U> {
         ListPatch {
@@ -712,12 +704,7 @@ pub(crate) fn carry_forward(prev: Carried, now: Resolved<'_>) -> Option<Forwarde
     patch.inferred = inferred.map(|i| Arc::clone(&i.fact));
     inferred.apply(&mut maps.inferred);
     // Conflicts: only the groundings the deltas touched.
-    patch.conflicts = if grounding.constraints_grounded_eagerly() {
-        maps.conflicts.apply(grounding, changes.constraints)
-    } else {
-        maps.conflicts = Conflicts::of(grounding);
-        ListPatch::replace(view.conflicts.len(), maps.conflicts.list())
-    };
+    patch.conflicts = maps.conflicts.apply(grounding, changes.constraints);
     view.apply(&patch);
 
     let mut stats = DebugStats {

@@ -32,8 +32,7 @@ use std::time::Instant;
 use tecore_ground::component::{ComponentView, Partition};
 use tecore_ground::incremental::DeltaStats;
 use tecore_ground::{
-    AtomId, ComponentIndex, ComponentMode, GroundConfig, Grounding, JoinPlanner, MapState,
-    SolveError, SolveOpts,
+    AtomId, ComponentIndex, ComponentMode, Grounding, JoinPlanner, MapState, SolveOpts,
 };
 use tecore_kg::{Delta, FactId, TemporalFact, UtkGraph};
 use tecore_logic::LogicProgram;
@@ -102,8 +101,8 @@ pub(crate) enum Moved {
 /// The **component-wise solve driver** — the seam between the engine
 /// and the configured [`MapSolver`](tecore_ground::MapSolver).
 ///
-/// When the backend declares [`SolverCaps::components`] (and does not
-/// ground lazily) and the mode allows it, the ground problem is solved
+/// When the backend declares [`SolverCaps::components`] and the mode
+/// allows it, the ground problem is solved
 /// one independent conflict component at a time
 /// (`tecore_ground::component`). Without a previous state that is every
 /// component (the full partition pass). With one it is the components a
@@ -127,11 +126,7 @@ fn solve_dispatch(
     mode: ComponentMode,
 ) -> Result<SolveOutcome, TecoreError> {
     let caps = solver.caps();
-    // A lazily grounded arena lacks the not-yet-activated constraint
-    // couplings, so a clause-connectivity partition over it would be
-    // unsound — such backends always solve monolithically.
-    let component_capable = caps.components && !caps.lazy_grounding;
-    let use_components = component_capable
+    let use_components = caps.components
         && match mode {
             ComponentMode::Monolithic => false,
             ComponentMode::Components => true,
@@ -267,10 +262,9 @@ fn monolithic_solve(
     let opts = SolveOpts {
         seed: None,
         warm_start: warm.as_ref().filter(|_| solver.caps().warm_start),
-        component_mode: ComponentMode::Monolithic,
     };
     let state = solver.solve(grounding, &opts)?;
-    check_solver_contract(solver, grounding, &state)?;
+    check_solver_contract(solver, &state, grounding.num_atoms(), false)?;
     Ok(SolveOutcome {
         state,
         components: 0,
@@ -298,48 +292,9 @@ fn solve_one_component(
     let local_opts = SolveOpts {
         seed: None,
         warm_start: local_warm_state.as_ref(),
-        component_mode: ComponentMode::Monolithic,
     };
     let state = solver.solve_component(&view, &local_opts)?;
-    // The per-component state contract mirrors `check_solver_contract`:
-    // local vector lengths must match the view, and soft values must be
-    // present exactly when the caps declare them (otherwise the merge
-    // would silently fabricate 0/1 confidences for the component).
-    let violation = if state.assignment.len() != view.num_atoms() {
-        Some(format!(
-            "returned {} assignments for a {}-atom component",
-            state.assignment.len(),
-            view.num_atoms()
-        ))
-    } else if state
-        .soft_values
-        .as_ref()
-        .is_some_and(|v| v.len() != view.num_atoms())
-    {
-        Some(format!(
-            "returned {} soft values for a {}-atom component",
-            state.soft_values.as_ref().map_or(0, Vec::len),
-            view.num_atoms()
-        ))
-    } else if solver.caps().soft_values != state.soft_values.is_some() {
-        Some(format!(
-            "caps declare soft_values = {} but the component solve {} them",
-            solver.caps().soft_values,
-            if state.soft_values.is_some() {
-                "returned"
-            } else {
-                "omitted"
-            }
-        ))
-    } else {
-        None
-    };
-    if let Some(violation) = violation {
-        return Err(TecoreError::Solve(SolveError::Backend(format!(
-            "solver `{}` {violation}",
-            solver.name()
-        ))));
-    }
+    check_solver_contract(solver, &state, view.num_atoms(), true)?;
     Ok(state)
 }
 
@@ -729,28 +684,22 @@ impl Engine {
         self.fallback_regrounds
     }
 
-    /// The grounding configuration actually used: the backend's caps
-    /// decide whether constraints ground eagerly or lazily, and the
-    /// incremental path must keep applying the same choice.
-    fn effective_ground_config(&self) -> GroundConfig {
-        let mut config = self.config.ground.clone();
-        config.ground_constraints = !self.config.backend.caps().lazy_grounding;
-        config
-    }
-
     /// Applies a delta to the cached grounding, if one exists and the
     /// delta starts at its epoch. Returns the delta statistics, or
     /// `None` when there is no cached materialisation to update (or
     /// the epochs don't line up — the cache is then invalidated and
     /// the next resolve re-grounds).
     pub fn apply_delta(&mut self, delta: &Delta) -> Option<DeltaStats> {
-        let config = self.effective_ground_config();
         let engine = self.cache.as_mut()?;
         if engine.grounding.epoch() != delta.from_epoch {
             self.cache = None;
             return None;
         }
-        Some(engine.grounding.apply_delta(&self.graph, delta, &config))
+        Some(
+            engine
+                .grounding
+                .apply_delta(&self.graph, delta, &self.config.ground),
+        )
     }
 
     /// Stamps a resolution with the current graph epoch and publishes
@@ -813,8 +762,9 @@ impl Engine {
         let mut engine = match self.cache.take() {
             Some(mut engine) => match self.graph.since(engine.grounding.epoch()) {
                 Some(delta) => {
-                    let config = self.effective_ground_config();
-                    engine.grounding.apply_delta(&self.graph, &delta, &config);
+                    engine
+                        .grounding
+                        .apply_delta(&self.graph, &delta, &self.config.ground);
                     // Usually the very same delta; not after a public
                     // `apply_delta` moved the grounding ahead on its own.
                     let carried_at = engine.carried.as_ref().map(|c| c.snapshot.epoch());
@@ -1558,6 +1508,10 @@ mod tests {
     fn apply_delta_ahead_of_the_resolve_is_carried_and_timed() {
         let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
         let mut engine = Engine::new(wide_graph(), program);
+        engine.resolve_incremental().unwrap();
+        // The first warm solve moves a cold (monolithic) result onto
+        // the component path, every component solved once; from the
+        // second on an edit re-solves what it touched.
         let primed = engine.resolve_incremental().unwrap();
         engine
             .insert_fact("p1", "coach", "c9", iv(2001, 2003), 0.58)

@@ -14,7 +14,6 @@
 
 use std::sync::Arc;
 
-use tecore_ground::violation::violated_clauses;
 use tecore_ground::{AtomKind, ClauseOrigin, ConstraintKey, Grounding, Lit};
 
 use crate::carry::ListPatch;
@@ -57,9 +56,6 @@ pub fn explain_conflicts(grounding: &Grounding) -> Vec<ConflictExplanation> {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Conflicts {
     /// The explanations, each with the key of its clause, ascending.
-    /// Under a lazily grounded backend the conflicts come out of a
-    /// search rather than the arena, in search order, and are
-    /// re-searched per resolve: the keys are then not to be relied on.
     /// (Keys are boxed: patching shifts entries, two words each.)
     entries: Vec<(ConstraintKey, Arc<ConflictExplanation>)>,
     /// Conflicts per formula index.
@@ -67,43 +63,23 @@ pub(crate) struct Conflicts {
 }
 
 impl Conflicts {
-    /// Under an eagerly grounded backend this is a read off the clause
-    /// arena: a constraint grounding violated by keep-everything is
-    /// exactly a live `Formula`-origin clause with no positive literal
-    /// (rule clauses carry their positive head, which is alive and
-    /// hence satisfied). Lazily grounded backends (cutting-plane) need
-    /// the match search — their arena deliberately lacks the constraint
-    /// clauses.
+    /// A read off the clause arena: a constraint grounding violated by
+    /// keep-everything is exactly a live `Formula`-origin clause with no
+    /// positive literal (rule clauses carry their positive head, which
+    /// is alive and hence satisfied).
     pub(crate) fn of(grounding: &Grounding) -> Conflicts {
-        let keys: Vec<ConstraintKey> = if grounding.constraints_grounded_eagerly() {
-            let mut keys: Vec<ConstraintKey> = grounding
-                .clauses
-                .iter()
-                .filter_map(|c| match c.origin {
-                    ClauseOrigin::Formula(idx) if c.lits.iter().all(|l| !l.positive) => {
-                        Some((idx, c.lits.to_vec()))
-                    }
-                    _ => None,
-                })
-                .collect();
-            // (The arena is already duplicate-free.)
-            keys.sort_unstable();
-            keys
-        } else {
-            // "Keep everything" means every *live* atom; atoms retracted
-            // by incremental deltas keep their slot but are not part of
-            // the KG.
-            let all_true: Vec<bool> = (0..grounding.num_atoms())
-                .map(|i| grounding.store.is_alive(tecore_ground::AtomId(i as u32)))
-                .collect();
-            violated_clauses(&grounding.store, &grounding.program, &all_true)
-                .into_iter()
-                .filter_map(|clause| match clause.origin {
-                    ClauseOrigin::Formula(idx) => Some((idx, clause.lits)),
-                    _ => None,
-                })
-                .collect()
-        };
+        let mut keys: Vec<ConstraintKey> = grounding
+            .clauses
+            .iter()
+            .filter_map(|c| match c.origin {
+                ClauseOrigin::Formula(idx) if c.lits.iter().all(|l| !l.positive) => {
+                    Some((idx, c.lits.to_vec()))
+                }
+                _ => None,
+            })
+            .collect();
+        // (The arena is already duplicate-free.)
+        keys.sort_unstable();
         let mut per_formula = vec![0; grounding.program.formulas.len()];
         let entries = keys
             .into_iter()
@@ -216,11 +192,13 @@ fn explanation(grounding: &Grounding, idx: usize, lits: &[Lit]) -> ConflictExpla
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
     use tecore_ground::{ground, GroundConfig};
     use tecore_kg::parser::parse_graph;
+    use tecore_kg::UtkGraph;
     use tecore_logic::LogicProgram;
 
-    fn grounding() -> Grounding {
+    fn input() -> (UtkGraph, LogicProgram) {
         let graph = parse_graph(
             "(CR, coach, Chelsea, [2000,2004]) 0.9\n\
              (CR, coach, Leicester, [2015,2017]) 0.7\n\
@@ -231,22 +209,31 @@ mod tests {
             "c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf",
         )
         .unwrap();
-        ground(&graph, &program, &GroundConfig::default()).unwrap()
+        (graph, program)
     }
 
     #[test]
     fn explains_the_chelsea_napoli_clash() {
-        let explanations = explain_conflicts(&grounding());
-        assert_eq!(explanations.len(), 1);
-        let e = &explanations[0];
-        assert_eq!(e.constraint, "c2");
-        assert_eq!(e.participants.len(), 2);
-        let text = e.to_string();
-        assert!(text.contains("Chelsea"), "{text}");
-        assert!(text.contains("Napoli"), "{text}");
-        assert!(!text.contains("Leicester"), "{text}");
-        // Confidence round-trips through the log-odds display mapping.
-        assert!(text.contains("0.90") || text.contains("0.9"), "{text}");
+        let (graph, program) = input();
+        let off_the_arena =
+            explain_conflicts(&ground(&graph, &program, &GroundConfig::default()).unwrap());
+        // The default (cutting-plane) engine lists the same conflict.
+        let mut engine = Engine::new(graph, program);
+        assert_eq!(engine.config().backend.name(), "mln-cpi");
+        let snapshot = engine.resolve().unwrap();
+        let through_the_engine = snapshot.conflicts.iter().map(|e| (**e).clone()).collect();
+        for explanations in [off_the_arena, through_the_engine] {
+            assert_eq!(explanations.len(), 1);
+            let e: &ConflictExplanation = &explanations[0];
+            assert_eq!(e.constraint, "c2");
+            assert_eq!(e.participants.len(), 2);
+            let text = e.to_string();
+            assert!(text.contains("Chelsea"), "{text}");
+            assert!(text.contains("Napoli"), "{text}");
+            assert!(!text.contains("Leicester"), "{text}");
+            // Confidence round-trips through the log-odds display mapping.
+            assert!(text.contains("0.90") || text.contains("0.9"), "{text}");
+        }
     }
 
     #[test]

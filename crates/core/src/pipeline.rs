@@ -46,8 +46,7 @@ pub struct TecoreConfig {
     /// The reasoner. Any [`SolverHandle`] works here; [`Backend`] specs
     /// convert with `.into()`, registry entries come as-is.
     pub backend: SolverHandle,
-    /// Grounding options (`ground_constraints` is overridden per
-    /// backend by the translator, driven by the solver's caps).
+    /// Grounding options, the same for every backend.
     pub ground: GroundConfig,
     /// Confidence threshold for derived facts ("remove derived facts
     /// below that" — paper §1). `0.0` keeps everything.
@@ -57,57 +56,50 @@ pub struct TecoreConfig {
     /// Conflict-component treatment for the solve step: partition the
     /// ground problem into independent components and solve them
     /// separately (default [`ComponentMode::Auto`]), or force one
-    /// monolithic solve. Copied into
-    /// [`SolveOpts::component_mode`](tecore_ground::SolveOpts) by the
-    /// engine; changing it never invalidates the cached incremental
-    /// grounding.
+    /// monolithic solve. Read by the engine's solve driver; changing
+    /// it never invalidates the cached incremental grounding.
     pub component_mode: ComponentMode,
 }
 
-/// Enforces the MapSolver contract on plugin backends: wrong vector
-/// lengths or a caps/state mismatch must surface as the documented
-/// error, not as an index panic (or silently wrong confidences)
-/// further down.
+/// Enforces the MapSolver contract on plugin backends — for a solve of
+/// the whole grounding and for one of a component in its local id
+/// space alike, `expected` being the number of atoms solved over: wrong
+/// vector lengths or a caps/state mismatch must surface as the
+/// documented error, not as an index panic (or silently fabricated 0/1
+/// confidences) further down.
 pub(crate) fn check_solver_contract(
     solver: &SolverHandle,
-    grounding: &Grounding,
     state: &MapState,
+    expected: usize,
+    component: bool,
 ) -> Result<(), TecoreError> {
-    let contract_violation = if state.assignment.len() != grounding.num_atoms() {
-        Some(format!(
-            "returned {} assignments for {} ground atoms",
-            state.assignment.len(),
-            grounding.num_atoms()
-        ))
-    } else if state
-        .soft_values
-        .as_ref()
-        .is_some_and(|v| v.len() != grounding.num_atoms())
-    {
-        Some(format!(
-            "returned {} soft values for {} ground atoms",
-            state.soft_values.as_ref().map_or(0, Vec::len),
-            grounding.num_atoms()
-        ))
-    } else if solver.caps().soft_values != state.soft_values.is_some() {
-        Some(format!(
-            "caps declare soft_values = {} but the solve {} them",
+    let over = if component {
+        format!("a {expected}-atom component")
+    } else {
+        format!("{expected} ground atoms")
+    };
+    let soft = state.soft_values.as_ref();
+    let violation = if state.assignment.len() != expected {
+        format!("returned {} assignments for {over}", state.assignment.len())
+    } else if let Some(values) = soft.filter(|v| v.len() != expected) {
+        format!("returned {} soft values for {over}", values.len())
+    } else if solver.caps().soft_values != soft.is_some() {
+        format!(
+            "caps declare soft_values = {} but the {}solve {} them",
             solver.caps().soft_values,
-            if state.soft_values.is_some() {
+            if component { "component " } else { "" },
+            if soft.is_some() {
                 "returned"
             } else {
                 "omitted"
             }
-        ))
+        )
     } else {
-        None
+        return Ok(());
     };
-    match contract_violation {
-        Some(violation) => Err(TecoreError::Solve(tecore_ground::SolveError::Backend(
-            format!("solver `{}` {violation}", solver.name()),
-        ))),
-        None => Ok(()),
-    }
+    Err(TecoreError::Solve(tecore_ground::SolveError::Backend(
+        format!("solver `{}` {violation}", solver.name()),
+    )))
 }
 
 /// Interprets a MAP state as a repaired knowledge graph, reading the

@@ -186,13 +186,6 @@ impl<'a> TemporalQuery<'a> {
         self
     }
 
-    /// Restricts to facts with this subject symbol.
-    #[must_use]
-    pub fn subject_sym(mut self, sym: Symbol) -> Self {
-        self.subject = TermFilter::Is(sym);
-        self
-    }
-
     /// Restricts to facts with this predicate.
     #[must_use]
     pub fn predicate(mut self, term: &str) -> Self {
@@ -200,24 +193,10 @@ impl<'a> TemporalQuery<'a> {
         self
     }
 
-    /// Restricts to facts with this predicate symbol.
-    #[must_use]
-    pub fn predicate_sym(mut self, sym: Symbol) -> Self {
-        self.predicate = TermFilter::Is(sym);
-        self
-    }
-
     /// Restricts to facts with this object.
     #[must_use]
     pub fn object(mut self, term: &str) -> Self {
         self.object = self.resolve_term(term);
-        self
-    }
-
-    /// Restricts to facts with this object symbol.
-    #[must_use]
-    pub fn object_sym(mut self, sym: Symbol) -> Self {
-        self.object = TermFilter::Is(sym);
         self
     }
 

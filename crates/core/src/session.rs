@@ -226,11 +226,6 @@ impl Session {
         &self.registry
     }
 
-    /// Mutable access to the solver registry.
-    pub fn registry_mut(&mut self) -> &mut SolverRegistry {
-        &mut self.registry
-    }
-
     /// Sets the conflict-component treatment for the solve step (see
     /// [`ComponentMode`](tecore_ground::ComponentMode)). The mode only
     /// affects solve dispatch, never the grounding, so a primed

@@ -6,12 +6,12 @@
 //! to the expressivity of the solver." (paper §2.1)
 //!
 //! Concretely: validate every formula against the backend's declared
-//! [`SolverCaps`], then ground (`tecore-ground`). A backend that
-//! grounds constraint violations lazily (`caps.lazy_grounding`, e.g.
-//! cutting-plane inference) gets its constraint grounding deferred;
-//! everything else grounds eagerly. The translator never inspects
-//! *which* backend it serves — only what the backend declared it can
-//! do — so new backends steer translation purely through their caps.
+//! [`SolverCaps`], then ground (`tecore-ground`). Every backend gets
+//! the same grounding — rules, evidence, priors and every violated
+//! constraint grounding; what a solver does with the arena (cutting
+//! planes, components) is its own business. The translator never
+//! inspects *which* backend it serves — only the fragment the backend
+//! declared it accepts.
 
 use tecore_ground::{ground, GroundConfig, Grounding, SolverCaps};
 use tecore_kg::UtkGraph;
@@ -25,14 +25,12 @@ pub fn translate(
     graph: &UtkGraph,
     program: &LogicProgram,
     caps: &SolverCaps,
-    base: &GroundConfig,
+    config: &GroundConfig,
 ) -> Result<Grounding, TecoreError> {
     for f in program.formulas() {
         check_expressivity(f, caps.expressivity)?;
     }
-    let mut config = base.clone();
-    config.ground_constraints = !caps.lazy_grounding;
-    Ok(ground(graph, program, &config)?)
+    Ok(ground(graph, program, config)?)
 }
 
 #[cfg(test)]
@@ -63,25 +61,18 @@ mod tests {
     }
 
     #[test]
-    fn lazy_caps_defer_constraints() {
+    fn caps_do_not_steer_the_grounding() {
         let graph = parse_graph("(a, coach, b, [1,5]) 0.9\n(a, coach, c, [2,4]) 0.5\n").unwrap();
         let program = LogicProgram::parse(
             "c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf",
         )
         .unwrap();
-        let eager = translate(
-            &graph,
-            &program,
-            &SolverCaps::mln(),
-            &GroundConfig::default(),
-        )
-        .unwrap();
-        let lazy_caps = SolverCaps {
-            lazy_grounding: true,
-            ..SolverCaps::mln()
-        };
-        let lazy = translate(&graph, &program, &lazy_caps, &GroundConfig::default()).unwrap();
-        assert_eq!(eager.stats.formula_clauses, 1);
-        assert_eq!(lazy.stats.formula_clauses, 0);
+        // The clash is in the arena whichever backend asked — the
+        // cutting-plane one included.
+        let cpi_caps = crate::SolverHandle::default().caps();
+        for caps in [SolverCaps::mln(), SolverCaps::psl(), cpi_caps] {
+            let g = translate(&graph, &program, &caps, &GroundConfig::default()).unwrap();
+            assert_eq!(g.stats.formula_clauses, 1);
+        }
     }
 }

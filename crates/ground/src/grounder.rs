@@ -32,29 +32,16 @@ pub(crate) const MAX_ROUNDS: usize = 16;
 pub(crate) const REPLAN_DRIFT: f64 = 0.5;
 
 /// Grounding configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GroundConfig {
     /// Pin confidence-1 facts as hard evidence (default: `false`, so a
     /// conflict between two "certain" facts stays resolvable).
     pub pin_certain: bool,
-    /// Ground constraint formulas eagerly (default `true`; cutting-plane
-    /// inference sets this to `false` and grounds violations lazily).
-    pub ground_constraints: bool,
     /// Join-order planner: cost-based over live cardinality statistics
     /// (default), or the compiler's syntactic heuristic. Either choice
     /// grounds the same clause multiset; only the enumeration work
     /// differs.
     pub planner: JoinPlanner,
-}
-
-impl Default for GroundConfig {
-    fn default() -> Self {
-        GroundConfig {
-            pin_certain: false,
-            ground_constraints: true,
-            planner: JoinPlanner::default(),
-        }
-    }
 }
 
 /// Statistics of one grounding run.
@@ -111,7 +98,8 @@ pub struct Grounding {
     pub clauses: ClauseStore,
     /// Dictionary covering the graph *and* head constants.
     pub dict: Dictionary,
-    /// The compiled program (used again by cutting-plane inference).
+    /// The compiled program (what deltas re-match and explanations
+    /// name constraints from).
     pub program: CompiledProgram,
     /// Evidence fact → atom mapping.
     pub fact_atoms: FxHashMap<FactId, AtomId>,
@@ -138,13 +126,6 @@ pub struct Grounding {
     /// incremental paths from then on; monolithic solves never pay for
     /// it.
     pub(crate) components: Option<crate::component::ComponentIndex>,
-    /// Were constraint formulas grounded eagerly
-    /// ([`GroundConfig::ground_constraints`])? When `true`, every
-    /// violated constraint grounding of the keep-everything world is
-    /// already a clause in the arena, so consumers (conflict
-    /// explanation) can read it off instead of re-running the match
-    /// search.
-    pub(crate) eager_constraints: bool,
     /// The join plan each formula was grounded with (chosen order,
     /// estimated vs observed match counts) — surfaced via
     /// `DebugStats::plans`.
@@ -229,13 +210,6 @@ impl Grounding {
     pub fn component_index(&self) -> Option<&crate::component::ComponentIndex> {
         self.components.as_ref()
     }
-
-    /// Were constraint formulas grounded eagerly? (`false` under a
-    /// lazy-grounding backend, where violations are searched per world
-    /// instead of being materialised in the arena.)
-    pub fn constraints_grounded_eagerly(&self) -> bool {
-        self.eager_constraints
-    }
 }
 
 /// Grounds `program` against `graph`.
@@ -292,9 +266,6 @@ pub fn ground(
         // atoms are interned only once every match is collected.
         let mut pending: Vec<(usize, Vec<AtomId>, Option<HeadKey>)> = Vec::new();
         for cf in &compiled.formulas {
-            if !(cf.consequent.derives() || config.ground_constraints) {
-                continue;
-            }
             let mut matches = 0usize;
             for delta_pos in 0..cf.body.len() {
                 enumerate_matches(
@@ -305,7 +276,6 @@ pub fn ground(
                         start: delta_start,
                         pos: delta_pos,
                     },
-                    None,
                     &mut |chosen, bindings| {
                         matches += 1;
                         collect_match(cf, chosen, bindings, &store, &mut pending);
@@ -376,7 +346,6 @@ pub fn ground(
         support: Vec::new(),
         dep_built: false,
         components: None,
-        eager_constraints: config.ground_constraints,
         plans,
         plan_fingerprint,
         changes: Default::default(),
@@ -493,7 +462,7 @@ fn head_time(
 }
 
 /// Evaluates a non-deriving consequent under complete bindings.
-pub(crate) fn consequent_holds(c: &CConsequent, bindings: &Bindings) -> bool {
+fn consequent_holds(c: &CConsequent, bindings: &Bindings) -> bool {
     match c {
         CConsequent::Quad { .. } => unreachable!("deriving consequent"),
         CConsequent::Temporal(tc) => tc.eval(&|v| bindings.interval(v)).unwrap_or(false),
@@ -516,7 +485,7 @@ pub(crate) fn consequent_holds(c: &CConsequent, bindings: &Bindings) -> bool {
 }
 
 #[inline]
-pub(crate) fn resolve_entity(t: &CTerm, bindings: &Bindings) -> Option<Symbol> {
+fn resolve_entity(t: &CTerm, bindings: &Bindings) -> Option<Symbol> {
     match t {
         CTerm::Sym(s) => Some(*s),
         CTerm::Var(v) => bindings.entity(*v),
@@ -524,7 +493,7 @@ pub(crate) fn resolve_entity(t: &CTerm, bindings: &Bindings) -> Option<Symbol> {
 }
 
 /// Evaluates one scheduled condition.
-pub(crate) fn eval_condition(c: &CCondition, bindings: &Bindings) -> bool {
+fn eval_condition(c: &CCondition, bindings: &Bindings) -> bool {
     match c {
         CCondition::Temporal(tc) => tc.eval(&|v| bindings.interval(v)).unwrap_or(false),
         CCondition::Numeric(cmp) => cmp.eval(&|v| bindings.interval(v)).unwrap_or(false),
@@ -554,9 +523,7 @@ pub(crate) fn eval_condition(c: &CCondition, bindings: &Bindings) -> bool {
 /// append atoms, so newness is an id range; the incremental delta path
 /// revives atoms at arbitrary old ids, so newness is a list.
 #[derive(Clone, Copy)]
-pub(crate) enum Frontier<'a> {
-    /// No restriction: enumerate every match once.
-    All,
+enum Frontier<'a> {
     /// New = atoms with `id >= start` (batch semi-naive rounds).
     Range { start: usize, pos: usize },
     /// New = the atoms listed in `new`, ascending (incremental deltas).
@@ -570,7 +537,6 @@ impl Frontier<'_> {
     #[inline]
     fn admits(&self, pat_idx: usize, id: AtomId) -> bool {
         match *self {
-            Frontier::All => true,
             Frontier::Range { start, pos } => {
                 let is_new = id.index() >= start;
                 if pat_idx == pos {
@@ -589,16 +555,12 @@ impl Frontier<'_> {
 ///
 /// * `horizon` — only atoms with `id < horizon` participate (atoms
 ///   created during the current round are next round's delta);
-/// * `frontier` — the semi-naive newness discipline (see [`Frontier`]);
-///   [`Frontier::All`] enumerates everything once.
-/// * `filter` — optional per-atom admission test (used by cutting-plane
-///   violation search with "atom is true in the current world").
-pub(crate) fn enumerate_matches(
+/// * `frontier` — the semi-naive newness discipline (see [`Frontier`]).
+fn enumerate_matches(
     store: &AtomStore,
     cf: &CompiledFormula,
     horizon: usize,
     frontier: Frontier<'_>,
-    filter: Option<&dyn Fn(AtomId) -> bool>,
     on_match: &mut dyn FnMut(&[AtomId], &Bindings),
 ) {
     let join = Join {
@@ -608,7 +570,7 @@ pub(crate) fn enumerate_matches(
         schedule: &cf.schedule,
         horizon,
         frontier,
-        filter,
+        filter: None,
     };
     join.descend(0, &mut Search::new(cf), on_match);
 }
@@ -1013,19 +975,6 @@ mod tests {
         let both = g.dict.lookup("both").unwrap();
         let (_, atom) = g.store.iter().find(|(_, a)| a.predicate == both).unwrap();
         assert_eq!(atom.interval, Interval::new(10, 22).unwrap());
-    }
-
-    #[test]
-    fn skip_constraints_config() {
-        let graph = parse_graph(RANIERI).unwrap();
-        let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
-        let config = GroundConfig {
-            ground_constraints: false,
-            ..GroundConfig::default()
-        };
-        let g = ground(&graph, &program, &config).unwrap();
-        // Only the f1 rule clause remains; c2's clash is deferred.
-        assert_eq!(g.stats.formula_clauses, 1);
     }
 
     #[test]

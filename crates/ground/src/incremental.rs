@@ -107,9 +107,7 @@ impl Grounding {
     /// the binding search only around the changed facts.
     ///
     /// `graph` must be the graph at `delta.to_epoch` and `config` the
-    /// configuration the grounding was built with (the pipeline passes
-    /// the same caps-adjusted config it grounds with, so lazily-grounded
-    /// constraints stay deferred across deltas).
+    /// configuration the grounding was built with.
     ///
     /// # Panics
     ///
@@ -295,14 +293,6 @@ impl Grounding {
         // --- 5. Semi-naive rounds of delta rules seeded from the
         // frontier. A dead atom revived by a second fact of the same
         // delta was alive by then, so no atom is listed twice. ---
-        let active: Vec<usize> = self
-            .program
-            .formulas
-            .iter()
-            .enumerate()
-            .filter(|(_, cf)| cf.consequent.derives() || config.ground_constraints)
-            .map(|(i, _)| i)
-            .collect();
         let mut rounds = 0;
         while !frontier.is_empty() && rounds < MAX_ROUNDS {
             rounds += 1;
@@ -310,12 +300,10 @@ impl Grounding {
             frontier.sort_unstable();
             let horizon = self.store.len();
             let mut pending: Vec<(usize, Vec<AtomId>, Option<HeadKey>)> = Vec::new();
-            let mut round_matches: Vec<(usize, usize)> = Vec::with_capacity(active.len());
             {
                 let store = &self.store;
                 let alive = |id: AtomId| store.is_alive(id);
-                for &fi in &active {
-                    let cf = &self.program.formulas[fi];
+                for (cf, plan) in self.program.formulas.iter().zip(&mut self.plans) {
                     let mut matches = 0usize;
                     for pos in 0..cf.body.len() {
                         stats.candidates_examined += enumerate_seeded(
@@ -331,11 +319,6 @@ impl Grounding {
                             },
                         );
                     }
-                    round_matches.push((fi, matches));
-                }
-            }
-            for (fi, matches) in round_matches {
-                if let Some(plan) = self.plans.get_mut(fi) {
                     plan.actual_matches += matches;
                 }
             }
@@ -766,26 +749,5 @@ mod tests {
         let stats = g.apply_delta(&graph, &delta, &config);
         assert_eq!(stats.clauses_emitted + stats.clauses_retracted, 0);
         assert_eq!(canonical_clauses(&g), before);
-    }
-
-    #[test]
-    fn lazy_constraint_config_stays_deferred_across_deltas() {
-        let mut graph = parse_graph("(CR, coach, Chelsea, [2000,2004]) 0.9\n").unwrap();
-        let config = GroundConfig {
-            ground_constraints: false,
-            ..GroundConfig::default()
-        };
-        let mut g = ground(&graph, &program(), &config).unwrap();
-        graph
-            .insert("CR", "coach", "Napoli", iv(2001, 2003), 0.6)
-            .unwrap();
-        let delta = graph.since(g.epoch()).unwrap();
-        g.apply_delta(&graph, &delta, &config);
-        assert!(
-            !g.clauses
-                .iter()
-                .any(|c| matches!(c.origin, ClauseOrigin::Formula(_))),
-            "constraints stay lazily grounded"
-        );
     }
 }

@@ -24,9 +24,11 @@
 //! chains (`playsFor → worksFor → livesIn`) terminate in as many rounds
 //! as the dependency depth.
 //!
-//! The module [`violation`] implements the *lazy* grounding used by
-//! cutting-plane inference (RockIt's key trick): given a candidate
-//! world, produce only the constraint groundings that world violates.
+//! This crate is the only code that grounds a constraint. The grounder
+//! is violation-only — a constraint grounding is emitted only when its
+//! consequent fails on the matched atoms — so the arena holds exactly
+//! the groundings cutting-plane inference (RockIt's key trick) could
+//! ever activate, and `tecore-mln`'s CPI picks its cuts from it.
 
 #![forbid(unsafe_code)]
 
@@ -39,7 +41,6 @@ pub mod grounder;
 pub mod incremental;
 pub mod planner;
 pub mod solver;
-pub mod violation;
 
 pub use atoms::{AtomId, AtomKind, AtomStore, GroundAtom};
 pub use bindings::Bindings;

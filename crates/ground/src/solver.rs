@@ -32,10 +32,6 @@ pub struct SolverCaps {
     /// care is taken to verify that the input adheres to the
     /// expressivity of the solver").
     pub expressivity: Expressivity,
-    /// `true` if the solver grounds constraint violations lazily
-    /// (cutting-plane style); the translator then defers eager
-    /// constraint grounding.
-    pub lazy_grounding: bool,
     /// `true` if [`MapState::soft_values`] is populated with per-atom
     /// soft truth values (PSL); the pipeline uses them as confidences
     /// for derived facts instead of sampling marginals.
@@ -52,10 +48,7 @@ pub struct SolverCaps {
     /// [`MapSolver::solve_component`] — MAP inference over one
     /// conflict-component sub-view in its local atom id space. The
     /// component-wise solve driver only dispatches per component to
-    /// backends that declare it (and that do *not* declare
-    /// [`SolverCaps::lazy_grounding`] — a lazily grounded arena does
-    /// not contain every atom coupling, so its clause-connectivity
-    /// partition would be unsound); everyone else gets the monolithic
+    /// backends that declare it; everyone else gets the monolithic
     /// [`MapSolver::solve`].
     pub components: bool,
 }
@@ -65,7 +58,6 @@ impl SolverCaps {
     pub fn mln() -> Self {
         SolverCaps {
             expressivity: Expressivity::Mln,
-            lazy_grounding: false,
             soft_values: false,
             exact: false,
             warm_start: false,
@@ -77,7 +69,6 @@ impl SolverCaps {
     pub fn psl() -> Self {
         SolverCaps {
             expressivity: Expressivity::Psl,
-            lazy_grounding: false,
             soft_values: true,
             exact: false,
             warm_start: false,
@@ -87,13 +78,12 @@ impl SolverCaps {
 }
 
 /// How the solve driver treats conflict components (see
-/// `tecore-ground::component`). Carried on [`SolveOpts`] so one solve
-/// can override the session default.
+/// `tecore-ground::component`). Interpreted by the solve *driver*
+/// (`tecore-core`), never by a backend.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ComponentMode {
     /// Partition when the backend supports it
-    /// ([`SolverCaps::components`] without
-    /// [`SolverCaps::lazy_grounding`]) and the problem actually splits;
+    /// ([`SolverCaps::components`]) and the problem actually splits;
     /// a single-component problem falls back to one monolithic solve.
     #[default]
     Auto,
@@ -126,11 +116,6 @@ pub struct SolveOpts<'a> {
     /// In a [`MapSolver::solve_component`] call the state is in the
     /// component's *local* atom id space (the driver remaps it).
     pub warm_start: Option<&'a MapState>,
-    /// Conflict-component treatment. Interpreted by the solve *driver*
-    /// (`tecore-core`), not by individual backends — a backend handed
-    /// these opts through [`MapSolver::solve`] is already on the
-    /// monolithic path and ignores the field.
-    pub component_mode: ComponentMode,
 }
 
 /// The result of MAP inference, backend-agnostic.
@@ -143,8 +128,8 @@ pub struct MapState {
     /// All hard clauses satisfied?
     pub feasible: bool,
     /// Clauses in the solver's final active set (== grounding size for
-    /// eager backends; the cutting-plane solver reports its lazily
-    /// activated subset).
+    /// most backends; the cutting-plane solver reports the relaxed
+    /// problem plus the constraint groundings it activated).
     pub active_clauses: usize,
     /// Per-atom soft truth values in `[0, 1]`, when the backend computes
     /// them (see [`SolverCaps::soft_values`]).

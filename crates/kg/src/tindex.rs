@@ -118,13 +118,6 @@ impl IntervalIndex {
         self.iter_overlapping(window).collect()
     }
 
-    /// Visits facts intersecting `window` without allocating.
-    pub fn for_each_overlapping(&self, window: Interval, mut visit: impl FnMut(FactId)) {
-        for id in self.iter_overlapping(window) {
-            visit(id);
-        }
-    }
-
     /// Zero-allocation iterator over facts intersecting `window`, in
     /// descending start order.
     ///

@@ -19,10 +19,11 @@
 //!   hard clauses (small/medium instances, and the test oracle);
 //! * [`solver::walksat`] — MaxWalkSAT stochastic local search (large
 //!   instances);
-//! * [`solver::cpi`] — **cutting-plane inference**: RockIt's lazy
-//!   grounding loop, re-solving on the violated constraint instances
-//!   only (this is what makes MLN-based debugging feasible at
-//!   FootballDB scale);
+//! * [`solver::cpi`] — **cutting-plane inference**: RockIt's loop of
+//!   solving a relaxed problem and activating only the constraint
+//!   groundings the incumbent violates, picked from the grounded arena
+//!   (this is what makes MLN-based debugging feasible at FootballDB
+//!   scale);
 //! * [`marginal`] — a Gibbs sampler for per-atom marginals, backing the
 //!   demo's "remove derived facts below a threshold" feature.
 
@@ -62,11 +63,7 @@ impl MlnSolver {
         }
     }
 
-    /// Runs MAP inference on an (eagerly grounded) problem.
-    ///
-    /// For [`MlnSolver::CuttingPlane`] prefer [`CpiSolver::solve_lazy`]
-    /// with a lazily-grounded `Grounding` (constraints deferred); this
-    /// entry point still works but loses the laziness advantage.
+    /// Runs MAP inference on a grounding.
     pub fn solve(&self, grounding: &Grounding) -> MapResult {
         let problem = SatProblem::from_grounding(grounding);
         match self {

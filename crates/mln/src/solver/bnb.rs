@@ -34,13 +34,6 @@ impl BranchAndBound {
         BranchAndBound::default()
     }
 
-    /// Creates a solver with a node budget.
-    pub fn with_budget(node_budget: u64) -> Self {
-        BranchAndBound {
-            node_budget: Some(node_budget),
-        }
-    }
-
     /// Solves the problem exactly (or best-effort within the budget).
     pub fn solve(&self, problem: &SatProblem<'_>) -> MapResult {
         let start = Instant::now();

@@ -1,27 +1,30 @@
-//! Cutting-plane inference (CPI) — RockIt's lazy-grounding MAP loop.
+//! Cutting-plane inference (CPI) — RockIt's MAP loop, as an active-set
+//! method over the grounded arena.
 //!
-//! Eagerly grounding every constraint instance is what makes naive MLN
-//! inference explode: a constraint like the paper's c2 is quadratic in
-//! the facts per subject, and almost all of its groundings are trivially
-//! satisfied. CPI instead:
+//! A constraint like the paper's c2 is quadratic in the facts per
+//! subject, and a solver that carries every grounding of it through
+//! every step pays for couplings that never bind. CPI instead:
 //!
-//! 1. solves a relaxed problem containing only rule clauses, evidence
-//!    units and priors;
-//! 2. searches for constraint groundings **violated by the current
-//!    solution** (`tecore_ground::violation`);
-//! 3. adds them as cutting planes and re-solves;
-//! 4. stops when no new violated grounding exists.
+//! 1. solves a relaxed problem holding everything except the *cut
+//!    candidates* — the violated-constraint groundings, i.e. formula
+//!    clauses without a positive literal;
+//! 2. picks the candidates **violated by the current solution**;
+//! 3. activates them as cutting planes and re-solves;
+//! 4. stops when no candidate is newly violated.
 //!
-//! On conflict-sparse KGs the active clause set stays proportional to
-//! the number of *actual* conflicts, not potential ones — the ablation
-//! bench `ablation_cpi` measures exactly this effect.
+//! The candidates are read off the arena, not searched for: the
+//! grounder (`tecore-ground`) is violation-only — it emits a constraint
+//! grounding only where the consequent fails on the matched atoms — so
+//! the arena holds exactly the clauses CPI could ever activate, and the
+//! repository has one implementation of the constraint join. What stays
+//! lazy is the solver's view: a grounding whose body MAP rejects anyway
+//! (say, one over a hidden atom the relaxed problem leaves false) is
+//! never activated. The ablation bench `ablation_cpi` times the
+//! re-solve loop against one solve over the whole arena.
 
 use std::time::Instant;
 
-use tecore_kg::fxhash::FxHashSet;
-
-use tecore_ground::violation::violated_clauses;
-use tecore_ground::{ClauseStore, Grounding, Lit};
+use tecore_ground::{ClauseId, ClauseOrigin, ClauseRef, ClauseStore, ComponentView, Grounding};
 
 use crate::problem::{MapResult, SatProblem, SolveStats};
 use crate::solver::bnb::BranchAndBound;
@@ -54,62 +57,79 @@ pub struct CpiSolver {
     config: CpiConfig,
 }
 
+/// Is `clause` a constraint grounding CPI may hold back — a formula
+/// clause "you cannot keep all of these" with nothing to derive? (The
+/// predicate conflict explanation reads conflicts off the arena with.)
+fn is_cut_candidate(clause: &ClauseRef<'_>) -> bool {
+    matches!(clause.origin, ClauseOrigin::Formula(_)) && clause.lits.iter().all(|l| !l.positive)
+}
+
 impl CpiSolver {
     /// Creates a solver.
     pub fn new(config: CpiConfig) -> Self {
         CpiSolver { config }
     }
 
-    /// Solves MAP over a grounding whose constraints were **deferred**
-    /// (`GroundConfig::ground_constraints = false`). Also correct on an
-    /// eager grounding (the violation search then finds nothing new
-    /// after round one).
+    /// Solves MAP over a grounding. "Lazy" is what the solver does, not
+    /// the grounder: every constraint grounding is already in the arena,
+    /// and this **activates lazily** — only the groundings an incumbent
+    /// violates ever enter the problem the inner solver sees.
     pub fn solve_lazy(&self, grounding: &Grounding) -> MapResult {
+        self.solve_clauses(grounding.num_atoms(), &grounding.clauses)
+    }
+
+    /// The cutting-plane loop over a clause arena — the whole grounding
+    /// or a component sub-store (whose atom ids are already local).
+    fn solve_clauses(&self, n_atoms: usize, clauses: &ClauseStore) -> MapResult {
         let start = Instant::now();
-        let n = grounding.num_atoms();
-        // The active set starts as a copy of the grounding's arena
-        // (bulk array clone, no per-clause re-boxing) and grows by the
-        // cutting planes each round discovers.
-        let mut active: ClauseStore = grounding.clauses.clone();
-        let mut seen: FxHashSet<(usize, Vec<Lit>)> = active
-            .iter()
-            .map(|c| (origin_key(c.origin), c.lits.to_vec()))
-            .collect();
+        let mut active = ClauseStore::with_capacity(clauses.len(), clauses.len());
+        let mut candidates: Vec<ClauseId> = Vec::new();
+        for clause in clauses.iter() {
+            if is_cut_candidate(&clause) {
+                candidates.push(clause.id);
+            } else {
+                active.push_lits(clause.lits, clause.weight, clause.origin);
+            }
+        }
 
         let mut rounds = 0u32;
-        let mut steps = 0u64;
-        let mut result = self.inner_solve(n, &active);
-        steps += result.stats.steps;
+        let mut result = self.inner_solve(n_atoms, &active);
+        let mut steps = result.stats.steps;
         loop {
             rounds += 1;
             if rounds > self.config.max_rounds {
                 break;
             }
-            let violated =
-                violated_clauses(&grounding.store, &grounding.program, &result.assignment);
-            let mut added = 0;
-            for clause in violated {
-                let key = (origin_key(clause.origin), clause.lits.clone());
-                if seen.insert(key) {
-                    active.push(clause);
-                    added += 1;
+            let waiting = candidates.len();
+            candidates.retain(|&id| {
+                let clause = clauses.get(id);
+                let holds = clause.satisfied_by(&result.assignment);
+                if !holds {
+                    active.push_lits(clause.lits, clause.weight, clause.origin);
                 }
-            }
-            if added == 0 {
+                holds
+            });
+            if candidates.len() == waiting {
                 break;
             }
-            result = self.inner_solve(n, &active);
+            result = self.inner_solve(n_atoms, &active);
             steps += result.stats.steps;
         }
 
+        // Cost and feasibility are the whole arena's: equal to the
+        // active set's when the loop converged (a waiting candidate is
+        // a satisfied clause), and still true when it hit the round cap.
+        let (cost, hard_violations) = tecore_ground::evaluate_world(clauses, &result.assignment);
         MapResult {
+            assignment: result.assignment,
+            cost,
+            feasible: hard_violations == 0,
             stats: SolveStats {
                 steps,
                 rounds,
                 active_clauses: active.len(),
                 elapsed: start.elapsed(),
             },
-            ..result
         }
     }
 
@@ -121,6 +141,27 @@ impl CpiSolver {
             MaxWalkSat::new(self.config.walksat.clone()).solve(&problem)
         }
     }
+
+    /// Shared [`tecore_ground::MapSolver`] entry: applies the seed
+    /// override from `opts`. CPI rebuilds its active set on every
+    /// solve; caps.warm_start stays false, so opts.warm_start is never
+    /// offered (and would be ignored).
+    fn solve_opts(
+        &self,
+        n_atoms: usize,
+        clauses: &ClauseStore,
+        opts: &tecore_ground::SolveOpts<'_>,
+    ) -> tecore_ground::MapState {
+        let result = match opts.seed {
+            Some(seed) => {
+                let mut config = self.config.clone();
+                config.walksat.seed = seed;
+                CpiSolver::new(config).solve_clauses(n_atoms, clauses)
+            }
+            None => self.solve_clauses(n_atoms, clauses),
+        };
+        result.into_map_state()
+    }
 }
 
 impl tecore_ground::MapSolver for CpiSolver {
@@ -130,13 +171,7 @@ impl tecore_ground::MapSolver for CpiSolver {
 
     fn caps(&self) -> tecore_ground::SolverCaps {
         tecore_ground::SolverCaps {
-            // Lazy constraint grounding is the whole point of CPI: the
-            // translator defers eager constraint grounding for us.
-            // `components` stays false for the same reason: the arena
-            // lacks the not-yet-activated constraint couplings, so a
-            // clause-connectivity partition over it would be unsound —
-            // CPI always solves monolithically.
-            lazy_grounding: true,
+            components: true,
             ..tecore_ground::SolverCaps::mln()
         }
     }
@@ -144,28 +179,18 @@ impl tecore_ground::MapSolver for CpiSolver {
     fn solve(
         &self,
         grounding: &Grounding,
-        // CPI re-derives its active set from scratch each solve;
-        // caps.warm_start stays false, so opts.warm_start is never
-        // offered (and would be ignored).
         opts: &tecore_ground::SolveOpts<'_>,
     ) -> Result<tecore_ground::MapState, tecore_ground::SolveError> {
-        let result = match opts.seed {
-            Some(seed) => {
-                let mut config = self.config.clone();
-                config.walksat.seed = seed;
-                CpiSolver::new(config).solve_lazy(grounding)
-            }
-            None => self.solve_lazy(grounding),
-        };
-        Ok(result.into_map_state())
+        Ok(self.solve_opts(grounding.num_atoms(), &grounding.clauses, opts))
     }
-}
 
-fn origin_key(origin: tecore_ground::ClauseOrigin) -> usize {
-    match origin {
-        tecore_ground::ClauseOrigin::Formula(i) => i,
-        tecore_ground::ClauseOrigin::Evidence => usize::MAX - 1,
-        tecore_ground::ClauseOrigin::Prior => usize::MAX,
+    fn solve_component(
+        &self,
+        view: &ComponentView<'_>,
+        opts: &tecore_ground::SolveOpts<'_>,
+    ) -> Result<tecore_ground::MapState, tecore_ground::SolveError> {
+        let store = view.to_store();
+        Ok(self.solve_opts(view.num_atoms(), &store, opts))
     }
 }
 
@@ -187,24 +212,26 @@ mod tests {
         f1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = 2.5\n\
         c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf\n";
 
+    const C2: &str =
+        "c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf";
+
+    fn grounded(facts: &str, program: &str) -> Grounding {
+        let graph = parse_graph(facts).unwrap();
+        let program = LogicProgram::parse(program).unwrap();
+        ground(&graph, &program, &GroundConfig::default()).unwrap()
+    }
+
+    fn atom_with_object(g: &Grounding, object: &str) -> usize {
+        let object = g.dict.lookup(object).unwrap();
+        let (id, _) = g.store.iter().find(|(_, a)| a.object == object).unwrap();
+        id.index()
+    }
+
     #[test]
     fn lazy_matches_eager_on_running_example() {
-        let graph = parse_graph(RANIERI).unwrap();
-        let program = LogicProgram::parse(PROGRAM).unwrap();
-
-        let lazy_g = ground(
-            &graph,
-            &program,
-            &GroundConfig {
-                ground_constraints: false,
-                ..GroundConfig::default()
-            },
-        )
-        .unwrap();
-        let eager_g = ground(&graph, &program, &GroundConfig::default()).unwrap();
-
-        let lazy = CpiSolver::new(CpiConfig::default()).solve_lazy(&lazy_g);
-        let eager = BranchAndBound::new().solve(&SatProblem::from_grounding(&eager_g));
+        let g = grounded(RANIERI, PROGRAM);
+        let lazy = CpiSolver::new(CpiConfig::default()).solve_lazy(&g);
+        let eager = BranchAndBound::new().solve(&SatProblem::from_grounding(&g));
 
         assert!(lazy.feasible && eager.feasible);
         assert!(
@@ -214,22 +241,18 @@ mod tests {
             eager.cost
         );
         // Napoli removed in both.
-        let napoli = lazy_g.dict.lookup("Napoli").unwrap();
-        let (napoli_atom, _) = lazy_g
-            .store
-            .iter()
-            .find(|(_, a)| a.object == napoli)
-            .unwrap();
-        assert!(!lazy.assignment[napoli_atom.index()]);
-        assert!(!eager.assignment[napoli_atom.index()]);
+        let napoli = atom_with_object(&g, "Napoli");
+        assert!(!lazy.assignment[napoli]);
+        assert!(!eager.assignment[napoli]);
     }
 
     #[test]
     fn active_set_smaller_than_eager() {
-        // Many coaches with exactly one clash: CPI grounds only the
-        // clashing pair (1 cut) while eager grounding emits a clause per
-        // violated pair; satisfied pairs never materialise in either,
-        // but CPI avoids even *checking* most pairs at clause level.
+        // Many coaches with exactly one clash: the relaxed problem is
+        // the evidence units alone, and the one cut is the clashing
+        // pair. (It is also the arena's only constraint grounding; a
+        // final active set strictly inside the arena is the last test's
+        // case.)
         let mut text = String::new();
         for i in 0..30 {
             // Disjoint spells: no conflicts among these.
@@ -241,54 +264,42 @@ mod tests {
         }
         // One clash.
         text.push_str("(p0, coach, other, [2000,2001]) 0.6\n");
-        let graph = parse_graph(&text).unwrap();
-        let program = LogicProgram::parse(
-            "c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf",
-        )
-        .unwrap();
-        let lazy_g = ground(
-            &graph,
-            &program,
-            &GroundConfig {
-                ground_constraints: false,
-                ..GroundConfig::default()
-            },
-        )
-        .unwrap();
-        let r = CpiSolver::new(CpiConfig::default()).solve_lazy(&lazy_g);
+        let g = grounded(&text, C2);
+        let r = CpiSolver::new(CpiConfig::default()).solve_lazy(&g);
         assert!(r.feasible);
         // Active set: 31 evidence units + 1 cutting plane.
         assert_eq!(r.stats.active_clauses, 32);
         // The lower-confidence clashing fact is removed.
-        let other = lazy_g.dict.lookup("other").unwrap();
-        let (other_atom, _) = lazy_g
-            .store
-            .iter()
-            .find(|(_, a)| a.object == other)
-            .unwrap();
-        assert!(!r.assignment[other_atom.index()]);
+        assert!(!r.assignment[atom_with_object(&g, "other")]);
     }
 
     #[test]
     fn converges_on_conflict_free_graph() {
-        let graph = parse_graph("(a, coach, b, [1,2]) 0.9\n(a, coach, c, [5,6]) 0.9\n").unwrap();
-        let program = LogicProgram::parse(
-            "c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf",
-        )
-        .unwrap();
-        let lazy_g = ground(
-            &graph,
-            &program,
-            &GroundConfig {
-                ground_constraints: false,
-                ..GroundConfig::default()
-            },
-        )
-        .unwrap();
-        let r = CpiSolver::new(CpiConfig::default()).solve_lazy(&lazy_g);
+        let g = grounded("(a, coach, b, [1,2]) 0.9\n(a, coach, c, [5,6]) 0.9\n", C2);
+        let r = CpiSolver::new(CpiConfig::default()).solve_lazy(&g);
         assert!(r.feasible);
         assert_eq!(r.cost, 0.0);
         assert_eq!(r.stats.rounds, 1, "one verification round, no cuts");
         assert!(r.assignment.iter().all(|&v| v));
+    }
+
+    #[test]
+    fn grounding_over_a_rejected_hidden_atom_is_never_activated() {
+        // The rule is weaker than the closed-world prior, so MAP leaves
+        // worksFor(a, b) false; the constraint grounding that pairs it
+        // with the coaching spell is in the arena and stays a candidate.
+        let g = grounded(
+            "(a, playsFor, b, [1,5]) 0.9\n(a, coach, c, [2,4]) 0.8\n",
+            "f1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = 0.01\n\
+             c: quad(x, worksFor, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf\n",
+        );
+        assert_eq!(g.clauses.iter().filter(is_cut_candidate).count(), 1);
+        let lazy = CpiSolver::new(CpiConfig::default()).solve_lazy(&g);
+        assert_eq!(lazy.stats.rounds, 1);
+        assert_eq!(lazy.stats.active_clauses, g.clauses.len() - 1);
+        let exact = BranchAndBound::new().solve(&SatProblem::from_grounding(&g));
+        assert_eq!(lazy.assignment, exact.assignment);
+        assert!((lazy.cost - exact.cost).abs() < 1e-9);
+        assert!(lazy.feasible && exact.feasible);
     }
 }

@@ -106,6 +106,5 @@ mod tests {
         let backend = PslAdmm::default();
         assert_eq!(backend.name(), "psl-admm");
         assert!(backend.caps().soft_values);
-        assert!(!backend.caps().lazy_grounding);
     }
 }

@@ -280,7 +280,10 @@ pub struct Server {
     abort: Arc<AtomicBool>,
     cell: Arc<SnapshotCell>,
     stats: Arc<ServerStats>,
-    edits: Sender<WriterMsg>,
+    /// Never sent on. It keeps the edit channel connected whatever the
+    /// reader threads do, so the writer leaves its loop through the
+    /// shutdown branch (drain, flush, checkpoint), not on a disconnect.
+    _edits: Sender<WriterMsg>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -388,7 +391,7 @@ impl Server {
             abort,
             cell,
             stats,
-            edits: edit_tx,
+            _edits: edit_tx,
             threads,
         })
     }
@@ -406,12 +409,6 @@ impl Server {
     /// Live serving counters.
     pub fn stats(&self) -> &ServerStats {
         &self.stats
-    }
-
-    /// Queues an edit exactly as a connection's `INSERT`/`REMOVE`
-    /// would (for embedding the server without a socket client).
-    pub fn queue_edit(&self, edit: Edit) {
-        let _ = self.edits.send(WriterMsg::Edit(edit, None));
     }
 
     /// Graceful stop: flags shutdown, then joins every thread. Reader

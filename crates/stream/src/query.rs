@@ -114,12 +114,6 @@ impl QuerySpec {
         self
     }
 
-    /// The materialisation cap, if any.
-    #[inline]
-    pub fn limit_value(&self) -> Option<usize> {
-        self.limit
-    }
-
     /// Compiles the owned spec onto one snapshot's typed query layer.
     pub fn compile<'a>(&self, snapshot: &'a Snapshot) -> TemporalQuery<'a> {
         let mut q = snapshot.query();

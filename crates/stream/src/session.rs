@@ -258,11 +258,6 @@ impl StreamSession {
         &mut self.engine
     }
 
-    /// Unwraps the engine, discarding stream state.
-    pub fn into_engine(self) -> Engine {
-        self.engine
-    }
-
     /// Registers a continuous query: `spec` is re-evaluated on every
     /// fired window and the answer pushed at `sink`.
     pub fn register_query(&mut self, spec: QuerySpec, sink: impl WindowSink + 'static) -> QueryId {

@@ -126,11 +126,6 @@ impl TimeDomain {
         interval.intersection(whole)
     }
 
-    /// The whole domain as a single interval.
-    pub fn as_interval(&self) -> Interval {
-        Interval::new(self.lo, self.hi).expect("domain invariant")
-    }
-
     /// Grows the domain (in both directions) to include the interval.
     #[must_use]
     pub fn extended_to(&self, interval: Interval) -> TimeDomain {

@@ -321,9 +321,8 @@ fn statements(graph: &UtkGraph) -> Vec<String> {
     out
 }
 
-/// The carried-forward snapshot against the cold one. `reproducible`:
-/// the two solves found the same repair (see [`backends`]).
-fn assert_equivalent(what: &str, carried: &Snapshot, cold: &Snapshot, reproducible: bool) {
+/// The carried-forward snapshot against the cold one.
+fn assert_equivalent(what: &str, carried: &Snapshot, cold: &Snapshot) {
     // What no solver decides: the conflicts of the keep-everything
     // world and the size of the input.
     assert_eq!(
@@ -356,9 +355,8 @@ fn assert_equivalent(what: &str, carried: &Snapshot, cold: &Snapshot, reproducib
         expected,
         "{what}: expanded = consistent + inferred"
     );
-    if !reproducible {
-        return;
-    }
+    // The repair: a cold solve and a warm one find the same (see
+    // [`backends`]).
     let removed = |s: &Snapshot| -> Vec<(FactId, String)> {
         s.removed
             .iter()
@@ -441,21 +439,15 @@ fn assert_queries_match_scan(what: &str, snapshot: &Snapshot, seed: u32) {
     }
 }
 
-/// The four substrates, with whether a cold solve and a warm one can be
-/// expected to find the same repair on a graph this size. Solved
-/// component by component (a component is one subject's handful of
-/// atoms) they do. Cutting-plane inference solves monolithically with a
-/// stochastic inner solver, and two runs over differently numbered
-/// groundings need not agree: for it the parts of a snapshot that do
-/// not depend on the solver are compared here, and the repair itself
-/// against a full interpretation of the *same* MAP state in
-/// `tecore-core`'s `carried_forward_equals_full_interpretation`.
-fn backends() -> Vec<(Backend, bool)> {
+/// The four substrates. Solved component by component (a component is
+/// one subject's handful of atoms), a cold solve and a warm one find
+/// the same repair on every one of them.
+fn backends() -> Vec<Backend> {
     vec![
-        (Backend::MlnExact, true),
-        (Backend::MlnWalkSat(WalkSatConfig::default()), true),
-        (Backend::MlnCuttingPlane(CpiConfig::default()), false),
-        (Backend::default_psl(), true),
+        Backend::MlnExact,
+        Backend::MlnWalkSat(WalkSatConfig::default()),
+        Backend::MlnCuttingPlane(CpiConfig::default()),
+        Backend::default_psl(),
     ]
 }
 
@@ -472,7 +464,7 @@ enum Hold {
 /// how many view facts each step's publish copied.
 fn check_sequence_holding(steps: &[Vec<Op>], hold: Hold) -> Vec<(&'static str, Vec<usize>)> {
     let mut copied = Vec::new();
-    for (backend, reproducible) in backends() {
+    for backend in backends() {
         let name = backend.name();
         let config = TecoreConfig {
             backend: backend.into(),
@@ -496,7 +488,7 @@ fn check_sequence_holding(steps: &[Vec<Op>], hold: Hold) -> Vec<(&'static str, V
             );
             let what = format!("{name}, {hold:?}, step {i} {ops:?}");
             assert_eq!(carried.epoch(), cold.epoch(), "{what}");
-            assert_equivalent(&what, &carried, &cold, reproducible);
+            assert_equivalent(&what, &carried, &cold);
             assert_eq!(
                 carried.index(),
                 &GraphTemporalIndex::build(carried.expanded()),

@@ -168,10 +168,7 @@ proptest! {
 
     /// Component-wise resolve ≡ monolithic resolve over random KGs, on
     /// all four backends: same repair, same surviving and derived
-    /// facts, same MAP cost and feasibility. (The cutting-plane backend
-    /// declines components by caps and falls back monolithically — the
-    /// equality is trivially exact there, which is the point: forcing
-    /// the mode is always safe.)
+    /// facts, same MAP cost and feasibility.
     #[test]
     fn component_resolve_matches_monolithic_on_all_backends(facts in arb_facts()) {
         let registry = SolverRegistry::with_default_backends();
@@ -291,7 +288,7 @@ proptest! {
         ops in prop::collection::vec(arb_op(), 1..12),
     ) {
         let registry = SolverRegistry::with_default_backends();
-        for name in ["mln-exact", "mln-walksat", "psl-admm"] {
+        for name in ["mln-exact", "mln-walksat", "mln-cpi", "psl-admm"] {
             let graph = build_graph(&base);
             let mut engine = Engine::with_config(
                 graph,

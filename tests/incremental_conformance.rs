@@ -383,6 +383,63 @@ fn one_fact_delta_examines_a_handful_of_candidates() {
     );
 }
 
+/// The default backend's publish follows the edit too: after a one-fact
+/// edit the explanations of the conflicts it did not touch are the very
+/// `Arc`s the previous snapshot lists (patched, not re-rendered), and
+/// the per-constraint counts are a cold resolve's.
+#[test]
+fn cpi_edit_shares_untouched_explanations_with_the_previous_snapshot() {
+    use std::sync::Arc;
+    use tecore_datagen::standard::wikidata_program;
+    use tecore_datagen::{generate_wikidata, WikidataConfig};
+
+    let graph = generate_wikidata(&WikidataConfig {
+        total_facts: 2_000,
+        noise_ratio: 0.1,
+        seed: 0x7ec0_2017,
+    })
+    .graph;
+    let plays = graph.dict().lookup("playsFor").expect("generated");
+    let (_, spell) = graph.facts_with_predicate(plays).next().expect("non-empty");
+    let (subject, interval) = (
+        graph.dict().resolve(spell.subject).to_string(),
+        spell.interval,
+    );
+
+    let registry = SolverRegistry::with_default_backends();
+    let config = TecoreConfig {
+        backend: registry.resolve("mln-cpi").expect("registered"),
+        ..TecoreConfig::default()
+    };
+    let mut engine = Engine::with_config(graph, wikidata_program(), config.clone());
+    engine.resolve_incremental().expect("prime");
+    // The first warm solve moves the cold, monolithic state onto the
+    // component path; the snapshots compared are the two after it.
+    let before = engine.resolve_incremental().expect("settle");
+    assert!(before.conflicts.len() > 10, "{}", before.conflicts.len());
+    // A second club over the same years: one new clash.
+    engine
+        .insert_fact(&subject, "playsFor", "QRivalClub", interval, 0.61)
+        .expect("valid insert");
+    let after = engine.resolve_incremental().expect("incremental");
+
+    let shared = after
+        .conflicts
+        .iter()
+        .filter(|e| before.conflicts.iter().any(|b| Arc::ptr_eq(b, e)))
+        .count();
+    assert!(after.conflicts.len() > before.conflicts.len());
+    assert_eq!(
+        shared,
+        before.conflicts.len(),
+        "every untouched explanation is shared"
+    );
+    let cold = Engine::with_config(engine.graph().clone(), wikidata_program(), config)
+        .resolve()
+        .expect("cold resolve");
+    assert_eq!(after.stats.per_constraint, cold.stats.per_constraint);
+}
+
 /// Removing every fact must leave an empty, conflict-free resolution —
 /// and the engine must survive resolving an empty graph.
 #[test]
