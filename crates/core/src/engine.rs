@@ -135,8 +135,14 @@ fn solve_dispatch(
             // components be spliced, so work shrinks to the dirty set)
             // and for exact backends (whose worst case is exponential
             // *per component*, so splitting wins even cold). A cold
-            // heuristic solve sees no dirty-set benefit and keeps the
-            // tuned monolithic path; force `Components` to override.
+            // heuristic solve has no clean component to splice, and the
+            // per-component sub-stores and states are then pure
+            // overhead: `mln-walksat` and `mln-cpi` handle the whole
+            // arena at once, and `psl-admm` partitions itself — its
+            // solver iterates the factor graph block by block over
+            // flat arrays — so routing it here would only add the
+            // copies (measured at 243k facts: 1.7× the time, +5 % RSS).
+            // Force `Components` to override.
             ComponentMode::Auto => warm.is_some() || caps.exact,
         };
     if !use_components {

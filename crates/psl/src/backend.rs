@@ -61,6 +61,9 @@ impl PslAdmm {
     /// The shared clause-arena solve: HL-MRF build + warm ADMM +
     /// rounding + discrete scoring, identical for the whole grounding
     /// and a component sub-store (whose atom ids are already local).
+    /// The solver treats the arena's independent blocks one by one, so
+    /// a component gets the same soft values here as it gets inside
+    /// the whole grounding.
     fn solve_clauses(
         &self,
         n_vars: usize,

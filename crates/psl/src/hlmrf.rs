@@ -8,6 +8,12 @@
 //! coeff)>` intermediates — and ADMM consumes the same arrays in place
 //! (see [`crate::admm`]), so the per-iteration hot loops never chase a
 //! per-factor heap allocation.
+//!
+//! Beside the factors sits the **block index**: the connected
+//! components of the factor graph (variables joined through the factors
+//! that mention them). The convex program is separable over them — no
+//! term couples two blocks — so ADMM and the rounding repair both run
+//! block by block ([`HlMrf::block_factors`] / [`HlMrf::block_vars`]).
 
 use tecore_ground::{ClauseStore, ClauseWeight, GroundClause, Grounding, Lit};
 
@@ -150,6 +156,12 @@ impl FactorView<'_> {
 /// shared `vars`/`coeffs` buffers. `norm2` (the squared coefficient
 /// norm every prox/projection step divides by) is precomputed once at
 /// construction.
+///
+/// `block_*` is the block index, two CSR tables over the same block
+/// numbering: the factor ids and the variable ids of each connected
+/// component of the factor graph, ascending inside a block (so a
+/// block's potentials still precede its constraints). A variable no
+/// factor mentions belongs to no block.
 #[derive(Debug, Clone, Default)]
 pub struct HlMrf {
     /// Number of variables (ground atoms).
@@ -165,6 +177,10 @@ pub struct HlMrf {
     /// Per-factor squared coefficient norm.
     norm2: Vec<f64>,
     squared: bool,
+    block_factor_offsets: Vec<u32>,
+    block_factors: Vec<u32>,
+    block_var_offsets: Vec<u32>,
+    block_vars: Vec<u32>,
 }
 
 impl HlMrf {
@@ -176,12 +192,23 @@ impl HlMrf {
 
     /// Builds from a clause store: one pass for the soft clauses, one
     /// for the hard ones, so potentials precede constraints in the
-    /// factor order without any intermediate factor objects.
+    /// factor order without any intermediate factor objects; then the
+    /// block index over the finished factors.
     pub fn from_store(n_vars: usize, store: &ClauseStore, config: &PslConfig) -> HlMrf {
+        // The arena's literal buffer also holds retracted regions, so
+        // the live literal count takes a pass of its own; with it every
+        // buffer is allocated once at its final size.
+        let factors = store.len();
+        let terms = store.iter().map(|c| c.lits.len()).sum();
         let mut mrf = HlMrf {
             n_vars,
             squared: config.squared,
-            offsets: Vec::with_capacity(store.len() + 1),
+            offsets: Vec::with_capacity(factors + 1),
+            vars: Vec::with_capacity(terms),
+            coeffs: Vec::with_capacity(terms),
+            constants: Vec::with_capacity(factors),
+            weights: Vec::with_capacity(factors),
+            norm2: Vec::with_capacity(factors),
             ..HlMrf::default()
         };
         mrf.offsets.push(0);
@@ -196,6 +223,7 @@ impl HlMrf {
                 mrf.push_factor(c.lits, 0.0);
             }
         }
+        mrf.index_blocks();
         mrf
     }
 
@@ -222,6 +250,82 @@ impl HlMrf {
         self.constants.push(constant);
         self.weights.push(weight);
         self.offsets.push(self.vars.len() as u32);
+    }
+
+    /// Builds the block index: union-find over the variables through
+    /// the factors' terms, then one counting sort per table. The
+    /// union-find array doubles as the block-label array, so the only
+    /// temporary is that one `u32` per variable.
+    fn index_blocks(&mut self) {
+        // Unions hang the larger root under the smaller, so a parent is
+        // never above its child and a block's root is its lowest
+        // variable. `UNSEEN` marks variables no factor mentions.
+        let mut label = vec![UNSEEN; self.n_vars];
+        for k in 0..self.n_factors() {
+            let mut root = UNSEEN;
+            for &v in self.factor(k).vars {
+                if label[v as usize] == UNSEEN {
+                    label[v as usize] = v;
+                }
+                let r = find_root(&mut label, v);
+                if root == UNSEEN {
+                    root = r;
+                } else if r != root {
+                    let (low, high) = (root.min(r), root.max(r));
+                    label[high as usize] = low;
+                    root = low;
+                }
+            }
+        }
+        // Ascending sweep from parents to labels: everything below `v`
+        // already holds its label, and `v`'s parent is below `v`.
+        let mut blocks = 0u32;
+        for v in 0..self.n_vars {
+            let parent = label[v];
+            if parent == UNSEEN {
+                continue;
+            }
+            if parent as usize == v {
+                label[v] = blocks;
+                blocks += 1;
+            } else {
+                label[v] = label[parent as usize];
+            }
+        }
+        let blocks = blocks as usize;
+        (self.block_var_offsets, self.block_vars) = group_by_block(blocks, label.iter().copied());
+        // A factor without terms touches no variable: no block.
+        let label_of = |k| {
+            self.factor(k)
+                .vars
+                .first()
+                .map_or(UNSEEN, |&v| label[v as usize])
+        };
+        let factor_labels = (0..self.n_factors()).map(label_of);
+        (self.block_factor_offsets, self.block_factors) = group_by_block(blocks, factor_labels);
+    }
+
+    /// Number of blocks: connected components of the factor graph that
+    /// hold at least one factor.
+    pub fn n_blocks(&self) -> usize {
+        self.block_factor_offsets.len().saturating_sub(1)
+    }
+
+    /// The factor ids of block `b`, ascending (potentials first).
+    #[inline]
+    pub fn block_factors(&self, b: usize) -> &[u32] {
+        let (lo, hi) = (
+            self.block_factor_offsets[b],
+            self.block_factor_offsets[b + 1],
+        );
+        &self.block_factors[lo as usize..hi as usize]
+    }
+
+    /// The variable ids of block `b`, ascending.
+    #[inline]
+    pub fn block_vars(&self, b: usize) -> &[u32] {
+        let (lo, hi) = (self.block_var_offsets[b], self.block_var_offsets[b + 1]);
+        &self.block_vars[lo as usize..hi as usize]
     }
 
     /// Total number of factors (potentials + constraints).
@@ -311,6 +415,46 @@ impl HlMrf {
             .map(|k| self.factor(k).violation(x).max(0.0))
             .fold(0.0, f64::max)
     }
+}
+
+/// Union-find / block-label marker of a variable outside every block.
+const UNSEEN: u32 = u32::MAX;
+
+/// Root of `v`'s set, halving the path on the way up.
+fn find_root(parent: &mut [u32], mut v: u32) -> u32 {
+    while parent[v as usize] != v {
+        let up = parent[parent[v as usize] as usize];
+        parent[v as usize] = up;
+        v = up;
+    }
+    v
+}
+
+/// Counting sort of item ids `0..` by block label into a CSR pair
+/// `(offsets, items)`; items labelled [`UNSEEN`] are left out. The sort
+/// is stable, so ids ascend inside a block.
+fn group_by_block(
+    blocks: usize,
+    labels: impl Iterator<Item = u32> + Clone,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut offsets = vec![0u32; blocks + 1];
+    for l in labels.clone().filter(|&l| l != UNSEEN) {
+        offsets[l as usize + 1] += 1;
+    }
+    for b in 0..blocks {
+        offsets[b + 1] += offsets[b];
+    }
+    let mut items = vec![0u32; offsets[blocks] as usize];
+    // Fill with each block's start as its cursor...
+    for (id, l) in labels.enumerate().filter(|&(_, l)| l != UNSEEN) {
+        let at = &mut offsets[l as usize];
+        items[*at as usize] = id as u32;
+        *at += 1;
+    }
+    // ...which leaves every start holding its block's end: shift back.
+    offsets.copy_within(0..blocks, 1);
+    offsets[0] = 0;
+    (offsets, items)
 }
 
 #[cfg(test)]
@@ -418,5 +562,39 @@ mod tests {
         assert!((mrf.constraint(0).violation(&x) - cons.violation(&x)).abs() < 1e-12);
         assert_eq!(mrf.norm2(0), 2.0);
         assert_eq!(mrf.slot_vars().len(), 4);
+    }
+
+    #[test]
+    fn block_index_is_the_connected_components() {
+        let soft = |lits: Vec<Lit>| {
+            GroundClause::new(lits, ClauseWeight::Soft(1.0), ClauseOrigin::Evidence).unwrap()
+        };
+        let hard = |lits: Vec<Lit>| {
+            GroundClause::new(lits, ClauseWeight::Hard, ClauseOrigin::Formula(0)).unwrap()
+        };
+        // Variables 1–5–3 chain up only through the last clause, which
+        // joins two sets that already exist; 0 and 6 appear nowhere.
+        let clauses = vec![
+            hard(vec![lit(5, false), lit(1, false)]), // factor 4
+            soft(vec![lit(4, true)]),                 // factor 0
+            soft(vec![lit(3, true)]),                 // factor 1
+            hard(vec![lit(2, false), lit(4, true)]),  // factor 5
+            soft(vec![lit(1, true)]),                 // factor 2
+            soft(vec![lit(7, true)]),                 // factor 3
+            hard(vec![lit(3, false), lit(5, false)]), // factor 6
+        ];
+        let mrf = HlMrf::from_clauses(8, &clauses, &PslConfig::default());
+        // Blocks are numbered by their lowest variable; inside one,
+        // ids ascend, so potentials precede constraints.
+        assert_eq!(mrf.n_blocks(), 3);
+        assert_eq!(mrf.block_vars(0), [1, 3, 5]);
+        assert_eq!(mrf.block_factors(0), [1, 2, 4, 6]);
+        assert_eq!(mrf.block_vars(1), [2, 4]);
+        assert_eq!(mrf.block_factors(1), [0, 5]);
+        assert_eq!(mrf.block_vars(2), [7]);
+        assert_eq!(mrf.block_factors(2), [3]);
+
+        let empty = HlMrf::from_clauses(3, &[], &PslConfig::default());
+        assert_eq!(empty.n_blocks(), 0);
     }
 }

@@ -21,6 +21,18 @@
 //! Pipeline: `tecore-ground` clauses → [`hlmrf::HlMrf`] (soft clauses →
 //! hinges, hard clauses → linear constraints) → [`admm::AdmmSolver`] →
 //! [`rounding`] back to a discrete conflict-free world.
+//!
+//! A TeCoRe grounding is separable: facts that share no conflict share
+//! no factor, so the HL-MRF falls apart into independent **blocks** —
+//! a quarter of a million facts make a couple of hundred thousand of
+//! them, most of one to three factors. The MRF indexes its blocks once
+//! and both the solver and the rounding repair walk that index: ADMM
+//! iterates each block to its own residuals (the stopping rule is per
+//! block; [`PslResult::iterations`] is the slowest block's count and
+//! [`PslResult::factor_updates`] the work actually done), rounding
+//! repairs each block against its own constraints. The whole arena and
+//! a single component handed over as a sub-store run the same code —
+//! a one-block problem is the plain loop.
 
 #![forbid(unsafe_code)]
 

@@ -7,21 +7,44 @@
 //! the decision boundary (the least-confident commitment). On the
 //! conflict structures TeCoRe produces (pairwise clashes), thresholding
 //! is almost always already feasible; the repair is a safety net.
+//!
+//! A flip can only break constraints that share a variable with it —
+//! constraints of its own block of the MRF's block index — so the
+//! repair runs block by block, each with a budget from its own
+//! constraint count: the work follows the blocks that need repairing,
+//! and one block that cannot be repaired does not stop the others.
 
-use crate::hlmrf::HlMrf;
+use crate::hlmrf::{FactorView, HlMrf};
 
 /// Rounds soft values to booleans and repairs hard-clause violations.
 /// Returns `(assignment, feasible)`.
 pub fn round_assignment(mrf: &HlMrf, values: &[f64]) -> (Vec<bool>, bool) {
     let mut assignment: Vec<bool> = values.iter().map(|&v| v > 0.5).collect();
-    // Bounded repair loop.
-    let max_repairs = mrf.n_constraints() * 4 + 16;
+    let mut feasible = true;
+    for b in 0..mrf.n_blocks() {
+        let factors = mrf.block_factors(b);
+        // Ascending factor ids: the block's constraints are its tail.
+        let constraints = &factors[factors.partition_point(|&k| mrf.is_potential(k as usize))..];
+        feasible &= repair_block(mrf, constraints, values, &mut assignment);
+    }
+    (assignment, feasible)
+}
+
+/// Bounded greedy repair of one block: while a constraint is violated,
+/// take the lowest-numbered one and flip its least-confident literal
+/// that un-violates it. Returns whether the block ends feasible.
+fn repair_block(mrf: &HlMrf, constraints: &[u32], values: &[f64], assignment: &mut [bool]) -> bool {
+    let first_violated = |assignment: &[bool]| {
+        constraints
+            .iter()
+            .map(|&k| mrf.factor(k as usize))
+            .find(|c| violated(c, assignment))
+    };
+    let max_repairs = constraints.len() * 4 + 16;
     for _ in 0..max_repairs {
-        let Some(cidx) = first_violated(mrf, &assignment) else {
-            return (assignment, true);
+        let Some(c) = first_violated(assignment) else {
+            return true;
         };
-        // Flip the least-confident literal that un-violates the clause.
-        let c = mrf.constraint(cidx);
         let mut best: Option<(f64, usize, bool)> = None; // (confidence margin, var, new value)
         for (&v, &coeff) in c.vars.iter().zip(c.coeffs) {
             let v = v as usize;
@@ -38,16 +61,21 @@ pub fn round_assignment(mrf: &HlMrf, values: &[f64]) -> (Vec<bool>, bool) {
         }
         match best {
             Some((_, v, desired)) => assignment[v] = desired,
-            None => break, // cannot repair this clause
+            None => return false, // cannot repair this clause
         }
     }
-    let feasible = first_violated(mrf, &assignment).is_none();
-    (assignment, feasible)
+    first_violated(assignment).is_none()
 }
 
-fn first_violated(mrf: &HlMrf, assignment: &[bool]) -> Option<usize> {
-    let x: Vec<f64> = assignment.iter().map(|&b| f64::from(u8::from(b))).collect();
-    (0..mrf.n_constraints()).find(|&i| mrf.constraint(i).violation(&x) > 1e-9)
+/// Is the constraint violated in the boolean world `assignment`?
+fn violated(c: &FactorView<'_>, assignment: &[bool]) -> bool {
+    let mut d = c.constant;
+    for (&v, &coeff) in c.vars.iter().zip(c.coeffs) {
+        if assignment[v as usize] {
+            d += coeff;
+        }
+    }
+    d > 1e-9
 }
 
 #[cfg(test)]
@@ -60,10 +88,50 @@ mod tests {
         GroundClause::new(lits, ClauseWeight::Hard, ClauseOrigin::Formula(0)).unwrap()
     }
 
+    /// The repair as one loop over the whole problem — every time, the
+    /// lowest-numbered violated constraint of all — which the
+    /// block-by-block repair must reproduce on every feasible input.
+    fn round_globally(mrf: &HlMrf, values: &[f64]) -> (Vec<bool>, bool) {
+        let mut assignment: Vec<bool> = values.iter().map(|&v| v > 0.5).collect();
+        let first_violated = |assignment: &[bool]| {
+            (0..mrf.n_constraints())
+                .map(|i| mrf.constraint(i))
+                .find(|c| violated(c, assignment))
+        };
+        for _ in 0..mrf.n_constraints() * 4 + 16 {
+            let Some(c) = first_violated(&assignment) else {
+                return (assignment, true);
+            };
+            let flip = c
+                .vars
+                .iter()
+                .zip(c.coeffs)
+                .map(|(&v, &coeff)| (v as usize, coeff < 0.0))
+                .filter(|&(v, desired)| assignment[v] != desired)
+                .min_by(|a, b| {
+                    let margin = |v: usize| (values[v] - 0.5).abs();
+                    margin(a.0).total_cmp(&margin(b.0))
+                });
+            match flip {
+                Some((v, desired)) => assignment[v] = desired,
+                None => break,
+            }
+        }
+        let feasible = first_violated(&assignment).is_none();
+        (assignment, feasible)
+    }
+
+    /// [`round_assignment`], checked against the global loop.
+    fn round(mrf: &HlMrf, values: &[f64]) -> (Vec<bool>, bool) {
+        let by_block = round_assignment(mrf, values);
+        assert_eq!(by_block, round_globally(mrf, values));
+        by_block
+    }
+
     #[test]
     fn clean_threshold() {
         let mrf = HlMrf::from_clauses(2, &[], &PslConfig::default());
-        let (a, feasible) = round_assignment(&mrf, &[0.9, 0.1]);
+        let (a, feasible) = round(&mrf, &[0.9, 0.1]);
         assert_eq!(a, vec![true, false]);
         assert!(feasible);
     }
@@ -76,7 +144,7 @@ mod tests {
             &[hard(vec![Lit::neg(AtomId(0)), Lit::neg(AtomId(1))])],
             &PslConfig::default(),
         );
-        let (a, feasible) = round_assignment(&mrf, &[0.9, 0.6]);
+        let (a, feasible) = round(&mrf, &[0.9, 0.6]);
         assert!(feasible);
         assert_eq!(a, vec![true, false]);
     }
@@ -89,7 +157,7 @@ mod tests {
             &[hard(vec![Lit::pos(AtomId(0)), Lit::pos(AtomId(1))])],
             &PslConfig::default(),
         );
-        let (a, feasible) = round_assignment(&mrf, &[0.2, 0.45]);
+        let (a, feasible) = round(&mrf, &[0.2, 0.45]);
         assert!(feasible);
         assert!(a[1], "the closer-to-threshold literal flips up");
         assert!(!a[0]);
@@ -103,7 +171,7 @@ mod tests {
             &[hard(vec![Lit::neg(AtomId(0)), Lit::pos(AtomId(1))])],
             &PslConfig::default(),
         );
-        let (a, feasible) = round_assignment(&mrf, &[0.95, 0.4]);
+        let (a, feasible) = round(&mrf, &[0.95, 0.4]);
         assert!(feasible);
         assert!(a[0] && a[1]);
     }
@@ -119,7 +187,29 @@ mod tests {
             ],
             &PslConfig::default(),
         );
-        let (_, feasible) = round_assignment(&mrf, &[0.5]);
+        let (_, feasible) = round(&mrf, &[0.5]);
         assert!(!feasible);
+    }
+
+    #[test]
+    fn blocks_with_interleaved_constraints_repair_independently() {
+        // Two chains a→b→c over disjoint variables whose constraints
+        // alternate by index (block 1, block 2, block 1, block 2).
+        // Lifting b of the first chain breaks its second constraint,
+        // but the lowest violated one is then the other chain's: the
+        // global loop repairs block 1, block 2, block 1.
+        let imp = |a: u32, b: u32| hard(vec![Lit::neg(AtomId(a)), Lit::pos(AtomId(b))]);
+        let mrf = HlMrf::from_clauses(
+            6,
+            &[imp(0, 2), imp(1, 3), imp(2, 4), imp(3, 5)],
+            &PslConfig::default(),
+        );
+        assert_eq!(mrf.n_blocks(), 2);
+        assert_eq!(mrf.block_factors(0), [0, 2]);
+        assert_eq!(mrf.block_factors(1), [1, 3]);
+        let (a, feasible) = round(&mrf, &[0.9, 0.55, 0.4, 0.1, 0.45, 0.3]);
+        assert!(feasible);
+        // Block 1 lifts b then c; block 2 drops its barely-true a.
+        assert_eq!(a, vec![true, false, true, false, true, false]);
     }
 }

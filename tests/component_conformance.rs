@@ -10,14 +10,16 @@
 //! per-component optima compose into the global optimum — never a
 //! different repair, surviving KG, or derived-fact set.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use tecore_core::registry::SolverRegistry;
 use tecore_core::resolution::Resolution;
-use tecore_core::{Engine, TecoreConfig};
+use tecore_core::{Engine, SolverHandle, TecoreConfig};
 use tecore_ground::{
-    evaluate_world, ground, AtomId, ClauseId, ComponentMode, GroundConfig, Partition,
+    evaluate_world, ground, AtomId, ClauseId, ComponentMode, ComponentView, GroundConfig,
+    Grounding, MapSolver, MapState, Partition, SolveError, SolveOpts, SolverCaps,
 };
 use tecore_kg::{FactId, UtkGraph};
 use tecore_logic::LogicProgram;
@@ -631,4 +633,88 @@ fn auto_mode_falls_back_on_single_component() {
     // monolithically and the stats say so.
     assert_eq!(snapshot.stats.components, 0);
     assert_eq!(snapshot.stats.conflicting_facts, 1);
+}
+
+/// `psl-admm`, recording the soft truth value it returns for every
+/// atom it is handed — whole grounding or component by component.
+#[derive(Debug)]
+struct RecordingPsl {
+    inner: tecore_psl::PslAdmm,
+    soft: Arc<Mutex<BTreeMap<AtomId, f64>>>,
+}
+
+impl MapSolver for RecordingPsl {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn caps(&self) -> SolverCaps {
+        self.inner.caps()
+    }
+
+    fn solve(&self, grounding: &Grounding, opts: &SolveOpts<'_>) -> Result<MapState, SolveError> {
+        let state = self.inner.solve(grounding, opts)?;
+        let values = state.soft_values.as_ref().expect("psl grades every atom");
+        let mut soft = self.soft.lock().expect("single-threaded test");
+        soft.extend((0u32..).map(AtomId).zip(values.iter().copied()));
+        Ok(state)
+    }
+
+    fn solve_component(
+        &self,
+        view: &ComponentView<'_>,
+        opts: &SolveOpts<'_>,
+    ) -> Result<MapState, SolveError> {
+        let state = self.inner.solve_component(view, opts)?;
+        let values = state.soft_values.as_ref().expect("psl grades every atom");
+        let mut soft = self.soft.lock().expect("single-threaded test");
+        soft.extend(view.atoms().iter().copied().zip(values.iter().copied()));
+        Ok(state)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// On `psl-admm` a cold monolithic resolve and a cold
+    /// component-wise resolve agree on the *soft truth values*, not
+    /// merely on the repair they round to: the solver iterates each
+    /// independent block of the whole arena exactly as it iterates the
+    /// same block handed over as a component sub-store.
+    #[test]
+    fn psl_soft_values_agree_across_component_modes(facts in arb_facts()) {
+        let graph = build_graph(&facts);
+        let soft_values = |mode: ComponentMode| {
+            let soft = Arc::new(Mutex::new(BTreeMap::new()));
+            let solver = RecordingPsl {
+                inner: tecore_psl::PslAdmm::default(),
+                soft: Arc::clone(&soft),
+            };
+            let snapshot = Engine::with_config(
+                graph.clone(),
+                program(),
+                TecoreConfig {
+                    backend: SolverHandle::new(solver),
+                    component_mode: mode,
+                    ..TecoreConfig::default()
+                },
+            )
+            .resolve()
+            .expect("resolve");
+            let recorded = soft.lock().expect("single-threaded test").clone();
+            (recorded, snapshot.stats.components)
+        };
+        let (monolithic, no_components) = soft_values(ComponentMode::Monolithic);
+        let (by_components, components) = soft_values(ComponentMode::Components);
+        prop_assert_eq!(no_components, 0);
+        prop_assert!(components > 0 && !by_components.is_empty());
+        // Every atom of a component is an atom of the whole grounding.
+        for (atom, value) in &by_components {
+            let whole = monolithic[atom];
+            prop_assert!(
+                (value - whole).abs() <= 1e-12,
+                "atom {:?}: {} by components, {} monolithic", atom, value, whole
+            );
+        }
+    }
 }
