@@ -12,8 +12,15 @@
 //!
 //! Tracked in `BENCH_join_planning.json`: grounding time planned vs
 //! syntactic at 10k/100k facts (the planned/syntactic gap at 100k is
-//! the acceptance signal), and the planned query paths on the same
-//! data against a brute-force full scan.
+//! the acceptance signal), the planned query paths on the same
+//! data against a brute-force full scan, and `ground_scaling`: a cold
+//! `ground()` of the Wikidata mix under its shipped constraints at 25k
+//! and 400k facts — 64 times and 4 times per iteration, so that both
+//! samples ground 1.6M facts and a CI smoke sample is a second, not
+//! milliseconds. Per fact the two would cost the same if memory were
+//! flat; what the 400000 / 25000 ratio reads beyond 1 is what leaving
+//! the cache (and taking fresh pages from the system) costs. CI holds
+//! it with a `--ratio` rule (see `.github/workflows/ci.yml`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -22,6 +29,8 @@ use tecore_core::resolution::Resolution;
 use tecore_core::{DebugStats, Snapshot};
 use tecore_datagen::config::SkewedConfig;
 use tecore_datagen::skewed::generate_skewed;
+use tecore_datagen::standard::wikidata_program;
+use tecore_datagen::{generate_wikidata, WikidataConfig};
 use tecore_ground::{ground, GroundConfig, JoinPlanner};
 use tecore_logic::LogicProgram;
 use tecore_temporal::Interval;
@@ -68,6 +77,33 @@ fn bench_grounding(c: &mut Criterion) {
                 b.iter(|| black_box(ground(g, &program, &config).expect("grounds")))
             });
         }
+    }
+    group.finish();
+}
+
+/// Facts one `ground_scaling` iteration grounds, at either size.
+const SCALING_FACTS: usize = 1_600_000;
+
+fn bench_ground_scaling(c: &mut Criterion) {
+    let program = wikidata_program();
+    let config = GroundConfig::default();
+    let mut group = c.benchmark_group("ground_scaling");
+    group.sample_size(10);
+    for size in [25_000usize, 400_000] {
+        let graph = generate_wikidata(&WikidataConfig {
+            total_facts: size,
+            noise_ratio: 0.1,
+            seed: 1,
+        })
+        .graph;
+        group.throughput(Throughput::Elements(SCALING_FACTS as u64));
+        group.bench_with_input(BenchmarkId::new("wikidata", size), &graph, |b, g| {
+            b.iter(|| {
+                for _ in 0..SCALING_FACTS / size {
+                    black_box(ground(g, &program, &config).expect("grounds"));
+                }
+            })
+        });
     }
     group.finish();
 }
@@ -147,5 +183,10 @@ fn bench_query_paths(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_grounding, bench_query_paths);
+criterion_group!(
+    benches,
+    bench_grounding,
+    bench_ground_scaling,
+    bench_query_paths
+);
 criterion_main!(benches);

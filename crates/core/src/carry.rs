@@ -550,9 +550,7 @@ pub(crate) fn carry_forward(prev: Carried, now: Resolved<'_>) -> Option<Forwarde
     // atom whose value moved. ---
     let mut touched: Vec<FactId> = facts.added.iter().chain(&facts.removed).copied().collect();
     for &a in &atoms {
-        if let AtomKind::Evidence { facts, .. } = &grounding.store.atom(a).kind {
-            touched.extend(facts);
-        }
+        touched.extend(grounding.store.facts(a));
     }
     touched.sort_unstable();
     touched.dedup();
@@ -563,9 +561,10 @@ pub(crate) fn carry_forward(prev: Carried, now: Resolved<'_>) -> Option<Forwarde
     for f in touched {
         let was_kept = maps.kept.get(f).is_some();
         let was_rejected = prev.removed.binary_search_by_key(&f, |r| r.id).is_ok();
-        let keep = graph
-            .is_alive(f)
-            .then(|| after.assignment[grounding.fact_atoms[&f].index()]);
+        let keep = graph.is_alive(f).then(|| {
+            let atom = grounding.fact_atoms.get(f);
+            after.assignment[atom.expect("a live fact has its atom").index()]
+        });
         match (was_kept, keep) {
             (true, Some(true)) | (false, Some(false) | None) => {}
             (true, _) => leave.push(f),

@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use tecore_ground::{AtomKind, ClauseOrigin, ConstraintKey, Grounding, Lit};
+use tecore_ground::{ClauseOrigin, ConstraintKey, Grounding, Lit};
 
 use crate::carry::ListPatch;
 
@@ -165,13 +165,13 @@ fn explanation(grounding: &Grounding, idx: usize, lits: &[Lit]) -> ConflictExpla
         .filter(|l| !l.positive)
         .map(|l| {
             let atom = grounding.store.atom(l.atom);
-            let conf = match &atom.kind {
-                AtomKind::Evidence { log_odds, .. } => {
+            let conf = match grounding.store.log_odds(l.atom) {
+                Some(log_odds) => {
                     // Invert the log-odds mapping for display.
                     let p = 1.0 / (1.0 + (-log_odds).exp());
                     format!(" {p:.2}")
                 }
-                AtomKind::Hidden => " (derived)".to_string(),
+                None => " (derived)".to_string(),
             };
             format!(
                 "({}, {}, {}, {}){}",

@@ -123,7 +123,10 @@ pub(crate) fn interpret(
     let mut kept = FactIds::spanning(graph);
     let mut kept_count = 0u32;
     let consistent = graph.filtered(|id, fact| {
-        let atom = grounding.fact_atoms[&id];
+        let atom = grounding
+            .fact_atoms
+            .get(id)
+            .expect("a live fact has its atom");
         let keep = state.assignment[atom.index()];
         if keep {
             kept.set(id, FactId(kept_count));

@@ -1,8 +1,8 @@
 //! Ground atoms and the interning atom store.
 
 use tecore_kg::fxhash::FxHashMap;
-use tecore_kg::{FactId, Symbol};
-use tecore_temporal::Interval;
+use tecore_kg::{FactId, Symbol, UtkGraph};
+use tecore_temporal::{Interval, TimePoint};
 
 /// Identifier of a ground atom within one [`AtomStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -17,17 +17,12 @@ impl AtomId {
 }
 
 /// How an atom is justified.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AtomKind {
-    /// Backed by one or more evidence facts of the uTKG. `log_odds` is
-    /// the combined evidence weight (independent evidence adds in
-    /// log-odds space); `facts` are the contributing fact ids.
-    Evidence {
-        /// Combined evidence weight.
-        log_odds: f64,
-        /// Contributing facts (usually one).
-        facts: Vec<FactId>,
-    },
+    /// Backed by one or more evidence facts of the uTKG; the combined
+    /// weight and the fact ids are read through
+    /// [`AtomStore::log_odds`] and [`AtomStore::facts`].
+    Evidence,
     /// Introduced by a rule/inclusion-dependency head: a *hidden* atom
     /// whose truth the solver decides.
     Hidden,
@@ -35,13 +30,13 @@ pub enum AtomKind {
 
 impl AtomKind {
     /// Is this an evidence atom?
-    pub fn is_evidence(&self) -> bool {
-        matches!(self, AtomKind::Evidence { .. })
+    pub fn is_evidence(self) -> bool {
+        self == AtomKind::Evidence
     }
 }
 
 /// A ground quad atom `quad(s, p, o, [t_b, t_e])`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroundAtom {
     /// Subject symbol.
     pub subject: Symbol,
@@ -49,36 +44,405 @@ pub struct GroundAtom {
     pub predicate: Symbol,
     /// Object symbol.
     pub object: Symbol,
-    /// Validity interval.
-    pub interval: Interval,
     /// Evidence or hidden.
     pub kind: AtomKind,
+    /// Validity interval.
+    pub interval: Interval,
 }
 
-/// Interning store of ground atoms with the secondary indexes the join
-/// engine needs (by predicate, by subject+predicate, by
-/// predicate+object). Indexes are maintained incrementally on insert.
+// Two atoms to a cache line: a cold store build writes them back to
+// back, and the evidence-only fields live in side tables.
+const _: () = assert!(std::mem::size_of::<GroundAtom>() == 32);
+
+/// Evidence fact → atom: a table over the graph's fact arena, from the
+/// first fact that was live when the table was made (a graph that only
+/// ever appends and expires — a stream window — has nothing live before
+/// it, and never will) through everything inserted since.
+#[derive(Debug, Clone, Default)]
+pub struct FactAtoms {
+    first: usize,
+    atoms: Vec<AtomId>,
+}
+
+/// The table entry of a fact that is not (or no longer) in the graph.
+const NO_ATOM: AtomId = AtomId(u32::MAX);
+
+impl FactAtoms {
+    /// The evidence atom a live fact of the graph asserts.
+    #[inline]
+    pub fn get(&self, fact: FactId) -> Option<AtomId> {
+        let id = *self.atoms.get(fact.index().checked_sub(self.first)?)?;
+        (id != NO_ATOM).then_some(id)
+    }
+
+    /// Records the atom of a fact (facts only ever arrive with ids
+    /// beyond the ones the table has seen).
+    pub(crate) fn set(&mut self, fact: FactId, atom: AtomId) {
+        let at = fact.index() - self.first;
+        if at >= self.atoms.len() {
+            self.atoms.resize(at + 1, NO_ATOM);
+        }
+        self.atoms[at] = atom;
+    }
+
+    /// Forgets a removed fact; returns the atom it asserted.
+    pub(crate) fn take(&mut self, fact: FactId) -> Option<AtomId> {
+        let id = self.get(fact)?;
+        self.atoms[fact.index() - self.first] = NO_ATOM;
+        Some(id)
+    }
+}
+
+/// One entry of a posting run: everything the join reads about a
+/// candidate, so it is judged without touching the atom table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Posting {
+    /// The atom's validity interval.
+    pub interval: Interval,
+    /// Largest `end` among the entries of the run up to and including
+    /// this one (what lets a window probe skip the run's past).
+    max_end: TimePoint,
+    /// The atom.
+    pub id: AtomId,
+    /// The symbol the run's key leaves open: the object under
+    /// `(subject, predicate)`, the subject under `(predicate, object)`.
+    pub third: Symbol,
+}
+
+/// The entries of `run` that can intersect `window`, plus the ones
+/// between them that end before it: skips the prefix no entry of which
+/// reaches the window and stops at the first entry starting after it.
+pub fn reaching(run: &[Posting], window: Interval) -> impl Iterator<Item = &Posting> {
+    let from = run.partition_point(|e| e.max_end < window.start());
+    run[from..]
+        .iter()
+        .take_while(move |e| e.interval.start() <= window.end())
+}
+
+/// Where a run lives in its family's arena.
+#[derive(Debug, Clone, Copy, Default)]
+struct Run {
+    offset: u32,
+    len: u32,
+    cap: u32,
+}
+
+impl Run {
+    fn live(self) -> std::ops::Range<usize> {
+        self.offset as usize..(self.offset + self.len) as usize
+    }
+}
+
+/// One family of posting runs (all `(subject, predicate)` runs, or all
+/// `(predicate, object)` runs) in one arena. See [`AtomStore`] for the
+/// invariants.
+#[derive(Debug, Clone, Default)]
+struct Postings {
+    runs: FxHashMap<RunKey, Run>,
+    arena: Vec<Posting>,
+    /// Entries over all runs.
+    entries: usize,
+    /// Arena slots inside no run's capacity: what relocated runs left
+    /// behind.
+    holes: usize,
+}
+
+/// The two symbols a run is filed under.
+type RunKey = (Symbol, Symbol);
+
+fn arena_offset(at: usize) -> u32 {
+    u32::try_from(at).expect("posting arena overflow")
+}
+
+impl Postings {
+    /// Lays the runs of `keyed` out back to back, tight, in key order.
+    fn bulk(mut keyed: Vec<(RunKey, Posting)>) -> Self {
+        keyed.sort_unstable_by_key(|&(key, e)| (key, e.interval, e.id));
+        Postings::layout(&keyed)
+    }
+
+    /// [`Postings::bulk`] of entries already in `(key, start, end, id)`
+    /// order.
+    fn layout(keyed: &[(RunKey, Posting)]) -> Self {
+        let distinct = keyed.chunk_by(|a, b| a.0 == b.0).count();
+        let mut runs = FxHashMap::with_capacity_and_hasher(distinct, Default::default());
+        let mut arena = Vec::with_capacity(keyed.len());
+        for group in keyed.chunk_by(|a, b| a.0 == b.0) {
+            let offset = arena_offset(arena.len());
+            let mut max_end = TimePoint::MIN;
+            for &(_, e) in group {
+                max_end = max_end.max(e.interval.end());
+                arena.push(Posting { max_end, ..e });
+            }
+            let len = arena_offset(arena.len()) - offset;
+            runs.insert(
+                group[0].0,
+                Run {
+                    offset,
+                    len,
+                    cap: len,
+                },
+            );
+        }
+        Postings {
+            runs,
+            entries: arena.len(),
+            arena,
+            holes: 0,
+        }
+    }
+
+    fn run(&self, key: RunKey) -> &[Posting] {
+        self.runs
+            .get(&key)
+            .map_or(&[], |run| &self.arena[run.live()])
+    }
+
+    /// Adds one entry to the run of `key`, in `(start, end, id)` order:
+    /// a shift inside the run, after moving a full run to the tail of
+    /// the arena with doubled capacity.
+    fn insert(&mut self, key: RunKey, entry: Posting) {
+        let run = self.runs.entry(key).or_default();
+        if run.len == run.cap {
+            let offset = self.arena.len();
+            self.arena.extend_from_within(run.live());
+            let cap = (2 * run.cap).max(2);
+            self.arena.resize(offset + cap as usize, entry);
+            self.holes += run.cap as usize;
+            run.offset = arena_offset(offset);
+            run.cap = cap;
+        }
+        let old = run.len as usize;
+        run.len += 1;
+        let slots = &mut self.arena[run.live()];
+        let at = slots[..old].partition_point(|e| (e.interval, e.id) < (entry.interval, entry.id));
+        slots.copy_within(at..old, at + 1);
+        slots[at] = entry;
+        let mut max_end = at
+            .checked_sub(1)
+            .map_or(TimePoint::MIN, |p| slots[p].max_end);
+        for e in &mut slots[at..] {
+            max_end = max_end.max(e.interval.end());
+            e.max_end = max_end;
+        }
+        self.entries += 1;
+        if self.holes > self.entries {
+            self.compact();
+        }
+    }
+
+    /// Rewrites the arena without holes, runs in their present order
+    /// and with their present capacities.
+    fn compact(&mut self) {
+        let mut runs: Vec<&mut Run> = self.runs.values_mut().collect();
+        runs.sort_unstable_by_key(|run| run.offset);
+        let mut arena = Vec::with_capacity(self.arena.len() - self.holes);
+        for run in runs {
+            let offset = arena.len();
+            arena.extend_from_slice(&self.arena[run.live()]);
+            // Spare capacity holds copies of the run's last entry; the
+            // slots are never read.
+            let filler = arena[arena.len() - 1];
+            arena.resize(offset + run.cap as usize, filler);
+            run.offset = arena_offset(offset);
+        }
+        self.arena = arena;
+        self.holes = 0;
+    }
+}
+
+/// Interning store of ground atoms with the indexes the join engine
+/// probes.
 ///
 /// Atom ids are positional (they index solver assignment vectors), so
 /// the incremental grounder never deletes atoms: an atom whose last
 /// justification disappears is marked **dead** and skipped by the
 /// binding search, and *revived* in place if a later delta re-asserts
-/// the same ground statement.
-#[derive(Debug, Default, Clone)]
+/// the same ground statement. Indexes list dead atoms too.
+///
+/// # Postings
+///
+/// `by_pred` is a per-predicate id list in id order. The two keyed
+/// families — `(subject, predicate)` and `(predicate, object)` — are
+/// *covering* posting runs: an entry carries the atom's id, interval
+/// and third symbol ([`Posting`]), so a join step judges a candidate
+/// from the run alone. Each family keeps all its runs in one arena;
+/// a key maps to `(offset, len, cap)`. Invariants, checked by
+/// `tests/postings_conformance.rs`:
+///
+/// * **run order** — a run is sorted by `(start, end, id)` and every
+///   entry carries the running maximum of `end` over the run so far,
+///   so the entries meeting a time window are found by one binary
+///   search and a scan that stops at the first later start
+///   ([`reaching`]);
+/// * **capacity doubling** — a cold build ([`AtomStore::from_graph`])
+///   lays the runs out back to back and tight, in key order; a later
+///   insert shifts inside its run, and a full run first moves to the
+///   tail of the arena with twice the capacity. An insert costs
+///   O(run), never O(store), and `Σ cap ≤ 2 × entries`;
+/// * **dead-space bound** — the slots relocated runs leave behind never
+///   outnumber the entries: the insert that would break this rewrites
+///   the arena without them (amortised over the relocations that made
+///   them). So an arena holds at most `3 × entries` slots;
+/// * **which families exist** — `(subject, predicate)` always: it is
+///   also how a statement finds its atom ([`AtomStore::lookup`]
+///   searches the run; there is no statement → atom map beside it);
+///   `(predicate, object)` in a store made by [`AtomStore::new`], and
+///   in one made by [`AtomStore::from_graph`] only once a join plan
+///   probes it ([`AtomStore::ensure_predicate_object`]).
+#[derive(Debug, Clone)]
 pub struct AtomStore {
     atoms: Vec<GroundAtom>,
     alive: Vec<bool>,
+    /// Combined evidence weight per atom (independent evidence adds in
+    /// log-odds space); `0.0` for a hidden atom.
+    log_odds: Vec<f64>,
+    /// One contributing fact per atom, inline (`FactId(u32::MAX)` for
+    /// a hidden atom)…
+    first_fact: Vec<FactId>,
+    /// …and the others, for the few statements asserted more than once.
+    more_facts: FxHashMap<AtomId, Vec<FactId>>,
     dead_count: usize,
-    interned: FxHashMap<(Symbol, Symbol, Symbol, Interval), AtomId>,
+    evidence_count: usize,
+    hidden_count: usize,
     by_pred: FxHashMap<Symbol, Vec<AtomId>>,
-    by_sp: FxHashMap<(Symbol, Symbol), Vec<AtomId>>,
-    by_po: FxHashMap<(Symbol, Symbol), Vec<AtomId>>,
+    by_sp: Postings,
+    by_po: Option<Postings>,
+}
+
+const NO_FACT: FactId = FactId(u32::MAX);
+
+impl Default for AtomStore {
+    fn default() -> Self {
+        AtomStore::new()
+    }
 }
 
 impl AtomStore {
-    /// Creates an empty store.
+    /// Creates an empty store with every index family.
     pub fn new() -> Self {
-        AtomStore::default()
+        AtomStore {
+            atoms: Vec::new(),
+            alive: Vec::new(),
+            log_odds: Vec::new(),
+            first_fact: Vec::new(),
+            more_facts: FxHashMap::default(),
+            dead_count: 0,
+            evidence_count: 0,
+            hidden_count: 0,
+            by_pred: FxHashMap::default(),
+            by_sp: Postings::default(),
+            by_po: Some(Postings::default()),
+        }
+    }
+
+    /// The evidence atoms of `graph`, built in bulk. One sort of the
+    /// facts by `(subject, predicate, interval, object, position)` puts
+    /// the assertions of one statement side by side, earliest first;
+    /// the facts then make their atoms in graph order (so atom ids
+    /// follow first assertion, as interning one by one gives them),
+    /// and the same sorted entries — one per statement — are the
+    /// `(subject, predicate)` runs, laid out back to back. Only that
+    /// family is built. Also returns the fact → atom table.
+    pub fn from_graph(graph: &UtkGraph) -> (Self, FactAtoms) {
+        let mut store = AtomStore {
+            by_po: None,
+            ..AtomStore::new()
+        };
+        let mut sorted: Vec<(RunKey, Interval, Symbol, u32)> = graph
+            .iter()
+            .zip(0..)
+            .map(|((_, f), at)| ((f.subject, f.predicate), f.interval, f.object, at))
+            .collect();
+        sorted.sort_unstable();
+        // For every fact (by position among the live ones), the
+        // position of the earliest fact asserting the same statement.
+        let mut earliest = vec![0u32; sorted.len()];
+        for same in sorted.chunk_by(|a, b| (a.0, a.1, a.2) == (b.0, b.1, b.2)) {
+            for assertion in same {
+                earliest[assertion.3 as usize] = same[0].3;
+            }
+        }
+
+        let n = graph.len();
+        store.atoms.reserve(n);
+        store.alive.reserve(n);
+        store.log_odds.reserve(n);
+        store.first_fact.reserve(n);
+        let first = graph
+            .iter()
+            .next()
+            .map_or(graph.arena_len(), |(fid, _)| fid.index());
+        let mut fact_atoms = FactAtoms {
+            first,
+            atoms: vec![NO_ATOM; graph.arena_len() - first],
+        };
+        let mut atom_at: Vec<AtomId> = Vec::with_capacity(n);
+        for ((fid, fact), at) in graph.iter().zip(0..) {
+            let log_odds = fact.confidence.log_odds();
+            let id = if earliest[at] as usize == at {
+                let atom = GroundAtom {
+                    subject: fact.subject,
+                    predicate: fact.predicate,
+                    object: fact.object,
+                    kind: AtomKind::Evidence,
+                    interval: fact.interval,
+                };
+                store.push(atom, log_odds, fid)
+            } else {
+                let id = atom_at[earliest[at] as usize];
+                store.attach_fact(id, log_odds, fid);
+                id
+            };
+            atom_at.push(id);
+            fact_atoms.atoms[fid.index() - first] = id;
+        }
+
+        for (atom, id) in store.atoms.iter().zip(0..) {
+            let with_predicate = store.by_pred.entry(atom.predicate).or_default();
+            with_predicate.push(AtomId(id));
+        }
+        let mut keyed: Vec<(RunKey, Posting)> = sorted
+            .iter()
+            .filter(|&&(.., at)| earliest[at as usize] == at)
+            .map(|&(key, interval, third, at)| {
+                let entry = Posting {
+                    interval,
+                    max_end: TimePoint::MIN,
+                    id: atom_at[at as usize],
+                    third,
+                };
+                (key, entry)
+            })
+            .collect();
+        // Statements of one key and interval came out in object order;
+        // a run has them in id order.
+        for tied in keyed.chunk_by_mut(|a, b| (a.0, a.1.interval) == (b.0, b.1.interval)) {
+            tied.sort_unstable_by_key(|&(_, e)| e.id);
+        }
+        store.by_sp = Postings::layout(&keyed);
+        (store, fact_atoms)
+    }
+
+    /// Builds the `(predicate, object)` family if this store does not
+    /// have it yet; from then on inserts maintain it.
+    pub fn ensure_predicate_object(&mut self) {
+        if self.by_po.is_some() {
+            return;
+        }
+        let keyed = self
+            .iter()
+            .map(|(id, atom)| {
+                let entry = Posting {
+                    interval: atom.interval,
+                    max_end: TimePoint::MIN,
+                    id,
+                    third: atom.subject,
+                };
+                ((atom.predicate, atom.object), entry)
+            })
+            .collect();
+        self.by_po = Some(Postings::bulk(keyed));
     }
 
     /// Number of atoms.
@@ -92,13 +456,36 @@ impl AtomStore {
     }
 
     /// The atom for an id.
+    #[inline]
     pub fn atom(&self, id: AtomId) -> &GroundAtom {
         &self.atoms[id.index()]
     }
 
-    /// Looks up an atom by its ground key.
+    /// The combined evidence weight of an atom; `None` for a hidden one.
+    pub fn log_odds(&self, id: AtomId) -> Option<f64> {
+        self.atoms[id.index()]
+            .kind
+            .is_evidence()
+            .then(|| self.log_odds[id.index()])
+    }
+
+    /// The facts asserting an evidence atom, in the order they were
+    /// attached (usually one; none for a hidden atom).
+    pub fn facts(&self, id: AtomId) -> impl Iterator<Item = FactId> + '_ {
+        let first = Some(self.first_fact[id.index()]).filter(|&f| f != NO_FACT);
+        let more = self.more_facts.get(&id).into_iter().flatten().copied();
+        first.into_iter().chain(more)
+    }
+
+    /// Looks up an atom by its ground key: among the entries of its
+    /// `(subject, predicate)` run that hold this interval.
     pub fn lookup(&self, s: Symbol, p: Symbol, o: Symbol, interval: Interval) -> Option<AtomId> {
-        self.interned.get(&(s, p, o, interval)).copied()
+        let run = self.with_subject_predicate(s, p);
+        run[run.partition_point(|e| e.interval < interval)..]
+            .iter()
+            .take_while(|e| e.interval == interval)
+            .find(|e| e.third == o)
+            .map(|e| e.id)
     }
 
     /// Interns an evidence atom, merging confidence if the same ground
@@ -113,45 +500,29 @@ impl AtomStore {
         log_odds: f64,
         fact: FactId,
     ) -> AtomId {
-        if let Some(&id) = self.interned.get(&(s, p, o, interval)) {
-            if !self.is_alive(id) {
-                // A retracted atom re-asserted by new evidence comes
-                // back to life in its old slot.
-                self.revive(
-                    id,
-                    AtomKind::Evidence {
-                        log_odds,
-                        facts: vec![fact],
-                    },
-                );
-                return id;
-            }
-            match &mut self.atoms[id.index()].kind {
-                AtomKind::Evidence { log_odds: w, facts } => {
-                    *w += log_odds;
-                    facts.push(fact);
-                }
-                kind @ AtomKind::Hidden => {
-                    // A derived atom later confirmed by evidence is
-                    // upgraded to evidence.
-                    *kind = AtomKind::Evidence {
-                        log_odds,
-                        facts: vec![fact],
-                    };
-                }
-            }
+        let Some(id) = self.lookup(s, p, o, interval) else {
+            let atom = GroundAtom {
+                subject: s,
+                predicate: p,
+                object: o,
+                kind: AtomKind::Evidence,
+                interval,
+            };
+            let id = self.push(atom, log_odds, fact);
+            self.index(id);
             return id;
+        };
+        if self.is_alive(id) && self.atoms[id.index()].kind.is_evidence() {
+            self.attach_fact(id, log_odds, fact);
+        } else {
+            // A retracted atom re-asserted by new evidence comes back
+            // to life in its old slot; a derived atom later confirmed
+            // by evidence is upgraded to evidence.
+            self.set_kind(id, AtomKind::Evidence);
+            self.log_odds[id.index()] = log_odds;
+            self.first_fact[id.index()] = fact;
         }
-        self.insert(GroundAtom {
-            subject: s,
-            predicate: p,
-            object: o,
-            interval,
-            kind: AtomKind::Evidence {
-                log_odds,
-                facts: vec![fact],
-            },
-        })
+        id
     }
 
     /// Interns a hidden (derived) atom; returns `(id, was_new)` —
@@ -163,41 +534,57 @@ impl AtomStore {
         o: Symbol,
         interval: Interval,
     ) -> (AtomId, bool) {
-        if let Some(&id) = self.interned.get(&(s, p, o, interval)) {
-            if !self.is_alive(id) {
-                self.revive(id, AtomKind::Hidden);
-                return (id, true);
-            }
+        let Some(id) = self.lookup(s, p, o, interval) else {
+            let atom = GroundAtom {
+                subject: s,
+                predicate: p,
+                object: o,
+                kind: AtomKind::Hidden,
+                interval,
+            };
+            let id = self.push(atom, 0.0, NO_FACT);
+            self.index(id);
+            return (id, true);
+        };
+        if self.is_alive(id) {
             return (id, false);
         }
-        let id = self.insert(GroundAtom {
-            subject: s,
-            predicate: p,
-            object: o,
-            interval,
-            kind: AtomKind::Hidden,
-        });
+        self.set_kind(id, AtomKind::Hidden);
         (id, true)
     }
 
-    fn insert(&mut self, atom: GroundAtom) -> AtomId {
+    /// Appends a live atom to the tables (not to the indexes).
+    fn push(&mut self, atom: GroundAtom, log_odds: f64, fact: FactId) -> AtomId {
         let id = AtomId(u32::try_from(self.atoms.len()).expect("atom store overflow"));
-        self.interned.insert(
-            (atom.subject, atom.predicate, atom.object, atom.interval),
-            id,
-        );
-        self.by_pred.entry(atom.predicate).or_default().push(id);
-        self.by_sp
-            .entry((atom.subject, atom.predicate))
-            .or_default()
-            .push(id);
-        self.by_po
-            .entry((atom.predicate, atom.object))
-            .or_default()
-            .push(id);
+        *self.count_mut(atom.kind) += 1;
         self.atoms.push(atom);
         self.alive.push(true);
+        self.log_odds.push(log_odds);
+        self.first_fact.push(fact);
         id
+    }
+
+    /// One more fact asserting a live evidence atom.
+    fn attach_fact(&mut self, id: AtomId, log_odds: f64, fact: FactId) {
+        self.log_odds[id.index()] += log_odds;
+        self.more_facts.entry(id).or_default().push(fact);
+    }
+
+    /// Enters a fresh atom into every index family this store keeps.
+    fn index(&mut self, id: AtomId) {
+        let atom = self.atoms[id.index()];
+        self.by_pred.entry(atom.predicate).or_default().push(id);
+        let entry = |third| Posting {
+            interval: atom.interval,
+            max_end: TimePoint::MIN,
+            id,
+            third,
+        };
+        self.by_sp
+            .insert((atom.subject, atom.predicate), entry(atom.object));
+        if let Some(by_po) = &mut self.by_po {
+            by_po.insert((atom.predicate, atom.object), entry(atom.subject));
+        }
     }
 
     /// Is the atom live (still justified by evidence or a derivation)?
@@ -211,25 +598,60 @@ impl AtomStore {
         self.dead_count
     }
 
+    fn count_mut(&mut self, kind: AtomKind) -> &mut usize {
+        match kind {
+            AtomKind::Evidence => &mut self.evidence_count,
+            AtomKind::Hidden => &mut self.hidden_count,
+        }
+    }
+
     /// Marks an atom dead. The id stays valid (assignment vectors keep
-    /// their width); the binding search skips it.
-    pub(crate) fn kill(&mut self, id: AtomId) {
+    /// their width); the binding search skips it. (Inside a
+    /// [`Grounding`](crate::Grounding) only `apply_delta` may do this:
+    /// it retracts the atom's clauses with it.)
+    pub fn kill(&mut self, id: AtomId) {
         if std::mem::replace(&mut self.alive[id.index()], false) {
             self.dead_count += 1;
+            *self.count_mut(self.atoms[id.index()].kind) -= 1;
         }
     }
 
-    /// Revives a dead atom in place with a fresh justification.
-    pub(crate) fn revive(&mut self, id: AtomId, kind: AtomKind) {
-        if !std::mem::replace(&mut self.alive[id.index()], true) {
+    /// Makes a live atom `kind` — or revives a dead one as `kind` —
+    /// with no facts attached.
+    pub fn set_kind(&mut self, id: AtomId, kind: AtomKind) {
+        if std::mem::replace(&mut self.alive[id.index()], true) {
+            *self.count_mut(self.atoms[id.index()].kind) -= 1;
+        } else {
             self.dead_count -= 1;
         }
+        *self.count_mut(kind) += 1;
         self.atoms[id.index()].kind = kind;
+        self.log_odds[id.index()] = 0.0;
+        self.first_fact[id.index()] = NO_FACT;
+        self.more_facts.remove(&id);
     }
 
-    /// Mutable access to an atom's justification (incremental updates).
-    pub(crate) fn kind_mut(&mut self, id: AtomId) -> &mut AtomKind {
-        &mut self.atoms[id.index()].kind
+    /// Detaches `fact` from an evidence atom; returns how many facts
+    /// still assert it.
+    pub(crate) fn detach_fact(&mut self, id: AtomId, fact: FactId) -> usize {
+        let mut facts: Vec<FactId> = self.facts(id).filter(|&f| f != fact).collect();
+        let remaining = facts.len();
+        self.first_fact[id.index()] = if facts.is_empty() {
+            NO_FACT
+        } else {
+            facts.remove(0)
+        };
+        if facts.is_empty() {
+            self.more_facts.remove(&id);
+        } else {
+            self.more_facts.insert(id, facts);
+        }
+        remaining
+    }
+
+    /// Replaces the combined evidence weight of an atom.
+    pub(crate) fn set_log_odds(&mut self, id: AtomId, log_odds: f64) {
+        self.log_odds[id.index()] = log_odds;
     }
 
     /// Iterates over all atoms, dead ones included (ids are dense).
@@ -245,31 +667,48 @@ impl AtomStore {
         self.iter().filter(|(id, _)| self.alive[id.index()])
     }
 
-    /// Atoms with the given predicate.
+    /// Atoms with the given predicate, in id order.
     pub fn with_predicate(&self, p: Symbol) -> &[AtomId] {
         self.by_pred.get(&p).map_or(&[], Vec::as_slice)
     }
 
-    /// Atoms with the given subject and predicate.
-    pub fn with_subject_predicate(&self, s: Symbol, p: Symbol) -> &[AtomId] {
-        self.by_sp.get(&(s, p)).map_or(&[], Vec::as_slice)
+    /// The posting run of a subject and predicate; `third` is the
+    /// object.
+    pub fn with_subject_predicate(&self, s: Symbol, p: Symbol) -> &[Posting] {
+        self.by_sp.run((s, p))
     }
 
-    /// Atoms with the given predicate and object.
-    pub fn with_predicate_object(&self, p: Symbol, o: Symbol) -> &[AtomId] {
-        self.by_po.get(&(p, o)).map_or(&[], Vec::as_slice)
+    /// The posting run of a predicate and object; `third` is the
+    /// subject.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a store that was built without the family and never
+    /// asked for it ([`AtomStore::ensure_predicate_object`]).
+    pub fn with_predicate_object(&self, p: Symbol, o: Symbol) -> &[Posting] {
+        self.by_po
+            .as_ref()
+            .expect("a plan probing (predicate, object) asks for the family first")
+            .run((p, o))
     }
 
     /// Number of live evidence atoms.
     pub fn evidence_count(&self) -> usize {
-        self.iter_alive()
-            .filter(|(_, a)| a.kind.is_evidence())
-            .count()
+        self.evidence_count
     }
 
     /// Number of live hidden atoms.
     pub fn hidden_count(&self) -> usize {
-        self.len() - self.dead_count - self.evidence_count()
+        self.hidden_count
+    }
+
+    /// `(entries, arena slots, slots relocated runs left behind)` of
+    /// each posting family this store keeps — what the arena invariants
+    /// are stated over.
+    pub fn posting_space(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        std::iter::once(&self.by_sp)
+            .chain(&self.by_po)
+            .map(|f| (f.entries, f.arena.len(), f.holes))
     }
 }
 
@@ -289,13 +728,10 @@ mod tests {
         let b = store.intern_evidence(s, p, o, iv(1, 2), 0.5, FactId(1));
         assert_eq!(a, b);
         assert_eq!(store.len(), 1);
-        match &store.atom(a).kind {
-            AtomKind::Evidence { log_odds, facts } => {
-                assert!((log_odds - 1.5).abs() < 1e-12);
-                assert_eq!(facts.len(), 2);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert!(store.atom(a).kind.is_evidence());
+        assert!((store.log_odds(a).unwrap() - 1.5).abs() < 1e-12);
+        assert_eq!(store.facts(a).collect::<Vec<_>>(), [FactId(0), FactId(1)]);
+        assert_eq!(store.with_subject_predicate(s, p).len(), 1, "one atom");
     }
 
     #[test]
@@ -304,6 +740,8 @@ mod tests {
         let (s, p, o) = (Symbol(0), Symbol(1), Symbol(2));
         let (h, new) = store.intern_hidden(s, p, o, iv(1, 2));
         assert!(new);
+        assert_eq!(store.log_odds(h), None);
+        assert_eq!(store.facts(h).count(), 0);
         let (h2, new2) = store.intern_hidden(s, p, o, iv(1, 2));
         assert_eq!(h, h2);
         assert!(!new2);
@@ -328,14 +766,40 @@ mod tests {
     fn indexes() {
         let mut store = AtomStore::new();
         let (s1, s2, p, o1, o2) = (Symbol(0), Symbol(1), Symbol(2), Symbol(3), Symbol(4));
-        store.intern_evidence(s1, p, o1, iv(1, 2), 1.0, FactId(0));
-        store.intern_evidence(s1, p, o2, iv(3, 4), 1.0, FactId(1));
+        store.intern_evidence(s1, p, o1, iv(3, 4), 1.0, FactId(0));
+        store.intern_evidence(s1, p, o2, iv(1, 2), 1.0, FactId(1));
         store.intern_evidence(s2, p, o1, iv(5, 6), 1.0, FactId(2));
         assert_eq!(store.with_predicate(p).len(), 3);
-        assert_eq!(store.with_subject_predicate(s1, p).len(), 2);
-        assert_eq!(store.with_predicate_object(p, o1).len(), 2);
+        // Runs are in start order and carry the third symbol.
+        let run: Vec<_> = store
+            .with_subject_predicate(s1, p)
+            .iter()
+            .map(|e| (e.id, e.third, e.interval))
+            .collect();
+        assert_eq!(run, [(AtomId(1), o2, iv(1, 2)), (AtomId(0), o1, iv(3, 4))]);
+        let run: Vec<_> = store
+            .with_predicate_object(p, o1)
+            .iter()
+            .map(|e| (e.id, e.third))
+            .collect();
+        assert_eq!(run, [(AtomId(0), s1), (AtomId(2), s2)]);
         assert!(store.with_predicate(Symbol(99)).is_empty());
-        assert_eq!(store.lookup(s1, p, o1, iv(1, 2)), Some(AtomId(0)));
+        assert!(store.with_subject_predicate(s2, Symbol(99)).is_empty());
+        assert_eq!(store.lookup(s1, p, o1, iv(3, 4)), Some(AtomId(0)));
         assert_eq!(store.lookup(s1, p, o1, iv(9, 9)), None);
+    }
+
+    #[test]
+    fn detaching_facts_keeps_their_order_and_ends_at_none() {
+        let mut store = AtomStore::new();
+        let (s, p, o) = (Symbol(0), Symbol(1), Symbol(2));
+        let a = store.intern_evidence(s, p, o, iv(1, 2), 1.0, FactId(3));
+        store.intern_evidence(s, p, o, iv(1, 2), 1.0, FactId(5));
+        store.intern_evidence(s, p, o, iv(1, 2), 1.0, FactId(8));
+        assert_eq!(store.detach_fact(a, FactId(3)), 2);
+        assert_eq!(store.facts(a).collect::<Vec<_>>(), [FactId(5), FactId(8)]);
+        assert_eq!(store.detach_fact(a, FactId(8)), 1);
+        assert_eq!(store.detach_fact(a, FactId(5)), 0);
+        assert_eq!(store.facts(a).count(), 0);
     }
 }

@@ -1,6 +1,7 @@
 //! Compilation of formulas against a dictionary: constants are interned
-//! to symbols, a join order is planned, and conditions are scheduled at
-//! the earliest position where their variables are bound.
+//! to symbols, a join order is planned, and every step of it gets its
+//! access path into the atom store, the time window it may probe with,
+//! and the checks that become evaluable once it has bound its atom.
 
 use tecore_kg::{Dictionary, Symbol};
 use tecore_logic::atom::{CmpOp, Comparison, Condition, QuadAtom, TemporalCond};
@@ -8,7 +9,7 @@ use tecore_logic::formula::{Consequent, Formula, Weight};
 use tecore_logic::term::{Term, TimeTerm, VarId};
 use tecore_logic::validate::check_formula;
 use tecore_logic::{LogicError, LogicProgram};
-use tecore_temporal::Interval;
+use tecore_temporal::{AllenSet, Interval};
 
 /// A compiled entity term: variable or interned symbol.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,6 +121,18 @@ impl CCondition {
     }
 }
 
+/// A test a partial grounding must pass before the join goes on: a
+/// body condition, which must hold — or, for a formula that derives
+/// nothing, its consequent, which must *fail* (a grounding whose
+/// consequent holds emits no clause, so it is no match).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Check {
+    /// What is evaluated.
+    pub cond: CCondition,
+    /// The outcome that lets the grounding through.
+    pub holds: bool,
+}
+
 /// A compiled consequent.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CConsequent {
@@ -158,6 +171,23 @@ impl CConsequent {
     pub fn derives(&self) -> bool {
         matches!(self, CConsequent::Quad { .. })
     }
+
+    /// The check a body grounding passes when it *violates* this
+    /// consequent; `None` when every grounding counts (a derivation,
+    /// or a denial).
+    fn violated(&self) -> Option<Check> {
+        let cond = match self {
+            CConsequent::Quad { .. } | CConsequent::False => return None,
+            CConsequent::Temporal(tc) => CCondition::Temporal(tc.clone()),
+            CConsequent::Numeric(cmp) => CCondition::Numeric(cmp.clone()),
+            CConsequent::EntityCmp { left, op, right } => CCondition::EntityCmp {
+                left: *left,
+                op: *op,
+                right: *right,
+            },
+        };
+        Some(Check { cond, holds: false })
+    }
 }
 
 /// A formula compiled for grounding.
@@ -171,42 +201,211 @@ pub struct CompiledFormula {
     pub weight: Weight,
     /// Body patterns in source order.
     pub body: Vec<CPattern>,
-    /// Join order: a permutation of `0..body.len()`.
-    pub join_order: Vec<usize>,
-    /// Conditions.
-    pub conditions: Vec<CCondition>,
-    /// `schedule[k]` lists conditions evaluable after the `k`-th join
-    /// step (0-based position in `join_order`).
-    pub schedule: Vec<Vec<usize>>,
+    /// The body conditions, followed — for a formula that derives
+    /// nothing — by the violated consequent. A *match* of the formula
+    /// is a body grounding that passes them all, whatever the join
+    /// order: for a constraint, a grounding that violates it.
+    pub checks: Vec<Check>,
+    /// The cold join: every body position, in planned order.
+    pub cold: JoinPlan,
     /// The delta rules of the body, one per position: `seeded[pos]`
     /// binds `pos` first — from the atoms a delta made new — and joins
     /// the remaining patterns outwards from it.
-    pub seeded: Vec<SeededPlan>,
+    pub seeded: Vec<JoinPlan>,
     /// Consequent.
     pub consequent: CConsequent,
     /// Total number of variables in the formula.
     pub n_vars: usize,
 }
 
-/// A join order that starts at one fixed body position, with the
-/// condition schedule that goes with it (see
-/// [`CompiledFormula::seeded`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SeededPlan {
-    /// A permutation of `0..body.len()` whose first element is the
-    /// seeded position.
-    pub order: Vec<usize>,
-    /// `schedule[k]` lists the conditions evaluable after step `k` of
-    /// `order`.
-    pub schedule: Vec<Vec<usize>>,
+/// How a join step finds its candidates in the atom store: through the
+/// most selective index whose key the earlier steps (and the pattern's
+/// constants) have fixed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    /// The `(subject, predicate)` posting run.
+    SubjectPredicate,
+    /// The `(predicate, object)` posting run.
+    PredicateObject,
+    /// The predicate's id list.
+    Predicate,
+    /// Every atom.
+    Scan,
 }
 
-impl SeededPlan {
-    /// The plan following `order`.
-    pub(crate) fn new(body: &[CPattern], order: Vec<usize>, conditions: &[CCondition]) -> Self {
-        let schedule = schedule_conditions(body, &order, conditions);
-        SeededPlan { order, schedule }
+/// A time window a step probes its posting run with: the step binds an
+/// interval variable that one of its temporal checks relates to an
+/// interval already known, so only entries `e` with
+/// `relation.holds(e, anchor)` can pass — all of which meet
+/// [`AllenSet::candidate_window`] of the anchor. The check itself still
+/// runs on what the window lets through.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Window {
+    /// The relation a candidate's interval must bear to the anchor
+    /// (converse and complement already applied).
+    pub relation: AllenSet,
+    /// The known interval: a variable bound by an earlier step, or a
+    /// literal.
+    pub anchor: CTime,
+}
+
+/// One step of a join: which pattern it binds and how.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Step {
+    /// Body position of the pattern.
+    pub pattern: usize,
+    /// Where the candidates come from.
+    pub access: Access,
+    /// The time window to probe a posting run with, if a check of this
+    /// step gives one.
+    pub window: Option<Window>,
+    /// The [`CompiledFormula::checks`] evaluable once this step has
+    /// bound its atom (and not before).
+    pub checks: Vec<usize>,
+    /// The variables this step binds first, as `(variable, is_entity)`
+    /// — what backtracking over the step unbinds.
+    pub binds: Vec<(VarId, bool)>,
+    /// Body positions, bound by earlier steps, whose atom cannot be
+    /// this step's: one of the step's checks demands that two
+    /// variables differ which sit in the same slot of both patterns
+    /// (`y != z` over the two objects of c2, the violated `y = z` of
+    /// c3), and one atom would give them one value.
+    pub apart: Vec<usize>,
+}
+
+/// A join order over a formula's body with everything the enumerator
+/// needs per step.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JoinPlan {
+    /// The steps, in join order.
+    pub steps: Vec<Step>,
+}
+
+impl JoinPlan {
+    /// The plan following `order`, a permutation of the body positions.
+    pub(crate) fn new(body: &[CPattern], checks: &[Check], order: &[usize]) -> Self {
+        let mut bound: Vec<VarId> = Vec::new();
+        let mut unscheduled: Vec<usize> = (0..checks.len()).collect();
+        let mut steps = Vec::with_capacity(order.len());
+        for &pattern in order {
+            let p = &body[pattern];
+            let known = |t: &CTerm| match t {
+                CTerm::Sym(_) => true,
+                CTerm::Var(v) => bound.contains(v),
+            };
+            let access = match (known(&p.subject), known(&p.predicate), known(&p.object)) {
+                (true, true, _) => Access::SubjectPredicate,
+                (_, true, true) => Access::PredicateObject,
+                (_, true, false) => Access::Predicate,
+                _ => Access::Scan,
+            };
+            let time_var = match p.time {
+                Some(CTime::Var(v)) => Some(v),
+                _ => None,
+            };
+            let binds: Vec<(VarId, bool)> = p
+                .vars()
+                .into_iter()
+                .filter(|v| !bound.contains(v))
+                .map(|v| (v, Some(v) != time_var))
+                .collect();
+            bound.extend(binds.iter().map(|&(v, _)| v));
+            let mut ready = Vec::new();
+            unscheduled.retain(|&ci| {
+                let now = checks[ci].cond.vars().iter().all(|v| bound.contains(v));
+                if now {
+                    ready.push(ci);
+                }
+                !now
+            });
+            let probes_run = matches!(access, Access::SubjectPredicate | Access::PredicateObject);
+            let window = time_var
+                .filter(|&t| probes_run && binds.contains(&(t, false)))
+                .and_then(|t| ready.iter().find_map(|&ci| window_of(&checks[ci], t)));
+            let apart = order[..steps.len()]
+                .iter()
+                .copied()
+                .filter(|&earlier| {
+                    ready
+                        .iter()
+                        .any(|&ci| keeps_apart(&checks[ci], p, &body[earlier]))
+                })
+                .collect();
+            steps.push(Step {
+                pattern,
+                access,
+                window,
+                checks: ready,
+                binds,
+                apart,
+            });
+        }
+        debug_assert!(
+            unscheduled.is_empty(),
+            "validation guarantees bound conditions"
+        );
+        JoinPlan { steps }
     }
+
+    /// The body positions in join order.
+    pub fn order(&self) -> Vec<usize> {
+        self.steps.iter().map(|s| s.pattern).collect()
+    }
+
+    /// Does a step after `from` probe the `(predicate, object)` family?
+    pub(crate) fn probes_predicate_object(&self, from: usize) -> bool {
+        self.steps[from..]
+            .iter()
+            .any(|s| s.access == Access::PredicateObject)
+    }
+}
+
+/// Does `check` fail whenever the patterns `a` and `b` bind the same
+/// atom? It does when it demands that two variables differ which the
+/// two patterns hold in the same slot.
+fn keeps_apart(check: &Check, a: &CPattern, b: &CPattern) -> bool {
+    let CCondition::EntityCmp { left, op, right } = &check.cond else {
+        return false;
+    };
+    let differ = match op {
+        CmpOp::Ne => check.holds,
+        CmpOp::Eq => !check.holds,
+        _ => return false,
+    };
+    let (CTerm::Var(_), CTerm::Var(_)) = (left, right) else {
+        return false;
+    };
+    let slots = |p: &CPattern| [p.subject, p.predicate, p.object];
+    differ
+        && slots(a)
+            .iter()
+            .zip(slots(b))
+            .any(|(&in_a, in_b)| (in_a, in_b) == (*left, *right) || (in_a, in_b) == (*right, *left))
+}
+
+/// The window `check` gives a step that binds the interval variable
+/// `t`: the check is a temporal one between `t` itself and a variable
+/// bound earlier, or a literal.
+fn window_of(check: &Check, t: VarId) -> Option<Window> {
+    let CCondition::Temporal(tc) = &check.cond else {
+        return None;
+    };
+    let relation = if check.holds {
+        tc.relation
+    } else {
+        tc.relation.complement()
+    };
+    let anchor = |term: &TimeTerm| match term {
+        TimeTerm::Var(v) if *v != t => Some(CTime::Var(*v)),
+        TimeTerm::Lit(iv) => Some(CTime::Lit(*iv)),
+        _ => None,
+    };
+    let (relation, anchor) = match (&tc.left, &tc.right) {
+        (TimeTerm::Var(v), other) if *v == t => (relation, anchor(other)?),
+        (other, TimeTerm::Var(v)) if *v == t => (relation.converse(), anchor(other)?),
+        _ => return None,
+    };
+    Some(Window { relation, anchor })
 }
 
 /// A compiled program.
@@ -227,6 +426,16 @@ impl CompiledProgram {
             formulas.push(compile_formula(index, f, dict)?);
         }
         Ok(CompiledProgram { formulas })
+    }
+
+    /// Does some join of the program, under its present plans, probe
+    /// the atom store's `(predicate, object)` family? (A seeded join
+    /// binds its first step from the delta, not from an index.)
+    pub(crate) fn probes_predicate_object(&self) -> bool {
+        self.formulas.iter().any(|cf| {
+            cf.cold.probes_predicate_object(0)
+                || cf.seeded.iter().any(|plan| plan.probes_predicate_object(1))
+        })
     }
 }
 
@@ -259,10 +468,13 @@ fn compile_formula(
     for atom in &f.body {
         body.push(compile_pattern(atom, f, dict)?);
     }
-    let conditions: Vec<CCondition> = f
+    let mut checks: Vec<Check> = f
         .conditions
         .iter()
-        .map(|c| compile_condition(c, dict))
+        .map(|c| Check {
+            cond: compile_condition(c, dict),
+            holds: true,
+        })
         .collect();
     let consequent = match &f.consequent {
         Consequent::Quad(q) => CConsequent::Quad {
@@ -281,10 +493,11 @@ fn compile_formula(
         Consequent::False => CConsequent::False,
     };
 
-    let join_order = plan_join_order(&body, None);
-    let schedule = schedule_conditions(&body, &join_order, &conditions);
+    checks.extend(consequent.violated());
+
+    let cold = JoinPlan::new(&body, &checks, &plan_join_order(&body, None));
     let seeded = (0..body.len())
-        .map(|pos| SeededPlan::new(&body, plan_join_order(&body, Some(pos)), &conditions))
+        .map(|pos| JoinPlan::new(&body, &checks, &plan_join_order(&body, Some(pos))))
         .collect();
 
     Ok(CompiledFormula {
@@ -292,9 +505,8 @@ fn compile_formula(
         name: f.name.clone(),
         weight: f.weight,
         body,
-        join_order,
-        conditions,
-        schedule,
+        checks,
+        cold,
         seeded,
         consequent,
         n_vars: f.vars.len(),
@@ -381,37 +593,6 @@ pub(crate) fn plan_join_order(body: &[CPattern], first: Option<usize>) -> Vec<us
     order
 }
 
-/// Schedules each condition at the earliest join step after which all
-/// its variables are bound.
-pub(crate) fn schedule_conditions(
-    body: &[CPattern],
-    join_order: &[usize],
-    conditions: &[CCondition],
-) -> Vec<Vec<usize>> {
-    let mut schedule: Vec<Vec<usize>> = vec![Vec::new(); join_order.len()];
-    let mut bound: Vec<VarId> = Vec::new();
-    let mut remaining: Vec<usize> = (0..conditions.len()).collect();
-    for (step, &pat) in join_order.iter().enumerate() {
-        for v in body[pat].vars() {
-            if !bound.contains(&v) {
-                bound.push(v);
-            }
-        }
-        remaining.retain(|&ci| {
-            let ready = conditions[ci].vars().iter().all(|v| bound.contains(v));
-            if ready {
-                schedule[step].push(ci);
-            }
-            !ready
-        });
-    }
-    debug_assert!(
-        remaining.is_empty(),
-        "validation guarantees bound conditions"
-    );
-    schedule
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,9 +620,9 @@ mod tests {
              -> false",
         );
         // Pattern 0 has two constants — starts the join.
-        assert_eq!(cf.join_order[0], 0);
+        assert_eq!(cf.cold.order()[0], 0);
         // Pattern 1 shares x with 0; pattern 2 shares z with 1 only.
-        assert_eq!(cf.join_order, vec![0, 1, 2]);
+        assert_eq!(cf.cold.order(), vec![0, 1, 2]);
     }
 
     #[test]
@@ -452,16 +633,17 @@ mod tests {
         );
         assert_eq!(cf.seeded.len(), 3);
         for (pos, plan) in cf.seeded.iter().enumerate() {
-            assert_eq!(plan.order[0], pos, "the seeded position binds first");
-            let mut sorted = plan.order.clone();
+            assert_eq!(plan.order()[0], pos, "the seeded position binds first");
+            let mut sorted = plan.order();
             sorted.sort_unstable();
             assert_eq!(sorted, vec![0, 1, 2], "a permutation");
         }
         // Seeded at the last pattern, z is bound first: the join walks
         // back through the shared variables (2 → 1 → 0), and `z != x`
         // runs as soon as pattern 1 has bound x.
-        assert_eq!(cf.seeded[2].order, vec![2, 1, 0]);
-        assert_eq!(cf.seeded[2].schedule, vec![vec![], vec![0], vec![]]);
+        assert_eq!(cf.seeded[2].order(), vec![2, 1, 0]);
+        let checks: Vec<&[usize]> = cf.seeded[2].steps.iter().map(|s| &s.checks[..]).collect();
+        assert_eq!(checks, [&[][..], &[0], &[]]);
     }
 
     #[test]
@@ -471,8 +653,72 @@ mod tests {
         );
         // After the 2nd pattern all of y, z are bound: the inequality
         // runs at step 1, not at the end.
-        assert!(cf.schedule[1].contains(&0));
-        assert!(cf.schedule[0].is_empty());
+        assert!(cf.cold.steps[1].checks.contains(&0));
+        assert!(cf.cold.steps[0].checks.is_empty());
+    }
+
+    #[test]
+    fn violated_consequent_is_a_check_and_gives_the_window() {
+        let (cf, _) = compile_one(
+            "c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf",
+        );
+        assert_eq!(cf.checks.len(), 2);
+        assert!(cf.checks[0].holds && !cf.checks[1].holds);
+        let [first, second] = &cf.cold.steps[..] else {
+            panic!("two steps");
+        };
+        assert_eq!(first.access, Access::Predicate);
+        assert_eq!(first.window, None, "an id list has no time order");
+        assert_eq!(first.binds.len(), 3);
+        // The second atom is found among the subject's coach spells
+        // that share time with the first: ¬disjoint = intersects.
+        assert_eq!(second.access, Access::SubjectPredicate);
+        assert_eq!(second.checks, vec![0, 1]);
+        assert_eq!(second.binds.len(), 2, "x is bound already");
+        assert_eq!(second.apart, vec![0], "one atom has one object");
+        let t = cf.body[0].time;
+        assert_eq!(
+            second.window,
+            Some(Window {
+                relation: AllenSet::INTERSECTS,
+                anchor: t.unwrap(),
+            })
+        );
+    }
+
+    #[test]
+    fn atoms_are_kept_apart_only_by_a_difference_in_one_slot() {
+        let apart = |src: &str| compile_one(src).0.cold.steps[1].apart.clone();
+        // The violated `y = z` demands y != z: both are objects.
+        assert_eq!(
+            apart("quad(x, bornIn, y, t) ^ quad(x, bornIn, z, t') ^ overlap(t, t') -> y = z"),
+            vec![0]
+        );
+        // A subject against an object: one atom can hold both values.
+        assert!(apart("quad(x, knows, y, t) ^ quad(z, knows, x, t') ^ y != z -> false").is_empty());
+        // `y = z` as a condition asks for sameness, and the violated
+        // `y != z` too.
+        assert!(apart("quad(x, p1, y, t) ^ quad(x, p1, z, t') ^ y = z -> false").is_empty());
+        assert!(apart("quad(x, p1, y, t) ^ quad(x, p1, z, t') -> y != z").is_empty());
+    }
+
+    #[test]
+    fn window_takes_the_converse_when_the_probed_side_is_on_the_right() {
+        let (cf, _) = compile_one(
+            "quad(x, birthDate, y, t) ^ quad(x, deathDate, z, t') ^ before(t', t) -> false",
+        );
+        // Seeded at the death: the birth is the step that binds `t`,
+        // the right-hand side of `before(t', t)`.
+        let birth = &cf.seeded[1].steps[1];
+        assert_eq!(birth.pattern, 0);
+        let window = birth.window.expect("before(t', t) with t' bound");
+        assert_eq!(
+            window.relation,
+            AllenSet::from_relation(tecore_temporal::AllenRelation::After)
+        );
+        assert_eq!(Some(window.anchor), cf.body[1].time);
+        // A denial has no consequent check.
+        assert_eq!(cf.checks.len(), 1);
     }
 
     #[test]

@@ -3,19 +3,20 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use tecore_kg::fxhash::{FxHashMap, FxHashSet};
-use tecore_kg::{Dictionary, FactId, Symbol, UtkGraph};
+use tecore_kg::fxhash::FxHashSet;
+use tecore_kg::{Dictionary, Symbol, UtkGraph};
 use tecore_logic::atom::CmpOp;
 use tecore_logic::formula::Weight;
 use tecore_logic::term::{TimeTerm, VarId};
 use tecore_logic::{LogicError, LogicProgram};
 use tecore_temporal::Interval;
 
-use crate::atoms::{AtomId, AtomStore};
+use crate::atoms::{self, AtomId, AtomStore, FactAtoms, GroundAtom, Posting};
 use crate::bindings::Bindings;
 use crate::clause::{ClauseOrigin, ClauseStore, ClauseWeight, GroundClause, Lit};
 use crate::compile::{
-    CCondition, CConsequent, CPattern, CTerm, CTime, CompiledFormula, CompiledProgram,
+    Access, CCondition, CConsequent, CPattern, CTerm, CTime, Check, CompiledFormula,
+    CompiledProgram, JoinPlan,
 };
 use crate::planner::{self, FormulaPlan, JoinPlanner};
 
@@ -49,8 +50,19 @@ pub struct GroundConfig {
 pub struct GroundingStats {
     /// Semi-naive rounds executed.
     pub rounds: usize,
-    /// Total body matches found (before consequent evaluation).
+    /// Matches found: body groundings that passed every condition
+    /// and, for a formula that derives nothing, violate its consequent
+    /// — the same number under any join order.
     pub body_matches: usize,
+    /// Candidates the joins examined: the atoms a join step tried
+    /// (admission, liveness, unification, checks) and the run entries a
+    /// window scan stepped over because they end before the window. A
+    /// candidate that *is* the atom an earlier step bound, where a
+    /// check demands the two differ
+    /// ([`Step::apart`](crate::compile::Step)), is passed over
+    /// uncounted. The binding search's work, independent of the clock;
+    /// unlike `body_matches` it depends on the join order.
+    pub candidates_examined: usize,
     /// Ground clauses emitted (excluding evidence units and priors).
     pub formula_clauses: usize,
     /// Evidence atoms created.
@@ -102,7 +114,7 @@ pub struct Grounding {
     /// name constraints from).
     pub program: CompiledProgram,
     /// Evidence fact → atom mapping.
-    pub fact_atoms: FxHashMap<FactId, AtomId>,
+    pub fact_atoms: FactAtoms,
     /// Run statistics.
     pub stats: GroundingStats,
     /// Graph epoch this grounding materialises.
@@ -228,18 +240,9 @@ pub fn ground(
     let mut plans = planner::plan_program(&mut compiled, graph.cardinalities(), config.planner);
     let plan_fingerprint = planner::fingerprint(graph.cardinalities());
 
-    let mut store = AtomStore::new();
-    let mut fact_atoms = FxHashMap::with_capacity_and_hasher(graph.len(), Default::default());
-    for (fid, fact) in graph.iter() {
-        let id = store.intern_evidence(
-            fact.subject,
-            fact.predicate,
-            fact.object,
-            fact.interval,
-            fact.confidence.log_odds(),
-            fid,
-        );
-        fact_atoms.insert(fid, id);
+    let (mut store, fact_atoms) = AtomStore::from_graph(graph);
+    if compiled.probes_predicate_object() {
+        store.ensure_predicate_object();
     }
     let evidence_atoms = store.len();
 
@@ -261,24 +264,23 @@ pub fn ground(
         if delta_start >= horizon {
             break;
         }
-        // Buffered matches: (formula idx, body atoms, head key). The
-        // store is frozen while the formulas are matched in order; head
-        // atoms are interned only once every match is collected.
-        let mut pending: Vec<(usize, Vec<AtomId>, Option<HeadKey>)> = Vec::new();
+        let mut pending = Pending::default();
         for cf in &compiled.formulas {
+            // Round one has no old atom to put before a new one: only
+            // the delta rule of position 0 can admit anything.
+            let passes = if delta_start == 0 { 1 } else { cf.body.len() };
             let mut matches = 0usize;
-            for delta_pos in 0..cf.body.len() {
-                enumerate_matches(
+            for delta_pos in 0..passes {
+                stats.candidates_examined += enumerate_matches(
                     &store,
                     cf,
-                    horizon,
                     Frontier::Range {
                         start: delta_start,
                         pos: delta_pos,
                     },
                     &mut |chosen, bindings| {
                         matches += 1;
-                        collect_match(cf, chosen, bindings, &store, &mut pending);
+                        pending.collect(cf, chosen, bindings, &store);
                     },
                 );
             }
@@ -286,9 +288,11 @@ pub fn ground(
             plans[cf.index].actual_matches += matches;
         }
         // Apply buffered matches: intern head atoms, emit clauses.
-        for (fidx, body_atoms, head) in pending {
+        pending.sort(&compiled.formulas);
+        for (fidx, at, head) in pending.matches {
             let cf = &compiled.formulas[fidx];
-            let mut lits: Vec<Lit> = body_atoms.iter().map(|&a| Lit::neg(a)).collect();
+            let body = &pending.atoms[at..at + cf.body.len()];
+            let mut lits: Vec<Lit> = body.iter().map(|&a| Lit::neg(a)).collect();
             if let Some(key) = head {
                 let (head_id, _new) =
                     store.intern_hidden(key.subject, key.predicate, key.object, key.interval);
@@ -299,9 +303,11 @@ pub fn ground(
                 Weight::Soft(w) => ClauseWeight::Soft(w),
             };
             if let Some(clause) = GroundClause::new(lits, weight, ClauseOrigin::Formula(fidx)) {
-                if seen.insert((fidx, clause.lits.clone())) {
+                let signature = (fidx, clause.lits);
+                if !seen.contains(&signature) {
                     stats.formula_clauses += 1;
-                    clauses.push(clause);
+                    clauses.push_lits(&signature.1, clause.weight, clause.origin);
+                    seen.insert(signature);
                 }
             }
         }
@@ -312,14 +318,14 @@ pub fn ground(
     }
 
     // Evidence unit clauses — emitted straight into the arena (no
-    // per-clause `Vec<Lit>` intermediates).
-    for (id, atom) in store.iter() {
-        if let crate::atoms::AtomKind::Evidence { log_odds, .. } = &atom.kind {
-            let (lit, weight) = evidence_unit(id, *log_odds, config);
+    // per-clause `Vec<Lit>` intermediates) — then the closed-world
+    // priors on hidden atoms.
+    for (id, _) in store.iter() {
+        if let Some(log_odds) = store.log_odds(id) {
+            let (lit, weight) = evidence_unit(id, log_odds, config);
             clauses.push_lits(&[lit], weight, ClauseOrigin::Evidence);
         }
     }
-    // Closed-world priors on hidden atoms.
     for (id, atom) in store.iter() {
         if !atom.kind.is_evidence() {
             let (lit, weight) = prior_unit(id);
@@ -394,48 +400,68 @@ pub(crate) struct HeadKey {
     pub(crate) interval: Interval,
 }
 
-/// Evaluates the consequent for a completed body match and records the
-/// resulting pending clause (if any).
-pub(crate) fn collect_match(
-    cf: &CompiledFormula,
-    chosen: &[AtomId],
-    bindings: &Bindings,
-    store: &AtomStore,
-    pending: &mut Vec<(usize, Vec<AtomId>, Option<HeadKey>)>,
-) {
-    match &cf.consequent {
-        CConsequent::Quad {
-            subject,
-            predicate,
-            object,
-            time,
-        } => {
-            let s = resolve_entity(subject, bindings);
-            let p = resolve_entity(predicate, bindings);
-            let o = resolve_entity(object, bindings);
-            let (Some(s), Some(p), Some(o)) = (s, p, o) else {
-                return;
-            };
-            let interval = match head_time(time.as_ref(), bindings, chosen, store) {
-                Some(iv) => iv,
-                None => return, // empty intersection: no derivation
-            };
-            pending.push((
-                cf.index,
-                chosen.to_vec(),
+/// The matches of one semi-naive round, buffered while the store is
+/// frozen: head atoms are interned, and clauses emitted, only once
+/// every formula has been matched.
+#[derive(Default)]
+pub(crate) struct Pending {
+    /// `(formula, where its body atoms start in `atoms`, head)`.
+    pub(crate) matches: Vec<(usize, usize, Option<HeadKey>)>,
+    /// The matched atoms, by body position, one match after the other.
+    pub(crate) atoms: Vec<AtomId>,
+}
+
+impl Pending {
+    /// Records a match of `cf` (for a rule: unless its head has no
+    /// interval to hold in).
+    pub(crate) fn collect(
+        &mut self,
+        cf: &CompiledFormula,
+        chosen: &[AtomId],
+        bindings: &Bindings,
+        store: &AtomStore,
+    ) {
+        let head = match &cf.consequent {
+            CConsequent::Quad {
+                subject,
+                predicate,
+                object,
+                time,
+            } => {
+                let s = resolve_entity(subject, bindings);
+                let p = resolve_entity(predicate, bindings);
+                let o = resolve_entity(object, bindings);
+                let (Some(subject), Some(predicate), Some(object)) = (s, p, o) else {
+                    return;
+                };
+                // Empty intersection: no derivation.
+                let Some(interval) = head_time(time.as_ref(), bindings, chosen, store) else {
+                    return;
+                };
                 Some(HeadKey {
-                    subject: s,
-                    predicate: p,
-                    object: o,
+                    subject,
+                    predicate,
+                    object,
                     interval,
-                }),
-            ));
-        }
-        other => {
-            if !consequent_holds(other, bindings) {
-                pending.push((cf.index, chosen.to_vec(), None));
+                })
             }
-        }
+            // The violated consequent is one of the checks the match
+            // has passed.
+            _ => None,
+        };
+        self.matches.push((cf.index, self.atoms.len(), head));
+        self.atoms.extend_from_slice(chosen);
+    }
+
+    /// Puts the matches in canonical order — by formula, then by body
+    /// atom ids — so that clause ids and hidden-atom ids depend on
+    /// neither the join order nor the order of a posting run.
+    pub(crate) fn sort(&mut self, formulas: &[CompiledFormula]) {
+        let Pending { matches, atoms } = self;
+        let key = |&(f, at, _): &(usize, usize, Option<HeadKey>)| {
+            (f, &atoms[at..at + formulas[f].body.len()])
+        };
+        matches.sort_unstable_by(|a, b| key(a).cmp(&key(b)));
     }
 }
 
@@ -461,29 +487,6 @@ fn head_time(
     Some(inter.unwrap_or(hull))
 }
 
-/// Evaluates a non-deriving consequent under complete bindings.
-fn consequent_holds(c: &CConsequent, bindings: &Bindings) -> bool {
-    match c {
-        CConsequent::Quad { .. } => unreachable!("deriving consequent"),
-        CConsequent::Temporal(tc) => tc.eval(&|v| bindings.interval(v)).unwrap_or(false),
-        CConsequent::Numeric(cmp) => cmp.eval(&|v| bindings.interval(v)).unwrap_or(false),
-        CConsequent::EntityCmp { left, op, right } => {
-            match (
-                resolve_entity(left, bindings),
-                resolve_entity(right, bindings),
-            ) {
-                (Some(l), Some(r)) => match op {
-                    CmpOp::Eq => l == r,
-                    CmpOp::Ne => l != r,
-                    _ => false,
-                },
-                _ => false,
-            }
-        }
-        CConsequent::False => false,
-    }
-}
-
 #[inline]
 fn resolve_entity(t: &CTerm, bindings: &Bindings) -> Option<Symbol> {
     match t {
@@ -492,24 +495,27 @@ fn resolve_entity(t: &CTerm, bindings: &Bindings) -> Option<Symbol> {
     }
 }
 
-/// Evaluates one scheduled condition.
-fn eval_condition(c: &CCondition, bindings: &Bindings) -> bool {
-    match c {
-        CCondition::Temporal(tc) => tc.eval(&|v| bindings.interval(v)).unwrap_or(false),
-        CCondition::Numeric(cmp) => cmp.eval(&|v| bindings.interval(v)).unwrap_or(false),
-        CCondition::EntityCmp { left, op, right } => {
-            match (
-                resolve_entity(left, bindings),
-                resolve_entity(right, bindings),
-            ) {
-                (Some(l), Some(r)) => match op {
-                    CmpOp::Eq => l == r,
-                    CmpOp::Ne => l != r,
+impl Check {
+    /// Does a grounding with these bindings get through?
+    fn passes(&self, bindings: &Bindings) -> bool {
+        let holds = match &self.cond {
+            CCondition::Temporal(tc) => tc.eval(&|v| bindings.interval(v)).unwrap_or(false),
+            CCondition::Numeric(cmp) => cmp.eval(&|v| bindings.interval(v)).unwrap_or(false),
+            CCondition::EntityCmp { left, op, right } => {
+                match (
+                    resolve_entity(left, bindings),
+                    resolve_entity(right, bindings),
+                ) {
+                    (Some(l), Some(r)) => match op {
+                        CmpOp::Eq => l == r,
+                        CmpOp::Ne => l != r,
+                        _ => false,
+                    },
                     _ => false,
-                },
-                _ => false,
+                }
             }
-        }
+        };
+        holds == self.holds
     }
 }
 
@@ -550,29 +556,20 @@ impl Frontier<'_> {
     }
 }
 
-/// Enumerates all body matches of `cf` against `store`, following the
-/// formula's cold join order.
-///
-/// * `horizon` — only atoms with `id < horizon` participate (atoms
-///   created during the current round are next round's delta);
-/// * `frontier` — the semi-naive newness discipline (see [`Frontier`]).
+/// Enumerates the matches of `cf` against `store` that `frontier`
+/// admits, following the formula's cold join. (The store is frozen
+/// while a round is matched, so every atom in it takes part.) Returns
+/// the number of candidate atoms examined.
 fn enumerate_matches(
     store: &AtomStore,
     cf: &CompiledFormula,
-    horizon: usize,
     frontier: Frontier<'_>,
     on_match: &mut dyn FnMut(&[AtomId], &Bindings),
-) {
-    let join = Join {
-        store,
-        cf,
-        order: &cf.join_order,
-        schedule: &cf.schedule,
-        horizon,
-        frontier,
-        filter: None,
-    };
-    join.descend(0, &mut Search::new(cf), on_match);
+) -> usize {
+    let join = Join::new(store, cf, &cf.cold, frontier);
+    let mut search = Search::new(cf);
+    join.descend(0, &mut search, on_match);
+    search.examined
 }
 
 /// The delta rule of body position `pos`: enumerates the matches that
@@ -582,30 +579,23 @@ fn enumerate_matches(
 /// indexes in the formula's seeded order. The work follows the new
 /// atoms and their join partners, not the predicate extensions.
 ///
-/// Returns the number of candidate atoms examined. `filter` is used by
-/// the incremental path to skip dead atoms.
+/// Returns the number of candidate atoms examined.
 pub(crate) fn enumerate_seeded(
     store: &AtomStore,
     cf: &CompiledFormula,
-    horizon: usize,
     new: &[AtomId],
     pos: usize,
-    filter: Option<&dyn Fn(AtomId) -> bool>,
     on_match: &mut dyn FnMut(&[AtomId], &Bindings),
 ) -> usize {
-    let plan = &cf.seeded[pos];
-    let join = Join {
-        store,
-        cf,
-        order: &plan.order,
-        schedule: &plan.schedule,
-        horizon,
-        frontier: Frontier::Seeded { new, pos },
-        filter,
-    };
+    let join = Join::new(store, cf, &cf.seeded[pos], Frontier::Seeded { new, pos });
     let mut search = Search::new(cf);
     for &seed in new {
-        join.visit(0, seed, &mut search, on_match);
+        join.visit(
+            0,
+            Candidate::of(seed, store.atom(seed)),
+            &mut search,
+            on_match,
+        );
     }
     search.examined
 }
@@ -615,13 +605,11 @@ pub(crate) fn enumerate_seeded(
 struct Join<'a> {
     store: &'a AtomStore,
     cf: &'a CompiledFormula,
-    /// Body positions in join order, with the condition schedule
-    /// computed for that order.
-    order: &'a [usize],
-    schedule: &'a [Vec<usize>],
-    horizon: usize,
+    plan: &'a JoinPlan,
     frontier: Frontier<'a>,
-    filter: Option<&'a dyn Fn(AtomId) -> bool>,
+    /// The indexes list dead atoms too; only a store that has some pays
+    /// for the liveness test.
+    skip_dead: bool,
 }
 
 /// The mutable state of one enumeration pass.
@@ -643,133 +631,191 @@ impl Search {
     }
 }
 
-impl Join<'_> {
+/// What a join step reads of an atom — from the atom table or, without
+/// touching it, from a posting and the key of its run.
+#[derive(Clone, Copy)]
+struct Candidate {
+    id: AtomId,
+    subject: Symbol,
+    predicate: Symbol,
+    object: Symbol,
+    interval: Interval,
+}
+
+impl Candidate {
+    fn of(id: AtomId, atom: &GroundAtom) -> Self {
+        Candidate {
+            id,
+            subject: atom.subject,
+            predicate: atom.predicate,
+            object: atom.object,
+            interval: atom.interval,
+        }
+    }
+}
+
+impl<'a> Join<'a> {
+    fn new(
+        store: &'a AtomStore,
+        cf: &'a CompiledFormula,
+        plan: &'a JoinPlan,
+        frontier: Frontier<'a>,
+    ) -> Self {
+        Join {
+            store,
+            cf,
+            plan,
+            frontier,
+            skip_dead: store.dead_count() > 0,
+        }
+    }
+
     fn descend(
         &self,
-        step: usize,
+        k: usize,
         search: &mut Search,
         on_match: &mut dyn FnMut(&[AtomId], &Bindings),
     ) {
-        if step == self.order.len() {
+        let Some(step) = self.plan.steps.get(k) else {
             on_match(&search.chosen, &search.bindings);
             return;
-        }
-        let pattern = &self.cf.body[self.order[step]];
-
-        // Candidate list via the most selective available index.
-        let s = resolve_entity(&pattern.subject, &search.bindings);
-        let p = resolve_entity(&pattern.predicate, &search.bindings);
-        let o = resolve_entity(&pattern.object, &search.bindings);
-        let candidates: Candidates = match (s, p, o) {
-            (Some(s), Some(p), _) => Candidates::Slice(self.store.with_subject_predicate(s, p)),
-            (_, Some(p), Some(o)) => Candidates::Slice(self.store.with_predicate_object(p, o)),
-            (_, Some(p), None) => Candidates::Slice(self.store.with_predicate(p)),
-            _ => Candidates::Range(0..self.store.len() as u32),
         };
-        match candidates {
-            Candidates::Slice(ids) => {
-                for &id in ids {
-                    self.visit(step, id, search, on_match);
+        let pattern = &self.cf.body[step.pattern];
+        let known = |t: &CTerm| {
+            resolve_entity(t, &search.bindings).expect("the access path follows the bindings")
+        };
+        match step.access {
+            Access::SubjectPredicate => {
+                let (subject, predicate) = (known(&pattern.subject), known(&pattern.predicate));
+                let run = self.store.with_subject_predicate(subject, predicate);
+                self.probe(k, run, search, on_match, |e| Candidate {
+                    id: e.id,
+                    subject,
+                    predicate,
+                    object: e.third,
+                    interval: e.interval,
+                });
+            }
+            Access::PredicateObject => {
+                let (predicate, object) = (known(&pattern.predicate), known(&pattern.object));
+                let run = self.store.with_predicate_object(predicate, object);
+                self.probe(k, run, search, on_match, |e| Candidate {
+                    id: e.id,
+                    subject: e.third,
+                    predicate,
+                    object,
+                    interval: e.interval,
+                });
+            }
+            Access::Predicate => {
+                for &id in self.store.with_predicate(known(&pattern.predicate)) {
+                    let candidate = Candidate::of(id, self.store.atom(id));
+                    self.visit(k, candidate, search, on_match);
                 }
             }
-            Candidates::Range(r) => {
-                for raw in r {
-                    self.visit(step, AtomId(raw), search, on_match);
+            Access::Scan => {
+                for (id, atom) in self.store.iter() {
+                    self.visit(k, Candidate::of(id, atom), search, on_match);
                 }
             }
         }
     }
 
-    /// Tries `id` at join step `step` and, if it is admitted, matches
-    /// the pattern and passes the step's conditions, joins on from it.
+    /// Visits the entries of a posting run — those that can meet the
+    /// step's time window, when it has one.
+    fn probe(
+        &self,
+        k: usize,
+        run: &[Posting],
+        search: &mut Search,
+        on_match: &mut dyn FnMut(&[AtomId], &Bindings),
+        candidate: impl Fn(&Posting) -> Candidate,
+    ) {
+        let Some(window) = &self.plan.steps[k].window else {
+            for e in run {
+                self.visit(k, candidate(e), search, on_match);
+            }
+            return;
+        };
+        let anchor = match window.anchor {
+            CTime::Lit(iv) => iv,
+            CTime::Var(v) => search
+                .bindings
+                .interval(v)
+                .expect("the anchor is bound by an earlier step"),
+        };
+        // No window: no interval bears the relation to this anchor.
+        let Some(within) = window.relation.candidate_window(anchor) else {
+            return;
+        };
+        for e in atoms::reaching(run, within) {
+            if e.interval.end() < within.start() {
+                search.examined += 1;
+            } else {
+                self.visit(k, candidate(e), search, on_match);
+            }
+        }
+    }
+
+    /// Tries an atom at join step `k` and, if it is admitted, matches
+    /// the pattern and passes the step's checks, joins on from it.
     #[inline]
     fn visit(
         &self,
-        step: usize,
-        id: AtomId,
+        k: usize,
+        candidate: Candidate,
         search: &mut Search,
         on_match: &mut dyn FnMut(&[AtomId], &Bindings),
     ) {
+        let step = &self.plan.steps[k];
+        if step.apart.iter().any(|&p| search.chosen[p] == candidate.id) {
+            return;
+        }
         search.examined += 1;
-        let pat_idx = self.order[step];
-        if id.index() >= self.horizon
-            || !self.frontier.admits(pat_idx, id)
-            || self.filter.is_some_and(|f| !f(id))
+        if !self.frontier.admits(step.pattern, candidate.id)
+            || (self.skip_dead && !self.store.is_alive(candidate.id))
         {
             return;
         }
-        let Some(undo) = try_match(
-            &self.cf.body[pat_idx],
-            self.store.atom(id),
+        if try_match(
+            &self.cf.body[step.pattern],
+            &candidate,
             &mut search.bindings,
-        ) else {
-            return;
-        };
-        let ok = self.schedule[step]
+        ) && step
+            .checks
             .iter()
-            .all(|&ci| eval_condition(&self.cf.conditions[ci], &search.bindings));
-        if ok {
-            search.chosen[pat_idx] = id;
-            self.descend(step + 1, search, on_match);
+            .all(|&ci| self.cf.checks[ci].passes(&search.bindings))
+        {
+            search.chosen[step.pattern] = candidate.id;
+            self.descend(k + 1, search, on_match);
         }
-        undo_bindings(&mut search.bindings, &undo);
+        // Whatever the attempt bound, it bound among these.
+        for &(v, is_entity) in &step.binds {
+            if is_entity {
+                search.bindings.unbind_entity(v);
+            } else {
+                search.bindings.unbind_interval(v);
+            }
+        }
     }
 }
 
-enum Candidates<'a> {
-    Slice(&'a [AtomId]),
-    Range(std::ops::Range<u32>),
-}
-
-/// Binding undo log: `(var, was_entity)` entries for fresh bindings.
-type Undo = Vec<(VarId, bool)>;
-
-fn try_match(
-    pattern: &CPattern,
-    atom: &crate::atoms::GroundAtom,
-    bindings: &mut Bindings,
-) -> Option<Undo> {
-    let mut undo: Undo = Vec::with_capacity(4);
-    let bind_entity = |term: &CTerm, value: Symbol, b: &mut Bindings, undo: &mut Undo| -> bool {
-        match term {
-            CTerm::Sym(s) => *s == value,
-            CTerm::Var(v) => {
-                if b.entity(*v).is_none() {
-                    undo.push((*v, true));
-                }
-                b.bind_entity(*v, value)
-            }
-        }
+/// Unifies `pattern` with an atom. A failed attempt may leave some of
+/// the pattern's variables bound; the caller unbinds what the step
+/// binds either way.
+fn try_match(pattern: &CPattern, atom: &Candidate, bindings: &mut Bindings) -> bool {
+    let bind_entity = |term: &CTerm, value: Symbol, b: &mut Bindings| match term {
+        CTerm::Sym(s) => *s == value,
+        CTerm::Var(v) => b.bind_entity(*v, value),
     };
-    let ok = bind_entity(&pattern.subject, atom.subject, bindings, &mut undo)
-        && bind_entity(&pattern.predicate, atom.predicate, bindings, &mut undo)
-        && bind_entity(&pattern.object, atom.object, bindings, &mut undo)
-        && match &pattern.time {
+    bind_entity(&pattern.subject, atom.subject, bindings)
+        && bind_entity(&pattern.predicate, atom.predicate, bindings)
+        && bind_entity(&pattern.object, atom.object, bindings)
+        && match pattern.time {
             None => true,
-            Some(CTime::Lit(iv)) => *iv == atom.interval,
-            Some(CTime::Var(v)) => {
-                if bindings.interval(*v).is_none() {
-                    undo.push((*v, false));
-                }
-                bindings.bind_interval(*v, atom.interval)
-            }
-        };
-    if ok {
-        Some(undo)
-    } else {
-        undo_bindings(bindings, &undo);
-        None
-    }
-}
-
-fn undo_bindings(bindings: &mut Bindings, undo: &Undo) {
-    for &(v, is_entity) in undo {
-        if is_entity {
-            bindings.unbind_entity(v);
-        } else {
-            bindings.unbind_interval(v);
+            Some(CTime::Lit(iv)) => iv == atom.interval,
+            Some(CTime::Var(v)) => bindings.bind_interval(v, atom.interval),
         }
-    }
 }
 
 #[cfg(test)]

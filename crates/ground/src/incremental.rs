@@ -41,8 +41,8 @@ use tecore_logic::formula::Weight;
 use crate::atoms::{AtomId, AtomKind};
 use crate::clause::{ClauseId, ClauseOrigin, ClauseWeight, GroundClause, Lit};
 use crate::grounder::{
-    collect_match, enumerate_seeded, evidence_unit, prior_unit, GroundConfig, Grounding, HeadKey,
-    MAX_ROUNDS, REPLAN_DRIFT,
+    enumerate_seeded, evidence_unit, prior_unit, GroundConfig, Grounding, Pending, MAX_ROUNDS,
+    REPLAN_DRIFT,
 };
 use crate::planner::{self, JoinPlanner};
 
@@ -64,8 +64,10 @@ pub struct DeltaStats {
     pub atoms_killed: usize,
     /// Semi-naive rounds run over the delta frontier.
     pub rounds: usize,
-    /// Candidate atoms the delta rules looked at (seeds and join
-    /// partners): the binding search's work, independent of the clock.
+    /// Candidates the delta rules examined (seeds and join partners;
+    /// counted as
+    /// [`GroundingStats::candidates_examined`](crate::GroundingStats)
+    /// is): the binding search's work, independent of the clock.
     pub candidates_examined: usize,
     /// Wall-clock time of the delta application.
     pub elapsed: Duration,
@@ -92,14 +94,6 @@ pub struct DeltaChanges {
     pub constraints: FxHashMap<ConstraintKey, bool>,
     /// Total wall-clock time of those deltas.
     pub elapsed: Duration,
-}
-
-/// Outcome of detaching one removed fact from its evidence atom.
-enum Detach {
-    /// Other facts still assert the atom; its weight changed.
-    Weakened,
-    /// The last supporting fact went away.
-    Exhausted,
 }
 
 impl Grounding {
@@ -139,47 +133,35 @@ impl Grounding {
 
         // --- 1. Removed facts: weaken / demote / kill their atoms. ---
         for &fid in &delta.removed {
-            let Some(aid) = self.fact_atoms.remove(&fid) else {
+            let Some(aid) = self.fact_atoms.take(fid) else {
                 continue;
             };
-            let outcome = match self.store.kind_mut(aid) {
-                AtomKind::Evidence { facts, log_odds } => {
-                    facts.retain(|&f| f != fid);
-                    if facts.is_empty() {
-                        Detach::Exhausted
-                    } else {
-                        // Recompute the combined weight from the
-                        // surviving facts (no float drift from repeated
-                        // subtraction).
-                        *log_odds = facts
-                            .iter()
-                            .filter_map(|&f| graph.fact(f))
-                            .map(|f| f.confidence.log_odds())
-                            .sum();
-                        Detach::Weakened
-                    }
+            if self.store.detach_fact(aid, fid) > 0 {
+                // Other facts still assert the atom: recompute the
+                // combined weight from them (no float drift from
+                // repeated subtraction).
+                let log_odds = self
+                    .store
+                    .facts(aid)
+                    .filter_map(|f| graph.fact(f))
+                    .map(|f| f.confidence.log_odds())
+                    .sum();
+                self.store.set_log_odds(aid, log_odds);
+                unit_dirty.push(aid);
+            } else if self.support[aid.index()] > 0 {
+                // The last supporting fact went, but a live rule
+                // grounding still derives the atom: it survives as
+                // hidden (exactly what a cold re-ground would produce).
+                self.store.set_kind(aid, AtomKind::Hidden);
+                self.changes.atoms.insert(aid);
+                self.note_reworded(aid);
+                if let Some(j) = self.find_unit(aid, ClauseOrigin::Evidence) {
+                    self.retract_clause(j, &mut kills, &mut stats);
                 }
-                AtomKind::Hidden => unreachable!("fact_atoms maps facts to evidence atoms"),
-            };
-            match outcome {
-                Detach::Weakened => unit_dirty.push(aid),
-                Detach::Exhausted => {
-                    if self.support[aid.index()] > 0 {
-                        // Still derived by a live rule grounding: the
-                        // atom survives as hidden (exactly what a cold
-                        // re-ground would produce).
-                        *self.store.kind_mut(aid) = AtomKind::Hidden;
-                        self.changes.atoms.insert(aid);
-                        self.note_reworded(aid);
-                        if let Some(j) = self.find_unit(aid, ClauseOrigin::Evidence) {
-                            self.retract_clause(j, &mut kills, &mut stats);
-                        }
-                        let (lit, weight) = prior_unit(aid);
-                        self.emit_unit(lit, weight, ClauseOrigin::Prior, &mut stats);
-                    } else {
-                        kills.push(aid);
-                    }
-                }
+                let (lit, weight) = prior_unit(aid);
+                self.emit_unit(lit, weight, ClauseOrigin::Prior, &mut stats);
+            } else {
+                kills.push(aid);
             }
         }
 
@@ -240,7 +222,7 @@ impl Grounding {
                 self.changes.atoms.insert(aid);
                 stats.atoms_created += 1;
             }
-            self.fact_atoms.insert(fid, aid);
+            self.fact_atoms.set(fid, aid);
             unit_dirty.push(aid);
         }
 
@@ -277,10 +259,9 @@ impl Grounding {
             if !self.store.is_alive(aid) {
                 continue;
             }
-            let AtomKind::Evidence { log_odds, .. } = &self.store.atom(aid).kind else {
+            let Some(log_odds) = self.store.log_odds(aid) else {
                 continue; // demoted in the same delta
             };
-            let log_odds = *log_odds;
             if let Some(j) = self.find_unit(aid, ClauseOrigin::Evidence) {
                 self.retract_clause(j, &mut kills, &mut stats);
             }
@@ -298,32 +279,27 @@ impl Grounding {
             rounds += 1;
             stats.rounds = rounds;
             frontier.sort_unstable();
-            let horizon = self.store.len();
-            let mut pending: Vec<(usize, Vec<AtomId>, Option<HeadKey>)> = Vec::new();
-            {
-                let store = &self.store;
-                let alive = |id: AtomId| store.is_alive(id);
-                for (cf, plan) in self.program.formulas.iter().zip(&mut self.plans) {
-                    let mut matches = 0usize;
-                    for pos in 0..cf.body.len() {
-                        stats.candidates_examined += enumerate_seeded(
-                            store,
-                            cf,
-                            horizon,
-                            &frontier,
-                            pos,
-                            Some(&alive),
-                            &mut |chosen, bindings| {
-                                matches += 1;
-                                collect_match(cf, chosen, bindings, store, &mut pending);
-                            },
-                        );
-                    }
-                    plan.actual_matches += matches;
+            let mut pending = Pending::default();
+            for (cf, plan) in self.program.formulas.iter().zip(&mut self.plans) {
+                let mut matches = 0usize;
+                for pos in 0..cf.body.len() {
+                    stats.candidates_examined += enumerate_seeded(
+                        &self.store,
+                        cf,
+                        &frontier,
+                        pos,
+                        &mut |chosen, bindings| {
+                            matches += 1;
+                            pending.collect(cf, chosen, bindings, &self.store);
+                        },
+                    );
                 }
+                plan.actual_matches += matches;
             }
+            pending.sort(&self.program.formulas);
             let mut next: Vec<AtomId> = Vec::new();
-            for (fidx, body, head) in pending {
+            for (fidx, at, head) in pending.matches {
+                let body = &pending.atoms[at..at + self.program.formulas[fidx].body.len()];
                 let mut lits: Vec<Lit> = body.iter().map(|&a| Lit::neg(a)).collect();
                 if let Some(key) = head {
                     let (head_id, newly_live) = self.store.intern_hidden(
@@ -419,6 +395,9 @@ impl Grounding {
             plan.actual_matches = actual;
         }
         self.plan_fingerprint = fp;
+        if self.program.probes_predicate_object() {
+            self.store.ensure_predicate_object();
+        }
     }
 
     /// Materialises the atom→clause dependency index and the per-atom

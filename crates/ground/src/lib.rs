@@ -42,7 +42,7 @@ pub mod incremental;
 pub mod planner;
 pub mod solver;
 
-pub use atoms::{AtomId, AtomKind, AtomStore, GroundAtom};
+pub use atoms::{AtomId, AtomKind, AtomStore, FactAtoms, GroundAtom, Posting};
 pub use bindings::Bindings;
 pub use clause::{ClauseId, ClauseOrigin, ClauseRef, ClauseStore, ClauseWeight, GroundClause, Lit};
 pub use compile::{CompiledFormula, CompiledProgram};

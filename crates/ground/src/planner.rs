@@ -12,14 +12,20 @@
 //! greedily with one step of lookahead beyond.
 //!
 //! Correctness does not depend on the plan: the match enumerator's
-//! semi-naive frontier and the clause dedup signature are both keyed on
-//! body *positions*, so any permutation grounds the same clause
-//! multiset. Planning only moves work, never results.
+//! semi-naive frontier, the clause dedup signature and the order
+//! matches are emitted in are all keyed on body *positions*, so any
+//! permutation grounds the same clause arena. Planning only moves
+//! work, never results.
+//!
+//! Whatever order is chosen, its [`JoinPlan`] then gives each step its
+//! access path into the atom store and — where a temporal check relates
+//! the interval the step binds to one already bound — the time window
+//! it probes its posting run with.
 
 use tecore_kg::{Cardinalities, Symbol};
 use tecore_logic::term::VarId;
 
-use crate::compile::{schedule_conditions, CPattern, CTerm, CTime, CompiledProgram, SeededPlan};
+use crate::compile::{CPattern, CTerm, CTime, CompiledProgram, JoinPlan};
 
 /// Which join planner the grounder uses
 /// ([`crate::GroundConfig::planner`]).
@@ -51,7 +57,9 @@ pub struct FormulaPlan {
     /// The cost model's estimate of complete body matches (0 when
     /// syntactic).
     pub estimated_matches: f64,
-    /// Complete body matches observed while grounding.
+    /// Matches observed while grounding: body groundings that passed
+    /// every condition and, for a formula that derives nothing,
+    /// violate its consequent. The same number under any join order.
     pub actual_matches: usize,
 }
 
@@ -60,8 +68,8 @@ pub struct FormulaPlan {
 pub const EXACT_PLAN_LIMIT: usize = 8;
 
 /// Assumed selectivity of an exact-time constraint (literal interval or
-/// already-bound interval variable). Time is not indexed, so this only
-/// discounts the estimated match count, never the scan cost.
+/// already-bound interval variable). Exact times are not probed for, so
+/// this only discounts the estimated match count, never the scan cost.
 const TIME_SELECTIVITY: f64 = 0.1;
 
 /// Per-step cost estimate: `scan` candidate atoms are examined, `rows`
@@ -326,9 +334,9 @@ fn bound_vars(model: &CostModel<'_>, mask: usize) -> u64 {
     bound
 }
 
-/// Re-plans every formula of `compiled` in place (the cold join order,
-/// the seeded order of every body position, and their condition
-/// schedules) and returns the chosen plans. Under
+/// Re-plans every formula of `compiled` in place (the cold join and
+/// the seeded join of every body position) and returns the chosen
+/// plans. Under
 /// [`JoinPlanner::Syntactic`], or when the graph has no statistics to
 /// plan from, the compiler's syntactic order is kept and merely
 /// recorded.
@@ -346,21 +354,16 @@ pub(crate) fn plan_program(
             if cost_based {
                 let (order, est) = plan_body(&cf.body, cards, None);
                 estimated = est;
-                if order != cf.join_order {
-                    cf.schedule = schedule_conditions(&cf.body, &order, &cf.conditions);
-                    cf.join_order = order;
-                }
+                cf.cold = JoinPlan::new(&cf.body, &cf.checks, &order);
                 for pos in 0..cf.body.len() {
                     let (order, _) = plan_body(&cf.body, cards, Some(pos));
-                    if order != cf.seeded[pos].order {
-                        cf.seeded[pos] = SeededPlan::new(&cf.body, order, &cf.conditions);
-                    }
+                    cf.seeded[pos] = JoinPlan::new(&cf.body, &cf.checks, &order);
                 }
             }
             FormulaPlan {
                 formula: cf.index,
                 name: cf.name.clone(),
-                join_order: cf.join_order.clone(),
+                join_order: cf.cold.order(),
                 cost_based,
                 estimated_matches: estimated,
                 actual_matches: 0,
@@ -474,16 +477,16 @@ mod tests {
         .unwrap();
         let mut dict = g.dict().clone();
         let mut compiled = CompiledProgram::compile(&program, &mut dict).unwrap();
-        assert_eq!(compiled.formulas[0].seeded[0].order, vec![0, 1, 2]);
+        assert_eq!(compiled.formulas[0].seeded[0].order(), vec![0, 1, 2]);
         plan_program(&mut compiled, g.cardinalities(), JoinPlanner::CostBased);
         let cf = &compiled.formulas[0];
-        assert_eq!(cf.seeded[0].order, vec![0, 2, 1]);
+        assert_eq!(cf.seeded[0].order(), vec![0, 2, 1]);
         for (pos, plan) in cf.seeded.iter().enumerate() {
-            assert_eq!(plan.order[0], pos);
+            assert_eq!(plan.order()[0], pos);
             assert_eq!(
-                plan.schedule,
-                schedule_conditions(&cf.body, &plan.order, &cf.conditions),
-                "schedule recomputed for the seeded order"
+                *plan,
+                JoinPlan::new(&cf.body, &cf.checks, &plan.order()),
+                "steps recomputed for the seeded order"
             );
         }
     }
@@ -496,9 +499,9 @@ mod tests {
                 .unwrap();
         let mut dict = g.dict().clone();
         let mut compiled = CompiledProgram::compile(&program, &mut dict).unwrap();
-        let before = compiled.formulas[0].join_order.clone();
+        let before = compiled.formulas[0].cold.clone();
         let plans = plan_program(&mut compiled, g.cardinalities(), JoinPlanner::Syntactic);
-        assert_eq!(compiled.formulas[0].join_order, before);
+        assert_eq!(compiled.formulas[0].cold, before);
         assert!(!plans[0].cost_based);
     }
 

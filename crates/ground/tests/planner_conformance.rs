@@ -1,65 +1,22 @@
 //! Planner conformance: cost-based join ordering must be invisible in
 //! the grounding's *results*. For any graph and any program, grounding
 //! under [`JoinPlanner::CostBased`] and [`JoinPlanner::Syntactic`] must
-//! produce the same clause multiset and observe the same number of
-//! complete body matches — planning moves work, never answers.
+//! produce the same *arena* — the same atoms under the same ids, the
+//! same clauses with the same literals under the same ids — and observe
+//! the same number of matches: planning moves work, never answers.
 
-use proptest::prelude::*;
-use tecore_ground::{
-    ground, AtomId, ClauseOrigin, ClauseWeight, GroundConfig, Grounding, JoinPlanner,
+mod common;
+
+use common::{
+    arb_atom, arb_dense_facts, arb_facts, arb_formula, arb_join_program, build_graph, program_text,
 };
+use proptest::prelude::*;
+use tecore_ground::{ground, ClauseOrigin, GroundConfig, JoinPlanner};
 use tecore_kg::UtkGraph;
 use tecore_logic::LogicProgram;
-use tecore_temporal::Interval;
-
-/// Canonical live-clause multiset (same rendering as the incremental
-/// grounding tests): lits rendered through atom keys so two groundings
-/// with different atom id layouts compare equal.
-fn canonical_clauses(g: &Grounding) -> Vec<String> {
-    let render_atom = |id: AtomId| {
-        let a = g.store.atom(id);
-        format!(
-            "{}|{}|{}|{}",
-            g.dict.resolve(a.subject),
-            g.dict.resolve(a.predicate),
-            g.dict.resolve(a.object),
-            a.interval
-        )
-    };
-    let mut out: Vec<String> = g
-        .clauses
-        .iter()
-        .map(|c| {
-            let mut lits: Vec<String> = c
-                .lits
-                .iter()
-                .map(|l| {
-                    format!(
-                        "{}{}",
-                        if l.positive { "+" } else { "-" },
-                        render_atom(l.atom)
-                    )
-                })
-                .collect();
-            lits.sort();
-            let weight = match c.weight {
-                ClauseWeight::Hard => "hard".to_string(),
-                ClauseWeight::Soft(w) => format!("{w:.9}"),
-            };
-            let origin = match c.origin {
-                ClauseOrigin::Formula(i) => format!("f{i}"),
-                ClauseOrigin::Evidence => "ev".into(),
-                ClauseOrigin::Prior => "pr".into(),
-            };
-            format!("{origin} {weight} {}", lits.join(" ∨ "))
-        })
-        .collect();
-    out.sort();
-    out
-}
 
 /// Grounds `src` against `graph` under both planners and asserts the
-/// clause multisets and body-match counts agree.
+/// arenas and match counts agree.
 fn assert_conformant(graph: &UtkGraph, src: &str) {
     let program = LogicProgram::parse(src).unwrap();
     let planned_config = GroundConfig {
@@ -72,10 +29,15 @@ fn assert_conformant(graph: &UtkGraph, src: &str) {
     };
     let planned = ground(graph, &program, &planned_config).unwrap();
     let syntactic = ground(graph, &program, &syntactic_config).unwrap();
+    // Matches are emitted in body-position order whatever order they
+    // were found in, so hidden atoms and clauses get the same ids.
+    assert!(
+        planned.store.iter().eq(syntactic.store.iter()),
+        "atom ids must not depend on join order (program: {src})"
+    );
     assert_eq!(
-        canonical_clauses(&planned),
-        canonical_clauses(&syntactic),
-        "clause multiset must not depend on join order (program: {src})"
+        planned.clauses, syntactic.clauses,
+        "the clause arena must not depend on join order (program: {src})"
     );
     // Complete body matches are join-order-invariant too, per formula.
     for (p, s) in planned.plans.iter().zip(&syntactic.plans) {
@@ -85,58 +47,6 @@ fn assert_conformant(graph: &UtkGraph, src: &str) {
             p.formula
         );
     }
-}
-
-/// Builds a graph from compact fact tuples
-/// `(subject, predicate, object, start, len, confidence-step)`.
-fn build_graph(facts: &[(u8, u8, u8, i8, i8, u8)]) -> UtkGraph {
-    let mut graph = UtkGraph::new();
-    for &(s, p, o, start, len, conf) in facts {
-        let iv = Interval::new(i64::from(start), i64::from(start) + i64::from(len)).unwrap();
-        graph
-            .insert(
-                &format!("subj{s}"),
-                &format!("pred{p}"),
-                &format!("obj{o}"),
-                iv,
-                0.5 + f64::from(conf) * 0.09,
-            )
-            .unwrap();
-    }
-    graph
-}
-
-fn arb_facts() -> impl Strategy<Value = Vec<(u8, u8, u8, i8, i8, u8)>> {
-    prop::collection::vec((0u8..6, 0u8..4, 0u8..5, 0i8..20, 0i8..5, 0u8..5), 0..20)
-}
-
-/// One random body atom: each slot is a variable or a constant drawn
-/// from the same pools `build_graph` uses, the time slot is a shared
-/// variable or a literal window.
-fn arb_atom() -> impl Strategy<Value = String> {
-    (0u8..8, 0u8..5, 0u8..8, 0u8..5).prop_map(|(s, p, o, t)| {
-        let subject = if s < 4 {
-            format!("a{s}")
-        } else {
-            format!("subj{}", s - 4)
-        };
-        let predicate = if p < 4 {
-            format!("pred{p}")
-        } else {
-            "q".into()
-        };
-        let object = if o < 4 {
-            format!("b{o}")
-        } else {
-            format!("obj{}", o - 4)
-        };
-        let time = if t < 4 {
-            format!("t{t}")
-        } else {
-            "[2,6]".into()
-        };
-        format!("quad({subject}, {predicate}, {object}, {time})")
-    })
 }
 
 /// A fixed program exercising rule chains (derived predicates have no
@@ -165,6 +75,34 @@ proptest! {
     ) {
         let weight = if hard { "inf" } else { "0.75" };
         let src = format!("{} -> false w = {weight}", body.join(" ^ "));
+        assert_conformant(&build_graph(&facts), &src);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random graphs and whole random programs — rule chains, Allen
+    /// and entity conditions, every kind of consequent, so windows and
+    /// the violated-consequent check land on different steps under the
+    /// two planners: planned ≡ syntactic.
+    #[test]
+    fn random_programs_are_plan_invariant(
+        facts in arb_facts(),
+        formulas in prop::collection::vec(arb_formula(), 1..4),
+    ) {
+        assert_conformant(&build_graph(&facts), &program_text(&formulas));
+    }
+
+    /// Where the planners really part ways (`common::join_program`),
+    /// over dense facts, so that the many groundings are found in a
+    /// different order: without the canonical emission order four cases
+    /// in ten end in different arenas.
+    #[test]
+    fn two_sided_joins_are_plan_invariant(
+        facts in arb_dense_facts(),
+        src in arb_join_program(),
+    ) {
         assert_conformant(&build_graph(&facts), &src);
     }
 }

@@ -8,7 +8,9 @@
 //! render through `write_fact` into the reused response buffer.
 //!
 //! A counting global allocator makes that contract a test. This is
-//! the only `unsafe` in the workspace, confined to this test binary:
+//! one of the two `unsafe` blocks in the workspace (the other counts
+//! a cold grounding's allocations, `tests/ground_allocations.rs`), each
+//! confined to its test binary:
 //! `GlobalAlloc` is an `unsafe trait`, and the impl below just
 //! forwards to [`System`] while bumping a counter.
 //!

@@ -664,7 +664,7 @@ fn a_one_fact_edit_copies_nothing_and_walks_its_component_only() {
     .expect("grounds");
     let partition = cold.partition_components();
     let component = partition
-        .component_of(cold.fact_atoms[&id])
+        .component_of(cold.fact_atoms.get(id).expect("live fact"))
         .expect("the fact's atom has its evidence clause");
     let members = partition.atoms(component).len();
     assert!(members >= 2, "the new spell clashes with the old one");
