@@ -21,10 +21,21 @@
 //! flat; what the 400000 / 25000 ratio reads beyond 1 is what leaving
 //! the cache (and taking fresh pages from the system) costs. CI holds
 //! it with a `--ratio` rule (see `.github/workflows/ci.yml`).
+//!
+//! `cold_view`, on the same 400k graph: what a cold resolve does around
+//! the solver, piece by piece and four calls per iteration — `ground`
+//! (a cold `ground()`), `explain` (`explain_conflicts` over that
+//! grounding: ≈ 39k conflicts kept as terms, not rendered), `filtered`
+//! (`UtkGraph::filtered` keeping every fact: the bulk build of the
+//! consistent graph) and `clone` (`UtkGraph::clone`: the same graph
+//! copied table by table, with no hashing at all — the floor `filtered`
+//! is held against). CI holds `explain / ground` and `filtered / clone`
+//! with `--ratio` rules.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Bencher, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
+use tecore_core::explain::explain_conflicts;
 use tecore_core::resolution::Resolution;
 use tecore_core::{DebugStats, Snapshot};
 use tecore_datagen::config::SkewedConfig;
@@ -84,20 +95,27 @@ fn bench_grounding(c: &mut Criterion) {
 /// Facts one `ground_scaling` iteration grounds, at either size.
 const SCALING_FACTS: usize = 1_600_000;
 
+/// Calls one `cold_view` iteration makes of its stage (each followed by
+/// the drop of its result), so that CI's single sample averages over a
+/// stall of the host instead of landing in one.
+const COLD_VIEW_CALLS: usize = 4;
+
 fn bench_ground_scaling(c: &mut Criterion) {
     let program = wikidata_program();
     let config = GroundConfig::default();
-    let mut group = c.benchmark_group("ground_scaling");
-    group.sample_size(10);
-    for size in [25_000usize, 400_000] {
-        let graph = generate_wikidata(&WikidataConfig {
+    let graphs = [25_000usize, 400_000].map(|size| {
+        let generated = generate_wikidata(&WikidataConfig {
             total_facts: size,
             noise_ratio: 0.1,
             seed: 1,
-        })
-        .graph;
+        });
+        (size, generated.graph)
+    });
+    let mut group = c.benchmark_group("ground_scaling");
+    group.sample_size(10);
+    for (size, graph) in &graphs {
         group.throughput(Throughput::Elements(SCALING_FACTS as u64));
-        group.bench_with_input(BenchmarkId::new("wikidata", size), &graph, |b, g| {
+        group.bench_with_input(BenchmarkId::new("wikidata", size), graph, |b, g| {
             b.iter(|| {
                 for _ in 0..SCALING_FACTS / size {
                     black_box(ground(g, &program, &config).expect("grounds"));
@@ -106,6 +124,31 @@ fn bench_ground_scaling(c: &mut Criterion) {
         });
     }
     group.finish();
+
+    // The stages of a cold view, on the larger of the two graphs.
+    let (size, graph) = &graphs[1];
+    let grounding = ground(graph, &program, &config).expect("grounds");
+    let mut group = c.benchmark_group("cold_view");
+    group.sample_size(10);
+    let id = |stage| BenchmarkId::new(format!("wikidata/{size}"), stage);
+    group.bench_function(id("ground"), |b| {
+        calls(b, || ground(graph, &program, &config).expect("grounds"))
+    });
+    group.bench_function(id("explain"), |b| {
+        calls(b, || explain_conflicts(&grounding))
+    });
+    group.bench_function(id("filtered"), |b| calls(b, || graph.filtered(|_, _| true)));
+    group.bench_function(id("clone"), |b| calls(b, || graph.clone()));
+    group.finish();
+}
+
+/// One `cold_view` iteration: the stage, [`COLD_VIEW_CALLS`] times.
+fn calls<T>(b: &mut Bencher, mut stage: impl FnMut() -> T) {
+    b.iter(|| {
+        for _ in 0..COLD_VIEW_CALLS {
+            black_box(stage());
+        }
+    })
 }
 
 fn bench_query_paths(c: &mut Criterion) {

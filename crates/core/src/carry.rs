@@ -711,7 +711,7 @@ pub(crate) fn carry_forward(prev: Carried, now: Resolved<'_>) -> Option<Forwarde
         conflicting_facts: view.removed.len(),
         inferred_facts: maps.inferred.len(),
         thresholded_facts: maps.thresholded.len(),
-        per_constraint: maps.conflicts.per_constraint(grounding),
+        per_constraint: maps.conflicts.per_constraint(),
         view_facts_copied: view.copied,
         ..DebugStats::default()
     };

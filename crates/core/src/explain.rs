@@ -8,34 +8,92 @@
 //!
 //! ```text
 //! constraint c2 violated by:
-//!   (CR, coach, Chelsea, [2000,2004]) 0.9
-//!   (CR, coach, Napoli, [2001,2003]) 0.6
+//!   (CR, coach, Chelsea, [2000,2004]) 0.90
+//!   (CR, coach, Napoli, [2001,2003]) 0.60
 //! ```
 
+use std::fmt;
 use std::sync::Arc;
 
 use tecore_ground::{ClauseOrigin, ConstraintKey, Grounding, Lit};
+use tecore_temporal::Interval;
 
 use crate::carry::ListPatch;
 
-/// One violated constraint grounding, rendered for display.
+/// One violated constraint grounding: the constraint that fired and the
+/// facts that together violate it.
+///
+/// An explanation holds what it describes, not its text. A cold resolve
+/// of a large graph detects tens of thousands of conflicts and a person
+/// browses a page of them, so the text is written when somebody reads
+/// it: [`Display`](fmt::Display) renders
+///
+/// ```text
+/// constraint c2 violated by:
+///   (CR, coach, Chelsea, [2000,2004]) 0.90
+///   (CR, coach, Napoli, [2001,2003]) 0.60
+/// ```
+///
+/// one [`Participant`] per line, each indented by two spaces. This is
+/// the text the former `constraint: String` / `participants:
+/// Vec<String>` fields carried: where code read `participants[i]` as a
+/// string, `participants[i].to_string()` gives the same bytes, and
+/// `&*constraint` the same name.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConflictExplanation {
     /// Name of the violated constraint (`c2`, or `formula#i` if
-    /// unnamed).
-    pub constraint: String,
-    /// The facts participating in the violation, in the paper's
-    /// notation.
-    pub participants: Vec<String>,
+    /// unnamed) — one allocation per formula, shared by every conflict
+    /// of it.
+    pub constraint: Arc<str>,
+    /// The facts participating in the violation.
+    pub participants: Vec<Participant>,
 }
 
-impl std::fmt::Display for ConflictExplanation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for ConflictExplanation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "constraint {} violated by:", self.constraint)?;
         for p in &self.participants {
             writeln!(f, "  {p}")?;
         }
         Ok(())
+    }
+}
+
+/// One fact of a violated constraint grounding. The terms are the
+/// dictionary's own allocations (see
+/// [`Dictionary::resolve_shared`](tecore_kg::Dictionary::resolve_shared)),
+/// so describing a participant copies no text.
+///
+/// [`Display`](fmt::Display) writes the paper's notation followed by
+/// the confidence to two decimals, or by `(derived)` for an inferred
+/// fact: `(CR, coach, Chelsea, [2000,2004]) 0.90`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Participant {
+    /// The fact's subject.
+    pub subject: Arc<str>,
+    /// The fact's predicate.
+    pub predicate: Arc<str>,
+    /// The fact's object.
+    pub object: Arc<str>,
+    /// The fact's validity interval.
+    pub interval: Interval,
+    /// The probability the input gives the fact (the combined one, when
+    /// several input facts assert the same statement over the same
+    /// interval); `None` for a fact that is derived, not asserted.
+    pub confidence: Option<f64>,
+}
+
+impl fmt::Display for Participant {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "({}, {}, {}, {})",
+            self.subject, self.predicate, self.object, self.interval
+        )?;
+        match self.confidence {
+            Some(p) => write!(f, " {p:.2}"),
+            None => f.write_str(" (derived)"),
+        }
     }
 }
 
@@ -60,6 +118,9 @@ pub(crate) struct Conflicts {
     entries: Vec<(ConstraintKey, Arc<ConflictExplanation>)>,
     /// Conflicts per formula index.
     per_formula: Vec<usize>,
+    /// Constraint name per formula index (`formula#i` if unnamed),
+    /// resolved once; every explanation of the formula shares it.
+    names: Vec<Arc<str>>,
 }
 
 impl Conflicts {
@@ -80,18 +141,29 @@ impl Conflicts {
             .collect();
         // (The arena is already duplicate-free.)
         keys.sort_unstable();
-        let mut per_formula = vec![0; grounding.program.formulas.len()];
+        let names: Vec<Arc<str>> = grounding
+            .program
+            .formulas
+            .iter()
+            .enumerate()
+            .map(|(idx, formula)| match &formula.name {
+                Some(name) => Arc::from(name.as_str()),
+                None => Arc::from(format!("formula#{idx}")),
+            })
+            .collect();
+        let mut per_formula = vec![0; names.len()];
         let entries = keys
             .into_iter()
             .map(|key| {
                 per_formula[key.0] += 1;
-                let explanation = Arc::new(explanation(grounding, key.0, &key.1));
+                let explanation = Arc::new(explanation(grounding, &names[key.0], &key.1));
                 (key, explanation)
             })
             .collect();
         Conflicts {
             entries,
             per_formula,
+            names,
         }
     }
 
@@ -102,7 +174,7 @@ impl Conflicts {
 
     /// Applies what deltas did to the constraint groundings (see
     /// [`DeltaChanges::constraints`](tecore_ground::DeltaChanges)): a
-    /// live grounding is rendered (again — one of its atoms may read
+    /// live grounding is described (again — one of its atoms may read
     /// differently now), a retracted one is dropped; every other
     /// explanation stays the shared one it was. Returns the same edits
     /// for the plain list a resolution shows ([`Conflicts::list`]).
@@ -111,7 +183,7 @@ impl Conflicts {
         grounding: &Grounding,
         changes: impl IntoIterator<Item = (ConstraintKey, bool)>,
     ) -> ListPatch<Arc<ConflictExplanation>> {
-        let (mut dropped, mut rendered) = (Vec::new(), Vec::new());
+        let (mut dropped, mut described) = (Vec::new(), Vec::new());
         for (key, live) in changes {
             let listed = self.entries.binary_search_by(|(k, _)| k.cmp(&key)).is_ok();
             match (listed, live) {
@@ -120,71 +192,59 @@ impl Conflicts {
                 _ => {}
             }
             if live {
-                let explanation = Arc::new(explanation(grounding, key.0, &key.1));
-                rendered.push((key.clone(), explanation));
+                let explanation = Arc::new(explanation(grounding, &self.names[key.0], &key.1));
+                described.push((key.clone(), explanation));
             }
             if listed {
                 dropped.push(key);
             }
         }
-        let patch = ListPatch::sorted(&self.entries, |(key, _)| key, &dropped, rendered);
+        let patch = ListPatch::sorted(&self.entries, |(key, _)| key, &dropped, described);
         patch.apply(&mut self.entries);
         patch.map(|(_, explanation)| Arc::clone(explanation))
     }
 
     /// Violated-constraint groundings per constraint name, in formula
     /// order (formulas sharing a name share a row).
-    pub(crate) fn per_constraint(&self, grounding: &Grounding) -> Vec<(String, usize)> {
+    pub(crate) fn per_constraint(&self) -> Vec<(String, usize)> {
         let mut out: Vec<(String, usize)> = Vec::new();
-        for (idx, &count) in self.per_formula.iter().enumerate() {
+        for (name, &count) in self.names.iter().zip(&self.per_formula) {
             if count == 0 {
                 continue;
             }
-            let name = constraint_name(grounding, idx);
-            match out.iter_mut().find(|(n, _)| *n == name) {
+            match out.iter_mut().find(|(n, _)| **n == **name) {
                 Some((_, total)) => *total += count,
-                None => out.push((name, count)),
+                None => out.push((name.to_string(), count)),
             }
         }
         out
     }
 }
 
-fn constraint_name(grounding: &Grounding, idx: usize) -> String {
-    grounding.program.formulas[idx]
-        .name
-        .clone()
-        .unwrap_or_else(|| format!("formula#{idx}"))
-}
-
-/// Renders one violated constraint grounding.
-fn explanation(grounding: &Grounding, idx: usize, lits: &[Lit]) -> ConflictExplanation {
-    let constraint = constraint_name(grounding, idx);
-    let participants: Vec<String> = lits
+/// Describes one violated constraint grounding: its literals' atoms (a
+/// [`ConstraintKey`] has no positive literal), as the grounding reads
+/// them now.
+fn explanation(grounding: &Grounding, constraint: &Arc<str>, lits: &[Lit]) -> ConflictExplanation {
+    let dict = &grounding.dict;
+    let participants = lits
         .iter()
-        .filter(|l| !l.positive)
         .map(|l| {
             let atom = grounding.store.atom(l.atom);
-            let conf = match grounding.store.log_odds(l.atom) {
-                Some(log_odds) => {
-                    // Invert the log-odds mapping for display.
-                    let p = 1.0 / (1.0 + (-log_odds).exp());
-                    format!(" {p:.2}")
-                }
-                None => " (derived)".to_string(),
-            };
-            format!(
-                "({}, {}, {}, {}){}",
-                grounding.dict.resolve(atom.subject),
-                grounding.dict.resolve(atom.predicate),
-                grounding.dict.resolve(atom.object),
-                atom.interval,
-                conf
-            )
+            Participant {
+                subject: dict.resolve_shared(atom.subject),
+                predicate: dict.resolve_shared(atom.predicate),
+                object: dict.resolve_shared(atom.object),
+                interval: atom.interval,
+                // Invert the log-odds mapping for display.
+                confidence: grounding
+                    .store
+                    .log_odds(l.atom)
+                    .map(|log_odds| 1.0 / (1.0 + (-log_odds).exp())),
+            }
         })
         .collect();
     ConflictExplanation {
-        constraint,
+        constraint: Arc::clone(constraint),
         participants,
     }
 }
@@ -225,7 +285,7 @@ mod tests {
         for explanations in [off_the_arena, through_the_engine] {
             assert_eq!(explanations.len(), 1);
             let e: &ConflictExplanation = &explanations[0];
-            assert_eq!(e.constraint, "c2");
+            assert_eq!(&*e.constraint, "c2");
             assert_eq!(e.participants.len(), 2);
             let text = e.to_string();
             assert!(text.contains("Chelsea"), "{text}");

@@ -71,7 +71,7 @@ pub use backends::{Backend, SolverHandle};
 pub use batch::{ApplyReport, EditBatch, EditOp, EditOutcome};
 pub use engine::Engine;
 pub use error::TecoreError;
-pub use explain::ConflictExplanation;
+pub use explain::{ConflictExplanation, Participant};
 pub use pipeline::{ConfidenceMode, TecoreConfig};
 pub use query::{QueryIter, TemporalQuery, TimelineEntry};
 pub use registry::{BackendSelector, SolverRegistry};

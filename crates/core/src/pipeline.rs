@@ -174,7 +174,7 @@ pub(crate) fn interpret(
         conflicting_facts: removed.len(),
         inferred_facts: inferred.len(),
         thresholded_facts: thresholded.len(),
-        per_constraint: conflicts.per_constraint(grounding),
+        per_constraint: conflicts.per_constraint(),
         view_facts_copied: consistent.len(),
         ..DebugStats::default()
     };

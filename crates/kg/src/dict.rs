@@ -36,8 +36,12 @@ impl fmt::Display for Symbol {
 /// by the symbol table and the reverse index — interning a term costs
 /// one string allocation plus two refcounted pointers, not two string
 /// copies. Cloning a dictionary (every grounding run clones the graph's
-/// dictionary) therefore copies only pointers and refcounts, never the
-/// term bytes.
+/// dictionary, and so does every [`UtkGraph::filtered`] copy) therefore
+/// copies only pointers and refcounts, never the term bytes. That is
+/// cheap, not free: two refcount bumps a term, measured ≈ 4–6 ms to
+/// clone and ≈ 2 ms to drop at 135k terms.
+///
+/// [`UtkGraph::filtered`]: crate::graph::UtkGraph::filtered
 #[derive(Debug, Default, Clone)]
 pub struct Dictionary {
     terms: Vec<Arc<str>>,
@@ -83,6 +87,16 @@ impl Dictionary {
     /// Panics if the symbol does not belong to this dictionary.
     pub fn resolve(&self, sym: Symbol) -> &str {
         &self.terms[sym.index()]
+    }
+
+    /// Resolves a symbol to the dictionary's own allocation of the
+    /// term, for holders that outlive the borrow (a refcount bump, no
+    /// copy of the bytes).
+    ///
+    /// # Panics
+    /// Panics if the symbol does not belong to this dictionary.
+    pub fn resolve_shared(&self, sym: Symbol) -> Arc<str> {
+        Arc::clone(&self.terms[sym.index()])
     }
 
     /// Resolves a symbol, returning `None` for foreign symbols.
@@ -152,6 +166,16 @@ mod tests {
         let s = d.intern("coach");
         let (key, _) = d.index.get_key_value("coach").unwrap();
         assert!(Arc::ptr_eq(&d.terms[s.index()], key));
+    }
+
+    #[test]
+    fn resolve_shared_hands_out_the_table_entry() {
+        let mut d = Dictionary::new();
+        let s = d.intern("coach");
+        let shared = d.resolve_shared(s);
+        assert!(Arc::ptr_eq(&shared, &d.terms[s.index()]));
+        // A clone of the dictionary shares the same allocation.
+        assert!(Arc::ptr_eq(&shared, &d.clone().resolve_shared(s)));
     }
 
     #[test]

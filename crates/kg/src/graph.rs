@@ -14,15 +14,21 @@ use crate::stats::Cardinalities;
 ///
 /// Facts live in an append-only arena addressed by [`FactId`]; deletion
 /// (conflict resolution removes noisy facts) tombstones the slot so ids
-/// stay stable. Three secondary indexes accelerate the access paths the
-/// grounding engine needs:
+/// stay stable. Two secondary indexes serve the access paths that read
+/// the graph itself (the query planner's exact paths, upserts, the
+/// constraint advisor):
 ///
-/// * predicate → facts (the primary scan for rule bodies),
-/// * (subject, predicate) → facts (join on a bound subject),
-/// * (predicate, object) → facts (join on a bound object).
+/// * predicate → facts,
+/// * (subject, predicate) → facts.
 ///
-/// Per-predicate fact lists are kept in insertion order; the grounder
-/// sorts/filters as its join plan requires.
+/// Both keep their fact lists in insertion order. (The grounder joins
+/// over its own atom postings, which also cover a bound object; nothing
+/// reads the graph by `(predicate, object)`, so it keeps no such index.)
+///
+/// Indexing an inserted fact costs six hash probes: one per index and
+/// four in [`Cardinalities`] (the predicate's entry, its subject and
+/// object multisets, the graph-wide subject multiset). It was seven
+/// while a `(predicate, object)` index was maintained beside them.
 ///
 /// The graph also carries a monotonically increasing **epoch** (bumped
 /// by every insert/remove) and a change log, so incremental consumers
@@ -37,7 +43,6 @@ pub struct UtkGraph {
     live_count: usize,
     by_predicate: FxHashMap<Symbol, Vec<FactId>>,
     by_subject_predicate: FxHashMap<(Symbol, Symbol), Vec<FactId>>,
-    by_predicate_object: FxHashMap<(Symbol, Symbol), Vec<FactId>>,
     /// Bumped on every mutation; `0` for a fresh graph.
     epoch: u64,
     /// Retained change log: `(epoch, change)` pairs, ascending.
@@ -108,14 +113,6 @@ impl UtkGraph {
     /// Inserts a pre-built fact (symbols must come from this graph's
     /// dictionary).
     pub fn insert_fact(&mut self, fact: TemporalFact) -> FactId {
-        let id = self.push_fact(fact);
-        self.record(FactChange::Added(id));
-        id
-    }
-
-    /// Stores and indexes a fact and bumps the epoch, without a change
-    /// log entry.
-    fn push_fact(&mut self, fact: TemporalFact) -> FactId {
         let id = FactId(self.facts.len() as u32);
         self.by_predicate
             .entry(fact.predicate)
@@ -125,15 +122,12 @@ impl UtkGraph {
             .entry((fact.subject, fact.predicate))
             .or_default()
             .push(id);
-        self.by_predicate_object
-            .entry((fact.predicate, fact.object))
-            .or_default()
-            .push(id);
         self.cards.add(&fact);
         self.facts.push(fact);
         self.alive.push(true);
         self.live_count += 1;
         self.epoch += 1;
+        self.record(FactChange::Added(id));
         id
     }
 
@@ -285,15 +279,6 @@ impl UtkGraph {
             .collect()
     }
 
-    /// Live facts with the given predicate and object.
-    pub fn facts_with_predicate_object(
-        &self,
-        p: Symbol,
-        o: Symbol,
-    ) -> impl Iterator<Item = (FactId, &TemporalFact)> {
-        self.index_iter(self.by_predicate_object.get(&(p, o)))
-    }
-
     /// Raw id list of the predicate index (may include tombstoned ids;
     /// callers filter with [`UtkGraph::is_alive`]). Exposed so query
     /// planners can iterate an index without boxing the graph's
@@ -420,24 +405,69 @@ impl UtkGraph {
         }
     }
 
-    /// Duplicates the graph, retaining only facts for which `keep` holds.
-    /// Symbols remain valid (the dictionary is shared by clone).
+    /// Duplicates the graph, retaining only facts for which `keep` holds
+    /// (it is asked once per live fact, in id order). Symbols remain
+    /// valid (the dictionary is shared by clone), and the kept facts are
+    /// renumbered densely in that order: the `k`-th fact kept is
+    /// `FactId(k)` of the copy.
+    ///
+    /// The copy equals the graph that inserting the kept facts one by
+    /// one into an empty graph over the same dictionary would give —
+    /// ids, index lists, [`Cardinalities`], epoch — but is built in one
+    /// pass: the arena and the indexes are sized from this graph, and
+    /// the cardinalities are this graph's with every dropped fact
+    /// retracted, so a kept fact costs the two index probes and nothing
+    /// else. The work follows the live facts, not the arena: a graph
+    /// that is mostly tombstones (a stream window's) copies as fast as
+    /// its live part, which is why the index tables are filled by probe
+    /// rather than cloned and renumbered.
     ///
     /// The copy is a result, not an edit history: its change log starts
     /// empty at its own epoch, so [`UtkGraph::since`] on it answers
     /// `None` for anything earlier and building it records nothing.
     pub fn filtered(&self, mut keep: impl FnMut(FactId, &TemporalFact) -> bool) -> UtkGraph {
-        let mut out = UtkGraph {
-            dict: self.dict.clone(),
-            ..UtkGraph::default()
-        };
+        // A key of the copy is a key of this graph with a live fact.
+        let live = self.live_count;
+        let mut facts = Vec::with_capacity(live);
+        let mut by_predicate: FxHashMap<Symbol, Vec<FactId>> = FxHashMap::with_capacity_and_hasher(
+            self.by_predicate.len().min(live),
+            Default::default(),
+        );
+        let mut by_subject_predicate: FxHashMap<(Symbol, Symbol), Vec<FactId>> =
+            FxHashMap::with_capacity_and_hasher(
+                self.by_subject_predicate.len().min(live),
+                Default::default(),
+            );
+        let mut cards = self.cards.clone();
         for (id, f) in self.iter() {
-            if keep(id, f) {
-                out.push_fact(*f);
+            if !keep(id, f) {
+                cards.retract(f);
+                continue;
             }
+            let new = FactId(facts.len() as u32);
+            by_predicate
+                .entry(f.predicate)
+                .or_insert_with(|| Vec::with_capacity(self.cards.predicate_facts(f.predicate)))
+                .push(new);
+            by_subject_predicate
+                .entry((f.subject, f.predicate))
+                .or_default()
+                .push(new);
+            facts.push(*f);
         }
-        out.log_start = out.epoch;
-        out
+        let kept = facts.len();
+        UtkGraph {
+            dict: self.dict.clone(),
+            alive: vec![true; kept],
+            live_count: kept,
+            facts,
+            by_predicate,
+            by_subject_predicate,
+            epoch: kept as u64,
+            log: Vec::new(),
+            log_start: kept as u64,
+            cards,
+        }
     }
 }
 
@@ -473,8 +503,6 @@ mod tests {
         assert_eq!(g.facts_with_predicate(coach).count(), 3);
         let cr = g.dict().lookup("CR").unwrap();
         assert_eq!(g.facts_with_subject_predicate(cr, coach).count(), 3);
-        let chelsea = g.dict().lookup("Chelsea").unwrap();
-        assert_eq!(g.facts_with_predicate_object(coach, chelsea).count(), 1);
     }
 
     #[test]
@@ -639,6 +667,90 @@ mod tests {
     }
 
     proptest! {
+        /// The bulk copy is the graph that inserting the kept facts one
+        /// by one gives — whatever tombstones the source carries, and
+        /// for keep-all and keep-none masks too.
+        #[test]
+        fn filtered_equals_reinsertion(
+            facts in prop::collection::vec(
+                (0u8..6, 0u8..4, 0u8..6, -20i64..20, 0i64..10, 1u8..=10),
+                0..60
+            ),
+            removals in prop::collection::vec(0usize..60, 0..20),
+            mask in prop::collection::vec(prop::bool::ANY, 1..60),
+            mode in 0u8..4,
+        ) {
+            let mut g = UtkGraph::new();
+            for (i, (s, p, o, start, len, conf)) in facts.iter().enumerate() {
+                g.insert(
+                    &format!("s{s}"),
+                    &format!("p{p}"),
+                    &format!("o{o}"),
+                    iv(*start, *start + *len),
+                    f64::from(*conf) / 10.0,
+                ).unwrap();
+                // Removals interleave with the inserts.
+                if let Some(&r) = removals.get(i) {
+                    let _ = g.remove(FactId(r as u32));
+                }
+            }
+            // Keep all, keep none, or keep by the mask.
+            let keep = |id: FactId| match mode {
+                0 => true,
+                1 => false,
+                _ => mask[id.index() % mask.len()],
+            };
+
+            let mut asked = Vec::new();
+            let copy = g.filtered(|id, _| {
+                asked.push(id);
+                keep(id)
+            });
+            let live: Vec<FactId> = g.iter().map(|(id, _)| id).collect();
+            prop_assert_eq!(&asked, &live, "asked once per live fact, in id order");
+
+            let mut reference = UtkGraph {
+                dict: g.dict.clone(),
+                ..UtkGraph::default()
+            };
+            for (id, f) in g.iter() {
+                if keep(id) {
+                    reference.insert_fact(*f);
+                }
+            }
+            prop_assert_eq!(
+                copy.iter().collect::<Vec<_>>(),
+                reference.iter().collect::<Vec<_>>()
+            );
+            prop_assert_eq!(copy.len(), reference.len());
+            prop_assert_eq!(copy.arena_len(), reference.arena_len());
+            prop_assert_eq!(copy.epoch(), reference.epoch());
+            prop_assert_eq!(copy.cardinalities(), reference.cardinalities());
+            prop_assert_eq!(copy.predicates(), reference.predicates());
+            let symbols: Vec<Symbol> = g.dict.iter().map(|(sym, _)| sym).collect();
+            for &p in &symbols {
+                prop_assert_eq!(copy.predicate_ids(p), reference.predicate_ids(p));
+                for &s in &symbols {
+                    prop_assert_eq!(
+                        copy.subject_predicate_ids(s, p),
+                        reference.subject_predicate_ids(s, p)
+                    );
+                }
+            }
+            // No list is kept for a key that lost every fact.
+            prop_assert_eq!(copy.by_predicate.len(), reference.by_predicate.len());
+            prop_assert_eq!(
+                copy.by_subject_predicate.len(),
+                reference.by_subject_predicate.len()
+            );
+            // A result, not an edit history.
+            prop_assert!(copy.log.is_empty());
+            prop_assert!(copy.since(copy.epoch()).unwrap().is_empty());
+            if copy.epoch() > 0 {
+                prop_assert!(copy.since(copy.epoch() - 1).is_none());
+            }
+        }
+
         /// Index consistency: every fact reachable by full scan is
         /// reachable through each index, and vice versa.
         #[test]
@@ -699,10 +811,6 @@ mod tests {
                 let f = *g.fact(id).unwrap();
                 prop_assert!(
                     g.facts_with_subject_predicate(f.subject, f.predicate)
-                        .any(|(i, _)| i == id)
-                );
-                prop_assert!(
-                    g.facts_with_predicate_object(f.predicate, f.object)
                         .any(|(i, _)| i == id)
                 );
             }

@@ -20,9 +20,8 @@
 //!   the system works with dense `u32` symbols;
 //! * [`TemporalFact`] — the quad + confidence record;
 //! * [`UtkGraph`] — the fact store with secondary indexes (by predicate,
-//!   by subject+predicate, by predicate+object) and interval-overlap
-//!   queries, supporting tombstone deletion (conflict resolution removes
-//!   facts);
+//!   by subject+predicate) and interval-overlap queries, supporting
+//!   tombstone deletion (conflict resolution removes facts);
 //! * a line-oriented **text format** ([`parser`], [`writer`]) used by the
 //!   examples and test corpora;
 //! * [`stats::GraphStats`] — the summary statistics displayed by the demo

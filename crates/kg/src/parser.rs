@@ -22,7 +22,10 @@ use crate::graph::UtkGraph;
 
 /// Parses a whole uTKG document.
 pub fn parse_graph(input: &str) -> Result<UtkGraph, KgError> {
-    let mut graph = UtkGraph::new();
+    // One line, one fact (comments and blank lines make it a little
+    // less): the arena is allocated once instead of grown by doubling.
+    let lines = input.bytes().filter(|&b| b == b'\n').count() + 1;
+    let mut graph = UtkGraph::with_capacity(lines);
     parse_into(input, &mut graph)?;
     Ok(graph)
 }
@@ -35,8 +38,10 @@ pub fn parse_into(input: &str, graph: &mut UtkGraph) -> Result<usize, KgError> {
         if line.is_empty() {
             continue;
         }
-        let fact = parse_fact_line(line, lineno + 1)?;
-        graph.insert(&fact.0, &fact.1, &fact.2, fact.3, fact.4)?;
+        // The terms are slices of the line: interning copies the new
+        // ones, and nothing else is allocated per fact.
+        let (s, p, o, interval, confidence) = parse_line(line, lineno + 1)?;
+        graph.insert(s, p, o, interval, confidence)?;
         added += 1;
     }
     Ok(added)
@@ -100,12 +105,13 @@ pub fn parse_checkpoint(input: &str) -> Result<UtkGraph, KgError> {
 }
 
 fn strip_comment(line: &str) -> &str {
-    // A `#` inside quotes is part of the term.
+    // A `#` inside quotes is part of the term. (Both marks are ASCII,
+    // so a byte scan cannot mistake part of a longer character.)
     let mut in_quotes = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_quotes = !in_quotes,
-            '#' if !in_quotes => return &line[..i],
+    for (i, b) in line.bytes().enumerate() {
+        match b {
+            b'"' => in_quotes = !in_quotes,
+            b'#' if !in_quotes => return &line[..i],
             _ => {}
         }
     }
@@ -114,21 +120,33 @@ fn strip_comment(line: &str) -> &str {
 
 /// Parses one fact line (without comments) into its raw components.
 pub fn parse_fact_line(line: &str, lineno: usize) -> Result<RawFact, KgError> {
+    let (s, p, o, interval, confidence) = parse_line(line, lineno)?;
+    Ok((s.into(), p.into(), o.into(), interval, confidence))
+}
+
+/// [`parse_fact_line`] with the terms borrowed from the line.
+fn parse_line(line: &str, lineno: usize) -> Result<(&str, &str, &str, Interval, f64), KgError> {
     let err = |message: String| KgError::Parse {
         line: lineno,
         message,
     };
-    let mut tokens = tokenize(line, lineno)?;
     // Expect: term term term interval [confidence]
-    if tokens.len() < 4 || tokens.len() > 5 {
+    let mut tokens = [Token::Term(""); 5];
+    let mut found = 0;
+    let mut rest = line;
+    while let Some(token) = next_token(&mut rest, lineno)? {
+        if let Some(slot) = tokens.get_mut(found) {
+            *slot = token;
+        }
+        found += 1;
+    }
+    if !(4..=5).contains(&found) {
         return Err(err(format!(
-            "expected `s p o [start,end] conf?`, found {} token(s)",
-            tokens.len()
+            "expected `s p o [start,end] conf?`, found {found} token(s)"
         )));
     }
-    let confidence = if tokens.len() == 5 {
-        let t = tokens.pop().expect("len checked");
-        match t {
+    let confidence = if found == 5 {
+        match tokens[4] {
             Token::Term(c) => c
                 .parse::<f64>()
                 .map_err(|_| err(format!("invalid confidence `{c}`")))?,
@@ -137,94 +155,72 @@ pub fn parse_fact_line(line: &str, lineno: usize) -> Result<RawFact, KgError> {
     } else {
         1.0
     };
-    let interval = match tokens.pop().expect("len checked") {
+    let interval = match tokens[3] {
         Token::Interval(iv) => iv,
         Token::Term(t) => return Err(err(format!("expected interval `[a,b]`, found `{t}`"))),
     };
-    let mut terms = Vec::with_capacity(3);
-    for t in tokens {
-        match t {
-            Token::Term(s) => terms.push(s),
-            Token::Interval(_) => return Err(err("interval must come after s p o".into())),
-        }
-    }
-    let [s, p, o]: [String; 3] = terms
-        .try_into()
-        .map_err(|_| err("expected subject, predicate and object".into()))?;
-    Ok((s, p, o, interval, confidence))
+    let term = |token| match token {
+        Token::Term(t) => Ok(t),
+        Token::Interval(_) => Err(err("interval must come after s p o".into())),
+    };
+    Ok((
+        term(tokens[0])?,
+        term(tokens[1])?,
+        term(tokens[2])?,
+        interval,
+        confidence,
+    ))
 }
 
-enum Token {
-    Term(String),
+#[derive(Clone, Copy)]
+enum Token<'a> {
+    /// A bare or quoted term: a slice of the line (the format has no
+    /// escapes, so a quoted term is the text between its quotes).
+    Term(&'a str),
     Interval(Interval),
 }
 
-fn tokenize(line: &str, lineno: usize) -> Result<Vec<Token>, KgError> {
+/// Takes the next token off the front of `rest`; `None` at the end of
+/// the line.
+fn next_token<'a>(rest: &mut &'a str, lineno: usize) -> Result<Option<Token<'a>>, KgError> {
     let err = |message: String| KgError::Parse {
         line: lineno,
         message,
     };
-    let mut tokens = Vec::new();
-    let mut chars = line.char_indices().peekable();
-    while let Some(&(i, c)) = chars.peek() {
-        match c {
-            c if c.is_whitespace() || c == ',' || c == '(' || c == ')' => {
-                chars.next();
-            }
-            '"' => {
-                chars.next();
-                let mut term = String::new();
-                let mut closed = false;
-                for (_, c) in chars.by_ref() {
-                    if c == '"' {
-                        closed = true;
-                        break;
-                    }
-                    term.push(c);
-                }
-                if !closed {
-                    return Err(err("unterminated quoted term".into()));
-                }
-                tokens.push(Token::Term(term));
-            }
-            '[' => {
-                let rest = &line[i..];
-                let close = rest
-                    .find(']')
-                    .ok_or_else(|| err("unterminated interval".into()))?;
-                let inner = &rest[1..close];
-                let (a, b) = inner
-                    .split_once(',')
-                    .ok_or_else(|| err(format!("interval `[{inner}]` needs two bounds")))?;
-                let a: i64 = a
-                    .trim()
-                    .parse()
-                    .map_err(|_| err(format!("invalid interval bound `{a}`")))?;
-                let b: i64 = b
-                    .trim()
-                    .parse()
-                    .map_err(|_| err(format!("invalid interval bound `{b}`")))?;
-                let iv = Interval::new(a, b).map_err(KgError::from)?;
-                tokens.push(Token::Interval(iv));
-                // advance past `]`
-                for _ in 0..=close {
-                    chars.next();
-                }
-            }
-            _ => {
-                let mut term = String::new();
-                while let Some(&(_, c)) = chars.peek() {
-                    if c.is_whitespace() || matches!(c, ',' | '(' | ')' | '[' | ']' | '"') {
-                        break;
-                    }
-                    term.push(c);
-                    chars.next();
-                }
-                tokens.push(Token::Term(term));
-            }
+    let separator = |c: char| c.is_whitespace() || matches!(c, ',' | '(' | ')');
+    let line = rest.trim_start_matches(separator);
+    let (token, after) = match line.chars().next() {
+        None => return Ok(None),
+        Some('"') => {
+            let (term, after) = line[1..]
+                .split_once('"')
+                .ok_or_else(|| err("unterminated quoted term".into()))?;
+            (Token::Term(term), after)
         }
-    }
-    Ok(tokens)
+        Some('[') => {
+            let (inner, after) = line[1..]
+                .split_once(']')
+                .ok_or_else(|| err("unterminated interval".into()))?;
+            let (a, b) = inner
+                .split_once(',')
+                .ok_or_else(|| err(format!("interval `[{inner}]` needs two bounds")))?;
+            let bound = |text: &str| {
+                text.trim()
+                    .parse::<i64>()
+                    .map_err(|_| err(format!("invalid interval bound `{text}`")))
+            };
+            (Token::Interval(Interval::new(bound(a)?, bound(b)?)?), after)
+        }
+        Some(']') => return Err(err("`]` without an interval to open it".into())),
+        Some(_) => {
+            let end = line
+                .find(|c: char| separator(c) || matches!(c, '[' | ']' | '"'))
+                .unwrap_or(line.len());
+            (Token::Term(&line[..end]), &line[end..])
+        }
+    };
+    *rest = after;
+    Ok(Some(token))
 }
 
 #[cfg(test)]
@@ -305,6 +301,23 @@ mod tests {
         assert!(parse_graph("a b c [1,2] [3,4]").is_err());
         assert!(parse_graph("a b c [1,2] not_a_number").is_err());
         assert!(parse_graph("\"unterminated b c [1,2]").is_err());
+        // A closing bracket on its own is an error, not a term.
+        assert!(parse_graph("a b c ] [1,2]").is_err());
+        assert!(parse_graph("a b c [1,2]] 0.9").is_err());
+    }
+
+    #[test]
+    fn terms_are_read_off_the_line_as_written() {
+        // Quoted terms keep separators and brackets, bare terms end at
+        // them; the owned form is the borrowed one, copied.
+        let line = "(\"a, (b)\",p,\"[x]\" [ -3 , 4 ]) 0.25";
+        let (s, p, o, interval, confidence) = parse_fact_line(line, 1).unwrap();
+        assert_eq!((s.as_str(), p.as_str(), o.as_str()), ("a, (b)", "p", "[x]"));
+        assert_eq!(interval, Interval::new(-3, 4).unwrap());
+        assert_eq!(confidence, 0.25);
+        let g = parse_graph("é\u{a0}p\u{2003}ö [1,2]").unwrap();
+        assert!(g.dict().lookup("é").is_some(), "any whitespace separates");
+        assert!(g.dict().lookup("ö").is_some());
     }
 
     #[test]

@@ -27,7 +27,9 @@ use std::thread;
 
 use proptest::prelude::*;
 use tecore_core::translate::translate;
-use tecore_core::{Backend, EditBatch, Engine, Snapshot, TecoreConfig};
+use tecore_core::{
+    Backend, ConflictExplanation, EditBatch, Engine, Participant, Snapshot, TecoreConfig,
+};
 use tecore_datagen::standard::{paper_program, wikidata_program};
 use tecore_datagen::{generate_wikidata, WikidataConfig};
 use tecore_ground::ComponentMode;
@@ -277,12 +279,36 @@ fn rendered_conflicts(s: &Snapshot) -> Vec<(String, Vec<String>)> {
         .conflicts
         .iter()
         .map(|c| {
-            let mut participants = c.participants.clone();
+            let mut participants: Vec<String> =
+                c.participants.iter().map(ToString::to_string).collect();
             participants.sort();
-            (c.constraint.clone(), participants)
+            (c.constraint.to_string(), participants)
         })
         .collect();
     out.sort();
+    out
+}
+
+/// The conflicts as the typed values they are, in rendered order (the
+/// order of [`rendered_conflicts`]: a carried list and a cold one name
+/// their atoms differently, so the list order is not comparable).
+fn typed_conflicts(s: &Snapshot) -> Vec<ConflictExplanation> {
+    let rendered = |p: &Participant| p.to_string();
+    let mut out: Vec<ConflictExplanation> = s
+        .conflicts
+        .iter()
+        .map(|c| {
+            let mut c = ConflictExplanation::clone(c);
+            c.participants.sort_by_key(rendered);
+            c
+        })
+        .collect();
+    out.sort_by_key(|c| {
+        (
+            c.constraint.to_string(),
+            c.participants.iter().map(rendered).collect::<Vec<_>>(),
+        )
+    });
     out
 }
 
@@ -329,6 +355,11 @@ fn assert_equivalent(what: &str, carried: &Snapshot, cold: &Snapshot) {
         rendered_conflicts(carried),
         rendered_conflicts(cold),
         "{what}: conflicts"
+    );
+    assert_eq!(
+        typed_conflicts(carried),
+        typed_conflicts(cold),
+        "{what}: conflicts, as values"
     );
     let (a, b) = (&carried.stats, &cold.stats);
     assert_eq!(a.total_facts, b.total_facts, "{what}: total_facts");
@@ -589,6 +620,65 @@ fn directed_split_reword_flood_sequence() {
             );
         }
     }
+}
+
+/// A conflict is described again when one of its facts reads
+/// differently: re-asserting a clashing fact at another confidence goes
+/// through the carry path, and the one explanation that names it shows
+/// the new value — as a number and as text — while every other
+/// explanation is the value the previous snapshot shares.
+#[test]
+fn a_reasserted_fact_redescribes_its_conflict() {
+    let config = TecoreConfig {
+        backend: Backend::MlnExact.into(),
+        ..TecoreConfig::default()
+    };
+    let mut engine = Engine::with_config(base_graph(), paper_program(), config.clone());
+    engine.resolve_incremental().expect("prime");
+    let before = engine.resolve_incremental().expect("settle");
+    // p0's short spell at club1 clashes with its first one.
+    let names = |c: &ConflictExplanation| {
+        c.participants
+            .iter()
+            .any(|p| &*p.subject == "p0" && &*p.object == "club1")
+    };
+    assert_eq!(before.conflicts.iter().filter(|c| names(c)).count(), 1);
+
+    let ids = engine.graph().statement_ids("p0", "coach", "club1");
+    let [id] = ids[..] else {
+        panic!("one fact asserts the spell: {ids:?}");
+    };
+    let spell = engine.remove_fact(id).expect("live");
+    engine
+        .insert_fact("p0", "coach", "club1", spell.interval, 0.93)
+        .expect("valid insert");
+    let after = engine.resolve_incremental().expect("incremental");
+
+    let (shared, described): (Vec<_>, Vec<_>) = after
+        .conflicts
+        .iter()
+        .partition(|c| before.conflicts.iter().any(|b| Arc::ptr_eq(b, c)));
+    assert_eq!(
+        shared.len(),
+        before.conflicts.len() - 1,
+        "carried, not rebuilt"
+    );
+    let [conflict] = described[..] else {
+        panic!("one explanation is described again: {described:?}");
+    };
+    let spell = conflict
+        .participants
+        .iter()
+        .find(|p| &*p.object == "club1")
+        .expect("names the spell");
+    assert!((spell.confidence.expect("evidence") - 0.93).abs() < 1e-12);
+    assert_eq!(spell.to_string(), "(p0, coach, club1, [2001,2003]) 0.93");
+
+    let cold = Engine::with_config(engine.graph().clone(), paper_program(), config)
+        .resolve()
+        .expect("cold resolve");
+    assert_eq!(typed_conflicts(&after), typed_conflicts(&cold));
+    assert_eq!(rendered_conflicts(&after), rendered_conflicts(&cold));
 }
 
 // --- Work counters: what a publish touches, counted, not timed. ---

@@ -1,8 +1,10 @@
 //! Integration tests for conflict explanations and the programmatic
 //! constraint builders (the editor's click-path), end to end.
 
+use tecore_core::explain::explain_conflicts;
 use tecore_core::{Backend, Engine, TecoreConfig};
 use tecore_datagen::standard::{paper_program, ranieri_utkg};
+use tecore_ground::{ground, GroundConfig};
 use tecore_logic::builder;
 use tecore_logic::formula::Weight;
 use tecore_logic::LogicProgram;
@@ -27,14 +29,56 @@ fn running_example_explained() {
             .unwrap();
         assert_eq!(r.conflicts.len(), 1, "{name}");
         let e = &r.conflicts[0];
-        assert_eq!(e.constraint, "c2", "{name}");
-        assert_eq!(e.participants.len(), 2, "{name}");
-        let joined = e.participants.join(" | ");
-        assert!(joined.contains("Chelsea"), "{name}: {joined}");
-        assert!(joined.contains("Napoli"), "{name}: {joined}");
+        assert_eq!(&*e.constraint, "c2", "{name}");
+        let clubs: Vec<&str> = e.participants.iter().map(|p| &*p.object).collect();
+        assert_eq!(clubs, ["Chelsea", "Napoli"], "{name}");
         // Explanation is display-ready.
         assert!(e.to_string().contains("constraint c2 violated by:"));
     }
+}
+
+/// An explanation is kept as terms and renders, whenever it is read,
+/// the text it always did: evidence with its confidence to two
+/// decimals, a derived fact as `(derived)`, an unnamed constraint as
+/// `formula#i` — also once the grounding it was read off is gone.
+#[test]
+fn explanations_render_the_text_they_did() {
+    let mut program = paper_program();
+    // Unnamed, and violated by a fact that f1 derives.
+    program.extend(
+        LogicProgram::parse(
+            "quad(x, worksFor, y, t) ^ quad(x, coach, z, t') ^ before(t, t') -> false w = inf",
+        )
+        .unwrap(),
+    );
+    let unnamed = program.formulas().len() - 1;
+    let grounding = ground(&ranieri_utkg(), &program, &GroundConfig::default()).unwrap();
+    let explanations = explain_conflicts(&grounding);
+    drop(grounding);
+
+    let rendered: Vec<String> = explanations.iter().map(ToString::to_string).collect();
+    let golden = [
+        "constraint c2 violated by:\n  \
+         (CR, coach, Chelsea, [2000,2004]) 0.90\n  \
+         (CR, coach, Napoli, [2001,2003]) 0.60\n"
+            .to_string(),
+        format!(
+            "constraint formula#{unnamed} violated by:\n  \
+             (CR, coach, Chelsea, [2000,2004]) 0.90\n  \
+             (CR, worksFor, Palermo, [1984,1986]) (derived)\n"
+        ),
+        format!(
+            "constraint formula#{unnamed} violated by:\n  \
+             (CR, coach, Leicester, [2015,2017]) 0.70\n  \
+             (CR, worksFor, Palermo, [1984,1986]) (derived)\n"
+        ),
+        format!(
+            "constraint formula#{unnamed} violated by:\n  \
+             (CR, coach, Napoli, [2001,2003]) 0.60\n  \
+             (CR, worksFor, Palermo, [1984,1986]) (derived)\n"
+        ),
+    ];
+    assert_eq!(rendered, golden);
 }
 
 /// A program built entirely through the builder API behaves identically
