@@ -40,6 +40,9 @@ use tecore_temporal::Interval;
 use crate::cell::SnapshotCell;
 use crate::proto::{self, Request};
 
+#[cfg(test)]
+mod sim;
+
 /// One queued edit, applied by the writer loop at its next tick.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Edit {
@@ -295,24 +298,16 @@ impl Server {
     /// Resolves the engine's current graph (publishing the initial
     /// snapshot), binds the listener, and spawns the acceptor, the
     /// reader pool, and the writer loop.
-    pub fn start(mut engine: Engine, config: ServerConfig) -> io::Result<Server> {
+    pub fn start(engine: Engine, config: ServerConfig) -> io::Result<Server> {
         let durable = engine.is_durable();
-        let initial = engine
-            .resolve_incremental()
-            .map_err(|e| io::Error::other(format!("initial resolve failed: {e}")))?;
-        let host = match &config.stream {
-            Some(s) => EngineHost::Stream(Box::new(StreamSession::with_lateness(
-                engine, s.window, s.lateness,
-            ))),
-            None => EngineHost::Plain(Box::new(engine)),
-        };
+        let (host, ctx) = boot(engine, &config)?;
         let streaming = matches!(host, EngineHost::Stream(_));
-        let subs = Arc::new(SubRegistry::default());
-        let cell = Arc::new(SnapshotCell::new(initial));
-        let stats = Arc::new(ServerStats::default());
-        publish_wal_stats(host.engine(), &stats);
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let abort = Arc::new(AtomicBool::new(false));
+        let (cell, stats, subs) = (
+            Arc::clone(&ctx.cell),
+            Arc::clone(&ctx.stats),
+            Arc::clone(&ctx.subs),
+        );
+        let (shutdown, abort) = (Arc::clone(&ctx.shutdown), Arc::clone(&ctx.abort));
 
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
@@ -361,29 +356,11 @@ impl Server {
             );
         }
 
-        {
-            let cell = Arc::clone(&cell);
-            let stats = Arc::clone(&stats);
-            let shutdown = Arc::clone(&shutdown);
-            let abort = Arc::clone(&abort);
-            let subs = Arc::clone(&subs);
-            let tick = config.tick;
-            threads.push(
-                std::thread::Builder::new()
-                    .name("tecore-write".to_string())
-                    .spawn(move || {
-                        let ctx = WriterCtx {
-                            cell,
-                            stats,
-                            shutdown,
-                            abort,
-                            subs,
-                            tick,
-                        };
-                        writer_loop(host, edit_rx, &ctx)
-                    })?,
-            );
-        }
+        threads.push(
+            std::thread::Builder::new()
+                .name("tecore-write".to_string())
+                .spawn(move || writer_loop(host, edit_rx, &ctx))?,
+        );
 
         Ok(Server {
             addr,
@@ -443,6 +420,31 @@ impl Server {
             let _ = handle.join();
         }
     }
+}
+
+/// Resolves the engine's current graph and wraps it for the writer:
+/// the host, and a context whose cell holds the initial snapshot and
+/// whose stats carry the log's gauges.
+fn boot(mut engine: Engine, config: &ServerConfig) -> io::Result<(EngineHost, WriterCtx)> {
+    let initial = engine
+        .resolve_incremental()
+        .map_err(|e| io::Error::other(format!("initial resolve failed: {e}")))?;
+    let host = match &config.stream {
+        Some(s) => EngineHost::Stream(Box::new(StreamSession::with_lateness(
+            engine, s.window, s.lateness,
+        ))),
+        None => EngineHost::Plain(Box::new(engine)),
+    };
+    let ctx = WriterCtx {
+        cell: Arc::new(SnapshotCell::new(initial)),
+        stats: Arc::default(),
+        shutdown: Arc::default(),
+        abort: Arc::default(),
+        subs: Arc::default(),
+        tick: config.tick,
+    };
+    publish_wal_stats(host.engine(), &ctx.stats);
+    Ok((host, ctx))
 }
 
 /// Mirrors the engine's WAL counters (if any) into the serving stats.
@@ -852,6 +854,14 @@ impl PendingBatch {
         if self.is_empty() {
             return 0;
         }
+        // Seeded bug: the clients hear "done" before the journal has
+        // the bytes.
+        #[cfg(feature = "failpoints")]
+        if tecore_wal::failpoint::armed("server.ack_before_journal") {
+            for ack in self.acks.iter_mut().filter_map(Option::take) {
+                let _ = ack.send(Ok(()));
+            }
+        }
         let report = host.engine_mut().apply(&self.batch);
         let mut applied = 0u64;
         for (outcome, ack) in report.outcomes.iter().zip(self.acks.drain(..)) {
@@ -894,41 +904,10 @@ impl PendingBatch {
 fn writer_loop(mut host: EngineHost, edits: Receiver<WriterMsg>, ctx: &WriterCtx) {
     loop {
         // Block (bounded by the tick) for the batch's first message.
-        let first = match edits.recv_timeout(ctx.tick.max(Duration::from_millis(1))) {
-            Ok(msg) => Some(msg),
-            Err(RecvTimeoutError::Timeout) => None,
+        match edits.recv_timeout(ctx.tick.max(Duration::from_millis(1))) {
+            Ok(first) => writer_tick(&mut host, ctx, first, || edits.try_recv().ok()),
+            Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => return,
-        };
-        let mut applied = 0u64;
-        if let Some(msg) = first {
-            let mut pending = PendingBatch::default();
-            let mut handled = 1usize;
-            let mut next = Some(msg);
-            while let Some(msg) = next {
-                consume_writer_msg(&mut host, ctx, msg, &mut pending, &mut applied);
-                next = if handled < MAX_COALESCE {
-                    handled += 1;
-                    edits.try_recv().ok()
-                } else {
-                    None
-                };
-            }
-            applied += pending.flush(&mut host, ctx);
-        }
-        if applied > 0 {
-            if let Ok(snapshot) = host.engine_mut().resolve_incremental() {
-                ctx.cell.publish(snapshot);
-                ctx.stats.publishes.fetch_add(1, Ordering::Relaxed);
-            }
-            ctx.stats
-                .edits_applied
-                .fetch_add(applied, Ordering::Relaxed);
-            // A log grown past its threshold is compacted between
-            // batches, never between a journal append and its ack.
-            if host.engine_mut().maybe_checkpoint().is_err() {
-                ctx.stats.read_only.store(true, Ordering::Relaxed);
-            }
-            publish_wal_stats(host.engine(), &ctx.stats);
         }
         if ctx.abort.load(Ordering::Relaxed) {
             // Simulated power cut: drop queued messages (their ack
@@ -938,18 +917,8 @@ fn writer_loop(mut host: EngineHost, edits: Receiver<WriterMsg>, ctx: &WriterCtx
         if ctx.shutdown.load(Ordering::Relaxed) {
             // Drain the queue so acknowledged edits are never lost,
             // publish the final state, and exit.
-            let mut tail = 0u64;
-            let mut pending = PendingBatch::default();
-            while let Ok(msg) = edits.try_recv() {
-                consume_writer_msg(&mut host, ctx, msg, &mut pending, &mut tail);
-            }
-            tail += pending.flush(&mut host, ctx);
-            if tail > 0 {
-                if let Ok(snapshot) = host.engine_mut().resolve_incremental() {
-                    ctx.cell.publish(snapshot);
-                    ctx.stats.publishes.fetch_add(1, Ordering::Relaxed);
-                }
-                ctx.stats.edits_applied.fetch_add(tail, Ordering::Relaxed);
+            while let Ok(first) = edits.try_recv() {
+                writer_tick(&mut host, ctx, first, || edits.try_recv().ok());
             }
             // Graceful durable exit: whatever was acked becomes
             // crash-proof, and a checkpoint makes the next recovery a
@@ -960,6 +929,54 @@ fn writer_loop(mut host: EngineHost, edits: Receiver<WriterMsg>, ctx: &WriterCtx
             publish_wal_stats(host.engine(), &ctx.stats);
             return;
         }
+    }
+}
+
+/// One tick of the writer: `first` and whatever `more` yields (up to
+/// [`MAX_COALESCE`] messages) are consumed in queue order, the pending
+/// batch is applied, and — if anything changed the graph — one
+/// incremental resolve is published and counted. The run loop, the
+/// shutdown drain and the in-crate simulator all call this.
+fn writer_tick(
+    host: &mut EngineHost,
+    ctx: &WriterCtx,
+    first: WriterMsg,
+    mut more: impl FnMut() -> Option<WriterMsg>,
+) {
+    let mut applied = 0u64;
+    let mut pending = PendingBatch::default();
+    let mut handled = 1usize;
+    let mut next = Some(first);
+    while let Some(msg) = next {
+        consume_writer_msg(host, ctx, msg, &mut pending, &mut applied);
+        next = if handled < MAX_COALESCE {
+            handled += 1;
+            more()
+        } else {
+            None
+        };
+    }
+    applied += pending.flush(host, ctx);
+    if applied > 0 {
+        publish_resolved(host.engine_mut(), ctx);
+        ctx.stats
+            .edits_applied
+            .fetch_add(applied, Ordering::Relaxed);
+        // A log grown past its threshold is compacted between
+        // batches, never between a journal append and its ack.
+        if host.engine_mut().maybe_checkpoint().is_err() {
+            ctx.stats.read_only.store(true, Ordering::Relaxed);
+        }
+        publish_wal_stats(host.engine(), &ctx.stats);
+    }
+}
+
+/// One incremental resolve of what the graph holds, published and
+/// counted.
+fn publish_resolved(engine: &mut Engine, ctx: &WriterCtx) {
+    if let Ok(snapshot) = engine.resolve_incremental() {
+        ctx.cell.publish(snapshot);
+        ctx.stats.publishes.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -990,6 +1007,15 @@ fn consume_writer_msg(
         }
         WriterMsg::Flush(reply) => {
             *applied += pending.flush(host, ctx);
+            // Seeded bug: the barrier answers before the fsync it
+            // promises.
+            #[cfg(feature = "failpoints")]
+            if tecore_wal::failpoint::armed("server.flush_ack_before_fsync") {
+                let appended = host.engine().wal_stats().map_or(0, |w| w.appended_epoch);
+                let _ = reply.send(Ok(appended));
+                let _ = host.engine_mut().flush_wal();
+                return;
+            }
             let result = host.engine_mut().flush_wal().map_err(|_| {
                 ctx.stats.read_only.store(true, Ordering::Relaxed);
                 "wal flush failed; server is read-only"
@@ -1025,6 +1051,12 @@ fn handle_feed(host: &mut EngineHost, ctx: &WriterCtx, event: StreamEvent, ack: 
         }
         Err(StreamError::Engine(tecore_core::TecoreError::Wal(_))) => {
             ctx.stats.read_only.store(true, Ordering::Relaxed);
+            // The fire may have journaled and applied a prefix of its
+            // batch before the log refused: serve the graph recovery
+            // will rebuild, not the one before the fire.
+            if session.engine().graph().epoch() != ctx.cell.load().epoch() {
+                publish_resolved(session.engine_mut(), ctx);
+            }
             publish_wal_stats(session.engine(), &ctx.stats);
             Err("wal write failed; server is read-only")
         }

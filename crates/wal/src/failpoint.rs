@@ -2,17 +2,41 @@
 //!
 //! [`FailStorage`] wraps a [`MemStorage`] and fails I/O on a schedule
 //! fixed by a [`FailPlan`]: the Nth append can error or write only
-//! half its bytes, the Nth fsync can fail. Any injected fault marks
+//! half its bytes, the Nth fsync can fail. Each of those faults marks
 //! the plan *crashed*: every subsequent operation through the wrapper
-//! errors, modelling a dead log device. The underlying [`MemStorage`]
-//! stays readable, so tests recover from
-//! [`MemStorage::crash_view`] and check exactly which acknowledged
-//! state survived.
+//! errors, modelling a dead log device. [`FailPlan::tear_append_at`]
+//! is the one fault that fires once and leaves the device working — a
+//! torn frame followed by healthy appends, the case only the log's own
+//! poison flag protects. The underlying [`MemStorage`] stays readable,
+//! so tests recover from [`MemStorage::crash_view`] and check exactly
+//! which acknowledged state survived.
+//!
+//! The module also carries the switch for the **seeded bugs** compiled
+//! into the real writer and log under this feature ([`arm`] /
+//! [`armed`]): a test arms one by name on its own thread and asserts
+//! that its oracle now fails.
 
+use std::cell::Cell;
 use std::io;
 use std::sync::{Arc, Mutex};
 
 use crate::storage::{MemStorage, WalFile, WalStorage};
+
+thread_local! {
+    static ARMED: Cell<Option<&'static str>> = const { Cell::new(None) };
+}
+
+/// Arms the seeded bug `site` on the calling thread (`None` disarms).
+/// The sites: `server.ack_before_journal`,
+/// `server.flush_ack_before_fsync`, `wal.flush.forget_poison`.
+pub fn arm(site: Option<&'static str>) {
+    ARMED.with(|armed| armed.set(site));
+}
+
+/// Is the seeded bug `site` armed on this thread?
+pub fn armed(site: &str) -> bool {
+    ARMED.with(|armed| armed.get() == Some(site))
+}
 
 #[derive(Debug, Default)]
 struct PlanState {
@@ -21,6 +45,7 @@ struct PlanState {
     fail_append_at: Option<u64>,
     short_write_at: Option<u64>,
     fail_sync_at: Option<u64>,
+    tear_append_at: Option<u64>,
     crashed: bool,
 }
 
@@ -63,7 +88,14 @@ impl FailPlan {
         self
     }
 
-    /// Has a fault fired yet?
+    /// Make the `n`th append write half its buffer and then error —
+    /// once: the device keeps working afterwards.
+    pub fn tear_append_at(self, n: u64) -> FailPlan {
+        self.lock().tear_append_at = Some(n);
+        self
+    }
+
+    /// Has a fault killed the device yet?
     pub fn crashed(&self) -> bool {
         self.lock().crashed
     }
@@ -101,7 +133,7 @@ struct FailFile {
 
 impl WalFile for FailFile {
     fn append(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let (short, fail) = {
+        let (short, fail, tear) = {
             let mut state = self.plan.lock();
             if state.crashed {
                 return Err(FailPlan::dead());
@@ -113,8 +145,12 @@ impl WalFile for FailFile {
             if short || fail {
                 state.crashed = true;
             }
-            (short, fail)
+            (short, fail, state.tear_append_at == Some(n))
         };
+        if tear {
+            self.inner.append(&buf[..buf.len() / 2])?;
+            return Err(io::Error::other("injected: torn append"));
+        }
         if fail {
             return Err(FailPlan::dead());
         }
@@ -211,6 +247,32 @@ mod tests {
         assert!(f.sync().is_err());
         assert!(storage.read("a.log").is_err(), "device is gone");
         assert_eq!(mem.raw("a.log").unwrap(), b"aaaabb");
+    }
+
+    #[test]
+    fn torn_append_leaves_the_device_working() {
+        let mem = MemStorage::new();
+        let plan = FailPlan::new().tear_append_at(2);
+        let storage = FailStorage::new(mem.clone(), plan.clone());
+        let mut f = storage.create("a.log").unwrap();
+        assert_eq!(f.append(b"aaaa").unwrap(), 4);
+        assert!(f.append(b"bbbb").is_err(), "torn");
+        assert!(!plan.crashed());
+        assert_eq!(f.append(b"cccc").unwrap(), 4);
+        f.sync().unwrap();
+        assert_eq!(mem.raw("a.log").unwrap(), b"aaaabbcccc");
+    }
+
+    #[test]
+    fn arming_is_per_thread() {
+        arm(Some("wal.flush.forget_poison"));
+        assert!(armed("wal.flush.forget_poison"));
+        assert!(!armed("server.ack_before_journal"));
+        assert!(!std::thread::spawn(|| armed("wal.flush.forget_poison"))
+            .join()
+            .unwrap());
+        arm(None);
+        assert!(!armed("wal.flush.forget_poison"));
     }
 
     #[test]

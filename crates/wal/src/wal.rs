@@ -286,13 +286,22 @@ impl Wal {
         }
         recovery.recovered_epoch = graph.epoch();
 
-        // Reopen (or create) the active segment.
-        let active = match segments.last() {
-            Some(last) if last.bytes < config.segment_bytes => {
-                storage.open_append(&last.name).map_err(io_err)?
+        // Reopen the tail segment, or start a fresh one when there is
+        // none or it is full. A process kill leaves bytes that recovery
+        // has just replayed and no fsync ever covered: sync them before
+        // the recovered epoch is called durable below.
+        let mut reopened = None;
+        if let Some(last) = segments.last() {
+            let mut file = storage.open_append(&last.name).map_err(io_err)?;
+            if last.bytes > 0 {
+                file.sync().map_err(io_err)?;
             }
-            last => {
-                let seq = last.map_or(0, |s| s.seq + 1);
+            reopened = (last.bytes < config.segment_bytes).then_some(file);
+        }
+        let active = match reopened {
+            Some(file) => file,
+            None => {
+                let seq = segments.last().map_or(0, |s| s.seq + 1);
                 let name = segment_name(seq);
                 let file = storage.create(&name).map_err(io_err)?;
                 segments.push(Segment {
@@ -374,6 +383,11 @@ impl Wal {
     }
 
     fn io_poison(&mut self, e: std::io::Error) -> WalError {
+        // Seeded bug: the error is returned, the sticky flag forgotten.
+        #[cfg(feature = "failpoints")]
+        if crate::failpoint::armed("wal.flush.forget_poison") {
+            return WalError::Io(e.to_string());
+        }
         self.poisoned = true;
         WalError::Io(e.to_string())
     }

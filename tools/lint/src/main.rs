@@ -1,4 +1,4 @@
-//! Workspace invariant linter (see `rules` for the R1–R5 table).
+//! Workspace invariant linter (see `rules` for the R1–R6 table).
 //!
 //! Dependency-free, like `tools/bench_check`: a token-level pass over
 //! every `src/` tree in the workspace. Run it from the workspace root:

@@ -7,8 +7,10 @@
 //! | R3 | no `.unwrap()` / `.expect()` / `panic!` in non-test code | server, wal |
 //! | R4 | every `Ordering::{Acquire,Release,AcqRel,SeqCst}` argument carries a `// ordering:` rationale (same line or the comment block above) | every non-shim `src/` tree |
 //! | R5 | no `std::thread::sleep` | library crates (`crates/*/src`) |
+//! | R6 | no `std::env::var` / `var_os`: a library reads no environment | library crates (`crates/*/src`) |
 //!
-//! `#[cfg(test)]` / `#[test]` regions are exempt from every rule. A
+//! `#[cfg(test)]` / `#[test]` regions — and a file that opens with
+//! `#![cfg(test)]` — are exempt from every rule. A
 //! finding can be suppressed with `// lint: allow(Rn) <reason>` on the
 //! same line or the line above; suppressed findings are still counted
 //! and reported in the summary so escapes stay visible.
@@ -18,7 +20,7 @@ use crate::lexer::{lex, Lexed};
 /// One rule violation.
 #[derive(Clone, Debug)]
 pub struct Finding {
-    /// Rule id: "R1" … "R5".
+    /// Rule id: "R1" … "R6".
     pub rule: &'static str,
     /// 1-based source line.
     pub line: u32,
@@ -34,6 +36,7 @@ struct Scope {
     r3: bool,
     r4: bool,
     r5: bool,
+    r6: bool,
 }
 
 const HOT_CRATES: [&str; 6] = ["kg", "ground", "mln", "psl", "server", "wal"];
@@ -51,6 +54,7 @@ fn scope_for(path: &str) -> Scope {
             r3: false,
             r4: false,
             r5: false,
+            r6: false,
         };
     }
     let crate_name = p
@@ -63,6 +67,7 @@ fn scope_for(path: &str) -> Scope {
         r3: crate_name == "server" || crate_name == "wal",
         r4: true,
         r5: p.starts_with("crates/"),
+        r6: p.starts_with("crates/"),
     }
 }
 
@@ -73,9 +78,12 @@ fn test_regions(l: &Lexed) -> Vec<bool> {
     let mut in_test = vec![false; t.len()];
     let mut i = 0;
     while i < t.len() {
-        if t[i].text == "#" && i + 1 < t.len() && t[i + 1].text == "[" {
+        // `#![..]` is an inner attribute: it covers the rest of the file.
+        let inner = t[i].text == "#" && t.get(i + 1).is_some_and(|t| t.text == "!");
+        let open = i + 1 + usize::from(inner);
+        if t[i].text == "#" && t.get(open).is_some_and(|t| t.text == "[") {
             // Collect the attribute token span.
-            let mut j = i + 2;
+            let mut j = open + 1;
             let mut depth = 1;
             let attr_start = j;
             while j < t.len() && depth > 0 {
@@ -94,6 +102,10 @@ fn test_regions(l: &Lexed) -> Vec<bool> {
                         && w[2].text == "test"
                         && (w[3].text == ")" || w[3].text == ",")
                 });
+            if is_test_attr && inner {
+                in_test[i..].fill(true);
+                break;
+            }
             if is_test_attr {
                 // Skip to the end of the annotated item: first `;`
                 // before any brace, or the matching `}` otherwise.
@@ -249,6 +261,20 @@ pub fn check_source(rel_path: &str, src: &str) -> Vec<Finding> {
         {
             push("R5", line, "`thread::sleep` in a library crate".to_string());
         }
+        if scope.r6
+            && tx == "env"
+            && t.get(i + 1).map(|t| t.text.as_str()) == Some("::")
+            && matches!(
+                t.get(i + 2).map(|t| t.text.as_str()),
+                Some("var" | "var_os")
+            )
+        {
+            push(
+                "R6",
+                line,
+                "`env::var` in a library crate — take the value as an argument".to_string(),
+            );
+        }
     }
     out
 }
@@ -378,6 +404,39 @@ mod tests {
         assert_eq!(f[0].rule, "R5");
         // Tools are exempt (not under crates/).
         assert!(active("tools/bench_check/src/main.rs", "std::thread::sleep(d);").is_empty());
+    }
+
+    #[test]
+    fn r6_fires_on_env_reads_in_library_crates() {
+        let f = active(
+            "crates/wal/src/wal.rs",
+            "let v = std::env::var(\"TECORE_X\");",
+        );
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].rule, "R6");
+        assert_eq!(
+            active("crates/core/src/engine.rs", "env::var_os(\"X\");").len(),
+            1
+        );
+        // Shims, tools and bench targets may read their environment;
+        // `temp_dir` and `args` are not reads of it.
+        assert!(active("crates/shims/criterion/src/lib.rs", "std::env::var(\"X\");").is_empty());
+        assert!(active("tools/lint/src/main.rs", "std::env::var(\"X\");").is_empty());
+        assert!(active("crates/bench/benches/b.rs", "std::env::var(\"X\");").is_empty());
+        assert!(active("crates/wal/src/storage.rs", "std::env::temp_dir();").is_empty());
+        let all = findings(
+            "crates/core/src/engine.rs",
+            "// lint: allow(R6) the one documented switch\nstd::env::var(\"X\");",
+        );
+        assert!(all.len() == 1 && all[0].allowed);
+    }
+
+    #[test]
+    fn an_inner_cfg_test_exempts_the_whole_file() {
+        let src = "//! docs\n#![cfg(test)]\nfn f() { x.unwrap(); std::env::var(\"X\"); }";
+        assert!(active("crates/server/src/server/sim.rs", src).is_empty());
+        let src = "#![forbid(unsafe_code)]\nfn f() { x.unwrap(); }";
+        assert_eq!(active("crates/server/src/lib.rs", src).len(), 1);
     }
 
     #[test]
