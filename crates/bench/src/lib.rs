@@ -1,9 +1,12 @@
 //! # tecore-bench
 //!
-//! Benchmark harness for the TeCoRe reproduction. Each Criterion bench
-//! under `benches/` regenerates one figure or reported number from the
-//! paper (see `DESIGN.md` §3 for the experiment index); shared workload
-//! construction lives in [`harness`].
+//! Benchmark harness for the TeCoRe reproduction. Every bench under
+//! `benches/` has a committed `BENCH_<name>.json` baseline that CI's
+//! regression gate compares against: two reproduce a paper figure
+//! (`running_example`, `map_footballdb`), the rest time one layer, and
+//! three of those carry the `--ratio` rules. The `experiments` binary
+//! prints the paper's experiments E1–E6. Shared workload construction
+//! lives in [`harness`].
 
 #![forbid(unsafe_code)]
 

@@ -5,9 +5,9 @@
 //! their solver modes. It is *only* a description — the pipeline never
 //! matches on it. Construction into a runnable [`SolverHandle`] happens
 //! here, once, via `From<Backend>`; everything downstream (pipeline,
-//! session, benches) works with the open `dyn MapSolver` interface, so
-//! backends outside this enum (registered via
-//! [`crate::registry::SolverRegistry`]) are first-class citizens.
+//! [`crate::registry::SolverRegistry`], benches) works with the open
+//! `dyn MapSolver` interface, so a backend outside this enum, wrapped
+//! with [`SolverHandle::new`], is a first-class citizen.
 
 use std::ops::Deref;
 use std::sync::Arc;

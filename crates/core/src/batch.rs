@@ -1,7 +1,7 @@
 //! The unified edit surface: [`EditBatch`] → [`Engine::apply`].
 //!
 //! [`EditBatch`] is the one builder every edit path (per-fact methods,
-//! session, server writer loop, stream windows) goes through: a group of
+//! server writer loop, stream windows) goes through: a group of
 //! inserts, removes and upserts that [`Engine::apply`] validates and
 //! applies **as one delta** — the ops land in consecutive epochs of the
 //! graph's change log, so the next `resolve_incremental` sees them

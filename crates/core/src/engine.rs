@@ -31,9 +31,7 @@ use std::time::Instant;
 
 use tecore_ground::component::{ComponentView, Partition};
 use tecore_ground::incremental::DeltaStats;
-use tecore_ground::{
-    AtomId, ComponentIndex, ComponentMode, Grounding, JoinPlanner, MapState, SolveOpts,
-};
+use tecore_ground::{AtomId, ComponentIndex, ComponentMode, Grounding, MapState, SolveOpts};
 use tecore_kg::{Delta, FactId, TemporalFact, UtkGraph};
 use tecore_logic::LogicProgram;
 use tecore_temporal::Interval;
@@ -332,28 +330,6 @@ fn local_warm(view: &ComponentView<'_>, warm: &MapState) -> Option<MapState> {
     })
 }
 
-/// The batch path over borrowed parts: translate, ground and solve
-/// `map(θ(G), F ∪ C)` from scratch. [`Engine::resolve_raw`] and
-/// [`Session::run`](crate::Session::run) both end here.
-pub(crate) fn resolve_cold(
-    graph: &UtkGraph,
-    program: &LogicProgram,
-    config: &TecoreConfig,
-) -> Result<Resolution, TecoreError> {
-    let solver = &config.backend;
-    let mut grounding = translate(graph, program, &solver.caps(), &config.ground)?;
-    let solve_start = Instant::now();
-    let outcome = solve_dispatch(solver, &mut grounding, None, config.component_mode)?;
-    let solve_time = solve_start.elapsed();
-    let (mut resolution, _) = interpret(graph, &grounding, &outcome.state, config);
-    resolution.stats.grounding_time = grounding.stats.elapsed;
-    resolution.stats.solve_time = solve_time;
-    resolution.stats.components = outcome.components;
-    resolution.stats.components_solved = outcome.components_solved;
-    resolution.stats.partition_atoms_visited = outcome.atoms_visited;
-    Ok(resolution)
-}
-
 /// The TeCoRe system: a versioned uTKG plus rules and constraints,
 /// resolving into immutable [`Snapshot`]s.
 ///
@@ -497,31 +473,6 @@ impl Engine {
         self.latest.clone()
     }
 
-    /// Updates the derived-fact confidence threshold without
-    /// invalidating the cached incremental state (thresholding only
-    /// affects result interpretation, never the grounding).
-    pub fn set_threshold(&mut self, threshold: f64) {
-        self.config.threshold = threshold;
-    }
-
-    /// Updates the conflict-component treatment without invalidating
-    /// the cached incremental state (the mode only affects solve
-    /// dispatch, never the grounding).
-    pub fn set_component_mode(&mut self, mode: ComponentMode) {
-        self.config.component_mode = mode;
-    }
-
-    /// Switches the grounding join planner. Unlike the other knobs this
-    /// *does* drop the cached incremental state: the chosen plans are
-    /// baked into the materialised grounding, so the next resolve
-    /// re-grounds cold under the new planner.
-    pub fn set_planner(&mut self, planner: JoinPlanner) {
-        if self.config.ground.planner != planner {
-            self.config.ground.planner = planner;
-            self.cache = None;
-        }
-    }
-
     /// Replaces the logic program and the configuration. The engine
     /// starts over on the same graph: the cached incremental state
     /// drops (the next resolve re-grounds cold) and so does the latest
@@ -534,9 +485,8 @@ impl Engine {
     }
 
     /// Applies an [`EditBatch`] — the unified edit surface every other
-    /// mutation path (per-fact methods, [`Session`](crate::Session)
-    /// edits, the server writer loop, the stream window admitter) now
-    /// routes through.
+    /// mutation path (per-fact methods, the server writer loop, the
+    /// stream window admitter) routes through.
     ///
     /// Ops apply **sequentially, in builder order**, each validated
     /// against the graph state its predecessors left: `apply(batch)`
@@ -728,7 +678,18 @@ impl Engine {
     /// [`Engine::resolve`]; this exists for callers that only consume
     /// the resolution once and want to skip the `Arc`.
     pub fn resolve_raw(&self) -> Result<Resolution, TecoreError> {
-        let mut resolution = resolve_cold(&self.graph, &self.program, &self.config)?;
+        let (graph, config) = (&self.graph, &self.config);
+        let solver = &config.backend;
+        let mut grounding = translate(graph, &self.program, &solver.caps(), &config.ground)?;
+        let solve_start = Instant::now();
+        let outcome = solve_dispatch(solver, &mut grounding, None, config.component_mode)?;
+        let solve_time = solve_start.elapsed();
+        let (mut resolution, _) = interpret(graph, &grounding, &outcome.state, config);
+        resolution.stats.grounding_time = grounding.stats.elapsed;
+        resolution.stats.solve_time = solve_time;
+        resolution.stats.components = outcome.components;
+        resolution.stats.components_solved = outcome.components_solved;
+        resolution.stats.partition_atoms_visited = outcome.atoms_visited;
         resolution.stats.fallback_regrounds = self.fallback_regrounds;
         Ok(resolution)
     }

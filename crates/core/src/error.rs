@@ -16,8 +16,9 @@ pub enum TecoreError {
     Kg(KgError),
     /// A MAP backend failed (see `tecore_ground::SolveError`).
     Solve(SolveError),
-    /// A session-level misuse (unknown dataset, no program, unknown
-    /// backend name, ...).
+    /// A request the API cannot map to an outcome: an unknown backend
+    /// name (the registry), or an edit batch that reported no outcome
+    /// (`Engine`, `tecore-stream`).
     Session(String),
     /// The durability layer failed (see `tecore_wal::WalError`). The
     /// in-memory engine is still consistent, but edits were refused.
@@ -90,8 +91,8 @@ mod tests {
         let e: TecoreError = KgError::InvalidConfidence(2.0).into();
         assert!(e.to_string().contains("knowledge-graph"));
 
-        let e = TecoreError::Session("no dataset selected".into());
-        assert!(e.to_string().contains("no dataset"));
+        let e = TecoreError::Session("unknown backend `x`".into());
+        assert!(e.to_string().contains("unknown backend"));
         assert!(e.source().is_none());
     }
 }

@@ -23,12 +23,11 @@
 //! resolve returns a cheap `Arc`-shared, epoch-stamped
 //! [`snapshot::Snapshot`] — an immutable view carrying the expanded
 //! graph and temporal indexes, queried through the typed [`query`]
-//! layer while the engine keeps mutating and re-resolving.
-//!
-//! The [`session`] module reproduces the demo's Web-UI flow headlessly
-//! as a thin compatibility wrapper over the engine: select a dataset,
-//! add rules/constraints with auto-completion, run either reasoner,
-//! browse consistent and conflicting statements.
+//! layer while the engine keeps mutating and re-resolving. The engine is
+//! the one entry point: the demo's Web-UI flow (complete predicates,
+//! validate a constraint, pick a reasoner by name from the
+//! [`registry::SolverRegistry`], browse the result) is a handful of
+//! library calls around it — `examples/constraint_editor.rs` walks it.
 //!
 //! ```
 //! use tecore_core::prelude::*;
@@ -60,7 +59,6 @@ pub mod pipeline;
 pub mod query;
 pub mod registry;
 pub mod resolution;
-pub mod session;
 pub mod snapshot;
 pub mod stats;
 pub mod threshold;
@@ -74,9 +72,8 @@ pub use error::TecoreError;
 pub use explain::{ConflictExplanation, Participant};
 pub use pipeline::{ConfidenceMode, TecoreConfig};
 pub use query::{QueryIter, TemporalQuery, TimelineEntry};
-pub use registry::{BackendSelector, SolverRegistry};
+pub use registry::SolverRegistry;
 pub use resolution::{InferredFact, RemovedFact, Resolution};
-pub use session::Session;
 pub use snapshot::Snapshot;
 pub use stats::DebugStats;
 // The backend interface itself lives in `tecore-ground` (below the
@@ -96,7 +93,6 @@ pub mod prelude {
     pub use crate::query::{TemporalQuery, TimelineEntry};
     pub use crate::registry::SolverRegistry;
     pub use crate::resolution::Resolution;
-    pub use crate::session::Session;
     pub use crate::snapshot::Snapshot;
     pub use crate::stats::DebugStats;
     pub use tecore_ground::{ComponentMode, JoinPlanner, MapSolver, MapState, SolverCaps};

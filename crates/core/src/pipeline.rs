@@ -6,10 +6,9 @@
 //! interpretation step turns that state into a repaired knowledge
 //! graph. There is deliberately no
 //! per-backend dispatch anywhere in this module — what a solver can do
-//! is read off its [`SolverCaps`](tecore_ground::SolverCaps), so
-//! backends added at runtime through the
-//! [`crate::registry::SolverRegistry`] behave exactly like the built-in
-//! ones.
+//! is read off its [`SolverCaps`](tecore_ground::SolverCaps), so a
+//! plugin [`SolverHandle`] set as [`TecoreConfig::backend`] behaves
+//! exactly like the four in [`crate::registry::SolverRegistry`].
 
 use std::sync::Arc;
 
@@ -56,8 +55,8 @@ pub struct TecoreConfig {
     /// Conflict-component treatment for the solve step: partition the
     /// ground problem into independent components and solve them
     /// separately (default [`ComponentMode::Auto`]), or force one
-    /// monolithic solve. Read by the engine's solve driver; changing
-    /// it never invalidates the cached incremental grounding.
+    /// monolithic solve. Read by the engine's solve driver only; the
+    /// grounding does not depend on it.
     pub component_mode: ComponentMode,
 }
 

@@ -1,18 +1,13 @@
 //! The **solver registry**: name → [`SolverHandle`] resolution.
 //!
-//! The registry is how backends stay *open for extension* (the
-//! follow-up-work motivation: PaTeCon-style mined constraint substrates,
-//! streaming workloads, sharded solvers, ... keep arriving): a new
-//! backend implements `tecore_ground::MapSolver`, registers under its
-//! name, and is immediately selectable by
-//! [`crate::session::Session::set_backend`] and the bench harness —
-//! no change to `pipeline.rs` or to this crate's enums required.
-//!
-//! Every [`crate::session::Session`] owns a registry pre-populated with
-//! the four seed substrates (`mln-exact`, `mln-walksat`, `mln-cpi`,
-//! `psl-admm`) under their default configurations; re-registering a
-//! name replaces the entry (e.g. to install a differently-tuned
-//! `mln-walksat`).
+//! The four seed substrates (`mln-exact`, `mln-walksat`, `mln-cpi`,
+//! `psl-admm`) under their default configurations, selectable by name —
+//! the demo's backend dropdown (`examples/constraint_editor.rs`), the
+//! bench harness and the conformance tests all resolve through it. A
+//! backend outside the four
+//! implements `tecore_ground::MapSolver` and goes straight into
+//! [`TecoreConfig::backend`](crate::TecoreConfig) as a [`SolverHandle`];
+//! nothing in `pipeline.rs` or this crate's enums needs to change.
 
 use std::collections::BTreeMap;
 
@@ -25,49 +20,30 @@ pub struct SolverRegistry {
     entries: BTreeMap<String, SolverHandle>,
 }
 
-impl Default for SolverRegistry {
-    /// The four seed substrates — so a default [`crate::Session`] can
-    /// immediately select any of them by name.
-    fn default() -> Self {
-        SolverRegistry::with_default_backends()
-    }
-}
-
 impl SolverRegistry {
-    /// A registry with no backends.
-    pub fn empty() -> Self {
-        SolverRegistry {
-            entries: BTreeMap::new(),
-        }
-    }
-
     /// A registry holding the four seed substrates under default
     /// configuration.
     pub fn with_default_backends() -> Self {
-        let mut registry = SolverRegistry::empty();
-        registry.register(Backend::MlnExact);
-        registry.register(Backend::MlnWalkSat(Default::default()));
-        registry.register(Backend::MlnCuttingPlane(Default::default()));
-        registry.register(Backend::default_psl());
-        registry
-    }
-
-    /// Registers a backend under [`tecore_ground::MapSolver::name`];
-    /// returns the handle it replaced, if any.
-    pub fn register(&mut self, solver: impl Into<SolverHandle>) -> Option<SolverHandle> {
-        let handle = solver.into();
-        self.entries.insert(handle.name().to_string(), handle)
-    }
-
-    /// Looks up a backend by name.
-    pub fn get(&self, name: &str) -> Option<&SolverHandle> {
-        self.entries.get(name)
+        let backends = [
+            Backend::MlnExact,
+            Backend::MlnWalkSat(Default::default()),
+            Backend::MlnCuttingPlane(Default::default()),
+            Backend::default_psl(),
+        ];
+        let entries = backends
+            .into_iter()
+            .map(|backend| {
+                let handle = SolverHandle::from(backend);
+                (handle.name().to_string(), handle)
+            })
+            .collect();
+        SolverRegistry { entries }
     }
 
     /// Resolves a backend by name, with a did-you-mean error listing
     /// the registered names.
     pub fn resolve(&self, name: &str) -> Result<SolverHandle, TecoreError> {
-        self.get(name).cloned().ok_or_else(|| {
+        self.entries.get(name).cloned().ok_or_else(|| {
             TecoreError::Session(format!(
                 "unknown backend `{name}` (registered: {})",
                 self.names().collect::<Vec<_>>().join(", ")
@@ -78,48 +54,6 @@ impl SolverRegistry {
     /// Registered backend names, sorted.
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.entries.keys().map(String::as_str)
-    }
-
-    /// Number of registered backends.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` if nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-/// Anything [`crate::session::Session::set_backend`] accepts: a
-/// registered name, a [`Backend`] spec, or a ready [`SolverHandle`].
-pub trait BackendSelector {
-    /// Produces the solver this selector describes, resolving names
-    /// against `registry`.
-    fn select(self, registry: &SolverRegistry) -> Result<SolverHandle, TecoreError>;
-}
-
-impl BackendSelector for &str {
-    fn select(self, registry: &SolverRegistry) -> Result<SolverHandle, TecoreError> {
-        registry.resolve(self)
-    }
-}
-
-impl BackendSelector for String {
-    fn select(self, registry: &SolverRegistry) -> Result<SolverHandle, TecoreError> {
-        registry.resolve(&self)
-    }
-}
-
-impl BackendSelector for Backend {
-    fn select(self, _registry: &SolverRegistry) -> Result<SolverHandle, TecoreError> {
-        Ok(self.into())
-    }
-}
-
-impl BackendSelector for SolverHandle {
-    fn select(self, _registry: &SolverRegistry) -> Result<SolverHandle, TecoreError> {
-        Ok(self)
     }
 }
 
@@ -135,8 +69,6 @@ mod tests {
             names,
             vec!["mln-cpi", "mln-exact", "mln-walksat", "psl-admm"]
         );
-        assert_eq!(registry.len(), 4);
-        assert!(!registry.is_empty());
     }
 
     #[test]
@@ -147,39 +79,5 @@ mod tests {
         let message = err.to_string();
         assert!(message.contains("unknown backend `nope`"), "{message}");
         assert!(message.contains("mln-exact"), "{message}");
-    }
-
-    #[test]
-    fn register_replaces_by_name() {
-        let mut registry = SolverRegistry::with_default_backends();
-        let replaced = registry.register(Backend::MlnExact);
-        assert!(replaced.is_some());
-        assert_eq!(registry.len(), 4);
-    }
-
-    #[test]
-    fn selector_forms() {
-        let registry = SolverRegistry::with_default_backends();
-        assert_eq!("mln-exact".select(&registry).unwrap().name(), "mln-exact");
-        assert_eq!(
-            String::from("mln-cpi").select(&registry).unwrap().name(),
-            "mln-cpi"
-        );
-        assert_eq!(
-            Backend::default_psl().select(&registry).unwrap().name(),
-            "psl-admm"
-        );
-        let handle = SolverHandle::default();
-        assert_eq!(
-            handle.clone().select(&registry).unwrap().name(),
-            handle.name()
-        );
-    }
-
-    #[test]
-    fn empty_registry_errors_helpfully() {
-        let registry = SolverRegistry::empty();
-        let err = registry.resolve("mln-exact").unwrap_err();
-        assert!(err.to_string().contains("unknown backend"));
     }
 }

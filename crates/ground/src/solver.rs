@@ -13,8 +13,8 @@
 //! and `tecore-core` can dispatch through `dyn MapSolver` without a
 //! per-backend `match` anywhere in its pipeline. New substrates (e.g. a
 //! sharded or approximate solver) plug in by implementing [`MapSolver`]
-//! and registering with `tecore_core::registry::SolverRegistry`; no
-//! existing crate needs to change.
+//! and going into `tecore_core::TecoreConfig::backend` as a
+//! `SolverHandle`; no existing crate needs to change.
 
 use std::fmt;
 

@@ -2,7 +2,7 @@
 
 use crate::fxhash::FxHashMap;
 
-use tecore_temporal::{Interval, TimeDomain};
+use tecore_temporal::Interval;
 
 use crate::delta::{Delta, FactChange};
 use crate::dict::{Dictionary, Symbol};
@@ -328,16 +328,6 @@ impl UtkGraph {
         preds
     }
 
-    /// The smallest [`TimeDomain`] covering every live fact, with the
-    /// given granularity retained from `base`.
-    pub fn spanning_domain(&self, base: &TimeDomain) -> TimeDomain {
-        let mut domain = base.clone();
-        for (_, f) in self.iter() {
-            domain = domain.extended_to(f.interval);
-        }
-        domain
-    }
-
     /// Rebuilds a graph from checkpoint data: live facts keyed by their
     /// original arena slot, the original arena length, and the epoch at
     /// which the checkpoint was taken.
@@ -548,13 +538,6 @@ mod tests {
             .map(|p| g.dict().resolve(*p))
             .collect();
         assert_eq!(names, vec!["birthDate", "coach", "playsFor"]);
-    }
-
-    #[test]
-    fn spanning_domain_covers_all() {
-        let g = ranieri();
-        let d = g.spanning_domain(&TimeDomain::years(2000, 2000).unwrap());
-        assert!(d.contains(iv(1951, 2017)));
     }
 
     #[test]

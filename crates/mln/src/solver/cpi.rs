@@ -19,8 +19,7 @@
 //! repository has one implementation of the constraint join. What stays
 //! lazy is the solver's view: a grounding whose body MAP rejects anyway
 //! (say, one over a hidden atom the relaxed problem leaves false) is
-//! never activated. The ablation bench `ablation_cpi` times the
-//! re-solve loop against one solve over the whole arena.
+//! never activated.
 
 use std::time::Instant;
 

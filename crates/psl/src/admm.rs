@@ -4,7 +4,7 @@
 //! variables; a consensus variable vector ties them together:
 //!
 //! 1. **local step** — each potential solves a tiny prox problem in
-//!    closed form (hinge and squared-hinge cases below); each hard
+//!    closed form (linear hinge, below); each hard
 //!    constraint projects onto its halfspace;
 //! 2. **consensus step** — every global variable becomes the average of
 //!    its local copies (+ duals), clamped to `[0, 1]`;
@@ -168,7 +168,6 @@ impl AdmmSolver {
                             factor.coeffs,
                             factor.constant,
                             mrf.weight(k),
-                            mrf.squared(),
                             mrf.norm2(k),
                             rho,
                             local,
@@ -235,7 +234,7 @@ impl AdmmSolver {
     }
 }
 
-/// Closed-form prox of `w·max(0, c + aᵀy)^(1|2) + (ρ/2)‖y − v‖²`,
+/// Closed-form prox of `w·max(0, c + aᵀy) + (ρ/2)‖y − v‖²`,
 /// operating in place: `y` holds the anchor `v` on entry and the
 /// minimiser on exit.
 #[inline]
@@ -243,7 +242,6 @@ fn prox_hinge_inplace(
     a: &[f64],
     constant: f64,
     weight: f64,
-    squared: bool,
     a_norm2: f64,
     rho: f64,
     y: &mut [f64],
@@ -255,14 +253,7 @@ fn prox_hinge_inplace(
     if d_v <= 0.0 {
         return; // anchor already in the flat region
     }
-    if squared {
-        let scale = 2.0 * weight * d_v / (rho + 2.0 * weight * a_norm2);
-        for (yi, &ai) in y.iter_mut().zip(a) {
-            *yi -= scale * ai;
-        }
-        return;
-    }
-    // Linear hinge: step into the linear region...
+    // Step into the linear region...
     let step = weight / rho;
     if d_v - step * a_norm2 >= 0.0 {
         for (yi, &ai) in y.iter_mut().zip(a) {
@@ -402,19 +393,6 @@ mod tests {
                 mrf.objective(&probe)
             );
         }
-    }
-
-    #[test]
-    fn squared_hinges_converge() {
-        let clauses = [
-            soft(vec![Lit::pos(AtomId(0))], 2.0),
-            soft(vec![Lit::neg(AtomId(0))], 2.0),
-        ];
-        let mrf = HlMrf::from_clauses(1, &clauses, &PslConfig { squared: true });
-        let r = AdmmSolver::new(AdmmConfig::default()).solve(&mrf);
-        assert_eq!((r.blocks, r.iterations), (1, 28), "as the global loop");
-        // Symmetric squared pulls settle in the middle.
-        assert!((r.values[0] - 0.5).abs() < 0.05, "{}", r.values[0]);
     }
 
     #[test]

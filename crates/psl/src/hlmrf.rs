@@ -17,17 +17,14 @@
 
 use tecore_ground::{ClauseStore, ClauseWeight, GroundClause, Grounding, Lit};
 
-/// PSL construction options.
+/// PSL construction options — none at present. Every hinge is linear
+/// (`w·max(0, d)`), which keeps a block a plain LP. The type stays so
+/// that [`HlMrf::from_grounding`] and [`crate::PslAdmm::new`] keep their
+/// signatures: `PslConfig::default()` is the one value.
 #[derive(Debug, Clone, Default)]
-pub struct PslConfig {
-    /// Use squared hinges (`w·max(0, d)²`) instead of linear ones.
-    /// Squared potentials spread the repair across atoms; linear ones
-    /// produce sparser, more MLN-like solutions. The ablation bench
-    /// `ablation_admm` compares both.
-    pub squared: bool,
-}
+pub struct PslConfig {}
 
-/// A weighted hinge potential `w · max(0, constant + Σ coeff·x)^(1|2)`.
+/// A weighted hinge potential `w · max(0, constant + Σ coeff·x)`.
 ///
 /// The Łukasiewicz "distance to satisfaction" of a clause
 /// `l₁ ∨ … ∨ lₖ` is `max(0, 1 − Σ truth(lᵢ))` with `truth(a) = x_a` and
@@ -44,19 +41,16 @@ pub struct HingePotential {
     pub constant: f64,
     /// Weight `w > 0`.
     pub weight: f64,
-    /// Squared hinge?
-    pub squared: bool,
 }
 
 impl HingePotential {
     /// Builds the potential of a soft clause.
-    pub fn from_clause(lits: &[Lit], weight: f64, squared: bool) -> HingePotential {
+    pub fn from_clause(lits: &[Lit], weight: f64) -> HingePotential {
         let (terms, constant) = clause_linear_form(lits);
         HingePotential {
             terms,
             constant,
             weight,
-            squared,
         }
     }
 
@@ -71,12 +65,7 @@ impl HingePotential {
 
     /// The potential's contribution to the MAP objective.
     pub fn value(&self, x: &[f64]) -> f64 {
-        let d = self.distance(x);
-        if self.squared {
-            self.weight * d * d
-        } else {
-            self.weight * d
-        }
+        self.weight * self.distance(x)
     }
 }
 
@@ -176,7 +165,6 @@ pub struct HlMrf {
     weights: Vec<f64>,
     /// Per-factor squared coefficient norm.
     norm2: Vec<f64>,
-    squared: bool,
     block_factor_offsets: Vec<u32>,
     block_factors: Vec<u32>,
     block_var_offsets: Vec<u32>,
@@ -194,7 +182,7 @@ impl HlMrf {
     /// for the hard ones, so potentials precede constraints in the
     /// factor order without any intermediate factor objects; then the
     /// block index over the finished factors.
-    pub fn from_store(n_vars: usize, store: &ClauseStore, config: &PslConfig) -> HlMrf {
+    pub fn from_store(n_vars: usize, store: &ClauseStore, _config: &PslConfig) -> HlMrf {
         // The arena's literal buffer also holds retracted regions, so
         // the live literal count takes a pass of its own; with it every
         // buffer is allocated once at its final size.
@@ -202,7 +190,6 @@ impl HlMrf {
         let terms = store.iter().map(|c| c.lits.len()).sum();
         let mut mrf = HlMrf {
             n_vars,
-            squared: config.squared,
             offsets: Vec::with_capacity(factors + 1),
             vars: Vec::with_capacity(terms),
             coeffs: Vec::with_capacity(terms),
@@ -384,11 +371,6 @@ impl HlMrf {
         self.norm2[k]
     }
 
-    /// Are the hinges squared?
-    pub fn squared(&self) -> bool {
-        self.squared
-    }
-
     /// The variable ids of every factor slot, flattened (ADMM sizes
     /// its local/dual buffers off this).
     pub fn slot_vars(&self) -> &[u32] {
@@ -399,12 +381,7 @@ impl HlMrf {
     pub fn objective(&self, x: &[f64]) -> f64 {
         let mut total = 0.0;
         for k in 0..self.n_potentials {
-            let d = self.factor(k).violation(x).max(0.0);
-            total += if self.squared {
-                self.weights[k] * d * d
-            } else {
-                self.weights[k] * d
-            };
+            total += self.weights[k] * self.factor(k).violation(x).max(0.0);
         }
         total
     }
@@ -473,7 +450,7 @@ mod tests {
     #[test]
     fn lukasiewicz_of_positive_unit() {
         // (a) → max(0, 1 − a): distance 1 at a=0, 0 at a=1.
-        let p = HingePotential::from_clause(&[lit(0, true)], 2.0, false);
+        let p = HingePotential::from_clause(&[lit(0, true)], 2.0);
         assert!((p.distance(&[0.0]) - 1.0).abs() < 1e-12);
         assert!((p.distance(&[1.0])).abs() < 1e-12);
         assert!((p.value(&[0.25]) - 2.0 * 0.75).abs() < 1e-12);
@@ -482,7 +459,7 @@ mod tests {
     #[test]
     fn lukasiewicz_of_binary_clash() {
         // (¬a ∨ ¬b) → max(0, a + b − 1).
-        let p = HingePotential::from_clause(&[lit(0, false), lit(1, false)], 1.0, false);
+        let p = HingePotential::from_clause(&[lit(0, false), lit(1, false)], 1.0);
         assert!((p.distance(&[1.0, 1.0]) - 1.0).abs() < 1e-12);
         assert!(p.distance(&[0.5, 0.5]).abs() < 1e-12);
         assert!(p.distance(&[0.0, 1.0]).abs() < 1e-12);
@@ -491,16 +468,10 @@ mod tests {
     #[test]
     fn implication_clause() {
         // ¬a ∨ b (a → b): distance max(0, a − b).
-        let p = HingePotential::from_clause(&[lit(0, false), lit(1, true)], 1.0, false);
+        let p = HingePotential::from_clause(&[lit(0, false), lit(1, true)], 1.0);
         assert!((p.distance(&[1.0, 0.0]) - 1.0).abs() < 1e-12);
         assert!(p.distance(&[1.0, 1.0]).abs() < 1e-12);
         assert!(p.distance(&[0.3, 0.3]).abs() < 1e-12);
-    }
-
-    #[test]
-    fn squared_potential() {
-        let p = HingePotential::from_clause(&[lit(0, true)], 2.0, true);
-        assert!((p.value(&[0.5]) - 2.0 * 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -555,7 +526,7 @@ mod tests {
         ];
         let mrf = HlMrf::from_clauses(3, &clauses, &PslConfig::default());
         let x = [0.25, 0.5, 0.75];
-        let hinge = HingePotential::from_clause(&clauses[0].lits, 1.5, false);
+        let hinge = HingePotential::from_clause(&clauses[0].lits, 1.5);
         assert!((mrf.factor(0).violation(&x).max(0.0) - hinge.distance(&x)).abs() < 1e-12);
         assert!((mrf.objective(&x) - hinge.value(&x)).abs() < 1e-12);
         let cons = LinearConstraint::from_clause(&clauses[1].lits);

@@ -254,7 +254,7 @@ fn run_one<F: FnMut(&mut Bencher)>(
 /// current directory. The format is intentionally flat:
 ///
 /// ```json
-/// {"bench": "wikidata_scaling", "results": [
+/// {"bench": "map_footballdb", "results": [
 ///   {"name": "...", "median_ns": 1, "min_ns": 1, "max_ns": 1,
 ///    "stddev_ns": 0, "samples": 20}
 /// ]}

@@ -4,19 +4,11 @@ use std::fmt;
 
 use crate::point::TimePoint;
 
-/// Errors raised by interval and domain construction.
+/// Errors raised by interval construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TemporalError {
     /// An interval was requested with `start > end`.
     EmptyInterval { start: TimePoint, end: TimePoint },
-    /// A point or interval lies outside the configured [`crate::TimeDomain`].
-    OutOfDomain {
-        point: TimePoint,
-        lo: TimePoint,
-        hi: TimePoint,
-    },
-    /// A time domain was requested with `lo > hi`.
-    EmptyDomain { lo: TimePoint, hi: TimePoint },
 }
 
 impl fmt::Display for TemporalError {
@@ -24,12 +16,6 @@ impl fmt::Display for TemporalError {
         match self {
             TemporalError::EmptyInterval { start, end } => {
                 write!(f, "empty interval: start {start} is after end {end}")
-            }
-            TemporalError::OutOfDomain { point, lo, hi } => {
-                write!(f, "time point {point} outside domain [{lo}, {hi}]")
-            }
-            TemporalError::EmptyDomain { lo, hi } => {
-                write!(f, "empty time domain: lo {lo} is after hi {hi}")
             }
         }
     }
@@ -48,16 +34,5 @@ mod tests {
             end: TimePoint(3),
         };
         assert!(e.to_string().contains("empty interval"));
-        let e = TemporalError::OutOfDomain {
-            point: TimePoint(99),
-            lo: TimePoint(0),
-            hi: TimePoint(10),
-        };
-        assert!(e.to_string().contains("outside domain"));
-        let e = TemporalError::EmptyDomain {
-            lo: TimePoint(2),
-            hi: TimePoint(1),
-        };
-        assert!(e.to_string().contains("empty time domain"));
     }
 }

@@ -1,6 +1,6 @@
 //! # tecore-temporal
 //!
-//! Discrete time domain, closed intervals and Allen's interval algebra for
+//! Discrete time points, closed intervals and Allen's interval algebra for
 //! the TeCoRe temporal conflict-resolution system (VLDB 2017).
 //!
 //! The paper models validity time as "a discrete time domain T as a
@@ -14,8 +14,7 @@
 //! * [`AllenRelation`] — the 13 basic Allen relations, with converse;
 //! * [`AllenSet`] — sets of Allen relations (the "named" relations of the
 //!   constraint language such as `disjoint` are proper relation sets);
-//! * [`TemporalElement`] — a coalesced union of disjoint intervals;
-//! * [`TimeDomain`] — the finite domain facts are interpreted over.
+//! * [`TemporalElement`] — a coalesced union of disjoint intervals.
 //!
 //! ## Discrete-interval convention
 //!
@@ -45,7 +44,6 @@
 
 pub mod allen;
 pub mod coalesce;
-pub mod domain;
 pub mod error;
 pub mod interval;
 pub mod point;
@@ -53,7 +51,6 @@ pub mod set;
 
 pub use allen::AllenRelation;
 pub use coalesce::TemporalElement;
-pub use domain::TimeDomain;
 pub use error::TemporalError;
 pub use interval::Interval;
 pub use point::TimePoint;

@@ -2,7 +2,7 @@
 //!
 //! The paper demonstrates TeCoRe as an *interactive* system — the user
 //! edits the uTKG and re-runs the reasoner. This example drives that
-//! loop through `Session::insert_fact` → `Session::resolve_incremental`:
+//! loop through `Engine::insert_fact` → `Engine::resolve_incremental`:
 //! the first resolve grounds from scratch and primes the engine; every
 //! later resolve consumes only the delta (the incremental grounder
 //! retracts/emits just the touched clauses) and warm-starts the solver
@@ -10,31 +10,35 @@
 //!
 //! Run with: `cargo run --release --example streaming_session`
 
-use tecore_core::Session;
+use tecore_core::{Engine, SolverRegistry, TecoreConfig};
 use tecore_datagen::standard::ranieri_utkg;
+use tecore_logic::LogicProgram;
 use tecore_temporal::Interval;
 
 fn main() {
-    let mut session = Session::new();
-    session.add_dataset("ranieri", ranieri_utkg());
-    session
-        .add_program(
-            "f1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = 2.5\n\
-             c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z \
-                 -> disjoint(t, t') w = inf\n",
-        )
-        .expect("program parses");
-    session.set_backend("mln-walksat").expect("registered");
+    let program = LogicProgram::parse(
+        "f1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = 2.5\n\
+         c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z \
+             -> disjoint(t, t') w = inf\n",
+    )
+    .expect("program parses");
+    let config = TecoreConfig {
+        backend: SolverRegistry::with_default_backends()
+            .resolve("mln-walksat")
+            .expect("registered"),
+        ..TecoreConfig::default()
+    };
+    let mut engine = Engine::with_config(ranieri_utkg(), program, config);
 
     // 1. Prime the incremental engine (cold ground + cold solve).
-    let r = session.resolve_incremental().expect("resolves");
+    let r = engine.resolve_incremental().expect("resolves");
     println!("== initial resolve ==");
     report(&r);
 
     // 2. Streaming edit: a strong Roma spell that clashes with the
     //    Leicester one. Only the delta is re-ground; WalkSAT restarts
     //    from the previous MAP assignment.
-    let roma = session
+    let roma = engine
         .insert_fact(
             "CR",
             "coach",
@@ -43,14 +47,14 @@ fn main() {
             0.95,
         )
         .expect("insert");
-    let r = session.resolve_incremental().expect("resolves");
+    let r = engine.resolve_incremental().expect("resolves");
     println!("\n== after insert (CR, coach, Roma, [2016,2018]) 0.95 ==");
     report(&r);
 
     // 3. Undo the edit: the engine unwinds the delta and lands back on
     //    the original repair.
-    session.remove_fact(roma).expect("remove");
-    let r = session.resolve_incremental().expect("resolves");
+    engine.remove_fact(roma).expect("remove");
+    let r = engine.resolve_incremental().expect("resolves");
     println!("\n== after removing the Roma fact again ==");
     report(&r);
 }

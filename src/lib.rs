@@ -19,7 +19,7 @@
 //!
 //! This crate re-exports the subsystem crates; most applications only
 //! need [`tecore_core`] (the versioned `Engine` → `Snapshot` API with
-//! its temporal query layer, plus the demo session) and
+//! its temporal query layer and the solver registry) and
 //! [`tecore_datagen`] (synthetic workloads).
 //!
 //! ```
@@ -53,5 +53,5 @@ pub mod prelude {
     pub use tecore_core::prelude::*;
     pub use tecore_kg::{Dictionary, TemporalFact, UtkGraph};
     pub use tecore_logic::program::LogicProgram;
-    pub use tecore_temporal::{AllenRelation, AllenSet, Interval, TimeDomain, TimePoint};
+    pub use tecore_temporal::{AllenRelation, AllenSet, Interval, TimePoint};
 }

@@ -84,23 +84,3 @@ fn all_registered_backends_agree_on_running_example() {
         }
     }
 }
-
-#[test]
-fn conformance_holds_for_session_selected_names() {
-    // The same contract, driven the way applications do it: a Session
-    // switching backends by name.
-    let mut session = tecore_core::Session::new();
-    session.add_dataset("ranieri", ranieri_utkg());
-    for f in paper_program().formulas() {
-        session
-            .add_formula(&tecore_logic::pretty::format_formula(f))
-            .unwrap();
-    }
-    for name in ["mln-exact", "mln-walksat", "mln-cpi", "psl-admm"] {
-        session.set_backend(name).unwrap();
-        let r = session.run().unwrap();
-        assert_eq!(r.stats.backend, name);
-        assert_eq!(r.stats.conflicting_facts, 1, "{name}");
-        assert_eq!(r.consistent.len(), 4, "{name}");
-    }
-}
