@@ -15,10 +15,12 @@
 //!   query path allocates nothing), and the single-writer loop that
 //!   drains the edit queue, coalesces a batch per tick, re-solves
 //!   incrementally, and publishes.
-//! * [`proto`] — the line-based wire protocol (`Q`/`COUNT`/`OBJECTS`/
-//!   `TIMELINE` with subject/predicate/object/time clauses, plus
-//!   `INSERT`/`REMOVE`/`EPOCH`/`STATS`/`PING`/`QUIT`) compiled
-//!   straight onto the costed [`TemporalQuery`] planner.
+//! * [`proto`] — the line-based wire protocol: `Q`/`COUNT`/`OBJECTS`/
+//!   `TIMELINE` with subject/predicate/object/time clauses, parsed into
+//!   a borrowed [`QuerySpec`] and compiled straight onto the costed
+//!   [`TemporalQuery`] planner; `INSERT`/`REMOVE`/`FLUSH` for edits;
+//!   `EPOCH`/`STATS`/`PING`/`QUIT`; and, on a streaming server,
+//!   `FEED`/`SUB`/`UNSUB`.
 //!
 //! ```no_run
 //! use std::io::{BufRead, BufReader, Write};
@@ -44,6 +46,7 @@
 //!
 //! [`TemporalQuery`]: tecore_core::query::TemporalQuery
 //! [`Snapshot`]: tecore_core::snapshot::Snapshot
+//! [`QuerySpec`]: tecore_stream::QuerySpec
 
 #![forbid(unsafe_code)]
 
@@ -52,5 +55,5 @@ pub mod proto;
 pub mod server;
 
 pub use cell::SnapshotCell;
-pub use proto::{Clauses, ProtoError, QueryKind, Request, TimeClause};
-pub use server::{Edit, Server, ServerConfig, ServerStats, StreamServing};
+pub use proto::{ProtoError, QueryKind, Request};
+pub use server::{Server, ServerConfig, ServerStats, StreamServing};

@@ -71,17 +71,18 @@
 //! constraint, a query reports `F 1 … Leicester` and `REMOVE 1` removes
 //! Chelsea. An editing client tracks the arena ids of its own inserts.
 //!
-//! Parsing borrows every term straight from the request line
-//! ([`Request`] is lifetime-parametric) and response rendering writes
-//! into a caller-provided buffer, so the steady-state request→response
-//! path allocates nothing.
+//! Parsing borrows every term straight from the request line (the
+//! clauses of `Q`/`COUNT`/`OBJECTS`/`TIMELINE`/`SUB` fill a
+//! [`QuerySpec<&str>`](QuerySpec)) and response rendering writes into a
+//! caller-provided buffer, so the steady-state request→response path
+//! allocates nothing.
 
 use std::fmt::{self, Write};
 
-use tecore_core::query::TemporalQuery;
 use tecore_core::snapshot::Snapshot;
 use tecore_kg::writer::write_fact;
 use tecore_kg::FactId;
+use tecore_stream::QuerySpec;
 use tecore_temporal::{AllenRelation, Interval};
 
 /// Which executor a query command runs.
@@ -95,50 +96,6 @@ pub enum QueryKind {
     Objects,
     /// `TIMELINE` — coalesced per-statement timelines, one `T` line each.
     Timeline,
-}
-
-/// The time constraint of a query, if any.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimeClause {
-    /// No temporal constraint.
-    Any,
-    /// `at=t` — validity covers the point.
-    At(i64),
-    /// `over=a..b` — validity overlaps the window.
-    Over(Interval),
-    /// `allen=rel:a..b` — validity stands in `rel` to the anchor.
-    Allen(AllenRelation, Interval),
-}
-
-/// The parsed clauses of a query command; all terms borrow from the
-/// request line.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Clauses<'a> {
-    /// `s=` constraint.
-    pub subject: Option<&'a str>,
-    /// `p=` constraint.
-    pub predicate: Option<&'a str>,
-    /// `o=` constraint.
-    pub object: Option<&'a str>,
-    /// Temporal constraint.
-    pub time: TimeClause,
-    /// `minconf=` threshold.
-    pub min_confidence: Option<f64>,
-    /// `limit=` cap on result lines (`Q`/`OBJECTS`/`TIMELINE`).
-    pub limit: Option<usize>,
-}
-
-impl Default for Clauses<'_> {
-    fn default() -> Self {
-        Clauses {
-            subject: None,
-            predicate: None,
-            object: None,
-            time: TimeClause::Any,
-            min_confidence: None,
-            limit: None,
-        }
-    }
 }
 
 /// One parsed request; terms borrow from the input line.
@@ -155,7 +112,7 @@ pub enum Request<'a> {
     /// Force journaled edits to durable storage.
     Flush,
     /// A read-only query against the current snapshot.
-    Query(QueryKind, Clauses<'a>),
+    Query(QueryKind, QuerySpec<&'a str>),
     /// Queue a fact insertion.
     Insert {
         /// Subject term.
@@ -189,7 +146,7 @@ pub enum Request<'a> {
     },
     /// Register a continuous query on this connection (streaming
     /// servers only).
-    Sub(Clauses<'a>),
+    Sub(QuerySpec<&'a str>),
     /// Drop a continuous query by the id `SUB` returned.
     Unsub(u64),
 }
@@ -325,34 +282,37 @@ fn parse_range(s: &str) -> Result<Interval, ProtoError> {
     Interval::new(parse_int(a)?, parse_int(b)?).map_err(|_| ProtoError::EmptyInterval)
 }
 
-fn parse_clauses(line: &str) -> Result<Clauses<'_>, ProtoError> {
-    let mut clauses = Clauses::default();
+fn parse_clauses(line: &str) -> Result<QuerySpec<&str>, ProtoError> {
+    let mut spec = QuerySpec::default();
     for token in tokens(line) {
         let (key, value) = token
             .split_once('=')
             .ok_or(ProtoError::ClauseWantsKeyValue)?;
-        match key {
-            "s" => clauses.subject = Some(unquote(value)),
-            "p" => clauses.predicate = Some(unquote(value)),
-            "o" => clauses.object = Some(unquote(value)),
-            "at" => clauses.time = TimeClause::At(parse_int(value)?),
-            "over" => clauses.time = TimeClause::Over(parse_range(value)?),
+        spec = match key {
+            "s" => spec.subject(unquote(value)),
+            "p" => spec.predicate(unquote(value)),
+            "o" => spec.object(unquote(value)),
+            "at" => spec.at(parse_int(value)?),
+            "over" => spec.overlapping(parse_range(value)?),
             "allen" => {
                 let (rel, range) = value
                     .split_once(':')
                     .ok_or(ProtoError::AllenWantsRelRange)?;
                 let rel = AllenRelation::parse(rel).ok_or(ProtoError::UnknownAllenRelation)?;
-                clauses.time = TimeClause::Allen(rel, parse_range(range)?);
+                spec.allen(rel, parse_range(range)?)
             }
-            "minconf" => clauses.min_confidence = Some(parse_float(value)?),
-            "limit" => clauses.limit = Some(value.parse().map_err(|_| ProtoError::MalformedLimit)?),
+            "minconf" => spec.min_confidence(parse_float(value)?),
+            "limit" => spec.limit(value.parse().map_err(|_| ProtoError::MalformedLimit)?),
             _ => return Err(ProtoError::UnknownClauseKey),
-        }
+        };
     }
-    Ok(clauses)
+    Ok(spec)
 }
 
-fn parse_insert(line: &str) -> Result<Request<'_>, ProtoError> {
+/// The fact fields `INSERT` and `FEED` share: `s p o [a,b] conf`.
+type FactFields<'a> = (&'a str, &'a str, &'a str, Interval, f64);
+
+fn parse_fact(line: &str) -> Result<FactFields<'_>, ProtoError> {
     let mut parts = tokens(line);
     let subject = unquote(parts.next().ok_or(ProtoError::InsertArity)?);
     let predicate = unquote(parts.next().ok_or(ProtoError::InsertArity)?);
@@ -372,6 +332,11 @@ fn parse_insert(line: &str) -> Result<Request<'_>, ProtoError> {
     let interval =
         Interval::new(parse_int(a)?, parse_int(b)?).map_err(|_| ProtoError::EmptyInterval)?;
     let confidence = parse_float(conf)?;
+    Ok((subject, predicate, object, interval, confidence))
+}
+
+fn parse_insert(line: &str) -> Result<Request<'_>, ProtoError> {
+    let (subject, predicate, object, interval, confidence) = parse_fact(line)?;
     Ok(Request::Insert {
         subject,
         predicate,
@@ -381,31 +346,23 @@ fn parse_insert(line: &str) -> Result<Request<'_>, ProtoError> {
     })
 }
 
+/// `FEED <t> <fact>`: the leading event time, then the fields `INSERT`
+/// takes.
 fn parse_feed(line: &str) -> Result<Request<'_>, ProtoError> {
-    // `FEED <t> <insert-shape>`: split the leading event time, then
-    // reuse the INSERT grammar for the fact itself.
-    let line = line.trim_start();
     let (time, rest) = line
+        .trim_start()
         .split_once([' ', '\t'])
         .ok_or(ProtoError::FeedWantsTime)?;
     let time = parse_int(time)?;
-    match parse_insert(rest)? {
-        Request::Insert {
-            subject,
-            predicate,
-            object,
-            interval,
-            confidence,
-        } => Ok(Request::Feed {
-            time,
-            subject,
-            predicate,
-            object,
-            interval,
-            confidence,
-        }),
-        _ => Err(ProtoError::InsertArity),
-    }
+    let (subject, predicate, object, interval, confidence) = parse_fact(rest)?;
+    Ok(Request::Feed {
+        time,
+        subject,
+        predicate,
+        object,
+        interval,
+        confidence,
+    })
 }
 
 /// Parses one request line (without its trailing newline).
@@ -447,78 +404,40 @@ pub fn parse(line: &str) -> Result<Request<'_>, ProtoError> {
     }
 }
 
-/// Converts borrowed query clauses into an owned continuous-query spec
-/// (the `SUB` registration path: the spec outlives the request line and
-/// is re-compiled against every fired window's snapshot).
-pub fn clauses_to_spec(clauses: &Clauses<'_>) -> tecore_stream::QuerySpec {
-    let mut spec = tecore_stream::QuerySpec::new();
-    if let Some(s) = clauses.subject {
-        spec = spec.subject(s);
+/// Copies a spec borrowed from a request line into the owned spec a
+/// subscription keeps (the `SUB` registration path: the spec outlives
+/// the line and is re-compiled against every fired window's snapshot).
+pub fn clauses_to_spec(spec: &QuerySpec<&str>) -> QuerySpec {
+    QuerySpec {
+        subject: spec.subject.map(str::to_owned),
+        predicate: spec.predicate.map(str::to_owned),
+        object: spec.object.map(str::to_owned),
+        time: spec.time,
+        min_confidence: spec.min_confidence,
+        limit: spec.limit,
     }
-    if let Some(p) = clauses.predicate {
-        spec = spec.predicate(p);
-    }
-    if let Some(o) = clauses.object {
-        spec = spec.object(o);
-    }
-    spec = match clauses.time {
-        TimeClause::Any => spec,
-        TimeClause::At(t) => spec.at(t),
-        TimeClause::Over(w) => spec.overlapping(w),
-        TimeClause::Allen(rel, anchor) => spec.allen(rel, anchor),
-    };
-    if let Some(min) = clauses.min_confidence {
-        spec = spec.min_confidence(min);
-    }
-    if let Some(limit) = clauses.limit {
-        spec = spec.limit(limit);
-    }
-    spec
-}
-
-/// Compiles parsed clauses onto a [`TemporalQuery`] builder.
-fn compile<'a>(snapshot: &'a Snapshot, clauses: &Clauses<'_>) -> TemporalQuery<'a> {
-    let mut q = snapshot.query();
-    if let Some(s) = clauses.subject {
-        q = q.subject(s);
-    }
-    if let Some(p) = clauses.predicate {
-        q = q.predicate(p);
-    }
-    if let Some(o) = clauses.object {
-        q = q.object(o);
-    }
-    match clauses.time {
-        TimeClause::Any => {}
-        TimeClause::At(t) => q = q.at(t),
-        TimeClause::Over(w) => q = q.overlapping(w),
-        TimeClause::Allen(rel, anchor) => q = q.allen(rel, anchor),
-    }
-    if let Some(min) = clauses.min_confidence {
-        q = q.min_confidence(min);
-    }
-    q
 }
 
 /// Executes a query command against `snapshot` and renders the full
 /// response (header + result lines, `\n`-terminated) into `out`.
 ///
 /// The `Q`/`COUNT` paths allocate nothing once `out` has grown to its
-/// working size: the plan-and-scan is [`TemporalQuery::iter`] (lazy,
-/// allocation-free) and every fact renders through
-/// [`write_fact`] into the reused buffer. `OBJECTS`/`TIMELINE`
-/// materialise their (sorted/coalesced) result sets and are excluded
-/// from the zero-allocation guarantee.
+/// working size: the plan-and-scan is
+/// [`TemporalQuery::iter`](tecore_core::TemporalQuery::iter) (lazy,
+/// allocation-free) and every fact renders through [`write_fact`] into
+/// the reused buffer. `OBJECTS`/`TIMELINE` materialise their
+/// (sorted/coalesced) result sets and are excluded from the
+/// zero-allocation guarantee.
 pub fn answer_query(
     snapshot: &Snapshot,
     kind: QueryKind,
-    clauses: &Clauses<'_>,
+    spec: &QuerySpec<&str>,
     out: &mut String,
 ) -> fmt::Result {
     let epoch = snapshot.epoch();
     let dict = snapshot.expanded().dict();
-    let query = compile(snapshot, clauses);
-    let limit = clauses.limit.unwrap_or(usize::MAX);
+    let query = spec.compile(snapshot);
+    let limit = spec.limit.unwrap_or(usize::MAX);
     match kind {
         QueryKind::Count => {
             writeln!(out, "OK epoch={epoch} n=0 count={}", query.count())?;
@@ -559,6 +478,8 @@ pub fn answer_query(
 
 #[cfg(test)]
 mod tests {
+    use tecore_stream::TimeSpec;
+
     use super::*;
 
     #[test]
@@ -577,12 +498,8 @@ mod tests {
         let Request::Query(QueryKind::Facts, c) = req else {
             panic!("wrong request: {req:?}");
         };
-        assert_eq!(c.subject, Some("CR"));
-        assert_eq!(c.predicate, Some("coach"));
-        assert_eq!(c.object, None);
-        assert_eq!(c.time, TimeClause::At(2003));
-        assert_eq!(c.min_confidence, Some(0.5));
-        assert_eq!(c.limit, Some(10));
+        let spec = QuerySpec::default().subject("CR").predicate("coach");
+        assert_eq!(c, spec.at(2003).min_confidence(0.5).limit(10));
     }
 
     #[test]
@@ -600,13 +517,13 @@ mod tests {
         let Request::Query(_, c) = parse("OBJECTS over=1990..2000").unwrap() else {
             panic!()
         };
-        assert_eq!(c.time, TimeClause::Over(Interval::new(1990, 2000).unwrap()));
+        assert_eq!(c.time, TimeSpec::Over(Interval::new(1990, 2000).unwrap()));
         let Request::Query(_, c) = parse("TIMELINE allen=before:2010..2015").unwrap() else {
             panic!()
         };
         assert_eq!(
             c.time,
-            TimeClause::Allen(AllenRelation::Before, Interval::new(2010, 2015).unwrap())
+            TimeSpec::Allen(AllenRelation::Before, Interval::new(2010, 2015).unwrap())
         );
         assert!(parse("Q over=2000").is_err());
         assert!(parse("Q allen=sideways:1..2").is_err());

@@ -31,37 +31,16 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use tecore_core::snapshot::Snapshot;
-use tecore_core::{EditBatch, EditOutcome, Engine};
+use tecore_core::{EditBatch, EditOp, EditOutcome, Engine};
 use tecore_kg::writer::write_fact;
-use tecore_kg::{FactId, StreamEvent};
+use tecore_kg::StreamEvent;
 use tecore_stream::{QuerySpec, StreamError, StreamSession, WindowFire, WindowSpec};
-use tecore_temporal::Interval;
 
 use crate::cell::SnapshotCell;
 use crate::proto::{self, Request};
 
 #[cfg(test)]
 mod sim;
-
-/// One queued edit, applied by the writer loop at its next tick.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Edit {
-    /// Insert a fact.
-    Insert {
-        /// Subject term.
-        subject: String,
-        /// Predicate term.
-        predicate: String,
-        /// Object term.
-        object: String,
-        /// Valid-time interval.
-        interval: Interval,
-        /// Confidence in `(0, 1]`.
-        confidence: f64,
-    },
-    /// Tombstone a fact by id.
-    Remove(FactId),
-}
 
 /// Acknowledgement for a durable edit, sent by the writer loop once
 /// the edit has been journaled and applied (or refused).
@@ -73,7 +52,7 @@ enum WriterMsg {
     /// Apply an edit. Durable connections attach an ack channel and
     /// block until the writer has journaled the edit (journal *before*
     /// ACK); in-memory connections pass `None` and ACK on enqueue.
-    Edit(Edit, Option<EditAck>),
+    Edit(EditOp, Option<EditAck>),
     /// Offer a timestamped event to the stream session (`FEED`). The
     /// ack confirms the writer *processed* the offer — admission into
     /// the graph (and, on a durable server, journaling) happens at the
@@ -677,7 +656,10 @@ fn handle_line(
     let (cell, stats) = (&ctx.cell, &ctx.stats);
     match proto::parse(line) {
         Ok(Request::Ping) => out.push_str("PONG\n"),
-        Ok(Request::Quit) => out.push_str("BYE\n"),
+        Ok(Request::Quit) => {
+            out.push_str("BYE\n");
+            return true;
+        }
         Ok(Request::Epoch) => {
             let _ = writeln!(out, "OK epoch={} n=0", cell.load().epoch());
         }
@@ -729,10 +711,10 @@ fn handle_line(
                 }
             }
         }
-        Ok(Request::Query(kind, clauses)) => {
+        Ok(Request::Query(kind, spec)) => {
             stats.queries.fetch_add(1, Ordering::Relaxed);
             let snapshot = cell.load();
-            if proto::answer_query(&snapshot, kind, &clauses, out).is_err() {
+            if proto::answer_query(&snapshot, kind, &spec, out).is_err() {
                 out.clear();
                 out.push_str("ERR render failed\n");
             }
@@ -744,7 +726,7 @@ fn handle_line(
             interval,
             confidence,
         }) => {
-            let edit = Edit::Insert {
+            let edit = EditOp::Insert {
                 subject: subject.to_string(),
                 predicate: predicate.to_string(),
                 object: object.to_string(),
@@ -754,7 +736,7 @@ fn handle_line(
             answer_edit(WriterMsg::Edit(edit, None), ctx, out);
         }
         Ok(Request::Remove(id)) => {
-            answer_edit(WriterMsg::Edit(Edit::Remove(id), None), ctx, out);
+            answer_edit(WriterMsg::Edit(EditOp::Remove(id), None), ctx, out);
         }
         Ok(Request::Feed {
             time,
@@ -772,11 +754,11 @@ fn handle_line(
                 answer_edit(WriterMsg::Feed(event, None), ctx, out);
             }
         }
-        Ok(Request::Sub(clauses)) => {
+        Ok(Request::Sub(spec)) => {
             if !ctx.streaming {
                 out.push_str("ERR not a streaming server\n");
             } else {
-                let spec = proto::clauses_to_spec(&clauses);
+                let spec = proto::clauses_to_spec(&spec);
                 let id = ctx.subs.register(spec, Arc::clone(conn));
                 my_subs.push(id);
                 let _ = writeln!(out, "OK epoch={} n=0 sub={id}", cell.load().epoch());
@@ -796,7 +778,7 @@ fn handle_line(
             let _ = writeln!(out, "ERR {reason}");
         }
     }
-    matches!(proto::parse(line), Ok(Request::Quit))
+    false
 }
 
 /// Everything the writer loop shares with the rest of the server.
@@ -820,23 +802,8 @@ struct PendingBatch {
 }
 
 impl PendingBatch {
-    fn push(&mut self, edit: Edit, ack: Option<EditAck>) {
-        match edit {
-            Edit::Insert {
-                subject,
-                predicate,
-                object,
-                interval,
-                confidence,
-            } => self.batch.push(tecore_core::EditOp::Insert {
-                subject,
-                predicate,
-                object,
-                interval,
-                confidence,
-            }),
-            Edit::Remove(id) => self.batch.push(tecore_core::EditOp::Remove(id)),
-        }
+    fn push(&mut self, op: EditOp, ack: Option<EditAck>) {
+        self.batch.push(op);
         self.acks.push(ack);
     }
 

@@ -33,8 +33,9 @@ use rand::{RngExt, SeedableRng};
 use tecore_core::prelude::ComponentMode;
 use tecore_core::{SolverRegistry, TecoreConfig};
 use tecore_datagen::standard::paper_program;
-use tecore_kg::{TemporalFact, UtkGraph};
+use tecore_kg::{FactId, TemporalFact, UtkGraph};
 use tecore_stream::StreamTotals;
+use tecore_temporal::Interval;
 use tecore_wal::{FsyncPolicy, MemStorage, Wal, WalConfig, WalStorage};
 
 use super::*;
@@ -63,8 +64,8 @@ enum Host {
 /// `tests/carry_conformance.rs`), so a MAP state is unique.
 type Statement = (String, String, String, Interval, f64);
 
-fn insert((subject, predicate, object, interval, confidence): Statement) -> Edit {
-    Edit::Insert {
+fn insert((subject, predicate, object, interval, confidence): Statement) -> EditOp {
+    EditOp::Insert {
         subject,
         predicate,
         object,
@@ -453,18 +454,18 @@ impl Sim {
         let term = |symbol| graph.dict().resolve(symbol).to_string();
         let edit = |op: &Op| match op {
             Op::Insert(statement) if live.len() <= CROWDED => insert(statement.clone()),
-            Op::Insert(statement) => Edit::Remove(pick(statement.3.start().value() as usize)),
-            Op::Remove(index) => Edit::Remove(pick(*index)),
+            Op::Insert(statement) => EditOp::Remove(pick(statement.3.start().value() as usize)),
+            Op::Remove(index) => EditOp::Remove(pick(*index)),
             Op::Reassert(index, confidence) => match graph.fact(pick(*index)) {
                 Some(f) => {
                     let (s, p, o) = (term(f.subject), term(f.predicate), term(f.object));
                     insert((s, p, o, f.interval, *confidence))
                 }
-                None => Edit::Remove(unknown),
+                None => EditOp::Remove(unknown),
             },
-            Op::RemoveUnknown => Edit::Remove(unknown),
+            Op::RemoveUnknown => EditOp::Remove(unknown),
         };
-        let edits: Vec<Edit> = ops.iter().map(edit).collect();
+        let edits: Vec<EditOp> = ops.iter().map(edit).collect();
         let mut expect = graph.clone();
         let mut acks = Vec::new();
         let mut msgs: Vec<WriterMsg> = (edits.iter().cloned())
@@ -488,14 +489,15 @@ impl Sim {
             // A rejected edit (a dead or unknown id) is ACKed and
             // changes nothing, here as there.
             applied += u64::from(match edit {
-                Edit::Insert {
+                EditOp::Insert {
                     subject: s,
                     predicate: p,
                     object: o,
                     interval,
                     confidence,
                 } => expect.insert(s, p, o, *interval, *confidence).is_ok(),
-                Edit::Remove(id) => expect.remove(*id).is_ok(),
+                EditOp::Remove(id) => expect.remove(*id).is_ok(),
+                EditOp::Upsert { .. } => unreachable!("the script makes no upserts"),
             });
         }
         assert_eq!(

@@ -34,5 +34,5 @@ pub mod session;
 pub mod window;
 
 pub use query::{QueryId, QuerySpec, TimeSpec, WindowResult, WindowSink};
-pub use session::{EngineStreamExt, StreamSession, StreamTotals, WindowFire, WindowStats};
+pub use session::{StreamSession, StreamTotals, WindowFire, WindowStats};
 pub use window::{StreamError, WindowSpec};

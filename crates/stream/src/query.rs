@@ -1,14 +1,22 @@
-//! Continuous queries: owned query specs re-evaluated per window.
+//! Query descriptions: one spec, borrowed on the wire, owned by a
+//! subscription, compiled onto each snapshot.
 //!
 //! [`tecore_core::TemporalQuery`] borrows one snapshot, so a query that
-//! must outlive snapshots — re-running on every window fire — needs an
-//! owned description. [`QuerySpec`] is that description: the same
-//! selectors (subject / predicate / object / time / confidence), held
-//! as owned strings, compiled onto each fresh snapshot with
-//! [`QuerySpec::compile`]. This is the R2S half of the classic
-//! S2R/R2R/R2S streaming decomposition: the relation produced per
-//! window is projected back into a stream of [`WindowResult`]s pushed
-//! at registered [`WindowSink`]s.
+//! must be described before a snapshot is at hand — parsed off a
+//! request line, or re-run on every window fire — needs a description
+//! of its own. [`QuerySpec`] is that description: the six selectors
+//! (subject / predicate / object / time / confidence / limit), generic
+//! over how it holds its terms. The `tecore-server` wire parser fills a
+//! `QuerySpec<&str>` that borrows every term from the request line, so
+//! parsing allocates nothing; `SUB` copies it into the owned
+//! `QuerySpec` (`QuerySpec<String>`) a subscription keeps past the
+//! line. Either one reaches the index only through
+//! [`QuerySpec::compile`].
+//!
+//! Continuous queries are the R2S half of the classic S2R/R2R/R2S
+//! streaming decomposition: the relation produced per window is
+//! projected back into a stream of [`WindowResult`]s pushed at
+//! registered [`WindowSink`]s.
 
 use std::sync::Arc;
 
@@ -20,8 +28,8 @@ use tecore_temporal::{AllenRelation, Interval};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryId(pub u64);
 
-/// The temporal constraint of a continuous query (owned analogue of
-/// the snapshot query's time filters).
+/// The temporal constraint of a query description (the snapshot
+/// query's time filters, held as data).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum TimeSpec {
     /// No temporal constraint.
@@ -35,44 +43,54 @@ pub enum TimeSpec {
     Allen(AllenRelation, Interval),
 }
 
-/// An owned, snapshot-independent query description.
+/// A snapshot-independent query description; `S` holds its terms
+/// (`String` when owned, `&str` when borrowed from a request line).
 ///
 /// Build with the same builder verbs as [`TemporalQuery`], then
-/// [`compile`](QuerySpec::compile) against each window's snapshot.
-/// Unknown terms match nothing (exactly like the snapshot query).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct QuerySpec {
-    subject: Option<String>,
-    predicate: Option<String>,
-    object: Option<String>,
-    time: TimeSpec,
-    min_confidence: Option<f64>,
-    limit: Option<usize>,
+/// [`compile`](QuerySpec::compile) against a snapshot. Unknown terms
+/// match nothing (exactly like the snapshot query).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct QuerySpec<S = String> {
+    /// `s=` — restrict to facts with this subject.
+    pub subject: Option<S>,
+    /// `p=` — restrict to facts with this predicate.
+    pub predicate: Option<S>,
+    /// `o=` — restrict to facts with this object.
+    pub object: Option<S>,
+    /// `at=` / `over=` / `allen=` — the temporal constraint.
+    pub time: TimeSpec,
+    /// `minconf=` — keep facts with confidence `>= min`.
+    pub min_confidence: Option<f64>,
+    /// `limit=` — cap on the facts materialised or rendered (the total
+    /// match count is still reported).
+    pub limit: Option<usize>,
 }
 
 impl QuerySpec {
-    /// A fully unconstrained spec (matches every fact of each window).
+    /// A fully unconstrained owned spec (matches every fact).
     pub fn new() -> Self {
         Self::default()
     }
+}
 
+impl<S> QuerySpec<S> {
     /// Restricts to facts with this subject.
     #[must_use]
-    pub fn subject(mut self, term: impl Into<String>) -> Self {
+    pub fn subject(mut self, term: impl Into<S>) -> Self {
         self.subject = Some(term.into());
         self
     }
 
     /// Restricts to facts with this predicate.
     #[must_use]
-    pub fn predicate(mut self, term: impl Into<String>) -> Self {
+    pub fn predicate(mut self, term: impl Into<S>) -> Self {
         self.predicate = Some(term.into());
         self
     }
 
     /// Restricts to facts with this object.
     #[must_use]
-    pub fn object(mut self, term: impl Into<String>) -> Self {
+    pub fn object(mut self, term: impl Into<S>) -> Self {
         self.object = Some(term.into());
         self
     }
@@ -113,18 +131,21 @@ impl QuerySpec {
         self.limit = Some(n);
         self
     }
+}
 
-    /// Compiles the owned spec onto one snapshot's typed query layer.
+impl<S: AsRef<str>> QuerySpec<S> {
+    /// Compiles the spec onto one snapshot's typed query layer — the
+    /// one mapping from a description to [`TemporalQuery`].
     pub fn compile<'a>(&self, snapshot: &'a Snapshot) -> TemporalQuery<'a> {
         let mut q = snapshot.query();
         if let Some(s) = &self.subject {
-            q = q.subject(s);
+            q = q.subject(s.as_ref());
         }
         if let Some(p) = &self.predicate {
-            q = q.predicate(p);
+            q = q.predicate(p.as_ref());
         }
         if let Some(o) = &self.object {
-            q = q.object(o);
+            q = q.object(o.as_ref());
         }
         q = match self.time {
             TimeSpec::Any => q,
@@ -142,10 +163,8 @@ impl QuerySpec {
     pub fn evaluate(&self, snapshot: &Arc<Snapshot>, start: i64, end: i64) -> WindowResult {
         let q = self.compile(snapshot);
         let total = q.count();
-        let matches = match self.limit {
-            Some(n) => q.iter().take(n).map(|(id, f)| (id, *f)).collect(),
-            None => q.matches(),
-        };
+        let limit = self.limit.unwrap_or(usize::MAX);
+        let matches = q.iter().take(limit).map(|(id, f)| (id, *f)).collect();
         WindowResult {
             start,
             end,

@@ -121,14 +121,14 @@ pub struct StreamTotals {
 /// use tecore_core::prelude::*;
 /// use tecore_kg::{StreamEvent, UtkGraph};
 /// use tecore_logic::LogicProgram;
-/// use tecore_stream::{EngineStreamExt, WindowSpec};
+/// use tecore_stream::{StreamSession, WindowSpec};
 /// use tecore_temporal::Interval;
 ///
 /// let program = LogicProgram::parse(
 ///     "c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf",
 /// ).unwrap();
-/// let mut stream = Engine::new(UtkGraph::new(), program)
-///     .stream(WindowSpec::tumbling(10).unwrap());
+/// let engine = Engine::new(UtkGraph::new(), program);
+/// let mut stream = StreamSession::new(engine, WindowSpec::tumbling(10).unwrap());
 ///
 /// let spell = Interval::new(2000, 2004).unwrap();
 /// let clash = Interval::new(2001, 2003).unwrap();
@@ -471,20 +471,5 @@ impl StreamSession {
         }
 
         Ok(WindowFire { stats, snapshot })
-    }
-}
-
-/// Extension hook: turn any [`Engine`] into a [`StreamSession`].
-///
-/// Lives here (not in `tecore-core`) because the dependency points
-/// from the stream layer down at the engine, never back.
-pub trait EngineStreamExt {
-    /// Wraps the engine in a streaming session with zero lateness.
-    fn stream(self, window: WindowSpec) -> StreamSession;
-}
-
-impl EngineStreamExt for Engine {
-    fn stream(self, window: WindowSpec) -> StreamSession {
-        StreamSession::new(self, window)
     }
 }

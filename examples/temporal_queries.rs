@@ -7,7 +7,8 @@
 //! query layer: point-in-time lookups, window scans, Allen filters,
 //! coalesced per-entity timelines and confidence projection — all
 //! index-backed, all on an immutable snapshot that later engine edits
-//! can never disturb.
+//! can never disturb. It asserts what it prints about versioning and
+//! the Allen filter, so CI fails when either changes.
 //!
 //! Run with: `cargo run --release --example temporal_queries`
 
@@ -75,14 +76,14 @@ fn main() {
             .overlapping(eighties)
             .count()
     );
-    println!(
-        "playsFor spells entirely before the 1980s (Allen before): {}",
-        snapshot
-            .query()
-            .predicate("playsFor")
-            .allen(AllenRelation::Before, eighties)
-            .count()
-    );
+    let before = snapshot
+        .query()
+        .predicate("playsFor")
+        .allen(AllenRelation::Before, eighties)
+        .count();
+    println!("playsFor spells entirely before the 1980s (Allen before): {before}");
+    let spells = snapshot.query().predicate("playsFor").count();
+    assert!(before <= spells, "{before} Allen-before spells of {spells}");
     println!(
         "spouse spells disjoint from the 1980s: {}",
         snapshot
@@ -101,16 +102,22 @@ fn main() {
 
     // 6. Snapshots are versioned: editing and re-resolving produces a
     //    new snapshot at a later epoch; the one above is untouched.
+    //    `QNew` is a fresh subject, so no constraint can fire on it.
+    let in_year = playing.count();
     engine
         .insert_fact("QNew", "playsFor", "TimeTravelFC", Interval::at(year), 0.99)
         .expect("insert");
     let newer = engine.resolve_incremental().expect("re-resolves");
-    println!(
-        "\nafter one streaming edit: old snapshot epoch {} still sees {} \
-         playsFor facts in {year}, new snapshot epoch {} sees {}",
-        snapshot.epoch(),
+    let (old, new) = (
         snapshot.at(year).predicate("playsFor").count(),
-        newer.epoch(),
         newer.at(year).predicate("playsFor").count(),
     );
+    println!(
+        "\nafter one streaming edit: old snapshot epoch {} still sees {old} \
+         playsFor facts in {year}, new snapshot epoch {} sees {new}",
+        snapshot.epoch(),
+        newer.epoch(),
+    );
+    assert_eq!(old, in_year, "the old snapshot moved");
+    assert_eq!(new, in_year + 1, "the new snapshot misses QNew");
 }
