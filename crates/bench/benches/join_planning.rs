@@ -29,8 +29,10 @@
 //! (`UtkGraph::filtered` keeping every fact: the bulk build of the
 //! consistent graph) and `clone` (`UtkGraph::clone`: the same graph
 //! copied table by table, with no hashing at all — the floor `filtered`
-//! is held against). CI holds `explain / ground` and `filtered / clone`
-//! with `--ratio` rules.
+//! is held against) and `index` (`GraphTemporalIndex::build`: the
+//! three run families a cold view's first reader builds, held against
+//! the same floor). CI holds `explain / ground`, `filtered / clone` and
+//! `index / clone` with `--ratio` rules.
 
 use criterion::{criterion_group, criterion_main, Bencher, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -43,6 +45,7 @@ use tecore_datagen::skewed::generate_skewed;
 use tecore_datagen::standard::wikidata_program;
 use tecore_datagen::{generate_wikidata, WikidataConfig};
 use tecore_ground::{ground, GroundConfig, JoinPlanner};
+use tecore_kg::GraphTemporalIndex;
 use tecore_logic::LogicProgram;
 use tecore_temporal::Interval;
 
@@ -139,6 +142,9 @@ fn bench_ground_scaling(c: &mut Criterion) {
     });
     group.bench_function(id("filtered"), |b| calls(b, || graph.filtered(|_, _| true)));
     group.bench_function(id("clone"), |b| calls(b, || graph.clone()));
+    group.bench_function(id("index"), |b| {
+        calls(b, || GraphTemporalIndex::build(graph))
+    });
     group.finish();
 }
 

@@ -21,11 +21,10 @@
 
 use std::collections::HashMap;
 
-use tecore_kg::tindex::IntervalIndex;
 use tecore_kg::{Symbol, UtkGraph};
 use tecore_logic::builder;
 use tecore_logic::formula::Formula;
-use tecore_temporal::AllenSet;
+use tecore_temporal::{AllenSet, Interval, TimePoint};
 
 /// A suggested constraint with its data support.
 #[derive(Debug, Clone)]
@@ -85,23 +84,20 @@ fn suggest_disjointness(
     pname: &str,
     config: &AdvisorConfig,
 ) -> Option<SuggestedConstraint> {
-    let mut per_subject: HashMap<Symbol, Vec<(tecore_kg::FactId, tecore_temporal::Interval)>> =
-        HashMap::new();
-    for (id, f) in graph.facts_with_predicate(p) {
-        per_subject
-            .entry(f.subject)
-            .or_default()
-            .push((id, f.interval));
+    let mut per_subject: HashMap<Symbol, Vec<Interval>> = HashMap::new();
+    for (_, f) in graph.facts_with_predicate(p) {
+        per_subject.entry(f.subject).or_default().push(f.interval);
     }
     let mut pairs = 0usize;
     let mut overlapping = 0usize;
-    for facts in per_subject.values() {
-        if facts.len() < 2 {
+    for spells in per_subject.values_mut() {
+        if spells.len() < 2 {
             continue;
         }
-        let n = facts.len();
+        let n = spells.len();
         pairs += n * (n - 1) / 2;
-        overlapping += IntervalIndex::build(facts.iter().copied()).count_overlapping_pairs();
+        spells.sort_unstable();
+        overlapping += count_overlapping_pairs(spells);
     }
     if pairs < config.min_support {
         return None;
@@ -122,6 +118,19 @@ fn suggest_disjointness(
     })
 }
 
+/// Counts the pairwise-intersecting pairs among start-sorted intervals:
+/// a sweep that keeps the ends still open at each start.
+fn count_overlapping_pairs(sorted: &[Interval]) -> usize {
+    let mut count = 0usize;
+    let mut open: Vec<TimePoint> = Vec::new();
+    for iv in sorted {
+        open.retain(|&end| end >= iv.start());
+        count += open.len();
+        open.push(iv.end());
+    }
+    count
+}
+
 /// Same-subject, time-intersecting facts of `p`: how often do they
 /// disagree on the object?
 fn suggest_functional(
@@ -130,7 +139,7 @@ fn suggest_functional(
     pname: &str,
     config: &AdvisorConfig,
 ) -> Option<SuggestedConstraint> {
-    let mut per_subject: HashMap<Symbol, Vec<(Symbol, tecore_temporal::Interval)>> = HashMap::new();
+    let mut per_subject: HashMap<Symbol, Vec<(Symbol, Interval)>> = HashMap::new();
     for (_, f) in graph.facts_with_predicate(p) {
         per_subject
             .entry(f.subject)
@@ -220,8 +229,48 @@ pub fn suggest_order(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tecore_logic::pretty::format_formula;
-    use tecore_temporal::Interval;
+
+    fn spells(items: &[(i64, i64)]) -> Vec<Interval> {
+        let mut spells: Vec<Interval> = items
+            .iter()
+            .map(|&(a, b)| Interval::new(a, b).unwrap())
+            .collect();
+        spells.sort_unstable();
+        spells
+    }
+
+    #[test]
+    fn pair_counting() {
+        // (0,2) overlap; (0,1) don't; (1,2) don't.
+        let some = spells(&[(2000, 2004), (2015, 2017), (2001, 2003)]);
+        assert_eq!(count_overlapping_pairs(&some), 1);
+        let none = spells(&[(1, 2), (4, 5), (7, 8)]);
+        assert_eq!(count_overlapping_pairs(&none), 0);
+        let all = spells(&[(1, 10), (2, 9), (3, 8)]);
+        assert_eq!(count_overlapping_pairs(&all), 3);
+        assert_eq!(count_overlapping_pairs(&[]), 0);
+    }
+
+    proptest! {
+        /// Pair counting agrees with the quadratic reference.
+        #[test]
+        fn pair_count_matches_naive(
+            items in prop::collection::vec((-50i64..50, 0i64..20), 0..60),
+        ) {
+            let sorted = spells(&items.iter().map(|&(s, l)| (s, s + l)).collect::<Vec<_>>());
+            let mut naive = 0usize;
+            for i in 0..sorted.len() {
+                for j in (i + 1)..sorted.len() {
+                    if sorted[i].intersects(sorted[j]) {
+                        naive += 1;
+                    }
+                }
+            }
+            prop_assert_eq!(count_overlapping_pairs(&sorted), naive);
+        }
+    }
 
     /// A career-style graph: per player, sequential disjoint spells,
     /// plus `overlap_players` whose spells all collide.

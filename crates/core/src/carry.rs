@@ -36,8 +36,8 @@ use std::time::{Duration, Instant};
 
 use tecore_ground::{AtomId, AtomKind, DeltaChanges, Grounding, MapState};
 use tecore_kg::{
-    splice, Confidence, Delta, Dictionary, FactId, FxHashSet, GraphTemporalIndex, Symbol,
-    TemporalFact, UtkGraph,
+    Confidence, Delta, Dictionary, FactId, FxHashSet, GraphTemporalIndex, Symbol, TemporalFact,
+    UtkGraph,
 };
 
 use crate::engine::Moved;
@@ -206,6 +206,55 @@ impl<T> ListPatch<T> {
     {
         splice(items, &self.drop, self.add.clone());
     }
+}
+
+/// One pass over a vector's tail handles an entry in about the time
+/// `memmove` moves this many.
+const PASS_COST: usize = 4;
+
+/// Edits a vector by position: drops the entries at `drop` (ascending,
+/// distinct) and inserts each `add` entry before the entry at its
+/// position (ascending; equal positions keep their order; `len()`
+/// appends). Every position is one of `items` as passed in.
+///
+/// A handful of edits in a long vector cost one `memmove` of the tail
+/// behind each; a batch costs one pass from the first touched position
+/// on. Which, is decided from how many entries each way would move.
+fn splice<T>(items: &mut Vec<T>, drop: &[usize], mut add: Vec<(usize, T)>) {
+    let first = drop.first().copied().into_iter();
+    let Some(first) = first.chain(add.first().map(|a| a.0)).min() else {
+        return;
+    };
+    let len = items.len();
+    let shifted: usize = drop.iter().map(|at| len - at).sum::<usize>()
+        + add.iter().map(|(at, _)| len - at).sum::<usize>()
+        + add.len() * add.len();
+    if shifted <= PASS_COST * (len - first + add.len()) {
+        // Back to front, so the positions ahead stay what they were.
+        let mut drop = drop.iter().rev().peekable();
+        while let Some(&(at, _)) = add.last() {
+            while let Some(gone) = drop.next_if(|&&gone| gone >= at) {
+                items.remove(*gone);
+            }
+            let (at, new) = add.pop().expect("peeked above");
+            items.insert(at, new);
+        }
+        for gone in drop {
+            items.remove(*gone);
+        }
+        return;
+    }
+    let tail = items.split_off(first);
+    let (mut drop, mut add) = (drop.iter().peekable(), add.into_iter().peekable());
+    for (at, item) in (first..).zip(tail) {
+        while let Some((_, new)) = add.next_if(|(to, _)| *to == at) {
+            items.push(new);
+        }
+        if drop.next_if(|&&gone| gone == at).is_none() {
+            items.push(item);
+        }
+    }
+    items.extend(add.map(|(_, new)| new));
 }
 
 /// What one publish did to a resolved graph: the terms it interned, in
@@ -769,8 +818,39 @@ fn differing<'a, T: PartialEq>(old: &'a [T], new: &'a [T]) -> impl Iterator<Item
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::thread;
     use tecore_kg::parser::parse_graph;
+
+    proptest! {
+        /// `splice` against the obvious model; small batches in long
+        /// vectors shift, the others take the pass.
+        #[test]
+        fn splice_matches_the_model(
+            len in 0usize..60,
+            drop in prop::collection::vec(0usize..60, 0..10),
+            add in prop::collection::vec(0usize..61, 0..10),
+        ) {
+            let items: Vec<usize> = (0..len).collect();
+            let mut drop: Vec<usize> = drop.into_iter().filter(|&at| at < len).collect();
+            drop.sort_unstable();
+            drop.dedup();
+            let mut add: Vec<usize> = add.into_iter().map(|at| at.min(len)).collect();
+            add.sort_unstable();
+            let add: Vec<(usize, usize)> =
+                add.into_iter().enumerate().map(|(n, at)| (at, 1000 + n)).collect();
+            let mut model = Vec::new();
+            for at in 0..=len {
+                model.extend(add.iter().filter(|(to, _)| *to == at).map(|(_, new)| *new));
+                if at < len && !drop.contains(&at) {
+                    model.push(at);
+                }
+            }
+            let mut spliced = items;
+            splice(&mut spliced, &drop, add);
+            prop_assert_eq!(spliced, model);
+        }
+    }
 
     /// A snapshot whose view is built, as the engine publishes them.
     fn published() -> Arc<Snapshot> {

@@ -11,14 +11,15 @@
 //!
 //! Queries compile to **index-backed scans**, never full-graph walks:
 //! the planner picks the narrowest access path available — a
-//! per-predicate or per-subject interval sub-index for time-constrained
-//! queries ([`tecore_kg::GraphTemporalIndex`]), the graph's hash
-//! indexes for purely symbolic ones — and streams candidates through the
-//! zero-allocation [`OverlapIter`], applying the exact residual filter
-//! per candidate. An Allen filter is pre-compiled into a conservative
-//! *candidate window* (e.g. `before [2000,2004]` only scans intervals
-//! intersecting `(-∞, 1998]`), so even relation queries stay
-//! sub-linear.
+//! per-predicate or per-subject run of the interval index for
+//! time-constrained queries ([`tecore_kg::GraphTemporalIndex`]), the
+//! graph's hash indexes for purely symbolic ones — and streams
+//! candidates through the zero-allocation [`OverlapIter`], which walks
+//! a run latest start first and stops where no earlier entry reaches
+//! the window, applying the exact residual filter per candidate. An
+//! Allen filter is pre-compiled into a conservative *candidate window*
+//! (e.g. `before [2000,2004]` only scans intervals intersecting
+//! `(-∞, 1998]`), so even relation queries stay sub-linear.
 //!
 //! ```
 //! use tecore_core::prelude::*;
@@ -44,7 +45,9 @@
 //! assert_eq!(names, ["Leicester"]);
 //! ```
 
-use tecore_kg::{Dictionary, FactId, FxHashMap, OverlapIter, Symbol, TemporalFact, UtkGraph};
+use tecore_kg::{
+    overlapping, Dictionary, FactId, FxHashMap, OverlapIter, Symbol, TemporalFact, UtkGraph,
+};
 use tecore_temporal::{AllenRelation, AllenSet, Interval, TemporalElement, TimePoint};
 
 use crate::snapshot::Snapshot;
@@ -385,27 +388,21 @@ impl<'a> TemporalQuery<'a> {
     /// candidate.
     pub fn iter(&self) -> QueryIter<'a> {
         let graph = self.snapshot.expanded();
+        let index = || self.snapshot.index();
         let scan = match self.plan() {
             PathChoice::Empty => Scan::Empty,
             PathChoice::SubjectPredicateIds { s, p, .. } => {
                 Scan::Ids(graph.subject_predicate_ids(s, p).iter())
             }
             PathChoice::PredicateIds { p, .. } => Scan::Ids(graph.predicate_ids(p).iter()),
-            PathChoice::SubjectEntries { s, .. } => match self.snapshot.index().subject(s) {
-                Some(idx) => Scan::Entries(idx.entries().iter()),
-                None => Scan::Empty, // term known to the dict, but factless
-            },
-            PathChoice::PredicateOverlap { p, w, .. } => match self.snapshot.index().predicate(p) {
-                Some(idx) => Scan::Overlap(idx.iter_overlapping(w)),
-                None => Scan::Empty,
-            },
-            PathChoice::SubjectOverlap { s, w, .. } => match self.snapshot.index().subject(s) {
-                Some(idx) => Scan::Overlap(idx.iter_overlapping(w)),
-                None => Scan::Empty,
-            },
-            PathChoice::AllOverlap { w, .. } => {
-                Scan::Overlap(self.snapshot.index().all().iter_overlapping(w))
+            PathChoice::SubjectEntries { s, .. } => Scan::Entries(index().subject(s).iter()),
+            PathChoice::PredicateOverlap { p, w, .. } => {
+                Scan::Overlap(overlapping(index().predicate(p), w))
             }
+            PathChoice::SubjectOverlap { s, w, .. } => {
+                Scan::Overlap(overlapping(index().subject(s), w))
+            }
+            PathChoice::AllOverlap { w, .. } => Scan::Overlap(overlapping(index().all(), w)),
             PathChoice::FullScan { .. } => Scan::Full(0..graph.arena_len() as u32),
         };
         QueryIter {
@@ -478,7 +475,7 @@ impl<'a> TemporalQuery<'a> {
 
 /// Assumed fraction of an interval sub-index intersecting a query
 /// window. Windows are usually much narrower than the data's time hull,
-/// and `iter_overlapping` prunes by binary search, so overlap paths get
+/// and `overlapping` prunes by binary search, so overlap paths get
 /// a flat discount against full id-list scans.
 const WINDOW_SELECTIVITY: f64 = 0.5;
 
@@ -526,11 +523,11 @@ enum Scan<'a> {
     /// Statically unsatisfiable (unknown term, impossible Allen window).
     Empty,
     /// Interval-index candidates intersecting the compiled window.
-    Overlap(OverlapIter<'a>),
+    Overlap(OverlapIter<'a, FactId, ()>),
     /// Id list from one of the graph's hash indexes.
     Ids(std::slice::Iter<'a, FactId>),
-    /// Entry list of an interval sub-index (no window to narrow by).
-    Entries(std::slice::Iter<'a, (FactId, Interval)>),
+    /// A run of the interval index, whole (no window to narrow by).
+    Entries(std::slice::Iter<'a, tecore_kg::tindex::Entry>),
     /// Unconstrained arena walk (only when no filter names an index).
     Full(std::ops::Range<u32>),
 }
@@ -566,9 +563,9 @@ impl<'a> Iterator for QueryIter<'a> {
         loop {
             let id = match &mut self.scan {
                 Scan::Empty => return None,
-                Scan::Overlap(iter) => iter.next()?,
+                Scan::Overlap(iter) => iter.next()?.id,
                 Scan::Ids(iter) => *iter.next()?,
-                Scan::Entries(iter) => iter.next()?.0,
+                Scan::Entries(iter) => iter.next()?.id,
                 Scan::Full(range) => FactId(range.next()?),
             };
             if let Some(fact) = self.graph.fact(id) {

@@ -1,8 +1,8 @@
 //! Ground atoms and the interning atom store.
 
 use tecore_kg::fxhash::FxHashMap;
-use tecore_kg::{FactId, Symbol, UtkGraph};
-use tecore_temporal::{Interval, TimePoint};
+use tecore_kg::{FactId, Postings, Symbol, UtkGraph};
+use tecore_temporal::Interval;
 
 /// Identifier of a ground atom within one [`AtomStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -93,163 +93,18 @@ impl FactAtoms {
     }
 }
 
-/// One entry of a posting run: everything the join reads about a
-/// candidate, so it is judged without touching the atom table.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Posting {
-    /// The atom's validity interval.
-    pub interval: Interval,
-    /// Largest `end` among the entries of the run up to and including
-    /// this one (what lets a window probe skip the run's past).
-    max_end: TimePoint,
-    /// The atom.
-    pub id: AtomId,
-    /// The symbol the run's key leaves open: the object under
-    /// `(subject, predicate)`, the subject under `(predicate, object)`.
-    pub third: Symbol,
-}
+/// One entry of a posting run: the atom's interval, the atom, and the
+/// symbol the run's key leaves open — the object under `(subject,
+/// predicate)`, the subject under `(predicate, object)` — so the join
+/// judges a candidate without touching the atom table.
+pub type Posting = tecore_kg::Posting<AtomId, Symbol>;
 
-/// The entries of `run` that can intersect `window`, plus the ones
-/// between them that end before it: skips the prefix no entry of which
-/// reaches the window and stops at the first entry starting after it.
-pub fn reaching(run: &[Posting], window: Interval) -> impl Iterator<Item = &Posting> {
-    let from = run.partition_point(|e| e.max_end < window.start());
-    run[from..]
-        .iter()
-        .take_while(move |e| e.interval.start() <= window.end())
-}
-
-/// Where a run lives in its family's arena.
-#[derive(Debug, Clone, Copy, Default)]
-struct Run {
-    offset: u32,
-    len: u32,
-    cap: u32,
-}
-
-impl Run {
-    fn live(self) -> std::ops::Range<usize> {
-        self.offset as usize..(self.offset + self.len) as usize
-    }
-}
-
-/// One family of posting runs (all `(subject, predicate)` runs, or all
-/// `(predicate, object)` runs) in one arena. See [`AtomStore`] for the
-/// invariants.
-#[derive(Debug, Clone, Default)]
-struct Postings {
-    runs: FxHashMap<RunKey, Run>,
-    arena: Vec<Posting>,
-    /// Entries over all runs.
-    entries: usize,
-    /// Arena slots inside no run's capacity: what relocated runs left
-    /// behind.
-    holes: usize,
-}
+/// One family of posting runs: all `(subject, predicate)` runs, or all
+/// `(predicate, object)` runs.
+type Family = Postings<RunKey, AtomId, Symbol>;
 
 /// The two symbols a run is filed under.
 type RunKey = (Symbol, Symbol);
-
-fn arena_offset(at: usize) -> u32 {
-    u32::try_from(at).expect("posting arena overflow")
-}
-
-impl Postings {
-    /// Lays the runs of `keyed` out back to back, tight, in key order.
-    fn bulk(mut keyed: Vec<(RunKey, Posting)>) -> Self {
-        keyed.sort_unstable_by_key(|&(key, e)| (key, e.interval, e.id));
-        Postings::layout(&keyed)
-    }
-
-    /// [`Postings::bulk`] of entries already in `(key, start, end, id)`
-    /// order.
-    fn layout(keyed: &[(RunKey, Posting)]) -> Self {
-        let distinct = keyed.chunk_by(|a, b| a.0 == b.0).count();
-        let mut runs = FxHashMap::with_capacity_and_hasher(distinct, Default::default());
-        let mut arena = Vec::with_capacity(keyed.len());
-        for group in keyed.chunk_by(|a, b| a.0 == b.0) {
-            let offset = arena_offset(arena.len());
-            let mut max_end = TimePoint::MIN;
-            for &(_, e) in group {
-                max_end = max_end.max(e.interval.end());
-                arena.push(Posting { max_end, ..e });
-            }
-            let len = arena_offset(arena.len()) - offset;
-            runs.insert(
-                group[0].0,
-                Run {
-                    offset,
-                    len,
-                    cap: len,
-                },
-            );
-        }
-        Postings {
-            runs,
-            entries: arena.len(),
-            arena,
-            holes: 0,
-        }
-    }
-
-    fn run(&self, key: RunKey) -> &[Posting] {
-        self.runs
-            .get(&key)
-            .map_or(&[], |run| &self.arena[run.live()])
-    }
-
-    /// Adds one entry to the run of `key`, in `(start, end, id)` order:
-    /// a shift inside the run, after moving a full run to the tail of
-    /// the arena with doubled capacity.
-    fn insert(&mut self, key: RunKey, entry: Posting) {
-        let run = self.runs.entry(key).or_default();
-        if run.len == run.cap {
-            let offset = self.arena.len();
-            self.arena.extend_from_within(run.live());
-            let cap = (2 * run.cap).max(2);
-            self.arena.resize(offset + cap as usize, entry);
-            self.holes += run.cap as usize;
-            run.offset = arena_offset(offset);
-            run.cap = cap;
-        }
-        let old = run.len as usize;
-        run.len += 1;
-        let slots = &mut self.arena[run.live()];
-        let at = slots[..old].partition_point(|e| (e.interval, e.id) < (entry.interval, entry.id));
-        slots.copy_within(at..old, at + 1);
-        slots[at] = entry;
-        let mut max_end = at
-            .checked_sub(1)
-            .map_or(TimePoint::MIN, |p| slots[p].max_end);
-        for e in &mut slots[at..] {
-            max_end = max_end.max(e.interval.end());
-            e.max_end = max_end;
-        }
-        self.entries += 1;
-        if self.holes > self.entries {
-            self.compact();
-        }
-    }
-
-    /// Rewrites the arena without holes, runs in their present order
-    /// and with their present capacities.
-    fn compact(&mut self) {
-        let mut runs: Vec<&mut Run> = self.runs.values_mut().collect();
-        runs.sort_unstable_by_key(|run| run.offset);
-        let mut arena = Vec::with_capacity(self.arena.len() - self.holes);
-        for run in runs {
-            let offset = arena.len();
-            arena.extend_from_slice(&self.arena[run.live()]);
-            // Spare capacity holds copies of the run's last entry; the
-            // slots are never read.
-            let filler = arena[arena.len() - 1];
-            arena.resize(offset + run.cap as usize, filler);
-            run.offset = arena_offset(offset);
-        }
-        self.arena = arena;
-        self.holes = 0;
-    }
-}
 
 /// Interning store of ground atoms with the indexes the join engine
 /// probes.
@@ -264,32 +119,17 @@ impl Postings {
 ///
 /// `by_pred` is a per-predicate id list in id order. The two keyed
 /// families — `(subject, predicate)` and `(predicate, object)` — are
-/// *covering* posting runs: an entry carries the atom's id, interval
-/// and third symbol ([`Posting`]), so a join step judges a candidate
-/// from the run alone. Each family keeps all its runs in one arena;
-/// a key maps to `(offset, len, cap)`. Invariants, checked by
-/// `tests/postings_conformance.rs`:
-///
-/// * **run order** — a run is sorted by `(start, end, id)` and every
-///   entry carries the running maximum of `end` over the run so far,
-///   so the entries meeting a time window are found by one binary
-///   search and a scan that stops at the first later start
-///   ([`reaching`]);
-/// * **capacity doubling** — a cold build ([`AtomStore::from_graph`])
-///   lays the runs out back to back and tight, in key order; a later
-///   insert shifts inside its run, and a full run first moves to the
-///   tail of the arena with twice the capacity. An insert costs
-///   O(run), never O(store), and `Σ cap ≤ 2 × entries`;
-/// * **dead-space bound** — the slots relocated runs leave behind never
-///   outnumber the entries: the insert that would break this rewrites
-///   the arena without them (amortised over the relocations that made
-///   them). So an arena holds at most `3 × entries` slots;
-/// * **which families exist** — `(subject, predicate)` always: it is
-///   also how a statement finds its atom ([`AtomStore::lookup`]
-///   searches the run; there is no statement → atom map beside it);
-///   `(predicate, object)` in a store made by [`AtomStore::new`], and
-///   in one made by [`AtomStore::from_graph`] only once a join plan
-///   probes it ([`AtomStore::ensure_predicate_object`]).
+/// *covering* runs of [`Posting`]s in a [`tecore_kg::Postings`] arena
+/// (whose docs state the invariants), so a join step judges a
+/// candidate from the run alone and probes a window with
+/// [`tecore_kg::reaching`]; `tests/postings_conformance.rs` holds the
+/// runs against the atom table. Which families exist: `(subject,
+/// predicate)` always — it is also how a statement finds its atom
+/// ([`AtomStore::lookup`] searches the run; there is no statement →
+/// atom map beside it); `(predicate, object)` in a store made by
+/// [`AtomStore::new`], and in one made by [`AtomStore::from_graph`]
+/// only once a join plan probes it
+/// ([`AtomStore::ensure_predicate_object`]).
 #[derive(Debug, Clone)]
 pub struct AtomStore {
     atoms: Vec<GroundAtom>,
@@ -306,8 +146,8 @@ pub struct AtomStore {
     evidence_count: usize,
     hidden_count: usize,
     by_pred: FxHashMap<Symbol, Vec<AtomId>>,
-    by_sp: Postings,
-    by_po: Option<Postings>,
+    by_sp: Family,
+    by_po: Option<Family>,
 }
 
 const NO_FACT: FactId = FactId(u32::MAX);
@@ -331,8 +171,8 @@ impl AtomStore {
             evidence_count: 0,
             hidden_count: 0,
             by_pred: FxHashMap::default(),
-            by_sp: Postings::default(),
-            by_po: Some(Postings::default()),
+            by_sp: Family::default(),
+            by_po: Some(Family::default()),
         }
     }
 
@@ -406,13 +246,7 @@ impl AtomStore {
             .iter()
             .filter(|&&(.., at)| earliest[at as usize] == at)
             .map(|&(key, interval, third, at)| {
-                let entry = Posting {
-                    interval,
-                    max_end: TimePoint::MIN,
-                    id: atom_at[at as usize],
-                    third,
-                };
-                (key, entry)
+                (key, Posting::new(interval, atom_at[at as usize], third))
             })
             .collect();
         // Statements of one key and interval came out in object order;
@@ -420,7 +254,7 @@ impl AtomStore {
         for tied in keyed.chunk_by_mut(|a, b| (a.0, a.1.interval) == (b.0, b.1.interval)) {
             tied.sort_unstable_by_key(|&(_, e)| e.id);
         }
-        store.by_sp = Postings::layout(&keyed);
+        store.by_sp = Family::from_sorted(keyed);
         (store, fact_atoms)
     }
 
@@ -433,16 +267,11 @@ impl AtomStore {
         let keyed = self
             .iter()
             .map(|(id, atom)| {
-                let entry = Posting {
-                    interval: atom.interval,
-                    max_end: TimePoint::MIN,
-                    id,
-                    third: atom.subject,
-                };
+                let entry = Posting::new(atom.interval, id, atom.subject);
                 ((atom.predicate, atom.object), entry)
             })
             .collect();
-        self.by_po = Some(Postings::bulk(keyed));
+        self.by_po = Some(Family::bulk(keyed));
     }
 
     /// Number of atoms.
@@ -574,16 +403,18 @@ impl AtomStore {
     fn index(&mut self, id: AtomId) {
         let atom = self.atoms[id.index()];
         self.by_pred.entry(atom.predicate).or_default().push(id);
-        let entry = |third| Posting {
-            interval: atom.interval,
-            max_end: TimePoint::MIN,
-            id,
-            third,
-        };
-        self.by_sp
-            .insert((atom.subject, atom.predicate), entry(atom.object));
+        let entry = |third| [Posting::new(atom.interval, id, third)];
+        self.by_sp.patch(
+            (atom.subject, atom.predicate),
+            &mut [],
+            &mut entry(atom.object),
+        );
         if let Some(by_po) = &mut self.by_po {
-            by_po.insert((atom.predicate, atom.object), entry(atom.subject));
+            by_po.patch(
+                (atom.predicate, atom.object),
+                &mut [],
+                &mut entry(atom.subject),
+            );
         }
     }
 
@@ -708,7 +539,7 @@ impl AtomStore {
     pub fn posting_space(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
         std::iter::once(&self.by_sp)
             .chain(&self.by_po)
-            .map(|f| (f.entries, f.arena.len(), f.holes))
+            .map(Family::space)
     }
 }
 

@@ -4,14 +4,14 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use tecore_kg::fxhash::FxHashSet;
-use tecore_kg::{Dictionary, Symbol, UtkGraph};
+use tecore_kg::{reaching, Dictionary, Symbol, UtkGraph};
 use tecore_logic::atom::CmpOp;
 use tecore_logic::formula::Weight;
 use tecore_logic::term::{TimeTerm, VarId};
 use tecore_logic::{LogicError, LogicProgram};
 use tecore_temporal::Interval;
 
-use crate::atoms::{self, AtomId, AtomStore, FactAtoms, GroundAtom, Posting};
+use crate::atoms::{AtomId, AtomStore, FactAtoms, GroundAtom, Posting};
 use crate::bindings::Bindings;
 use crate::clause::{ClauseOrigin, ClauseStore, ClauseWeight, GroundClause, Lit};
 use crate::compile::{
@@ -748,7 +748,7 @@ impl<'a> Join<'a> {
         let Some(within) = window.relation.candidate_window(anchor) else {
             return;
         };
-        for e in atoms::reaching(run, within) {
+        for e in reaching(run, within) {
             if e.interval.end() < within.start() {
                 search.examined += 1;
             } else {

@@ -7,9 +7,8 @@
 //! space bounds, and the live-atom counters must equal a scan.
 
 use proptest::prelude::*;
-use tecore_ground::atoms::reaching;
 use tecore_ground::{AtomId, AtomKind, AtomStore, Posting};
-use tecore_kg::{FactId, Symbol, UtkGraph};
+use tecore_kg::{reaching, FactId, Symbol, UtkGraph};
 use tecore_temporal::{AllenSet, Interval};
 
 const SUBJECTS: u32 = 3;

@@ -22,6 +22,8 @@
 //! * [`UtkGraph`] — the fact store with secondary indexes (by predicate,
 //!   by subject+predicate) and interval-overlap queries, supporting
 //!   tombstone deletion (conflict resolution removes facts);
+//! * [`Postings`] — start-sorted interval runs in one arena: the
+//!   grounder's posting families and the [`GraphTemporalIndex`];
 //! * a line-oriented **text format** ([`parser`], [`writer`]) used by the
 //!   examples and test corpora;
 //! * [`stats::GraphStats`] — the summary statistics displayed by the demo
@@ -37,6 +39,7 @@ pub mod fact;
 pub mod fxhash;
 pub mod graph;
 pub mod parser;
+pub mod postings;
 pub mod stats;
 pub mod tindex;
 pub mod writer;
@@ -48,5 +51,6 @@ pub use event::StreamEvent;
 pub use fact::{Confidence, FactId, TemporalFact};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use graph::UtkGraph;
+pub use postings::{overlapping, reaching, OverlapIter, Posting, Postings};
 pub use stats::{Cardinalities, GraphStats, PredicateCardinality};
-pub use tindex::{splice, GraphTemporalIndex, IntervalIndex, OverlapIter};
+pub use tindex::GraphTemporalIndex;
