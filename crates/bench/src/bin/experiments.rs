@@ -7,6 +7,7 @@
 use std::time::{Duration, Instant};
 
 use tecore_bench::harness;
+use tecore_core::registry::SolverRegistry;
 use tecore_core::threshold;
 use tecore_core::{Backend, ConfidenceMode, Engine, TecoreConfig};
 use tecore_datagen::config::FootballConfig;
@@ -20,32 +21,34 @@ use tecore_mln::{CpiConfig, WalkSatConfig};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    e1_running_example();
+    let e1_matches = e1_running_example();
     e2_conflict_statistics(quick);
     e3_map_performance(quick);
     e4_noise_stress(quick);
     e5_threshold();
     e6_wikidata_scaling(quick);
     println!("\nAll experiments completed.");
+    if !e1_matches {
+        eprintln!("E1: a backend does not reproduce Figure 7 (MISMATCH above)");
+        std::process::exit(1);
+    }
 }
 
 fn line() {
     println!("{}", "-".repeat(72));
 }
 
-/// E1 — Figures 1/4/6 → Figure 7.
-fn e1_running_example() {
+/// E1 — Figures 1/4/6 → Figure 7, on every registered backend.
+/// Returns whether all of them match.
+fn e1_running_example() -> bool {
     line();
     println!("E1  Running example (Figure 7)");
     println!("    paper: fact (5) (CR, coach, Napoli, [2001,2003]) removed; (1)-(4) kept");
-    for backend in [
-        Backend::MlnExact,
-        Backend::default(),
-        Backend::default_psl(),
-    ] {
-        let name = backend.name();
+    let registry = SolverRegistry::with_default_backends();
+    let mut all_match = true;
+    for name in registry.names() {
         let config = TecoreConfig {
-            backend: backend.into(),
+            backend: registry.resolve(name).expect("registered backend"),
             ..TecoreConfig::default()
         };
         let r = Engine::with_config(ranieri_utkg(), paper_program(), config)
@@ -56,18 +59,17 @@ fn e1_running_example() {
             .iter()
             .map(|f| r.consistent.dict().resolve(f.fact.object).to_string())
             .collect();
+        let matches = removed == ["Napoli"] && r.consistent.len() == 4;
+        all_match &= matches;
         println!(
             "    measured [{name}]: kept {}, removed {:?}, inferred {} -> {}",
             r.consistent.len(),
             removed,
             r.inferred.len(),
-            if removed == ["Napoli"] && r.consistent.len() == 4 {
-                "MATCH"
-            } else {
-                "MISMATCH"
-            }
+            if matches { "MATCH" } else { "MISMATCH" }
         );
     }
+    all_match
 }
 
 /// E2 — Figure 8: 19,734 conflicting facts out of 243,157.

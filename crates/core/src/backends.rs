@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use tecore_ground::MapSolver;
 use tecore_mln::{BranchAndBound, CpiConfig, CpiSolver, MaxWalkSat, WalkSatConfig};
-use tecore_psl::{AdmmConfig, PslAdmm, PslConfig};
+use tecore_psl::{AdmmConfig, PslAdmm};
 
 /// Which reasoner computes the MAP state (paper §2.1: nRockIt vs nPSL).
 ///
@@ -31,12 +31,7 @@ pub enum Backend {
     /// configuration.
     MlnCuttingPlane(CpiConfig),
     /// PSL solved by consensus ADMM — the nPSL configuration.
-    PslAdmm {
-        /// HL-MRF construction options.
-        psl: PslConfig,
-        /// ADMM parameters.
-        admm: AdmmConfig,
-    },
+    PslAdmm(AdmmConfig),
 }
 
 impl Backend {
@@ -46,16 +41,13 @@ impl Backend {
             Backend::MlnExact => "mln-exact",
             Backend::MlnWalkSat(_) => "mln-walksat",
             Backend::MlnCuttingPlane(_) => "mln-cpi",
-            Backend::PslAdmm { .. } => "psl-admm",
+            Backend::PslAdmm(_) => "psl-admm",
         }
     }
 
     /// The default PSL backend.
     pub fn default_psl() -> Backend {
-        Backend::PslAdmm {
-            psl: PslConfig::default(),
-            admm: AdmmConfig::default(),
-        }
+        Backend::PslAdmm(AdmmConfig::default())
     }
 }
 
@@ -110,7 +102,7 @@ impl From<Backend> for SolverHandle {
             Backend::MlnExact => SolverHandle::new(BranchAndBound::new()),
             Backend::MlnWalkSat(config) => SolverHandle::new(MaxWalkSat::new(config)),
             Backend::MlnCuttingPlane(config) => SolverHandle::new(CpiSolver::new(config)),
-            Backend::PslAdmm { psl, admm } => SolverHandle::new(PslAdmm::new(psl, admm)),
+            Backend::PslAdmm(config) => SolverHandle::new(PslAdmm::new(config)),
         }
     }
 }

@@ -99,24 +99,25 @@ pub(crate) enum Moved {
 /// The **component-wise solve driver** — the seam between the engine
 /// and the configured [`MapSolver`](tecore_ground::MapSolver).
 ///
-/// When the backend declares [`SolverCaps::components`] and the mode
-/// allows it, the ground problem is solved
-/// one independent conflict component at a time
+/// When the mode allows it, the ground problem is solved one
+/// independent conflict component at a time
 /// (`tecore_ground::component`). Without a previous state that is every
 /// component (the full partition pass). With one it is the components a
 /// delta touched, found by the dirty-only pass — a walk from the
 /// flagged atoms — while everything else keeps its slice of the
-/// previous MAP state untouched and unread. Each component goes to
-/// [`MapSolver::solve_component`](tecore_ground::MapSolver) as a
-/// zero-copy sub-view in its local atom id space, one after the other.
-/// The per-component states merge into one global state whose cost and
-/// feasibility are the totals of the per-component ledger the solved
-/// components are entered in, so the merged state satisfies exactly the
-/// contract a monolithic solve would.
+/// previous MAP state untouched and unread. Each component is copied
+/// out of the arena into a compact sub-store in its local atom id space
+/// and goes to the backend's one [`MapSolver::solve`] entry, one after
+/// the other. The per-component states merge into one global state
+/// whose cost and feasibility are the totals of the per-component
+/// ledger the solved components are entered in, so the merged state
+/// satisfies exactly the contract a monolithic solve would.
 ///
-/// Everything else (unsupported backend, `Monolithic` mode, a single
-/// component under `Auto`, an unpartitionable arena) falls back to one
-/// monolithic [`MapSolver::solve`](tecore_ground::MapSolver).
+/// Everything else (`Monolithic` mode, a single component under
+/// `Auto`, an unpartitionable arena) is one [`MapSolver::solve`] over
+/// the grounding's whole arena.
+///
+/// [`MapSolver::solve`]: tecore_ground::MapSolver::solve
 fn solve_dispatch(
     solver: &SolverHandle,
     grounding: &mut Grounding,
@@ -124,25 +125,23 @@ fn solve_dispatch(
     mode: ComponentMode,
 ) -> Result<SolveOutcome, TecoreError> {
     let caps = solver.caps();
-    let use_components = caps.components
-        && match mode {
-            ComponentMode::Monolithic => false,
-            ComponentMode::Components => true,
-            // `Auto` partitions where partitioning reliably pays: on
-            // incremental re-solves (a previous state lets clean
-            // components be spliced, so work shrinks to the dirty set)
-            // and for exact backends (whose worst case is exponential
-            // *per component*, so splitting wins even cold). A cold
-            // heuristic solve has no clean component to splice, and the
-            // per-component sub-stores and states are then pure
-            // overhead: `mln-walksat` and `mln-cpi` handle the whole
-            // arena at once, and `psl-admm` partitions itself — its
-            // solver iterates the factor graph block by block over
-            // flat arrays — so routing it here would only add the
-            // copies (measured at 243k facts: 1.7× the time, +5 % RSS).
-            // Force `Components` to override.
-            ComponentMode::Auto => warm.is_some() || caps.exact,
-        };
+    let use_components = match mode {
+        ComponentMode::Monolithic => false,
+        ComponentMode::Components => true,
+        // `Auto` partitions where partitioning reliably pays: on
+        // incremental re-solves (a previous state lets clean components
+        // be spliced, so work shrinks to the dirty set) and for exact
+        // backends (whose worst case is exponential *per component*, so
+        // splitting wins even cold). A cold heuristic solve has no clean
+        // component to splice, and the per-component sub-stores and
+        // states are then pure overhead: `mln-walksat` and `mln-cpi`
+        // handle the whole arena at once, and `psl-admm` partitions
+        // itself — its solver iterates the factor graph block by block
+        // over flat arrays — so routing it here would only add the
+        // copies (measured at 243k facts: 1.7× the time, +5 % RSS).
+        // Force `Components` to override.
+        ComponentMode::Auto => warm.is_some() || caps.exact,
+    };
     if !use_components {
         // A monolithic solve may move any atom, which voids whatever
         // the ledger says about the components.
@@ -254,10 +253,10 @@ fn solve_dispatch(
     })
 }
 
-/// The monolithic fallback: one [`MapSolver::solve`](tecore_ground::MapSolver)
-/// over the whole grounding, with the warm start gated on the backend's
-/// declared capability (exactly the pre-component behaviour), and the
-/// returned state held to the solver contract.
+/// The monolithic fallback: one [`MapSolver::solve`](tecore_ground::MapSolver::solve)
+/// over the grounding's whole arena, with the warm start gated on the
+/// backend's declared capability, and the returned state held to the
+/// solver contract.
 fn monolithic_solve(
     solver: &SolverHandle,
     grounding: &Grounding,
@@ -267,8 +266,8 @@ fn monolithic_solve(
         seed: None,
         warm_start: warm.as_ref().filter(|_| solver.caps().warm_start),
     };
-    let state = solver.solve(grounding, &opts)?;
-    check_solver_contract(solver, &state, grounding.num_atoms(), false)?;
+    let state = solver.solve(grounding.num_atoms(), &grounding.clauses, &opts)?;
+    check_solver_contract(solver, &state, grounding.num_atoms())?;
     Ok(SolveOutcome {
         state,
         components: 0,
@@ -278,9 +277,9 @@ fn monolithic_solve(
     })
 }
 
-/// Solves one dirty component through the backend's sub-view entry,
-/// offering a remapped warm start when the backend consumes one, and
-/// enforcing the local state contract.
+/// Solves one dirty component: copies it out of the arena into its
+/// local atom id space, offers a remapped warm start when the backend
+/// consumes one, and holds the local state to the solver contract.
 fn solve_one_component(
     solver: &SolverHandle,
     grounding: &Grounding,
@@ -297,8 +296,8 @@ fn solve_one_component(
         seed: None,
         warm_start: local_warm_state.as_ref(),
     };
-    let state = solver.solve_component(&view, &local_opts)?;
-    check_solver_contract(solver, &state, view.num_atoms(), true)?;
+    let state = solver.solve(view.num_atoms(), &view.to_store(), &local_opts)?;
+    check_solver_contract(solver, &state, view.num_atoms())?;
     Ok(state)
 }
 
@@ -912,6 +911,7 @@ fn journal_planned(
 mod tests {
     use super::*;
     use crate::pipeline::{Backend, ConfidenceMode, SolverHandle};
+    use tecore_ground::ClauseStore;
     use tecore_kg::parser::parse_graph;
     use tecore_mln::marginal::GibbsConfig;
     use tecore_mln::{CpiConfig, WalkSatConfig};
@@ -1593,18 +1593,16 @@ mod tests {
             }
             fn solve(
                 &self,
-                grounding: &Grounding,
+                atoms: usize,
+                clauses: &ClauseStore,
                 _opts: &SolveOpts,
             ) -> Result<MapState, SolveError> {
-                let (cost, hard) = tecore_ground::evaluate_world(
-                    &grounding.clauses,
-                    &vec![true; grounding.num_atoms()],
-                );
+                let (cost, hard) = tecore_ground::evaluate_world(clauses, &vec![true; atoms]);
                 Ok(MapState {
-                    assignment: vec![true; grounding.num_atoms()],
+                    assignment: vec![true; atoms],
                     cost,
                     feasible: hard == 0,
-                    active_clauses: grounding.clauses.len(),
+                    active_clauses: clauses.len(),
                     soft_values: None,
                 })
             }
@@ -1636,7 +1634,8 @@ mod tests {
             }
             fn solve(
                 &self,
-                _grounding: &Grounding,
+                _atoms: usize,
+                _clauses: &ClauseStore,
                 _opts: &SolveOpts,
             ) -> Result<MapState, SolveError> {
                 Ok(MapState {
@@ -1682,16 +1681,16 @@ mod tests {
             }
             fn solve(
                 &self,
-                grounding: &Grounding,
+                atoms: usize,
+                _clauses: &ClauseStore,
                 _opts: &SolveOpts,
             ) -> Result<MapState, SolveError> {
-                let n = grounding.num_atoms();
                 Ok(MapState {
-                    assignment: vec![true; n],
+                    assignment: vec![true; atoms],
                     cost: 0.0,
                     feasible: true,
                     active_clauses: 0,
-                    soft_values: Some(vec![0.5; n]),
+                    soft_values: Some(vec![0.5; atoms]),
                 })
             }
         }
@@ -1710,17 +1709,15 @@ mod tests {
         assert!(message.contains("soft_values = false"), "{message}");
     }
 
-    /// The per-component state contract mirrors the monolithic one: a
-    /// backend declaring soft values that omits them from a component
-    /// solve must fail loudly — the merge must not quietly fabricate
-    /// 0/1 confidences for that component.
+    /// The contract holds on the component path too: a backend
+    /// declaring soft values that omits them from a component's state
+    /// must fail loudly — the merge must not quietly fabricate 0/1
+    /// confidences for that component.
     #[test]
     fn component_caps_state_mismatch_is_a_solve_error() {
-        use tecore_ground::component::ComponentView;
         use tecore_ground::{MapSolver, SolveError, SolverCaps};
 
-        /// Declares soft values (+ components) but omits them from the
-        /// per-component state.
+        /// Declares soft values but never returns them.
         #[derive(Debug)]
         struct Forgetful;
 
@@ -1729,32 +1726,16 @@ mod tests {
                 "forgetful"
             }
             fn caps(&self) -> SolverCaps {
-                SolverCaps {
-                    components: true,
-                    ..SolverCaps::psl() // soft_values: true
-                }
+                SolverCaps::psl() // soft_values: true
             }
             fn solve(
                 &self,
-                grounding: &Grounding,
-                _opts: &SolveOpts,
-            ) -> Result<MapState, SolveError> {
-                let n = grounding.num_atoms();
-                Ok(MapState {
-                    assignment: vec![true; n],
-                    cost: 0.0,
-                    feasible: true,
-                    active_clauses: 0,
-                    soft_values: Some(vec![1.0; n]),
-                })
-            }
-            fn solve_component(
-                &self,
-                view: &ComponentView<'_>,
+                atoms: usize,
+                _clauses: &ClauseStore,
                 _opts: &SolveOpts,
             ) -> Result<MapState, SolveError> {
                 Ok(MapState {
-                    assignment: vec![true; view.num_atoms()],
+                    assignment: vec![true; atoms],
                     cost: 0.0,
                     feasible: true,
                     active_clauses: 0,

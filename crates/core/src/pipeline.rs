@@ -70,23 +70,19 @@ pub(crate) fn check_solver_contract(
     solver: &SolverHandle,
     state: &MapState,
     expected: usize,
-    component: bool,
 ) -> Result<(), TecoreError> {
-    let over = if component {
-        format!("a {expected}-atom component")
-    } else {
-        format!("{expected} ground atoms")
-    };
     let soft = state.soft_values.as_ref();
     let violation = if state.assignment.len() != expected {
-        format!("returned {} assignments for {over}", state.assignment.len())
+        format!(
+            "returned {} assignments for {expected} atoms",
+            state.assignment.len()
+        )
     } else if let Some(values) = soft.filter(|v| v.len() != expected) {
-        format!("returned {} soft values for {over}", values.len())
+        format!("returned {} soft values for {expected} atoms", values.len())
     } else if solver.caps().soft_values != soft.is_some() {
         format!(
-            "caps declare soft_values = {} but the {}solve {} them",
+            "caps declare soft_values = {} but the solve {} them",
             solver.caps().soft_values,
-            if component { "component " } else { "" },
             if soft.is_some() {
                 "returned"
             } else {

@@ -29,11 +29,15 @@
 //! * [`Partition`] — the components one pass found: per-component atom
 //!   and clause lists in flat tables;
 //! * [`ComponentView`] — a zero-copy sub-view of the arena for one
-//!   component, handed to
-//!   [`MapSolver::solve_component`](crate::MapSolver::solve_component);
-//!   literals are remapped to the component's dense local id space on
-//!   the fly (the remap is monotone in atom id, so normalised clauses
+//!   component; the solve driver copies it into a compact arena in the
+//!   component's dense local id space ([`ComponentView::to_store`]) and
+//!   hands that to [`MapSolver::solve`](crate::MapSolver::solve) like
+//!   any other (the remap is monotone in atom id, so normalised clauses
 //!   stay normalised).
+//!
+//! [`Partition::of`] runs the same walk without an index to keep: it is
+//! how the PSL backend finds the independent blocks of the arena it is
+//! handed.
 
 use crate::atoms::AtomId;
 use crate::clause::{ClauseId, ClauseStore, Lit};
@@ -316,6 +320,12 @@ impl ComponentIndex {
         if let Some(unpartitionable) = self.unpartitionable() {
             return unpartitionable;
         }
+        self.walk_all(clauses)
+    }
+
+    /// Walks every component of the live clauses, labels and ledger
+    /// started over. Clauses without literals are in no component.
+    fn walk_all(&mut self, clauses: &ClauseStore) -> Partition {
         let n = self.num_atoms();
         self.label.clear();
         self.label.resize(n, NO_LABEL);
@@ -495,6 +505,14 @@ pub struct Partition {
 }
 
 impl Partition {
+    /// Every component of the live clauses of `clauses`, whose literals
+    /// name atoms `0..num_atoms` — the full pass for a caller that keeps
+    /// no index between solves. A clause without literals is left out
+    /// of every component rather than making the arena unpartitionable.
+    pub fn of(clauses: &ClauseStore, num_atoms: usize) -> Partition {
+        ComponentIndex::new(num_atoms).walk_all(clauses)
+    }
+
     fn unpartitionable() -> Partition {
         Partition {
             atom_starts: vec![0],
@@ -605,8 +623,8 @@ impl Partition {
 
 /// A zero-copy view of one conflict component: borrows the parent
 /// arena and the partition's member lists; nothing is materialised
-/// until a solver asks for a compact sub-store
-/// ([`ComponentView::to_store`]).
+/// until the solve driver copies it into a compact sub-store for the
+/// backend ([`ComponentView::to_store`]).
 ///
 /// Local atom ids are dense (`0..num_atoms()`) and ascend with global
 /// ids, so remapping a normalised clause yields a normalised clause.
@@ -680,10 +698,11 @@ impl<'a> ComponentView<'a> {
     }
 
     /// Materialises the component as a compact [`ClauseStore`] in the
-    /// local atom id space — the input the MaxSAT/HL-MRF builders
-    /// consume. This is the only copying step of the component
-    /// pipeline, done per *dirty* component only, and it copies exactly
-    /// the component's literals once.
+    /// local atom id space — the arena the solve driver hands to
+    /// [`MapSolver::solve`](crate::MapSolver::solve). This is the only
+    /// copying step of the component pipeline, done per *dirty*
+    /// component only, and it copies exactly the component's literals
+    /// once.
     pub fn to_store(&self) -> ClauseStore {
         let total_lits: usize = self
             .clause_ids

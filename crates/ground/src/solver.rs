@@ -5,8 +5,12 @@
 //! conflict resolution is MAP inference over a probabilistic-logic
 //! grounding with *interchangeable* substrates: an expressive MLN stack
 //! or a scalable PSL relaxation. This module makes that seam a real,
-//! object-safe trait: every backend consumes the same [`Grounding`]
-//! (produced here in `tecore-ground`) and returns the same [`MapState`].
+//! object-safe trait with one solve entry: every backend consumes a
+//! clause arena ([`ClauseStore`]) over a dense atom id space — the
+//! whole [`Grounding`](crate::Grounding)'s arena or one conflict
+//! component copied out of it by the solve driver — and returns the
+//! same [`MapState`]. A backend solves any arena it is handed; it never
+//! learns which of the two it was.
 //!
 //! The trait lives in this crate — *below* the substrate crates — so
 //! that `tecore-mln` and `tecore-psl` implement it in their own trees
@@ -20,8 +24,7 @@ use std::fmt;
 
 use tecore_logic::validate::Expressivity;
 
-use crate::component::ComponentView;
-use crate::grounder::Grounding;
+use crate::clause::ClauseStore;
 
 /// What a backend can do — consulted by the translator and pipeline
 /// instead of matching on a backend enum.
@@ -44,13 +47,6 @@ pub struct SolverCaps {
     /// incremental pipeline only offers a warm start to backends that
     /// declare it; others receive `None`.
     pub warm_start: bool,
-    /// `true` if the solver implements
-    /// [`MapSolver::solve_component`] — MAP inference over one
-    /// conflict-component sub-view in its local atom id space. The
-    /// component-wise solve driver only dispatches per component to
-    /// backends that declare it; everyone else gets the monolithic
-    /// [`MapSolver::solve`].
-    pub components: bool,
 }
 
 impl SolverCaps {
@@ -61,7 +57,6 @@ impl SolverCaps {
             soft_values: false,
             exact: false,
             warm_start: false,
-            components: false,
         }
     }
 
@@ -72,7 +67,6 @@ impl SolverCaps {
             soft_values: true,
             exact: false,
             warm_start: false,
-            components: false,
         }
     }
 }
@@ -82,15 +76,14 @@ impl SolverCaps {
 /// (`tecore-core`), never by a backend.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ComponentMode {
-    /// Partition when the backend supports it
-    /// ([`SolverCaps::components`]) and the problem actually splits;
-    /// a single-component problem falls back to one monolithic solve.
+    /// Partition where it pays — on incremental re-solves and for exact
+    /// backends — and the problem actually splits; a single-component
+    /// problem falls back to one monolithic solve.
     #[default]
     Auto,
-    /// Partition whenever the backend supports it, even when the
-    /// partition is a single component (useful for conformance tests
-    /// and benchmarks that want the component path exercised
-    /// unconditionally).
+    /// Partition always, even when the partition is a single component
+    /// (useful for conformance tests and benchmarks that want the
+    /// component path exercised unconditionally).
     Components,
     /// Never partition: always one monolithic [`MapSolver::solve`].
     Monolithic,
@@ -107,14 +100,13 @@ pub struct SolveOpts<'a> {
     /// keeps the configured seed. Deterministic backends ignore it.
     pub seed: Option<u64>,
     /// A previous MAP state of (an earlier epoch of) the same
-    /// grounding, offered as a starting point. Atom ids are stable
-    /// across deltas, so `warm_start.assignment[i]` still describes
-    /// atom `i`; atoms beyond its length are new. Backends whose
+    /// problem, offered as a starting point, in the atom id space of
+    /// the arena being solved: `warm_start.assignment[i]` describes
+    /// atom `i`, and atoms beyond its length are new. (Atom ids are
+    /// stable across deltas; for a component the driver projects the
+    /// global state into the component's local ids.) Backends whose
     /// [`SolverCaps::warm_start`] is `false` may ignore it; backends
     /// declaring the capability must seed from it.
-    ///
-    /// In a [`MapSolver::solve_component`] call the state is in the
-    /// component's *local* atom id space (the driver remaps it).
     pub warm_start: Option<&'a MapState>,
 }
 
@@ -169,8 +161,8 @@ impl std::error::Error for SolveError {}
 /// Implementations must be deterministic given their configuration (all
 /// in-tree backends are seeded) and must uphold the state contract the
 /// pipeline enforces: `assignment` (and `soft_values`, when present)
-/// have exactly `grounding.num_atoms()` entries, and `soft_values` is
-/// `Some` iff [`SolverCaps::soft_values`] is declared.
+/// have exactly `atoms` entries, and `soft_values` is `Some` iff
+/// [`SolverCaps::soft_values`] is declared.
 pub trait MapSolver: fmt::Debug + Send + Sync {
     /// Stable identifier used for registry lookup and statistics output
     /// (`"mln-exact"`, `"mln-walksat"`, `"mln-cpi"`, `"psl-admm"`, ...).
@@ -180,30 +172,14 @@ pub trait MapSolver: fmt::Debug + Send + Sync {
     /// pipeline behaviour.
     fn caps(&self) -> SolverCaps;
 
-    /// Computes the MAP state of `grounding`.
-    fn solve(&self, grounding: &Grounding, opts: &SolveOpts<'_>) -> Result<MapState, SolveError>;
-
-    /// Computes the MAP state of one conflict-component sub-view, in
-    /// the component's **local** atom id space: the returned
-    /// `assignment` (and `soft_values`, when declared) must have
-    /// exactly [`ComponentView::num_atoms`] entries, and
-    /// `opts.warm_start` — when offered — is already local.
-    ///
-    /// Only called when [`SolverCaps::components`] is declared; the
-    /// default implementation reports the backend as incapable, which
-    /// keeps external solvers source-compatible (they stay on the
-    /// monolithic path unless they opt in through their caps).
-    fn solve_component(
+    /// Computes the MAP state of the live clauses of `clauses`, whose
+    /// literals name atoms `0..atoms`.
+    fn solve(
         &self,
-        view: &ComponentView<'_>,
+        atoms: usize,
+        clauses: &ClauseStore,
         opts: &SolveOpts<'_>,
-    ) -> Result<MapState, SolveError> {
-        let _ = (view, opts);
-        Err(SolveError::Backend(format!(
-            "solver `{}` does not implement component sub-solves",
-            self.name()
-        )))
-    }
+    ) -> Result<MapState, SolveError>;
 }
 
 /// Total violated soft weight and number of violated hard clauses of
@@ -212,7 +188,7 @@ pub trait MapSolver: fmt::Debug + Send + Sync {
 /// Shared by backends that need to grade a discrete world against the
 /// common clause representation (e.g. PSL scoring its rounding) without
 /// depending on another backend's problem types.
-pub fn evaluate_world(clauses: &crate::clause::ClauseStore, world: &[bool]) -> (f64, usize) {
+pub fn evaluate_world(clauses: &ClauseStore, world: &[bool]) -> (f64, usize) {
     let mut cost = 0.0;
     let mut hard_violations = 0usize;
     for clause in clauses.iter() {
@@ -256,7 +232,7 @@ mod tests {
             )
             .unwrap(),
         ];
-        let clauses = crate::clause::ClauseStore::from_ground_clauses(&ground_clauses);
+        let clauses = ClauseStore::from_ground_clauses(&ground_clauses);
         // Satisfy both.
         assert_eq!(evaluate_world(&clauses, &[true, true]), (0.0, 0));
         // Violate the hard implication.

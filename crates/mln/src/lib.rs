@@ -37,39 +37,3 @@ pub use problem::{MapResult, SatProblem, SolveStats};
 pub use solver::bnb::BranchAndBound;
 pub use solver::cpi::{CpiConfig, CpiSolver};
 pub use solver::walksat::{MaxWalkSat, WalkSatConfig};
-
-use tecore_ground::Grounding;
-
-/// Solver selection for MAP inference over a ground MLN.
-#[derive(Debug, Clone)]
-pub enum MlnSolver {
-    /// Exact branch & bound (exponential worst case; use below ~10k
-    /// vars only when clause structure is benign, or for tests).
-    Exact,
-    /// MaxWalkSAT local search.
-    WalkSat(WalkSatConfig),
-    /// Cutting-plane inference wrapping MaxWalkSAT.
-    CuttingPlane(CpiConfig),
-}
-
-impl MlnSolver {
-    /// Sensible default for a problem of `n_atoms` variables: exact for
-    /// tiny instances, CPI + MaxWalkSAT beyond.
-    pub fn auto(n_atoms: usize) -> MlnSolver {
-        if n_atoms <= 24 {
-            MlnSolver::Exact
-        } else {
-            MlnSolver::CuttingPlane(CpiConfig::default())
-        }
-    }
-
-    /// Runs MAP inference on a grounding.
-    pub fn solve(&self, grounding: &Grounding) -> MapResult {
-        let problem = SatProblem::from_grounding(grounding);
-        match self {
-            MlnSolver::Exact => BranchAndBound::new().solve(&problem),
-            MlnSolver::WalkSat(cfg) => MaxWalkSat::new(cfg.clone()).solve(&problem),
-            MlnSolver::CuttingPlane(cfg) => CpiSolver::new(cfg.clone()).solve_lazy(grounding),
-        }
-    }
-}

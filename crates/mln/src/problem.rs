@@ -1,10 +1,10 @@
 //! The weighted partial MaxSAT problem and its solutions.
 //!
 //! A [`SatProblem`] is a *view* over the grounding's flat
-//! [`ClauseStore`] arena: built from a [`Grounding`] it borrows the
-//! arena zero-copy (no per-clause re-boxing of literals), while
-//! component solves and tests can hold an owned store through the same
-//! type (`Cow` keeps one API for both). Clause weights come back as raw
+//! [`ClauseStore`] arena: built from a [`Grounding`] or any store it
+//! borrows the arena zero-copy (no per-clause re-boxing of literals),
+//! while tests can hold an owned store through the same type (`Cow`
+//! keeps one API for both). Clause weights come back as raw
 //! `f64` with `f64::INFINITY` marking hard clauses — the exact encoding
 //! the arena stores, so solver hot loops read arrays without
 //! conversion.
@@ -49,14 +49,6 @@ impl<'a> SatProblem<'a> {
         SatProblem {
             n_vars,
             clauses: Cow::Owned(ClauseStore::from_ground_clauses(clauses)),
-        }
-    }
-
-    /// Wraps an owned store (a component view copied out of the arena).
-    pub fn from_owned_store(n_vars: usize, store: ClauseStore) -> SatProblem<'static> {
-        SatProblem {
-            n_vars,
-            clauses: Cow::Owned(store),
         }
     }
 

@@ -290,33 +290,20 @@ impl tecore_ground::MapSolver for BranchAndBound {
     fn caps(&self) -> tecore_ground::SolverCaps {
         tecore_ground::SolverCaps {
             exact: self.node_budget.is_none(),
-            // Exact search benefits doubly from components: B&B's
-            // exponential worst case applies per sub-problem, so many
-            // small components are exponentially cheaper than their
-            // union.
-            components: true,
             ..tecore_ground::SolverCaps::mln()
         }
     }
 
     fn solve(
         &self,
-        grounding: &tecore_ground::Grounding,
+        atoms: usize,
+        clauses: &tecore_ground::ClauseStore,
         // Exact search has nothing to gain from a warm start (the
         // optimum is recomputed either way); caps.warm_start stays
         // false and the option is ignored.
         _opts: &tecore_ground::SolveOpts<'_>,
     ) -> Result<tecore_ground::MapState, tecore_ground::SolveError> {
-        let problem = SatProblem::from_grounding(grounding);
-        Ok(self.solve(&problem).into_map_state())
-    }
-
-    fn solve_component(
-        &self,
-        view: &tecore_ground::ComponentView<'_>,
-        _opts: &tecore_ground::SolveOpts<'_>,
-    ) -> Result<tecore_ground::MapState, tecore_ground::SolveError> {
-        let problem = SatProblem::from_owned_store(view.num_atoms(), view.to_store());
+        let problem = SatProblem::from_store(atoms, clauses);
         Ok(self.solve(&problem).into_map_state())
     }
 }

@@ -23,7 +23,7 @@
 
 use std::time::Instant;
 
-use tecore_ground::{ClauseId, ClauseOrigin, ClauseRef, ClauseStore, ComponentView, Grounding};
+use tecore_ground::{ClauseId, ClauseOrigin, ClauseRef, ClauseStore, Grounding};
 
 use crate::problem::{MapResult, SatProblem, SolveStats};
 use crate::solver::bnb::BranchAndBound;
@@ -140,27 +140,6 @@ impl CpiSolver {
             MaxWalkSat::new(self.config.walksat.clone()).solve(&problem)
         }
     }
-
-    /// Shared [`tecore_ground::MapSolver`] entry: applies the seed
-    /// override from `opts`. CPI rebuilds its active set on every
-    /// solve; caps.warm_start stays false, so opts.warm_start is never
-    /// offered (and would be ignored).
-    fn solve_opts(
-        &self,
-        n_atoms: usize,
-        clauses: &ClauseStore,
-        opts: &tecore_ground::SolveOpts<'_>,
-    ) -> tecore_ground::MapState {
-        let result = match opts.seed {
-            Some(seed) => {
-                let mut config = self.config.clone();
-                config.walksat.seed = seed;
-                CpiSolver::new(config).solve_clauses(n_atoms, clauses)
-            }
-            None => self.solve_clauses(n_atoms, clauses),
-        };
-        result.into_map_state()
-    }
 }
 
 impl tecore_ground::MapSolver for CpiSolver {
@@ -169,27 +148,24 @@ impl tecore_ground::MapSolver for CpiSolver {
     }
 
     fn caps(&self) -> tecore_ground::SolverCaps {
-        tecore_ground::SolverCaps {
-            components: true,
-            ..tecore_ground::SolverCaps::mln()
-        }
+        tecore_ground::SolverCaps::mln()
     }
 
+    /// The cutting-plane loop, the seed override taken from `opts`. CPI
+    /// rebuilds its active set on every solve; caps.warm_start stays
+    /// false, so opts.warm_start is never offered (and would be
+    /// ignored).
     fn solve(
         &self,
-        grounding: &Grounding,
+        atoms: usize,
+        clauses: &ClauseStore,
         opts: &tecore_ground::SolveOpts<'_>,
     ) -> Result<tecore_ground::MapState, tecore_ground::SolveError> {
-        Ok(self.solve_opts(grounding.num_atoms(), &grounding.clauses, opts))
-    }
-
-    fn solve_component(
-        &self,
-        view: &ComponentView<'_>,
-        opts: &tecore_ground::SolveOpts<'_>,
-    ) -> Result<tecore_ground::MapState, tecore_ground::SolveError> {
-        let store = view.to_store();
-        Ok(self.solve_opts(view.num_atoms(), &store, opts))
+        let mut config = self.config.clone();
+        config.walksat.seed = opts.seed.unwrap_or(config.walksat.seed);
+        Ok(CpiSolver::new(config)
+            .solve_clauses(atoms, clauses)
+            .into_map_state())
     }
 }
 

@@ -54,6 +54,31 @@ pub struct WalkSatConfig {
     pub max_stall: Option<u64>,
 }
 
+impl WalkSatConfig {
+    /// These budgets scaled to an instance of `atoms` atoms and
+    /// `clauses` clauses, never above the configured ones. The defaults
+    /// assume whole-KG instances; a conflict component is usually tens
+    /// of clauses, and spending the global stall/flip allowance on each
+    /// of thousands of them — or on a five-fact graph — is waste: a few
+    /// multiples of the instance size is ample for a local-conflict
+    /// neighbourhood, and small instances need fewer perturbation
+    /// restarts to cover their basin. From `atoms + clauses` ≥ 6 242
+    /// and `clauses` > 64 on, the defaults come back unchanged.
+    fn for_size(&self, atoms: usize, clauses: usize) -> WalkSatConfig {
+        let size = (atoms + clauses) as u64;
+        WalkSatConfig {
+            max_flips: self.max_flips.min(16 * size + 128),
+            max_stall: Some((4 * size + 32).min(self.max_stall.unwrap_or(u64::MAX))),
+            restarts: if clauses <= 64 {
+                self.restarts.min(2)
+            } else {
+                self.restarts
+            },
+            ..self.clone()
+        }
+    }
+}
+
 impl Default for WalkSatConfig {
     fn default() -> Self {
         WalkSatConfig {
@@ -457,68 +482,28 @@ impl tecore_ground::MapSolver for MaxWalkSat {
     fn caps(&self) -> tecore_ground::SolverCaps {
         tecore_ground::SolverCaps {
             warm_start: true,
-            components: true,
             ..tecore_ground::SolverCaps::mln()
         }
     }
 
+    /// Runs the search with budgets sized to the instance (see
+    /// `WalkSatConfig::for_size`), the seed override and warm start
+    /// taken from `opts`.
     fn solve(
         &self,
-        grounding: &tecore_ground::Grounding,
+        atoms: usize,
+        clauses: &tecore_ground::ClauseStore,
         opts: &tecore_ground::SolveOpts<'_>,
     ) -> Result<tecore_ground::MapState, tecore_ground::SolveError> {
-        let problem = SatProblem::from_grounding(grounding);
-        Ok(self.solve_opts(problem, opts).into_map_state())
-    }
-
-    fn solve_component(
-        &self,
-        view: &tecore_ground::ComponentView<'_>,
-        opts: &tecore_ground::SolveOpts<'_>,
-    ) -> Result<tecore_ground::MapState, tecore_ground::SolveError> {
-        let problem = SatProblem::from_owned_store(view.num_atoms(), view.to_store());
-        // The configured budgets assume whole-KG instances; a conflict
-        // component is usually tens of clauses, and spending the global
-        // stall/flip allowance on each of thousands of sub-problems
-        // would make component solving slower than one monolithic run.
-        // Scale the search effort to the sub-problem (never above the
-        // configured budgets): a few multiples of the instance size is
-        // ample for a local-conflict neighbourhood, and small instances
-        // need fewer perturbation restarts to cover their basin.
-        let size = (view.num_atoms() + view.num_clauses()) as u64;
-        let stall = (4 * size + 32).min(self.config.max_stall.unwrap_or(u64::MAX));
-        let scaled = MaxWalkSat::new(WalkSatConfig {
-            max_flips: self.config.max_flips.min(16 * size + 128),
-            max_stall: Some(stall),
-            restarts: if view.num_clauses() <= 64 {
-                self.config.restarts.min(2)
-            } else {
-                self.config.restarts
-            },
-            ..self.config.clone()
-        });
-        Ok(scaled.solve_opts(problem, opts).into_map_state())
-    }
-}
-
-impl MaxWalkSat {
-    /// Shared [`tecore_ground::MapSolver`] entry: applies the seed
-    /// override and warm start from `opts` — identical semantics for
-    /// the monolithic problem and a component sub-problem.
-    fn solve_opts(
-        &self,
-        problem: SatProblem<'_>,
-        opts: &tecore_ground::SolveOpts<'_>,
-    ) -> MapResult {
+        let config = WalkSatConfig {
+            seed: opts.seed.unwrap_or(self.config.seed),
+            ..self.config.for_size(atoms, clauses.len())
+        };
         let warm = opts.warm_start.map(|s| s.assignment.as_slice());
-        match opts.seed {
-            Some(seed) => MaxWalkSat::new(WalkSatConfig {
-                seed,
-                ..self.config.clone()
-            })
-            .solve_seeded(&problem, warm),
-            None => self.solve_seeded(&problem, warm),
-        }
+        let problem = SatProblem::from_store(atoms, clauses);
+        Ok(MaxWalkSat::new(config)
+            .solve_seeded(&problem, warm)
+            .into_map_state())
     }
 }
 
@@ -648,6 +633,32 @@ mod tests {
             walk.cost,
             exact.cost
         );
+    }
+
+    /// The one `MapSolver::solve` sizes its budgets to the instance: a
+    /// whole-KG instance runs the configured budgets unchanged — so its
+    /// search is the inherent solver's, flip for flip — and a ten-clause
+    /// one a few multiples of its size.
+    #[test]
+    fn budgets_follow_the_instance_size() {
+        let defaults = WalkSatConfig::default();
+        let large = defaults.for_size(400_000, 800_000);
+        assert_eq!(
+            (large.max_flips, large.max_stall, large.restarts),
+            (defaults.max_flips, defaults.max_stall, defaults.restarts)
+        );
+        // The smallest instance that keeps every default budget.
+        let edge = defaults.for_size(6_242 - 65, 65);
+        assert_eq!(
+            (edge.max_flips, edge.max_stall, edge.restarts),
+            (defaults.max_flips, defaults.max_stall, defaults.restarts)
+        );
+        let small = defaults.for_size(6, 10);
+        assert_eq!(
+            (small.max_flips, small.max_stall, small.restarts),
+            (16 * 16 + 128, Some(4 * 16 + 32), 2)
+        );
+        assert_eq!((small.noise, small.seed), (defaults.noise, defaults.seed));
     }
 
     fn arb_problem() -> impl Strategy<Value = SatProblem<'static>> {

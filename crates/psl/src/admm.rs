@@ -52,8 +52,6 @@ impl Default for AdmmConfig {
 pub struct PslResult {
     /// Soft truth values in `[0, 1]`.
     pub values: Vec<f64>,
-    /// Discrete rounding (filled by [`crate::solve`]).
-    pub assignment: Vec<bool>,
     /// Final convex objective value.
     pub objective: f64,
     /// Iterations of the block that needed the most.
@@ -68,8 +66,6 @@ pub struct PslResult {
     /// the work done, where `iterations × n_factors` is what one
     /// stopping rule for the whole problem would have cost.
     pub factor_updates: u64,
-    /// Hard clauses satisfied after rounding (filled by [`crate::solve`]).
-    pub feasible: bool,
     /// Wall-clock time.
     pub elapsed: Duration,
 }
@@ -108,13 +104,11 @@ impl AdmmSolver {
             return PslResult {
                 objective: mrf.objective(&values),
                 values,
-                assignment: Vec::new(),
                 iterations: 0,
                 converged: true,
                 blocks: 0,
                 blocks_capped: 0,
                 factor_updates: 0,
-                feasible: true,
                 elapsed: start.elapsed(),
             };
         }
@@ -222,13 +216,11 @@ impl AdmmSolver {
         PslResult {
             objective: mrf.objective(&x),
             values: x,
-            assignment: Vec::new(),
             iterations,
             converged: blocks_capped == 0,
             blocks: mrf.n_blocks(),
             blocks_capped,
             factor_updates,
-            feasible: false,
             elapsed: start.elapsed(),
         }
     }

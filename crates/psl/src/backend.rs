@@ -1,12 +1,12 @@
 //! The PSL substrate as a pluggable [`MapSolver`] backend.
 
 use tecore_ground::{
-    evaluate_world, ComponentView, Grounding, MapSolver, MapState, SolveError, SolveOpts,
-    SolverCaps,
+    evaluate_world, ClauseStore, MapSolver, MapState, SolveError, SolveOpts, SolverCaps,
 };
 
-use crate::admm::AdmmConfig;
-use crate::hlmrf::PslConfig;
+use crate::admm::{AdmmConfig, AdmmSolver};
+use crate::hlmrf::{HlMrf, PslConfig};
+use crate::rounding::round_assignment;
 
 /// The nPSL backend: HL-MRF construction + consensus ADMM + rounding,
 /// exposed through the backend-agnostic `MapSolver` interface.
@@ -17,16 +17,14 @@ use crate::hlmrf::PslConfig;
 /// soft truth values are passed through for confidence grading.
 #[derive(Debug, Clone, Default)]
 pub struct PslAdmm {
-    /// HL-MRF construction options.
-    pub psl: PslConfig,
     /// ADMM parameters.
     pub admm: AdmmConfig,
 }
 
 impl PslAdmm {
-    /// A backend with the given configs.
-    pub fn new(psl: PslConfig, admm: AdmmConfig) -> Self {
-        PslAdmm { psl, admm }
+    /// A backend with the given ADMM parameters.
+    pub fn new(admm: AdmmConfig) -> Self {
+        PslAdmm { admm }
     }
 }
 
@@ -38,38 +36,20 @@ impl MapSolver for PslAdmm {
     fn caps(&self) -> SolverCaps {
         SolverCaps {
             warm_start: true,
-            components: true,
             ..SolverCaps::psl()
         }
     }
 
-    fn solve(&self, grounding: &Grounding, opts: &SolveOpts<'_>) -> Result<MapState, SolveError> {
-        Ok(self.solve_clauses(grounding.num_atoms(), &grounding.clauses, opts))
-    }
-
-    fn solve_component(
+    /// HL-MRF build + warm ADMM + rounding + discrete scoring. The
+    /// solver treats the arena's independent blocks one by one, so a
+    /// component gets the same soft values alone as inside the whole
+    /// grounding.
+    fn solve(
         &self,
-        view: &ComponentView<'_>,
+        atoms: usize,
+        clauses: &ClauseStore,
         opts: &SolveOpts<'_>,
     ) -> Result<MapState, SolveError> {
-        let store = view.to_store();
-        Ok(self.solve_clauses(view.num_atoms(), &store, opts))
-    }
-}
-
-impl PslAdmm {
-    /// The shared clause-arena solve: HL-MRF build + warm ADMM +
-    /// rounding + discrete scoring, identical for the whole grounding
-    /// and a component sub-store (whose atom ids are already local).
-    /// The solver treats the arena's independent blocks one by one, so
-    /// a component gets the same soft values here as it gets inside
-    /// the whole grounding.
-    fn solve_clauses(
-        &self,
-        n_vars: usize,
-        clauses: &tecore_ground::ClauseStore,
-        opts: &SolveOpts<'_>,
-    ) -> MapState {
         // Warm-start ADMM from the previous solve's soft truth values;
         // a discrete-only previous state still helps (0/1 corners are
         // valid consensus seeds).
@@ -88,15 +68,17 @@ impl PslAdmm {
             },
             None => None,
         };
-        let result = crate::solve_store(n_vars, clauses, &self.psl, &self.admm, warm);
-        let (cost, hard_violations) = evaluate_world(clauses, &result.assignment);
-        MapState {
-            assignment: result.assignment,
+        let mrf = HlMrf::from_store(atoms, clauses, &PslConfig::default());
+        let result = AdmmSolver::new(self.admm.clone()).solve_warm(&mrf, warm);
+        let (assignment, _) = round_assignment(&mrf, &result.values);
+        let (cost, hard_violations) = evaluate_world(clauses, &assignment);
+        Ok(MapState {
+            assignment,
             cost,
             feasible: hard_violations == 0,
             active_clauses: clauses.len(),
             soft_values: Some(result.values),
-        }
+        })
     }
 }
 

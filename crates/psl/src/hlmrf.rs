@@ -11,16 +11,17 @@
 //!
 //! Beside the factors sits the **block index**: the connected
 //! components of the factor graph (variables joined through the factors
-//! that mention them). The convex program is separable over them — no
-//! term couples two blocks — so ADMM and the rounding repair both run
+//! that mention them), read off the arena by the grounder's component
+//! walk ([`Partition::of`]). The convex program is separable over them —
+//! no term couples two blocks — so ADMM and the rounding repair both run
 //! block by block ([`HlMrf::block_factors`] / [`HlMrf::block_vars`]).
 
-use tecore_ground::{ClauseStore, ClauseWeight, GroundClause, Grounding, Lit};
+use tecore_ground::{ClauseStore, ClauseWeight, GroundClause, Grounding, Lit, Partition};
 
 /// PSL construction options — none at present. Every hinge is linear
 /// (`w·max(0, d)`), which keeps a block a plain LP. The type stays so
-/// that [`HlMrf::from_grounding`] and [`crate::PslAdmm::new`] keep their
-/// signatures: `PslConfig::default()` is the one value.
+/// that [`HlMrf::from_grounding`] keeps its signature:
+/// `PslConfig::default()` is the one value.
 #[derive(Debug, Clone, Default)]
 pub struct PslConfig {}
 
@@ -150,7 +151,7 @@ impl FactorView<'_> {
 /// numbering: the factor ids and the variable ids of each connected
 /// component of the factor graph, ascending inside a block (so a
 /// block's potentials still precede its constraints). A variable no
-/// factor mentions belongs to no block.
+/// factor mentions, and a factor without terms, belong to no block.
 #[derive(Debug, Clone, Default)]
 pub struct HlMrf {
     /// Number of variables (ground atoms).
@@ -181,7 +182,7 @@ impl HlMrf {
     /// Builds from a clause store: one pass for the soft clauses, one
     /// for the hard ones, so potentials precede constraints in the
     /// factor order without any intermediate factor objects; then the
-    /// block index over the finished factors.
+    /// block index from the store's components.
     pub fn from_store(n_vars: usize, store: &ClauseStore, _config: &PslConfig) -> HlMrf {
         // The arena's literal buffer also holds retracted regions, so
         // the live literal count takes a pass of its own; with it every
@@ -198,19 +199,23 @@ impl HlMrf {
             norm2: Vec::with_capacity(factors),
             ..HlMrf::default()
         };
+        // The factor each clause slot became, for the block index.
+        let mut factor_of = vec![0u32; store.num_slots()];
         mrf.offsets.push(0);
         for c in store.iter() {
             if let ClauseWeight::Soft(w) = c.weight {
+                factor_of[c.id as usize] = mrf.constants.len() as u32;
                 mrf.push_factor(c.lits, w);
             }
         }
         mrf.n_potentials = mrf.constants.len();
         for c in store.iter() {
             if c.weight.is_hard() {
+                factor_of[c.id as usize] = mrf.constants.len() as u32;
                 mrf.push_factor(c.lits, 0.0);
             }
         }
-        mrf.index_blocks();
+        mrf.read_blocks(&Partition::of(store, n_vars), &factor_of);
         mrf
     }
 
@@ -239,57 +244,27 @@ impl HlMrf {
         self.offsets.push(self.vars.len() as u32);
     }
 
-    /// Builds the block index: union-find over the variables through
-    /// the factors' terms, then one counting sort per table. The
-    /// union-find array doubles as the block-label array, so the only
-    /// temporary is that one `u32` per variable.
-    fn index_blocks(&mut self) {
-        // Unions hang the larger root under the smaller, so a parent is
-        // never above its child and a block's root is its lowest
-        // variable. `UNSEEN` marks variables no factor mentions.
-        let mut label = vec![UNSEEN; self.n_vars];
-        for k in 0..self.n_factors() {
-            let mut root = UNSEEN;
-            for &v in self.factor(k).vars {
-                if label[v as usize] == UNSEEN {
-                    label[v as usize] = v;
-                }
-                let r = find_root(&mut label, v);
-                if root == UNSEEN {
-                    root = r;
-                } else if r != root {
-                    let (low, high) = (root.min(r), root.max(r));
-                    label[high as usize] = low;
-                    root = low;
-                }
-            }
+    /// Copies the block index out of the store's components, clause
+    /// ids turned into factor ids. A component's clauses ascend by slot,
+    /// and so do the factor ids of its soft clauses and those of its
+    /// hard ones; sorting the row puts the potentials first.
+    fn read_blocks(&mut self, blocks: &Partition, factor_of: &[u32]) {
+        self.block_var_offsets = Vec::with_capacity(blocks.len() + 1);
+        self.block_factor_offsets = Vec::with_capacity(blocks.len() + 1);
+        self.block_vars = Vec::with_capacity(self.n_vars);
+        self.block_factors = Vec::with_capacity(self.n_factors());
+        self.block_var_offsets.push(0);
+        self.block_factor_offsets.push(0);
+        for b in 0..blocks.len() {
+            self.block_vars.extend(blocks.atoms(b).iter().map(|a| a.0));
+            self.block_var_offsets.push(self.block_vars.len() as u32);
+            let from = self.block_factors.len();
+            let factors = blocks.clause_ids(b).iter().map(|&c| factor_of[c as usize]);
+            self.block_factors.extend(factors);
+            self.block_factors[from..].sort_unstable();
+            self.block_factor_offsets
+                .push(self.block_factors.len() as u32);
         }
-        // Ascending sweep from parents to labels: everything below `v`
-        // already holds its label, and `v`'s parent is below `v`.
-        let mut blocks = 0u32;
-        for v in 0..self.n_vars {
-            let parent = label[v];
-            if parent == UNSEEN {
-                continue;
-            }
-            if parent as usize == v {
-                label[v] = blocks;
-                blocks += 1;
-            } else {
-                label[v] = label[parent as usize];
-            }
-        }
-        let blocks = blocks as usize;
-        (self.block_var_offsets, self.block_vars) = group_by_block(blocks, label.iter().copied());
-        // A factor without terms touches no variable: no block.
-        let label_of = |k| {
-            self.factor(k)
-                .vars
-                .first()
-                .map_or(UNSEEN, |&v| label[v as usize])
-        };
-        let factor_labels = (0..self.n_factors()).map(label_of);
-        (self.block_factor_offsets, self.block_factors) = group_by_block(blocks, factor_labels);
     }
 
     /// Number of blocks: connected components of the factor graph that
@@ -392,46 +367,6 @@ impl HlMrf {
             .map(|k| self.factor(k).violation(x).max(0.0))
             .fold(0.0, f64::max)
     }
-}
-
-/// Union-find / block-label marker of a variable outside every block.
-const UNSEEN: u32 = u32::MAX;
-
-/// Root of `v`'s set, halving the path on the way up.
-fn find_root(parent: &mut [u32], mut v: u32) -> u32 {
-    while parent[v as usize] != v {
-        let up = parent[parent[v as usize] as usize];
-        parent[v as usize] = up;
-        v = up;
-    }
-    v
-}
-
-/// Counting sort of item ids `0..` by block label into a CSR pair
-/// `(offsets, items)`; items labelled [`UNSEEN`] are left out. The sort
-/// is stable, so ids ascend inside a block.
-fn group_by_block(
-    blocks: usize,
-    labels: impl Iterator<Item = u32> + Clone,
-) -> (Vec<u32>, Vec<u32>) {
-    let mut offsets = vec![0u32; blocks + 1];
-    for l in labels.clone().filter(|&l| l != UNSEEN) {
-        offsets[l as usize + 1] += 1;
-    }
-    for b in 0..blocks {
-        offsets[b + 1] += offsets[b];
-    }
-    let mut items = vec![0u32; offsets[blocks] as usize];
-    // Fill with each block's start as its cursor...
-    for (id, l) in labels.enumerate().filter(|&(_, l)| l != UNSEEN) {
-        let at = &mut offsets[l as usize];
-        items[*at as usize] = id as u32;
-        *at += 1;
-    }
-    // ...which leaves every start holding its block's end: shift back.
-    offsets.copy_within(0..blocks, 1);
-    offsets[0] = 0;
-    (offsets, items)
 }
 
 #[cfg(test)]
@@ -555,8 +490,8 @@ mod tests {
             hard(vec![lit(3, false), lit(5, false)]), // factor 6
         ];
         let mrf = HlMrf::from_clauses(8, &clauses, &PslConfig::default());
-        // Blocks are numbered by their lowest variable; inside one,
-        // ids ascend, so potentials precede constraints.
+        // Blocks are numbered by their first clause in the arena;
+        // inside one, ids ascend, so potentials precede constraints.
         assert_eq!(mrf.n_blocks(), 3);
         assert_eq!(mrf.block_vars(0), [1, 3, 5]);
         assert_eq!(mrf.block_factors(0), [1, 2, 4, 6]);
@@ -567,5 +502,58 @@ mod tests {
 
         let empty = HlMrf::from_clauses(3, &[], &PslConfig::default());
         assert_eq!(empty.n_blocks(), 0);
+    }
+
+    /// A clause without literals makes the arena unpartitionable for
+    /// the solve driver, but to the MRF it is a factor in no block: the
+    /// other blocks and what ADMM and the rounding make of them are
+    /// those of the arena without it.
+    #[test]
+    fn an_empty_clause_is_in_no_block() {
+        let clauses = [
+            (vec![lit(0, true)], ClauseWeight::Soft(2.0)),
+            (vec![lit(0, false), lit(1, false)], ClauseWeight::Hard),
+            (vec![lit(1, true)], ClauseWeight::Soft(0.5)),
+            (vec![lit(2, true), lit(3, false)], ClauseWeight::Soft(1.0)),
+        ];
+        let build = |with_empty: bool| {
+            let mut store = ClauseStore::new();
+            for (at, (lits, weight)) in clauses.iter().enumerate() {
+                if with_empty && at == 1 {
+                    store.push_lits(&[], ClauseWeight::Soft(1.5), ClauseOrigin::Evidence);
+                    store.push_lits(&[], ClauseWeight::Hard, ClauseOrigin::Formula(0));
+                }
+                store.push_lits(lits, *weight, ClauseOrigin::Evidence);
+            }
+            HlMrf::from_store(5, &store, &PslConfig::default())
+        };
+        let (with, without) = (build(true), build(false));
+        assert_eq!(with.n_factors(), without.n_factors() + 2);
+        assert_eq!(with.n_blocks(), 2);
+        assert_eq!(without.n_blocks(), 2);
+        for b in 0..2 {
+            assert_eq!(with.block_vars(b), without.block_vars(b));
+            let forms = |mrf: &HlMrf| -> Vec<(Vec<u32>, f64, bool)> {
+                mrf.block_factors(b)
+                    .iter()
+                    .map(|&k| {
+                        let f = mrf.factor(k as usize);
+                        (f.vars.to_vec(), f.constant, mrf.is_potential(k as usize))
+                    })
+                    .collect()
+            };
+            assert_eq!(forms(&with), forms(&without));
+        }
+        let solver = crate::AdmmSolver::new(crate::AdmmConfig::default());
+        let (a, b) = (solver.solve(&with), solver.solve(&without));
+        assert_eq!(a.values, b.values);
+        assert_eq!(
+            (a.iterations, a.factor_updates),
+            (b.iterations, b.factor_updates)
+        );
+        assert_eq!(
+            crate::round_assignment(&with, &a.values),
+            crate::round_assignment(&without, &b.values)
+        );
     }
 }

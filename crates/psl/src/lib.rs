@@ -25,14 +25,17 @@
 //! A TeCoRe grounding is separable: facts that share no conflict share
 //! no factor, so the HL-MRF falls apart into independent **blocks** —
 //! a quarter of a million facts make a couple of hundred thousand of
-//! them, most of one to three factors. The MRF indexes its blocks once
-//! and both the solver and the rounding repair walk that index: ADMM
-//! iterates each block to its own residuals (the stopping rule is per
-//! block; [`PslResult::iterations`] is the slowest block's count and
-//! [`PslResult::factor_updates`] the work actually done), rounding
-//! repairs each block against its own constraints. The whole arena and
-//! a single component handed over as a sub-store run the same code —
-//! a one-block problem is the plain loop.
+//! them, most of one to three factors. The MRF reads its blocks off the
+//! arena with the grounder's component walk
+//! ([`tecore_ground::Partition::of`], the same walk the solve driver
+//! partitions with), and both the solver and the rounding repair walk
+//! that index: ADMM iterates each block to its own residuals (the
+//! stopping rule is per block; [`PslResult::iterations`] is the slowest
+//! block's count and [`PslResult::factor_updates`] the work actually
+//! done), rounding repairs each block against its own constraints. The
+//! backend solves whatever arena it is handed — the whole grounding or
+//! one component the driver copied out — with the same code, and a
+//! one-block problem is the plain loop.
 
 #![forbid(unsafe_code)]
 
@@ -45,41 +48,3 @@ pub use admm::{AdmmConfig, AdmmSolver, PslResult};
 pub use backend::PslAdmm;
 pub use hlmrf::{HingePotential, HlMrf, LinearConstraint, PslConfig};
 pub use rounding::round_assignment;
-
-use tecore_ground::Grounding;
-
-/// End-to-end PSL MAP inference over a grounding: build the HL-MRF, run
-/// ADMM, round to a discrete world (repairing hard-clause violations).
-pub fn solve(grounding: &Grounding, psl: &PslConfig, admm: &AdmmConfig) -> PslResult {
-    solve_warm(grounding, psl, admm, None)
-}
-
-/// [`solve`] with ADMM's consensus vector seeded from a previous
-/// solution's soft truth values (see [`AdmmSolver::solve_warm`]).
-pub fn solve_warm(
-    grounding: &Grounding,
-    psl: &PslConfig,
-    admm: &AdmmConfig,
-    warm: Option<&[f64]>,
-) -> PslResult {
-    solve_store(grounding.num_atoms(), &grounding.clauses, psl, admm, warm)
-}
-
-/// The store-level solve both entry points share: build the HL-MRF
-/// straight from a clause arena, run ADMM, round. Used by the
-/// monolithic path (the grounding's arena) and by the component-wise
-/// path (a compacted per-component sub-store in local atom ids).
-pub fn solve_store(
-    n_vars: usize,
-    clauses: &tecore_ground::ClauseStore,
-    psl: &PslConfig,
-    admm: &AdmmConfig,
-    warm: Option<&[f64]>,
-) -> PslResult {
-    let mrf = HlMrf::from_store(n_vars, clauses, psl);
-    let mut result = AdmmSolver::new(admm.clone()).solve_warm(&mrf, warm);
-    let (assignment, feasible) = round_assignment(&mrf, &result.values);
-    result.assignment = assignment;
-    result.feasible = feasible;
-    result
-}

@@ -10,7 +10,7 @@
 //! per-component optima compose into the global optimum — never a
 //! different repair, surviving KG, or derived-fact set.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
@@ -18,8 +18,8 @@ use tecore_core::registry::SolverRegistry;
 use tecore_core::resolution::Resolution;
 use tecore_core::{Engine, SolverHandle, TecoreConfig};
 use tecore_ground::{
-    evaluate_world, ground, AtomId, ClauseId, ComponentMode, ComponentView, GroundConfig,
-    Grounding, MapSolver, MapState, Partition, SolveError, SolveOpts, SolverCaps,
+    evaluate_world, ground, AtomId, ClauseId, ClauseStore, ComponentMode, GroundConfig, MapSolver,
+    MapState, Partition, SolveError, SolveOpts, SolverCaps,
 };
 use tecore_kg::{FactId, UtkGraph};
 use tecore_logic::LogicProgram;
@@ -635,12 +635,12 @@ fn auto_mode_falls_back_on_single_component() {
     assert_eq!(snapshot.stats.conflicting_facts, 1);
 }
 
-/// `psl-admm`, recording the soft truth value it returns for every
-/// atom it is handed — whole grounding or component by component.
+/// `psl-admm`, recording the soft truth values of every solve it is
+/// handed — the whole grounding or one component — in call order.
 #[derive(Debug)]
 struct RecordingPsl {
     inner: tecore_psl::PslAdmm,
-    soft: Arc<Mutex<BTreeMap<AtomId, f64>>>,
+    soft: Arc<Mutex<Vec<Vec<f64>>>>,
 }
 
 impl MapSolver for RecordingPsl {
@@ -652,23 +652,15 @@ impl MapSolver for RecordingPsl {
         self.inner.caps()
     }
 
-    fn solve(&self, grounding: &Grounding, opts: &SolveOpts<'_>) -> Result<MapState, SolveError> {
-        let state = self.inner.solve(grounding, opts)?;
-        let values = state.soft_values.as_ref().expect("psl grades every atom");
-        let mut soft = self.soft.lock().expect("single-threaded test");
-        soft.extend((0u32..).map(AtomId).zip(values.iter().copied()));
-        Ok(state)
-    }
-
-    fn solve_component(
+    fn solve(
         &self,
-        view: &ComponentView<'_>,
+        atoms: usize,
+        clauses: &ClauseStore,
         opts: &SolveOpts<'_>,
     ) -> Result<MapState, SolveError> {
-        let state = self.inner.solve_component(view, opts)?;
-        let values = state.soft_values.as_ref().expect("psl grades every atom");
-        let mut soft = self.soft.lock().expect("single-threaded test");
-        soft.extend(view.atoms().iter().copied().zip(values.iter().copied()));
+        let state = self.inner.solve(atoms, clauses, opts)?;
+        let values = state.soft_values.clone().expect("psl grades every atom");
+        self.soft.lock().expect("single-threaded test").push(values);
         Ok(state)
     }
 }
@@ -685,7 +677,7 @@ proptest! {
     fn psl_soft_values_agree_across_component_modes(facts in arb_facts()) {
         let graph = build_graph(&facts);
         let soft_values = |mode: ComponentMode| {
-            let soft = Arc::new(Mutex::new(BTreeMap::new()));
+            let soft = Arc::new(Mutex::new(Vec::new()));
             let solver = RecordingPsl {
                 inner: tecore_psl::PslAdmm::default(),
                 soft: Arc::clone(&soft),
@@ -707,14 +699,21 @@ proptest! {
         let (monolithic, no_components) = soft_values(ComponentMode::Monolithic);
         let (by_components, components) = soft_values(ComponentMode::Components);
         prop_assert_eq!(no_components, 0);
-        prop_assert!(components > 0 && !by_components.is_empty());
+        prop_assert_eq!(monolithic.len(), 1);
+        // The driver solves the components of a cold full pass in order.
+        let mut grounding = ground(&graph, &program(), &GroundConfig::default()).expect("grounds");
+        let partition = grounding.partition_components();
+        prop_assert!(components > 0);
+        prop_assert_eq!(by_components.len(), partition.len());
         // Every atom of a component is an atom of the whole grounding.
-        for (atom, value) in &by_components {
-            let whole = monolithic[atom];
-            prop_assert!(
-                (value - whole).abs() <= 1e-12,
-                "atom {:?}: {} by components, {} monolithic", atom, value, whole
-            );
+        for (comp, values) in by_components.iter().enumerate() {
+            for (&atom, value) in partition.atoms(comp).iter().zip(values) {
+                let whole = monolithic[0][atom.index()];
+                prop_assert!(
+                    (value - whole).abs() <= 1e-12,
+                    "atom {:?}: {} by components, {} monolithic", atom, value, whole
+                );
+            }
         }
     }
 }
