@@ -28,7 +28,9 @@
 //!
 //! The three dictionaries involved number their terms independently
 //! once they exist (the graph's, the grounding's, the view's), so facts
-//! cross between them by string.
+//! cross between them by string — except from the graph into its
+//! grounding, which keeps a graph → grounding symbol table and
+//! resolves a term by string only the first time a delta brings it.
 
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::Arc;
@@ -850,6 +852,35 @@ mod tests {
             splice(&mut spliced, &drop, add);
             prop_assert_eq!(spliced, model);
         }
+    }
+
+    /// The map spans from the first live fact to the arena's end, also
+    /// once FIFO expiry has emptied the graph and facts came back.
+    #[test]
+    fn fact_ids_span_from_the_first_live_fact() {
+        let mut graph = UtkGraph::new();
+        let spell = tecore_temporal::Interval::new(2000, 2004).unwrap();
+        let ids: Vec<FactId> = (0..6)
+            .map(|i| {
+                graph
+                    .insert("CR", "coach", &format!("c{i}"), spell, 0.9)
+                    .unwrap()
+            })
+            .collect();
+        for &id in &ids[..3] {
+            graph.remove(id).unwrap();
+        }
+        let span = FactIds::spanning(&graph);
+        assert_eq!((span.first, span.ids.len()), (3, 3));
+        // The first live fact goes after a later one.
+        graph.remove(ids[4]).unwrap();
+        graph.remove(ids[3]).unwrap();
+        assert_eq!(FactIds::spanning(&graph).first, 5);
+        graph.remove(ids[5]).unwrap();
+        assert!(FactIds::spanning(&graph).is_empty());
+        let back = graph.insert("CR", "coach", "c6", spell, 0.9).unwrap();
+        let span = FactIds::spanning(&graph);
+        assert_eq!((span.first, span.ids.len()), (back.index(), 1));
     }
 
     /// A snapshot whose view is built, as the engine publishes them.

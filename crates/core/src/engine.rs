@@ -362,6 +362,10 @@ pub struct Engine {
     /// was truncated past the cached epoch (surfaced in
     /// [`DebugStats::fallback_regrounds`](crate::stats::DebugStats)).
     fallback_regrounds: u64,
+    /// Times the incremental path re-grounded to compact dead atoms
+    /// (surfaced in
+    /// [`DebugStats::compaction_regrounds`](crate::stats::DebugStats)).
+    compaction_regrounds: u64,
 }
 
 impl Clone for Engine {
@@ -377,6 +381,7 @@ impl Clone for Engine {
             latest: self.latest.clone(),
             wal: None,
             fallback_regrounds: self.fallback_regrounds,
+            compaction_regrounds: self.compaction_regrounds,
         }
     }
 }
@@ -397,6 +402,7 @@ impl Engine {
             latest: None,
             wal: None,
             fallback_regrounds: 0,
+            compaction_regrounds: 0,
         }
     }
 
@@ -757,6 +763,7 @@ impl Engine {
         // state and the carried snapshot's maps are void.
         let dead = engine.grounding.store.dead_count();
         if dead > 64 && dead * 2 > engine.grounding.num_atoms() {
+            self.compaction_regrounds += 1;
             engine = EngineState::cold(translate(self)?);
         }
         // The cache has consumed the history; keep the log bounded.
@@ -827,6 +834,7 @@ impl Engine {
         resolution.stats.components_solved = outcome.components_solved;
         resolution.stats.partition_atoms_visited = outcome.atoms_visited;
         resolution.stats.fallback_regrounds = self.fallback_regrounds;
+        resolution.stats.compaction_regrounds = self.compaction_regrounds;
         let epoch = self.graph.epoch();
         let snapshot = Arc::new(match view {
             Some((expanded, index)) => Snapshot::prebuilt(resolution, epoch, expanded, index),

@@ -56,6 +56,12 @@ pub struct DebugStats {
     /// truncates the log faster than the engine resolves — correct but
     /// silently expensive, which is why it is surfaced here.
     pub fallback_regrounds: u64,
+    /// Times this engine's incremental path re-grounded from scratch to
+    /// compact its grounding, once dead atoms (facts retracted since
+    /// the last cold grounding) made up more than half of it
+    /// (cumulative over the engine's lifetime; `0` on the batch path).
+    /// The resolve after each one solves every component again.
+    pub compaction_regrounds: u64,
     /// Violated-constraint groundings observed per constraint name.
     pub per_constraint: Vec<(String, usize)>,
     /// Backend identifier (`"mln-exact"`, `"mln-cpi"`, `"psl-admm"`,
@@ -125,6 +131,9 @@ impl fmt::Display for DebugStats {
         }
         if self.fallback_regrounds > 0 {
             writeln!(f, "fallback regrounds : {}", self.fallback_regrounds)?;
+        }
+        if self.compaction_regrounds > 0 {
+            writeln!(f, "compact regrounds  : {}", self.compaction_regrounds)?;
         }
         writeln!(f, "feasible           : {}", self.feasible)?;
         writeln!(f, "map cost           : {:.4}", self.cost)?;

@@ -110,6 +110,8 @@ pub struct Grounding {
     pub clauses: ClauseStore,
     /// Dictionary covering the graph *and* head constants.
     pub dict: Dictionary,
+    /// Graph symbol → symbol of `dict`, for the facts deltas add.
+    pub(crate) symbols: crate::incremental::SymbolMap,
     /// The compiled program (what deltas re-match and explanations
     /// name constraints from).
     pub program: CompiledProgram,
@@ -232,6 +234,7 @@ pub fn ground(
 ) -> Result<Grounding, LogicError> {
     let start = Instant::now();
     let mut dict = graph.dict().clone();
+    let symbols = crate::incremental::SymbolMap::shared_below(dict.len());
     let mut compiled = CompiledProgram::compile(program, &mut dict)?;
     // Re-plan join orders from the graph's live cardinalities before
     // any matching happens. Any plan grounds the same clause multiset
@@ -343,6 +346,7 @@ pub fn ground(
         store,
         clauses,
         dict,
+        symbols,
         program: compiled,
         fact_atoms,
         stats,

@@ -35,7 +35,7 @@
 use std::time::{Duration, Instant};
 
 use tecore_kg::fxhash::{FxHashMap, FxHashSet};
-use tecore_kg::{Delta, UtkGraph};
+use tecore_kg::{Delta, Symbol, UtkGraph};
 use tecore_logic::formula::Weight;
 
 use crate::atoms::{AtomId, AtomKind};
@@ -96,12 +96,43 @@ pub struct DeltaChanges {
     pub elapsed: Duration,
 }
 
+/// Graph symbol → grounding symbol. [`crate::ground`] starts the
+/// grounding's dictionary as a clone of the graph's, so below the
+/// length the graph's had then the two number their terms alike and
+/// the map is the identity; a term the graph interned later may number
+/// differently (the grounding appended its head constants there), and
+/// is resolved by string the first time a delta meets it.
+#[derive(Debug, Clone)]
+pub(crate) struct SymbolMap {
+    /// The graph dictionary's length when the grounding was built.
+    shared: u32,
+    /// `later[g - shared]` for graph symbol `g`, `UNMAPPED` until met.
+    later: Vec<Symbol>,
+}
+
+impl SymbolMap {
+    const UNMAPPED: Symbol = Symbol(u32::MAX);
+
+    /// The identity below `len` graph symbols.
+    pub(crate) fn shared_below(len: usize) -> Self {
+        SymbolMap {
+            shared: u32::try_from(len).expect("dictionary overflow (>4G terms)"),
+            later: Vec::new(),
+        }
+    }
+}
+
 impl Grounding {
     /// Updates the materialised grounding to reflect `delta`, re-running
     /// the binding search only around the changed facts.
     ///
-    /// `graph` must be the graph at `delta.to_epoch` and `config` the
-    /// configuration the grounding was built with.
+    /// `graph` must be the graph the grounding was built from, now at
+    /// `delta.to_epoch`, and `config` the configuration the grounding
+    /// was built with. The fact → atom table is keyed by that graph's
+    /// fact ids, and its terms are mapped into the grounding's
+    /// dictionary by that graph's symbols: below the dictionary length
+    /// it had when grounded the two dictionaries agree, and a term
+    /// interned since is looked up by string once.
     ///
     /// # Panics
     ///
@@ -192,9 +223,9 @@ impl Grounding {
             // Re-map the fact's terms into the grounding dictionary: the
             // graph may have interned new terms after grounding appended
             // its head constants, so raw symbol ids can collide.
-            let s = self.dict.intern(graph.dict().resolve(fact.subject));
-            let p = self.dict.intern(graph.dict().resolve(fact.predicate));
-            let o = self.dict.intern(graph.dict().resolve(fact.object));
+            let s = self.grounding_symbol(graph, fact.subject);
+            let p = self.grounding_symbol(graph, fact.predicate);
+            let o = self.grounding_symbol(graph, fact.object);
             let log_odds = fact.confidence.log_odds();
             let existing = self.store.lookup(s, p, o, fact.interval);
             let was_alive = existing.is_some_and(|id| self.store.is_alive(id));
@@ -233,19 +264,22 @@ impl Grounding {
         // otherwise a cached per-component warm state can go stale
         // (see `Delta::churned`). Terms are *looked up*, never
         // interned: a netted fact must not grow the dictionary. ---
-        if let Some(index) = &mut self.components {
+        if self.components.is_some() {
             for &fid in &delta.churned {
                 let Some(fact) = graph.arena_fact(fid) else {
                     continue;
                 };
                 let (Some(s), Some(p), Some(o)) = (
-                    self.dict.lookup(graph.dict().resolve(fact.subject)),
-                    self.dict.lookup(graph.dict().resolve(fact.predicate)),
-                    self.dict.lookup(graph.dict().resolve(fact.object)),
+                    self.known_symbol(graph, fact.subject),
+                    self.known_symbol(graph, fact.predicate),
+                    self.known_symbol(graph, fact.object),
                 ) else {
                     continue;
                 };
-                if let Some(aid) = self.store.lookup(s, p, o, fact.interval) {
+                if let (Some(aid), Some(index)) = (
+                    self.store.lookup(s, p, o, fact.interval),
+                    self.components.as_mut(),
+                ) {
                     index.note_touched(aid);
                 }
             }
@@ -338,6 +372,40 @@ impl Grounding {
         stats.elapsed = start.elapsed();
         self.changes.elapsed += stats.elapsed;
         stats
+    }
+
+    /// The symbol of graph term `sym` in this grounding's dictionary,
+    /// interning the term the first time a delta brings it.
+    fn grounding_symbol(&mut self, graph: &UtkGraph, sym: Symbol) -> Symbol {
+        let mapped = match sym.0.checked_sub(self.symbols.shared) {
+            None => sym,
+            Some(later) => {
+                let later = later as usize;
+                if self.symbols.later.len() <= later {
+                    self.symbols.later.resize(later + 1, SymbolMap::UNMAPPED);
+                }
+                let slot = &mut self.symbols.later[later];
+                if *slot == SymbolMap::UNMAPPED {
+                    *slot = self.dict.intern(graph.dict().resolve(sym));
+                }
+                *slot
+            }
+        };
+        debug_assert_eq!(self.dict.resolve(mapped), graph.dict().resolve(sym));
+        mapped
+    }
+
+    /// [`Grounding::grounding_symbol`] for a term the grounding may not
+    /// know, without interning it: `None` when the dictionary has no
+    /// such term.
+    fn known_symbol(&self, graph: &UtkGraph, sym: Symbol) -> Option<Symbol> {
+        let Some(later) = sym.0.checked_sub(self.symbols.shared) else {
+            return Some(sym);
+        };
+        match self.symbols.later.get(later as usize) {
+            Some(&mapped) if mapped != SymbolMap::UNMAPPED => Some(mapped),
+            _ => self.dict.lookup(graph.dict().resolve(sym)),
+        }
     }
 
     /// Hands over what the deltas since the previous call changed, and
@@ -679,6 +747,55 @@ mod tests {
             .unwrap();
         graph
             .insert("Eriksson", "coach", "England", iv(2001, 2006), 0.8)
+            .unwrap();
+        assert_matches_cold(&mut g, &mut graph, &config);
+    }
+
+    #[test]
+    fn graph_symbols_past_the_grounded_dictionary_map_by_term() {
+        // The grounding appends the program's constants the graph lacks
+        // (`worksFor`, `coach`) after the graph's terms; the terms the
+        // graph interns afterwards get those very numbers on its side.
+        let mut graph = parse_graph("(CR, playsFor, Palermo, [1984,1986]) 0.5\n").unwrap();
+        let config = GroundConfig::default();
+        let mut g = ground(&graph, &program(), &config).unwrap();
+        let shared = graph.dict().len();
+        assert_eq!(g.dict.resolve(tecore_kg::Symbol(shared as u32)), "worksFor");
+
+        // Fresh subject and object: their graph symbols are the
+        // grounding's `worksFor` and `coach`.
+        graph
+            .insert("Eriksson", "playsFor", "Lazio", iv(1997, 2001), 0.9)
+            .unwrap();
+        let eriksson = graph.dict().lookup("Eriksson").unwrap();
+        assert_eq!(g.dict.resolve(eriksson), "worksFor", "the numbers collide");
+        assert_matches_cold(&mut g, &mut graph, &config);
+
+        // Later deltas reuse the mapped terms and add terms the
+        // grounding already holds under another number: the graph's
+        // `coach` and `worksFor` are new to the graph, not to the
+        // grounding. An asserted `worksFor` merges with the derived one.
+        graph
+            .insert("Eriksson", "coach", "England", iv(2001, 2006), 0.8)
+            .unwrap();
+        graph
+            .insert("Eriksson", "coach", "Lazio", iv(1997, 2002), 0.7)
+            .unwrap();
+        graph
+            .insert("Eriksson", "worksFor", "Lazio", iv(1997, 2001), 0.6)
+            .unwrap();
+        assert_matches_cold(&mut g, &mut graph, &config);
+        let coach = graph.dict().lookup("coach").unwrap();
+        assert!(coach.index() >= shared);
+        assert_ne!(g.dict.lookup("coach"), Some(coach), "coach numbers apart");
+
+        let lazio_spell = graph
+            .statement_ids("Eriksson", "coach", "Lazio")
+            .pop()
+            .unwrap();
+        graph.remove(lazio_spell).unwrap();
+        graph
+            .insert("Mancini", "playsFor", "Lazio", iv(1997, 2001), 0.9)
             .unwrap();
         assert_matches_cold(&mut g, &mut graph, &config);
     }

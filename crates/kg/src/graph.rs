@@ -41,6 +41,12 @@ pub struct UtkGraph {
     facts: Vec<TemporalFact>,
     alive: Vec<bool>,
     live_count: usize,
+    /// The oldest live slot (`facts.len()` when none is): every slot
+    /// below it is a tombstone, so walks over the live facts start
+    /// here. Ids are never reused, so it only moves forward — a stream
+    /// window's graph, whose arena is mostly expired facts, is walked
+    /// in the size of its window.
+    first_live: usize,
     by_predicate: FxHashMap<Symbol, Vec<FactId>>,
     by_subject_predicate: FxHashMap<(Symbol, Symbol), Vec<FactId>>,
     /// Bumped on every mutation; `0` for a fresh graph.
@@ -167,6 +173,12 @@ impl UtkGraph {
             Some(slot) if *slot => {
                 *slot = false;
                 self.live_count -= 1;
+                if id.index() == self.first_live {
+                    self.first_live += self.alive[self.first_live..]
+                        .iter()
+                        .position(|&alive| alive)
+                        .unwrap_or(self.alive.len() - self.first_live);
+                }
                 let fact = self.facts[id.index()];
                 self.cards.retract(&fact);
                 self.epoch += 1;
@@ -238,13 +250,16 @@ impl UtkGraph {
         self.log_start = epoch;
     }
 
-    /// Iterates over `(FactId, &TemporalFact)` for all live facts.
+    /// Iterates over `(FactId, &TemporalFact)` for all live facts, in
+    /// id order, starting at the oldest live slot.
     pub fn iter(&self) -> impl Iterator<Item = (FactId, &TemporalFact)> {
-        self.facts
+        let first = self.first_live;
+        self.facts[first..]
             .iter()
-            .enumerate()
-            .filter(|(i, _)| self.alive[*i])
-            .map(|(i, f)| (FactId(i as u32), f))
+            .zip(&self.alive[first..])
+            .zip(first..)
+            .filter(|&((_, &alive), _)| alive)
+            .map(|((f, _), i)| (FactId(i as u32), f))
     }
 
     /// Live facts with the given predicate.
@@ -369,6 +384,7 @@ impl UtkGraph {
             g.insert_fact(TemporalFact::new(s, p, o, interval, confidence));
         }
         g.fill_tombstones(arena_len);
+        g.first_live = g.alive.iter().position(|&alive| alive).unwrap_or(arena_len);
         g.epoch = epoch;
         g.log.clear();
         g.log_start = epoch;
@@ -450,6 +466,7 @@ impl UtkGraph {
             dict: self.dict.clone(),
             alive: vec![true; kept],
             live_count: kept,
+            first_live: 0,
             facts,
             by_predicate,
             by_subject_predicate,
@@ -731,6 +748,60 @@ mod tests {
             prop_assert!(copy.since(copy.epoch()).unwrap().is_empty());
             if copy.epoch() > 0 {
                 prop_assert!(copy.since(copy.epoch() - 1).is_none());
+            }
+        }
+
+        /// Walks start at the oldest live slot. Under FIFO expiry (the
+        /// oldest fact first, several at once), removals behind the
+        /// oldest fact that leave it for last, and inserts after
+        /// everything expired, `iter()` is a brute filter over the
+        /// arena after every step, and its first id is the first live
+        /// one — where `FactIds::spanning` and `AtomStore::from_graph`
+        /// start their tables.
+        #[test]
+        fn iter_starts_at_the_first_live_slot(
+            ops in prop::collection::vec((0u8..5, 0usize..8), 1..80),
+        ) {
+            let mut g = UtkGraph::new();
+            for (step, (op, k)) in ops.into_iter().enumerate() {
+                let live: Vec<FactId> = (0..g.arena_len() as u32)
+                    .map(FactId)
+                    .filter(|&id| g.is_alive(id))
+                    .collect();
+                match op {
+                    // Insert (twice as likely as each removal kind).
+                    0 | 1 => {
+                        g.insert(&format!("s{k}"), "p", "o", iv(step as i64, step as i64 + 1), 0.5)
+                            .unwrap();
+                    }
+                    // FIFO: the oldest live fact.
+                    2 if !live.is_empty() => {
+                        g.remove(live[0]).unwrap();
+                    }
+                    // Any live fact, the oldest included.
+                    3 if !live.is_empty() => {
+                        g.remove(live[k % live.len()]).unwrap();
+                    }
+                    // A slide: the `k` oldest live facts at once.
+                    4 => {
+                        for &id in live.iter().take(k) {
+                            g.remove(id).unwrap();
+                        }
+                    }
+                    _ => {}
+                }
+                let brute: Vec<(FactId, TemporalFact)> = (0..g.arena_len() as u32)
+                    .map(FactId)
+                    .filter(|&id| g.is_alive(id))
+                    .map(|id| (id, *g.arena_fact(id).unwrap()))
+                    .collect();
+                let walked: Vec<(FactId, TemporalFact)> =
+                    g.iter().map(|(id, f)| (id, *f)).collect();
+                prop_assert_eq!(&walked, &brute);
+                prop_assert_eq!(walked.len(), g.len());
+                let first = brute.first().map_or(g.arena_len(), |(id, _)| id.index());
+                prop_assert_eq!(g.first_live, first);
+                prop_assert_eq!(g.iter().next().map(|(id, _)| id.index()), brute.first().map(|(id, _)| id.index()));
             }
         }
 

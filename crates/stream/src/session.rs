@@ -27,35 +27,37 @@
 //!   watermark (that is what lateness buys).
 //! - An event identical to a buffered or live one (same time, triple,
 //!   validity and confidence) is a **duplicate** (dropped, counted).
+//!   An event's identity is forgotten when it expires (the same event
+//!   pushed after that is late).
 //! - A boundary that would neither admit nor expire anything is
 //!   *skipped* (counted, no re-solve, no query evaluation) — silent
 //!   stream gaps cost nothing.
+//!
+//! ## Terms as symbols
+//!
+//! A push that is not late interns the event's three terms into the
+//! engine graph's dictionary once. The duplicate keys are those
+//! symbols; expiry and admission work in fact ids and keys, and the
+//! event's own strings move into the admitting [`EditBatch`] — no term
+//! is copied or hashed as a string after the push. Terms are numbered
+//! in arrival order (a buffered event's before its fact exists), so a
+//! graph recovered from a write-ahead log, which interns in insert
+//! order, may number them differently: the keys live only in the
+//! session, and a session over a recovered engine starts empty.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use tecore_core::{EditBatch, Engine, Snapshot};
-use tecore_kg::{Confidence, FactId, FxHashMap, StreamEvent};
+use tecore_kg::{Confidence, FactId, FxHashSet, StreamEvent, Symbol};
 
 use crate::query::{ContinuousQuery, QueryId, QuerySpec, WindowSink};
 use crate::window::{StreamError, WindowSpec};
 
-/// Duplicate-suppression key: the full event identity (confidence
-/// compared bitwise).
-type EventKey = (i64, String, String, String, i64, i64, u64);
-
-fn event_key(ev: &StreamEvent) -> EventKey {
-    (
-        ev.time,
-        ev.subject.clone(),
-        ev.predicate.clone(),
-        ev.object.clone(),
-        ev.interval.start().value(),
-        ev.interval.end().value(),
-        ev.confidence.to_bits(),
-    )
-}
+/// Duplicate-suppression key: the full event identity, its terms as
+/// the engine graph's symbols (confidence compared bitwise).
+type EventKey = (i64, Symbol, Symbol, Symbol, i64, i64, u64);
 
 /// Per-fire statistics: what one window boundary cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,13 +151,14 @@ pub struct StreamSession {
     max_seen: Option<i64>,
     /// The last fired (or skipped) boundary; next due is `+ slide`.
     fired_through: Option<i64>,
-    /// Buffered events not yet admitted, keyed by event time.
-    pending: BTreeMap<i64, Vec<StreamEvent>>,
+    /// Buffered events not yet admitted, keyed by event time; each
+    /// keeps its terms until they move into the admitting batch.
+    pending: BTreeMap<i64, Vec<(StreamEvent, EventKey)>>,
     pending_len: usize,
     /// Stream-admitted live facts, keyed by event time (for expiry).
-    live: BTreeMap<i64, Vec<(FactId, StreamEvent)>>,
+    live: BTreeMap<i64, Vec<(FactId, EventKey)>>,
     /// Duplicate suppression over pending + live events.
-    seen: FxHashMap<EventKey, u32>,
+    seen: FxHashSet<EventKey>,
     queries: Vec<ContinuousQuery>,
     next_query: u64,
     totals: StreamTotals,
@@ -197,7 +200,7 @@ impl StreamSession {
             pending: BTreeMap::new(),
             pending_len: 0,
             live: BTreeMap::new(),
-            seen: FxHashMap::default(),
+            seen: FxHashSet::default(),
             queries: Vec::new(),
             next_query: 0,
             totals: StreamTotals::default(),
@@ -292,15 +295,26 @@ impl StreamSession {
                 return Ok(Vec::new());
             }
         }
-        let count = self.seen.entry(event_key(&event)).or_insert(0);
-        if *count > 0 {
+        let dict = self.engine.graph_mut().dict_mut();
+        let key = (
+            event.time,
+            dict.intern(&event.subject),
+            dict.intern(&event.predicate),
+            dict.intern(&event.object),
+            event.interval.start().value(),
+            event.interval.end().value(),
+            event.confidence.to_bits(),
+        );
+        if !self.seen.insert(key) {
             self.dups_since_fire += 1;
             self.totals.duplicates_dropped += 1;
             return Ok(Vec::new());
         }
-        *count += 1;
         self.max_seen = Some(self.max_seen.map_or(event.time, |m| m.max(event.time)));
-        self.pending.entry(event.time).or_default().push(event);
+        self.pending
+            .entry(event.time)
+            .or_default()
+            .push((event, key));
         self.pending_len += 1;
         self.fire_due()
     }
@@ -372,54 +386,44 @@ impl StreamSession {
     fn fire(&mut self, end: i64, watermark: i64) -> Result<WindowFire, StreamError> {
         let start = self.spec.start_of(end);
 
-        // Collect admissions: every buffered event behind the boundary.
-        // (Events behind `start` cannot exist here: they would have
-        // been admitted by an earlier fire or dropped as late.)
-        let admit_keys: Vec<i64> = self.pending.range(..end).map(|(&t, _)| t).collect();
-        let mut admit: Vec<StreamEvent> = Vec::new();
-        for t in admit_keys {
-            if let Some(events) = self.pending.remove(&t) {
-                admit.extend(events);
-            }
-        }
-        self.pending_len -= admit.len();
-
-        // Collect expiries: live stream facts that slid out of the
-        // window. Re-check liveness — an out-of-band edit may already
-        // have removed the fact.
-        let expire_keys: Vec<i64> = self.live.range(..start).map(|(&t, _)| t).collect();
-        let mut expire: Vec<FactId> = Vec::new();
-        for t in expire_keys {
-            if let Some(entries) = self.live.remove(&t) {
-                for (id, ev) in entries {
-                    if self.engine.graph().is_alive(id) {
-                        expire.push(id);
-                    }
-                    if let Some(count) = self.seen.get_mut(&event_key(&ev)) {
-                        *count = count.saturating_sub(1);
-                        if *count == 0 {
-                            self.seen.remove(&event_key(&ev));
-                        }
-                    }
-                }
-            }
-        }
-
         // One batch → one netted delta → one journal group → one
         // incremental re-solve.
         let mut batch = EditBatch::new();
-        for &id in &expire {
-            batch = batch.remove(id);
+
+        // Expiries: live stream facts that slid out of the window,
+        // releasing their keys. Re-check liveness — an out-of-band edit
+        // may already have removed the fact.
+        let later = self.live.split_off(&start);
+        let mut expired = 0;
+        for (id, key) in std::mem::replace(&mut self.live, later)
+            .into_values()
+            .flatten()
+        {
+            if self.engine.graph().is_alive(id) {
+                batch = batch.remove(id);
+                expired += 1;
+            }
+            self.seen.remove(&key);
         }
-        for ev in &admit {
+
+        // Admissions: every buffered event behind the boundary, its
+        // terms moved into the batch. (Events behind `start` cannot
+        // exist here: they would have been admitted by an earlier fire
+        // or dropped as late.)
+        let later = self.pending.split_off(&end);
+        let admit = std::mem::replace(&mut self.pending, later);
+        let mut keys = Vec::new();
+        for (ev, key) in admit.into_values().flatten() {
             batch = batch.insert(
-                ev.subject.as_str(),
-                ev.predicate.as_str(),
-                ev.object.as_str(),
+                ev.subject,
+                ev.predicate,
+                ev.object,
                 ev.interval,
                 ev.confidence,
             );
+            keys.push(key);
         }
+        self.pending_len -= keys.len();
         let report = self.engine.apply(&batch);
         if report.wal_failed() {
             return match report.into_result() {
@@ -431,16 +435,11 @@ impl StreamSession {
         }
         // Confidence was validated at push and expiries were
         // liveness-checked, so every op applied.
-        let inserted: Vec<FactId> = report.inserted_ids().collect();
-        debug_assert_eq!(inserted.len(), admit.len());
-        for (ev, id) in admit.iter().zip(inserted.iter()) {
-            self.live
-                .entry(ev.time)
-                .or_default()
-                .push((*id, ev.clone()));
+        debug_assert_eq!(report.inserted_ids().count(), keys.len());
+        let admitted = keys.len();
+        for (id, key) in report.inserted_ids().zip(keys) {
+            self.live.entry(key.0).or_default().push((id, key));
         }
-        let admitted = admit.len();
-        let expired = expire.len();
 
         let t0 = Instant::now();
         let snapshot = self.engine.resolve_incremental()?;
@@ -471,5 +470,53 @@ impl StreamSession {
         }
 
         Ok(WindowFire { stats, snapshot })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tecore_kg::UtkGraph;
+    use tecore_logic::LogicProgram;
+    use tecore_temporal::Interval;
+
+    fn event(t: i64, object: &str) -> StreamEvent {
+        let spell = Interval::new(2000, 2004).unwrap();
+        StreamEvent::new(t, "CR", "coach", object, spell, 0.9)
+    }
+
+    /// The session holds one key per buffered or live event and drops
+    /// it when the event expires — also when the fact was removed out
+    /// of band first — so its key set is the size of its window.
+    #[test]
+    fn keys_are_released_at_expiry() {
+        let program = LogicProgram::parse(
+            "c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf",
+        )
+        .unwrap();
+        let engine = Engine::new(UtkGraph::new(), program);
+        let mut session = StreamSession::new(engine, WindowSpec::tumbling(10).unwrap());
+        session.push(event(1, "Chelsea")).unwrap();
+        session.push(event(2, "Napoli")).unwrap();
+        session.push(event(2, "Napoli")).unwrap();
+        assert_eq!(session.seen.len(), 2, "a duplicate adds no key");
+        session.advance_watermark(10).unwrap();
+        assert_eq!(session.seen.len(), 2, "admitted events keep theirs");
+
+        let napoli = session
+            .engine()
+            .graph()
+            .statement_ids("CR", "coach", "Napoli")[0];
+        session.engine_mut().remove_fact(napoli).unwrap();
+        session.push(event(12, "Roma")).unwrap();
+        session.advance_watermark(20).unwrap();
+        assert_eq!(session.seen.len(), 1, "both expired keys released");
+        session.drain().unwrap();
+        assert!(session.seen.is_empty());
+        // The terms were interned once, into the engine graph.
+        let dict = session.engine().graph().dict();
+        assert!(["CR", "coach", "Chelsea", "Napoli", "Roma"]
+            .iter()
+            .all(|t| dict.lookup(t).is_some()));
     }
 }

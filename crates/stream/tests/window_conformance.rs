@@ -446,3 +446,127 @@ fn steady_state_slides_resolve_only_dirty_components() {
     }
     assert!(steady_state_checked, "no steady-state slide fired");
 }
+
+fn spell(t: i64, s: &str, p: &str, o: &str, (a, b): (i64, i64), confidence: f64) -> StreamEvent {
+    StreamEvent::new(t, s, p, o, Interval::new(a, b).unwrap(), confidence)
+}
+
+/// Duplicate suppression compares the whole identity, terms by symbol
+/// and confidence bit for bit: an event that differs from another in
+/// one term, one interval bound or the last bit of its confidence is
+/// its own event, and both are admitted.
+#[test]
+fn twins_differing_in_one_field_are_both_admitted() {
+    let base = spell(1, "CR", "coach", "Chelsea", (2000, 2004), 0.9);
+    let nudged = f64::from_bits(0.9f64.to_bits() ^ 1);
+    let twins = [
+        spell(1, "CR2", "coach", "Chelsea", (2000, 2004), 0.9),
+        spell(1, "CR", "manages", "Chelsea", (2000, 2004), 0.9),
+        spell(1, "CR", "coach", "Chelsea2", (2000, 2004), 0.9),
+        spell(1, "CR", "coach", "Chelsea", (1999, 2004), 0.9),
+        spell(1, "CR", "coach", "Chelsea", (2000, 2005), 0.9),
+        spell(1, "CR", "coach", "Chelsea", (2000, 2004), nudged),
+    ];
+    let mut session = tumbling_session(0);
+    session.push(base.clone()).unwrap();
+    for twin in &twins {
+        assert!(session.push(twin.clone()).unwrap().is_empty());
+    }
+    // The exact base again is the one duplicate.
+    session.push(base).unwrap();
+    let fires = session.advance_watermark(10).unwrap();
+    assert_eq!(fires.len(), 1);
+    assert_eq!(fires[0].stats.admitted, 1 + twins.len());
+    assert_eq!(fires[0].stats.duplicates_dropped, 1);
+    assert_eq!(session.engine().graph().len(), 1 + twins.len());
+}
+
+/// An event pushed again while its twin is buffered or live is a
+/// duplicate. Once the twin has expired, the same event is behind the
+/// window — late, not a duplicate: the session forgot the twin's key
+/// when it expired it.
+#[test]
+fn a_twin_is_a_duplicate_while_live_and_late_once_expired() {
+    let spec = WindowSpec::sliding(20, 10).unwrap();
+    let mut session = StreamSession::with_lateness(engine_for(Backend::MlnExact), spec, 0);
+    let e = spell(5, "CR", "coach", "Chelsea", (2000, 2004), 0.9);
+    session.push(e.clone()).unwrap();
+    session.push(e.clone()).unwrap(); // buffered twin
+    assert_eq!(session.totals().duplicates_dropped, 1);
+    let fires = session.advance_watermark(10).unwrap();
+    assert_eq!(fires[0].stats.admitted, 1);
+    session.push(e.clone()).unwrap(); // live twin
+    assert_eq!(session.totals().duplicates_dropped, 2);
+    assert_eq!(session.totals().late_dropped, 0);
+
+    // [0,20) keeps it; [10,30) expires it.
+    let fires = session.advance_watermark(30).unwrap();
+    assert_eq!(fires.iter().map(|f| f.stats.expired).sum::<usize>(), 1);
+    assert_eq!(session.live_facts(), 0);
+    session.push(e).unwrap();
+    assert_eq!(session.totals().duplicates_dropped, 2);
+    assert_eq!(session.totals().late_dropped, 1);
+}
+
+/// A stream fact removed out of band through `engine_mut()` is skipped
+/// at expiry (not removed twice), and its slot in the live window goes
+/// like any other.
+#[test]
+fn a_fact_removed_out_of_band_expires_quietly() {
+    let mut session = tumbling_session(0);
+    session
+        .push(spell(1, "CR", "coach", "Chelsea", (2000, 2004), 0.9))
+        .unwrap();
+    session
+        .push(spell(2, "CR", "coach", "Napoli", (2001, 2003), 0.6))
+        .unwrap();
+    session.advance_watermark(10).unwrap();
+    let napoli = session
+        .engine()
+        .graph()
+        .statement_ids("CR", "coach", "Napoli")[0];
+    session.engine_mut().remove_fact(napoli).unwrap();
+    session
+        .push(spell(12, "CR", "coach", "Roma", (2019, 2021), 0.8))
+        .unwrap();
+
+    let fires = session.advance_watermark(20).unwrap();
+    assert_eq!(fires.len(), 1);
+    assert_eq!(fires[0].stats.expired, 1, "only Chelsea was still live");
+    assert_eq!(fires[0].stats.admitted, 1);
+    assert_eq!(session.live_facts(), 1);
+    assert_eq!(live_lines(session.engine().graph()).len(), 1);
+}
+
+/// A window that replaces its whole population every slide leaves the
+/// grounding mostly dead atoms; past half, the engine re-grounds from
+/// scratch to compact it, and every snapshot after says how often.
+#[test]
+fn sliding_session_snapshots_count_compaction_regrounds() {
+    let mut session = tumbling_session(0);
+    let mut counts = Vec::new();
+    for window in 0..6i64 {
+        for i in 0..100 {
+            let t = window * 10 + i % 10;
+            session
+                .push(spell(
+                    t,
+                    &format!("p{window}_{i}"),
+                    "coach",
+                    "club",
+                    (2000, 2004),
+                    0.9,
+                ))
+                .unwrap();
+        }
+        for fire in session.advance_watermark(window * 10 + 10).unwrap() {
+            counts.push(fire.snapshot.stats.compaction_regrounds);
+        }
+    }
+    assert_eq!(counts.len(), 6);
+    assert!(counts.windows(2).all(|w| w[0] <= w[1]), "{counts:?}");
+    // Window 3 holds 100 live of 300 atoms, window 5 likewise again.
+    assert_eq!(counts, vec![0, 0, 1, 1, 2, 2]);
+    let stats = &session.engine().latest().unwrap().stats;
+    assert!(stats.to_string().contains("compact regrounds  : 2"));
+}
