@@ -3,20 +3,27 @@
 //!
 //! Run with: `cargo run --release -p tecore-bench --bin experiments`
 //! Pass `--quick` to shrink E2/E6 (CI-sized run).
+//! Every input E2, E5 and E6 resolve (and a skewed one) also prints its
+//! component sizes. Exits non-zero when a backend misses Figure 7 (E1)
+//! or E5's exact grading is off.
 
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use tecore_bench::harness;
 use tecore_core::registry::SolverRegistry;
 use tecore_core::threshold;
 use tecore_core::{Backend, ConfidenceMode, Engine, TecoreConfig};
-use tecore_datagen::config::FootballConfig;
+use tecore_datagen::config::{FootballConfig, SkewedConfig};
 use tecore_datagen::football::generate_football;
 use tecore_datagen::noise::repair_metrics;
+use tecore_datagen::skewed::generate_skewed;
 use tecore_datagen::standard::{
     football_program, paper_program, paper_rules, ranieri_utkg, wikidata_program,
 };
-use tecore_mln::marginal::GibbsConfig;
+use tecore_ground::{ground, GroundConfig, Partition, MAX_GRADED_ATOMS};
+use tecore_kg::UtkGraph;
+use tecore_logic::LogicProgram;
 use tecore_mln::{CpiConfig, WalkSatConfig};
 
 fn main() {
@@ -25,13 +32,33 @@ fn main() {
     e2_conflict_statistics(quick);
     e3_map_performance(quick);
     e4_noise_stress(quick);
-    e5_threshold();
+    let e5_graded = e5_threshold();
     e6_wikidata_scaling(quick);
+    skewed_components();
     println!("\nAll experiments completed.");
     if !e1_matches {
         eprintln!("E1: a backend does not reproduce Figure 7 (MISMATCH above)");
+    }
+    if !(e1_matches && e5_graded) {
         std::process::exit(1);
     }
+}
+
+/// Prints the conflict components of `graph` under `program` by atom
+/// count, and the atoms in components above [`MAX_GRADED_ATOMS`].
+fn print_components(label: &str, graph: &UtkGraph, program: &LogicProgram) {
+    let grounding = ground(graph, program, &GroundConfig::default()).expect("grounds");
+    let partition = Partition::of(&grounding.clauses, grounding.num_atoms());
+    let mut by_size: BTreeMap<usize, usize> = BTreeMap::new();
+    for comp in 0..partition.len() {
+        *by_size.entry(partition.atoms(comp).len()).or_default() += 1;
+    }
+    let histogram: String = by_size.iter().map(|(a, n)| format!(" {a}:{n}")).collect();
+    let above: usize = by_size
+        .range(MAX_GRADED_ATOMS + 1..)
+        .map(|(a, n)| a * n)
+        .sum();
+    println!("    components [{label}] (atoms:count){histogram}; above {MAX_GRADED_ATOMS}: {above} atoms");
 }
 
 fn line() {
@@ -83,6 +110,7 @@ fn e2_conflict_statistics(quick: bool) {
         FootballConfig::paper_scale()
     };
     let generated = generate_football(&config);
+    print_components("football", &generated.graph, &football_program());
     for backend in [Backend::default(), Backend::default_psl()] {
         let name = backend.name();
         let r = harness::resolve(&generated, &football_program(), backend);
@@ -165,8 +193,10 @@ fn e4_noise_stress(quick: bool) {
     }
 }
 
-/// E5 — §1: threshold on derived facts.
-fn e5_threshold() {
+/// E5 — §1: threshold on derived facts, graded by their exact
+/// marginals. Returns whether the grading is sound: every confidence in
+/// `(0, 1]`, and not every one of them `1.0`.
+fn e5_threshold() -> bool {
     line();
     println!("E5  Derived-fact threshold sweep (kept facts per threshold)");
     let mut graph = ranieri_utkg();
@@ -182,9 +212,10 @@ fn e5_threshold() {
             )
             .unwrap();
     }
+    print_components("e5", &graph, &paper_rules());
     let config = TecoreConfig {
         backend: Backend::default().into(),
-        confidence: ConfidenceMode::Gibbs(GibbsConfig::default()),
+        confidence: ConfidenceMode::Marginal,
         ..TecoreConfig::default()
     };
     let r = Engine::with_config(graph, paper_rules(), config)
@@ -197,6 +228,21 @@ fn e5_threshold() {
         print!("τ={t:.1}:{kept}  ");
     }
     println!("\n    shape: monotonically decreasing kept-count");
+    let mut confidences: Vec<f64> = r.inferred.iter().map(|f| f.confidence).collect();
+    confidences.sort_by(f64::total_cmp);
+    let at = |q: usize| {
+        let i = q * confidences.len().saturating_sub(1) / 2;
+        confidences.get(i).copied().unwrap_or(f64::NAN)
+    };
+    let (min, median, max) = (at(0), at(1), at(2));
+    // Every one exactly 1.0 would mean grading is silently off.
+    let sound = min > 0.0 && min < 1.0 && max <= 1.0;
+    println!(
+        "    confidence: min {min:.6} / median {median:.6} / max {max:.6}, {} ungraded -> {}",
+        r.stats.ungraded_facts,
+        if sound { "OK" } else { "FAIL" }
+    );
+    sound
 }
 
 /// E6 — §4: Wikidata scalability.
@@ -210,6 +256,11 @@ fn e6_wikidata_scaling(quick: bool) {
     };
     for &size in sizes {
         let generated = harness::wikidata(size);
+        print_components(
+            &format!("wikidata {size}"),
+            &generated.graph,
+            &wikidata_program(),
+        );
         for backend in [Backend::default(), Backend::default_psl()] {
             let name = backend.name();
             let t = Instant::now();
@@ -223,4 +274,16 @@ fn e6_wikidata_scaling(quick: bool) {
             );
         }
     }
+}
+
+/// Component sizes where they grow: the hubs of `datagen::skewed` 10k
+/// under a `rel0` disjointness constraint.
+fn skewed_components() {
+    line();
+    println!("Component sizes under a hub-heavy constraint (no paper number)");
+    let program = LogicProgram::parse(
+        "c: quad(x, rel0, y, t) ^ quad(x, rel0, z, t') ^ y != z -> disjoint(t, t') w = inf",
+    );
+    let graph = generate_skewed(&SkewedConfig::default());
+    print_components("skewed 10000", &graph, &program.expect("valid program"));
 }

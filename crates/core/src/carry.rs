@@ -44,7 +44,7 @@ use tecore_kg::{
 
 use crate::engine::Moved;
 use crate::explain::{ConflictExplanation, Conflicts};
-use crate::pipeline::{inferred_fact, solve_stats, ConfidenceMode, TecoreConfig};
+use crate::pipeline::{confidence, inferred_fact, solve_stats, TecoreConfig};
 use crate::resolution::{InferredFact, RemovedFact, Resolution};
 use crate::snapshot::Snapshot;
 use crate::stats::DebugStats;
@@ -129,6 +129,8 @@ pub(crate) struct ViewMaps {
     pub(crate) inferred: Vec<Inferred>,
     /// Hidden atoms MAP accepted that fell below the threshold.
     pub(crate) thresholded: FxHashSet<AtomId>,
+    /// Hidden atoms MAP accepted whose component was not graded.
+    pub(crate) ungraded: FxHashSet<AtomId>,
     /// The snapshot's conflicts, keyed for patching.
     pub(crate) conflicts: Conflicts,
     /// The threshold the inferred facts were filtered with.
@@ -560,11 +562,7 @@ pub(crate) fn carry_forward(prev: Carried, now: Resolved<'_>) -> Option<Forwarde
         spare,
         mut reclaim,
     } = prev;
-    // Sampled marginals are drawn over the whole grounding per resolve;
-    // there is no previous value to carry.
-    let graded_by_solver =
-        after.soft_values.is_some() || matches!(config.confidence, ConfidenceMode::Constant);
-    if !graded_by_solver || maps.threshold != config.threshold {
+    if maps.threshold != config.threshold {
         return None;
     }
 
@@ -584,9 +582,11 @@ pub(crate) fn carry_forward(prev: Carried, now: Resolved<'_>) -> Option<Forwarde
             if before.assignment.len() <= after.assignment.len()
                 && before.soft_values.is_some() == after.soft_values.is_some() =>
         {
-            atoms.extend(differing(&before.assignment, &after.assignment));
+            atoms.extend(differing(&before.assignment, &after.assignment, bool::eq));
             if let (Some(old), Some(new)) = (&before.soft_values, &after.soft_values) {
-                atoms.extend(differing(old, new).filter(derived));
+                // By bits: an ungraded atom's NaN is its own equal.
+                let same = |a: &f64, b: &f64| a.to_bits() == b.to_bits();
+                atoms.extend(differing(old, new, same).filter(derived));
             }
         }
         Moved::Anywhere(_) => return None,
@@ -637,12 +637,13 @@ pub(crate) fn carry_forward(prev: Carried, now: Resolved<'_>) -> Option<Forwarde
         let accepted = grounding.store.is_alive(atom)
             && matches!(ground.kind, AtomKind::Hidden)
             && after.assignment[atom.index()];
-        let confidence = accepted.then(|| {
-            after
-                .soft_values
-                .as_ref()
-                .map_or(1.0, |m| m[atom.index()].clamp(0.0, 1.0))
-        });
+        let graded = accepted.then(|| confidence(after, atom));
+        if graded == Some(None) {
+            maps.ungraded.insert(atom);
+        } else {
+            maps.ungraded.remove(&atom);
+        }
+        let confidence = graded.map(|c| c.unwrap_or(1.0));
         let shown = confidence.filter(|&c| threshold::passes(c, config.threshold));
         if confidence.is_some() && shown.is_none() {
             maps.thresholded.insert(atom);
@@ -762,6 +763,7 @@ pub(crate) fn carry_forward(prev: Carried, now: Resolved<'_>) -> Option<Forwarde
         conflicting_facts: view.removed.len(),
         inferred_facts: maps.inferred.len(),
         thresholded_facts: maps.thresholded.len(),
+        ungraded_facts: maps.ungraded.len(),
         per_constraint: maps.conflicts.per_constraint(),
         view_facts_copied: view.copied,
         ..DebugStats::default()
@@ -807,13 +809,17 @@ pub(crate) fn carry_forward(prev: Carried, now: Resolved<'_>) -> Option<Forwarde
     })
 }
 
-/// Positions at which two slices differ, up to the shorter one's
-/// length, as atom ids.
-fn differing<'a, T: PartialEq>(old: &'a [T], new: &'a [T]) -> impl Iterator<Item = AtomId> + 'a {
+/// Positions at which two slices differ by `same`, up to the shorter
+/// one's length, as atom ids.
+fn differing<'a, T>(
+    old: &'a [T],
+    new: &'a [T],
+    same: impl Fn(&T, &T) -> bool + 'a,
+) -> impl Iterator<Item = AtomId> + 'a {
     old.iter()
         .zip(new)
         .enumerate()
-        .filter(|(_, (a, b))| a != b)
+        .filter(move |(_, (a, b))| !same(a, b))
         .map(|(i, _)| AtomId(i as u32))
 }
 

@@ -31,7 +31,9 @@ use std::time::Instant;
 
 use tecore_ground::component::{ComponentView, Partition};
 use tecore_ground::incremental::DeltaStats;
-use tecore_ground::{AtomId, ComponentIndex, ComponentMode, Grounding, MapState, SolveOpts};
+use tecore_ground::{
+    AtomId, ComponentIndex, ComponentMode, Grounding, MapState, Marginals, SolveOpts,
+};
 use tecore_kg::{Delta, FactId, TemporalFact, UtkGraph};
 use tecore_logic::LogicProgram;
 use tecore_temporal::Interval;
@@ -40,7 +42,9 @@ use tecore_wal::{InsertRecord, RecoveryReport, Wal, WalConfig, WalStats};
 use crate::batch::{self, ApplyReport, EditBatch, EditOutcome, PlannedOp};
 use crate::carry::{carry_forward, Carried, Forwarded, Reclaim, Resolved};
 use crate::error::TecoreError;
-use crate::pipeline::{check_solver_contract, interpret, SolverHandle, TecoreConfig};
+use crate::pipeline::{
+    check_solver_contract, interpret, ConfidenceMode, SolverHandle, TecoreConfig,
+};
 use crate::resolution::Resolution;
 use crate::snapshot::Snapshot;
 use crate::translate::translate;
@@ -117,14 +121,24 @@ pub(crate) enum Moved {
 /// `Auto`, an unpartitionable arena) is one [`MapSolver::solve`] over
 /// the grounding's whole arena.
 ///
+/// Under [`ConfidenceMode::Marginal`] a discrete backend's state gets
+/// the exact marginals of the components solved — of every component
+/// of the arena after a monolithic solve — as its `soft_values`,
+/// spliced like the assignment, [`f64::NAN`] where a component was not
+/// graded ([`Marginals`]). The solve itself never reads the mode.
+///
 /// [`MapSolver::solve`]: tecore_ground::MapSolver::solve
 fn solve_dispatch(
     solver: &SolverHandle,
     grounding: &mut Grounding,
     warm: Option<MapState>,
     mode: ComponentMode,
+    confidence: ConfidenceMode,
 ) -> Result<SolveOutcome, TecoreError> {
     let caps = solver.caps();
+    // A soft-valued backend grades its atoms itself.
+    let marginal = confidence == ConfidenceMode::Marginal && !caps.soft_values;
+    let graded = caps.soft_values || marginal;
     let use_components = match mode {
         ComponentMode::Monolithic => false,
         ComponentMode::Components => true,
@@ -146,7 +160,7 @@ fn solve_dispatch(
         // A monolithic solve may move any atom, which voids whatever
         // the ledger says about the components.
         grounding.drop_component_index();
-        return monolithic_solve(solver, grounding, warm);
+        return monolithic_solve(solver, grounding, warm, marginal);
     }
     let n = grounding.num_atoms();
     // Clean fast path: when nothing is flagged and the previous state
@@ -156,7 +170,7 @@ fn solve_dispatch(
         !index.any_dirty()
             && index.num_atoms() == n
             && state.assignment.len() == n
-            && state.soft_values.is_some() == caps.soft_values
+            && state.soft_values.is_some() == graded
     };
     let warm = match (warm, grounding.component_index()) {
         (Some(state), Some(index)) if clean(&state, index) => {
@@ -183,7 +197,7 @@ fn solve_dispatch(
         .component_index()
         .map_or(0, ComponentIndex::component_count);
     if partition.is_unpartitionable() || (matches!(mode, ComponentMode::Auto) && components <= 1) {
-        let outcome = monolithic_solve(solver, grounding, warm)?;
+        let outcome = monolithic_solve(solver, grounding, warm, marginal)?;
         grounding.commit_components(&partition, &outcome.state.assignment);
         return Ok(outcome);
     }
@@ -199,28 +213,31 @@ fn solve_dispatch(
         Some(w) => (w.assignment.len(), w.assignment, w.soft_values),
         None => (0, Vec::new(), None),
     };
-    // A previous state without the soft values this one must have
-    // gives no grades to compare with.
-    let comparable = known == 0 || warm_soft.is_some() == caps.soft_values;
+    // A previous state without the grades this one must have gives
+    // none to compare with.
+    let comparable = known == 0 || warm_soft.is_some() == graded;
     assignment.resize(n, false);
-    let mut soft: Option<Vec<f64>> = caps.soft_values.then(|| {
-        let mut base = warm_soft
-            .unwrap_or_else(|| assignment.iter().map(|&b| f64::from(u8::from(b))).collect());
-        base.resize(n, 0.0);
+    let mut soft: Option<Vec<f64>> = graded.then(|| {
+        let mut base = warm_soft.unwrap_or_default();
+        base.resize(n, if marginal { f64::NAN } else { 0.0 });
         base
     });
+    let mut kernel = Marginals::default();
     let (mut flipped, mut regraded) = (Vec::new(), Vec::new());
     for (comp, state) in solved.iter().enumerate() {
-        // The merge buffer exists iff caps declare soft values, and
+        // The merge buffer exists iff the state is graded, and
         // `solve_one_component` rejects any component state whose
         // soft-value presence disagrees with the caps.
-        let mut grades = state.soft_values.as_deref().zip(soft.as_deref_mut());
+        let exact = marginal.then(|| kernel.component(&grounding.clauses, &partition, comp));
+        let new_grades = state.soft_values.as_deref().map(Some).or(exact);
+        let mut grades = new_grades.zip(soft.as_deref_mut());
         for (local, &atom) in partition.atoms(comp).iter().enumerate() {
             let at = atom.index();
             let value = state.assignment[local];
             let flip = std::mem::replace(&mut assignment[at], value) != value;
             let regrade = grades.as_mut().is_some_and(|(new, old)| {
-                std::mem::replace(&mut old[at], new[local]) != new[local]
+                let grade = new.map_or(f64::NAN, |new| new[local]);
+                std::mem::replace(&mut old[at], grade).to_bits() != grade.to_bits()
             });
             if at < known && flip {
                 flipped.push(atom);
@@ -256,18 +273,34 @@ fn solve_dispatch(
 /// The monolithic fallback: one [`MapSolver::solve`](tecore_ground::MapSolver::solve)
 /// over the grounding's whole arena, with the warm start gated on the
 /// backend's declared capability, and the returned state held to the
-/// solver contract.
+/// solver contract. With `marginal`, every component of the arena is
+/// graded.
 fn monolithic_solve(
     solver: &SolverHandle,
     grounding: &Grounding,
     warm: Option<MapState>,
+    marginal: bool,
 ) -> Result<SolveOutcome, TecoreError> {
+    let n = grounding.num_atoms();
     let opts = SolveOpts {
         seed: None,
         warm_start: warm.as_ref().filter(|_| solver.caps().warm_start),
     };
-    let state = solver.solve(grounding.num_atoms(), &grounding.clauses, &opts)?;
-    check_solver_contract(solver, &state, grounding.num_atoms())?;
+    let mut state = solver.solve(n, &grounding.clauses, &opts)?;
+    check_solver_contract(solver, &state, n)?;
+    if marginal {
+        let partition = Partition::of(&grounding.clauses, n);
+        let mut kernel = Marginals::default();
+        let mut grades = vec![f64::NAN; n];
+        for comp in 0..partition.len() {
+            if let Some(exact) = kernel.component(&grounding.clauses, &partition, comp) {
+                for (&atom, &p) in partition.atoms(comp).iter().zip(exact) {
+                    grades[atom.index()] = p;
+                }
+            }
+        }
+        state.soft_values = Some(grades);
+    }
     Ok(SolveOutcome {
         state,
         components: 0,
@@ -687,7 +720,13 @@ impl Engine {
         let solver = &config.backend;
         let mut grounding = translate(graph, &self.program, &solver.caps(), &config.ground)?;
         let solve_start = Instant::now();
-        let outcome = solve_dispatch(solver, &mut grounding, None, config.component_mode)?;
+        let outcome = solve_dispatch(
+            solver,
+            &mut grounding,
+            None,
+            config.component_mode,
+            config.confidence,
+        )?;
         let solve_time = solve_start.elapsed();
         let (mut resolution, _) = interpret(graph, &grounding, &outcome.state, config);
         resolution.stats.grounding_time = grounding.stats.elapsed;
@@ -781,6 +820,7 @@ impl Engine {
             &mut engine.grounding,
             warm,
             self.config.component_mode,
+            self.config.confidence,
         )?;
         let solve_time = solve_start.elapsed();
         let state = outcome.state;
@@ -921,7 +961,6 @@ mod tests {
     use crate::pipeline::{Backend, ConfidenceMode, SolverHandle};
     use tecore_ground::ClauseStore;
     use tecore_kg::parser::parse_graph;
-    use tecore_mln::marginal::GibbsConfig;
     use tecore_mln::{CpiConfig, WalkSatConfig};
 
     const RANIERI: &str = "\
@@ -940,6 +979,11 @@ mod tests {
         c1: quad(x, birthDate, y, t) ^ quad(x, deathDate, z, t') -> before(t, t') w = inf\n\
         c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf\n\
         c3: quad(x, bornIn, y, t) ^ quad(x, bornIn, z, t') ^ overlap(t, t') -> y = z w = inf\n";
+
+    /// `P(worksFor(CR, Palermo) = 1)`: its component's four worlds
+    /// weighed by hand (`playsFor` at 0.5 → unit weight 0.2, f1 at 2.5,
+    /// the hidden prior at 0.05).
+    const RUNNING_EXAMPLE_MARGINAL: f64 = 0.657_594_642_314_038_3;
 
     fn run(backend: impl Into<SolverHandle>) -> Arc<Snapshot> {
         let graph = parse_graph(RANIERI).unwrap();
@@ -1341,13 +1385,15 @@ mod tests {
                 a.total_facts,
                 a.conflicting_facts,
                 a.inferred_facts,
-                a.thresholded_facts
+                a.thresholded_facts,
+                a.ungraded_facts
             ),
             (
                 b.total_facts,
                 b.conflicting_facts,
                 b.inferred_facts,
-                b.thresholded_facts
+                b.thresholded_facts,
+                b.ungraded_facts
             ),
             "{what}: counts"
         );
@@ -1386,11 +1432,16 @@ mod tests {
     /// snapshots were carried forward (rather than rebuilt). Every
     /// sequence runs twice: with each snapshot dropped before the next
     /// publish, which then lands on the spare view, and with all of
-    /// them kept, which makes every publish copy the latest one.
+    /// them kept, which makes every publish copy the latest one. A
+    /// discrete backend runs it once more with exact grading, which
+    /// must carry forward the same steps, and `mln-walksat` once graded
+    /// and monolithic, where a solve may move any atom's grade.
     fn check_carried_forward(
         steps: &[Vec<Edit>],
         threshold: f64,
     ) -> Vec<(&'static str, Vec<bool>)> {
+        use ComponentMode::{Auto, Monolithic};
+        use ConfidenceMode::{Constant, Marginal};
         let mut runs = Vec::new();
         for backend in [
             Backend::MlnExact,
@@ -1399,14 +1450,26 @@ mod tests {
             Backend::default_psl(),
         ] {
             let name = backend.name();
-            let config = TecoreConfig {
-                backend: backend.into(),
-                threshold,
-                ..TecoreConfig::default()
-            };
-            for keep_all in [false, true] {
+            let backend = SolverHandle::from(backend);
+            // (grading, component mode, keep every snapshot)
+            let mut variants = vec![(Constant, Auto, false), (Constant, Auto, true)];
+            if name != "psl-admm" {
+                variants.push((Marginal, Auto, false));
+            }
+            if name == "mln-walksat" {
+                variants.push((Marginal, Monolithic, false));
+            }
+            let mut ungraded = Vec::new();
+            for (confidence, component_mode, keep_all) in variants {
+                let config = TecoreConfig {
+                    backend: backend.clone(),
+                    threshold,
+                    confidence,
+                    component_mode,
+                    ..TecoreConfig::default()
+                };
                 let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
-                let mut engine = Engine::with_config(wide_graph(), program, config.clone());
+                let mut engine = Engine::with_config(wide_graph(), program, config);
                 engine.resolve_incremental().unwrap();
                 let mut serial = 0;
                 let mut carried = Vec::new();
@@ -1415,14 +1478,23 @@ mod tests {
                     apply_edits(&mut engine, edits, &mut serial);
                     let snapshot = engine.resolve_incremental().unwrap();
                     carried.push(snapshot.built_index().is_some());
-                    let what = format!("{name}, keep_all {keep_all}, step {i} {edits:?}");
+                    let what = format!(
+                        "{name}, {confidence:?}, {component_mode:?}, keep_all {keep_all}, step {i} {edits:?}"
+                    );
                     assert_equals_full_interpretation(&engine, &snapshot, &what);
                     if keep_all {
                         assert!(snapshot.stats.view_facts_copied > 0, "{what}");
                         kept.push(snapshot);
                     }
                 }
-                runs.push((name, carried));
+                match (confidence, component_mode, keep_all) {
+                    (Constant, _, false) => ungraded.clone_from(&carried),
+                    (Marginal, Auto, _) => assert_eq!(carried, ungraded, "{name}: graded"),
+                    _ => {}
+                }
+                if confidence == Constant {
+                    runs.push((name, carried));
+                }
             }
         }
         runs
@@ -1470,7 +1542,8 @@ mod tests {
                 assert_eq!(carried, [true, true, true, true, false, true]);
             }
         }
-        // PSL grades derived facts: a bar between its values hides some.
+        // PSL and exact grading grade derived facts: a bar between
+        // their values hides some.
         check_carried_forward(&steps, 0.9);
     }
 
@@ -1520,24 +1593,33 @@ mod tests {
         assert!(std::ptr::eq(expanded, r.expanded()));
     }
 
+    /// `worksFor(CR, Palermo)` reads its exact marginal on every
+    /// discrete backend: the component solve of `mln-exact` and the
+    /// monolithic one of the other two, graded over `Partition::of`.
     #[test]
     fn gibbs_confidence_grades_inferred() {
-        let graph = parse_graph(RANIERI).unwrap();
-        let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
-        let config = TecoreConfig {
-            backend: Backend::MlnExact.into(),
-            confidence: ConfidenceMode::Gibbs(GibbsConfig::default()),
-            ..TecoreConfig::default()
-        };
-        let r = Engine::with_config(graph, program, config)
-            .resolve()
-            .unwrap();
-        assert_eq!(r.inferred.len(), 1);
-        let c = r.inferred[0].confidence;
-        assert!((0.0..=1.0).contains(&c));
-        // The worksFor derivation is supported by a w=2.5 rule from a
-        // 0.5-confidence fact; its marginal should be clearly above 0.5.
-        assert!(c > 0.5, "confidence {c}");
+        for backend in [
+            Backend::MlnExact,
+            Backend::MlnWalkSat(WalkSatConfig::default()),
+            Backend::MlnCuttingPlane(CpiConfig::default()),
+        ] {
+            let config = TecoreConfig {
+                backend: backend.into(),
+                confidence: ConfidenceMode::Marginal,
+                ..TecoreConfig::default()
+            };
+            let (graph, program) = (parse_graph(RANIERI), LogicProgram::parse(PAPER_PROGRAM));
+            let engine = Engine::with_config(graph.unwrap(), program.unwrap(), config);
+            let r = engine.resolve_raw().unwrap();
+            let [fact] = &r.inferred[..] else {
+                panic!("one derived fact: {:?}", r.inferred);
+            };
+            assert!(
+                (fact.confidence - RUNNING_EXAMPLE_MARGINAL).abs() < 1e-12,
+                "{fact}"
+            );
+            assert_eq!(r.stats.ungraded_facts, 0);
+        }
     }
 
     #[test]

@@ -12,10 +12,10 @@
 
 use std::sync::Arc;
 
-use tecore_ground::{AtomKind, ComponentMode, GroundAtom, GroundConfig, Grounding, MapState};
+use tecore_ground::{
+    AtomId, AtomKind, ComponentMode, GroundAtom, GroundConfig, Grounding, MapState,
+};
 use tecore_kg::{FactId, FxHashSet, UtkGraph};
-use tecore_mln::marginal::{gibbs_marginals, GibbsConfig};
-use tecore_mln::SatProblem;
 
 pub use crate::backends::{Backend, SolverHandle};
 use crate::carry::{FactIds, Inferred, ViewMaps};
@@ -30,13 +30,19 @@ use crate::threshold;
 /// Backends that produce per-atom soft truth values (see
 /// [`SolverCaps::soft_values`](tecore_ground::SolverCaps)) always use
 /// those; this mode only governs grading when the solver is discrete.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ConfidenceMode {
     /// Report `1.0` for every accepted derived fact (no extra cost).
     #[default]
     Constant,
-    /// Estimate marginals with a Gibbs sampler over the grounding.
-    Gibbs(GibbsConfig),
+    /// Grade each derived fact with its exact marginal `P(atom = 1)`
+    /// over its conflict component's worlds
+    /// ([`Marginals`](tecore_ground::Marginals)). A component of more
+    /// than [`MAX_GRADED_ATOMS`](tecore_ground::MAX_GRADED_ATOMS) atoms
+    /// is not graded: its accepted derived facts read their MAP value,
+    /// `1.0`, and are counted in
+    /// [`DebugStats::ungraded_facts`](crate::stats::DebugStats).
+    Marginal,
 }
 
 /// Pipeline configuration.
@@ -132,24 +138,16 @@ pub(crate) fn interpret(
         keep
     });
 
-    // Confidence source for accepted derived facts: the solver's own
-    // soft truth values when it has them, else the configured grading
-    // mode over the grounding.
-    let sampled: Option<Vec<f64>> = match (&state.soft_values, &config.confidence) {
-        (None, ConfidenceMode::Gibbs(cfg)) => {
-            let problem = SatProblem::from_grounding(grounding);
-            Some(gibbs_marginals(&problem, Some(&state.assignment), cfg))
-        }
-        _ => None,
-    };
-    let marginals = state.soft_values.as_ref().or(sampled.as_ref());
     let mut inferred: Vec<Inferred> = Vec::new();
-    let mut thresholded = FxHashSet::default();
+    let (mut thresholded, mut ungraded) = (FxHashSet::default(), FxHashSet::default());
     // Dead atoms (retracted by deltas) keep their assignment slot but
     // are not part of the result.
     for (id, atom) in grounding.store.iter_alive() {
         if matches!(atom.kind, AtomKind::Hidden) && state.assignment[id.index()] {
-            let confidence = marginals.map_or(1.0, |m| m[id.index()].clamp(0.0, 1.0));
+            let confidence = confidence(state, id).unwrap_or_else(|| {
+                ungraded.insert(id);
+                1.0
+            });
             if threshold::passes(confidence, config.threshold) {
                 inferred.push(Inferred {
                     atom: id,
@@ -169,6 +167,7 @@ pub(crate) fn interpret(
         conflicting_facts: removed.len(),
         inferred_facts: inferred.len(),
         thresholded_facts: thresholded.len(),
+        ungraded_facts: ungraded.len(),
         per_constraint: conflicts.per_constraint(),
         view_facts_copied: consistent.len(),
         ..DebugStats::default()
@@ -179,6 +178,7 @@ pub(crate) fn interpret(
         kept_expanded: FactIds::default(),
         inferred,
         thresholded,
+        ungraded,
         conflicts,
         threshold: config.threshold,
     };
@@ -190,6 +190,19 @@ pub(crate) fn interpret(
         stats,
     };
     (resolution, maps)
+}
+
+/// The confidence of an accepted derived atom: the solver's soft value,
+/// or the exact marginal the solve driver put in its place
+/// (`ConfidenceMode::Marginal`), or `1.0` when there is neither.
+/// `None` when the atom's component was not graded ([`f64::NAN`] in
+/// the state); the caller takes the MAP value, `1.0`, and counts it.
+pub(crate) fn confidence(state: &MapState, atom: AtomId) -> Option<f64> {
+    match state.soft_values.as_ref().map(|m| m[atom.index()]) {
+        Some(p) if p.is_nan() => None,
+        Some(p) => Some(p.clamp(0.0, 1.0)),
+        None => Some(1.0),
+    }
 }
 
 /// A hidden atom accepted by MAP, as the derived fact it stands for.

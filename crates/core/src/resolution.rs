@@ -30,8 +30,10 @@ pub struct InferredFact {
     pub object: String,
     /// Validity interval.
     pub interval: Interval,
-    /// Confidence: PSL soft truth value or MLN Gibbs marginal
-    /// (`1.0` when marginal estimation is disabled).
+    /// Confidence: PSL soft truth value, or under
+    /// [`ConfidenceMode::Marginal`](crate::ConfidenceMode) the exact
+    /// marginal `P(atom = 1)` over the fact's conflict component; `1.0`
+    /// otherwise, and for a component too large to grade.
     pub confidence: f64,
 }
 

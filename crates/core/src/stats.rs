@@ -21,6 +21,12 @@ pub struct DebugStats {
     pub inferred_facts: usize,
     /// Derived facts dropped by the confidence threshold.
     pub thresholded_facts: usize,
+    /// Accepted derived facts that read their MAP value, `1.0`, for a
+    /// confidence because their conflict component was not graded under
+    /// [`ConfidenceMode::Marginal`](crate::ConfidenceMode): it has more
+    /// than [`MAX_GRADED_ATOMS`](tecore_ground::MAX_GRADED_ATOMS)
+    /// atoms, or no world that satisfies its hard clauses.
+    pub ungraded_facts: usize,
     /// Ground atoms (solver variables).
     pub atoms: usize,
     /// Ground clauses handed to the solver (final active set for CPI).
@@ -118,6 +124,9 @@ impl fmt::Display for DebugStats {
         if self.thresholded_facts > 0 {
             writeln!(f, "below threshold    : {}", self.thresholded_facts)?;
         }
+        if self.ungraded_facts > 0 {
+            writeln!(f, "ungraded (MAP 1.0) : {}", self.ungraded_facts)?;
+        }
         writeln!(f, "ground atoms       : {}", self.atoms)?;
         writeln!(f, "ground clauses     : {}", self.clauses)?;
         if self.components > 0 {
@@ -188,6 +197,7 @@ mod tests {
             total_facts: 5,
             conflicting_facts: 1,
             inferred_facts: 1,
+            ungraded_facts: 1,
             backend: "mln-exact".to_string(),
             feasible: true,
             per_constraint: vec![("c2".into(), 1)],
@@ -204,6 +214,7 @@ mod tests {
         let text = s.to_string();
         assert!(text.contains("temporal facts     : 5"));
         assert!(text.contains("conflicting facts  : 1"));
+        assert!(text.contains("ungraded (MAP 1.0) : 1"));
         assert!(text.contains("c2"));
         assert!(text.contains("mln-exact"));
         assert!(text.contains("join plans:"));

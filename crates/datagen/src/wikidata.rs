@@ -8,7 +8,7 @@
 //!
 //! The generator streams facts in O(total) with O(people) state, so the
 //! full paper scale fits comfortably in memory (the scaling bench sweeps
-//! 10K → 1M; `examples/wikidata_scale.rs` can run the full 6.3M).
+//! 10K → 1M; the `experiments` binary's E6 runs 10K → 640K).
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

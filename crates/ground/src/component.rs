@@ -38,6 +38,10 @@
 //! [`Partition::of`] runs the same walk without an index to keep: it is
 //! how the PSL backend finds the independent blocks of the arena it is
 //! handed.
+//!
+//! [`Marginals`] grades one component at a time exactly: it walks all
+//! the component's worlds and weighs each by the MLN's distribution,
+//! reading the literals straight from the arena.
 
 use crate::atoms::AtomId;
 use crate::clause::{ClauseId, ClauseStore, Lit};
@@ -723,11 +727,128 @@ impl<'a> ComponentView<'a> {
     }
 }
 
+/// The most atoms a component may have for [`Marginals`] to grade it.
+pub const MAX_GRADED_ATOMS: usize = 16;
+
+/// Exact per-atom marginals of one conflict component at a time:
+/// `P(atom = 1)` under the MLN's `P(x) ∝ exp(−cost(x))` over the worlds
+/// that satisfy every hard clause.
+///
+/// The `2^k` worlds are walked in Gray-code order, one atom flipped per
+/// step, keeping a satisfied-literal count per clause: the flip updates
+/// the counts of the clauses it touches and the number of hard clauses
+/// at zero. A feasible world's cost is the weight of its soft clauses
+/// at zero, summed in clause order as [`ComponentView::evaluate`] sums
+/// it, and it adds `exp(min − cost)` to the sums, `min` the lowest cost
+/// met so far (the sums are rescaled when it drops), so nothing
+/// overflows or underflows. Buffers are reused from one component to
+/// the next.
+#[derive(Debug, Clone, Default)]
+pub struct Marginals {
+    /// Per local atom, its range in `occurrences`.
+    starts: Vec<u32>,
+    /// `(clause position in the component, literal is positive)`.
+    occurrences: Vec<(u32, bool)>,
+    /// Per clause, its literals the current world satisfies.
+    satisfied: Vec<u32>,
+    /// Per local atom, the weight of the worlds it holds in; in the end
+    /// its marginal.
+    on: Vec<f64>,
+}
+
+impl Marginals {
+    /// `P(atom = 1)` of each member of component `i` of `partition`
+    /// over `clauses`, by local id; `None` when the component has more
+    /// than [`MAX_GRADED_ATOMS`] atoms or no feasible world.
+    pub fn component(
+        &mut self,
+        clauses: &ClauseStore,
+        partition: &Partition,
+        i: usize,
+    ) -> Option<&[f64]> {
+        let view = partition.view(clauses, i);
+        let (k, ids) = (view.num_atoms(), view.clause_ids());
+        if k > MAX_GRADED_ATOMS {
+            return None;
+        }
+        // Counted into `starts[a + 2]`, filled through `starts[a + 1]`:
+        // that leaves `starts[a]..starts[a + 1]` as atom `a`'s range.
+        self.starts.clear();
+        self.starts.resize(k + 2, 0);
+        for l in ids.iter().flat_map(|&ci| clauses.lits(ci)) {
+            self.starts[view.local(l.atom) as usize + 2] += 1;
+        }
+        for a in 2..k + 2 {
+            self.starts[a] += self.starts[a - 1];
+        }
+        self.occurrences
+            .resize(self.starts[k + 1] as usize, (0, false));
+        self.satisfied.clear();
+        // The all-false world: a clause holds by its negative literals.
+        let mut hard = 0usize;
+        for (c, &ci) in ids.iter().enumerate() {
+            for l in clauses.lits(ci) {
+                let slot = &mut self.starts[view.local(l.atom) as usize + 1];
+                self.occurrences[*slot as usize] = (c as u32, l.positive);
+                *slot += 1;
+            }
+            let negative = clauses.lits(ci).iter().filter(|l| !l.positive).count();
+            self.satisfied.push(negative as u32);
+            hard += usize::from(negative == 0 && clauses.is_hard(ci));
+        }
+        self.on.clear();
+        self.on.resize(k, 0.0);
+        let (mut world, mut total, mut min) = (0u32, 0.0, f64::INFINITY);
+        for step in 0..1u32 << k {
+            if step > 0 {
+                let flip = step.trailing_zeros() as usize;
+                world ^= 1 << flip;
+                let value = world & (1 << flip) != 0;
+                let range = self.starts[flip] as usize..self.starts[flip + 1] as usize;
+                for &(c, positive) in &self.occurrences[range] {
+                    let count = &mut self.satisfied[c as usize];
+                    let was = *count;
+                    *count = if positive == value { was + 1 } else { was - 1 };
+                    if clauses.is_hard(ids[c as usize]) && (was == 0 || *count == 0) {
+                        hard = if was == 0 { hard - 1 } else { hard + 1 };
+                    }
+                }
+            }
+            if hard > 0 {
+                continue;
+            }
+            let cost: f64 = (ids.iter().zip(&self.satisfied))
+                .filter(|&(&ci, &count)| count == 0 && !clauses.is_hard(ci))
+                .map(|(&ci, _)| clauses.weight_raw(ci))
+                .sum();
+            if cost < min {
+                let scale = (cost - min).exp();
+                total *= scale;
+                self.on.iter_mut().for_each(|p| *p *= scale);
+                min = cost;
+            }
+            let weight = (min - cost).exp();
+            total += weight;
+            for (a, p) in self.on.iter_mut().enumerate() {
+                if world & (1 << a) != 0 {
+                    *p += weight;
+                }
+            }
+        }
+        if total == 0.0 {
+            return None;
+        }
+        self.on.iter_mut().for_each(|p| *p /= total);
+        Some(&self.on)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::clause::{ClauseOrigin, ClauseWeight, GroundClause};
     use crate::solver::evaluate_world;
+    use proptest::prelude::*;
 
     fn soft(lits: Vec<Lit>, w: f64) -> GroundClause {
         GroundClause::new(lits, ClauseWeight::Soft(w), ClauseOrigin::Evidence).unwrap()
@@ -746,6 +867,116 @@ mod tests {
             }
         }
         out
+    }
+
+    fn sigmoid(w: f64) -> f64 {
+        1.0 / (1.0 + (-w).exp())
+    }
+
+    /// The marginals of the one component of `clauses`.
+    fn graded(clauses: &[GroundClause], num_atoms: usize) -> Option<Vec<f64>> {
+        let (s, mut kernel) = (store(clauses), Marginals::default());
+        let p = Partition::of(&s, num_atoms);
+        assert_eq!(p.len(), 1);
+        kernel.component(&s, &p, 0).map(<[f64]>::to_vec)
+    }
+
+    fn hard(lits: Vec<Lit>) -> GroundClause {
+        GroundClause::new(lits, ClauseWeight::Hard, ClauseOrigin::Formula(0)).unwrap()
+    }
+
+    #[test]
+    fn a_unit_clause_reads_its_sigmoid() {
+        for w in [0.5, 1.5, 3.0, -2.0] {
+            let m = graded(&[soft(vec![Lit::pos(AtomId(0))], w)], 1).unwrap();
+            assert!((m[0] - sigmoid(w)).abs() < 1e-12, "{w}: {m:?}");
+        }
+    }
+
+    #[test]
+    fn a_negated_unit_clause_reads_one_minus_its_sigmoid() {
+        for w in [0.5, 2.0, -1.0] {
+            let m = graded(&[soft(vec![Lit::neg(AtomId(0))], w)], 1).unwrap();
+            assert!((m[0] - (1.0 - sigmoid(w))).abs() < 1e-12, "{w}: {m:?}");
+        }
+    }
+
+    #[test]
+    fn a_hard_clash_splits_the_mass() {
+        let m = graded(
+            &[
+                soft(vec![Lit::pos(AtomId(0))], 5.0),
+                soft(vec![Lit::pos(AtomId(1))], 5.0),
+                hard(vec![Lit::neg(AtomId(0)), Lit::neg(AtomId(1))]),
+            ],
+            2,
+        )
+        .unwrap();
+        let expected = 1.0 / (2.0 + (-5.0f64).exp());
+        assert!(m.iter().all(|p| (p - expected).abs() < 1e-12), "{m:?}");
+    }
+
+    #[test]
+    fn nothing_is_graded_without_a_clause() {
+        assert!(Partition::of(&ClauseStore::new(), 0).is_empty());
+        assert!(Partition::of(&ClauseStore::new(), 3).is_empty());
+    }
+
+    proptest! {
+        /// The Gray-code walk ≡ weighing every world through
+        /// [`ComponentView::evaluate`], on random arenas of up to ten
+        /// atoms: soft weights of either sign, hard clauses, infeasible
+        /// components.
+        #[test]
+        fn marginals_match_brute_force_enumeration(
+            num_atoms in 1u32..11,
+            raw in prop::collection::vec(
+                (prop::collection::vec((0u32..10, prop::bool::ANY), 1..4), 0u32..5, -3.0f64..5.0),
+                0..16,
+            ),
+        ) {
+            let clauses: Vec<GroundClause> = raw
+                .into_iter()
+                .filter_map(|(lits, kind, w)| {
+                    let lits = lits
+                        .into_iter()
+                        .map(|(a, positive)| Lit { atom: AtomId(a % num_atoms), positive })
+                        .collect();
+                    let weight = if kind == 0 { ClauseWeight::Hard } else { ClauseWeight::Soft(w) };
+                    GroundClause::new(lits, weight, ClauseOrigin::Evidence)
+                })
+                .collect();
+            let (s, mut kernel) = (store(&clauses), Marginals::default());
+            let p = Partition::of(&s, num_atoms as usize);
+            for i in 0..p.len() {
+                let view = p.view(&s, i);
+                let mut world = vec![false; num_atoms as usize];
+                // (mask, cost) of every feasible world.
+                let feasible: Vec<(u32, f64)> = (0..1u32 << view.num_atoms())
+                    .filter_map(|mask| {
+                        for (j, &atom) in view.atoms().iter().enumerate() {
+                            world[atom.index()] = mask & (1 << j) != 0;
+                        }
+                        let (cost, hard) = view.evaluate(&world);
+                        (hard == 0).then_some((mask, cost))
+                    })
+                    .collect();
+                let graded = kernel.component(&s, &p, i);
+                let min = feasible.iter().map(|w| w.1).fold(f64::INFINITY, f64::min);
+                let mass = |of: u32| -> f64 {
+                    feasible.iter().filter(|w| w.0 & of == of).map(|w| (min - w.1).exp()).sum()
+                };
+                match graded {
+                    None => prop_assert!(feasible.is_empty(), "component {i} is feasible"),
+                    Some(marginals) => {
+                        for (j, p) in marginals.iter().enumerate() {
+                            let exact = mass(1 << j) / mass(0);
+                            prop_assert!((p - exact).abs() < 1e-12, "atom {j}: {p} vs {exact}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use atoms::{AtomId, AtomKind, AtomStore, FactAtoms, GroundAtom, Posting};
 pub use bindings::Bindings;
 pub use clause::{ClauseId, ClauseOrigin, ClauseRef, ClauseStore, ClauseWeight, GroundClause, Lit};
 pub use compile::{CompiledFormula, CompiledProgram};
-pub use component::{ComponentIndex, ComponentView, Partition};
+pub use component::{ComponentIndex, ComponentView, Marginals, Partition, MAX_GRADED_ATOMS};
 pub use grounder::{ground, GroundConfig, Grounding, GroundingStats};
 pub use incremental::{ConstraintKey, DeltaChanges, DeltaStats};
 pub use planner::{FormulaPlan, JoinPlanner};

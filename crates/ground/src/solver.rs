@@ -37,7 +37,10 @@ pub struct SolverCaps {
     pub expressivity: Expressivity,
     /// `true` if [`MapState::soft_values`] is populated with per-atom
     /// soft truth values (PSL); the pipeline uses them as confidences
-    /// for derived facts instead of sampling marginals.
+    /// for derived facts. A discrete backend's derived facts read `1.0`,
+    /// or their component's exact marginal
+    /// ([`Marginals`](crate::Marginals)) when the pipeline is asked for
+    /// one.
     pub soft_values: bool,
     /// `true` if the solver is exact (its cost is the true MAP optimum).
     pub exact: bool,
@@ -124,7 +127,9 @@ pub struct MapState {
     /// problem plus the constraint groundings it activated).
     pub active_clauses: usize,
     /// Per-atom soft truth values in `[0, 1]`, when the backend computes
-    /// them (see [`SolverCaps::soft_values`]).
+    /// them (see [`SolverCaps::soft_values`]). A solve driver may put
+    /// exact component marginals here for a discrete backend, with
+    /// `NaN` for the atoms of a component it could not grade.
     pub soft_values: Option<Vec<f64>>,
 }
 

@@ -23,13 +23,10 @@
 //!   solving a relaxed problem and activating only the constraint
 //!   groundings the incumbent violates, picked from the grounded arena
 //!   (this is what makes MLN-based debugging feasible at FootballDB
-//!   scale);
-//! * [`marginal`] — a Gibbs sampler for per-atom marginals, backing the
-//!   demo's "remove derived facts below a threshold" feature.
+//!   scale).
 
 #![forbid(unsafe_code)]
 
-pub mod marginal;
 pub mod problem;
 pub mod solver;
 

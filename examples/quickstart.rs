@@ -10,7 +10,6 @@
 
 use tecore_core::{Backend, ConfidenceMode, Engine, TecoreConfig};
 use tecore_datagen::standard::{paper_program, ranieri_utkg};
-use tecore_mln::marginal::GibbsConfig;
 
 fn main() {
     let graph = ranieri_utkg();
@@ -29,7 +28,7 @@ fn main() {
         let name = backend.name();
         let config = TecoreConfig {
             backend: backend.into(),
-            confidence: ConfidenceMode::Gibbs(GibbsConfig::default()),
+            confidence: ConfidenceMode::Marginal,
             ..TecoreConfig::default()
         };
         let resolution = Engine::with_config(graph.clone(), program.clone(), config)

@@ -20,6 +20,11 @@
 //! every snapshot kept, so that each publish copies the latest one.
 //! The work counters at the end hold the publish path to what the
 //! edit names, by count rather than by the clock.
+//!
+//! The three MLN backends run every sequence once more with derived
+//! facts graded by their exact marginals (`ConfidenceMode::Marginal`):
+//! the carried confidences must be the cold ones, and the repair and
+//! the steps carried forward those of the ungraded run.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -28,7 +33,8 @@ use std::thread;
 use proptest::prelude::*;
 use tecore_core::translate::translate;
 use tecore_core::{
-    Backend, ConflictExplanation, EditBatch, Engine, Participant, Snapshot, TecoreConfig,
+    Backend, ConfidenceMode, ConflictExplanation, EditBatch, Engine, Participant, Snapshot,
+    TecoreConfig,
 };
 use tecore_datagen::standard::{paper_program, wikidata_program};
 use tecore_datagen::{generate_wikidata, WikidataConfig};
@@ -313,17 +319,20 @@ fn typed_conflicts(s: &Snapshot) -> Vec<ConflictExplanation> {
 }
 
 fn rendered_inferred(s: &Snapshot) -> Vec<String> {
-    let mut out: Vec<String> = s
+    graded(s).into_iter().map(|(fact, _)| fact).collect()
+}
+
+/// The inferred facts with their confidences, by statement.
+fn graded(s: &Snapshot) -> Vec<(String, f64)> {
+    let mut out: Vec<(String, f64)> = s
         .inferred
         .iter()
         .map(|f| {
-            format!(
-                "({}, {}, {}, {})",
-                f.subject, f.predicate, f.object, f.interval
-            )
+            let (s, p, o, t) = (&f.subject, &f.predicate, &f.object, f.interval);
+            (format!("({s}, {p}, {o}, {t})"), f.confidence)
         })
         .collect();
-    out.sort();
+    out.sort_by(|a, b| a.0.cmp(&b.0));
     out
 }
 
@@ -491,15 +500,28 @@ enum Hold {
     All,
 }
 
-/// Runs the steps on every backend under `hold`; returns, per backend,
-/// how many view facts each step's publish copied.
-fn check_sequence_holding(steps: &[Vec<Op>], hold: Hold) -> Vec<(&'static str, Vec<usize>)> {
-    let mut copied = Vec::new();
-    for backend in backends() {
+/// What one step published, to compare two runs of the same steps by:
+/// the view facts its publish copied (the whole view on a rebuild,
+/// nothing when it was carried onto the spare), the kept facts and the
+/// inferred ones.
+type Published = (usize, Vec<String>, Vec<String>);
+
+/// Runs the steps on each of `backends` under `hold`, grading derived
+/// facts by `confidence`; returns, per backend, what each step
+/// published.
+fn check_sequence_holding(
+    steps: &[Vec<Op>],
+    hold: Hold,
+    backends: Vec<Backend>,
+    confidence: ConfidenceMode,
+) -> Vec<(&'static str, Vec<Published>)> {
+    let mut published = Vec::new();
+    for backend in backends {
         let name = backend.name();
         let config = TecoreConfig {
             backend: backend.into(),
             component_mode: ComponentMode::Components,
+            confidence,
             ..TecoreConfig::default()
         };
         let mut engine = Engine::with_config(base_graph(), paper_program(), config);
@@ -517,34 +539,58 @@ fn check_sequence_holding(steps: &[Vec<Op>], hold: Hold) -> Vec<(&'static str, V
                 engine.resolve_raw().expect("cold"),
                 engine.graph().epoch(),
             );
-            let what = format!("{name}, {hold:?}, step {i} {ops:?}");
+            let what = format!("{name}, {hold:?}, {confidence:?}, step {i} {ops:?}");
             assert_eq!(carried.epoch(), cold.epoch(), "{what}");
             assert_equivalent(&what, &carried, &cold);
+            if confidence == ConfidenceMode::Marginal {
+                let (a, b) = (graded(&carried), graded(&cold));
+                let same = a.iter().zip(&b).all(|(a, b)| (a.1 - b.1).abs() <= 1e-12);
+                assert!(same, "{what}: confidences {a:?}, cold {b:?}");
+                let ungraded = |s: &Snapshot| s.stats.ungraded_facts;
+                assert_eq!(ungraded(&carried), ungraded(&cold), "{what}");
+            }
             assert_eq!(
                 carried.index(),
                 &GraphTemporalIndex::build(carried.expanded()),
                 "{what}: the index is the index of the expanded graph"
             );
             assert_queries_match_scan(&what, &carried, serial + i as u32);
-            run.push(carried.stats.view_facts_copied);
+            run.push((
+                carried.stats.view_facts_copied,
+                rendered(&carried.consistent),
+                rendered_inferred(&carried),
+            ));
             held.push(carried);
         }
-        copied.push((name, run));
+        published.push((name, run));
     }
-    copied
+    published
 }
 
-/// Both ways; returns what the publishes copied while each snapshot
-/// was let go in time.
+/// Both ways, and graded on the MLN backends; returns what the
+/// publishes copied while each snapshot was let go in time.
 fn check_sequence(steps: &[Vec<Op>]) -> Vec<(&'static str, Vec<usize>)> {
-    let reusing = check_sequence_holding(steps, Hold::Latest);
-    for (name, copied) in check_sequence_holding(steps, Hold::All) {
+    let constant = ConfidenceMode::Constant;
+    let reusing = check_sequence_holding(steps, Hold::Latest, backends(), constant);
+    for (name, run) in check_sequence_holding(steps, Hold::All, backends(), constant) {
+        let copied: Vec<usize> = run.iter().map(|p| p.0).collect();
         assert!(
             copied.iter().all(|&facts| facts > 0),
             "{name}: no spare comes home while every snapshot is held: {copied:?}"
         );
     }
+    // Grading decides nothing: the same repair, carried forward (and
+    // copied) at the same steps.
+    let mln = backends()[..3].to_vec();
+    let marginal_runs = check_sequence_holding(steps, Hold::Latest, mln, ConfidenceMode::Marginal);
+    for ((name, marginal), (_, ungraded)) in marginal_runs.iter().zip(&reusing) {
+        assert_eq!(marginal, ungraded, "{name}: Marginal against Constant");
+    }
+    let copied = |run: &[Published]| run.iter().map(|p| p.0).collect();
     reusing
+        .iter()
+        .map(|(name, run)| (*name, copied(run)))
+        .collect()
 }
 
 proptest! {

@@ -4,7 +4,6 @@
 use tecore::prelude::*;
 use tecore_core::pipeline::{Backend, ConfidenceMode, TecoreConfig};
 use tecore_datagen::standard::{paper_constraints, paper_program, paper_rules, ranieri_utkg};
-use tecore_mln::marginal::GibbsConfig;
 use tecore_mln::{CpiConfig, WalkSatConfig};
 use tecore_temporal::Interval as Iv;
 
@@ -135,22 +134,88 @@ fn teen_player_rule_fires() {
     assert!(!r.inferred.iter().any(|f| f.object == "TeenPlayer"));
 }
 
-/// Gibbs-graded confidences are consistent across MLN backends and
-/// usable for thresholding.
+/// `P(worksFor(CR, Palermo) = 1)`: its component's four worlds weighed
+/// by hand (`playsFor` at 0.5 → unit weight 0.2, f1 at 2.5, the hidden
+/// prior at 0.05).
+const RUNNING_EXAMPLE_MARGINAL: f64 = 0.657_594_642_314_038_3;
+
+fn graded(backend: &Backend, threshold: f64) -> TecoreConfig {
+    TecoreConfig {
+        backend: backend.clone().into(),
+        confidence: ConfidenceMode::Marginal,
+        threshold,
+        ..TecoreConfig::default()
+    }
+}
+
+/// Exact confidences are the same on every discrete backend and usable
+/// for thresholding: the derived fact survives τ = 0.65 and not 0.66.
 #[test]
 fn marginal_confidence_thresholding() {
-    let config = TecoreConfig {
-        backend: Backend::MlnExact.into(),
-        confidence: ConfidenceMode::Gibbs(GibbsConfig::default()),
-        threshold: 0.5,
-        ..TecoreConfig::default()
-    };
-    let r = Engine::with_config(ranieri_utkg(), paper_program(), config)
-        .resolve()
+    for backend in &all_backends()[..3] {
+        for (threshold, kept) in [(0.5, 1), (0.65, 1), (0.66, 0)] {
+            let config = graded(backend, threshold);
+            let r = Engine::with_config(ranieri_utkg(), paper_program(), config)
+                .resolve()
+                .unwrap();
+            assert_eq!(r.inferred.len(), kept, "{} at {threshold}", backend.name());
+            assert_eq!(r.stats.thresholded_facts, 1 - kept);
+            for fact in &r.inferred {
+                assert!((fact.confidence - RUNNING_EXAMPLE_MARGINAL).abs() < 1e-12);
+            }
+        }
+    }
+}
+
+/// Seventeen pairwise clashing coach spells of CR and the `worksFor`
+/// each derives make one 34-atom component, above `MAX_GRADED_ATOMS`:
+/// its accepted derived fact reads the MAP value and is counted. AV's
+/// two-atom component reads its exact marginal: `coach` at 0.8 (unit
+/// weight ln 4), f at 1.0 and the prior at 0.05.
+#[test]
+fn a_component_above_the_bound_reads_its_map_value() {
+    let mut graph = tecore_kg::UtkGraph::new();
+    for i in 0..17 {
+        let spell = Iv::new(2000 + i64::from(i), 2020).unwrap();
+        let confidence = 0.6 + 0.02 * f64::from(i);
+        graph
+            .insert("CR", "coach", &format!("Club{i}"), spell, confidence)
+            .unwrap();
+    }
+    graph
+        .insert("AV", "coach", "Roma", Iv::new(2000, 2004).unwrap(), 0.8)
         .unwrap();
-    // The worksFor derivation is well-supported; it survives τ=0.5.
-    assert_eq!(r.inferred.len(), 1);
-    assert!(r.inferred[0].confidence >= 0.5);
+    let program = LogicProgram::parse(
+        "f: quad(x, coach, y, t) -> quad(x, worksFor, y, t) w = 1.0\n\
+         c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf",
+    )
+    .unwrap();
+    let g = tecore_ground::ground(&graph, &program, &Default::default()).unwrap();
+    let p = tecore_ground::Partition::of(&g.clauses, g.num_atoms());
+    assert_eq!((p.len(), p.atoms(0).len()), (2, 34));
+    let w = |cost: f64| (-cost).exp();
+    let unit = 4f64.ln();
+    let av = (w(unit + 0.05) + w(0.05)) / (w(unit) + w(unit + 0.05) + w(1.0) + w(0.05));
+    for backend in &all_backends()[..3] {
+        let r = Engine::with_config(graph.clone(), program.clone(), graded(backend, 0.0))
+            .resolve()
+            .unwrap();
+        let read = |subject: &str| -> Vec<f64> {
+            let facts = r.inferred.iter().filter(|f| f.subject == subject);
+            facts.map(|f| f.confidence).collect()
+        };
+        let name = backend.name();
+        assert_eq!(
+            read("CR"),
+            [1.0],
+            "{name}: one spell kept and graded by MAP"
+        );
+        assert_eq!(r.stats.ungraded_facts, 1, "{name}");
+        assert!(
+            matches!(read("AV")[..], [c] if (c - av).abs() < 1e-12),
+            "{name}"
+        );
+    }
 }
 
 /// The expanded graph round-trips through the text format.
