@@ -13,21 +13,22 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 
 use tecore_bench::harness;
-use tecore_core::pipeline::Backend;
+use tecore_core::MapSolver;
 use tecore_datagen::standard::football_program;
-use tecore_mln::{CpiConfig, WalkSatConfig};
+use tecore_mln::{CpiConfig, CpiSolver, WalkSatConfig};
 
-fn quality_matched_mln() -> Backend {
-    Backend::MlnCuttingPlane(CpiConfig {
+fn quality_matched_mln() -> Arc<dyn MapSolver> {
+    Arc::new(CpiSolver::new(CpiConfig {
         walksat: WalkSatConfig {
             max_flips: 1_500_000,
             restarts: 6,
             ..WalkSatConfig::default()
         },
         ..CpiConfig::default()
-    })
+    }))
 }
 
 fn bench_map_footballdb(c: &mut Criterion) {
@@ -37,9 +38,9 @@ fn bench_map_footballdb(c: &mut Criterion) {
     for size in [5_000usize, 20_000] {
         let generated = harness::football(size);
         for (label, backend) in [
-            ("mln-cpi-default", Backend::default()),
+            ("mln-cpi-default", harness::solver("mln-cpi")),
             ("mln-cpi-quality-matched", quality_matched_mln()),
-            ("psl-admm", Backend::default_psl()),
+            ("psl-admm", harness::solver("psl-admm")),
         ] {
             group.bench_with_input(BenchmarkId::new(label, size), &generated, |b, generated| {
                 b.iter(|| black_box(harness::resolve(generated, &program, backend.clone())))

@@ -8,12 +8,13 @@
 //! or E5's exact grading is off.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tecore_bench::harness;
 use tecore_core::registry::SolverRegistry;
 use tecore_core::threshold;
-use tecore_core::{Backend, ConfidenceMode, Engine, TecoreConfig};
+use tecore_core::{ConfidenceMode, Engine, MapSolver, TecoreConfig};
 use tecore_datagen::config::{FootballConfig, SkewedConfig};
 use tecore_datagen::football::generate_football;
 use tecore_datagen::noise::repair_metrics;
@@ -24,7 +25,7 @@ use tecore_datagen::standard::{
 use tecore_ground::{ground, GroundConfig, Partition, MAX_GRADED_ATOMS};
 use tecore_kg::UtkGraph;
 use tecore_logic::LogicProgram;
-use tecore_mln::{CpiConfig, WalkSatConfig};
+use tecore_mln::{CpiConfig, CpiSolver, WalkSatConfig};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -111,9 +112,8 @@ fn e2_conflict_statistics(quick: bool) {
     };
     let generated = generate_football(&config);
     print_components("football", &generated.graph, &football_program());
-    for backend in [Backend::default(), Backend::default_psl()] {
-        let name = backend.name();
-        let r = harness::resolve(&generated, &football_program(), backend);
+    for name in ["mln-cpi", "psl-admm"] {
+        let r = harness::resolve(&generated, &football_program(), harness::solver(name));
         println!(
             "    measured [{name}]: {} conflicting / {} facts ({:.2}%)",
             r.stats.conflicting_facts,
@@ -132,19 +132,19 @@ fn e3_map_performance(quick: bool) {
     let generated = harness::football(20_000);
     let runs = if quick { 3 } else { 10 };
     let program = football_program();
-    let quality_matched = Backend::MlnCuttingPlane(CpiConfig {
+    let quality_matched: Arc<dyn MapSolver> = Arc::new(CpiSolver::new(CpiConfig {
         walksat: WalkSatConfig {
             max_flips: 1_500_000,
             restarts: 6,
             ..WalkSatConfig::default()
         },
         ..CpiConfig::default()
-    });
+    }));
     let mut results: Vec<(&str, Duration, f64)> = Vec::new();
     for (label, backend) in [
-        ("mln-cpi (default budget)", Backend::default()),
+        ("mln-cpi (default budget)", harness::solver("mln-cpi")),
         ("mln-cpi (quality-matched)", quality_matched),
-        ("psl-admm", Backend::default_psl()),
+        ("psl-admm", harness::solver("psl-admm")),
     ] {
         let mut total = Duration::ZERO;
         let mut f1 = 0.0;
@@ -178,9 +178,8 @@ fn e4_noise_stress(quick: bool) {
     let size = if quick { 4_000 } else { 10_000 };
     for ratio in [0.1f64, 0.5, 1.0] {
         let generated = harness::football_noisy(size, ratio);
-        for backend in [Backend::default(), Backend::default_psl()] {
-            let name = backend.name();
-            let r = harness::resolve(&generated, &football_program(), backend);
+        for name in ["mln-cpi", "psl-admm"] {
+            let r = harness::resolve(&generated, &football_program(), harness::solver(name));
             let removed: Vec<_> = r.removed.iter().map(|x| x.id).collect();
             let m = repair_metrics(&generated, &removed);
             println!(
@@ -214,7 +213,6 @@ fn e5_threshold() -> bool {
     }
     print_components("e5", &graph, &paper_rules());
     let config = TecoreConfig {
-        backend: Backend::default().into(),
         confidence: ConfidenceMode::Marginal,
         ..TecoreConfig::default()
     };
@@ -261,10 +259,9 @@ fn e6_wikidata_scaling(quick: bool) {
             &generated.graph,
             &wikidata_program(),
         );
-        for backend in [Backend::default(), Backend::default_psl()] {
-            let name = backend.name();
+        for name in ["mln-cpi", "psl-admm"] {
             let t = Instant::now();
-            let r = harness::resolve(&generated, &wikidata_program(), backend);
+            let r = harness::resolve(&generated, &wikidata_program(), harness::solver(name));
             println!(
                 "    {size:>8} facts [{name}]: total {:?} (ground {:?} / solve {:?}), {} conflicts",
                 t.elapsed(),

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use tecore_core::registry::SolverRegistry;
 use tecore_core::snapshot::Snapshot;
-use tecore_core::{Engine, SolverHandle, TecoreConfig};
+use tecore_core::{Engine, MapSolver, TecoreConfig};
 use tecore_datagen::config::{FootballConfig, WikidataConfig};
 use tecore_datagen::football::generate_football;
 use tecore_datagen::noise::GeneratedKg;
@@ -47,16 +47,13 @@ pub fn wikidata(total_facts: usize) -> GeneratedKg {
 /// Runs the full pipeline with a backend over a prepared workload,
 /// returning the resolved snapshot (which dereferences to the
 /// resolution).
-///
-/// Accepts anything convertible to a [`SolverHandle`]: a
-/// `tecore_core::Backend` spec or a handle resolved from a registry.
 pub fn resolve(
     generated: &GeneratedKg,
     program: &LogicProgram,
-    backend: impl Into<SolverHandle>,
+    backend: Arc<dyn MapSolver>,
 ) -> Arc<Snapshot> {
     let config = TecoreConfig {
-        backend: backend.into(),
+        backend,
         ..TecoreConfig::default()
     };
     Engine::with_config(generated.graph.clone(), program.clone(), config)
@@ -66,9 +63,9 @@ pub fn resolve(
 
 /// Resolves a backend by registry name (default-configured seed
 /// substrates), so bench matrices can be driven by name lists. Resolve
-/// once outside the measured loop and pass the cheap-to-clone handle
-/// to [`resolve`].
-pub fn solver(name: &str) -> SolverHandle {
+/// once outside the measured loop and pass the cheap-to-clone `Arc` to
+/// [`resolve`].
+pub fn solver(name: &str) -> Arc<dyn MapSolver> {
     SolverRegistry::with_default_backends()
         .resolve(name)
         .expect("benchmark backend name registered")

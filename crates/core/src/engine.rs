@@ -32,7 +32,7 @@ use std::time::Instant;
 use tecore_ground::component::{ComponentView, Partition};
 use tecore_ground::incremental::DeltaStats;
 use tecore_ground::{
-    AtomId, ComponentIndex, ComponentMode, Grounding, MapState, Marginals, SolveOpts,
+    AtomId, ComponentIndex, ComponentMode, Grounding, MapSolver, MapState, Marginals,
 };
 use tecore_kg::{Delta, FactId, TemporalFact, UtkGraph};
 use tecore_logic::LogicProgram;
@@ -42,9 +42,7 @@ use tecore_wal::{InsertRecord, RecoveryReport, Wal, WalConfig, WalStats};
 use crate::batch::{self, ApplyReport, EditBatch, EditOutcome, PlannedOp};
 use crate::carry::{carry_forward, Carried, Forwarded, Reclaim, Resolved};
 use crate::error::TecoreError;
-use crate::pipeline::{
-    check_solver_contract, interpret, ConfidenceMode, SolverHandle, TecoreConfig,
-};
+use crate::pipeline::{check_solver_contract, interpret, ConfidenceMode, TecoreConfig};
 use crate::resolution::Resolution;
 use crate::snapshot::Snapshot;
 use crate::translate::translate;
@@ -115,7 +113,9 @@ pub(crate) enum Moved {
 /// the other. The per-component states merge into one global state
 /// whose cost and feasibility are the totals of the per-component
 /// ledger the solved components are entered in, so the merged state
-/// satisfies exactly the contract a monolithic solve would.
+/// satisfies exactly the contract a monolithic solve would. Every
+/// backend is offered the previous state, projected to the
+/// component's local ids, as its warm start.
 ///
 /// Everything else (`Monolithic` mode, a single component under
 /// `Auto`, an unpartitionable arena) is one [`MapSolver::solve`] over
@@ -129,7 +129,7 @@ pub(crate) enum Moved {
 ///
 /// [`MapSolver::solve`]: tecore_ground::MapSolver::solve
 fn solve_dispatch(
-    solver: &SolverHandle,
+    solver: &dyn MapSolver,
     grounding: &mut Grounding,
     warm: Option<MapState>,
     mode: ComponentMode,
@@ -256,7 +256,6 @@ fn solve_dispatch(
             assignment,
             cost,
             feasible: hard_violations == 0,
-            active_clauses: grounding.clauses.len(),
             soft_values: soft,
         },
         components,
@@ -270,23 +269,18 @@ fn solve_dispatch(
     })
 }
 
-/// The monolithic fallback: one [`MapSolver::solve`](tecore_ground::MapSolver::solve)
-/// over the grounding's whole arena, with the warm start gated on the
-/// backend's declared capability, and the returned state held to the
-/// solver contract. With `marginal`, every component of the arena is
-/// graded.
+/// The monolithic fallback: one [`MapSolver::solve`] over the
+/// grounding's whole arena, warm-started from the whole previous
+/// state, and the returned state held to the solver contract. With
+/// `marginal`, every component of the arena is graded.
 fn monolithic_solve(
-    solver: &SolverHandle,
+    solver: &dyn MapSolver,
     grounding: &Grounding,
     warm: Option<MapState>,
     marginal: bool,
 ) -> Result<SolveOutcome, TecoreError> {
     let n = grounding.num_atoms();
-    let opts = SolveOpts {
-        seed: None,
-        warm_start: warm.as_ref().filter(|_| solver.caps().warm_start),
-    };
-    let mut state = solver.solve(n, &grounding.clauses, &opts)?;
+    let mut state = solver.solve(n, &grounding.clauses, warm.as_ref())?;
     check_solver_contract(solver, &state, n)?;
     if marginal {
         let partition = Partition::of(&grounding.clauses, n);
@@ -311,25 +305,18 @@ fn monolithic_solve(
 }
 
 /// Solves one dirty component: copies it out of the arena into its
-/// local atom id space, offers a remapped warm start when the backend
-/// consumes one, and holds the local state to the solver contract.
+/// local atom id space, offers the previous state remapped to it as the
+/// warm start, and holds the local state to the solver contract.
 fn solve_one_component(
-    solver: &SolverHandle,
+    solver: &dyn MapSolver,
     grounding: &Grounding,
     partition: &Partition,
     comp: usize,
     warm: Option<&MapState>,
 ) -> Result<MapState, TecoreError> {
     let view = partition.view(&grounding.clauses, comp);
-    let local_warm_state = match (solver.caps().warm_start, warm) {
-        (true, Some(w)) => local_warm(&view, w),
-        _ => None,
-    };
-    let local_opts = SolveOpts {
-        seed: None,
-        warm_start: local_warm_state.as_ref(),
-    };
-    let state = solver.solve(view.num_atoms(), &view.to_store(), &local_opts)?;
+    let local = warm.and_then(|w| local_warm(&view, w));
+    let state = solver.solve(view.num_atoms(), &view.to_store(), local.as_ref())?;
     check_solver_contract(solver, &state, view.num_atoms())?;
     Ok(state)
 }
@@ -354,7 +341,6 @@ fn local_warm(view: &ComponentView<'_>, warm: &MapState) -> Option<MapState> {
             .collect(),
         cost: 0.0,
         feasible: true,
-        active_clauses: 0,
         soft_values: warm
             .soft_values
             .as_ref()
@@ -441,8 +427,10 @@ impl Engine {
 
     /// Creates a **durable** engine over a graph that was recovered
     /// from `wal` (i.e. the pair returned by [`Wal::open`]): every
-    /// subsequent [`Engine::insert_fact`]/[`Engine::remove_fact`] is
-    /// journaled before it is applied.
+    /// subsequent op through [`Engine::apply`] — and so through the
+    /// per-fact wrappers [`Engine::insert_fact`] and
+    /// [`Engine::remove_fact`] — is journaled before it is applied.
+    /// Edits through [`Engine::graph_mut`] are not.
     pub fn durable(graph: UtkGraph, program: LogicProgram, config: TecoreConfig, wal: Wal) -> Self {
         let mut engine = Engine::with_config(graph, program, config);
         engine.wal = Some(wal);
@@ -451,7 +439,9 @@ impl Engine {
 
     /// Opens (or creates) the write-ahead log in `dir` with default
     /// configurations, recovers the graph it describes, and returns a
-    /// durable engine serving it.
+    /// durable engine serving it: every op through [`Engine::apply`]
+    /// (the per-fact wrappers included) is journaled before it is
+    /// applied.
     pub fn open_durable(
         dir: impl Into<std::path::PathBuf>,
         program: LogicProgram,
@@ -489,7 +479,9 @@ impl Engine {
     /// Mutable access to the graph. Edits are picked up by the next
     /// [`Engine::resolve_incremental`] through the graph's change log;
     /// if the log was truncated past the cached epoch the engine falls
-    /// back to a full re-ground.
+    /// back to a full re-ground. On a durable engine these edits are
+    /// **not** journaled, so recovery will not replay them: route
+    /// edits that must survive a restart through [`Engine::apply`].
     pub fn graph_mut(&mut self) -> &mut UtkGraph {
         &mut self.graph
     }
@@ -717,7 +709,7 @@ impl Engine {
     /// the resolution once and want to skip the `Arc`.
     pub fn resolve_raw(&self) -> Result<Resolution, TecoreError> {
         let (graph, config) = (&self.graph, &self.config);
-        let solver = &config.backend;
+        let solver = &*config.backend;
         let mut grounding = translate(graph, &self.program, &solver.caps(), &config.ground)?;
         let solve_start = Instant::now();
         let outcome = solve_dispatch(
@@ -734,16 +726,15 @@ impl Engine {
         resolution.stats.components = outcome.components;
         resolution.stats.components_solved = outcome.components_solved;
         resolution.stats.partition_atoms_visited = outcome.atoms_visited;
-        resolution.stats.fallback_regrounds = self.fallback_regrounds;
         Ok(resolution)
     }
 
     /// Runs conflict resolution incrementally: syncs the cached
     /// grounding with the graph's change log (cold-grounding on the
     /// first call or after log truncation), warm-starts the solver
-    /// from the previous MAP state when its caps allow, and returns the
-    /// result as a fresh [`Snapshot`] — exactly like [`Engine::resolve`]
-    /// would on the same graph.
+    /// from the previous MAP state, and returns the result as a fresh
+    /// [`Snapshot`] — exactly like [`Engine::resolve`] would on the
+    /// same graph.
     ///
     /// The snapshot itself is derived from the one this method returned
     /// last: its graphs, index and result lists are an earlier
@@ -808,15 +799,14 @@ impl Engine {
         // The cache has consumed the history; keep the log bounded.
         self.graph.truncate_log(engine.grounding.epoch());
 
-        // 2. Warm-started solve. The previous MAP state is always
-        // offered to the *driver* — it splices clean components from it
-        // even for backends without warm-start support — and the driver
-        // gates what each backend actually sees on its caps.
+        // 2. Warm-started solve. The solve driver splices clean
+        // components from the previous MAP state and offers it,
+        // projected per component, to the backend, which may ignore it.
         let warm = engine.last_state.take();
         let was_solved = warm.is_some();
         let solve_start = Instant::now();
         let outcome = solve_dispatch(
-            &solver,
+            &*solver,
             &mut engine.grounding,
             warm,
             self.config.component_mode,
@@ -958,10 +948,10 @@ fn journal_planned(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{Backend, ConfidenceMode, SolverHandle};
+    use crate::pipeline::ConfidenceMode;
+    use crate::registry::SolverRegistry;
     use tecore_ground::ClauseStore;
     use tecore_kg::parser::parse_graph;
-    use tecore_mln::{CpiConfig, WalkSatConfig};
 
     const RANIERI: &str = "\
         (CR, coach, Chelsea, [2000,2004]) 0.9\n\
@@ -985,11 +975,20 @@ mod tests {
     /// the hidden prior at 0.05).
     const RUNNING_EXAMPLE_MARGINAL: f64 = 0.657_594_642_314_038_3;
 
-    fn run(backend: impl Into<SolverHandle>) -> Arc<Snapshot> {
+    /// The four registered backends, in the order the tests run them.
+    const BACKENDS: [&str; 4] = ["mln-exact", "mln-walksat", "mln-cpi", "psl-admm"];
+
+    fn solver(name: &str) -> Arc<dyn MapSolver> {
+        SolverRegistry::with_default_backends()
+            .resolve(name)
+            .unwrap()
+    }
+
+    fn run(backend: Arc<dyn MapSolver>) -> Arc<Snapshot> {
         let graph = parse_graph(RANIERI).unwrap();
         let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
         let config = TecoreConfig {
-            backend: backend.into(),
+            backend,
             ..TecoreConfig::default()
         };
         Engine::with_config(graph, program, config)
@@ -1001,14 +1000,8 @@ mod tests {
     /// facts (1)–(4) kept, on every backend.
     #[test]
     fn running_example_all_backends() {
-        for backend in [
-            Backend::MlnExact,
-            Backend::MlnWalkSat(WalkSatConfig::default()),
-            Backend::MlnCuttingPlane(CpiConfig::default()),
-            Backend::default_psl(),
-        ] {
-            let name = backend.name();
-            let r = run(backend);
+        for name in BACKENDS {
+            let r = run(solver(name));
             assert!(r.stats.feasible, "{name}: must be feasible");
             assert_eq!(
                 r.stats.conflicting_facts, 1,
@@ -1065,17 +1058,11 @@ mod tests {
     /// every backend, warm starts included.
     #[test]
     fn incremental_edits_match_cold_resolve_on_all_backends() {
-        for backend in [
-            Backend::MlnExact,
-            Backend::MlnWalkSat(WalkSatConfig::default()),
-            Backend::MlnCuttingPlane(CpiConfig::default()),
-            Backend::default_psl(),
-        ] {
-            let name = backend.name();
+        for name in BACKENDS {
             let graph = parse_graph(RANIERI).unwrap();
             let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
             let config = TecoreConfig {
-                backend: backend.into(),
+                backend: solver(name),
                 ..TecoreConfig::default()
             };
             let mut engine = Engine::with_config(graph, program.clone(), config.clone());
@@ -1242,6 +1229,40 @@ mod tests {
         // The counter is cumulative, not reset by a clean resolve.
         let clean = engine.resolve_incremental().unwrap();
         assert_eq!(clean.stats.fallback_regrounds, 1);
+    }
+
+    /// The reground counters belong to the incremental path: a batch
+    /// resolve reads `0` for both, whatever the engine counted before.
+    #[test]
+    fn batch_resolve_reports_no_regrounds() {
+        let graph = parse_graph(RANIERI).unwrap();
+        let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
+        let mut engine = Engine::new(graph, program);
+        engine.resolve_incremental().unwrap();
+        // A fallback: the log no longer reaches the cached epoch.
+        engine
+            .graph_mut()
+            .insert("X", "coach", "A", iv(1, 2), 0.9)
+            .unwrap();
+        let epoch = engine.graph().epoch();
+        engine.graph_mut().truncate_log(epoch);
+        engine.resolve_incremental().unwrap();
+        // A compaction: dead atoms come to outnumber the live ones.
+        for i in 0..70 {
+            let id = engine
+                .insert_fact(&format!("p{i}"), "coach", "c", iv(2000, 2001), 0.8)
+                .unwrap();
+            engine.resolve_incremental().unwrap();
+            engine.remove_fact(id).unwrap();
+        }
+        let incremental = engine.resolve_incremental().unwrap();
+        assert_eq!(incremental.stats.fallback_regrounds, 1);
+        assert!(incremental.stats.compaction_regrounds >= 1);
+
+        let batch = engine.resolve().unwrap();
+        assert_eq!(batch.stats.fallback_regrounds, 0);
+        assert_eq!(batch.stats.compaction_regrounds, 0);
+        assert_eq!(engine.fallback_regrounds(), 1, "the engine keeps counting");
     }
 
     /// ~120 facts over thirty independent subjects: coaching spells
@@ -1443,14 +1464,8 @@ mod tests {
         use ComponentMode::{Auto, Monolithic};
         use ConfidenceMode::{Constant, Marginal};
         let mut runs = Vec::new();
-        for backend in [
-            Backend::MlnExact,
-            Backend::MlnWalkSat(WalkSatConfig::default()),
-            Backend::MlnCuttingPlane(CpiConfig::default()),
-            Backend::default_psl(),
-        ] {
-            let name = backend.name();
-            let backend = SolverHandle::from(backend);
+        for name in BACKENDS {
+            let backend = solver(name);
             // (grading, component mode, keep every snapshot)
             let mut variants = vec![(Constant, Auto, false), (Constant, Auto, true)];
             if name != "psl-admm" {
@@ -1583,7 +1598,7 @@ mod tests {
 
     #[test]
     fn expanded_graph_materialised_on_snapshot() {
-        let r = run(Backend::MlnExact);
+        let r = run(solver("mln-exact"));
         let expanded = r.expanded();
         assert_eq!(expanded.len(), 5); // 4 kept + 1 inferred
         let works_for = expanded.dict().lookup("worksFor").unwrap();
@@ -1598,13 +1613,9 @@ mod tests {
     /// monolithic one of the other two, graded over `Partition::of`.
     #[test]
     fn gibbs_confidence_grades_inferred() {
-        for backend in [
-            Backend::MlnExact,
-            Backend::MlnWalkSat(WalkSatConfig::default()),
-            Backend::MlnCuttingPlane(CpiConfig::default()),
-        ] {
+        for name in &BACKENDS[..3] {
             let config = TecoreConfig {
-                backend: backend.into(),
+                backend: solver(name),
                 confidence: ConfidenceMode::Marginal,
                 ..TecoreConfig::default()
             };
@@ -1627,7 +1638,7 @@ mod tests {
         let graph = parse_graph(RANIERI).unwrap();
         let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
         let config = TecoreConfig {
-            backend: Backend::MlnExact.into(),
+            backend: solver("mln-exact"),
             threshold: 2.0, // impossible bar: drops everything
             ..TecoreConfig::default()
         };
@@ -1640,7 +1651,7 @@ mod tests {
 
     #[test]
     fn psl_confidences_are_soft_values() {
-        let r = run(Backend::default_psl());
+        let r = run(solver("psl-admm"));
         assert_eq!(r.inferred.len(), 1);
         let c = r.inferred[0].confidence;
         assert!((0.0..=1.0).contains(&c));
@@ -1664,8 +1675,8 @@ mod tests {
         assert!(r.stats.per_constraint.is_empty());
     }
 
-    /// A backend outside the [`Backend`] enum drops straight into the
-    /// config — the acceptance test for the open solver seam.
+    /// A backend outside the registry drops straight into the config —
+    /// the acceptance test for the open solver seam.
     #[test]
     fn external_solver_plugs_in() {
         use tecore_ground::{MapSolver, SolveError, SolverCaps};
@@ -1685,25 +1696,141 @@ mod tests {
                 &self,
                 atoms: usize,
                 clauses: &ClauseStore,
-                _opts: &SolveOpts,
+                _warm: Option<&MapState>,
             ) -> Result<MapState, SolveError> {
                 let (cost, hard) = tecore_ground::evaluate_world(clauses, &vec![true; atoms]);
                 Ok(MapState {
                     assignment: vec![true; atoms],
                     cost,
                     feasible: hard == 0,
-                    active_clauses: clauses.len(),
                     soft_values: None,
                 })
             }
         }
 
-        let r = run(SolverHandle::new(KeepAll));
+        let r = run(Arc::new(KeepAll));
         // Keeping everything keeps the Napoli clash: infeasible, nothing
         // removed, and the stats carry the external backend's name.
         assert!(!r.stats.feasible);
         assert_eq!(r.stats.conflicting_facts, 0);
         assert_eq!(r.stats.backend, "keep-all");
+    }
+
+    /// The solve driver offers every backend the previous state: none
+    /// on a cold solve, the component's slice of it (in local ids, new
+    /// atoms cut off) on a warm component solve, and all of it on a
+    /// warm solve of a single component, which goes to the backend
+    /// whole.
+    #[test]
+    fn every_backend_is_offered_the_warm_state() {
+        use std::sync::Mutex;
+        use tecore_ground::{MapSolver, SolveError, SolverCaps};
+        use tecore_logic::validate::Expressivity;
+        use tecore_mln::BranchAndBound;
+
+        /// Exact search that records the warm state of every solve.
+        #[derive(Debug, Default)]
+        struct Recording(Mutex<Vec<Option<MapState>>>);
+
+        impl Recording {
+            fn take(&self) -> Vec<Option<MapState>> {
+                std::mem::take(&mut *self.0.lock().unwrap())
+            }
+        }
+
+        impl MapSolver for Recording {
+            fn name(&self) -> &str {
+                "recording"
+            }
+            fn caps(&self) -> SolverCaps {
+                SolverCaps {
+                    expressivity: Expressivity::Mln,
+                    soft_values: false,
+                    exact: true,
+                }
+            }
+            fn solve(
+                &self,
+                atoms: usize,
+                clauses: &ClauseStore,
+                warm: Option<&MapState>,
+            ) -> Result<MapState, SolveError> {
+                self.0.lock().unwrap().push(warm.cloned());
+                MapSolver::solve(&BranchAndBound::new(), atoms, clauses, None)
+            }
+        }
+
+        let engine_on = |text: &str, component_mode: ComponentMode| {
+            let recording = Arc::new(Recording::default());
+            let config = TecoreConfig {
+                backend: recording.clone(),
+                component_mode,
+                ..TecoreConfig::default()
+            };
+            let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
+            let engine = Engine::with_config(parse_graph(text).unwrap(), program, config);
+            (engine, recording)
+        };
+
+        // Component by component: Roma clashes with Leicester alone,
+        // and of that component only Leicester (kept) is known.
+        let (mut engine, recording) = engine_on(RANIERI, ComponentMode::Components);
+        engine.resolve_incremental().unwrap();
+        let cold = recording.take();
+        assert!(
+            cold.len() > 1 && cold.iter().all(Option::is_none),
+            "{cold:?}"
+        );
+        engine
+            .insert_fact("CR", "coach", "Roma", iv(2016, 2018), 0.95)
+            .unwrap();
+        let warm = engine.resolve_incremental().unwrap();
+        assert_eq!(warm.stats.components_solved, 1);
+        let leicester = MapState {
+            assignment: vec![true],
+            cost: 0.0,
+            feasible: true,
+            soft_values: None,
+        };
+        assert_eq!(recording.take(), [Some(leicester)]);
+
+        // One component: the whole previous state goes to the backend.
+        let clash = "(CR, coach, Chelsea, [2000,2004]) 0.9\n\
+                     (CR, coach, Napoli, [2001,2003]) 0.6\n";
+        let (mut engine, recording) = engine_on(clash, ComponentMode::Auto);
+        engine.resolve_incremental().unwrap();
+        assert_eq!(recording.take(), [None]);
+        let previous = engine.cache.as_ref().unwrap().last_state.clone();
+        engine
+            .insert_fact("CR", "coach", "Roma", iv(2002, 2003), 0.7)
+            .unwrap();
+        let warm = engine.resolve_incremental().unwrap();
+        assert_eq!(warm.stats.components, 0, "solved as a whole");
+        assert_eq!(recording.take(), [previous]);
+    }
+
+    /// `DebugStats::clauses` is the grounding's live clause count, on
+    /// `mln-cpi` too, whose cutting-plane loop leaves the grounding
+    /// over a rejected derivation out of its active set.
+    #[test]
+    fn clause_count_is_the_groundings() {
+        let program = LogicProgram::parse(
+            "f1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = 0.01\n\
+             c: quad(x, worksFor, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf",
+        )
+        .unwrap();
+        let graph = parse_graph("(a, playsFor, b, [1,5]) 0.9\n(a, coach, c, [2,4]) 0.8\n");
+        let mut engine = Engine::with_config(graph.unwrap(), program, TecoreConfig::default());
+        assert_eq!(engine.config().backend.name(), "mln-cpi");
+        let live = |engine: &Engine| engine.cache.as_ref().unwrap().grounding.clauses.len();
+        let cold = engine.resolve_incremental().unwrap();
+        assert_eq!(cold.stats.clauses, live(&engine));
+        engine
+            .insert_fact("d", "coach", "e", iv(1, 2), 0.9)
+            .unwrap();
+        let warm = engine.resolve_incremental().unwrap();
+        assert_eq!(warm.stats.clauses, live(&engine));
+        assert!(warm.stats.clauses > cold.stats.clauses);
     }
 
     /// A plugin that violates the assignment-length contract must fail
@@ -1726,13 +1853,12 @@ mod tests {
                 &self,
                 _atoms: usize,
                 _clauses: &ClauseStore,
-                _opts: &SolveOpts,
+                _warm: Option<&MapState>,
             ) -> Result<MapState, SolveError> {
                 Ok(MapState {
                     assignment: vec![true], // wrong length
                     cost: 0.0,
                     feasible: true,
-                    active_clauses: 0,
                     soft_values: None,
                 })
             }
@@ -1741,7 +1867,7 @@ mod tests {
         let graph = parse_graph(RANIERI).unwrap();
         let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
         let config = TecoreConfig {
-            backend: SolverHandle::new(Truncated),
+            backend: Arc::new(Truncated),
             ..TecoreConfig::default()
         };
         let err = Engine::with_config(graph, program, config)
@@ -1773,13 +1899,12 @@ mod tests {
                 &self,
                 atoms: usize,
                 _clauses: &ClauseStore,
-                _opts: &SolveOpts,
+                _warm: Option<&MapState>,
             ) -> Result<MapState, SolveError> {
                 Ok(MapState {
                     assignment: vec![true; atoms],
                     cost: 0.0,
                     feasible: true,
-                    active_clauses: 0,
                     soft_values: Some(vec![0.5; atoms]),
                 })
             }
@@ -1788,7 +1913,7 @@ mod tests {
         let graph = parse_graph(RANIERI).unwrap();
         let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
         let config = TecoreConfig {
-            backend: SolverHandle::new(TwoFaced),
+            backend: Arc::new(TwoFaced),
             ..TecoreConfig::default()
         };
         let err = Engine::with_config(graph, program, config)
@@ -1822,13 +1947,12 @@ mod tests {
                 &self,
                 atoms: usize,
                 _clauses: &ClauseStore,
-                _opts: &SolveOpts,
+                _warm: Option<&MapState>,
             ) -> Result<MapState, SolveError> {
                 Ok(MapState {
                     assignment: vec![true; atoms],
                     cost: 0.0,
                     feasible: true,
-                    active_clauses: 0,
                     soft_values: None, // contract violation
                 })
             }
@@ -1837,7 +1961,7 @@ mod tests {
         let graph = parse_graph(RANIERI).unwrap();
         let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
         let config = TecoreConfig {
-            backend: SolverHandle::new(Forgetful),
+            backend: Arc::new(Forgetful),
             component_mode: ComponentMode::Components,
             ..TecoreConfig::default()
         };

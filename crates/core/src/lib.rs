@@ -49,7 +49,6 @@
 #![forbid(unsafe_code)]
 
 pub mod advisor;
-pub mod backends;
 pub mod batch;
 mod carry;
 pub mod engine;
@@ -65,7 +64,6 @@ pub mod threshold;
 pub mod translate;
 
 pub use advisor::{suggest_constraints, AdvisorConfig, SuggestedConstraint};
-pub use backends::{Backend, SolverHandle};
 pub use batch::{ApplyReport, EditBatch, EditOp, EditOutcome};
 pub use engine::Engine;
 pub use error::TecoreError;
@@ -79,13 +77,10 @@ pub use stats::DebugStats;
 // The backend interface itself lives in `tecore-ground` (below the
 // substrate crates); re-exported here because this is where users meet
 // it.
-pub use tecore_ground::{
-    FormulaPlan, JoinPlanner, MapSolver, MapState, SolveError, SolveOpts, SolverCaps,
-};
+pub use tecore_ground::{FormulaPlan, JoinPlanner, MapSolver, MapState, SolveError, SolverCaps};
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::backends::{Backend, SolverHandle};
     pub use crate::batch::{ApplyReport, EditBatch, EditOp, EditOutcome};
     pub use crate::engine::Engine;
     pub use crate::error::TecoreError;

@@ -2,22 +2,21 @@
 //!
 //! The compute pipeline is **backend-agnostic**: the
 //! [`Engine`](crate::engine::Engine) translates, asks its configured
-//! [`MapSolver`](tecore_ground::MapSolver) for a [`MapState`], and the
-//! interpretation step turns that state into a repaired knowledge
-//! graph. There is deliberately no
-//! per-backend dispatch anywhere in this module — what a solver can do
+//! [`MapSolver`] for a [`MapState`], and the interpretation step turns
+//! that state into a repaired knowledge graph. There is deliberately
+//! no per-backend dispatch anywhere in this module — what a solver can do
 //! is read off its [`SolverCaps`](tecore_ground::SolverCaps), so a
-//! plugin [`SolverHandle`] set as [`TecoreConfig::backend`] behaves
-//! exactly like the four in [`crate::registry::SolverRegistry`].
+//! plugin solver set as [`TecoreConfig::backend`] behaves exactly like
+//! the four in [`crate::registry::SolverRegistry`].
 
 use std::sync::Arc;
 
 use tecore_ground::{
-    AtomId, AtomKind, ComponentMode, GroundAtom, GroundConfig, Grounding, MapState,
+    AtomId, AtomKind, ComponentMode, GroundAtom, GroundConfig, Grounding, MapSolver, MapState,
 };
 use tecore_kg::{FactId, FxHashSet, UtkGraph};
+use tecore_mln::CpiSolver;
 
-pub use crate::backends::{Backend, SolverHandle};
 use crate::carry::{FactIds, Inferred, ViewMaps};
 use crate::error::TecoreError;
 use crate::explain::Conflicts;
@@ -46,11 +45,13 @@ pub enum ConfidenceMode {
 }
 
 /// Pipeline configuration.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TecoreConfig {
-    /// The reasoner. Any [`SolverHandle`] works here; [`Backend`] specs
-    /// convert with `.into()`, registry entries come as-is.
-    pub backend: SolverHandle,
+    /// The reasoner: any [`MapSolver`] — `Arc::new(MaxWalkSat::new(..))`,
+    /// a [`SolverRegistry`](crate::registry::SolverRegistry) entry, or
+    /// a plugin. Defaults to cutting-plane inference (`mln-cpi`), the
+    /// scalable configuration of the paper's MLN reasoner.
+    pub backend: Arc<dyn MapSolver>,
     /// Grounding options, the same for every backend.
     pub ground: GroundConfig,
     /// Confidence threshold for derived facts ("remove derived facts
@@ -66,6 +67,18 @@ pub struct TecoreConfig {
     pub component_mode: ComponentMode,
 }
 
+impl Default for TecoreConfig {
+    fn default() -> Self {
+        TecoreConfig {
+            backend: Arc::new(CpiSolver::default()),
+            ground: GroundConfig::default(),
+            threshold: 0.0,
+            confidence: ConfidenceMode::default(),
+            component_mode: ComponentMode::default(),
+        }
+    }
+}
+
 /// Enforces the MapSolver contract on plugin backends — for a solve of
 /// the whole grounding and for one of a component in its local id
 /// space alike, `expected` being the number of atoms solved over: wrong
@@ -73,7 +86,7 @@ pub struct TecoreConfig {
 /// documented error, not as an index panic (or silently fabricated 0/1
 /// confidences) further down.
 pub(crate) fn check_solver_contract(
-    solver: &SolverHandle,
+    solver: &dyn MapSolver,
     state: &MapState,
     expected: usize,
 ) -> Result<(), TecoreError> {
@@ -232,7 +245,7 @@ pub(crate) fn solve_stats(
     config: &TecoreConfig,
 ) {
     stats.atoms = grounding.num_atoms() - grounding.store.dead_count();
-    stats.clauses = state.active_clauses;
+    stats.clauses = grounding.clauses.len();
     stats.backend = config.backend.name().to_string();
     stats.feasible = state.feasible;
     stats.cost = state.cost;

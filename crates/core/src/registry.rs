@@ -1,48 +1,48 @@
-//! The **solver registry**: name → [`SolverHandle`] resolution.
+//! The **solver registry**: name → solver resolution.
 //!
 //! The four seed substrates (`mln-exact`, `mln-walksat`, `mln-cpi`,
 //! `psl-admm`) under their default configurations, selectable by name —
 //! the demo's backend dropdown (`examples/constraint_editor.rs`), the
 //! bench harness and the conformance tests all resolve through it. A
-//! backend outside the four
-//! implements `tecore_ground::MapSolver` and goes straight into
-//! [`TecoreConfig::backend`](crate::TecoreConfig) as a [`SolverHandle`];
-//! nothing in `pipeline.rs` or this crate's enums needs to change.
+//! backend outside the four implements `tecore_ground::MapSolver` and
+//! goes straight into [`TecoreConfig::backend`](crate::TecoreConfig) as
+//! an `Arc<dyn MapSolver>`; nothing in `pipeline.rs` needs to change.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use crate::backends::{Backend, SolverHandle};
+use tecore_ground::MapSolver;
+use tecore_mln::{BranchAndBound, CpiSolver, MaxWalkSat};
+use tecore_psl::PslAdmm;
+
 use crate::error::TecoreError;
 
 /// A name-indexed collection of MAP solver backends.
 #[derive(Debug, Clone)]
 pub struct SolverRegistry {
-    entries: BTreeMap<String, SolverHandle>,
+    entries: BTreeMap<String, Arc<dyn MapSolver>>,
 }
 
 impl SolverRegistry {
     /// A registry holding the four seed substrates under default
     /// configuration.
     pub fn with_default_backends() -> Self {
-        let backends = [
-            Backend::MlnExact,
-            Backend::MlnWalkSat(Default::default()),
-            Backend::MlnCuttingPlane(Default::default()),
-            Backend::default_psl(),
+        let solvers: [Arc<dyn MapSolver>; 4] = [
+            Arc::new(BranchAndBound::new()),
+            Arc::new(MaxWalkSat::default()),
+            Arc::new(CpiSolver::default()),
+            Arc::new(PslAdmm::default()),
         ];
-        let entries = backends
+        let entries = solvers
             .into_iter()
-            .map(|backend| {
-                let handle = SolverHandle::from(backend);
-                (handle.name().to_string(), handle)
-            })
+            .map(|solver| (solver.name().to_string(), solver))
             .collect();
         SolverRegistry { entries }
     }
 
     /// Resolves a backend by name, with a did-you-mean error listing
     /// the registered names.
-    pub fn resolve(&self, name: &str) -> Result<SolverHandle, TecoreError> {
+    pub fn resolve(&self, name: &str) -> Result<Arc<dyn MapSolver>, TecoreError> {
         self.entries.get(name).cloned().ok_or_else(|| {
             TecoreError::Session(format!(
                 "unknown backend `{name}` (registered: {})",

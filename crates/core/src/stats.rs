@@ -29,7 +29,9 @@ pub struct DebugStats {
     pub ungraded_facts: usize,
     /// Ground atoms (solver variables).
     pub atoms: usize,
-    /// Ground clauses handed to the solver (final active set for CPI).
+    /// Live ground clauses in the grounding, whichever backend solved
+    /// them (a cutting-plane solve's active set is its own statistic:
+    /// `tecore_mln::CpiSolver::solve_lazy`).
     pub clauses: usize,
     /// Conflict components the solve driver partitioned the ground
     /// problem into; `0` means the solve ran monolithically (the

@@ -69,7 +69,7 @@ mod tests {
         .unwrap();
         // The clash is in the arena whichever backend asked — the
         // cutting-plane one included.
-        let cpi_caps = crate::SolverHandle::default().caps();
+        let cpi_caps = crate::TecoreConfig::default().backend.caps();
         for caps in [SolverCaps::mln(), SolverCaps::psl(), cpi_caps] {
             let g = translate(&graph, &program, &caps, &GroundConfig::default()).unwrap();
             assert_eq!(g.stats.formula_clauses, 1);

@@ -10,7 +10,7 @@
 //!    WAL round trip must not perturb MAP inference.
 
 use proptest::prelude::*;
-use tecore_core::{Backend, Engine, TecoreConfig};
+use tecore_core::{Engine, TecoreConfig};
 use tecore_kg::{FactId, UtkGraph};
 use tecore_logic::LogicProgram;
 use tecore_temporal::Interval;
@@ -25,7 +25,7 @@ fn program() -> LogicProgram {
 
 fn config() -> TecoreConfig {
     TecoreConfig {
-        backend: Backend::MlnExact.into(),
+        backend: std::sync::Arc::new(tecore_mln::BranchAndBound::new()),
         ..TecoreConfig::default()
     }
 }

@@ -6,10 +6,9 @@
 
 use proptest::prelude::*;
 use tecore_core::batch::apply_to_graph;
-use tecore_core::{Backend, EditBatch, EditOp, EditOutcome, Engine, TecoreConfig};
+use tecore_core::{EditBatch, EditOp, EditOutcome, Engine, SolverRegistry, TecoreConfig};
 use tecore_kg::{FactId, UtkGraph};
 use tecore_logic::LogicProgram;
-use tecore_mln::{CpiConfig, WalkSatConfig};
 use tecore_temporal::Interval;
 use tecore_wal::{FsyncPolicy, MemStorage, Wal, WalConfig};
 
@@ -20,21 +19,17 @@ fn program() -> LogicProgram {
     LogicProgram::parse(PROGRAM).unwrap()
 }
 
-fn config(backend: Backend) -> TecoreConfig {
+fn config(backend: &str) -> TecoreConfig {
     TecoreConfig {
-        backend: backend.into(),
+        backend: SolverRegistry::with_default_backends()
+            .resolve(backend)
+            .unwrap(),
         ..TecoreConfig::default()
     }
 }
 
-fn all_backends() -> [Backend; 4] {
-    [
-        Backend::MlnExact,
-        Backend::MlnWalkSat(WalkSatConfig::default()),
-        Backend::MlnCuttingPlane(CpiConfig::default()),
-        Backend::default_psl(),
-    ]
-}
+/// The four registered backends.
+const BACKENDS: [&str; 4] = ["mln-exact", "mln-walksat", "mln-cpi", "psl-admm"];
 
 /// Order-insensitive digest of graph state (epoch, arena length,
 /// id-tagged live fact lines).
@@ -161,15 +156,14 @@ proptest! {
         for op in &concrete {
             batch.push(op.clone());
         }
-        for backend in all_backends() {
-            let name = backend.name();
+        for name in BACKENDS {
             let mut batched =
-                Engine::with_config(UtkGraph::new(), program(), config(backend.clone()));
+                Engine::with_config(UtkGraph::new(), program(), config(name));
             let report = batched.apply(&batch);
             prop_assert!(!report.wal_failed());
 
             let mut per_fact =
-                Engine::with_config(UtkGraph::new(), program(), config(backend.clone()));
+                Engine::with_config(UtkGraph::new(), program(), config(name));
             for op in &concrete {
                 apply_per_fact(&mut per_fact, op);
             }
@@ -212,7 +206,7 @@ proptest! {
 
         let mem_a = MemStorage::new();
         let (wal, graph) = Wal::open_with(Box::new(mem_a.clone()), wal_config()).unwrap();
-        let mut batched = Engine::durable(graph, program(), config(Backend::MlnExact), wal);
+        let mut batched = Engine::durable(graph, program(), config("mln-exact"), wal);
         let report = batched.apply(&batch);
         prop_assert!(!report.wal_failed());
         batched.flush_wal().unwrap();
@@ -220,7 +214,7 @@ proptest! {
 
         let mem_b = MemStorage::new();
         let (wal, graph) = Wal::open_with(Box::new(mem_b.clone()), wal_config()).unwrap();
-        let mut per_fact = Engine::durable(graph, program(), config(Backend::MlnExact), wal);
+        let mut per_fact = Engine::durable(graph, program(), config("mln-exact"), wal);
         for op in &concrete {
             apply_per_fact(&mut per_fact, op);
         }

@@ -26,11 +26,12 @@
 //!
 //! Atom ids are never reused and dead atoms keep their slot, so solver
 //! assignment vectors stay index-stable across deltas — which is what
-//! makes warm-starting (`SolveOpts::warm_start`) possible. A full
-//! re-ground of the final graph remains the semantic oracle: the MAP
-//! state over an incrementally maintained grounding must partition the
-//! facts exactly as the MAP state over a cold grounding does (the
-//! `incremental_conformance` suite asserts this for every backend).
+//! makes warm-starting (the `warm` state of `MapSolver::solve`)
+//! possible. A full re-ground of the final graph remains the semantic
+//! oracle: the MAP state over an incrementally maintained grounding
+//! must partition the facts exactly as the MAP state over a cold
+//! grounding does (the `incremental_conformance` suite asserts this for
+//! every backend).
 
 use std::time::{Duration, Instant};
 

@@ -50,6 +50,4 @@ pub use component::{ComponentIndex, ComponentView, Marginals, Partition, MAX_GRA
 pub use grounder::{ground, GroundConfig, Grounding, GroundingStats};
 pub use incremental::{ConstraintKey, DeltaChanges, DeltaStats};
 pub use planner::{FormulaPlan, JoinPlanner};
-pub use solver::{
-    evaluate_world, ComponentMode, MapSolver, MapState, SolveError, SolveOpts, SolverCaps,
-};
+pub use solver::{evaluate_world, ComponentMode, MapSolver, MapState, SolveError, SolverCaps};

@@ -15,10 +15,17 @@
 //! The trait lives in this crate — *below* the substrate crates — so
 //! that `tecore-mln` and `tecore-psl` implement it in their own trees
 //! and `tecore-core` can dispatch through `dyn MapSolver` without a
-//! per-backend `match` anywhere in its pipeline. New substrates (e.g. a
-//! sharded or approximate solver) plug in by implementing [`MapSolver`]
-//! and going into `tecore_core::TecoreConfig::backend` as a
-//! `SolverHandle`; no existing crate needs to change.
+//! per-backend `match` anywhere in its pipeline. The trait is the whole
+//! seam: there is no enum of backends and no wrapper around one. New
+//! substrates (e.g. a sharded or approximate solver) plug in by
+//! implementing [`MapSolver`] and going into
+//! `tecore_core::TecoreConfig::backend` as an `Arc<dyn MapSolver>`; no
+//! existing crate needs to change.
+//!
+//! A solve sees the clauses, the atom count and, on an incremental
+//! re-solve, the previous [`MapState`] as a starting point. Everything
+//! else a backend needs (seeds, budgets, step sizes) is its own
+//! configuration.
 
 use std::fmt;
 
@@ -44,12 +51,6 @@ pub struct SolverCaps {
     pub soft_values: bool,
     /// `true` if the solver is exact (its cost is the true MAP optimum).
     pub exact: bool,
-    /// `true` if the solver genuinely consumes
-    /// [`SolveOpts::warm_start`] — seeding its search/iteration from
-    /// the previous [`MapState`] instead of a cold initialisation. The
-    /// incremental pipeline only offers a warm start to backends that
-    /// declare it; others receive `None`.
-    pub warm_start: bool,
 }
 
 impl SolverCaps {
@@ -59,7 +60,6 @@ impl SolverCaps {
             expressivity: Expressivity::Mln,
             soft_values: false,
             exact: false,
-            warm_start: false,
         }
     }
 
@@ -69,7 +69,6 @@ impl SolverCaps {
             expressivity: Expressivity::Psl,
             soft_values: true,
             exact: false,
-            warm_start: false,
         }
     }
 }
@@ -92,27 +91,6 @@ pub enum ComponentMode {
     Monolithic,
 }
 
-/// Per-solve options passed through [`MapSolver::solve`].
-///
-/// Deliberately open-ended: options that *every* backend must interpret
-/// belong here; backend-specific tuning belongs in the solver value
-/// itself (constructed from its own config types).
-#[derive(Debug, Clone, Default)]
-pub struct SolveOpts<'a> {
-    /// Overrides the solver's own seed for stochastic backends; `None`
-    /// keeps the configured seed. Deterministic backends ignore it.
-    pub seed: Option<u64>,
-    /// A previous MAP state of (an earlier epoch of) the same
-    /// problem, offered as a starting point, in the atom id space of
-    /// the arena being solved: `warm_start.assignment[i]` describes
-    /// atom `i`, and atoms beyond its length are new. (Atom ids are
-    /// stable across deltas; for a component the driver projects the
-    /// global state into the component's local ids.) Backends whose
-    /// [`SolverCaps::warm_start`] is `false` may ignore it; backends
-    /// declaring the capability must seed from it.
-    pub warm_start: Option<&'a MapState>,
-}
-
 /// The result of MAP inference, backend-agnostic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MapState {
@@ -122,10 +100,6 @@ pub struct MapState {
     pub cost: f64,
     /// All hard clauses satisfied?
     pub feasible: bool,
-    /// Clauses in the solver's final active set (== grounding size for
-    /// most backends; the cutting-plane solver reports the relaxed
-    /// problem plus the constraint groundings it activated).
-    pub active_clauses: usize,
     /// Per-atom soft truth values in `[0, 1]`, when the backend computes
     /// them (see [`SolverCaps::soft_values`]). A solve driver may put
     /// exact component marginals here for a discrete backend, with
@@ -140,8 +114,6 @@ pub struct MapState {
 /// resource failures.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SolveError {
-    /// The grounding violates an invariant the solver relies on.
-    InvalidGrounding(String),
     /// The solver gave up (budget exhausted, numerical failure, ...).
     Backend(String),
 }
@@ -149,7 +121,6 @@ pub enum SolveError {
 impl fmt::Display for SolveError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SolveError::InvalidGrounding(msg) => write!(f, "invalid grounding: {msg}"),
             SolveError::Backend(msg) => write!(f, "backend failure: {msg}"),
         }
     }
@@ -179,11 +150,18 @@ pub trait MapSolver: fmt::Debug + Send + Sync {
 
     /// Computes the MAP state of the live clauses of `clauses`, whose
     /// literals name atoms `0..atoms`.
+    ///
+    /// `warm` is a previous MAP state of (an earlier epoch of) the same
+    /// problem, offered as a starting point, in the atom id space of
+    /// the arena being solved: `warm.assignment[i]` describes atom `i`,
+    /// and atoms beyond its length are new. (Atom ids are stable across
+    /// deltas; for a component the solve driver projects the global
+    /// state into the component's local ids.) A backend may ignore it.
     fn solve(
         &self,
         atoms: usize,
         clauses: &ClauseStore,
-        opts: &SolveOpts<'_>,
+        warm: Option<&MapState>,
     ) -> Result<MapState, SolveError>;
 }
 
@@ -248,8 +226,6 @@ mod tests {
 
     #[test]
     fn solve_error_display() {
-        let e = SolveError::InvalidGrounding("bad atom".into());
-        assert!(e.to_string().contains("bad atom"));
         let e = SolveError::Backend("budget".into());
         assert!(e.to_string().contains("budget"));
     }

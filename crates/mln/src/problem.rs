@@ -157,7 +157,6 @@ impl MapResult {
             assignment: self.assignment,
             cost: self.cost,
             feasible: self.feasible,
-            active_clauses: self.stats.active_clauses,
             soft_values: None,
         }
     }

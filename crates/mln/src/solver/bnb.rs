@@ -299,9 +299,8 @@ impl tecore_ground::MapSolver for BranchAndBound {
         atoms: usize,
         clauses: &tecore_ground::ClauseStore,
         // Exact search has nothing to gain from a warm start (the
-        // optimum is recomputed either way); caps.warm_start stays
-        // false and the option is ignored.
-        _opts: &tecore_ground::SolveOpts<'_>,
+        // optimum is recomputed either way).
+        _warm: Option<&tecore_ground::MapState>,
     ) -> Result<tecore_ground::MapState, tecore_ground::SolveError> {
         let problem = SatProblem::from_store(atoms, clauses);
         Ok(self.solve(&problem).into_map_state())

@@ -151,21 +151,15 @@ impl tecore_ground::MapSolver for CpiSolver {
         tecore_ground::SolverCaps::mln()
     }
 
-    /// The cutting-plane loop, the seed override taken from `opts`. CPI
-    /// rebuilds its active set on every solve; caps.warm_start stays
-    /// false, so opts.warm_start is never offered (and would be
-    /// ignored).
+    /// The cutting-plane loop. CPI rebuilds its active set on every
+    /// solve, so a warm state is ignored.
     fn solve(
         &self,
         atoms: usize,
         clauses: &ClauseStore,
-        opts: &tecore_ground::SolveOpts<'_>,
+        _warm: Option<&tecore_ground::MapState>,
     ) -> Result<tecore_ground::MapState, tecore_ground::SolveError> {
-        let mut config = self.config.clone();
-        config.walksat.seed = opts.seed.unwrap_or(config.walksat.seed);
-        Ok(CpiSolver::new(config)
-            .solve_clauses(atoms, clauses)
-            .into_map_state())
+        Ok(self.solve_clauses(atoms, clauses).into_map_state())
     }
 }
 

@@ -480,26 +480,20 @@ impl tecore_ground::MapSolver for MaxWalkSat {
     }
 
     fn caps(&self) -> tecore_ground::SolverCaps {
-        tecore_ground::SolverCaps {
-            warm_start: true,
-            ..tecore_ground::SolverCaps::mln()
-        }
+        tecore_ground::SolverCaps::mln()
     }
 
     /// Runs the search with budgets sized to the instance (see
-    /// `WalkSatConfig::for_size`), the seed override and warm start
-    /// taken from `opts`.
+    /// `WalkSatConfig::for_size`), starting from the warm assignment
+    /// when there is one.
     fn solve(
         &self,
         atoms: usize,
         clauses: &tecore_ground::ClauseStore,
-        opts: &tecore_ground::SolveOpts<'_>,
+        warm: Option<&tecore_ground::MapState>,
     ) -> Result<tecore_ground::MapState, tecore_ground::SolveError> {
-        let config = WalkSatConfig {
-            seed: opts.seed.unwrap_or(self.config.seed),
-            ..self.config.for_size(atoms, clauses.len())
-        };
-        let warm = opts.warm_start.map(|s| s.assignment.as_slice());
+        let config = self.config.for_size(atoms, clauses.len());
+        let warm = warm.map(|s| s.assignment.as_slice());
         let problem = SatProblem::from_store(atoms, clauses);
         Ok(MaxWalkSat::new(config)
             .solve_seeded(&problem, warm)

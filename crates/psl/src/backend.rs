@@ -1,8 +1,6 @@
 //! The PSL substrate as a pluggable [`MapSolver`] backend.
 
-use tecore_ground::{
-    evaluate_world, ClauseStore, MapSolver, MapState, SolveError, SolveOpts, SolverCaps,
-};
+use tecore_ground::{evaluate_world, ClauseStore, MapSolver, MapState, SolveError, SolverCaps};
 
 use crate::admm::{AdmmConfig, AdmmSolver};
 use crate::hlmrf::{HlMrf, PslConfig};
@@ -34,10 +32,7 @@ impl MapSolver for PslAdmm {
     }
 
     fn caps(&self) -> SolverCaps {
-        SolverCaps {
-            warm_start: true,
-            ..SolverCaps::psl()
-        }
+        SolverCaps::psl()
     }
 
     /// HL-MRF build + warm ADMM + rounding + discrete scoring. The
@@ -48,13 +43,13 @@ impl MapSolver for PslAdmm {
         &self,
         atoms: usize,
         clauses: &ClauseStore,
-        opts: &SolveOpts<'_>,
+        warm: Option<&MapState>,
     ) -> Result<MapState, SolveError> {
         // Warm-start ADMM from the previous solve's soft truth values;
         // a discrete-only previous state still helps (0/1 corners are
         // valid consensus seeds).
         let warm_discrete: Vec<f64>;
-        let warm: Option<&[f64]> = match opts.warm_start {
+        let warm: Option<&[f64]> = match warm {
             Some(state) => match &state.soft_values {
                 Some(values) => Some(values.as_slice()),
                 None => {
@@ -76,7 +71,6 @@ impl MapSolver for PslAdmm {
             assignment,
             cost,
             feasible: hard_violations == 0,
-            active_clauses: clauses.len(),
             soft_values: Some(result.values),
         })
     }

@@ -10,7 +10,7 @@
 //! promise itself: steady-state slides re-solve only dirty components.
 
 use proptest::prelude::*;
-use tecore_core::{Backend, Engine, TecoreConfig};
+use tecore_core::{Engine, SolverRegistry, TecoreConfig};
 use tecore_kg::{StreamEvent, UtkGraph};
 use tecore_logic::LogicProgram;
 use tecore_stream::{StreamSession, WindowFire, WindowSpec};
@@ -23,25 +23,20 @@ fn program() -> LogicProgram {
     LogicProgram::parse(PROGRAM).unwrap()
 }
 
-fn engine_for(backend: Backend) -> Engine {
-    Engine::with_config(
-        UtkGraph::new(),
-        program(),
-        TecoreConfig {
-            backend: backend.into(),
-            ..TecoreConfig::default()
-        },
-    )
+/// The four registered backends.
+const BACKENDS: [&str; 4] = ["mln-exact", "mln-walksat", "mln-cpi", "psl-admm"];
+
+fn engine_config(backend: &str) -> TecoreConfig {
+    TecoreConfig {
+        backend: SolverRegistry::with_default_backends()
+            .resolve(backend)
+            .unwrap(),
+        ..TecoreConfig::default()
+    }
 }
 
-fn all_backends() -> [Backend; 4] {
-    use tecore_mln::{CpiConfig, WalkSatConfig};
-    [
-        Backend::MlnExact,
-        Backend::MlnWalkSat(WalkSatConfig::default()),
-        Backend::MlnCuttingPlane(CpiConfig::default()),
-        Backend::default_psl(),
-    ]
+fn engine_for(backend: &str) -> Engine {
+    Engine::with_config(UtkGraph::new(), program(), engine_config(backend))
 }
 
 /// The independent window model: the same S2R semantics written as
@@ -181,7 +176,7 @@ fn live_lines(graph: &UtkGraph) -> Vec<String> {
 /// boundary: identical window, identical evidence (reconstructed from
 /// the fire's snapshot as surviving + removed facts), and a resolution
 /// equal to a cold engine over exactly the in-window events.
-fn check_fire(backend: &Backend, got: &WindowFire, want: &ModelFire) {
+fn check_fire(backend: &str, got: &WindowFire, want: &ModelFire) {
     assert_eq!(got.stats.start, want.start, "window start");
     assert_eq!(got.stats.end, want.end, "window end");
 
@@ -219,28 +214,18 @@ fn check_fire(backend: &Backend, got: &WindowFire, want: &ModelFire) {
         want.end
     );
 
-    let mut cold = Engine::with_config(
-        cold_graph,
-        program(),
-        TecoreConfig {
-            backend: backend.clone().into(),
-            ..TecoreConfig::default()
-        },
-    );
+    let mut cold = Engine::with_config(cold_graph, program(), engine_config(backend));
     let cold_snapshot = cold.resolve().unwrap();
     assert_eq!(
-        got.snapshot.stats.conflicting_facts,
-        cold_snapshot.stats.conflicting_facts,
+        got.snapshot.stats.conflicting_facts, cold_snapshot.stats.conflicting_facts,
         "conflict count diverged on {} at window {}..{}",
-        backend.name(),
-        want.start,
-        want.end
+        backend, want.start, want.end
     );
     let cost_gap = (got.snapshot.stats.cost - cold_snapshot.stats.cost).abs();
     assert!(
         cost_gap <= 1e-6,
         "MAP cost diverged on {} at window {}..{}: incremental {} vs cold {}",
-        backend.name(),
+        backend,
         want.start,
         want.end,
         got.snapshot.stats.cost,
@@ -280,10 +265,9 @@ proptest! {
     ) {
         let (width, slide) = [(10i64, 10i64), (10, 5), (20, 5)][window_sel as usize];
         let events: Vec<StreamEvent> = specs.iter().map(event).collect();
-        for backend in all_backends() {
+        for backend in BACKENDS {
             let spec = WindowSpec::sliding(width, slide).unwrap();
-            let mut session =
-                StreamSession::with_lateness(engine_for(backend.clone()), spec, lateness);
+            let mut session = StreamSession::with_lateness(engine_for(backend), spec, lateness);
             let mut model = Model::new(width, slide, lateness);
             let mut last_watermark = None;
 
@@ -292,7 +276,7 @@ proptest! {
                 let want = model.push(ev.clone());
                 prop_assert_eq!(got.len(), want.len(), "fire count diverged");
                 for (g, w) in got.iter().zip(&want) {
-                    check_fire(&backend, g, w);
+                    check_fire(backend, g, w);
                 }
                 // After the push, the session's live graph must hold
                 // exactly the model's current in-window population.
@@ -319,7 +303,7 @@ proptest! {
             let want = model.drain();
             prop_assert_eq!(got.len(), want.len(), "drain fire count diverged");
             for (g, w) in got.iter().zip(&want) {
-                check_fire(&backend, g, w);
+                check_fire(backend, g, w);
             }
             prop_assert_eq!(session.pending_events(), 0);
             prop_assert_eq!(session.live_facts(), 0);
@@ -337,7 +321,7 @@ proptest! {
 
 fn tumbling_session(lateness: i64) -> StreamSession {
     StreamSession::with_lateness(
-        engine_for(Backend::MlnExact),
+        engine_for("mln-exact"),
         WindowSpec::tumbling(10).unwrap(),
         lateness,
     )
@@ -408,7 +392,7 @@ fn watermark_is_monotone() {
 #[test]
 fn steady_state_slides_resolve_only_dirty_components() {
     let spec = WindowSpec::sliding(30, 10).unwrap();
-    let mut session = StreamSession::with_lateness(engine_for(Backend::MlnExact), spec, 0);
+    let mut session = StreamSession::with_lateness(engine_for("mln-exact"), spec, 0);
 
     // One isolated conflict pair per decade bucket: persons never share
     // facts across buckets, so each bucket is its own component and a
@@ -488,7 +472,7 @@ fn twins_differing_in_one_field_are_both_admitted() {
 #[test]
 fn a_twin_is_a_duplicate_while_live_and_late_once_expired() {
     let spec = WindowSpec::sliding(20, 10).unwrap();
-    let mut session = StreamSession::with_lateness(engine_for(Backend::MlnExact), spec, 0);
+    let mut session = StreamSession::with_lateness(engine_for("mln-exact"), spec, 0);
     let e = spell(5, "CR", "coach", "Chelsea", (2000, 2004), 0.9);
     session.push(e.clone()).unwrap();
     session.push(e.clone()).unwrap(); // buffered twin
@@ -569,4 +553,54 @@ fn sliding_session_snapshots_count_compaction_regrounds() {
     assert_eq!(counts, vec![0, 0, 1, 1, 2, 2]);
     let stats = &session.engine().latest().unwrap().stats;
     assert!(stats.to_string().contains("compact regrounds  : 2"));
+}
+
+/// An unregistered query hears nothing more, the others keep hearing
+/// every fire, and an id unregisters once.
+#[test]
+fn unregistered_query_receives_no_further_results() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use tecore_stream::{QueryId, QuerySpec, WindowResult};
+
+    let mut session = tumbling_session(0);
+    let counter = || {
+        let count = Arc::new(AtomicUsize::new(0));
+        let sink = Arc::clone(&count);
+        let sink = move |_: QueryId, _: &WindowResult| {
+            sink.fetch_add(1, Ordering::Relaxed);
+        };
+        (count, sink)
+    };
+    let (dropped_count, dropped_sink) = counter();
+    let (kept_count, kept_sink) = counter();
+    let dropped = session.register_query(QuerySpec::new().predicate("coach"), dropped_sink);
+    session.register_query(QuerySpec::new().predicate("coach"), kept_sink);
+    // Fires window `window` with one fresh fact in it.
+    let fire = |session: &mut StreamSession, window: i64| {
+        let club = format!("club{window}");
+        let event = spell(window * 10 + 1, "CR", "coach", &club, (2000, 2004), 0.9);
+        session.push(event).unwrap();
+        session.advance_watermark(window * 10 + 10).unwrap().len()
+    };
+
+    assert_eq!(fire(&mut session, 0), 1);
+    assert_eq!(dropped_count.load(Ordering::Relaxed), 1);
+    assert_eq!(kept_count.load(Ordering::Relaxed), 1);
+
+    assert!(session.unregister_query(dropped));
+    assert_eq!(fire(&mut session, 1) + fire(&mut session, 2), 2);
+    assert_eq!(
+        dropped_count.load(Ordering::Relaxed),
+        1,
+        "no result after unregistering"
+    );
+    assert_eq!(
+        kept_count.load(Ordering::Relaxed),
+        3,
+        "the other query keeps receiving"
+    );
+
+    assert!(!session.unregister_query(dropped), "an id unregisters once");
+    assert!(!session.unregister_query(QueryId(99)), "unknown id");
 }

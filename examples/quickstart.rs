@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use tecore_core::{Backend, ConfidenceMode, Engine, TecoreConfig};
+use tecore_core::{ConfidenceMode, Engine, SolverRegistry, TecoreConfig};
 use tecore_datagen::standard::{paper_program, ranieri_utkg};
 
 fn main() {
@@ -24,10 +24,10 @@ fn main() {
         println!("  {}", tecore_logic::pretty::format_formula(f));
     }
 
-    for backend in [Backend::default(), Backend::default_psl()] {
-        let name = backend.name();
+    let registry = SolverRegistry::with_default_backends();
+    for name in ["mln-cpi", "psl-admm"] {
         let config = TecoreConfig {
-            backend: backend.into(),
+            backend: registry.resolve(name).expect("registered backend"),
             confidence: ConfidenceMode::Marginal,
             ..TecoreConfig::default()
         };

@@ -14,10 +14,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use tecore_core::{Backend, Engine, TecoreConfig};
+use tecore_core::{Engine, TecoreConfig};
 use tecore_datagen::{generate_stream, StreamConfig};
 use tecore_kg::UtkGraph;
 use tecore_logic::LogicProgram;
+use tecore_mln::BranchAndBound;
 use tecore_stream::{QuerySpec, StreamSession, WindowSpec};
 
 fn main() {
@@ -47,7 +48,7 @@ fn main() {
         UtkGraph::new(),
         program,
         TecoreConfig {
-            backend: Backend::MlnExact.into(),
+            backend: Arc::new(BranchAndBound::new()),
             ..TecoreConfig::default()
         },
     );

@@ -33,14 +33,13 @@ use std::thread;
 use proptest::prelude::*;
 use tecore_core::translate::translate;
 use tecore_core::{
-    Backend, ConfidenceMode, ConflictExplanation, EditBatch, Engine, Participant, Snapshot,
-    TecoreConfig,
+    ConfidenceMode, ConflictExplanation, EditBatch, Engine, MapSolver, Participant, Snapshot,
+    SolverRegistry, TecoreConfig,
 };
 use tecore_datagen::standard::{paper_program, wikidata_program};
 use tecore_datagen::{generate_wikidata, WikidataConfig};
 use tecore_ground::ComponentMode;
 use tecore_kg::{FactId, GraphTemporalIndex, TemporalFact, UtkGraph};
-use tecore_mln::{CpiConfig, WalkSatConfig};
 use tecore_temporal::Interval;
 
 const SUBJECTS: u32 = 40;
@@ -479,16 +478,15 @@ fn assert_queries_match_scan(what: &str, snapshot: &Snapshot, seed: u32) {
     }
 }
 
-/// The four substrates. Solved component by component (a component is
-/// one subject's handful of atoms), a cold solve and a warm one find
-/// the same repair on every one of them.
-fn backends() -> Vec<Backend> {
-    vec![
-        Backend::MlnExact,
-        Backend::MlnWalkSat(WalkSatConfig::default()),
-        Backend::MlnCuttingPlane(CpiConfig::default()),
-        Backend::default_psl(),
-    ]
+/// The four substrates, MLN ones first. Solved component by component
+/// (a component is one subject's handful of atoms), a cold solve and a
+/// warm one find the same repair on every one of them.
+const BACKENDS: [&str; 4] = ["mln-exact", "mln-walksat", "mln-cpi", "psl-admm"];
+
+fn solver(name: &str) -> Arc<dyn MapSolver> {
+    SolverRegistry::with_default_backends()
+        .resolve(name)
+        .expect("registered backend")
 }
 
 /// What the engine's callers do with the snapshots they are handed.
@@ -512,14 +510,13 @@ type Published = (usize, Vec<String>, Vec<String>);
 fn check_sequence_holding(
     steps: &[Vec<Op>],
     hold: Hold,
-    backends: Vec<Backend>,
+    backends: &[&'static str],
     confidence: ConfidenceMode,
 ) -> Vec<(&'static str, Vec<Published>)> {
     let mut published = Vec::new();
-    for backend in backends {
-        let name = backend.name();
+    for &name in backends {
         let config = TecoreConfig {
-            backend: backend.into(),
+            backend: solver(name),
             component_mode: ComponentMode::Components,
             confidence,
             ..TecoreConfig::default()
@@ -571,8 +568,8 @@ fn check_sequence_holding(
 /// publishes copied while each snapshot was let go in time.
 fn check_sequence(steps: &[Vec<Op>]) -> Vec<(&'static str, Vec<usize>)> {
     let constant = ConfidenceMode::Constant;
-    let reusing = check_sequence_holding(steps, Hold::Latest, backends(), constant);
-    for (name, run) in check_sequence_holding(steps, Hold::All, backends(), constant) {
+    let reusing = check_sequence_holding(steps, Hold::Latest, &BACKENDS, constant);
+    for (name, run) in check_sequence_holding(steps, Hold::All, &BACKENDS, constant) {
         let copied: Vec<usize> = run.iter().map(|p| p.0).collect();
         assert!(
             copied.iter().all(|&facts| facts > 0),
@@ -581,7 +578,7 @@ fn check_sequence(steps: &[Vec<Op>]) -> Vec<(&'static str, Vec<usize>)> {
     }
     // Grading decides nothing: the same repair, carried forward (and
     // copied) at the same steps.
-    let mln = backends()[..3].to_vec();
+    let mln = &BACKENDS[..3];
     let marginal_runs = check_sequence_holding(steps, Hold::Latest, mln, ConfidenceMode::Marginal);
     for ((name, marginal), (_, ungraded)) in marginal_runs.iter().zip(&reusing) {
         assert_eq!(marginal, ungraded, "{name}: Marginal against Constant");
@@ -676,7 +673,7 @@ fn directed_split_reword_flood_sequence() {
 #[test]
 fn a_reasserted_fact_redescribes_its_conflict() {
     let config = TecoreConfig {
-        backend: Backend::MlnExact.into(),
+        backend: solver("mln-exact"),
         ..TecoreConfig::default()
     };
     let mut engine = Engine::with_config(base_graph(), paper_program(), config.clone());
@@ -737,7 +734,7 @@ fn wikidata_engine(facts: usize) -> Engine {
         seed: 1,
     });
     let config = TecoreConfig {
-        backend: Backend::MlnWalkSat(WalkSatConfig::default()).into(),
+        backend: solver("mln-walksat"),
         ..TecoreConfig::default()
     };
     let mut engine = Engine::with_config(generated.graph, wikidata_program(), config);

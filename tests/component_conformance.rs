@@ -16,10 +16,10 @@ use std::sync::{Arc, Mutex};
 use proptest::prelude::*;
 use tecore_core::registry::SolverRegistry;
 use tecore_core::resolution::Resolution;
-use tecore_core::{Engine, SolverHandle, TecoreConfig};
+use tecore_core::{Engine, TecoreConfig};
 use tecore_ground::{
     evaluate_world, ground, AtomId, ClauseId, ClauseStore, ComponentMode, GroundConfig, MapSolver,
-    MapState, Partition, SolveError, SolveOpts, SolverCaps,
+    MapState, Partition, SolveError, SolverCaps,
 };
 use tecore_kg::{FactId, UtkGraph};
 use tecore_logic::LogicProgram;
@@ -656,9 +656,9 @@ impl MapSolver for RecordingPsl {
         &self,
         atoms: usize,
         clauses: &ClauseStore,
-        opts: &SolveOpts<'_>,
+        warm: Option<&MapState>,
     ) -> Result<MapState, SolveError> {
-        let state = self.inner.solve(atoms, clauses, opts)?;
+        let state = self.inner.solve(atoms, clauses, warm)?;
         let values = state.soft_values.clone().expect("psl grades every atom");
         self.soft.lock().expect("single-threaded test").push(values);
         Ok(state)
@@ -686,7 +686,7 @@ proptest! {
                 graph.clone(),
                 program(),
                 TecoreConfig {
-                    backend: SolverHandle::new(solver),
+                    backend: Arc::new(solver),
                     component_mode: mode,
                     ..TecoreConfig::default()
                 },

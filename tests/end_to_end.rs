@@ -1,28 +1,28 @@
 //! End-to-end integration tests: the paper's running example through
 //! the public facade, on every backend.
 
+use std::sync::Arc;
 use tecore::prelude::*;
-use tecore_core::pipeline::{Backend, ConfidenceMode, TecoreConfig};
+
+use tecore_core::pipeline::{ConfidenceMode, TecoreConfig};
 use tecore_datagen::standard::{paper_constraints, paper_program, paper_rules, ranieri_utkg};
-use tecore_mln::{CpiConfig, WalkSatConfig};
 use tecore_temporal::Interval as Iv;
 
-fn all_backends() -> Vec<Backend> {
-    vec![
-        Backend::MlnExact,
-        Backend::MlnWalkSat(WalkSatConfig::default()),
-        Backend::MlnCuttingPlane(CpiConfig::default()),
-        Backend::default_psl(),
-    ]
+/// The registered backends, the discrete ones first.
+const BACKENDS: [&str; 4] = ["mln-exact", "mln-walksat", "mln-cpi", "psl-admm"];
+
+fn solver(name: &str) -> Arc<dyn MapSolver> {
+    SolverRegistry::with_default_backends()
+        .resolve(name)
+        .unwrap()
 }
 
 /// Figure 7: facts (1)-(4) kept, fact (5) removed, worksFor derived.
 #[test]
 fn figure_7_on_every_backend() {
-    for backend in all_backends() {
-        let name = backend.name();
+    for name in BACKENDS {
         let config = TecoreConfig {
-            backend: backend.into(),
+            backend: solver(name),
             ..TecoreConfig::default()
         };
         let r = Engine::with_config(ranieri_utkg(), paper_program(), config)
@@ -139,9 +139,9 @@ fn teen_player_rule_fires() {
 /// prior at 0.05).
 const RUNNING_EXAMPLE_MARGINAL: f64 = 0.657_594_642_314_038_3;
 
-fn graded(backend: &Backend, threshold: f64) -> TecoreConfig {
+fn graded(backend: &str, threshold: f64) -> TecoreConfig {
     TecoreConfig {
-        backend: backend.clone().into(),
+        backend: solver(backend),
         confidence: ConfidenceMode::Marginal,
         threshold,
         ..TecoreConfig::default()
@@ -152,13 +152,13 @@ fn graded(backend: &Backend, threshold: f64) -> TecoreConfig {
 /// for thresholding: the derived fact survives τ = 0.65 and not 0.66.
 #[test]
 fn marginal_confidence_thresholding() {
-    for backend in &all_backends()[..3] {
+    for name in &BACKENDS[..3] {
         for (threshold, kept) in [(0.5, 1), (0.65, 1), (0.66, 0)] {
-            let config = graded(backend, threshold);
+            let config = graded(name, threshold);
             let r = Engine::with_config(ranieri_utkg(), paper_program(), config)
                 .resolve()
                 .unwrap();
-            assert_eq!(r.inferred.len(), kept, "{} at {threshold}", backend.name());
+            assert_eq!(r.inferred.len(), kept, "{name} at {threshold}");
             assert_eq!(r.stats.thresholded_facts, 1 - kept);
             for fact in &r.inferred {
                 assert!((fact.confidence - RUNNING_EXAMPLE_MARGINAL).abs() < 1e-12);
@@ -196,15 +196,14 @@ fn a_component_above_the_bound_reads_its_map_value() {
     let w = |cost: f64| (-cost).exp();
     let unit = 4f64.ln();
     let av = (w(unit + 0.05) + w(0.05)) / (w(unit) + w(unit + 0.05) + w(1.0) + w(0.05));
-    for backend in &all_backends()[..3] {
-        let r = Engine::with_config(graph.clone(), program.clone(), graded(backend, 0.0))
+    for name in &BACKENDS[..3] {
+        let r = Engine::with_config(graph.clone(), program.clone(), graded(name, 0.0))
             .resolve()
             .unwrap();
         let read = |subject: &str| -> Vec<f64> {
             let facts = r.inferred.iter().filter(|f| f.subject == subject);
             facts.map(|f| f.confidence).collect()
         };
-        let name = backend.name();
         assert_eq!(
             read("CR"),
             [1.0],

@@ -2,7 +2,7 @@
 //! constraint builders (the editor's click-path), end to end.
 
 use tecore_core::explain::explain_conflicts;
-use tecore_core::{Backend, Engine, TecoreConfig};
+use tecore_core::{Engine, SolverRegistry, TecoreConfig};
 use tecore_datagen::standard::{paper_program, ranieri_utkg};
 use tecore_ground::{ground, GroundConfig};
 use tecore_logic::builder;
@@ -14,14 +14,10 @@ use tecore_temporal::{AllenRelation, AllenSet};
 /// c2 and both participating facts — on every backend.
 #[test]
 fn running_example_explained() {
-    for backend in [
-        Backend::MlnExact,
-        Backend::default(),
-        Backend::default_psl(),
-    ] {
-        let name = backend.name();
+    let registry = SolverRegistry::with_default_backends();
+    for name in ["mln-exact", "mln-cpi", "psl-admm"] {
         let config = TecoreConfig {
-            backend: backend.into(),
+            backend: registry.resolve(name).unwrap(),
             ..TecoreConfig::default()
         };
         let r = Engine::with_config(ranieri_utkg(), paper_program(), config)

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use tecore_core::{Backend, Engine, TecoreConfig};
+use tecore_core::{Engine, TecoreConfig};
 use tecore_datagen::config::FootballConfig;
 use tecore_datagen::football::generate_football;
 use tecore_datagen::standard::football_program;
@@ -24,10 +24,7 @@ fn generated_graph_roundtrips() {
     assert_eq!(reparsed.len(), generated.graph.len());
 
     // Conflict resolution is invariant under the round trip.
-    let config = TecoreConfig {
-        backend: Backend::default().into(),
-        ..TecoreConfig::default()
-    };
+    let config = TecoreConfig::default();
     let original = Engine::with_config(generated.graph.clone(), football_program(), config.clone())
         .resolve()
         .unwrap();

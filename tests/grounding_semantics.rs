@@ -2,7 +2,7 @@
 //! level: inclusion dependencies, interval expressions in heads,
 //! numerical conditions at their boundaries, and evidence merging.
 
-use tecore_core::{Backend, Engine, TecoreConfig};
+use tecore_core::{Engine, TecoreConfig};
 use tecore_ground::{ground, GroundConfig};
 use tecore_kg::parser::parse_graph;
 use tecore_logic::LogicProgram;
@@ -111,7 +111,7 @@ fn pin_certain_protects_certain_facts() {
     )
     .unwrap();
     let mut config = TecoreConfig {
-        backend: Backend::MlnExact.into(),
+        backend: std::sync::Arc::new(tecore_mln::BranchAndBound::new()),
         ..TecoreConfig::default()
     };
     config.ground.pin_certain = true;

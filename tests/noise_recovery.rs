@@ -4,24 +4,29 @@
 //! ones". These tests pin quantitative floors so regressions in the
 //! solvers or the translator show up as failures.
 
-use tecore_core::{Backend, Engine, TecoreConfig};
+use tecore_core::{Engine, SolverRegistry, TecoreConfig};
 use tecore_datagen::config::FootballConfig;
 use tecore_datagen::football::generate_football;
 use tecore_datagen::noise::{repair_metrics, RepairMetrics};
 use tecore_datagen::standard::football_program;
 
-fn run_repair(noise_ratio: f64, backend: Backend, seed: u64) -> RepairMetrics {
+fn config(backend: &str) -> TecoreConfig {
+    TecoreConfig {
+        backend: SolverRegistry::with_default_backends()
+            .resolve(backend)
+            .expect("registered backend"),
+        ..TecoreConfig::default()
+    }
+}
+
+fn run_repair(noise_ratio: f64, backend: &str, seed: u64) -> RepairMetrics {
     let generated = generate_football(&FootballConfig {
         players: 400,
         noise_ratio,
         seed,
         ..FootballConfig::default()
     });
-    let config = TecoreConfig {
-        backend: backend.into(),
-        ..TecoreConfig::default()
-    };
-    let r = Engine::with_config(generated.graph.clone(), football_program(), config)
+    let r = Engine::with_config(generated.graph.clone(), football_program(), config(backend))
         .resolve()
         .expect("resolves");
     assert!(r.stats.feasible);
@@ -31,7 +36,7 @@ fn run_repair(noise_ratio: f64, backend: Backend, seed: u64) -> RepairMetrics {
 
 #[test]
 fn mln_repair_beats_chance_at_low_noise() {
-    let m = run_repair(0.15, Backend::default(), 41);
+    let m = run_repair(0.15, "mln-cpi", 41);
     // Noise share is ~13%; removing at random would score ~0.13
     // precision. Demand a wide margin.
     assert!(m.precision() > 0.7, "{m}");
@@ -40,14 +45,14 @@ fn mln_repair_beats_chance_at_low_noise() {
 
 #[test]
 fn mln_repair_survives_one_to_one_noise() {
-    let m = run_repair(1.0, Backend::default(), 42);
+    let m = run_repair(1.0, "mln-cpi", 42);
     assert!(m.precision() > 0.7, "{m}");
     assert!(m.recall() > 0.7, "{m}");
 }
 
 #[test]
 fn psl_repair_survives_one_to_one_noise() {
-    let m = run_repair(1.0, Backend::default_psl(), 42);
+    let m = run_repair(1.0, "psl-admm", 42);
     assert!(m.precision() > 0.7, "{m}");
     assert!(m.recall() > 0.7, "{m}");
 }
@@ -60,13 +65,8 @@ fn backends_agree_on_clean_graphs() {
         seed: 43,
         ..FootballConfig::default()
     });
-    for backend in [Backend::default(), Backend::default_psl()] {
-        let name = backend.name();
-        let config = TecoreConfig {
-            backend: backend.into(),
-            ..TecoreConfig::default()
-        };
-        let r = Engine::with_config(generated.graph.clone(), football_program(), config)
+    for name in ["mln-cpi", "psl-admm"] {
+        let r = Engine::with_config(generated.graph.clone(), football_program(), config(name))
             .resolve()
             .unwrap();
         assert_eq!(
@@ -79,7 +79,7 @@ fn backends_agree_on_clean_graphs() {
 
 #[test]
 fn determinism_across_runs() {
-    let a = run_repair(0.5, Backend::default(), 44);
-    let b = run_repair(0.5, Backend::default(), 44);
+    let a = run_repair(0.5, "mln-cpi", 44);
+    let b = run_repair(0.5, "mln-cpi", 44);
     assert_eq!(a, b, "same seed, same repair");
 }

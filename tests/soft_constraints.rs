@@ -7,7 +7,7 @@
 //! have to delete. These tests pin the crossover behaviour on both
 //! backends.
 
-use tecore_core::{Backend, Engine, TecoreConfig};
+use tecore_core::{Engine, SolverRegistry, TecoreConfig};
 use tecore_kg::parser::parse_graph;
 use tecore_kg::UtkGraph;
 use tecore_logic::LogicProgram;
@@ -30,10 +30,12 @@ fn soft_c2(weight: f64) -> LogicProgram {
 fn resolve(
     graph: UtkGraph,
     program: LogicProgram,
-    backend: Backend,
+    backend: &str,
 ) -> std::sync::Arc<tecore_core::Snapshot> {
     let config = TecoreConfig {
-        backend: backend.into(),
+        backend: SolverRegistry::with_default_backends()
+            .resolve(backend)
+            .unwrap(),
         ..TecoreConfig::default()
     };
     Engine::with_config(graph, program, config)
@@ -45,11 +47,10 @@ fn resolve(
 /// strongly-supported fact: both facts survive.
 #[test]
 fn weak_soft_constraint_tolerates_the_clash() {
-    for backend in [Backend::MlnExact, Backend::default()] {
-        let name = backend.name();
+    for name in ["mln-exact", "mln-cpi"] {
         // Violation costs 0.5; deleting Napoli would cost
         // log-odds(0.88) ≈ 1.99. Keeping both is optimal.
-        let r = resolve(clash_graph(), soft_c2(0.5), backend);
+        let r = resolve(clash_graph(), soft_c2(0.5), name);
         assert_eq!(r.removed.len(), 0, "{name}: weak constraint must yield");
         assert!(r.stats.feasible, "{name}");
         // The conflict is still *reported* (it exists in the input).
@@ -62,10 +63,9 @@ fn weak_soft_constraint_tolerates_the_clash() {
 /// goes.
 #[test]
 fn strong_soft_constraint_removes_weaker_fact() {
-    for backend in [Backend::MlnExact, Backend::default()] {
-        let name = backend.name();
+    for name in ["mln-exact", "mln-cpi"] {
         // Violation costs 10 ≫ deleting Napoli (≈1.99).
-        let r = resolve(clash_graph(), soft_c2(10.0), backend);
+        let r = resolve(clash_graph(), soft_c2(10.0), name);
         assert_eq!(r.removed.len(), 1, "{name}");
         assert_eq!(
             r.consistent.dict().resolve(r.removed[0].fact.object),
@@ -83,7 +83,7 @@ fn crossover_deletes_only_the_cheaper_fact() {
     // Evidence weights: Chelsea ln(0.9/0.1) ≈ 2.197, Napoli
     // ln(0.88/0.12) ≈ 1.992. Violation weight 3.0 > both, so one
     // deletion (the cheaper) is optimal; deleting both would be worse.
-    let r = resolve(clash_graph(), soft_c2(3.0), Backend::MlnExact);
+    let r = resolve(clash_graph(), soft_c2(3.0), "mln-exact");
     assert_eq!(r.removed.len(), 1);
     assert_eq!(r.consistent.len(), 1);
     assert!(
@@ -97,8 +97,8 @@ fn crossover_deletes_only_the_cheaper_fact() {
 /// violation cost role.
 #[test]
 fn psl_soft_constraint_direction() {
-    let weak = resolve(clash_graph(), soft_c2(0.5), Backend::default_psl());
-    let strong = resolve(clash_graph(), soft_c2(10.0), Backend::default_psl());
+    let weak = resolve(clash_graph(), soft_c2(0.5), "psl-admm");
+    let strong = resolve(clash_graph(), soft_c2(10.0), "psl-admm");
     assert!(weak.removed.len() <= strong.removed.len());
     assert_eq!(strong.removed.len(), 1);
     assert_eq!(
@@ -140,7 +140,7 @@ fn mixed_hard_and_soft() {
          c3: quad(x, bornIn, y, t) ^ quad(x, bornIn, z, t') ^ overlap(t, t') -> y = z w = inf\n",
     )
     .unwrap();
-    let r = resolve(graph, program, Backend::MlnExact);
+    let r = resolve(graph, program, "mln-exact");
     assert!(r.stats.feasible);
     // Only the hard constraint forces a removal (the weaker bornIn).
     assert_eq!(r.removed.len(), 1, "{:?}", r.removed);

@@ -11,10 +11,9 @@
 
 use proptest::prelude::*;
 
-use tecore_core::{Backend, Engine, TecoreConfig};
+use tecore_core::{Engine, SolverRegistry, TecoreConfig};
 use tecore_kg::UtkGraph;
 use tecore_logic::LogicProgram;
-use tecore_mln::{CpiConfig, WalkSatConfig};
 use tecore_temporal::Interval;
 
 const PROGRAM: &str = "\
@@ -63,9 +62,11 @@ fn arb_graph() -> impl Strategy<Value = UtkGraph> {
     })
 }
 
-fn run(graph: &UtkGraph, backend: Backend) -> std::sync::Arc<tecore_core::Snapshot> {
+fn run(graph: &UtkGraph, backend: &str) -> std::sync::Arc<tecore_core::Snapshot> {
     let config = TecoreConfig {
-        backend: backend.into(),
+        backend: SolverRegistry::with_default_backends()
+            .resolve(backend)
+            .expect("registered backend"),
         ..TecoreConfig::default()
     };
     Engine::with_config(graph.clone(), LogicProgram::parse(PROGRAM).unwrap(), config)
@@ -78,8 +79,8 @@ proptest! {
 
     #[test]
     fn exact_and_cpi_same_objective(graph in arb_graph()) {
-        let exact = run(&graph, Backend::MlnExact);
-        let cpi = run(&graph, Backend::MlnCuttingPlane(CpiConfig::default()));
+        let exact = run(&graph, "mln-exact");
+        let cpi = run(&graph, "mln-cpi");
         prop_assert!(exact.stats.feasible);
         prop_assert!(cpi.stats.feasible);
         prop_assert!(
@@ -92,8 +93,8 @@ proptest! {
 
     #[test]
     fn walksat_feasible_never_below_exact(graph in arb_graph()) {
-        let exact = run(&graph, Backend::MlnExact);
-        let walk = run(&graph, Backend::MlnWalkSat(WalkSatConfig::default()));
+        let exact = run(&graph, "mln-exact");
+        let walk = run(&graph, "mln-walksat");
         prop_assert!(walk.stats.feasible);
         prop_assert!(walk.stats.cost >= exact.stats.cost - 1e-9,
             "walksat {} below exact optimum {}", walk.stats.cost, exact.stats.cost);
@@ -101,20 +102,20 @@ proptest! {
 
     #[test]
     fn psl_feasible_and_conflict_covering(graph in arb_graph()) {
-        let psl = run(&graph, Backend::default_psl());
+        let psl = run(&graph, "psl-admm");
         // Rounded PSL world satisfies every hard constraint.
         prop_assert!(psl.stats.feasible, "rounded PSL world violates hard clauses");
         // The surviving KG must be conflict-free: re-running on the
         // consistent subgraph finds nothing to remove.
-        let again = run(&psl.consistent, Backend::MlnExact);
+        let again = run(&psl.consistent, "mln-exact");
         prop_assert_eq!(again.removed.len(), 0, "PSL repair left conflicts behind");
     }
 
     #[test]
     fn consistent_subgraph_is_stable(graph in arb_graph()) {
         // Idempotence: resolving the resolved graph changes nothing.
-        let first = run(&graph, Backend::MlnExact);
-        let second = run(&first.consistent, Backend::MlnExact);
+        let first = run(&graph, "mln-exact");
+        let second = run(&first.consistent, "mln-exact");
         prop_assert_eq!(second.removed.len(), 0);
         prop_assert_eq!(second.consistent.len(), first.consistent.len());
     }
