@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use tecore_kg::{Symbol, UtkGraph};
 use tecore_logic::builder;
 use tecore_logic::formula::Formula;
-use tecore_temporal::{AllenSet, Interval, TimePoint};
+use tecore_temporal::{AllenRelation, AllenSet, Interval, TimePoint};
 
 /// A suggested constraint with its data support.
 #[derive(Debug, Clone)]
@@ -193,23 +193,26 @@ pub fn suggest_order(
     let pa = graph.dict().lookup(pred_a)?;
     let pb = graph.dict().lookup(pred_b)?;
     let mut total = 0usize;
-    let mut relation_votes: HashMap<u16, usize> = HashMap::new();
+    let mut relation_votes = [0usize; 13];
     for (_, fa) in graph.facts_with_predicate(pa) {
         for (_, fb) in graph.facts_with_subject_predicate(fa.subject, pb) {
             total += 1;
-            let r = tecore_temporal::AllenRelation::between(fa.interval, fb.interval);
-            *relation_votes.entry(1 << r.index()).or_default() += 1;
+            relation_votes[AllenRelation::between(fa.interval, fb.interval).index()] += 1;
         }
     }
-    if total < config.min_support {
+    if total == 0 || total < config.min_support {
         return None;
     }
-    let (&bits, &votes) = relation_votes.iter().max_by_key(|(_, &v)| v)?;
+    // Ties go to the lowest-index relation, whatever the graph's order.
+    let (index, &votes) = relation_votes
+        .iter()
+        .enumerate()
+        .max_by_key(|&(i, &v)| (v, std::cmp::Reverse(i)))?;
     let rate = 1.0 - votes as f64 / total as f64;
     if rate > config.tolerance {
         return None;
     }
-    let relation = AllenSet::from_bits(bits);
+    let relation = AllenSet::from_relation(AllenRelation::from_index(index)?);
     Some(SuggestedConstraint {
         formula: builder::temporal_order(
             &format!("auto_order_{pred_a}_{pred_b}"),
@@ -370,6 +373,32 @@ mod tests {
         assert_eq!(s.violation_rate, 0.0);
         let printed = format_formula(&s.formula);
         assert!(printed.contains("before(t, t')"), "{printed}");
+    }
+
+    #[test]
+    fn order_ties_go_to_the_lower_index_relation() {
+        let iv = |a, b| Interval::new(a, b).unwrap();
+        let mut graph = UtkGraph::new();
+        // Three pairs `before`, three `overlaps`.
+        for i in 0..6 {
+            let (a, b) = if i % 2 == 0 {
+                (iv(1, 2), iv(5, 6))
+            } else {
+                (iv(1, 4), iv(3, 6))
+            };
+            graph.insert(&format!("p{i}"), "a", "x", a, 0.9).unwrap();
+            graph.insert(&format!("p{i}"), "b", "y", b, 0.9).unwrap();
+        }
+        let config = AdvisorConfig {
+            tolerance: 0.5,
+            min_support: 6,
+        };
+        for _ in 0..40 {
+            let s = suggest_order(&graph, "a", "b", &config).expect("a tie within tolerance");
+            assert_eq!(s.violation_rate, 0.5);
+            let printed = format_formula(&s.formula);
+            assert!(printed.contains("before(t, t')"), "{printed}");
+        }
     }
 
     #[test]

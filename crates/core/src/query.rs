@@ -10,10 +10,11 @@
 //! distinct-objects lookup.
 //!
 //! Queries compile to **index-backed scans**, never full-graph walks:
-//! the planner picks the narrowest access path available — a
-//! per-predicate or per-subject run of the interval index for
-//! time-constrained queries ([`tecore_kg::GraphTemporalIndex`]), the
-//! graph's hash indexes for purely symbolic ones — and streams
+//! the planner takes the access path the query's shape names — the
+//! `(subject, predicate)` id list when both are bound, a per-predicate
+//! or per-subject run of the interval index for time-constrained
+//! queries ([`tecore_kg::GraphTemporalIndex`]), the graph's hash
+//! indexes for purely symbolic ones — and streams
 //! candidates through the zero-allocation [`OverlapIter`], which walks
 //! a run latest start first and stops where no earlier entry reaches
 //! the window, applying the exact residual filter per candidate. An
@@ -46,7 +47,8 @@
 //! ```
 
 use tecore_kg::{
-    overlapping, Dictionary, FactId, FxHashMap, OverlapIter, Symbol, TemporalFact, UtkGraph,
+    overlapping, reaching, Dictionary, FactId, FxHashMap, OverlapIter, Symbol, TemporalFact,
+    UtkGraph,
 };
 use tecore_temporal::{AllenRelation, AllenSet, Interval, TemporalElement, TimePoint};
 
@@ -242,18 +244,18 @@ impl<'a> TemporalQuery<'a> {
         self
     }
 
-    /// Chooses the access path by comparing estimated candidate counts
-    /// from the expanded graph's live [`tecore_kg::Cardinalities`] —
-    /// real per-predicate fact counts and distinct-subject counts, not
-    /// a fixed heuristic. The residual filter in [`QueryIter`] re-checks
-    /// every constraint, so any candidate-superset path is exact; the
-    /// plan only decides how many candidates get examined.
+    /// Chooses the access path the query's shape names: the
+    /// `(subject, predicate)` id list when both are bound, else an
+    /// interval run narrowed by the window when there is one, else the
+    /// hash index or interval run the bound term names, else the whole
+    /// arena. The object filter never picks a path. The residual filter
+    /// in [`QueryIter`] re-checks every constraint, so any
+    /// candidate-superset path is exact; the plan only decides which
+    /// candidates get examined.
     ///
-    /// The estimates never touch the snapshot's interval index, so a
-    /// plan that lands on a hash-index path keeps the index unbuilt.
+    /// Only the interval paths touch the snapshot's interval index, so
+    /// a plan that lands on a hash-index path keeps the index unbuilt.
     fn plan(&self) -> PathChoice {
-        let graph = self.snapshot.expanded();
-        let cards = graph.cardinalities();
         let unmatchable = self.subject == TermFilter::Unmatchable
             || self.predicate == TermFilter::Unmatchable
             || self.object == TermFilter::Unmatchable;
@@ -266,120 +268,64 @@ impl<'a> TemporalQuery<'a> {
         if unmatchable || matches!(window, Some(None)) {
             return PathChoice::Empty;
         }
-        // Estimated candidates per subject: only *distinct* subjects are
-        // tracked, so this is the mean extension size.
-        let per_subject =
-            (cards.total_facts() as f64 / (cards.distinct_subjects().max(1)) as f64).max(1.0);
-        if let Some(Some(w)) = window {
-            let mut best: Option<PathChoice> = None;
-            let mut consider = |candidate: PathChoice| {
-                if best.as_ref().is_none_or(|b| candidate.cost() < b.cost()) {
-                    best = Some(candidate);
-                }
-            };
-            match (self.subject, self.predicate) {
-                (TermFilter::Is(s), TermFilter::Is(p)) => {
-                    consider(PathChoice::SubjectPredicateIds {
-                        s,
-                        p,
-                        est: graph.subject_predicate_ids(s, p).len() as f64,
-                    });
-                    consider(PathChoice::PredicateOverlap {
-                        p,
-                        w,
-                        est: cards.predicate_facts(p) as f64 * WINDOW_SELECTIVITY,
-                    });
-                    consider(PathChoice::SubjectOverlap {
-                        s,
-                        w,
-                        est: per_subject * WINDOW_SELECTIVITY,
-                    });
-                }
-                (_, TermFilter::Is(p)) => {
-                    consider(PathChoice::PredicateIds {
-                        p,
-                        est: graph.predicate_ids(p).len() as f64,
-                    });
-                    consider(PathChoice::PredicateOverlap {
-                        p,
-                        w,
-                        est: cards.predicate_facts(p) as f64 * WINDOW_SELECTIVITY,
-                    });
-                }
-                (TermFilter::Is(s), _) => {
-                    consider(PathChoice::SubjectOverlap {
-                        s,
-                        w,
-                        est: per_subject * WINDOW_SELECTIVITY,
-                    });
-                }
-                _ => {
-                    consider(PathChoice::AllOverlap {
-                        w,
-                        est: cards.total_facts() as f64 * WINDOW_SELECTIVITY,
-                    });
-                }
-            }
-            best.expect("every filter shape has a candidate path")
-        } else {
-            // Purely symbolic: the graph's hash indexes are already the
-            // narrowest exact paths for their filter shapes.
-            match (self.subject, self.predicate) {
-                (TermFilter::Is(s), TermFilter::Is(p)) => PathChoice::SubjectPredicateIds {
-                    s,
-                    p,
-                    est: graph.subject_predicate_ids(s, p).len() as f64,
-                },
-                (_, TermFilter::Is(p)) => PathChoice::PredicateIds {
-                    p,
-                    est: graph.predicate_ids(p).len() as f64,
-                },
-                (TermFilter::Is(s), _) => PathChoice::SubjectEntries {
-                    s,
-                    est: per_subject,
-                },
-                _ => PathChoice::FullScan {
-                    est: graph.arena_len() as f64,
-                },
-            }
+        let window = window.flatten();
+        match (self.subject, self.predicate, window) {
+            (TermFilter::Is(s), TermFilter::Is(p), _) => PathChoice::SubjectPredicateIds { s, p },
+            (_, TermFilter::Is(p), Some(w)) => PathChoice::PredicateOverlap { p, w },
+            (_, TermFilter::Is(p), None) => PathChoice::PredicateIds { p },
+            (TermFilter::Is(s), _, Some(w)) => PathChoice::SubjectOverlap { s, w },
+            (TermFilter::Is(s), _, None) => PathChoice::SubjectEntries { s },
+            (_, _, Some(w)) => PathChoice::AllOverlap { w },
+            (_, _, None) => PathChoice::FullScan,
         }
     }
 
     /// Renders the chosen access path as a human-readable one-liner —
-    /// `EXPLAIN` for temporal queries. The estimate is the planner's
-    /// candidate count, not the result count (the residual filter
-    /// narrows further).
+    /// `EXPLAIN` for temporal queries. The count is the number of
+    /// entries the path visits, not the result count (the residual
+    /// filter narrows further).
     pub fn explain(&self) -> String {
-        let dict = self.snapshot.expanded().dict();
-        let name = |sym: Symbol| dict.resolve(sym).to_string();
+        let graph = self.snapshot.expanded();
+        let index = || self.snapshot.index();
+        let name = |sym: Symbol| graph.dict().resolve(sym).to_string();
+        let visits = |run, w| reaching(run, w).count();
         match self.plan() {
             PathChoice::Empty => {
                 "empty: unsatisfiable (unknown term or impossible Allen window)".to_string()
             }
-            PathChoice::SubjectPredicateIds { s, p, est } => format!(
-                "hash index (subject={}, predicate={}), ~{est:.0} candidates",
+            PathChoice::SubjectPredicateIds { s, p } => format!(
+                "hash index (subject={}, predicate={}), ~{} candidates",
                 name(s),
-                name(p)
+                name(p),
+                graph.subject_predicate_ids(s, p).len()
             ),
-            PathChoice::PredicateIds { p, est } => {
-                format!("hash index (predicate={}), ~{est:.0} candidates", name(p))
+            PathChoice::PredicateIds { p } => format!(
+                "hash index (predicate={}), ~{} candidates",
+                name(p),
+                graph.predicate_ids(p).len()
+            ),
+            PathChoice::SubjectEntries { s } => format!(
+                "subject interval sub-index ({}), ~{} candidates",
+                name(s),
+                index().subject(s).len()
+            ),
+            PathChoice::PredicateOverlap { p, w } => format!(
+                "predicate interval sub-index ({}) ∩ window {w}, ~{} candidates",
+                name(p),
+                visits(index().predicate(p), w)
+            ),
+            PathChoice::SubjectOverlap { s, w } => format!(
+                "subject interval sub-index ({}) ∩ window {w}, ~{} candidates",
+                name(s),
+                visits(index().subject(s), w)
+            ),
+            PathChoice::AllOverlap { w } => format!(
+                "global interval index ∩ window {w}, ~{} candidates",
+                visits(index().all(), w)
+            ),
+            PathChoice::FullScan => {
+                format!("full arena scan, ~{} candidates", graph.arena_len())
             }
-            PathChoice::SubjectEntries { s, est } => format!(
-                "subject interval sub-index ({}), ~{est:.0} candidates",
-                name(s)
-            ),
-            PathChoice::PredicateOverlap { p, w, est } => format!(
-                "predicate interval sub-index ({}) ∩ window {w}, ~{est:.0} candidates",
-                name(p)
-            ),
-            PathChoice::SubjectOverlap { s, w, est } => format!(
-                "subject interval sub-index ({}) ∩ window {w}, ~{est:.0} candidates",
-                name(s)
-            ),
-            PathChoice::AllOverlap { w, est } => {
-                format!("global interval index ∩ window {w}, ~{est:.0} candidates")
-            }
-            PathChoice::FullScan { est } => format!("full arena scan, ~{est:.0} candidates"),
         }
     }
 
@@ -391,19 +337,19 @@ impl<'a> TemporalQuery<'a> {
         let index = || self.snapshot.index();
         let scan = match self.plan() {
             PathChoice::Empty => Scan::Empty,
-            PathChoice::SubjectPredicateIds { s, p, .. } => {
+            PathChoice::SubjectPredicateIds { s, p } => {
                 Scan::Ids(graph.subject_predicate_ids(s, p).iter())
             }
-            PathChoice::PredicateIds { p, .. } => Scan::Ids(graph.predicate_ids(p).iter()),
-            PathChoice::SubjectEntries { s, .. } => Scan::Entries(index().subject(s).iter()),
-            PathChoice::PredicateOverlap { p, w, .. } => {
+            PathChoice::PredicateIds { p } => Scan::Ids(graph.predicate_ids(p).iter()),
+            PathChoice::SubjectEntries { s } => Scan::Entries(index().subject(s).iter()),
+            PathChoice::PredicateOverlap { p, w } => {
                 Scan::Overlap(overlapping(index().predicate(p), w))
             }
-            PathChoice::SubjectOverlap { s, w, .. } => {
+            PathChoice::SubjectOverlap { s, w } => {
                 Scan::Overlap(overlapping(index().subject(s), w))
             }
-            PathChoice::AllOverlap { w, .. } => Scan::Overlap(overlapping(index().all(), w)),
-            PathChoice::FullScan { .. } => Scan::Full(0..graph.arena_len() as u32),
+            PathChoice::AllOverlap { w } => Scan::Overlap(overlapping(index().all(), w)),
+            PathChoice::FullScan => Scan::Full(0..graph.arena_len() as u32),
         };
         QueryIter {
             graph,
@@ -473,48 +419,27 @@ impl<'a> TemporalQuery<'a> {
     }
 }
 
-/// Assumed fraction of an interval sub-index intersecting a query
-/// window. Windows are usually much narrower than the data's time hull,
-/// and `overlapping` prunes by binary search, so overlap paths get
-/// a flat discount against full id-list scans.
-const WINDOW_SELECTIVITY: f64 = 0.5;
-
-/// The access path the cost-based planner chose for one query. Every
-/// path yields a candidate *superset* of the result; the residual
-/// filter keeps execution exact.
+/// The access path a query's shape names. Every path yields a
+/// candidate *superset* of the result; the residual filter keeps
+/// execution exact.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum PathChoice {
     /// Statically unsatisfiable (unknown term, impossible Allen window).
     Empty,
     /// The `(subject, predicate)` hash index id list.
-    SubjectPredicateIds { s: Symbol, p: Symbol, est: f64 },
+    SubjectPredicateIds { s: Symbol, p: Symbol },
     /// The predicate hash index id list.
-    PredicateIds { p: Symbol, est: f64 },
+    PredicateIds { p: Symbol },
     /// The subject interval sub-index, walked without a window.
-    SubjectEntries { s: Symbol, est: f64 },
+    SubjectEntries { s: Symbol },
     /// The predicate interval sub-index intersected with the window.
-    PredicateOverlap { p: Symbol, w: Interval, est: f64 },
+    PredicateOverlap { p: Symbol, w: Interval },
     /// The subject interval sub-index intersected with the window.
-    SubjectOverlap { s: Symbol, w: Interval, est: f64 },
+    SubjectOverlap { s: Symbol, w: Interval },
     /// The global interval index intersected with the window.
-    AllOverlap { w: Interval, est: f64 },
+    AllOverlap { w: Interval },
     /// Unconstrained arena walk (only when no filter names an index).
-    FullScan { est: f64 },
-}
-
-impl PathChoice {
-    fn cost(&self) -> f64 {
-        match *self {
-            PathChoice::Empty => 0.0,
-            PathChoice::SubjectPredicateIds { est, .. }
-            | PathChoice::PredicateIds { est, .. }
-            | PathChoice::SubjectEntries { est, .. }
-            | PathChoice::PredicateOverlap { est, .. }
-            | PathChoice::SubjectOverlap { est, .. }
-            | PathChoice::AllOverlap { est, .. }
-            | PathChoice::FullScan { est } => est,
-        }
-    }
+    FullScan,
 }
 
 /// The compiled access path of one query.

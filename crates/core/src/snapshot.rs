@@ -121,8 +121,11 @@ impl Snapshot {
         &self.resolution
     }
 
-    /// Unwraps into the resolution, discarding the indexes.
+    /// Unwraps into the resolution, discarding the indexes. No view
+    /// goes home without its resolution: the engine finds the channel
+    /// closed and copies its latest view instead.
     pub fn into_resolution(mut self) -> Resolution {
+        self.home.take();
         std::mem::take(&mut self.resolution)
     }
 

@@ -1,5 +1,5 @@
-//! Query-planner conformance: whatever access path the cost model
-//! picks, a [`TemporalQuery`] must return exactly the facts a
+//! Query-planner conformance: whatever access path the query's shape
+//! names, a [`TemporalQuery`] must return exactly the facts a
 //! brute-force scan over the expanded graph returns. The plan only
 //! decides how many candidates get examined; the residual filter keeps
 //! every path exact.
@@ -192,15 +192,61 @@ proptest! {
 
 #[test]
 fn explain_names_the_chosen_path() {
-    let snap = build_snapshot(&[(0, 0, 0, 1, 3, 4), (1, 1, 1, 2, 2, 3)]);
-    let symbolic = snap.query().predicate("pred0").explain();
-    assert!(symbolic.contains("hash index"), "got: {symbolic}");
-    let windowed = snap.query().overlapping(Interval::new(1, 2).unwrap());
-    assert!(
-        windowed.explain().contains("interval index"),
-        "got: {}",
-        windowed.explain()
-    );
-    let dead = snap.query().subject("nobody").explain();
-    assert!(dead.contains("unsatisfiable"), "got: {dead}");
+    // subj0: pred0 [1,4], pred0 [10,12], pred1 [5,6]; subj1: pred0
+    // [2,4], pred1 [20,25] (inferred); subj2: pred0 [7,7].
+    let snap = build_snapshot(&[
+        (0, 0, 0, 1, 3, 4),
+        (0, 0, 1, 10, 2, 3),
+        (0, 1, 0, 5, 1, 2),
+        (1, 0, 0, 2, 2, 1),
+        (1, 1, 1, 20, 5, 0),
+        (2, 0, 2, 7, 0, 5),
+    ]);
+    let iv = |a, b| Interval::new(a, b).unwrap();
+    let q = || snap.query();
+    // One query per shape: the path it names and the entries it visits.
+    let cases = [
+        // Both terms bound: the (s,p) id list, with a window or without.
+        (
+            q().subject("subj0").predicate("pred0"),
+            "hash index (subject=subj0, predicate=pred0), ~2 candidates",
+        ),
+        (
+            q().subject("subj0").predicate("pred0").at(3),
+            "hash index (subject=subj0, predicate=pred0), ~2 candidates",
+        ),
+        // pred0's run [1,4] [2,4] [7,7] [10,12]: the walk stops at the
+        // first start after 8.
+        (
+            q().predicate("pred0").overlapping(iv(3, 8)),
+            "predicate interval sub-index (pred0) ∩ window [3,8], ~3 candidates",
+        ),
+        (
+            q().predicate("pred0"),
+            "hash index (predicate=pred0), ~4 candidates",
+        ),
+        // subj0's run [1,4] [5,6] [10,12]: [1,4] ends before 5.
+        (
+            q().subject("subj0").overlapping(iv(5, 9)),
+            "subject interval sub-index (subj0) ∩ window [5,9], ~1 candidates",
+        ),
+        (
+            q().subject("subj1"),
+            "subject interval sub-index (subj1), ~2 candidates",
+        ),
+        // The object filter never picks a path. The global run starts
+        // [1,4] [2,4] [5,6] [7,7]: three reach [3,6].
+        (
+            q().object("obj0").overlapping(iv(3, 6)),
+            "global interval index ∩ window [3,6], ~3 candidates",
+        ),
+        (q().object("obj1"), "full arena scan, ~6 candidates"),
+        (
+            q().subject("nobody"),
+            "empty: unsatisfiable (unknown term or impossible Allen window)",
+        ),
+    ];
+    for (query, expected) in cases {
+        assert_eq!(query.explain(), expected);
+    }
 }

@@ -176,7 +176,7 @@ impl<'a> CostModel<'a> {
                     // only from the bound subject/object slots.
                     let mut rows = self.total;
                     if s_known {
-                        rows /= (self.cards.distinct_subjects() as f64).max(1.0);
+                        rows /= self.avg_subjects;
                     }
                     if o_known {
                         rows /= self.avg_objects;

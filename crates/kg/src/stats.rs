@@ -72,9 +72,8 @@ impl PredicateCardinality {
 
 /// Live cardinality statistics of a [`UtkGraph`], maintained
 /// **incrementally** by every insert and remove — never recomputed by a
-/// full-graph walk. Cost-based planners (join ordering in
-/// `tecore-ground`, access-path choice in the temporal query layer)
-/// read their selectivity estimates here.
+/// full-graph walk. The cost-based join planner in `tecore-ground`
+/// reads its selectivity estimates here.
 ///
 /// Cloning is cheap relative to the graph (one small map per
 /// predicate), so a snapshot of the statistics can be taken without
@@ -83,7 +82,6 @@ impl PredicateCardinality {
 pub struct Cardinalities {
     total: usize,
     per_predicate: FxHashMap<Symbol, PredicateCardinality>,
-    subjects: CountedSet,
 }
 
 impl Cardinalities {
@@ -95,11 +93,6 @@ impl Cardinalities {
     /// Number of predicates with at least one live fact.
     pub fn predicate_count(&self) -> usize {
         self.per_predicate.len()
-    }
-
-    /// Number of distinct subjects across all live facts.
-    pub fn distinct_subjects(&self) -> usize {
-        self.subjects.distinct()
     }
 
     /// The cardinalities of one predicate, if it has live facts.
@@ -131,7 +124,6 @@ impl Cardinalities {
         per.facts += 1;
         per.subjects.add(f.subject);
         per.objects.add(f.object);
-        self.subjects.add(f.subject);
     }
 
     /// Accounts for one removed (tombstoned) fact.
@@ -145,7 +137,6 @@ impl Cardinalities {
                 self.per_predicate.remove(&f.predicate);
             }
         }
-        self.subjects.remove(f.subject);
     }
 }
 
@@ -173,16 +164,19 @@ pub struct GraphStats {
 impl GraphStats {
     /// Computes statistics for the live facts of `graph`.
     ///
-    /// Fact/predicate/subject counts come straight from the graph's
-    /// incrementally maintained [`Cardinalities`]; the walk below only
-    /// gathers what those don't track (entities, time hull, confidence).
+    /// Fact and predicate counts come straight from the graph's
+    /// incrementally maintained [`Cardinalities`]; the walk below
+    /// gathers what those don't track (subjects, entities, time hull,
+    /// confidence).
     pub fn compute(graph: &UtkGraph) -> GraphStats {
         let cards = graph.cardinalities();
+        let mut subjects: FxHashMap<Symbol, ()> = FxHashMap::default();
         let mut entities: FxHashMap<Symbol, ()> = FxHashMap::default();
         let mut hull = TemporalElement::empty();
         let mut conf_sum = 0.0;
         let mut certain = 0;
         for (_, f) in graph.iter() {
+            subjects.insert(f.subject, ());
             entities.insert(f.subject, ());
             entities.insert(f.object, ());
             hull.insert(f.interval);
@@ -200,7 +194,7 @@ impl GraphStats {
         GraphStats {
             fact_count: n,
             predicate_count: cards.predicate_count(),
-            subject_count: cards.distinct_subjects(),
+            subject_count: subjects.len(),
             entity_count: entities.len(),
             per_predicate,
             time_hull: hull.hull(),
@@ -279,6 +273,13 @@ mod tests {
         g.remove(id).unwrap();
         let s = GraphStats::compute(&g);
         assert_eq!(s.fact_count, 4);
+        assert_eq!(s.subject_count, 1);
+        // A subject stops counting when its last fact goes.
+        let jt = Interval::new(1998, 2014).unwrap();
+        let id = g.insert("JT", "playsFor", "Chelsea", jt, 0.8).unwrap();
+        assert_eq!(GraphStats::compute(&g).subject_count, 2);
+        g.remove(id).unwrap();
+        assert_eq!(GraphStats::compute(&g).subject_count, 1);
     }
 
     #[test]
@@ -287,7 +288,6 @@ mod tests {
         let cards = g.cardinalities();
         assert_eq!(cards.total_facts(), 5);
         assert_eq!(cards.predicate_count(), 3);
-        assert_eq!(cards.distinct_subjects(), 1);
         let coach = g.dict().lookup("coach").unwrap();
         let c = cards.predicate(coach).unwrap();
         assert_eq!(c.facts(), 3);
@@ -312,7 +312,6 @@ mod tests {
         assert_eq!(c.facts(), 2);
         assert_eq!(c.distinct_subjects(), 1);
         assert_eq!(g.cardinalities().total_facts(), 4);
-        assert_eq!(g.cardinalities().distinct_subjects(), 1);
         // Removing the rest drops the predicate entry entirely.
         let ids: Vec<_> = g.facts_with_predicate(coach).map(|(id, _)| id).collect();
         for id in ids {

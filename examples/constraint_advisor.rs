@@ -8,6 +8,11 @@
 //! quality is scored against the generator's ground truth — no
 //! hand-written constraints involved.
 //!
+//! The example asserts what it prints on its seed: the advisor finds
+//! the generator's planted coaching and playing-spell disjointness
+//! (`auto_disjoint_coach`, `auto_disjoint_playsFor`), and the repair
+//! it runs with them is feasible.
+//!
 //! Run with: `cargo run --release --example constraint_advisor`
 
 use tecore_core::advisor::{suggest_constraints, suggest_order, AdvisorConfig};
@@ -49,9 +54,13 @@ fn main() {
         );
         program.push(s.formula.clone());
     }
-    if program.is_empty() {
-        println!("  (none — graph too small or too noisy)");
-        return;
+    for planted in ["auto_disjoint_coach", "auto_disjoint_playsFor"] {
+        assert!(
+            suggestions
+                .iter()
+                .any(|s| s.formula.name.as_deref() == Some(planted)),
+            "the advisor suggests {planted}"
+        );
     }
 
     println!("\n== debugging with the suggested constraints only ==");
@@ -59,6 +68,10 @@ fn main() {
         .resolve()
         .expect("suggested constraints are valid");
     println!("{}", resolution.stats);
+    assert!(
+        resolution.stats.feasible,
+        "the suggested repair is feasible"
+    );
     let removed: Vec<_> = resolution.removed.iter().map(|r| r.id).collect();
     println!(
         "repair quality vs ground truth: {}",

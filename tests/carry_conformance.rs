@@ -36,7 +36,7 @@ use tecore_core::{
     ConfidenceMode, ConflictExplanation, EditBatch, Engine, MapSolver, Participant, Snapshot,
     SolverRegistry, TecoreConfig,
 };
-use tecore_datagen::standard::{paper_program, wikidata_program};
+use tecore_datagen::standard::{paper_program, ranieri_utkg, wikidata_program};
 use tecore_datagen::{generate_wikidata, WikidataConfig};
 use tecore_ground::ComponentMode;
 use tecore_kg::{FactId, GraphTemporalIndex, TemporalFact, UtkGraph};
@@ -722,6 +722,59 @@ fn a_reasserted_fact_redescribes_its_conflict() {
         .expect("cold resolve");
     assert_eq!(typed_conflicts(&after), typed_conflicts(&cold));
     assert_eq!(rendered_conflicts(&after), rendered_conflicts(&cold));
+}
+
+/// A caller that unwraps the spare into its resolution keeps the
+/// resolution; the view does not come home without it, and the next
+/// publish copies the latest one instead of patching a gutted spare.
+#[test]
+fn unwrapping_the_spare_sends_no_view_home() {
+    let mut graph = ranieri_utkg();
+    for i in 0..300 {
+        graph
+            .insert(
+                &format!("q{i}"),
+                "playsFor",
+                &format!("club{}", i % 11),
+                iv(1990 + i % 20, 2),
+                0.6 + (i % 7) as f64 * 0.05,
+            )
+            .unwrap();
+    }
+    let config = TecoreConfig {
+        backend: solver("mln-exact"),
+        ..TecoreConfig::default()
+    };
+    let mut engine = Engine::with_config(graph, paper_program(), config);
+    let first = engine.resolve_incremental().expect("cold");
+    first.index();
+    engine
+        .insert_fact("q0", "coach", "club3", iv(2005, 2), 0.8)
+        .expect("valid insert");
+    let second = engine.resolve_incremental().expect("incremental");
+    let resolution = Arc::try_unwrap(first)
+        .expect("the engine moved on")
+        .into_resolution();
+    assert!(!resolution.inferred.is_empty(), "the view is split");
+    assert!(!resolution.consistent.is_empty(), "the caller keeps it");
+
+    let kept = second.consistent.dict().lookup("coach").expect("interned");
+    let (_, spell) = second
+        .consistent
+        .facts_with_predicate(kept)
+        .next()
+        .expect("a kept coach fact");
+    let dict = second.consistent.dict();
+    let ids = engine.graph().statement_ids(
+        dict.resolve(spell.subject),
+        "coach",
+        dict.resolve(spell.object),
+    );
+    engine.remove_fact(ids[0]).expect("live");
+    let last = engine.resolve_incremental().expect("incremental");
+    assert!(last.stats.view_facts_copied > 0, "no spare came home");
+    let cold = Snapshot::from_resolution(engine.resolve_raw().expect("cold"), last.epoch());
+    assert_equivalent("after the unwrap", &last, &cold);
 }
 
 // --- Work counters: what a publish touches, counted, not timed. ---
