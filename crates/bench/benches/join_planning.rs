@@ -1,18 +1,21 @@
-//! Join planning — cost-based vs syntactic grounding on skewed data,
-//! plus planned query access paths.
+//! Join planning — one program written worst-first and best-first on
+//! skewed data, plus query access paths.
 //!
 //! The skewed scenario (`tecore_datagen::skewed`, Zipf s = 1.2 over 16
-//! predicates) is the workload the cost-based planner exists for: the
-//! bench program's constraint bodies are written "dominant predicate
-//! first", which is exactly the order the syntactic heuristic keeps
-//! (constants tie, source order wins) and exactly the order the data
-//! punishes — `rel0` holds ~40% of all facts while `rel15` holds ~1%.
-//! The cost model reads that off the graph's live cardinalities and
-//! starts each join at the tail predicate instead.
+//! predicates) is the workload join ordering exists for: the bench
+//! program's constraint bodies are written "dominant predicate first",
+//! exactly the order the data punishes — `rel0` holds ~40% of all
+//! facts while `rel15` holds ~1%, and the marker predicates none. The
+//! grounder's rule (`tecore_ground::planner`) reads the atom store's
+//! counts and starts each join at the empty or the tail predicate
+//! instead. `worst_first` grounds the program as written; `best_first`
+//! grounds the same five constraints with each body written in the
+//! order the rule picks. A planner that orders them alike reads ≈ 1;
+//! one that keeps the written order reads ≈ 4 at 100k facts.
 //!
-//! Tracked in `BENCH_join_planning.json`: grounding time planned vs
-//! syntactic at 10k/100k facts (the planned/syntactic gap at 100k is
-//! the acceptance signal), the planned query paths on the same
+//! Tracked in `BENCH_join_planning.json`: grounding time worst-first
+//! and best-first at 10k/100k facts (CI holds their ratio at 100k with
+//! a `--ratio` rule), the query paths on the same
 //! data against a brute-force full scan, and `ground_scaling`: a cold
 //! `ground()` of the Wikidata mix under its shipped constraints at 25k
 //! and 400k facts — 64 times and 4 times per iteration, so that both
@@ -41,28 +44,22 @@ use tecore_core::explain::explain_conflicts;
 use tecore_core::resolution::Resolution;
 use tecore_core::{DebugStats, Snapshot};
 use tecore_datagen::config::SkewedConfig;
-use tecore_datagen::skewed::generate_skewed;
+use tecore_datagen::skewed::{generate_skewed, PLANNING_PROGRAM};
 use tecore_datagen::standard::wikidata_program;
 use tecore_datagen::{generate_wikidata, WikidataConfig};
-use tecore_ground::{ground, GroundConfig, JoinPlanner};
+use tecore_ground::{ground, GroundConfig};
 use tecore_kg::GraphTemporalIndex;
 use tecore_logic::LogicProgram;
 use tecore_temporal::Interval;
 
-/// Multi-hop chains through the dominant predicate, each terminated by
-/// a selective atom — written worst-first, which is exactly the order
-/// the syntactic heuristic keeps. `flagged` / `suspect` / `retracted`
-/// are annotation predicates with no facts in the clean graph (the
-/// common "constraint referencing a marker predicate" shape): the cost
-/// model sees their zero cardinality and starts there, pruning the
-/// whole chain; the syntactic order walks the dominant-predicate
-/// frontier first and discovers the emptiness only at the last hop.
-const PLANNING_PROGRAM: &str = "\
-    c1: quad(x, rel0, y, t) ^ quad(y, rel0, z, t2) ^ quad(z, rel0, v, t3) ^ quad(v, rel0, q, t4) ^ quad(q, flagged, u, t5) -> false w = inf\n\
-    c2: quad(x, rel0, y, t) ^ quad(y, rel0, z, t2) ^ quad(z, rel0, v, t3) ^ quad(v, suspect, u, t4) -> false w = inf\n\
-    c3: quad(x, rel0, y, t) ^ quad(y, rel1, z, t2) ^ quad(z, rel0, v, t3) ^ quad(v, retracted, u, t4) -> false w = inf\n\
-    c4: quad(x, rel0, y, t) ^ quad(y, rel0, z, t2) ^ quad(z, rel15, u, t3) -> false w = inf\n\
-    c5: quad(x, rel0, y, t) ^ quad(x, rel14, z, t2) -> false w = inf\n";
+/// [`PLANNING_PROGRAM`] with each body written in the order the
+/// grounder's rule joins it.
+const BEST_FIRST_PROGRAM: &str = "\
+    c1: quad(q, flagged, u, t5) ^ quad(v, rel0, q, t4) ^ quad(z, rel0, v, t3) ^ quad(y, rel0, z, t2) ^ quad(x, rel0, y, t) -> false w = inf\n\
+    c2: quad(v, suspect, u, t4) ^ quad(z, rel0, v, t3) ^ quad(y, rel0, z, t2) ^ quad(x, rel0, y, t) -> false w = inf\n\
+    c3: quad(v, retracted, u, t4) ^ quad(z, rel0, v, t3) ^ quad(y, rel1, z, t2) ^ quad(x, rel0, y, t) -> false w = inf\n\
+    c4: quad(z, rel15, u, t3) ^ quad(y, rel0, z, t2) ^ quad(x, rel0, y, t) -> false w = inf\n\
+    c5: quad(x, rel14, z, t2) ^ quad(x, rel0, y, t) -> false w = inf\n";
 
 fn skewed(total_facts: usize) -> tecore_kg::UtkGraph {
     generate_skewed(&SkewedConfig {
@@ -73,20 +70,17 @@ fn skewed(total_facts: usize) -> tecore_kg::UtkGraph {
 }
 
 fn bench_grounding(c: &mut Criterion) {
-    let program = LogicProgram::parse(PLANNING_PROGRAM).expect("valid program");
+    let config = GroundConfig::default();
     let mut group = c.benchmark_group("join_planning");
     group.sample_size(10);
     for size in [10_000usize, 100_000] {
         let graph = skewed(size);
         group.throughput(Throughput::Elements(size as u64));
-        for (label, planner) in [
-            ("planned", JoinPlanner::CostBased),
-            ("syntactic", JoinPlanner::Syntactic),
+        for (label, src) in [
+            ("worst_first", PLANNING_PROGRAM),
+            ("best_first", BEST_FIRST_PROGRAM),
         ] {
-            let config = GroundConfig {
-                planner,
-                ..GroundConfig::default()
-            };
+            let program = LogicProgram::parse(src).expect("valid program");
             group.bench_with_input(BenchmarkId::new(label, size), &graph, |b, g| {
                 b.iter(|| black_box(ground(g, &program, &config).expect("grounds")))
             });

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use tecore_bench::harness;
 use tecore_core::registry::SolverRegistry;
-use tecore_core::threshold;
+use tecore_core::resolution::InferredFact;
 use tecore_core::{ConfidenceMode, Engine, MapSolver, TecoreConfig};
 use tecore_datagen::config::{FootballConfig, SkewedConfig};
 use tecore_datagen::football::generate_football;
@@ -220,7 +220,7 @@ fn e5_threshold() -> bool {
         .resolve()
         .expect("resolves");
     let thresholds: Vec<f64> = (0..=9).map(|i| f64::from(i) / 10.0).collect();
-    let curve = threshold::sweep(&r.inferred, &thresholds);
+    let curve = sweep(&r.inferred, &thresholds);
     print!("    ");
     for (t, kept) in curve {
         print!("τ={t:.1}:{kept}  ");
@@ -244,6 +244,18 @@ fn e5_threshold() -> bool {
 }
 
 /// E6 — §4: Wikidata scalability.
+/// Sweeps a set of thresholds and reports `(threshold, kept)` pairs —
+/// the curve behind experiment E5.
+fn sweep(inferred: &[Arc<InferredFact>], thresholds: &[f64]) -> Vec<(f64, usize)> {
+    thresholds
+        .iter()
+        .map(|&t| {
+            let kept = inferred.iter().filter(|f| f.confidence >= t).count();
+            (t, kept)
+        })
+        .collect()
+}
+
 fn e6_wikidata_scaling(quick: bool) {
     line();
     println!("E6  Wikidata scaling (paper slice: 6.3M facts; PSL offered for scale)");
@@ -283,4 +295,33 @@ fn skewed_components() {
     );
     let graph = generate_skewed(&SkewedConfig::default());
     print_components("skewed 10000", &graph, &program.expect("valid program"));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tecore_temporal::Interval;
+
+    fn fact(conf: f64) -> Arc<InferredFact> {
+        Arc::new(InferredFact {
+            subject: "s".into(),
+            predicate: "p".into(),
+            object: "o".into(),
+            interval: Interval::new(1, 2).unwrap(),
+            confidence: conf,
+        })
+    }
+
+    #[test]
+    fn sweep_monotone_decreasing() {
+        let facts = vec![fact(0.2), fact(0.4), fact(0.6), fact(0.8)];
+        let curve = sweep(&facts, &[0.0, 0.3, 0.5, 0.7, 0.9]);
+        assert_eq!(
+            curve,
+            vec![(0.0, 4), (0.3, 3), (0.5, 2), (0.7, 1), (0.9, 0)]
+        );
+        for w in curve.windows(2) {
+            assert!(w[0].1 >= w[1].1);
+        }
+    }
 }

@@ -44,11 +44,10 @@ use tecore_kg::{
 
 use crate::engine::Moved;
 use crate::explain::{ConflictExplanation, Conflicts};
-use crate::pipeline::{confidence, inferred_fact, solve_stats, TecoreConfig};
+use crate::pipeline::{confidence, inferred_fact, passes, solve_stats, TecoreConfig};
 use crate::resolution::{InferredFact, RemovedFact, Resolution};
 use crate::snapshot::Snapshot;
 use crate::stats::DebugStats;
-use crate::threshold;
 
 /// Engine fact id → id in a resolved graph, for the facts that graph
 /// holds. Dense, but only over the ids that can still occur: it starts
@@ -644,7 +643,7 @@ pub(crate) fn carry_forward(prev: Carried, now: Resolved<'_>) -> Option<Forwarde
             maps.ungraded.remove(&atom);
         }
         let confidence = graded.map(|c| c.unwrap_or(1.0));
-        let shown = confidence.filter(|&c| threshold::passes(c, config.threshold));
+        let shown = confidence.filter(|&c| passes(c, config.threshold));
         if confidence.is_some() && shown.is_none() {
             maps.thresholded.insert(atom);
         } else {

@@ -60,7 +60,6 @@ pub mod registry;
 pub mod resolution;
 pub mod snapshot;
 pub mod stats;
-pub mod threshold;
 pub mod translate;
 
 pub use advisor::{suggest_constraints, AdvisorConfig, SuggestedConstraint};
@@ -77,7 +76,7 @@ pub use stats::DebugStats;
 // The backend interface itself lives in `tecore-ground` (below the
 // substrate crates); re-exported here because this is where users meet
 // it.
-pub use tecore_ground::{FormulaPlan, JoinPlanner, MapSolver, MapState, SolveError, SolverCaps};
+pub use tecore_ground::{FormulaPlan, MapSolver, MapState, SolveError, SolverCaps};
 
 /// Convenience re-exports.
 pub mod prelude {
@@ -90,5 +89,5 @@ pub mod prelude {
     pub use crate::resolution::Resolution;
     pub use crate::snapshot::Snapshot;
     pub use crate::stats::DebugStats;
-    pub use tecore_ground::{ComponentMode, JoinPlanner, MapSolver, MapState, SolverCaps};
+    pub use tecore_ground::{ComponentMode, MapSolver, MapState, SolverCaps};
 }

@@ -22,7 +22,6 @@ use crate::error::TecoreError;
 use crate::explain::Conflicts;
 use crate::resolution::{InferredFact, RemovedFact, Resolution};
 use crate::stats::DebugStats;
-use crate::threshold;
 
 /// How inferred facts are graded with a confidence value.
 ///
@@ -161,7 +160,7 @@ pub(crate) fn interpret(
                 ungraded.insert(id);
                 1.0
             });
-            if threshold::passes(confidence, config.threshold) {
+            if passes(confidence, config.threshold) {
                 inferred.push(Inferred {
                     atom: id,
                     // The expanded graph appends the inferred facts, in
@@ -203,6 +202,14 @@ pub(crate) fn interpret(
         stats,
     };
     (resolution, maps)
+}
+
+/// Does a derived fact of this confidence pass the threshold? A
+/// threshold of `0.0` (or below) keeps everything. "TeCoRe allows to
+/// set a threshold value and remove derived facts below that" (paper
+/// §1); evidence facts are governed by MAP inference itself.
+pub(crate) fn passes(confidence: f64, threshold: f64) -> bool {
+    threshold <= 0.0 || confidence >= threshold
 }
 
 /// The confidence of an accepted derived atom: the solver's soft value,
@@ -250,4 +257,22 @@ pub(crate) fn solve_stats(
     stats.feasible = state.feasible;
     stats.cost = state.cost;
     stats.plans = grounding.plans.clone();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zero_threshold_keeps_all() {
+        assert!(passes(0.1, 0.0));
+        assert!(passes(0.0, 0.0));
+    }
+
+    #[test]
+    fn filters_below() {
+        assert!(!passes(0.1, 0.5));
+        assert!(passes(0.5, 0.5)); // inclusive
+        assert!(passes(0.9, 0.5));
+    }
 }

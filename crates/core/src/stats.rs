@@ -163,11 +163,10 @@ impl fmt::Display for DebugStats {
                     .name
                     .clone()
                     .unwrap_or_else(|| format!("#{}", plan.formula));
-                let kind = if plan.cost_based { "cost" } else { "syntactic" };
                 writeln!(
                     f,
-                    "  {name:<16} order {:?} ({kind}, est {:.0}, actual {})",
-                    plan.join_order, plan.estimated_matches, plan.actual_matches
+                    "  {name:<16} order {:?} (actual {})",
+                    plan.join_order, plan.actual_matches
                 )?;
             }
         }
@@ -207,8 +206,6 @@ mod tests {
                 formula: 0,
                 name: Some("f1".into()),
                 join_order: vec![1, 0],
-                cost_based: true,
-                estimated_matches: 3.0,
                 actual_matches: 2,
             }],
             ..DebugStats::default()
@@ -221,6 +218,6 @@ mod tests {
         assert!(text.contains("mln-exact"));
         assert!(text.contains("join plans:"));
         assert!(text.contains("f1"));
-        assert!(text.contains("[1, 0]"));
+        assert!(text.contains("[1, 0] (actual 2)"));
     }
 }

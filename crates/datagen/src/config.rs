@@ -164,12 +164,13 @@ impl Default for StreamConfig {
 /// stress workload whose per-predicate fact counts follow a Zipf
 /// distribution (`weight(rank) = 1 / rank^skew`).
 ///
-/// The resulting graph is pathological for syntactic join ordering:
+/// The resulting graph is pathological for joining in source order:
 /// one predicate holds most of the facts while the tail predicates are
 /// tiny, so a body written "big atom first" enumerates the dominant
 /// predicate even though starting from a tail atom would bound the
-/// search immediately. The cost-based planner reads the imbalance off
-/// [`tecore_kg::Cardinalities`] and reorders.
+/// search immediately. The grounder's join-order rule reads the
+/// imbalance off the length of each predicate's atom list and
+/// reorders.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SkewedConfig {
     /// Total number of temporal facts to generate.

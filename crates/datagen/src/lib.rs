@@ -23,8 +23,8 @@
 //!   benchmarks.
 //! * **Skewed** — a synthetic Zipf-distributed predicate workload
 //!   ([`skewed`]) with a configurable exponent; not from the paper but
-//!   the stress scenario for cost-based join planning (one dominant
-//!   predicate, many tiny ones).
+//!   the stress scenario for join ordering (one dominant predicate,
+//!   many tiny ones).
 //!
 //! Ground-truth labels make repair quality measurable: [`noise`]
 //! computes precision/recall of conflict resolution against the

@@ -6,12 +6,12 @@
 //! default `s = 1.2` over 16 predicates, `rel0` holds roughly 40% of
 //! all facts while the tail predicates hold well under 1% each.
 //!
-//! This is the stress scenario for the cost-based join planner: a rule
-//! body written with the dominant predicate first forces syntactic
-//! ordering to enumerate the bulk of the store, while cardinality-aware
-//! planning starts from a tail predicate and prunes immediately. The
-//! `join_planning` bench in `tecore-bench` grounds exactly that shape
-//! at 10K and 100K facts.
+//! This is the stress scenario for join ordering: a rule body written
+//! with the dominant predicate first enumerates the bulk of the store
+//! when joined in source order, while the grounder's rule, which reads
+//! the atom store's counts, starts from a tail predicate and prunes
+//! immediately. The `join_planning` bench in `tecore-bench` grounds
+//! exactly that shape ([`PLANNING_PROGRAM`]) at 10K and 100K facts.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -19,6 +19,20 @@ use tecore_kg::UtkGraph;
 use tecore_temporal::Interval;
 
 use crate::config::SkewedConfig;
+
+/// Multi-hop chains through the dominant predicate, each terminated by
+/// a selective atom — written worst-first. `flagged` / `suspect` /
+/// `retracted` are annotation predicates with no facts in the clean
+/// graph (the common "constraint referencing a marker predicate"
+/// shape): a join that starts there prunes the whole chain; one that
+/// walks the dominant-predicate frontier first discovers the emptiness
+/// only at the last hop.
+pub const PLANNING_PROGRAM: &str = "\
+    c1: quad(x, rel0, y, t) ^ quad(y, rel0, z, t2) ^ quad(z, rel0, v, t3) ^ quad(v, rel0, q, t4) ^ quad(q, flagged, u, t5) -> false w = inf\n\
+    c2: quad(x, rel0, y, t) ^ quad(y, rel0, z, t2) ^ quad(z, rel0, v, t3) ^ quad(v, suspect, u, t4) -> false w = inf\n\
+    c3: quad(x, rel0, y, t) ^ quad(y, rel1, z, t2) ^ quad(z, rel0, v, t3) ^ quad(v, retracted, u, t4) -> false w = inf\n\
+    c4: quad(x, rel0, y, t) ^ quad(y, rel0, z, t2) ^ quad(z, rel15, u, t3) -> false w = inf\n\
+    c5: quad(x, rel0, y, t) ^ quad(x, rel14, z, t2) -> false w = inf\n";
 
 /// Generates a skewed-predicate uTKG. Deterministic given the config.
 pub fn generate_skewed(config: &SkewedConfig) -> UtkGraph {
@@ -169,12 +183,12 @@ mod tests {
     fn cardinalities_reflect_skew() {
         let cfg = SkewedConfig::default();
         let g = generate_skewed(&cfg);
-        let cards = g.cardinalities();
-        assert_eq!(cards.total_facts(), g.len());
+        let stats = tecore_kg::GraphStats::compute(&g);
+        assert_eq!(stats.fact_count, g.len());
         let head = g.dict().lookup("rel0").unwrap();
         assert_eq!(
-            cards.predicate_facts(head),
-            g.facts_with_predicate(head).count()
+            stats.per_predicate[0],
+            ("rel0".to_string(), g.facts_with_predicate(head).count())
         );
     }
 }

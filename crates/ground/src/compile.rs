@@ -1,7 +1,9 @@
 //! Compilation of formulas against a dictionary: constants are interned
-//! to symbols, a join order is planned, and every step of it gets its
-//! access path into the atom store, the time window it may probe with,
-//! and the checks that become evaluable once it has bound its atom.
+//! to symbols, every join gets an order ([`crate::planner`]'s rule with
+//! every count at zero, until the grounder plans against its atom
+//! store), and every step of it gets its access path into the atom
+//! store, the time window it may probe with, and the checks that
+//! become evaluable once it has bound its atom.
 
 use tecore_kg::{Dictionary, Symbol};
 use tecore_logic::atom::{CmpOp, Comparison, Condition, QuadAtom, TemporalCond};
@@ -60,20 +62,6 @@ impl CPattern {
             }
         }
         out
-    }
-
-    /// Number of constant slots (selectivity heuristic).
-    pub fn const_count(&self) -> usize {
-        let mut n = 0;
-        for t in [&self.subject, &self.predicate, &self.object] {
-            if matches!(t, CTerm::Sym(_)) {
-                n += 1;
-            }
-        }
-        if matches!(self.time, Some(CTime::Lit(_))) {
-            n += 1;
-        }
-        n
     }
 }
 
@@ -495,10 +483,7 @@ fn compile_formula(
 
     checks.extend(consequent.violated());
 
-    let cold = JoinPlan::new(&body, &checks, &plan_join_order(&body, None));
-    let seeded = (0..body.len())
-        .map(|pos| JoinPlan::new(&body, &checks, &plan_join_order(&body, Some(pos))))
-        .collect();
+    let (cold, seeded) = crate::planner::unplanned(&body, &checks);
 
     Ok(CompiledFormula {
         index,
@@ -541,58 +526,6 @@ fn compile_condition(c: &Condition, dict: &mut Dictionary) -> CCondition {
     }
 }
 
-/// Greedy join-order planning: start from `first` — or, without one,
-/// from the most selective pattern (most constants) — then repeatedly
-/// choose the pattern sharing the most already-bound variables
-/// (tie-break: more constants, then source order). This keeps joins
-/// index-backed: a shared variable means the next lookup can use the
-/// subject/object hash indexes.
-pub(crate) fn plan_join_order(body: &[CPattern], first: Option<usize>) -> Vec<usize> {
-    let n = body.len();
-    let mut order = Vec::with_capacity(n);
-    let mut used = vec![false; n];
-    let mut bound: Vec<VarId> = Vec::new();
-    if let Some(first) = first {
-        used[first] = true;
-        bound = body[first].vars();
-        order.push(first);
-    }
-    while order.len() < n {
-        let mut best: Option<(usize, usize, usize)> = None; // (shared, consts, idx)
-        for (i, p) in body.iter().enumerate() {
-            if used[i] {
-                continue;
-            }
-            let shared = p.vars().iter().filter(|v| bound.contains(v)).count();
-            let consts = p.const_count();
-            let candidate = (shared, consts, i);
-            best = Some(match best {
-                None => candidate,
-                Some(b) => {
-                    // prefer more shared vars, then more constants, then
-                    // earlier source position (note: reversed on idx).
-                    if (candidate.0, candidate.1, std::cmp::Reverse(candidate.2))
-                        > (b.0, b.1, std::cmp::Reverse(b.2))
-                    {
-                        candidate
-                    } else {
-                        b
-                    }
-                }
-            });
-        }
-        let (_, _, idx) = best.expect("non-empty body");
-        used[idx] = true;
-        for v in body[idx].vars() {
-            if !bound.contains(&v) {
-                bound.push(v);
-            }
-        }
-        order.push(idx);
-    }
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -619,9 +552,10 @@ mod tests {
             "quad(x, coach, Chelsea, t) ^ quad(x, coach, z, t') ^ quad(z, locatedIn, w1, t') \
              -> false",
         );
-        // Pattern 0 has two constants — starts the join.
+        // Pattern 0's constants fix its `(predicate, object)` key — it
+        // starts the join.
         assert_eq!(cf.cold.order()[0], 0);
-        // Pattern 1 shares x with 0; pattern 2 shares z with 1 only.
+        // x fixes pattern 1's key; z, bound by 1, fixes pattern 2's.
         assert_eq!(cf.cold.order(), vec![0, 1, 2]);
     }
 
@@ -638,10 +572,11 @@ mod tests {
             sorted.sort_unstable();
             assert_eq!(sorted, vec![0, 1, 2], "a permutation");
         }
-        // Seeded at the last pattern, z is bound first: the join walks
-        // back through the shared variables (2 → 1 → 0), and `z != x`
-        // runs as soon as pattern 1 has bound x.
-        assert_eq!(cf.seeded[2].order(), vec![2, 1, 0]);
+        // Seeded at the last pattern, z is bound first: both other
+        // patterns then have a fixed `(predicate, object)` key, so
+        // position decides (2 → 0 → 1), and `z != x` runs as soon as
+        // pattern 0 has bound x.
+        assert_eq!(cf.seeded[2].order(), vec![2, 0, 1]);
         let checks: Vec<&[usize]> = cf.seeded[2].steps.iter().map(|s| &s.checks[..]).collect();
         assert_eq!(checks, [&[][..], &[0], &[]]);
     }
@@ -754,7 +689,10 @@ mod tests {
     fn pattern_vars_and_consts() {
         let (cf, _) = compile_one("quad(x, coach, Chelsea, [2000,2004]) -> false");
         let p = &cf.body[0];
-        assert_eq!(p.vars().len(), 1);
-        assert_eq!(p.const_count(), 3);
+        assert_eq!(p.vars(), vec![VarId(0)]);
+        assert!(matches!(
+            (p.predicate, p.object, p.time),
+            (CTerm::Sym(_), CTerm::Sym(_), Some(CTime::Lit(_)))
+        ));
     }
 }

@@ -18,7 +18,7 @@ use crate::compile::{
     Access, CCondition, CConsequent, CPattern, CTerm, CTime, Check, CompiledFormula,
     CompiledProgram, JoinPlan,
 };
-use crate::planner::{self, FormulaPlan, JoinPlanner};
+use crate::planner::{self, FormulaPlan};
 
 /// Closed-world prior weight on hidden atoms (soft unit clause `¬h`).
 /// Keeps unsupported derivations false in the MAP state.
@@ -27,22 +27,12 @@ const HIDDEN_PRIOR: f64 = 0.05;
 /// Safety valve on semi-naive rounds (rule-chain depth).
 pub(crate) const MAX_ROUNDS: usize = 16;
 
-/// On incremental deltas, re-plan join orders when some predicate's
-/// fact count has drifted by more than this relative fraction since
-/// the current plans were chosen (cost-based planner only).
-pub(crate) const REPLAN_DRIFT: f64 = 0.5;
-
 /// Grounding configuration.
 #[derive(Debug, Clone, Default)]
 pub struct GroundConfig {
     /// Pin confidence-1 facts as hard evidence (default: `false`, so a
     /// conflict between two "certain" facts stays resolvable).
     pub pin_certain: bool,
-    /// Join-order planner: cost-based over live cardinality statistics
-    /// (default), or the compiler's syntactic heuristic. Either choice
-    /// grounds the same clause multiset; only the enumeration work
-    /// differs.
-    pub planner: JoinPlanner,
 }
 
 /// Statistics of one grounding run.
@@ -140,14 +130,13 @@ pub struct Grounding {
     /// incremental paths from then on; monolithic solves never pay for
     /// it.
     pub(crate) components: Option<crate::component::ComponentIndex>,
-    /// The join plan each formula was grounded with (chosen order,
-    /// estimated vs observed match counts) — surfaced via
-    /// `DebugStats::plans`.
+    /// The join order each formula is grounded with and its observed
+    /// match count — surfaced via `DebugStats::plans`.
     pub plans: Vec<FormulaPlan>,
-    /// Per-predicate fact counts at plan time; incremental deltas
-    /// re-plan when the live counts drift too far from this
-    /// (`REPLAN_DRIFT`).
-    pub(crate) plan_fingerprint: Vec<(Symbol, usize)>,
+    /// The store's length when the joins were last ordered. Atoms are
+    /// never removed from the id lists the orders are read from, so
+    /// while the store has not grown the orders stand.
+    pub(crate) planned_atoms: usize,
     /// What deltas changed since the consumer last took it (see
     /// [`Grounding::take_changes`]).
     pub(crate) changes: crate::incremental::DeltaChanges,
@@ -232,21 +221,42 @@ pub fn ground(
     program: &LogicProgram,
     config: &GroundConfig,
 ) -> Result<Grounding, LogicError> {
+    ground_with(graph, program, config, |compiled, store| {
+        planner::plan(compiled, store);
+    })
+}
+
+/// [`ground`], with the joins ordered by `plan` once the evidence atoms
+/// are in the store and before any matching happens. Any order grounds
+/// the same clause arena (the frontier discipline, clause dedup and
+/// emission order are keyed on body positions, not join steps), so
+/// `plan` only moves work.
+pub(crate) fn ground_with(
+    graph: &UtkGraph,
+    program: &LogicProgram,
+    config: &GroundConfig,
+    plan: impl FnOnce(&mut CompiledProgram, &AtomStore),
+) -> Result<Grounding, LogicError> {
     let start = Instant::now();
     let mut dict = graph.dict().clone();
     let symbols = crate::incremental::SymbolMap::shared_below(dict.len());
     let mut compiled = CompiledProgram::compile(program, &mut dict)?;
-    // Re-plan join orders from the graph's live cardinalities before
-    // any matching happens. Any plan grounds the same clause multiset
-    // (the frontier discipline and clause dedup are keyed on body
-    // positions, not join steps), so this only moves work.
-    let mut plans = planner::plan_program(&mut compiled, graph.cardinalities(), config.planner);
-    let plan_fingerprint = planner::fingerprint(graph.cardinalities());
-
     let (mut store, fact_atoms) = AtomStore::from_graph(graph);
+    plan(&mut compiled, &store);
+    let planned_atoms = store.len();
     if compiled.probes_predicate_object() {
         store.ensure_predicate_object();
     }
+    let mut plans: Vec<FormulaPlan> = compiled
+        .formulas
+        .iter()
+        .map(|cf| FormulaPlan {
+            formula: cf.index,
+            name: cf.name.clone(),
+            join_order: cf.cold.order(),
+            actual_matches: 0,
+        })
+        .collect();
     let evidence_atoms = store.len();
 
     let mut clauses = ClauseStore::with_capacity(graph.len() * 2, graph.len() * 2);
@@ -357,7 +367,7 @@ pub fn ground(
         dep_built: false,
         components: None,
         plans,
-        plan_fingerprint,
+        planned_atoms,
         changes: Default::default(),
     })
 }
@@ -919,10 +929,7 @@ mod tests {
     fn pin_certain_makes_birthdate_hard() {
         let graph = parse_graph(RANIERI).unwrap();
         let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
-        let config = GroundConfig {
-            pin_certain: true,
-            ..GroundConfig::default()
-        };
+        let config = GroundConfig { pin_certain: true };
         let g = ground(&graph, &program, &config).unwrap();
         let hard_units = g
             .clauses

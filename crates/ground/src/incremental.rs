@@ -43,9 +43,8 @@ use crate::atoms::{AtomId, AtomKind};
 use crate::clause::{ClauseId, ClauseOrigin, ClauseWeight, GroundClause, Lit};
 use crate::grounder::{
     enumerate_seeded, evidence_unit, prior_unit, GroundConfig, Grounding, Pending, MAX_ROUNDS,
-    REPLAN_DRIFT,
 };
-use crate::planner::{self, JoinPlanner};
+use crate::planner;
 
 /// Statistics of one [`Grounding::apply_delta`] run.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -154,7 +153,6 @@ impl Grounding {
             "delta must start at the grounding's epoch"
         );
         self.ensure_dep_index();
-        self.maybe_replan(graph, config);
         let mut stats = DeltaStats {
             facts_added: delta.added.len(),
             facts_removed: delta.removed.len(),
@@ -306,6 +304,10 @@ impl Grounding {
         }
         debug_assert!(next_kill == kills.len(), "unit retraction never kills");
 
+        // The store now holds the delta's atoms (and the previous
+        // rounds' derivations): order the joins by what they will walk.
+        self.replan();
+
         // --- 5. Semi-naive rounds of delta rules seeded from the
         // frontier. A dead atom revived by a second fact of the same
         // delta was alive by then, so no atom is listed twice. ---
@@ -438,32 +440,21 @@ impl Grounding {
         }
     }
 
-    /// Re-plans the compiled program's join orders when the graph's
-    /// per-predicate fact counts have drifted past `REPLAN_DRIFT`
-    /// since the current plans were chosen. Join orders only move work,
-    /// never change the grounded clause multiset, so swapping them
-    /// mid-materialisation is safe.
-    fn maybe_replan(&mut self, graph: &UtkGraph, config: &GroundConfig) {
-        if config.planner != JoinPlanner::CostBased || graph.cardinalities().is_empty() {
+    /// Re-orders the joins by the atom store's present counts (see
+    /// [`planner::plan`]) if it has grown since they were last ordered.
+    /// Join orders only move work, never change the grounded clause
+    /// arena, so swapping them mid-materialisation is safe.
+    fn replan(&mut self) {
+        if self.store.len() == self.planned_atoms {
             return;
         }
-        let fp = planner::fingerprint(graph.cardinalities());
-        if planner::drift(&self.plan_fingerprint, &fp) <= REPLAN_DRIFT {
+        self.planned_atoms = self.store.len();
+        if !planner::plan(&mut self.program, &self.store) {
             return;
         }
-        let new_plans =
-            planner::plan_program(&mut self.program, graph.cardinalities(), config.planner);
-        // Keep the observed match counters across re-plans: they report
-        // lifetime work, not per-plan work.
-        for (new, old) in new_plans.iter().zip(&self.plans) {
-            debug_assert_eq!(new.formula, old.formula);
+        for (plan, cf) in self.plans.iter_mut().zip(&self.program.formulas) {
+            plan.join_order = cf.cold.order();
         }
-        let actuals: Vec<usize> = self.plans.iter().map(|p| p.actual_matches).collect();
-        self.plans = new_plans;
-        for (plan, actual) in self.plans.iter_mut().zip(actuals) {
-            plan.actual_matches = actual;
-        }
-        self.plan_fingerprint = fp;
         if self.program.probes_predicate_object() {
             self.store.ensure_predicate_object();
         }

@@ -32,6 +32,11 @@
 
 #![forbid(unsafe_code)]
 
+// The planner's conformance suite shares `tests/common` with the
+// integration suites, which name this crate by its package name.
+#[cfg(test)]
+extern crate self as tecore_ground;
+
 pub mod atoms;
 pub mod bindings;
 pub mod clause;
@@ -49,5 +54,5 @@ pub use compile::{CompiledFormula, CompiledProgram};
 pub use component::{ComponentIndex, ComponentView, Marginals, Partition, MAX_GRADED_ATOMS};
 pub use grounder::{ground, GroundConfig, Grounding, GroundingStats};
 pub use incremental::{ConstraintKey, DeltaChanges, DeltaStats};
-pub use planner::{FormulaPlan, JoinPlanner};
+pub use planner::FormulaPlan;
 pub use solver::{evaluate_world, ComponentMode, MapSolver, MapState, SolveError, SolverCaps};

@@ -1,48 +1,62 @@
-//! Planner conformance: cost-based join ordering must be invisible in
-//! the grounding's *results*. For any graph and any program, grounding
-//! under [`JoinPlanner::CostBased`] and [`JoinPlanner::Syntactic`] must
-//! produce the same *arena* — the same atoms under the same ids, the
-//! same clauses with the same literals under the same ids — and observe
+//! Planner conformance: join order must be invisible in the
+//! grounding's *results*. For any graph and any program, grounding
+//! under the planner's orders and under their reversals must produce
+//! the same *arena* — the same atoms under the same ids, the same
+//! clauses with the same literals under the same ids — and observe
 //! the same number of matches: planning moves work, never answers.
 
+#[path = "../../tests/common/mod.rs"]
 mod common;
 
 use common::{
     arb_atom, arb_dense_facts, arb_facts, arb_formula, arb_join_program, build_graph, program_text,
 };
 use proptest::prelude::*;
-use tecore_ground::{ground, ClauseOrigin, GroundConfig, JoinPlanner};
 use tecore_kg::UtkGraph;
 use tecore_logic::LogicProgram;
 
-/// Grounds `src` against `graph` under both planners and asserts the
-/// arenas and match counts agree.
+use crate::compile::{CompiledProgram, JoinPlan};
+use crate::grounder::ground_with;
+use crate::{ground, AtomStore, ClauseOrigin, GroundConfig};
+
+/// The planner's orders, each reversed after its first step when
+/// seeded (a delta rule binds its position first) and whole when
+/// cold.
+fn reversed(compiled: &mut CompiledProgram, store: &AtomStore) {
+    super::plan(compiled, store);
+    for cf in &mut compiled.formulas {
+        let mut order = cf.cold.order();
+        order.reverse();
+        cf.cold = JoinPlan::new(&cf.body, &cf.checks, &order);
+        for plan in &mut cf.seeded {
+            let mut order = plan.order();
+            order[1..].reverse();
+            *plan = JoinPlan::new(&cf.body, &cf.checks, &order);
+        }
+    }
+}
+
+/// Grounds `src` against `graph` under the planner's orders and under
+/// their reversals, and asserts the arenas and match counts agree.
 fn assert_conformant(graph: &UtkGraph, src: &str) {
     let program = LogicProgram::parse(src).unwrap();
-    let planned_config = GroundConfig {
-        planner: JoinPlanner::CostBased,
-        ..GroundConfig::default()
-    };
-    let syntactic_config = GroundConfig {
-        planner: JoinPlanner::Syntactic,
-        ..GroundConfig::default()
-    };
-    let planned = ground(graph, &program, &planned_config).unwrap();
-    let syntactic = ground(graph, &program, &syntactic_config).unwrap();
+    let config = GroundConfig::default();
+    let planned = ground(graph, &program, &config).unwrap();
+    let reversed = ground_with(graph, &program, &config, reversed).unwrap();
     // Matches are emitted in body-position order whatever order they
     // were found in, so hidden atoms and clauses get the same ids.
     assert!(
-        planned.store.iter().eq(syntactic.store.iter()),
+        planned.store.iter().eq(reversed.store.iter()),
         "atom ids must not depend on join order (program: {src})"
     );
     assert_eq!(
-        planned.clauses, syntactic.clauses,
+        planned.clauses, reversed.clauses,
         "the clause arena must not depend on join order (program: {src})"
     );
     // Complete body matches are join-order-invariant too, per formula.
-    for (p, s) in planned.plans.iter().zip(&syntactic.plans) {
+    for (p, r) in planned.plans.iter().zip(&reversed.plans) {
         assert_eq!(
-            p.actual_matches, s.actual_matches,
+            p.actual_matches, r.actual_matches,
             "match count drifted for formula {} (program: {src})",
             p.formula
         );
@@ -50,7 +64,8 @@ fn assert_conformant(graph: &UtkGraph, src: &str) {
 }
 
 /// A fixed program exercising rule chains (derived predicates have no
-/// cardinality entry), join conditions and a hard constraint.
+/// atoms when the joins are planned), join conditions and a hard
+/// constraint.
 const CHAIN_PROGRAM: &str = "\
     f1: quad(x, pred0, y, t) -> quad(x, derivedA, y, t) w = 2.5\n\
     f2: quad(x, derivedA, y, t) ^ quad(y, pred1, z, t2) -> quad(x, derivedB, z, t2) w = 1.5\n\
@@ -59,14 +74,14 @@ const CHAIN_PROGRAM: &str = "\
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random graphs, fixed chained program: planned ≡ syntactic.
+    /// Random graphs, fixed chained program: planned ≡ reversed.
     #[test]
     fn chain_program_is_plan_invariant(facts in arb_facts()) {
         assert_conformant(&build_graph(&facts), CHAIN_PROGRAM);
     }
 
     /// Random graphs AND random constraint bodies (1–3 atoms, mixed
-    /// constants/variables, hard or soft): planned ≡ syntactic.
+    /// constants/variables, hard or soft): planned ≡ reversed.
     #[test]
     fn random_bodies_are_plan_invariant(
         facts in arb_facts(),
@@ -85,7 +100,7 @@ proptest! {
     /// Random graphs and whole random programs — rule chains, Allen
     /// and entity conditions, every kind of consequent, so windows and
     /// the violated-consequent check land on different steps under the
-    /// two planners: planned ≡ syntactic.
+    /// two orders: planned ≡ reversed.
     #[test]
     fn random_programs_are_plan_invariant(
         facts in arb_facts(),
@@ -94,7 +109,7 @@ proptest! {
         assert_conformant(&build_graph(&facts), &program_text(&formulas));
     }
 
-    /// Where the planners really part ways (`common::join_program`),
+    /// Where the two orders really part ways (`common::join_program`),
     /// over dense facts, so that the many groundings are found in a
     /// different order: without the canonical emission order four cases
     /// in ten end in different arenas.
@@ -109,8 +124,8 @@ proptest! {
 
 #[test]
 fn empty_predicate_body_grounds_identically() {
-    // "ghost" has no facts: the planner starts there, the syntactic
-    // order may not — either way, zero formula clauses.
+    // "ghost" has no facts: the planner starts there, the reversed
+    // order does not — either way, zero formula clauses.
     let graph = build_graph(&[(0, 0, 0, 1, 3, 4), (1, 0, 1, 2, 2, 3), (2, 1, 0, 5, 1, 2)]);
     let src = "quad(x, pred0, y, t) ^ quad(y, ghost, z, t2) -> false w = inf";
     assert_conformant(&graph, src);

@@ -216,10 +216,10 @@ pub fn formula_text(index: usize, (body, conds, consequent, hard): &FormulaDraw)
 
 /// The shape every shipped constraint has — two atoms joined on the
 /// subject — with the temporal test on either side, in a condition or
-/// in the consequent: where the planners part ways (two predicates of
-/// unequal size: the cost model starts at the smaller, the syntactic
-/// order at the first) and where windows are probed with a converse or
-/// a complement. A second rule reads what the first may derive.
+/// in the consequent: where join orders part ways (two predicates of
+/// unequal size: the planner starts at the smaller, the reversed order
+/// at the other) and where windows are probed with a converse or a
+/// complement. A second rule reads what the first may derive.
 /// `draw` is `(first predicate 0..2, condition 0..6, consequent 0..7)`.
 pub fn join_program((first, condition, consequent): (u8, usize, usize)) -> String {
     const CONDITIONS: [&str; 6] = [

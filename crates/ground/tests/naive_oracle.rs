@@ -1,7 +1,7 @@
 //! The grounding oracle: a deliberately naive re-grounder (nested loops
 //! over all atoms, every condition evaluated on complete groundings and
 //! the consequent last — `common::naive_ground`) against the planned,
-//! windowed, semi-naive one. Cold `ground()` under either planner and
+//! windowed, semi-naive one. Cold `ground()` and
 //! `apply_delta` after any edit sequence must produce the oracle's
 //! formula clauses and its evidence / hidden atoms, on random programs
 //! with Allen and entity conditions in bodies and denial, temporal,
@@ -14,7 +14,7 @@ use common::{
     naive_ground, program_text, summary,
 };
 use proptest::prelude::*;
-use tecore_ground::{ground, GroundConfig, JoinPlanner};
+use tecore_ground::{ground, GroundConfig};
 use tecore_kg::FactId;
 use tecore_logic::LogicProgram;
 
@@ -32,11 +32,8 @@ proptest! {
         for facts in [sparse, dense] {
             let graph = build_graph(&facts);
             let expected = naive_ground(&graph, &program);
-            for planner in [JoinPlanner::CostBased, JoinPlanner::Syntactic] {
-                let config = GroundConfig { planner, ..GroundConfig::default() };
-                let g = ground(&graph, &program, &config).unwrap();
-                prop_assert_eq!(&summary(&g), &expected, "{:?} on\n{}", planner, src);
-            }
+            let g = ground(&graph, &program, &GroundConfig::default()).unwrap();
+            prop_assert_eq!(&summary(&g), &expected, "on\n{}", src);
         }
     }
 

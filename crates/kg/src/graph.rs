@@ -8,7 +8,6 @@ use crate::delta::{Delta, FactChange};
 use crate::dict::{Dictionary, Symbol};
 use crate::error::KgError;
 use crate::fact::{Confidence, FactId, TemporalFact};
-use crate::stats::Cardinalities;
 
 /// An uncertain temporal knowledge graph.
 ///
@@ -25,10 +24,10 @@ use crate::stats::Cardinalities;
 /// over its own atom postings, which also cover a bound object; nothing
 /// reads the graph by `(predicate, object)`, so it keeps no such index.)
 ///
-/// Indexing an inserted fact costs five hash probes: one per index and
-/// three in [`Cardinalities`] (the predicate's entry, its subject and
-/// object multisets). Removing one costs the three in
-/// [`Cardinalities`]; the id lists keep its tombstone.
+/// Indexing an inserted fact costs two hash probes, one per index.
+/// Removing one costs none: the id lists keep its tombstone. The graph
+/// keeps no statistics beside the indexes; [`crate::GraphStats`]
+/// counts in one walk when asked.
 ///
 /// The graph also carries a monotonically increasing **epoch** (bumped
 /// by every insert/remove) and a change log, so incremental consumers
@@ -56,8 +55,6 @@ pub struct UtkGraph {
     /// Epoch the retained log starts after (changes at epochs
     /// `<= log_start` have been truncated away).
     log_start: u64,
-    /// Live cardinality statistics, maintained by every insert/remove.
-    cards: Cardinalities,
 }
 
 impl UtkGraph {
@@ -128,7 +125,6 @@ impl UtkGraph {
             .entry((fact.subject, fact.predicate))
             .or_default()
             .push(id);
-        self.cards.add(&fact);
         self.facts.push(fact);
         self.alive.push(true);
         self.live_count += 1;
@@ -180,7 +176,6 @@ impl UtkGraph {
                         .unwrap_or(self.alive.len() - self.first_live);
                 }
                 let fact = self.facts[id.index()];
-                self.cards.retract(&fact);
                 self.epoch += 1;
                 self.record(FactChange::Removed(id));
                 Ok(fact)
@@ -202,13 +197,6 @@ impl UtkGraph {
     /// every insert and remove).
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Live cardinality statistics, maintained incrementally — reading
-    /// them never walks the graph. The join planner keys its
-    /// selectivity estimates off this.
-    pub fn cardinalities(&self) -> &Cardinalities {
-        &self.cards
     }
 
     /// The net changes since `epoch`, or `None` when that part of the
@@ -419,14 +407,14 @@ impl UtkGraph {
     ///
     /// The copy equals the graph that inserting the kept facts one by
     /// one into an empty graph over the same dictionary would give —
-    /// ids, index lists, [`Cardinalities`], epoch — but is built in one
-    /// pass: the arena and the indexes are sized from this graph, and
-    /// the cardinalities are this graph's with every dropped fact
-    /// retracted, so a kept fact costs the two index probes and nothing
-    /// else. The work follows the live facts, not the arena: a graph
-    /// that is mostly tombstones (a stream window's) copies as fast as
-    /// its live part, which is why the index tables are filled by probe
-    /// rather than cloned and renumbered.
+    /// ids, index lists, epoch — but is built in one pass: the arena and
+    /// the indexes are sized from this graph (a predicate's id list
+    /// from its list here, tombstones included, but never past the live
+    /// count), so a kept fact costs the two index probes
+    /// and nothing else. The work follows the live facts, not the
+    /// arena: a graph that is mostly tombstones (a stream window's)
+    /// copies as fast as its live part, which is why the index tables
+    /// are filled by probe rather than cloned and renumbered.
     ///
     /// The copy is a result, not an edit history: its change log starts
     /// empty at its own epoch, so [`UtkGraph::since`] on it answers
@@ -444,16 +432,16 @@ impl UtkGraph {
                 self.by_subject_predicate.len().min(live),
                 Default::default(),
             );
-        let mut cards = self.cards.clone();
         for (id, f) in self.iter() {
             if !keep(id, f) {
-                cards.retract(f);
                 continue;
             }
             let new = FactId(facts.len() as u32);
             by_predicate
                 .entry(f.predicate)
-                .or_insert_with(|| Vec::with_capacity(self.cards.predicate_facts(f.predicate)))
+                .or_insert_with(|| {
+                    Vec::with_capacity(self.predicate_ids(f.predicate).len().min(live))
+                })
                 .push(new);
             by_subject_predicate
                 .entry((f.subject, f.predicate))
@@ -473,7 +461,6 @@ impl UtkGraph {
             epoch: kept as u64,
             log: Vec::new(),
             log_start: kept as u64,
-            cards,
         }
     }
 }
@@ -725,7 +712,6 @@ mod tests {
             prop_assert_eq!(copy.len(), reference.len());
             prop_assert_eq!(copy.arena_len(), reference.arena_len());
             prop_assert_eq!(copy.epoch(), reference.epoch());
-            prop_assert_eq!(copy.cardinalities(), reference.cardinalities());
             prop_assert_eq!(copy.predicates(), reference.predicates());
             let symbols: Vec<Symbol> = g.dict.iter().map(|(sym, _)| sym).collect();
             for &p in &symbols {
@@ -835,20 +821,6 @@ mod tests {
             let scan: std::collections::HashSet<FactId> =
                 g.iter().map(|(id, _)| id).collect();
             prop_assert_eq!(scan.len(), g.len());
-            // Incremental cardinalities agree with a full recount.
-            let cards = g.cardinalities();
-            prop_assert_eq!(cards.total_facts(), g.len());
-            prop_assert_eq!(cards.predicate_count(), g.predicates().len());
-            for p in g.predicates() {
-                let per = cards.predicate(p).unwrap();
-                prop_assert_eq!(per.facts(), g.facts_with_predicate(p).count());
-                let subs: std::collections::HashSet<Symbol> =
-                    g.facts_with_predicate(p).map(|(_, f)| f.subject).collect();
-                let objs: std::collections::HashSet<Symbol> =
-                    g.facts_with_predicate(p).map(|(_, f)| f.object).collect();
-                prop_assert_eq!(per.distinct_subjects(), subs.len());
-                prop_assert_eq!(per.distinct_objects(), objs.len());
-            }
             let mut via_pred = std::collections::HashSet::new();
             for p in g.predicates() {
                 for (id, f) in g.facts_with_predicate(p) {

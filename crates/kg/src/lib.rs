@@ -52,5 +52,5 @@ pub use fact::{Confidence, FactId, TemporalFact};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use graph::UtkGraph;
 pub use postings::{overlapping, reaching, OverlapIter, Posting, Postings};
-pub use stats::{Cardinalities, GraphStats, PredicateCardinality};
+pub use stats::GraphStats;
 pub use tindex::GraphTemporalIndex;
