@@ -47,7 +47,7 @@ use tecore_datagen::config::SkewedConfig;
 use tecore_datagen::skewed::{generate_skewed, PLANNING_PROGRAM};
 use tecore_datagen::standard::wikidata_program;
 use tecore_datagen::{generate_wikidata, WikidataConfig};
-use tecore_ground::{ground, GroundConfig};
+use tecore_ground::{ground, intern_constants, GroundConfig};
 use tecore_kg::GraphTemporalIndex;
 use tecore_logic::LogicProgram;
 use tecore_temporal::Interval;
@@ -74,13 +74,15 @@ fn bench_grounding(c: &mut Criterion) {
     let mut group = c.benchmark_group("join_planning");
     group.sample_size(10);
     for size in [10_000usize, 100_000] {
-        let graph = skewed(size);
+        let mut graph = skewed(size);
         group.throughput(Throughput::Elements(size as u64));
         for (label, src) in [
             ("worst_first", PLANNING_PROGRAM),
             ("best_first", BEST_FIRST_PROGRAM),
         ] {
             let program = LogicProgram::parse(src).expect("valid program");
+            // The marker predicates have no facts.
+            intern_constants(&program, graph.dict_mut());
             group.bench_with_input(BenchmarkId::new(label, size), &graph, |b, g| {
                 b.iter(|| black_box(ground(g, &program, &config).expect("grounds")))
             });
@@ -106,7 +108,9 @@ fn bench_ground_scaling(c: &mut Criterion) {
             noise_ratio: 0.1,
             seed: 1,
         });
-        (size, generated.graph)
+        let mut graph = generated.graph;
+        intern_constants(&program, graph.dict_mut());
+        (size, graph)
     });
     let mut group = c.benchmark_group("ground_scaling");
     group.sample_size(10);
@@ -132,7 +136,7 @@ fn bench_ground_scaling(c: &mut Criterion) {
         calls(b, || ground(graph, &program, &config).expect("grounds"))
     });
     group.bench_function(id("explain"), |b| {
-        calls(b, || explain_conflicts(&grounding))
+        calls(b, || explain_conflicts(&grounding, graph.dict()))
     });
     group.bench_function(id("filtered"), |b| calls(b, || graph.filtered(|_, _| true)));
     group.bench_function(id("clone"), |b| calls(b, || graph.clone()));

@@ -22,7 +22,7 @@ use tecore_datagen::skewed::generate_skewed;
 use tecore_datagen::standard::{
     football_program, paper_program, paper_rules, ranieri_utkg, wikidata_program,
 };
-use tecore_ground::{ground, GroundConfig, Partition, MAX_GRADED_ATOMS};
+use tecore_ground::{ground, intern_constants, GroundConfig, Partition, MAX_GRADED_ATOMS};
 use tecore_kg::UtkGraph;
 use tecore_logic::LogicProgram;
 use tecore_mln::{CpiConfig, CpiSolver, WalkSatConfig};
@@ -47,7 +47,9 @@ fn main() {
 
 /// Prints the conflict components of `graph` under `program` by atom
 /// count, and the atoms in components above [`MAX_GRADED_ATOMS`].
-fn print_components(label: &str, graph: &UtkGraph, program: &LogicProgram) {
+/// The program's constants are interned into `graph` first.
+fn print_components(label: &str, graph: &mut UtkGraph, program: &LogicProgram) {
+    intern_constants(program, graph.dict_mut());
     let grounding = ground(graph, program, &GroundConfig::default()).expect("grounds");
     let partition = Partition::of(&grounding.clauses, grounding.num_atoms());
     let mut by_size: BTreeMap<usize, usize> = BTreeMap::new();
@@ -110,8 +112,8 @@ fn e2_conflict_statistics(quick: bool) {
     } else {
         FootballConfig::paper_scale()
     };
-    let generated = generate_football(&config);
-    print_components("football", &generated.graph, &football_program());
+    let mut generated = generate_football(&config);
+    print_components("football", &mut generated.graph, &football_program());
     for name in ["mln-cpi", "psl-admm"] {
         let r = harness::resolve(&generated, &football_program(), harness::solver(name));
         println!(
@@ -211,7 +213,7 @@ fn e5_threshold() -> bool {
             )
             .unwrap();
     }
-    print_components("e5", &graph, &paper_rules());
+    print_components("e5", &mut graph, &paper_rules());
     let config = TecoreConfig {
         confidence: ConfidenceMode::Marginal,
         ..TecoreConfig::default()
@@ -265,10 +267,10 @@ fn e6_wikidata_scaling(quick: bool) {
         &[10_000, 40_000, 160_000, 640_000]
     };
     for &size in sizes {
-        let generated = harness::wikidata(size);
+        let mut generated = harness::wikidata(size);
         print_components(
             &format!("wikidata {size}"),
-            &generated.graph,
+            &mut generated.graph,
             &wikidata_program(),
         );
         for name in ["mln-cpi", "psl-admm"] {
@@ -293,8 +295,8 @@ fn skewed_components() {
     let program = LogicProgram::parse(
         "c: quad(x, rel0, y, t) ^ quad(x, rel0, z, t') ^ y != z -> disjoint(t, t') w = inf",
     );
-    let graph = generate_skewed(&SkewedConfig::default());
-    print_components("skewed 10000", &graph, &program.expect("valid program"));
+    let mut graph = generate_skewed(&SkewedConfig::default());
+    print_components("skewed 10000", &mut graph, &program.expect("valid program"));
 }
 
 #[cfg(test)]

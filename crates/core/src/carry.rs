@@ -26,11 +26,11 @@
 //! view copied flat instead, which is where the second buffer comes
 //! from.
 //!
-//! The three dictionaries involved number their terms independently
-//! once they exist (the graph's, the grounding's, the view's), so facts
-//! cross between them by string — except from the graph into its
-//! grounding, which keeps a graph → grounding symbol table and
-//! resolves a term by string only the first time a delta brings it.
+//! Graph, grounding and view number their terms alike: the grounding
+//! has no dictionary of its own, and a view's dictionary is a prefix of
+//! the graph's — a copy of it when the view was read off the graph,
+//! and caught up with the terms the graph interned since by every
+//! patch. So facts cross into a view as they are, symbols and all.
 
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::Arc;
@@ -104,7 +104,7 @@ impl FactIds {
 
 /// Rebuild instead of patching when what changed is more than this
 /// fraction of the live facts: past it, re-reading the graph costs less
-/// than the per-change look-ups, interning and hash-index updates.
+/// than the per-change look-ups and hash-index updates.
 const REBUILD_CHANGE_SHARE: usize = 8;
 
 /// Rebuild instead of patching when tombstones would make up more than
@@ -260,41 +260,32 @@ fn splice<T>(items: &mut Vec<T>, drop: &[usize], mut add: Vec<(usize, T)>) {
     items.extend(add.map(|(_, new)| new));
 }
 
-/// What one publish did to a resolved graph: the terms it interned, in
-/// interning order, the facts it tombstoned and the facts it appended,
-/// with their ids in that graph. Applied in this order to two graphs
-/// that were equal, it leaves them equal — symbols, ids, indexes,
-/// epoch.
+/// What one publish did to a resolved graph: the graph's terms it
+/// caught up with, in the graph's order, the facts it tombstoned and the
+/// facts it appended, with their ids in that graph. Applied in this
+/// order to two graphs that were equal, it leaves them equal — symbols,
+/// ids, indexes, epoch.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct GraphPatch {
-    terms: Vec<Box<str>>,
+    terms: Vec<Arc<str>>,
     gone: Vec<(FactId, TemporalFact)>,
     new: Vec<(FactId, TemporalFact)>,
 }
 
 impl GraphPatch {
-    /// `term`'s symbol in `view`, noting the term when it is new there.
-    fn intern(&mut self, view: &mut UtkGraph, term: &str) -> Symbol {
-        let known = view.dict().len();
-        let symbol = view.dict_mut().intern(term);
-        if view.dict().len() > known {
-            self.terms.push(term.into());
-        }
-        symbol
-    }
-
-    /// `fact`, its terms taken from `from`, in `view`'s terms.
-    fn translated(
-        &mut self,
-        view: &mut UtkGraph,
-        fact: &TemporalFact,
-        from: &Dictionary,
-    ) -> TemporalFact {
-        TemporalFact {
-            subject: self.intern(view, from.resolve(fact.subject)),
-            predicate: self.intern(view, from.resolve(fact.predicate)),
-            object: self.intern(view, from.resolve(fact.object)),
-            ..*fact
+    /// Appends to `view`'s dictionary, a prefix of `graph`'s, the terms
+    /// it lacks, noting them: from then on `view` reads every symbol
+    /// of `graph`.
+    fn catch_up(&mut self, view: &mut UtkGraph, graph: &Dictionary) {
+        for at in view.dict().len()..graph.len() {
+            let term = graph.resolve_shared(Symbol(at as u32));
+            let symbol = view.dict_mut().intern(&term);
+            debug_assert_eq!(
+                symbol.index(),
+                at,
+                "a view's terms are a prefix of the graph's"
+            );
+            self.terms.push(term);
         }
     }
 
@@ -659,7 +650,7 @@ pub(crate) fn carry_forward(prev: Carried, now: Resolved<'_>) -> Option<Forwarde
             come.push(Inferred {
                 atom,
                 id: FactId(u32::MAX), // assigned when it enters the view
-                fact: Arc::new(inferred_fact(grounding, ground, confidence)),
+                fact: Arc::new(inferred_fact(graph.dict(), ground, confidence)),
             });
         }
     }
@@ -690,36 +681,33 @@ pub(crate) fn carry_forward(prev: Carried, now: Resolved<'_>) -> Option<Forwarde
         }
     }
 
-    // --- The patch. Its parts are worked out against the buffer —
-    // facts cross into its dictionaries here — and then applied to it
-    // the way they will be replayed on the other one. ---
+    // --- The patch. Its parts are worked out against the buffer — its
+    // dictionaries catch up with the graph's here — and then applied to
+    // it the way they will be replayed on the other one. ---
     let mut patch = ViewPatch::default();
+    patch
+        .consistent
+        .catch_up(&mut view.consistent, graph.dict());
     for f in &leave {
         let id = maps.kept.take(*f).expect("a leaving fact is mapped");
         patch.consistent.tombstone(&view.consistent, id);
     }
     for f in &enter {
-        let fact = graph.fact(*f).expect("an entering fact is live");
-        let fact = patch
-            .consistent
-            .translated(&mut view.consistent, fact, graph.dict());
+        let fact = *graph.fact(*f).expect("an entering fact is live");
         maps.kept
             .set(*f, patch.consistent.append(&view.consistent, fact));
     }
     let reject = reject
         .into_iter()
-        .map(|id| {
-            let fact = graph.fact(id).expect("a rejected fact is live");
-            // `removed` reads against the consistent graph's dictionary.
-            let fact = patch
-                .consistent
-                .translated(&mut view.consistent, fact, graph.dict());
-            RemovedFact { id, fact }
+        .map(|id| RemovedFact {
+            id,
+            fact: *graph.fact(id).expect("a rejected fact is live"),
         })
         .collect();
     patch.removed = ListPatch::sorted(&view.removed, |r| &r.id, &unreject, reject);
     if let Some(graph_of_its_own) = &mut view.expanded {
         let mut expanded = GraphPatch::default();
+        expanded.catch_up(graph_of_its_own, graph.dict());
         for f in &leave {
             let id = maps.kept_expanded.take(*f);
             expanded.tombstone(graph_of_its_own, id.expect("a leaving fact is mapped"));
@@ -732,16 +720,16 @@ pub(crate) fn carry_forward(prev: Carried, now: Resolved<'_>) -> Option<Forwarde
             );
         }
         for f in &enter {
-            let fact = graph.fact(*f).expect("an entering fact is live");
-            let fact = expanded.translated(graph_of_its_own, fact, graph.dict());
+            let fact = *graph.fact(*f).expect("an entering fact is live");
             maps.kept_expanded
                 .set(*f, expanded.append(graph_of_its_own, fact));
         }
         for new in &mut come {
+            let atom = grounding.store.atom(new.atom);
             let stated = TemporalFact::new(
-                expanded.intern(graph_of_its_own, &new.fact.subject),
-                expanded.intern(graph_of_its_own, &new.fact.predicate),
-                expanded.intern(graph_of_its_own, &new.fact.object),
+                atom.subject,
+                atom.predicate,
+                atom.object,
                 new.fact.interval,
                 Confidence::new(new.fact.confidence.clamp(0.001, 1.0))
                     .expect("clamped confidence is valid"),
@@ -754,7 +742,9 @@ pub(crate) fn carry_forward(prev: Carried, now: Resolved<'_>) -> Option<Forwarde
     patch.inferred = inferred.map(|i| Arc::clone(&i.fact));
     inferred.apply(&mut maps.inferred);
     // Conflicts: only the groundings the deltas touched.
-    patch.conflicts = maps.conflicts.apply(grounding, changes.constraints);
+    patch.conflicts = maps
+        .conflicts
+        .apply(grounding, graph.dict(), changes.constraints);
     view.apply(&patch);
 
     let mut stats = DebugStats {

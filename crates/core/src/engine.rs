@@ -32,7 +32,8 @@ use std::time::Instant;
 use tecore_ground::component::{ComponentView, Partition};
 use tecore_ground::incremental::DeltaStats;
 use tecore_ground::{
-    AtomId, ComponentIndex, ComponentMode, Grounding, MapSolver, MapState, Marginals,
+    intern_constants, AtomId, ComponentIndex, ComponentMode, Grounding, MapSolver, MapState,
+    Marginals,
 };
 use tecore_kg::{Delta, FactId, TemporalFact, UtkGraph};
 use tecore_logic::LogicProgram;
@@ -411,8 +412,11 @@ impl Engine {
         Engine::with_config(graph, program, TecoreConfig::default())
     }
 
-    /// Creates an engine with an explicit configuration.
-    pub fn with_config(graph: UtkGraph, program: LogicProgram, config: TecoreConfig) -> Self {
+    /// Creates an engine with an explicit configuration, interning the
+    /// program's constants into the graph's dictionary
+    /// ([`intern_constants`]): graph, grounding and views share it.
+    pub fn with_config(mut graph: UtkGraph, program: LogicProgram, config: TecoreConfig) -> Self {
+        intern_constants(&program, graph.dict_mut());
         Engine {
             graph,
             program,
@@ -479,9 +483,11 @@ impl Engine {
     /// Mutable access to the graph. Edits are picked up by the next
     /// [`Engine::resolve_incremental`] through the graph's change log;
     /// if the log was truncated past the cached epoch the engine falls
-    /// back to a full re-ground. On a durable engine these edits are
-    /// **not** journaled, so recovery will not replay them: route
-    /// edits that must survive a restart through [`Engine::apply`].
+    /// back to a full re-ground, and so does a graph put in whole that
+    /// lacks one of the program's constants. On a durable engine these
+    /// edits are **not** journaled, so recovery will not replay them:
+    /// route edits that must survive a restart through
+    /// [`Engine::apply`].
     pub fn graph_mut(&mut self) -> &mut UtkGraph {
         &mut self.graph
     }
@@ -508,6 +514,7 @@ impl Engine {
     /// drops (the next resolve re-grounds cold) and so does the latest
     /// snapshot, which answered the old program.
     pub fn reconfigure(&mut self, program: LogicProgram, config: TecoreConfig) {
+        intern_constants(&program, self.graph.dict_mut());
         self.program = program;
         self.config = config;
         self.cache = None;
@@ -688,6 +695,19 @@ impl Engine {
         )
     }
 
+    /// Interns the program's constants into the graph's dictionary. The
+    /// engine's graph holds them from the moment it takes a program, so
+    /// a graph that lacks one was put in through [`Engine::graph_mut`]:
+    /// the cached grounding numbers its terms by another dictionary and
+    /// goes. One hash probe per constant when the graph has them.
+    fn intern_constants(&mut self) {
+        let terms = self.graph.dict().len();
+        intern_constants(&self.program, self.graph.dict_mut());
+        if self.graph.dict().len() > terms {
+            self.cache = None;
+        }
+    }
+
     /// Stamps a resolution with the current graph epoch and publishes
     /// it as the latest snapshot.
     fn publish(&mut self, resolution: Resolution) -> Arc<Snapshot> {
@@ -699,6 +719,7 @@ impl Engine {
     /// Runs `map(θ(G), F ∪ C)` from scratch and returns the resolved
     /// [`Snapshot`].
     pub fn resolve(&mut self) -> Result<Arc<Snapshot>, TecoreError> {
+        self.intern_constants();
         let resolution = self.resolve_raw()?;
         Ok(self.publish(resolution))
     }
@@ -706,7 +727,9 @@ impl Engine {
     /// The batch path without snapshot wrapping: translate, ground and
     /// solve from scratch, returning the bare [`Resolution`]. Prefer
     /// [`Engine::resolve`]; this exists for callers that only consume
-    /// the resolution once and want to skip the `Arc`.
+    /// the resolution once and want to skip the `Arc`. It interns
+    /// nothing: a constant missing from a graph put in through
+    /// [`Engine::graph_mut`] is a validation error.
     pub fn resolve_raw(&self) -> Result<Resolution, TecoreError> {
         let (graph, config) = (&self.graph, &self.config);
         let solver = &*config.backend;
@@ -747,6 +770,7 @@ impl Engine {
     /// off the whole graph again and the view left to build lazily, as
     /// on a cold resolve.
     pub fn resolve_incremental(&mut self) -> Result<Arc<Snapshot>, TecoreError> {
+        self.intern_constants();
         let solver = self.config.backend.clone();
         let caps = solver.caps();
 
@@ -1192,6 +1216,66 @@ mod tests {
         assert_eq!(r.stats.conflicting_facts, 1);
         let atoms = engine.cache.as_ref().unwrap().grounding.num_atoms();
         assert!(atoms < 20, "graveyard compacted away, got {atoms} atoms");
+    }
+
+    /// The program's constants need not be the graph's: the engine
+    /// interns them into its graph whenever it takes a program or
+    /// resolves. On the graph it was built with (no fact states
+    /// `worksFor`), batch and incremental, on every backend; on a graph
+    /// put in whole through `graph_mut` after a resolve — its change log
+    /// reaches the cached epoch, its dictionary is not the one the
+    /// cache was grounded in — and before one; and after `reconfigure`
+    /// to a program with a head constant of its own, carried forward.
+    #[test]
+    fn constants_the_graph_lacks_are_interned_by_the_engine() {
+        let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
+        let ranieri = parse_graph(RANIERI).unwrap();
+        assert_eq!(ranieri.dict().lookup("worksFor"), None);
+        let figure_7 = |s: &Snapshot, what: &str| {
+            assert_eq!(s.stats.conflicting_facts, 1, "{what}");
+            let inferred: Vec<&str> = s.inferred.iter().map(|f| f.predicate.as_str()).collect();
+            assert_eq!(inferred, ["worksFor"], "{what}");
+        };
+        for name in BACKENDS {
+            let config = TecoreConfig {
+                backend: solver(name),
+                ..TecoreConfig::default()
+            };
+            let mut engine = Engine::with_config(ranieri.clone(), program.clone(), config);
+            figure_7(&engine.resolve().unwrap(), name);
+            figure_7(&engine.resolve_incremental().unwrap(), name);
+        }
+
+        let mut engine = Engine::new(UtkGraph::new(), program.clone());
+        engine.resolve_incremental().unwrap();
+        *engine.graph_mut() = ranieri.clone();
+        figure_7(
+            &engine.resolve_incremental().unwrap(),
+            "replaced, incremental",
+        );
+        figure_7(&engine.resolve().unwrap(), "replaced, batch");
+        let mut engine = Engine::new(UtkGraph::new(), program.clone());
+        *engine.graph_mut() = ranieri;
+        figure_7(&engine.resolve().unwrap(), "replaced before a resolve");
+
+        let mut managed = program;
+        managed.extend(
+            LogicProgram::parse("f4: quad(x, coach, y, t) -> quad(x, managed, y, t) w = 0.5")
+                .unwrap(),
+        );
+        engine.reconfigure(managed, TecoreConfig::default());
+        assert!(engine.graph().dict().lookup("managed").is_some());
+        engine.resolve_incremental().unwrap();
+        engine
+            .insert_fact("CR", "coach", "Roma", iv(2016, 2018), 0.95)
+            .unwrap();
+        let carried = engine.resolve_incremental().unwrap();
+        assert!(carried.inferred.iter().any(|f| f.predicate == "managed"));
+        let cold = engine.resolve().unwrap();
+        assert_eq!(
+            canonical(carried.resolution()),
+            canonical(cold.resolution())
+        );
     }
 
     /// Edits through `graph_mut` (bypassing the convenience methods)

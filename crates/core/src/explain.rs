@@ -16,6 +16,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use tecore_ground::{ClauseOrigin, ConstraintKey, Grounding, Lit};
+use tecore_kg::Dictionary;
 use tecore_temporal::Interval;
 
 use crate::carry::ListPatch;
@@ -100,8 +101,10 @@ impl fmt::Display for Participant {
 /// Enumerates every constraint grounding violated by the *input* KG
 /// (the "keep everything" world) — these are the conflicts TeCoRe
 /// resolves, independent of which side MAP inference later removes.
-pub fn explain_conflicts(grounding: &Grounding) -> Vec<ConflictExplanation> {
-    Conflicts::of(grounding)
+/// Terms are read in `dict`, the dictionary of the graph `grounding`
+/// was grounded from.
+pub fn explain_conflicts(grounding: &Grounding, dict: &Dictionary) -> Vec<ConflictExplanation> {
+    Conflicts::of(grounding, dict)
         .entries
         .into_iter()
         .map(|(_, e)| Arc::unwrap_or_clone(e))
@@ -128,7 +131,7 @@ impl Conflicts {
     /// keep-everything is exactly a live `Formula`-origin clause with no
     /// positive literal (rule clauses carry their positive head, which
     /// is alive and hence satisfied).
-    pub(crate) fn of(grounding: &Grounding) -> Conflicts {
+    pub(crate) fn of(grounding: &Grounding, dict: &Dictionary) -> Conflicts {
         let mut keys: Vec<ConstraintKey> = grounding
             .clauses
             .iter()
@@ -156,7 +159,7 @@ impl Conflicts {
             .into_iter()
             .map(|key| {
                 per_formula[key.0] += 1;
-                let explanation = Arc::new(explanation(grounding, &names[key.0], &key.1));
+                let explanation = Arc::new(explanation(grounding, dict, &names[key.0], &key.1));
                 (key, explanation)
             })
             .collect();
@@ -181,6 +184,7 @@ impl Conflicts {
     pub(crate) fn apply(
         &mut self,
         grounding: &Grounding,
+        dict: &Dictionary,
         changes: impl IntoIterator<Item = (ConstraintKey, bool)>,
     ) -> ListPatch<Arc<ConflictExplanation>> {
         let (mut dropped, mut described) = (Vec::new(), Vec::new());
@@ -192,7 +196,8 @@ impl Conflicts {
                 _ => {}
             }
             if live {
-                let explanation = Arc::new(explanation(grounding, &self.names[key.0], &key.1));
+                let explanation =
+                    Arc::new(explanation(grounding, dict, &self.names[key.0], &key.1));
                 described.push((key.clone(), explanation));
             }
             if listed {
@@ -223,9 +228,13 @@ impl Conflicts {
 
 /// Describes one violated constraint grounding: its literals' atoms (a
 /// [`ConstraintKey`] has no positive literal), as the grounding reads
-/// them now.
-fn explanation(grounding: &Grounding, constraint: &Arc<str>, lits: &[Lit]) -> ConflictExplanation {
-    let dict = &grounding.dict;
+/// them now, their terms read in `dict`, the grounded graph's.
+fn explanation(
+    grounding: &Grounding,
+    dict: &Dictionary,
+    constraint: &Arc<str>,
+    lits: &[Lit],
+) -> ConflictExplanation {
     let participants = lits
         .iter()
         .map(|l| {
@@ -275,8 +284,8 @@ mod tests {
     #[test]
     fn explains_the_chelsea_napoli_clash() {
         let (graph, program) = input();
-        let off_the_arena =
-            explain_conflicts(&ground(&graph, &program, &GroundConfig::default()).unwrap());
+        let grounding = ground(&graph, &program, &GroundConfig::default()).unwrap();
+        let off_the_arena = explain_conflicts(&grounding, graph.dict());
         // The default (cutting-plane) engine lists the same conflict.
         let mut engine = Engine::new(graph, program);
         assert_eq!(engine.config().backend.name(), "mln-cpi");
@@ -304,6 +313,6 @@ mod tests {
         )
         .unwrap();
         let g = ground(&graph, &program, &GroundConfig::default()).unwrap();
-        assert!(explain_conflicts(&g).is_empty());
+        assert!(explain_conflicts(&g, graph.dict()).is_empty());
     }
 }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use tecore_ground::{
     AtomId, AtomKind, ComponentMode, GroundAtom, GroundConfig, Grounding, MapSolver, MapState,
 };
-use tecore_kg::{FactId, FxHashSet, UtkGraph};
+use tecore_kg::{Dictionary, FactId, FxHashSet, UtkGraph};
 use tecore_mln::CpiSolver;
 
 use crate::carry::{FactIds, Inferred, ViewMaps};
@@ -128,7 +128,7 @@ pub(crate) fn interpret(
 ) -> (Resolution, ViewMaps) {
     // Detected conflicts: constraint groundings violated by the
     // "keep everything" world, with full provenance.
-    let conflicts = Conflicts::of(grounding);
+    let conflicts = Conflicts::of(grounding, graph.dict());
 
     // Partition evidence by the MAP world. Kept facts are numbered in
     // the order `filtered` inserts them.
@@ -166,7 +166,7 @@ pub(crate) fn interpret(
                     // The expanded graph appends the inferred facts, in
                     // this order, behind the kept ones.
                     id: FactId(kept_count + inferred.len() as u32),
-                    fact: Arc::new(inferred_fact(grounding, atom, confidence)),
+                    fact: Arc::new(inferred_fact(graph.dict(), atom, confidence)),
                 });
             } else {
                 thresholded.insert(id);
@@ -225,16 +225,13 @@ pub(crate) fn confidence(state: &MapState, atom: AtomId) -> Option<f64> {
     }
 }
 
-/// A hidden atom accepted by MAP, as the derived fact it stands for.
-pub(crate) fn inferred_fact(
-    grounding: &Grounding,
-    atom: &GroundAtom,
-    confidence: f64,
-) -> InferredFact {
+/// A hidden atom accepted by MAP, as the derived fact it stands for,
+/// its terms read in `dict`, the grounded graph's.
+pub(crate) fn inferred_fact(dict: &Dictionary, atom: &GroundAtom, confidence: f64) -> InferredFact {
     InferredFact {
-        subject: grounding.dict.resolve(atom.subject).to_string(),
-        predicate: grounding.dict.resolve(atom.predicate).to_string(),
-        object: grounding.dict.resolve(atom.object).to_string(),
+        subject: dict.resolve(atom.subject).to_string(),
+        predicate: dict.resolve(atom.predicate).to_string(),
+        object: dict.resolve(atom.object).to_string(),
         interval: atom.interval,
         confidence,
     }

@@ -20,7 +20,9 @@ use tecore_logic::LogicProgram;
 
 use crate::error::TecoreError;
 
-/// Translates a (graph, program) pair for a backend with `caps`.
+/// Translates a (graph, program) pair for a backend with `caps`. The
+/// graph's dictionary must hold the program's constants
+/// ([`tecore_ground::intern_constants`]; `Engine` interns them).
 pub fn translate(
     graph: &UtkGraph,
     program: &LogicProgram,

@@ -1,9 +1,11 @@
-//! Compilation of formulas against a dictionary: constants are interned
-//! to symbols, every join gets an order ([`crate::planner`]'s rule with
-//! every count at zero, until the grounder plans against its atom
-//! store), and every step of it gets its access path into the atom
-//! store, the time window it may probe with, and the checks that
-//! become evaluable once it has bound its atom.
+//! Compilation of formulas against a dictionary: constants are looked
+//! up as symbols (an engine interns them into its graph's dictionary
+//! beforehand, [`intern_constants`]), every join gets an order
+//! ([`crate::planner`]'s rule with every count at zero, until the
+//! grounder plans against its atom store), and every step of it gets
+//! its access path into the atom store, the time window it may probe
+//! with, and the checks that become evaluable once it has bound its
+//! atom.
 
 use tecore_kg::{Dictionary, Symbol};
 use tecore_logic::atom::{CmpOp, Comparison, Condition, QuadAtom, TemporalCond};
@@ -404,10 +406,12 @@ pub struct CompiledProgram {
 }
 
 impl CompiledProgram {
-    /// Validates and compiles every formula of `program`, interning
-    /// constants into `dict` (head constants may introduce new terms —
-    /// e.g. `worksFor`, `TeenPlayer` in the paper's rules).
-    pub fn compile(program: &LogicProgram, dict: &mut Dictionary) -> Result<Self, LogicError> {
+    /// Validates and compiles every formula of `program` against `dict`,
+    /// which must hold every constant the program names — head
+    /// constants no fact states (`worksFor`, `TeenPlayer` in the paper's
+    /// rules) included: see [`intern_constants`]. A constant it lacks is
+    /// a [`LogicError::Validation`] naming the constant and its formula.
+    pub fn compile(program: &LogicProgram, dict: &Dictionary) -> Result<Self, LogicError> {
         let mut formulas = Vec::with_capacity(program.len());
         for (index, f) in program.formulas().iter().enumerate() {
             check_formula(f)?;
@@ -427,10 +431,47 @@ impl CompiledProgram {
     }
 }
 
-fn compile_term(t: &Term, dict: &mut Dictionary) -> CTerm {
+/// Interns every constant `program` names into `dict`, in the order
+/// [`CompiledProgram::compile`] reads them: formula by formula, the body
+/// patterns, then the conditions, then the consequent. An engine calls
+/// this on its graph's dictionary whenever it takes a program, so that
+/// graph, grounding and resolved views share one numbering.
+pub fn intern_constants(program: &LogicProgram, dict: &mut Dictionary) {
+    for f in program.formulas() {
+        let body = f
+            .body
+            .iter()
+            .flat_map(|a| [&a.subject, &a.predicate, &a.object]);
+        let conditions = f.conditions.iter().flat_map(|c| match c {
+            Condition::EntityCmp { left, right, .. } => vec![left, right],
+            Condition::Temporal(_) | Condition::Numeric(_) => Vec::new(),
+        });
+        let consequent = match &f.consequent {
+            Consequent::Quad(q) => vec![&q.subject, &q.predicate, &q.object],
+            Consequent::EntityCmp { left, right, .. } => vec![left, right],
+            Consequent::Temporal(_) | Consequent::Numeric(_) | Consequent::False => Vec::new(),
+        };
+        for term in body.chain(conditions).chain(consequent) {
+            if let Term::Const(c) = term {
+                dict.intern(c);
+            }
+        }
+    }
+}
+
+fn compile_term(t: &Term, f: &Formula, dict: &Dictionary) -> Result<CTerm, LogicError> {
     match t {
-        Term::Var(v) => CTerm::Var(*v),
-        Term::Const(c) => CTerm::Sym(dict.intern(c)),
+        Term::Var(v) => Ok(CTerm::Var(*v)),
+        Term::Const(c) => dict
+            .lookup(c)
+            .map(CTerm::Sym)
+            .ok_or_else(|| LogicError::Validation {
+                formula: f.name.clone(),
+                message: format!(
+                    "constant `{c}` is not in the graph's dictionary \
+                     (intern the program's constants first: `intern_constants`)"
+                ),
+            }),
     }
 }
 
@@ -450,32 +491,31 @@ fn compile_body_time(t: &TimeTerm, f: &Formula) -> Result<CTime, LogicError> {
 fn compile_formula(
     index: usize,
     f: &Formula,
-    dict: &mut Dictionary,
+    dict: &Dictionary,
 ) -> Result<CompiledFormula, LogicError> {
     let mut body = Vec::with_capacity(f.body.len());
     for atom in &f.body {
         body.push(compile_pattern(atom, f, dict)?);
     }
-    let mut checks: Vec<Check> = f
-        .conditions
-        .iter()
-        .map(|c| Check {
-            cond: compile_condition(c, dict),
+    let mut checks = Vec::with_capacity(f.conditions.len());
+    for c in &f.conditions {
+        checks.push(Check {
+            cond: compile_condition(c, f, dict)?,
             holds: true,
-        })
-        .collect();
+        });
+    }
     let consequent = match &f.consequent {
         Consequent::Quad(q) => CConsequent::Quad {
-            subject: compile_term(&q.subject, dict),
-            predicate: compile_term(&q.predicate, dict),
-            object: compile_term(&q.object, dict),
+            subject: compile_term(&q.subject, f, dict)?,
+            predicate: compile_term(&q.predicate, f, dict)?,
+            object: compile_term(&q.object, f, dict)?,
             time: q.time.clone(),
         },
         Consequent::Temporal(tc) => CConsequent::Temporal(tc.clone()),
         Consequent::EntityCmp { left, op, right } => CConsequent::EntityCmp {
-            left: compile_term(left, dict),
+            left: compile_term(left, f, dict)?,
             op: *op,
-            right: compile_term(right, dict),
+            right: compile_term(right, f, dict)?,
         },
         Consequent::Numeric(c) => CConsequent::Numeric(c.clone()),
         Consequent::False => CConsequent::False,
@@ -501,12 +541,12 @@ fn compile_formula(
 fn compile_pattern(
     atom: &QuadAtom,
     f: &Formula,
-    dict: &mut Dictionary,
+    dict: &Dictionary,
 ) -> Result<CPattern, LogicError> {
     Ok(CPattern {
-        subject: compile_term(&atom.subject, dict),
-        predicate: compile_term(&atom.predicate, dict),
-        object: compile_term(&atom.object, dict),
+        subject: compile_term(&atom.subject, f, dict)?,
+        predicate: compile_term(&atom.predicate, f, dict)?,
+        object: compile_term(&atom.object, f, dict)?,
         time: match &atom.time {
             Some(t) => Some(compile_body_time(t, f)?),
             None => None,
@@ -514,16 +554,20 @@ fn compile_pattern(
     })
 }
 
-fn compile_condition(c: &Condition, dict: &mut Dictionary) -> CCondition {
-    match c {
+fn compile_condition(
+    c: &Condition,
+    f: &Formula,
+    dict: &Dictionary,
+) -> Result<CCondition, LogicError> {
+    Ok(match c {
         Condition::Temporal(tc) => CCondition::Temporal(tc.clone()),
         Condition::Numeric(cmp) => CCondition::Numeric(cmp.clone()),
         Condition::EntityCmp { left, op, right } => CCondition::EntityCmp {
-            left: compile_term(left, dict),
+            left: compile_term(left, f, dict)?,
             op: *op,
-            right: compile_term(right, dict),
+            right: compile_term(right, f, dict)?,
         },
-    }
+    })
 }
 
 #[cfg(test)]
@@ -532,18 +576,34 @@ mod tests {
     use tecore_logic::parser::parse_formula;
 
     fn compile_one(src: &str) -> (CompiledFormula, Dictionary) {
-        let f = parse_formula(src).unwrap();
+        let mut program = LogicProgram::new();
+        program.push(parse_formula(src).unwrap());
         let mut dict = Dictionary::new();
-        let cf = compile_formula(0, &f, &mut dict).unwrap();
+        intern_constants(&program, &mut dict);
+        let cf = compile_formula(0, &program.formulas()[0], &dict).unwrap();
         (cf, dict)
     }
 
     #[test]
     fn constants_interned_including_head() {
-        let (_, dict) =
-            compile_one("f1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = 2.5");
-        assert!(dict.lookup("playsFor").is_some());
-        assert!(dict.lookup("worksFor").is_some(), "head constant interned");
+        let (_, dict) = compile_one(
+            "f1: quad(x, playsFor, y, t) ^ x != Nobody -> quad(x, worksFor, y, t) w = 2.5",
+        );
+        let terms: Vec<&str> = dict.iter().map(|(_, term)| term).collect();
+        assert_eq!(
+            terms,
+            ["playsFor", "Nobody", "worksFor"],
+            "head constant interned"
+        );
+    }
+
+    #[test]
+    fn a_constant_missing_from_the_dictionary_is_named() {
+        let f = parse_formula("c9: quad(x, coach, y, t) -> quad(x, Manager, y, t) w = 1").unwrap();
+        let mut dict = Dictionary::new();
+        dict.intern("coach");
+        let err = compile_formula(0, &f, &dict).unwrap_err().to_string();
+        assert!(err.contains("`c9`") && err.contains("`Manager`"), "{err}");
     }
 
     #[test]
@@ -663,7 +723,9 @@ mod tests {
         // reject it. (If the parser already rejects it, that's fine too.)
         if let Ok(f) = f {
             let mut dict = Dictionary::new();
-            assert!(compile_formula(0, &f, &mut dict).is_err());
+            dict.intern("p1");
+            dict.intern("p2");
+            assert!(compile_formula(0, &f, &dict).is_err());
         }
     }
 
@@ -678,7 +740,8 @@ mod tests {
         )
         .unwrap();
         let mut dict = Dictionary::new();
-        let cp = CompiledProgram::compile(&program, &mut dict).unwrap();
+        intern_constants(&program, &mut dict);
+        let cp = CompiledProgram::compile(&program, &dict).unwrap();
         assert_eq!(cp.formulas.len(), 3);
         assert!(cp.formulas[0].consequent.derives());
         assert!(!cp.formulas[2].consequent.derives());

@@ -4,7 +4,7 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use tecore_kg::fxhash::FxHashSet;
-use tecore_kg::{reaching, Dictionary, Symbol, UtkGraph};
+use tecore_kg::{reaching, Symbol, UtkGraph};
 use tecore_logic::atom::CmpOp;
 use tecore_logic::formula::Weight;
 use tecore_logic::term::{TimeTerm, VarId};
@@ -89,6 +89,10 @@ impl fmt::Display for GroundingStats {
 /// [`tecore_kg::Delta`] and update the materialisation in place —
 /// re-running the binding search only around the changed facts — rather
 /// than re-grounding the whole graph.
+///
+/// A grounding holds no dictionary of its own: every symbol in it — of
+/// an evidence atom, a derived atom or a compiled constant — is the
+/// graph's, and reads through `graph.dict()`.
 #[derive(Debug, Clone)]
 pub struct Grounding {
     /// All ground atoms.
@@ -98,10 +102,6 @@ pub struct Grounding {
     /// backend. Invariant: every live clause references live atoms
     /// only.
     pub clauses: ClauseStore,
-    /// Dictionary covering the graph *and* head constants.
-    pub dict: Dictionary,
-    /// Graph symbol → symbol of `dict`, for the facts deltas add.
-    pub(crate) symbols: crate::incremental::SymbolMap,
     /// The compiled program (what deltas re-match and explanations
     /// name constraints from).
     pub program: CompiledProgram,
@@ -215,7 +215,9 @@ impl Grounding {
     }
 }
 
-/// Grounds `program` against `graph`.
+/// Grounds `program` against `graph`, whose dictionary must hold every
+/// constant the program names ([`crate::intern_constants`]); a missing
+/// one is a [`LogicError::Validation`] naming it.
 pub fn ground(
     graph: &UtkGraph,
     program: &LogicProgram,
@@ -238,9 +240,7 @@ pub(crate) fn ground_with(
     plan: impl FnOnce(&mut CompiledProgram, &AtomStore),
 ) -> Result<Grounding, LogicError> {
     let start = Instant::now();
-    let mut dict = graph.dict().clone();
-    let symbols = crate::incremental::SymbolMap::shared_below(dict.len());
-    let mut compiled = CompiledProgram::compile(program, &mut dict)?;
+    let mut compiled = CompiledProgram::compile(program, graph.dict())?;
     let (mut store, fact_atoms) = AtomStore::from_graph(graph);
     plan(&mut compiled, &store);
     let planned_atoms = store.len();
@@ -355,8 +355,6 @@ pub(crate) fn ground_with(
     Ok(Grounding {
         store,
         clauses,
-        dict,
-        symbols,
         program: compiled,
         fact_atoms,
         stats,
@@ -854,19 +852,51 @@ mod tests {
         c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf\n\
         c3: quad(x, bornIn, y, t) ^ quad(x, bornIn, z, t') ^ overlap(t, t') -> y = z w = inf\n";
 
-    fn ground_paper() -> Grounding {
+    /// `program` grounded against the graph `text` describes, the
+    /// program's constants interned into the graph first.
+    fn ground_text(text: &str, program: &str, config: &GroundConfig) -> (UtkGraph, Grounding) {
+        let mut graph = parse_graph(text).unwrap();
+        let program = LogicProgram::parse(program).unwrap();
+        crate::intern_constants(&program, graph.dict_mut());
+        let g = ground(&graph, &program, config).unwrap();
+        (graph, g)
+    }
+
+    fn ground_paper() -> (UtkGraph, Grounding) {
+        ground_text(RANIERI, PAPER_PROGRAM, &GroundConfig::default())
+    }
+
+    #[test]
+    fn a_constant_the_graph_lacks_is_a_named_error() {
         let graph = parse_graph(RANIERI).unwrap();
-        let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
-        ground(&graph, &program, &GroundConfig::default()).unwrap()
+        // In a body: nothing states `deathDate`.
+        let body = LogicProgram::parse(
+            "c1: quad(x, birthDate, y, t) ^ quad(x, deathDate, z, t') -> before(t, t') w = inf",
+        )
+        .unwrap();
+        // In a head only: `worksFor` is what the rule derives.
+        let head =
+            LogicProgram::parse("f1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = 2.5")
+                .unwrap();
+        for (program, formula, constant) in [(body, "c1", "deathDate"), (head, "f1", "worksFor")] {
+            let err = ground(&graph, &program, &GroundConfig::default()).unwrap_err();
+            assert!(matches!(err, LogicError::Validation { .. }));
+            let err = err.to_string();
+            assert!(
+                err.contains(&format!("`{formula}`")) && err.contains(&format!("`{constant}`")),
+                "{err}"
+            );
+            assert!(err.contains("intern_constants"), "{err}");
+        }
     }
 
     #[test]
     fn running_example_atoms() {
-        let g = ground_paper();
+        let (graph, g) = ground_paper();
         // 5 evidence atoms + 1 derived worksFor(CR, Palermo, [1984,1986]).
         assert_eq!(g.stats.evidence_atoms, 5);
         assert_eq!(g.stats.hidden_atoms, 1);
-        let works_for = g.dict.lookup("worksFor").unwrap();
+        let works_for = graph.dict().lookup("worksFor").unwrap();
         let derived: Vec<_> = g
             .store
             .iter()
@@ -878,7 +908,7 @@ mod tests {
 
     #[test]
     fn running_example_clauses() {
-        let g = ground_paper();
+        let (graph, g) = ground_paper();
         // Formula clauses: 1 from f1 (rule grounding), 1 from c2 (the
         // Chelsea/Napoli clash). f2, f3, c1, c3 fire nothing.
         assert_eq!(g.stats.formula_clauses, 2);
@@ -892,8 +922,8 @@ mod tests {
         assert!(clash.weight.is_hard());
         assert_eq!(clash.len(), 2);
         // The clause names the Chelsea and Napoli atoms negatively.
-        let chelsea = g.dict.lookup("Chelsea").unwrap();
-        let napoli = g.dict.lookup("Napoli").unwrap();
+        let chelsea = graph.dict().lookup("Chelsea").unwrap();
+        let napoli = graph.dict().lookup("Napoli").unwrap();
         let objs: Vec<Symbol> = clash
             .lits
             .iter()
@@ -908,7 +938,7 @@ mod tests {
 
     #[test]
     fn evidence_units_and_priors() {
-        let g = ground_paper();
+        let (_, g) = ground_paper();
         let units = g
             .clauses
             .iter()
@@ -927,10 +957,8 @@ mod tests {
 
     #[test]
     fn pin_certain_makes_birthdate_hard() {
-        let graph = parse_graph(RANIERI).unwrap();
-        let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
         let config = GroundConfig { pin_certain: true };
-        let g = ground(&graph, &program, &config).unwrap();
+        let (_, g) = ground_text(RANIERI, PAPER_PROGRAM, &config);
         let hard_units = g
             .clauses
             .iter()
@@ -943,19 +971,15 @@ mod tests {
     fn rule_chain_fixpoint() {
         // f1 derives worksFor; f2 then derives livesIn from the derived
         // atom — requires the second semi-naive round.
-        let graph = parse_graph(
+        let (graph, g) = ground_text(
             "(CR, playsFor, Palermo, [1984,1986]) 0.5\n\
              (Palermo, locatedIn, Sicily, [1900,2020]) 0.9\n",
-        )
-        .unwrap();
-        let program = LogicProgram::parse(
             "f1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = 2.5\n\
              f2: quad(x, worksFor, y, t) ^ quad(y, locatedIn, z, t') ^ overlap(t, t') \
                  -> quad(x, livesIn, z, t ∩ t') w = 1.6\n",
-        )
-        .unwrap();
-        let g = ground(&graph, &program, &GroundConfig::default()).unwrap();
-        let lives_in = g.dict.lookup("livesIn").unwrap();
+            &GroundConfig::default(),
+        );
+        let lives_in = graph.dict().lookup("livesIn").unwrap();
         let derived: Vec<_> = g
             .store
             .iter()
@@ -970,9 +994,7 @@ mod tests {
 
     #[test]
     fn no_duplicate_clauses_across_rounds() {
-        let graph = parse_graph(RANIERI).unwrap();
-        let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
-        let g = ground(&graph, &program, &GroundConfig::default()).unwrap();
+        let (_, g) = ground_paper();
         let mut sigs: Vec<(usize, Vec<Lit>)> = g
             .clauses
             .iter()
@@ -991,7 +1013,7 @@ mod tests {
     fn symmetric_constraint_grounding_deduped() {
         // c2 matches (Chelsea, Napoli) and (Napoli, Chelsea); both yield
         // the same clause which must appear once.
-        let g = ground_paper();
+        let (_, g) = ground_paper();
         let c2: Vec<_> = g
             .clauses
             .iter()
@@ -1002,43 +1024,33 @@ mod tests {
 
     #[test]
     fn timeless_head_defaults_to_body_intersection() {
-        let graph = parse_graph(
+        let (graph, g) = ground_text(
             "(a, relA, b, [10,20]) 0.9\n\
              (a, relB, c, [15,30]) 0.9\n",
-        )
-        .unwrap();
-        let program = LogicProgram::parse(
             "quad(x, relA, y, t) ^ quad(x, relB, z, t') -> quad(x, both, z) w = 1.0",
-        )
-        .unwrap();
-        let g = ground(&graph, &program, &GroundConfig::default()).unwrap();
-        let both = g.dict.lookup("both").unwrap();
+            &GroundConfig::default(),
+        );
+        let both = graph.dict().lookup("both").unwrap();
         let (_, atom) = g.store.iter().find(|(_, a)| a.predicate == both).unwrap();
         assert_eq!(atom.interval, Interval::new(15, 20).unwrap());
     }
 
     #[test]
     fn timeless_head_falls_back_to_hull() {
-        let graph = parse_graph(
+        let (graph, g) = ground_text(
             "(a, relA, b, [10,12]) 0.9\n\
              (a, relB, c, [20,22]) 0.9\n",
-        )
-        .unwrap();
-        let program = LogicProgram::parse(
             "quad(x, relA, y, t) ^ quad(x, relB, z, t') -> quad(x, both, z) w = 1.0",
-        )
-        .unwrap();
-        let g = ground(&graph, &program, &GroundConfig::default()).unwrap();
-        let both = g.dict.lookup("both").unwrap();
+            &GroundConfig::default(),
+        );
+        let both = graph.dict().lookup("both").unwrap();
         let (_, atom) = g.store.iter().find(|(_, a)| a.predicate == both).unwrap();
         assert_eq!(atom.interval, Interval::new(10, 22).unwrap());
     }
 
     #[test]
     fn negative_evidence_weight_for_low_confidence() {
-        let graph = parse_graph("(a, p, b, [1,2]) 0.2\n").unwrap();
-        let program = LogicProgram::new();
-        let g = ground(&graph, &program, &GroundConfig::default()).unwrap();
+        let (_, g) = ground_text("(a, p, b, [1,2]) 0.2\n", "", &GroundConfig::default());
         let unit = g
             .clauses
             .iter()
@@ -1050,16 +1062,12 @@ mod tests {
 
     #[test]
     fn literal_interval_in_body_matches_exactly() {
-        let graph = parse_graph(
+        let (_, g) = ground_text(
             "(CR, coach, Chelsea, [2000,2004]) 0.9\n\
              (CR, coach, Chelsea, [2000,2005]) 0.9\n",
-        )
-        .unwrap();
-        let program = LogicProgram::parse(
             "quad(x, coach, y, [2000,2004]) -> quad(x, type, Coach2004) w = 1.0",
-        )
-        .unwrap();
-        let g = ground(&graph, &program, &GroundConfig::default()).unwrap();
+            &GroundConfig::default(),
+        );
         assert_eq!(g.stats.formula_clauses, 1);
     }
 }

@@ -36,7 +36,7 @@
 use std::time::{Duration, Instant};
 
 use tecore_kg::fxhash::{FxHashMap, FxHashSet};
-use tecore_kg::{Delta, Symbol, UtkGraph};
+use tecore_kg::{Delta, UtkGraph};
 use tecore_logic::formula::Weight;
 
 use crate::atoms::{AtomId, AtomKind};
@@ -96,32 +96,6 @@ pub struct DeltaChanges {
     pub elapsed: Duration,
 }
 
-/// Graph symbol → grounding symbol. [`crate::ground`] starts the
-/// grounding's dictionary as a clone of the graph's, so below the
-/// length the graph's had then the two number their terms alike and
-/// the map is the identity; a term the graph interned later may number
-/// differently (the grounding appended its head constants there), and
-/// is resolved by string the first time a delta meets it.
-#[derive(Debug, Clone)]
-pub(crate) struct SymbolMap {
-    /// The graph dictionary's length when the grounding was built.
-    shared: u32,
-    /// `later[g - shared]` for graph symbol `g`, `UNMAPPED` until met.
-    later: Vec<Symbol>,
-}
-
-impl SymbolMap {
-    const UNMAPPED: Symbol = Symbol(u32::MAX);
-
-    /// The identity below `len` graph symbols.
-    pub(crate) fn shared_below(len: usize) -> Self {
-        SymbolMap {
-            shared: u32::try_from(len).expect("dictionary overflow (>4G terms)"),
-            later: Vec::new(),
-        }
-    }
-}
-
 impl Grounding {
     /// Updates the materialised grounding to reflect `delta`, re-running
     /// the binding search only around the changed facts.
@@ -129,10 +103,8 @@ impl Grounding {
     /// `graph` must be the graph the grounding was built from, now at
     /// `delta.to_epoch`, and `config` the configuration the grounding
     /// was built with. The fact → atom table is keyed by that graph's
-    /// fact ids, and its terms are mapped into the grounding's
-    /// dictionary by that graph's symbols: below the dictionary length
-    /// it had when grounded the two dictionaries agree, and a term
-    /// interned since is looked up by string once.
+    /// fact ids, and a fact's symbols are the atom's: the grounding
+    /// numbers its terms by that graph's dictionary.
     ///
     /// # Panics
     ///
@@ -219,12 +191,7 @@ impl Grounding {
             let Some(fact) = graph.fact(fid) else {
                 continue;
             };
-            // Re-map the fact's terms into the grounding dictionary: the
-            // graph may have interned new terms after grounding appended
-            // its head constants, so raw symbol ids can collide.
-            let s = self.grounding_symbol(graph, fact.subject);
-            let p = self.grounding_symbol(graph, fact.predicate);
-            let o = self.grounding_symbol(graph, fact.object);
+            let (s, p, o) = (fact.subject, fact.predicate, fact.object);
             let log_odds = fact.confidence.log_odds();
             let existing = self.store.lookup(s, p, o, fact.interval);
             let was_alive = existing.is_some_and(|id| self.store.is_alive(id));
@@ -261,24 +228,16 @@ impl Grounding {
         // its statement revived (aliased) a live atom the component
         // cache must treat that atom's component as touched —
         // otherwise a cached per-component warm state can go stale
-        // (see `Delta::churned`). Terms are *looked up*, never
-        // interned: a netted fact must not grow the dictionary. ---
-        if self.components.is_some() {
+        // (see `Delta::churned`). ---
+        if let Some(index) = self.components.as_mut() {
             for &fid in &delta.churned {
-                let Some(fact) = graph.arena_fact(fid) else {
+                let Some(f) = graph.arena_fact(fid) else {
                     continue;
                 };
-                let (Some(s), Some(p), Some(o)) = (
-                    self.known_symbol(graph, fact.subject),
-                    self.known_symbol(graph, fact.predicate),
-                    self.known_symbol(graph, fact.object),
-                ) else {
-                    continue;
-                };
-                if let (Some(aid), Some(index)) = (
-                    self.store.lookup(s, p, o, fact.interval),
-                    self.components.as_mut(),
-                ) {
+                if let Some(aid) = self
+                    .store
+                    .lookup(f.subject, f.predicate, f.object, f.interval)
+                {
                     index.note_touched(aid);
                 }
             }
@@ -375,40 +334,6 @@ impl Grounding {
         stats.elapsed = start.elapsed();
         self.changes.elapsed += stats.elapsed;
         stats
-    }
-
-    /// The symbol of graph term `sym` in this grounding's dictionary,
-    /// interning the term the first time a delta brings it.
-    fn grounding_symbol(&mut self, graph: &UtkGraph, sym: Symbol) -> Symbol {
-        let mapped = match sym.0.checked_sub(self.symbols.shared) {
-            None => sym,
-            Some(later) => {
-                let later = later as usize;
-                if self.symbols.later.len() <= later {
-                    self.symbols.later.resize(later + 1, SymbolMap::UNMAPPED);
-                }
-                let slot = &mut self.symbols.later[later];
-                if *slot == SymbolMap::UNMAPPED {
-                    *slot = self.dict.intern(graph.dict().resolve(sym));
-                }
-                *slot
-            }
-        };
-        debug_assert_eq!(self.dict.resolve(mapped), graph.dict().resolve(sym));
-        mapped
-    }
-
-    /// [`Grounding::grounding_symbol`] for a term the grounding may not
-    /// know, without interning it: `None` when the dictionary has no
-    /// such term.
-    fn known_symbol(&self, graph: &UtkGraph, sym: Symbol) -> Option<Symbol> {
-        let Some(later) = sym.0.checked_sub(self.symbols.shared) else {
-            return Some(sym);
-        };
-        match self.symbols.later.get(later as usize) {
-            Some(&mapped) if mapped != SymbolMap::UNMAPPED => Some(mapped),
-            _ => self.dict.lookup(graph.dict().resolve(sym)),
-        }
     }
 
     /// Hands over what the deltas since the previous call changed, and
@@ -573,7 +498,7 @@ mod tests {
     use super::*;
     use crate::grounder::ground;
     use tecore_kg::parser::parse_graph;
-    use tecore_kg::UtkGraph;
+    use tecore_kg::{Dictionary, UtkGraph};
     use tecore_logic::LogicProgram;
     use tecore_temporal::Interval;
 
@@ -588,14 +513,14 @@ mod tests {
     /// Canonical live-clause multiset: (origin-ish, rendered lits)
     /// sorted, with lits rendered through atom keys so two groundings
     /// with different atom id layouts compare equal.
-    fn canonical_clauses(g: &Grounding) -> Vec<String> {
+    fn canonical_clauses(g: &Grounding, dict: &Dictionary) -> Vec<String> {
         let render_atom = |id: AtomId| {
             let a = g.store.atom(id);
             format!(
                 "{}|{}|{}|{}",
-                g.dict.resolve(a.subject),
-                g.dict.resolve(a.predicate),
-                g.dict.resolve(a.object),
+                dict.resolve(a.subject),
+                dict.resolve(a.predicate),
+                dict.resolve(a.object),
                 a.interval
             )
         };
@@ -631,13 +556,21 @@ mod tests {
         out
     }
 
+    /// `program` grounded against `graph`, its constants interned into
+    /// the graph first.
+    fn grounded(graph: &mut UtkGraph, program: &LogicProgram, config: &GroundConfig) -> Grounding {
+        crate::intern_constants(program, graph.dict_mut());
+        ground(graph, program, config).unwrap()
+    }
+
     /// Applies the pending delta of `graph` to `g` and asserts the
     /// result is clause-for-clause equivalent to a cold re-ground.
     fn assert_matches_cold(g: &mut Grounding, graph: &mut UtkGraph, config: &GroundConfig) {
         let delta = graph.since(g.epoch()).expect("history retained");
         g.apply_delta(graph, &delta, config);
         let cold = ground(graph, &program(), config).unwrap();
-        assert_eq!(canonical_clauses(g), canonical_clauses(&cold));
+        let dict = graph.dict();
+        assert_eq!(canonical_clauses(g, dict), canonical_clauses(&cold, dict));
         // Live-atom population agrees too.
         assert_eq!(g.store.evidence_count(), cold.store.evidence_count());
         assert_eq!(g.store.hidden_count(), cold.store.hidden_count());
@@ -651,7 +584,7 @@ mod tests {
     fn add_conflicting_fact_emits_constraint_clause() {
         let mut graph = parse_graph("(CR, coach, Chelsea, [2000,2004]) 0.9\n").unwrap();
         let config = GroundConfig::default();
-        let mut g = ground(&graph, &program(), &config).unwrap();
+        let mut g = grounded(&mut graph, &program(), &config);
         graph
             .insert("CR", "coach", "Napoli", iv(2001, 2003), 0.6)
             .unwrap();
@@ -667,7 +600,10 @@ mod tests {
             "clash clause emitted"
         );
         let cold = ground(&graph, &program(), &config).unwrap();
-        assert_eq!(canonical_clauses(&g), canonical_clauses(&cold));
+        assert_eq!(
+            canonical_clauses(&g, graph.dict()),
+            canonical_clauses(&cold, graph.dict())
+        );
     }
 
     #[test]
@@ -679,7 +615,7 @@ mod tests {
         )
         .unwrap();
         let config = GroundConfig::default();
-        let mut g = ground(&graph, &program(), &config).unwrap();
+        let mut g = grounded(&mut graph, &program(), &config);
         assert_eq!(g.store.hidden_count(), 1, "worksFor derived");
 
         // Removing the playsFor fact kills the derived worksFor atom.
@@ -691,7 +627,10 @@ mod tests {
         assert_eq!(stats.atoms_killed, 2, "evidence atom + derived atom");
         assert_eq!(g.store.hidden_count(), 0);
         let cold = ground(&graph, &program(), &config).unwrap();
-        assert_eq!(canonical_clauses(&g), canonical_clauses(&cold));
+        assert_eq!(
+            canonical_clauses(&g, graph.dict()),
+            canonical_clauses(&cold, graph.dict())
+        );
     }
 
     #[test]
@@ -702,8 +641,8 @@ mod tests {
         )
         .unwrap();
         let config = GroundConfig::default();
-        let mut g = ground(&graph, &program(), &config).unwrap();
-        let before = canonical_clauses(&g);
+        let mut g = grounded(&mut graph, &program(), &config);
+        let before = canonical_clauses(&g, graph.dict());
 
         let fid = graph
             .insert("CR", "coach", "Napoli", iv(2001, 2003), 0.6)
@@ -711,14 +650,18 @@ mod tests {
         assert_matches_cold(&mut g, &mut graph, &config);
         graph.remove(fid).unwrap();
         assert_matches_cold(&mut g, &mut graph, &config);
-        assert_eq!(canonical_clauses(&g), before, "round-trip is lossless");
+        assert_eq!(
+            canonical_clauses(&g, graph.dict()),
+            before,
+            "round-trip is lossless"
+        );
     }
 
     #[test]
     fn duplicate_statement_merges_and_unmerges() {
         let mut graph = parse_graph("(a, coach, b, [1,5]) 0.8\n").unwrap();
         let config = GroundConfig::default();
-        let mut g = ground(&graph, &program(), &config).unwrap();
+        let mut g = grounded(&mut graph, &program(), &config);
         // Same statement again: merges into the same atom.
         let dup = graph.insert("a", "coach", "b", iv(1, 5), 0.7).unwrap();
         assert_matches_cold(&mut g, &mut graph, &config);
@@ -729,11 +672,11 @@ mod tests {
 
     #[test]
     fn new_terms_after_grounding_do_not_collide_with_head_constants() {
-        // The grounding dict appended `worksFor`; a post-grounding graph
-        // term must not alias it.
+        // `worksFor` is the graph's before grounding; a post-grounding
+        // graph term gets a number of its own.
         let mut graph = parse_graph("(CR, playsFor, Palermo, [1984,1986]) 0.5\n").unwrap();
         let config = GroundConfig::default();
-        let mut g = ground(&graph, &program(), &config).unwrap();
+        let mut g = grounded(&mut graph, &program(), &config);
         graph
             .insert("Eriksson", "coach", "Lazio", iv(1997, 2001), 0.9)
             .unwrap();
@@ -744,29 +687,33 @@ mod tests {
     }
 
     #[test]
-    fn graph_symbols_past_the_grounded_dictionary_map_by_term() {
-        // The grounding appends the program's constants the graph lacks
-        // (`worksFor`, `coach`) after the graph's terms; the terms the
-        // graph interns afterwards get those very numbers on its side.
+    fn terms_interned_after_grounding_keep_the_graphs_symbols() {
+        // The program's constants (`worksFor`, `coach`) are the graph's
+        // from the start; terms the graph interns afterwards come behind
+        // them, and the grounding reads a delta's facts by the graph's
+        // symbols as they are.
         let mut graph = parse_graph("(CR, playsFor, Palermo, [1984,1986]) 0.5\n").unwrap();
         let config = GroundConfig::default();
-        let mut g = ground(&graph, &program(), &config).unwrap();
-        let shared = graph.dict().len();
-        assert_eq!(g.dict.resolve(tecore_kg::Symbol(shared as u32)), "worksFor");
+        let mut g = grounded(&mut graph, &program(), &config);
+        let grounded_terms = graph.dict().len();
+        let works_for = graph.dict().lookup("worksFor").unwrap();
+        assert!(works_for.index() < grounded_terms);
 
-        // Fresh subject and object: their graph symbols are the
-        // grounding's `worksFor` and `coach`.
         graph
             .insert("Eriksson", "playsFor", "Lazio", iv(1997, 2001), 0.9)
             .unwrap();
         let eriksson = graph.dict().lookup("Eriksson").unwrap();
-        assert_eq!(g.dict.resolve(eriksson), "worksFor", "the numbers collide");
+        let lazio = graph.dict().lookup("Lazio").unwrap();
+        assert!(eriksson.index() >= grounded_terms, "a later term");
         assert_matches_cold(&mut g, &mut graph, &config);
+        let derived = g
+            .store
+            .lookup(eriksson, works_for, lazio, iv(1997, 2001))
+            .expect("derived in the graph's symbols");
+        assert!(!g.store.atom(derived).kind.is_evidence());
 
-        // Later deltas reuse the mapped terms and add terms the
-        // grounding already holds under another number: the graph's
-        // `coach` and `worksFor` are new to the graph, not to the
-        // grounding. An asserted `worksFor` merges with the derived one.
+        // Later deltas reuse those terms and bring more. An asserted
+        // `worksFor` merges with the derived one.
         graph
             .insert("Eriksson", "coach", "England", iv(2001, 2006), 0.8)
             .unwrap();
@@ -777,9 +724,9 @@ mod tests {
             .insert("Eriksson", "worksFor", "Lazio", iv(1997, 2001), 0.6)
             .unwrap();
         assert_matches_cold(&mut g, &mut graph, &config);
-        let coach = graph.dict().lookup("coach").unwrap();
-        assert!(coach.index() >= shared);
-        assert_ne!(g.dict.lookup("coach"), Some(coach), "coach numbers apart");
+        let merged = g.store.lookup(eriksson, works_for, lazio, iv(1997, 2001));
+        assert_eq!(merged, Some(derived), "one atom for the statement");
+        assert!(g.store.atom(derived).kind.is_evidence());
 
         let lazio_spell = graph
             .statement_ids("Eriksson", "coach", "Lazio")
@@ -802,7 +749,7 @@ mod tests {
         .unwrap();
         let mut graph = parse_graph("(Palermo, locatedIn, Sicily, [1900,2020]) 0.9\n").unwrap();
         let config = GroundConfig::default();
-        let mut g = ground(&graph, &chain, &config).unwrap();
+        let mut g = grounded(&mut graph, &chain, &config);
         assert_eq!(g.store.hidden_count(), 0);
 
         // One insert triggers two derivation rounds (worksFor, livesIn).
@@ -828,14 +775,14 @@ mod tests {
 
     #[test]
     fn empty_delta_is_a_no_op() {
-        let graph = parse_graph("(a, coach, b, [1,5]) 0.8\n").unwrap();
+        let mut graph = parse_graph("(a, coach, b, [1,5]) 0.8\n").unwrap();
         let config = GroundConfig::default();
-        let mut g = ground(&graph, &program(), &config).unwrap();
-        let before = canonical_clauses(&g);
+        let mut g = grounded(&mut graph, &program(), &config);
+        let before = canonical_clauses(&g, graph.dict());
         let delta = graph.since(g.epoch()).unwrap();
         assert!(delta.is_empty());
         let stats = g.apply_delta(&graph, &delta, &config);
         assert_eq!(stats.clauses_emitted + stats.clauses_retracted, 0);
-        assert_eq!(canonical_clauses(&g), before);
+        assert_eq!(canonical_clauses(&g, graph.dict()), before);
     }
 }

@@ -50,7 +50,7 @@ pub mod solver;
 pub use atoms::{AtomId, AtomKind, AtomStore, FactAtoms, GroundAtom, Posting};
 pub use bindings::Bindings;
 pub use clause::{ClauseId, ClauseOrigin, ClauseRef, ClauseStore, ClauseWeight, GroundClause, Lit};
-pub use compile::{CompiledFormula, CompiledProgram};
+pub use compile::{intern_constants, CompiledFormula, CompiledProgram};
 pub use component::{ComponentIndex, ComponentView, Marginals, Partition, MAX_GRADED_ATOMS};
 pub use grounder::{ground, GroundConfig, Grounding, GroundingStats};
 pub use incremental::{ConstraintKey, DeltaChanges, DeltaStats};

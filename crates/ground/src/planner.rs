@@ -3,7 +3,7 @@
 //! The paper's constraints are pair patterns over one entity, so a
 //! body's join order is close to forced: start where the atom store
 //! has least to walk, then follow the shared variables through the
-//! keyed posting runs. [`join_order`] says exactly that. At each step
+//! keyed posting runs. `join_order` says exactly that. At each step
 //! it takes the unjoined pattern with the lowest key
 //!
 //! `(its predicate has atoms, no index key is fixed, atoms of its predicate, body position)`
@@ -180,11 +180,17 @@ mod tests {
 
     /// `src` compiled and planned against the atoms of `graph`.
     fn planned(graph: &UtkGraph, src: &str) -> CompiledProgram {
-        let program = LogicProgram::parse(src).unwrap();
-        let mut dict = graph.dict().clone();
-        let mut compiled = CompiledProgram::compile(&program, &mut dict).unwrap();
+        let mut compiled = compiled(graph, src);
         plan(&mut compiled, &AtomStore::from_graph(graph).0);
         compiled
+    }
+
+    /// `src` compiled against `graph`'s terms and its own constants.
+    fn compiled(graph: &UtkGraph, src: &str) -> CompiledProgram {
+        let program = LogicProgram::parse(src).unwrap();
+        let mut dict = graph.dict().clone();
+        crate::intern_constants(&program, &mut dict);
+        CompiledProgram::compile(&program, &dict).unwrap()
     }
 
     fn plan_first(graph: &UtkGraph, src: &str) -> Vec<usize> {
@@ -221,9 +227,7 @@ mod tests {
         // atoms — but `small` has 3.
         let src =
             "quad(x, big, y, t) ^ quad(z, big, y, t') ^ quad(x, small, w, t'') -> false w = inf";
-        let program = LogicProgram::parse(src).unwrap();
-        let mut dict = g.dict().clone();
-        let compiled = CompiledProgram::compile(&program, &mut dict).unwrap();
+        let compiled = compiled(&g, src);
         assert_eq!(compiled.formulas[0].seeded[0].order(), vec![0, 1, 2]);
         let compiled = planned(&g, src);
         let cf = &compiled.formulas[0];
@@ -244,9 +248,7 @@ mod tests {
         // compilation started with, and none is rebuilt.
         let g = UtkGraph::new();
         let src = "quad(x, big, y, t) ^ quad(x, small, z, t') -> false w = inf";
-        let program = LogicProgram::parse(src).unwrap();
-        let mut dict = g.dict().clone();
-        let mut compiled = CompiledProgram::compile(&program, &mut dict).unwrap();
+        let mut compiled = compiled(&g, src);
         let before = compiled.formulas[0].clone();
         assert!(!plan(&mut compiled, &AtomStore::from_graph(&g).0));
         assert_eq!(compiled.formulas[0], before);

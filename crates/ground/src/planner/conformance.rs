@@ -36,10 +36,13 @@ fn reversed(compiled: &mut CompiledProgram, store: &AtomStore) {
     }
 }
 
-/// Grounds `src` against `graph` under the planner's orders and under
-/// their reversals, and asserts the arenas and match counts agree.
-fn assert_conformant(graph: &UtkGraph, src: &str) {
+/// Grounds `src` against `graph` (its constants interned there first)
+/// under the planner's orders and under their reversals, and asserts the
+/// arenas and match counts agree.
+fn assert_conformant(graph: &mut UtkGraph, src: &str) {
     let program = LogicProgram::parse(src).unwrap();
+    crate::intern_constants(&program, graph.dict_mut());
+    let graph = &*graph;
     let config = GroundConfig::default();
     let planned = ground(graph, &program, &config).unwrap();
     let reversed = ground_with(graph, &program, &config, reversed).unwrap();
@@ -77,7 +80,7 @@ proptest! {
     /// Random graphs, fixed chained program: planned ≡ reversed.
     #[test]
     fn chain_program_is_plan_invariant(facts in arb_facts()) {
-        assert_conformant(&build_graph(&facts), CHAIN_PROGRAM);
+        assert_conformant(&mut build_graph(&facts), CHAIN_PROGRAM);
     }
 
     /// Random graphs AND random constraint bodies (1–3 atoms, mixed
@@ -90,7 +93,7 @@ proptest! {
     ) {
         let weight = if hard { "inf" } else { "0.75" };
         let src = format!("{} -> false w = {weight}", body.join(" ^ "));
-        assert_conformant(&build_graph(&facts), &src);
+        assert_conformant(&mut build_graph(&facts), &src);
     }
 }
 
@@ -106,7 +109,7 @@ proptest! {
         facts in arb_facts(),
         formulas in prop::collection::vec(arb_formula(), 1..4),
     ) {
-        assert_conformant(&build_graph(&facts), &program_text(&formulas));
+        assert_conformant(&mut build_graph(&facts), &program_text(&formulas));
     }
 
     /// Where the two orders really part ways (`common::join_program`),
@@ -118,7 +121,7 @@ proptest! {
         facts in arb_dense_facts(),
         src in arb_join_program(),
     ) {
-        assert_conformant(&build_graph(&facts), &src);
+        assert_conformant(&mut build_graph(&facts), &src);
     }
 }
 
@@ -126,9 +129,9 @@ proptest! {
 fn empty_predicate_body_grounds_identically() {
     // "ghost" has no facts: the planner starts there, the reversed
     // order does not — either way, zero formula clauses.
-    let graph = build_graph(&[(0, 0, 0, 1, 3, 4), (1, 0, 1, 2, 2, 3), (2, 1, 0, 5, 1, 2)]);
+    let mut graph = build_graph(&[(0, 0, 0, 1, 3, 4), (1, 0, 1, 2, 2, 3), (2, 1, 0, 5, 1, 2)]);
     let src = "quad(x, pred0, y, t) ^ quad(y, ghost, z, t2) -> false w = inf";
-    assert_conformant(&graph, src);
+    assert_conformant(&mut graph, src);
     let program = LogicProgram::parse(src).unwrap();
     let g = ground(&graph, &program, &GroundConfig::default()).unwrap();
     assert!(
@@ -142,11 +145,11 @@ fn empty_predicate_body_grounds_identically() {
 
 #[test]
 fn all_constant_body_grounds_identically() {
-    let graph = build_graph(&[(0, 0, 0, 1, 5, 4), (1, 1, 1, 2, 4, 3)]);
+    let mut graph = build_graph(&[(0, 0, 0, 1, 5, 4), (1, 1, 1, 2, 4, 3)]);
     // No variables anywhere: every permutation checks the same two
     // point lookups.
     assert_conformant(
-        &graph,
+        &mut graph,
         "quad(subj0, pred0, obj0, [1,6]) ^ quad(subj1, pred1, obj1, [2,6]) -> false w = inf",
     );
 }
@@ -154,14 +157,14 @@ fn all_constant_body_grounds_identically() {
 #[test]
 fn cross_product_body_grounds_identically() {
     // No shared variables: the full cross product of both extensions.
-    let graph = build_graph(&[
+    let mut graph = build_graph(&[
         (0, 0, 0, 1, 3, 4),
         (1, 0, 1, 2, 2, 3),
         (2, 1, 0, 5, 1, 2),
         (3, 1, 2, 6, 2, 1),
     ]);
     let src = "quad(a, pred0, b, t) ^ quad(c, pred1, d, t2) -> false w = inf";
-    assert_conformant(&graph, src);
+    assert_conformant(&mut graph, src);
     let program = LogicProgram::parse(src).unwrap();
     let g = ground(&graph, &program, &GroundConfig::default()).unwrap();
     assert_eq!(g.plans[0].actual_matches, 4, "2 × 2 cross product");

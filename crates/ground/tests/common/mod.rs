@@ -9,7 +9,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use proptest::prelude::*;
 use tecore_ground::{AtomId, ClauseOrigin, ClauseWeight, Grounding};
-use tecore_kg::UtkGraph;
+use tecore_kg::{Dictionary, UtkGraph};
 use tecore_logic::atom::{CmpOp, Condition, QuadAtom};
 use tecore_logic::formula::{Consequent, Formula, Weight};
 use tecore_logic::term::{Term, TimeTerm, VarId};
@@ -272,14 +272,14 @@ fn render_clause(origin: &str, weight: ClauseWeight, mut lits: Vec<String>) -> S
 
 /// Canonical live-clause multiset: lits rendered through atom keys so
 /// two groundings with different atom id layouts compare equal.
-pub fn canonical_clauses(g: &Grounding) -> Vec<String> {
+pub fn canonical_clauses(g: &Grounding, dict: &Dictionary) -> Vec<String> {
     let render_atom = |id: AtomId| {
         let a = g.store.atom(id);
         format!(
             "{}|{}|{}|{}",
-            g.dict.resolve(a.subject),
-            g.dict.resolve(a.predicate),
-            g.dict.resolve(a.object),
+            dict.resolve(a.subject),
+            dict.resolve(a.predicate),
+            dict.resolve(a.object),
             a.interval
         )
     };
@@ -312,14 +312,14 @@ pub fn canonical_clauses(g: &Grounding) -> Vec<String> {
 
 /// What a grounding comes down to, for comparison with the naive
 /// re-grounder: its formula clauses and its live atoms by kind, all
-/// through atom keys.
-pub fn summary(g: &Grounding) -> Summary {
+/// through atom keys, read in `dict`, the grounded graph's.
+pub fn summary(g: &Grounding, dict: &Dictionary) -> Summary {
     let key = |a: &tecore_ground::GroundAtom| {
         format!(
             "{}|{}|{}|{}",
-            g.dict.resolve(a.subject),
-            g.dict.resolve(a.predicate),
-            g.dict.resolve(a.object),
+            dict.resolve(a.subject),
+            dict.resolve(a.predicate),
+            dict.resolve(a.object),
             a.interval
         )
     };
@@ -331,7 +331,7 @@ pub fn summary(g: &Grounding) -> Summary {
             .collect()
     };
     Summary {
-        formula_clauses: canonical_clauses(g)
+        formula_clauses: canonical_clauses(g, dict)
             .into_iter()
             .filter(|c| c.starts_with('f'))
             .collect(),

@@ -14,7 +14,7 @@ use common::{
     naive_ground, program_text, summary,
 };
 use proptest::prelude::*;
-use tecore_ground::{ground, GroundConfig};
+use tecore_ground::{ground, intern_constants, GroundConfig};
 use tecore_kg::FactId;
 use tecore_logic::LogicProgram;
 
@@ -30,10 +30,11 @@ proptest! {
         let src = program_text(&formulas);
         let program = LogicProgram::parse(&src).unwrap();
         for facts in [sparse, dense] {
-            let graph = build_graph(&facts);
+            let mut graph = build_graph(&facts);
+            intern_constants(&program, graph.dict_mut());
             let expected = naive_ground(&graph, &program);
             let g = ground(&graph, &program, &GroundConfig::default()).unwrap();
-            prop_assert_eq!(&summary(&g), &expected, "on\n{}", src);
+            prop_assert_eq!(&summary(&g, graph.dict()), &expected, "on\n{}", src);
         }
     }
 
@@ -48,8 +49,9 @@ proptest! {
         let mut graph = build_graph(&facts);
         let program = LogicProgram::parse(&src).unwrap();
         let config = GroundConfig::default();
+        intern_constants(&program, graph.dict_mut());
         let mut g = ground(&graph, &program, &config).unwrap();
-        prop_assert_eq!(&summary(&g), &naive_ground(&graph, &program), "cold on\n{}", src);
+        prop_assert_eq!(&summary(&g, graph.dict()), &naive_ground(&graph, &program), "cold on\n{}", src);
         for (i, batch) in more.chunks(4).take(3).enumerate() {
             for &fact in batch {
                 insert_fact(&mut graph, fact);
@@ -58,7 +60,7 @@ proptest! {
             graph.remove(live[(i * 7) % live.len()]).unwrap();
             let delta = graph.since(g.epoch()).expect("history retained");
             g.apply_delta(&graph, &delta, &config);
-            prop_assert_eq!(&summary(&g), &naive_ground(&graph, &program), "delta on\n{}", src);
+            prop_assert_eq!(&summary(&g, graph.dict()), &naive_ground(&graph, &program), "delta on\n{}", src);
         }
     }
 
@@ -78,6 +80,7 @@ proptest! {
         let src = program_text(&formulas);
         let program = LogicProgram::parse(&src).unwrap();
         let config = GroundConfig::default();
+        intern_constants(&program, graph.dict_mut());
         let mut g = ground(&graph, &program, &config).unwrap();
         for batch in batches {
             for (inserts, remove) in batch {
@@ -91,7 +94,7 @@ proptest! {
             }
             let delta = graph.since(g.epoch()).expect("history retained");
             g.apply_delta(&graph, &delta, &config);
-            prop_assert_eq!(&summary(&g), &naive_ground(&graph, &program), "on\n{}", src);
+            prop_assert_eq!(&summary(&g, graph.dict()), &naive_ground(&graph, &program), "on\n{}", src);
         }
     }
 }

@@ -28,18 +28,22 @@ impl fmt::Display for Symbol {
 ///
 /// Every subject, predicate and object of a uTKG is interned once;
 /// the grounding engine and the solvers only ever see `u32` symbols.
-/// Lookup is O(1) in both directions.
+/// Lookup is O(1) in both directions. An engine interns its program's
+/// constants into its graph's dictionary too, so a grounding reads
+/// every symbol — a rule's head constant no fact states included — in
+/// the graph's numbering and keeps no dictionary of its own.
 ///
 /// # Memory footprint
 ///
 /// Each term is stored as a single heap allocation (`Arc<str>`) shared
 /// by the symbol table and the reverse index — interning a term costs
 /// one string allocation plus two refcounted pointers, not two string
-/// copies. Cloning a dictionary (every grounding run clones the graph's
-/// dictionary, and so does every [`UtkGraph::filtered`] copy) therefore
-/// copies only pointers and refcounts, never the term bytes. That is
-/// cheap, not free: two refcount bumps a term, measured ≈ 4–6 ms to
-/// clone and ≈ 2 ms to drop at 135k terms.
+/// copies. Cloning a dictionary (every [`UtkGraph::filtered`] copy
+/// clones its graph's; a grounding clones none) therefore copies only
+/// pointers and refcounts, never the term bytes. That is cheap, not
+/// free: two refcount bumps a term, measured (median of 7 runs on a
+/// 2-CPU container) at 1.8 ms to clone and 1.3 ms to drop at 60k terms,
+/// 3.3 and 2.4 ms at 135k.
 ///
 /// [`UtkGraph::filtered`]: crate::graph::UtkGraph::filtered
 #[derive(Debug, Default, Clone)]

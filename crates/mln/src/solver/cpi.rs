@@ -166,8 +166,9 @@ impl tecore_ground::MapSolver for CpiSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tecore_ground::{ground, GroundConfig};
+    use tecore_ground::{ground, intern_constants, GroundConfig};
     use tecore_kg::parser::parse_graph;
+    use tecore_kg::UtkGraph;
     use tecore_logic::LogicProgram;
 
     const RANIERI: &str = "\
@@ -184,21 +185,23 @@ mod tests {
     const C2: &str =
         "c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf";
 
-    fn grounded(facts: &str, program: &str) -> Grounding {
-        let graph = parse_graph(facts).unwrap();
+    fn grounded(facts: &str, program: &str) -> (UtkGraph, Grounding) {
+        let mut graph = parse_graph(facts).unwrap();
         let program = LogicProgram::parse(program).unwrap();
-        ground(&graph, &program, &GroundConfig::default()).unwrap()
+        intern_constants(&program, graph.dict_mut());
+        let g = ground(&graph, &program, &GroundConfig::default()).unwrap();
+        (graph, g)
     }
 
-    fn atom_with_object(g: &Grounding, object: &str) -> usize {
-        let object = g.dict.lookup(object).unwrap();
+    fn atom_with_object(graph: &UtkGraph, g: &Grounding, object: &str) -> usize {
+        let object = graph.dict().lookup(object).unwrap();
         let (id, _) = g.store.iter().find(|(_, a)| a.object == object).unwrap();
         id.index()
     }
 
     #[test]
     fn lazy_matches_eager_on_running_example() {
-        let g = grounded(RANIERI, PROGRAM);
+        let (graph, g) = grounded(RANIERI, PROGRAM);
         let lazy = CpiSolver::new(CpiConfig::default()).solve_lazy(&g);
         let eager = BranchAndBound::new().solve(&SatProblem::from_grounding(&g));
 
@@ -210,7 +213,7 @@ mod tests {
             eager.cost
         );
         // Napoli removed in both.
-        let napoli = atom_with_object(&g, "Napoli");
+        let napoli = atom_with_object(&graph, &g, "Napoli");
         assert!(!lazy.assignment[napoli]);
         assert!(!eager.assignment[napoli]);
     }
@@ -233,18 +236,18 @@ mod tests {
         }
         // One clash.
         text.push_str("(p0, coach, other, [2000,2001]) 0.6\n");
-        let g = grounded(&text, C2);
+        let (graph, g) = grounded(&text, C2);
         let r = CpiSolver::new(CpiConfig::default()).solve_lazy(&g);
         assert!(r.feasible);
         // Active set: 31 evidence units + 1 cutting plane.
         assert_eq!(r.stats.active_clauses, 32);
         // The lower-confidence clashing fact is removed.
-        assert!(!r.assignment[atom_with_object(&g, "other")]);
+        assert!(!r.assignment[atom_with_object(&graph, &g, "other")]);
     }
 
     #[test]
     fn converges_on_conflict_free_graph() {
-        let g = grounded("(a, coach, b, [1,2]) 0.9\n(a, coach, c, [5,6]) 0.9\n", C2);
+        let (_, g) = grounded("(a, coach, b, [1,2]) 0.9\n(a, coach, c, [5,6]) 0.9\n", C2);
         let r = CpiSolver::new(CpiConfig::default()).solve_lazy(&g);
         assert!(r.feasible);
         assert_eq!(r.cost, 0.0);
@@ -257,7 +260,7 @@ mod tests {
         // The rule is weaker than the closed-world prior, so MAP leaves
         // worksFor(a, b) false; the constraint grounding that pairs it
         // with the coaching spell is in the arena and stays a candidate.
-        let g = grounded(
+        let (_, g) = grounded(
             "(a, playsFor, b, [1,5]) 0.9\n(a, coach, c, [2,4]) 0.8\n",
             "f1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = 0.01\n\
              c: quad(x, worksFor, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf\n",

@@ -10,15 +10,17 @@
 use tecore_core::translate::translate;
 use tecore_datagen::standard::football_program;
 use tecore_datagen::{generate_football, FootballConfig};
-use tecore_ground::{GroundConfig, SolverCaps};
+use tecore_ground::{intern_constants, GroundConfig, SolverCaps};
 use tecore_psl::{AdmmConfig, AdmmSolver, HlMrf, PslConfig};
 
 #[test]
 fn factor_updates_follow_the_blocks() {
-    let generated = generate_football(&FootballConfig::with_target_facts(20_000, 0.0883, 1));
+    let mut graph = generate_football(&FootballConfig::with_target_facts(20_000, 0.0883, 1)).graph;
+    let program = football_program();
+    intern_constants(&program, graph.dict_mut());
     let grounding = translate(
-        &generated.graph,
-        &football_program(),
+        &graph,
+        &program,
         &SolverCaps::psl(),
         &GroundConfig::default(),
     )

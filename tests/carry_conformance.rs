@@ -427,6 +427,46 @@ fn assert_equivalent(what: &str, carried: &Snapshot, cold: &Snapshot) {
     assert_eq!(a.inferred_facts, b.inferred_facts, "{what}: inferred_facts");
 }
 
+/// One numbering: every symbol of the snapshot's consistent and
+/// expanded graphs reads there as it reads in the engine graph's
+/// dictionary, each removed fact is the graph's own, symbols and all,
+/// and no view's dictionary runs past the graph's. The steps bring
+/// terms the graph has not seen (subjects past the base graph's, and a
+/// flood's), and the paper program derives `worksFor`, `type` and
+/// `TeenPlayer`, which no input fact states.
+fn assert_one_numbering(what: &str, snapshot: &Snapshot, graph: &UtkGraph) {
+    let terms = graph.dict();
+    for (name, view) in [
+        ("consistent", &*snapshot.consistent),
+        ("expanded", snapshot.expanded()),
+    ] {
+        let dict = view.dict();
+        assert!(
+            dict.len() <= terms.len(),
+            "{what}: the {name} graph has {} terms, the engine's {}",
+            dict.len(),
+            terms.len()
+        );
+        for (id, f) in view.iter() {
+            for symbol in [f.subject, f.predicate, f.object] {
+                assert_eq!(
+                    dict.resolve(symbol),
+                    terms.resolve(symbol),
+                    "{what}: {name} fact {id:?}"
+                );
+            }
+        }
+    }
+    for r in &snapshot.removed {
+        assert_eq!(
+            graph.fact(r.id),
+            Some(&r.fact),
+            "{what}: removed {:?}",
+            r.id
+        );
+    }
+}
+
 /// 32 queries (at / over, with and without subject and predicate)
 /// through the snapshot's index against a scan of its expanded graph.
 fn assert_queries_match_scan(what: &str, snapshot: &Snapshot, seed: u32) {
@@ -539,6 +579,8 @@ fn check_sequence_holding(
             let what = format!("{name}, {hold:?}, {confidence:?}, step {i} {ops:?}");
             assert_eq!(carried.epoch(), cold.epoch(), "{what}");
             assert_equivalent(&what, &carried, &cold);
+            assert_one_numbering(&what, &carried, engine.graph());
+            assert_one_numbering(&format!("{what}, cold"), &cold, engine.graph());
             if confidence == ConfidenceMode::Marginal {
                 let (a, b) = (graded(&carried), graded(&cold));
                 let same = a.iter().zip(&b).all(|(a, b)| (a.1 - b.1).abs() <= 1e-12);

@@ -56,8 +56,10 @@ fn arb_facts() -> impl Strategy<Value = Vec<FactSpec>> {
     )
 }
 
+/// The graph `facts` describe, with [`program`]'s constants interned.
 fn build_graph(facts: &[FactSpec]) -> UtkGraph {
     let mut graph = UtkGraph::new();
+    tecore_ground::intern_constants(&program(), graph.dict_mut());
     for (serial, (subject, relation, object, start, len, conf_step)) in facts.iter().enumerate() {
         // Distinct, irregular confidences keep MAP optima unique, so
         // heuristic and exact backends agree on the repair.

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use tecore_datagen::standard::wikidata_program;
 use tecore_datagen::{generate_wikidata, WikidataConfig};
-use tecore_ground::{ground, GroundConfig};
+use tecore_ground::{ground, intern_constants, GroundConfig};
 
 /// Forwards to the system allocator, counting allocation calls.
 struct CountingAllocator;
@@ -48,13 +48,14 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 #[test]
 fn cold_grounding_allocates_less_than_once_per_fact() {
-    let graph = generate_wikidata(&WikidataConfig {
+    let mut graph = generate_wikidata(&WikidataConfig {
         total_facts: 25_000,
         noise_ratio: 0.1,
         seed: 1,
     })
     .graph;
     let program = wikidata_program();
+    intern_constants(&program, graph.dict_mut());
     let config = GroundConfig::default();
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);

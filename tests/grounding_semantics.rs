@@ -185,7 +185,7 @@ fn hub_constraint_examines_what_it_emits_not_all_pairs() {
     .unwrap();
     let g = ground(&graph, &program, &GroundConfig::default()).unwrap();
 
-    let rel0 = g.dict.lookup("rel0").unwrap();
+    let rel0 = graph.dict().lookup("rel0").unwrap();
     let outer = g.store.with_predicate(rel0).len();
     let mut runs: HashMap<_, usize> = HashMap::new();
     for &id in g.store.with_predicate(rel0) {

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use tecore_core::explain::explain_conflicts;
 use tecore_datagen::standard::wikidata_program;
 use tecore_datagen::{generate_wikidata, WikidataConfig};
-use tecore_ground::{ground, GroundConfig};
+use tecore_ground::{ground, intern_constants, GroundConfig};
 
 /// Forwards to the system allocator, counting allocation calls.
 struct CountingAllocator;
@@ -57,18 +57,20 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 #[test]
 fn a_cold_view_allocates_per_structure() {
-    let graph = generate_wikidata(&WikidataConfig {
+    let mut graph = generate_wikidata(&WikidataConfig {
         total_facts: 25_000,
         noise_ratio: 0.1,
         seed: 1,
     })
     .graph;
-    let grounding = ground(&graph, &wikidata_program(), &GroundConfig::default()).expect("grounds");
+    let program = wikidata_program();
+    intern_constants(&program, graph.dict_mut());
+    let grounding = ground(&graph, &program, &GroundConfig::default()).expect("grounds");
 
     // Measured: 7 340 allocations for 2 441 conflicts (3.0 each: the
     // clause key, the participant list, the shared box); rendered
     // eagerly they took 34 188 (14.0).
-    let (explanations, allocations) = counted(|| explain_conflicts(&grounding));
+    let (explanations, allocations) = counted(|| explain_conflicts(&grounding, graph.dict()));
     let conflicts = explanations.len() as u64;
     assert!(conflicts > 2_000, "{conflicts}");
     assert!(

@@ -8,7 +8,7 @@ use tecore_datagen::standard::{football_program, wikidata_program};
 use tecore_datagen::{
     generate_football, generate_wikidata, FootballConfig, SkewedConfig, WikidataConfig,
 };
-use tecore_ground::{ground, GroundConfig, Grounding};
+use tecore_ground::{ground, intern_constants, GroundConfig, Grounding};
 use tecore_kg::UtkGraph;
 use tecore_logic::LogicProgram;
 
@@ -18,7 +18,10 @@ const SEED: u64 = 0x7ec0_2017;
 /// `(name, cold order, seeded orders)` of every formula.
 type Orders = Vec<(String, Vec<usize>, Vec<Vec<usize>>)>;
 
-fn orders(graph: &UtkGraph, program: &LogicProgram) -> (Orders, Grounding) {
+/// `program` grounded against `graph`, its constants — the marker
+/// predicates of [`PLANNING_PROGRAM`] have no facts — interned first.
+fn orders(graph: &mut UtkGraph, program: &LogicProgram) -> (Orders, Grounding) {
+    intern_constants(program, graph.dict_mut());
     let g = ground(graph, program, &GroundConfig::default()).expect("grounds");
     let orders = g
         .program
@@ -48,8 +51,8 @@ fn pairs(cold: &[(&str, [usize; 2])]) -> Orders {
 
 #[test]
 fn football_program_joins_from_the_shorter_list() {
-    let generated = generate_football(&FootballConfig::with_target_facts(20_000, 0.0883, SEED));
-    let (orders, g) = orders(&generated.graph, &football_program());
+    let mut generated = generate_football(&FootballConfig::with_target_facts(20_000, 0.0883, SEED));
+    let (orders, g) = orders(&mut generated.graph, &football_program());
     // cLife starts at `deathDate`: fewer atoms than `birthDate`.
     assert_eq!(
         orders,
@@ -65,12 +68,12 @@ fn football_program_joins_from_the_shorter_list() {
 
 #[test]
 fn wikidata_program_joins_in_source_order() {
-    let generated = generate_wikidata(&WikidataConfig {
+    let mut generated = generate_wikidata(&WikidataConfig {
         total_facts: 20_000,
         noise_ratio: 0.1,
         seed: SEED,
     });
-    let (orders, _) = orders(&generated.graph, &wikidata_program());
+    let (orders, _) = orders(&mut generated.graph, &wikidata_program());
     assert_eq!(
         orders,
         pairs(&[("wSpouse", [0, 1]), ("wPlays", [0, 1]), ("wBirth", [0, 1])])
@@ -79,13 +82,13 @@ fn wikidata_program_joins_in_source_order() {
 
 #[test]
 fn planning_program_joins_from_its_empty_or_tail_predicate() {
-    let graph = generate_skewed(&SkewedConfig {
+    let mut graph = generate_skewed(&SkewedConfig {
         total_facts: 10_000,
         seed: 0x10_AD,
         ..SkewedConfig::default()
     });
     let program = LogicProgram::parse(PLANNING_PROGRAM).expect("valid program");
-    let (orders, _) = orders(&graph, &program);
+    let (orders, _) = orders(&mut graph, &program);
     let cold: Vec<(&str, &[usize])> = orders
         .iter()
         .map(|(name, cold, _)| (name.as_str(), cold.as_slice()))
