@@ -34,9 +34,10 @@ pub struct DebugStats {
     /// `tecore_mln::CpiSolver::solve_lazy`).
     pub clauses: usize,
     /// Conflict components the solve driver partitioned the ground
-    /// problem into; `0` means the solve ran monolithically (the
-    /// backend doesn't support components, the mode forced it, or the
-    /// problem was one big component under [`ComponentMode::Auto`]).
+    /// problem into; `0` means the solve ran monolithically: the mode
+    /// forced it, [`ComponentMode::Auto`] saw a cold solve on a
+    /// non-exact backend or one big component, or the arena held an
+    /// empty clause.
     ///
     /// [`ComponentMode::Auto`]: tecore_ground::ComponentMode::Auto
     pub components: usize,
@@ -88,9 +89,8 @@ pub struct DebugStats {
     pub grounding_time: Duration,
     /// Solver wall-clock time.
     pub solve_time: Duration,
-    /// The join plan grounding used per formula: chosen order, whether
-    /// the cost model picked it, and estimated vs observed match
-    /// counts.
+    /// The join plan grounding used per formula: the cold join's order
+    /// and the matches observed over every round, cold and incremental.
     pub plans: Vec<FormulaPlan>,
 }
 

@@ -1,4 +1,8 @@
-//! Full (semi-naive) grounding of a program against a uTKG.
+//! Semi-naive grounding of a program against a uTKG: round one matches
+//! every formula by its cold join, and the atoms its rule heads bring
+//! to life seed `Grounding::saturate` — the rounds a delta runs too.
+//! One emitter, `Grounding::emit`, turns every round's matches into
+//! clauses.
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -25,7 +29,7 @@ use crate::planner::{self, FormulaPlan};
 const HIDDEN_PRIOR: f64 = 0.05;
 
 /// Safety valve on semi-naive rounds (rule-chain depth).
-pub(crate) const MAX_ROUNDS: usize = 16;
+const MAX_ROUNDS: usize = 16;
 
 /// Grounding configuration.
 #[derive(Debug, Clone, Default)]
@@ -87,8 +91,9 @@ impl fmt::Display for GroundingStats {
 /// lazily on the first delta — batch resolves never build it), so
 /// [`Grounding::apply_delta`](crate::incremental) can consume a
 /// [`tecore_kg::Delta`] and update the materialisation in place —
-/// re-running the binding search only around the changed facts — rather
-/// than re-grounding the whole graph.
+/// running the same semi-naive rounds a cold ground runs after its
+/// first, seeded from the changed facts' atoms — rather than
+/// re-grounding the whole graph.
 ///
 /// A grounding holds no dictionary of its own: every symbol in it — of
 /// an evidence atom, a derived atom or a compiled constant — is the
@@ -230,8 +235,8 @@ pub fn ground(
 
 /// [`ground`], with the joins ordered by `plan` once the evidence atoms
 /// are in the store and before any matching happens. Any order grounds
-/// the same clause arena (the frontier discipline, clause dedup and
-/// emission order are keyed on body positions, not join steps), so
+/// the same clause arena (a seeded join's admission rule, clause dedup
+/// and emission order are keyed on body positions, not join steps), so
 /// `plan` only moves work.
 pub(crate) fn ground_with(
     graph: &UtkGraph,
@@ -247,7 +252,7 @@ pub(crate) fn ground_with(
     if compiled.probes_predicate_object() {
         store.ensure_predicate_object();
     }
-    let mut plans: Vec<FormulaPlan> = compiled
+    let plans = compiled
         .formulas
         .iter()
         .map(|cf| FormulaPlan {
@@ -257,109 +262,23 @@ pub(crate) fn ground_with(
             actual_matches: 0,
         })
         .collect();
-    let evidence_atoms = store.len();
-
-    let mut clauses = ClauseStore::with_capacity(graph.len() * 2, graph.len() * 2);
-    let mut seen: FxHashSet<(usize, Vec<Lit>)> = FxHashSet::default();
     let mut stats = GroundingStats {
-        evidence_atoms,
+        evidence_atoms: store.len(),
+        rounds: 1,
         ..GroundingStats::default()
     };
-
-    // Semi-naive fixpoint over the formulas.
-    let mut delta_start = 0usize;
-    loop {
-        stats.rounds += 1;
-        if stats.rounds > MAX_ROUNDS {
-            break;
-        }
-        let horizon = store.len();
-        if delta_start >= horizon {
-            break;
-        }
-        let mut pending = Pending::default();
-        for cf in &compiled.formulas {
-            // Round one has no old atom to put before a new one: only
-            // the delta rule of position 0 can admit anything.
-            let passes = if delta_start == 0 { 1 } else { cf.body.len() };
-            let mut matches = 0usize;
-            for delta_pos in 0..passes {
-                stats.candidates_examined += enumerate_matches(
-                    &store,
-                    cf,
-                    Frontier::Range {
-                        start: delta_start,
-                        pos: delta_pos,
-                    },
-                    &mut |chosen, bindings| {
-                        matches += 1;
-                        pending.collect(cf, chosen, bindings, &store);
-                    },
-                );
-            }
-            stats.body_matches += matches;
-            plans[cf.index].actual_matches += matches;
-        }
-        // Apply buffered matches: intern head atoms, emit clauses.
-        pending.sort(&compiled.formulas);
-        for (fidx, at, head) in pending.matches {
-            let cf = &compiled.formulas[fidx];
-            let body = &pending.atoms[at..at + cf.body.len()];
-            let mut lits: Vec<Lit> = body.iter().map(|&a| Lit::neg(a)).collect();
-            if let Some(key) = head {
-                let (head_id, _new) =
-                    store.intern_hidden(key.subject, key.predicate, key.object, key.interval);
-                lits.push(Lit::pos(head_id));
-            }
-            let weight = match cf.weight {
-                Weight::Hard => ClauseWeight::Hard,
-                Weight::Soft(w) => ClauseWeight::Soft(w),
-            };
-            if let Some(clause) = GroundClause::new(lits, weight, ClauseOrigin::Formula(fidx)) {
-                let signature = (fidx, clause.lits);
-                if !seen.contains(&signature) {
-                    stats.formula_clauses += 1;
-                    clauses.push_lits(&signature.1, clause.weight, clause.origin);
-                    seen.insert(signature);
-                }
-            }
-        }
-        if store.len() == horizon {
-            break; // no new atoms: no new matches possible next round
-        }
-        delta_start = horizon;
-    }
-
-    // Evidence unit clauses — emitted straight into the arena (no
-    // per-clause `Vec<Lit>` intermediates) — then the closed-world
-    // priors on hidden atoms.
-    for (id, _) in store.iter() {
-        if let Some(log_odds) = store.log_odds(id) {
-            let (lit, weight) = evidence_unit(id, log_odds, config);
-            clauses.push_lits(&[lit], weight, ClauseOrigin::Evidence);
-        }
-    }
-    for (id, atom) in store.iter() {
-        if !atom.kind.is_evidence() {
-            let (lit, weight) = prior_unit(id);
-            clauses.push_lits(&[lit], weight, ClauseOrigin::Prior);
-        }
-    }
-
-    stats.hidden_atoms = store.hidden_count();
-    stats.elapsed = start.elapsed();
-    // The atom→clause dependency index (what apply_delta walks to
-    // retract exactly the clauses a changed fact touches) is *not*
-    // built here: batch resolves never use it, so it materialises
-    // lazily on the first delta (`Grounding::ensure_dep_index`).
-    Ok(Grounding {
+    let mut g = Grounding {
+        stats: GroundingStats::default(),
         store,
-        clauses,
+        clauses: ClauseStore::with_capacity(graph.len() * 2, graph.len() * 2),
         program: compiled,
         fact_atoms,
-        stats,
         epoch: graph.epoch(),
-        seen,
+        seen: FxHashSet::default(),
+        // The atom→clause dependency index (what apply_delta walks to
+        // retract exactly the clauses a changed fact touches) is *not*
+        // built here: batch resolves never use it, so it materialises
+        // lazily on the first delta (`Grounding::ensure_dep_index`).
         atom_clauses: Vec::new(),
         support: Vec::new(),
         dep_built: false,
@@ -367,7 +286,43 @@ pub(crate) fn ground_with(
         plans,
         planned_atoms,
         changes: Default::default(),
-    })
+    };
+
+    // Round one: every formula by its cold join. Nothing is new yet, so
+    // every atom takes part at every position.
+    let mut pending = Pending::default();
+    for (cf, plan) in g.program.formulas.iter().zip(&mut g.plans) {
+        stats.candidates_examined += enumerate_matches(&g.store, cf, &mut |chosen, bindings| {
+            plan.actual_matches += 1;
+            pending.collect(cf, chosen, bindings, &g.store);
+        });
+    }
+    let mut born = Vec::new();
+    g.emit(pending, &mut born);
+    g.saturate(born, &mut stats.rounds, &mut stats.candidates_examined);
+    stats.formula_clauses = g.clauses.len();
+    stats.body_matches = g.plans.iter().map(|p| p.actual_matches).sum();
+
+    // Evidence unit clauses — emitted straight into the arena (no
+    // per-clause `Vec<Lit>` intermediates) — then the closed-world
+    // priors on hidden atoms.
+    for (id, _) in g.store.iter() {
+        if let Some(log_odds) = g.store.log_odds(id) {
+            let (lit, weight) = evidence_unit(id, log_odds, config);
+            g.clauses.push_lits(&[lit], weight, ClauseOrigin::Evidence);
+        }
+    }
+    for (id, atom) in g.store.iter() {
+        if !atom.kind.is_evidence() {
+            let (lit, weight) = prior_unit(id);
+            g.clauses.push_lits(&[lit], weight, ClauseOrigin::Prior);
+        }
+    }
+
+    stats.hidden_atoms = g.store.hidden_count();
+    stats.elapsed = start.elapsed();
+    g.stats = stats;
+    Ok(g)
 }
 
 /// The soft (or pinned-hard) unit clause encoding one evidence atom's
@@ -405,28 +360,28 @@ pub(crate) fn prior_unit(id: AtomId) -> (Lit, ClauseWeight) {
 }
 
 /// Ground key of a pending head atom.
-pub(crate) struct HeadKey {
-    pub(crate) subject: Symbol,
-    pub(crate) predicate: Symbol,
-    pub(crate) object: Symbol,
-    pub(crate) interval: Interval,
+struct HeadKey {
+    subject: Symbol,
+    predicate: Symbol,
+    object: Symbol,
+    interval: Interval,
 }
 
 /// The matches of one semi-naive round, buffered while the store is
 /// frozen: head atoms are interned, and clauses emitted, only once
 /// every formula has been matched.
 #[derive(Default)]
-pub(crate) struct Pending {
+struct Pending {
     /// `(formula, where its body atoms start in `atoms`, head)`.
-    pub(crate) matches: Vec<(usize, usize, Option<HeadKey>)>,
+    matches: Vec<(usize, usize, Option<HeadKey>)>,
     /// The matched atoms, by body position, one match after the other.
-    pub(crate) atoms: Vec<AtomId>,
+    atoms: Vec<AtomId>,
 }
 
 impl Pending {
     /// Records a match of `cf` (for a rule: unless its head has no
     /// interval to hold in).
-    pub(crate) fn collect(
+    fn collect(
         &mut self,
         cf: &CompiledFormula,
         chosen: &[AtomId],
@@ -468,12 +423,98 @@ impl Pending {
     /// Puts the matches in canonical order — by formula, then by body
     /// atom ids — so that clause ids and hidden-atom ids depend on
     /// neither the join order nor the order of a posting run.
-    pub(crate) fn sort(&mut self, formulas: &[CompiledFormula]) {
+    fn sort(&mut self, formulas: &[CompiledFormula]) {
         let Pending { matches, atoms } = self;
         let key = |&(f, at, _): &(usize, usize, Option<HeadKey>)| {
             (f, &atoms[at..at + formulas[f].body.len()])
         };
         matches.sort_unstable_by(|a, b| key(a).cmp(&key(b)));
+    }
+}
+
+impl Grounding {
+    /// Emits a round's matches in canonical order ([`Pending::sort`]):
+    /// interns each rule head as a hidden atom, pushing those it brings
+    /// to life onto `born`, and pushes every clause whose signature no
+    /// live clause has. Once the first delta has built the dependency
+    /// index, a clause also enters it, the support counts, the
+    /// component index and the change account.
+    fn emit(&mut self, mut pending: Pending, born: &mut Vec<AtomId>) {
+        pending.sort(&self.program.formulas);
+        for (fidx, at, head) in pending.matches {
+            let cf = &self.program.formulas[fidx];
+            let body = &pending.atoms[at..at + cf.body.len()];
+            let mut lits: Vec<Lit> = body.iter().map(|&a| Lit::neg(a)).collect();
+            let weight = match cf.weight {
+                Weight::Hard => ClauseWeight::Hard,
+                Weight::Soft(w) => ClauseWeight::Soft(w),
+            };
+            if let Some(key) = head {
+                let (id, newly_live) =
+                    self.store
+                        .intern_hidden(key.subject, key.predicate, key.object, key.interval);
+                if newly_live {
+                    born.push(id);
+                }
+                if self.dep_built && id.index() >= self.atom_clauses.len() {
+                    self.atom_clauses.push(Vec::new());
+                    self.support.push(0);
+                }
+                lits.push(Lit::pos(id));
+            }
+            let Some(clause) = GroundClause::new(lits, weight, ClauseOrigin::Formula(fidx)) else {
+                continue;
+            };
+            let signature = (fidx, clause.lits);
+            if self.seen.contains(&signature) {
+                continue;
+            }
+            let id = self
+                .clauses
+                .push_lits(&signature.1, clause.weight, clause.origin);
+            self.seen.insert(signature);
+            if self.dep_built {
+                self.register_clause(id);
+            }
+        }
+    }
+
+    /// The semi-naive rounds after a cold ground's first, and a delta's:
+    /// each runs every formula's delta rules ([`enumerate_seeded`]) from
+    /// the atoms the previous round brought to life (`frontier` for the
+    /// first) until a round brings none or `rounds`, which counts the
+    /// rounds run, reaches [`MAX_ROUNDS`]. Adds the candidates examined
+    /// to `candidates`; returns the atoms brought to life.
+    pub(crate) fn saturate(
+        &mut self,
+        mut frontier: Vec<AtomId>,
+        rounds: &mut usize,
+        candidates: &mut usize,
+    ) -> Vec<AtomId> {
+        let mut born = Vec::new();
+        while !frontier.is_empty() && *rounds < MAX_ROUNDS {
+            *rounds += 1;
+            frontier.sort_unstable();
+            let mut pending = Pending::default();
+            for (cf, plan) in self.program.formulas.iter().zip(&mut self.plans) {
+                for pos in 0..cf.body.len() {
+                    *candidates += enumerate_seeded(
+                        &self.store,
+                        cf,
+                        &frontier,
+                        pos,
+                        &mut |chosen, bindings| {
+                            plan.actual_matches += 1;
+                            pending.collect(cf, chosen, bindings, &self.store);
+                        },
+                    );
+                }
+            }
+            let known = born.len();
+            self.emit(pending, &mut born);
+            frontier = born[known..].to_vec();
+        }
+        born
     }
 }
 
@@ -531,54 +572,16 @@ impl Check {
     }
 }
 
-/// The semi-naive "at least one new atom" discipline for one
-/// enumeration pass.
-///
-/// A match is admitted when body position `pos` binds a *new* atom
-/// while every body position before `pos` binds an *old* one — run once
-/// per body position, this produces each new match exactly once. What
-/// "new" means is the variants' difference: the batch grounder's rounds
-/// append atoms, so newness is an id range; the incremental delta path
-/// revives atoms at arbitrary old ids, so newness is a list.
-#[derive(Clone, Copy)]
-enum Frontier<'a> {
-    /// New = atoms with `id >= start` (batch semi-naive rounds).
-    Range { start: usize, pos: usize },
-    /// New = the atoms listed in `new`, ascending (incremental deltas).
-    /// Position `pos` is never looked up: [`enumerate_seeded`] binds it
-    /// from `new` directly, so only the positions before it are tested.
-    Seeded { new: &'a [AtomId], pos: usize },
-}
-
-impl Frontier<'_> {
-    /// May `id` occupy body position `pat_idx` under this discipline?
-    #[inline]
-    fn admits(&self, pat_idx: usize, id: AtomId) -> bool {
-        match *self {
-            Frontier::Range { start, pos } => {
-                let is_new = id.index() >= start;
-                if pat_idx == pos {
-                    is_new
-                } else {
-                    pat_idx > pos || !is_new
-                }
-            }
-            Frontier::Seeded { new, pos } => pat_idx >= pos || new.binary_search(&id).is_err(),
-        }
-    }
-}
-
-/// Enumerates the matches of `cf` against `store` that `frontier`
-/// admits, following the formula's cold join. (The store is frozen
-/// while a round is matched, so every atom in it takes part.) Returns
-/// the number of candidate atoms examined.
+/// Enumerates the matches of `cf` against `store` by the formula's
+/// cold join, every atom admitted at every position. (The store is
+/// frozen while a round is matched.) Returns the number of candidate
+/// atoms examined.
 fn enumerate_matches(
     store: &AtomStore,
     cf: &CompiledFormula,
-    frontier: Frontier<'_>,
     on_match: &mut dyn FnMut(&[AtomId], &Bindings),
 ) -> usize {
-    let join = Join::new(store, cf, &cf.cold, frontier);
+    let join = Join::new(store, cf, &cf.cold, None);
     let mut search = Search::new(cf);
     join.descend(0, &mut search, on_match);
     search.examined
@@ -591,15 +594,17 @@ fn enumerate_matches(
 /// indexes in the formula's seeded order. The work follows the new
 /// atoms and their join partners, not the predicate extensions.
 ///
+/// Run once per body position, this yields each match that binds at
+/// least one new atom exactly once: at the first position that does.
 /// Returns the number of candidate atoms examined.
-pub(crate) fn enumerate_seeded(
+fn enumerate_seeded(
     store: &AtomStore,
     cf: &CompiledFormula,
     new: &[AtomId],
     pos: usize,
     on_match: &mut dyn FnMut(&[AtomId], &Bindings),
 ) -> usize {
-    let join = Join::new(store, cf, &cf.seeded[pos], Frontier::Seeded { new, pos });
+    let join = Join::new(store, cf, &cf.seeded[pos], Some((new, pos)));
     let mut search = Search::new(cf);
     for &seed in new {
         join.visit(
@@ -613,12 +618,15 @@ pub(crate) fn enumerate_seeded(
 }
 
 /// One enumeration pass: what is joined, in which order, under which
-/// admission rules.
+/// admission rule.
 struct Join<'a> {
     store: &'a AtomStore,
     cf: &'a CompiledFormula,
     plan: &'a JoinPlan,
-    frontier: Frontier<'a>,
+    /// A delta rule's new atoms (ascending) and seeded position: no
+    /// position before it binds a new atom. The position itself is
+    /// bound from the list, never looked up. `None` for the cold join.
+    seeded: Option<(&'a [AtomId], usize)>,
     /// The indexes list dead atoms too; only a store that has some pays
     /// for the liveness test.
     skip_dead: bool,
@@ -671,13 +679,13 @@ impl<'a> Join<'a> {
         store: &'a AtomStore,
         cf: &'a CompiledFormula,
         plan: &'a JoinPlan,
-        frontier: Frontier<'a>,
+        seeded: Option<(&'a [AtomId], usize)>,
     ) -> Self {
         Join {
             store,
             cf,
             plan,
-            frontier,
+            seeded,
             skip_dead: store.dead_count() > 0,
         }
     }
@@ -784,8 +792,9 @@ impl<'a> Join<'a> {
             return;
         }
         search.examined += 1;
-        if !self.frontier.admits(step.pattern, candidate.id)
-            || (self.skip_dead && !self.store.is_alive(candidate.id))
+        if self.seeded.is_some_and(|(new, pos)| {
+            step.pattern < pos && new.binary_search(&candidate.id).is_ok()
+        }) || (self.skip_dead && !self.store.is_alive(candidate.id))
         {
             return;
         }
@@ -1069,5 +1078,133 @@ mod tests {
             &GroundConfig::default(),
         );
         assert_eq!(g.stats.formula_clauses, 1);
+    }
+
+    /// The arena as text, one line per atom (`a<id>`: key, then
+    /// evidence with its log-odds or hidden) and per clause (`c<id>`:
+    /// origin, weight, literals).
+    fn arena(graph: &UtkGraph, g: &Grounding) -> Vec<String> {
+        let dict = graph.dict();
+        let atoms = g.store.iter().map(|(id, a)| {
+            let kind = match g.store.log_odds(id) {
+                Some(log_odds) => format!("evidence {log_odds}"),
+                None => "hidden".to_string(),
+            };
+            format!(
+                "a{} {} {} {} {} {kind}",
+                id.0,
+                dict.resolve(a.subject),
+                dict.resolve(a.predicate),
+                dict.resolve(a.object),
+                a.interval
+            )
+        });
+        let clauses = g.clauses.iter().map(|c| {
+            let origin = match c.origin {
+                ClauseOrigin::Formula(i) => format!("f{i}"),
+                ClauseOrigin::Evidence => "evidence".to_string(),
+                ClauseOrigin::Prior => "prior".to_string(),
+            };
+            let weight = match c.weight {
+                ClauseWeight::Hard => "hard".to_string(),
+                ClauseWeight::Soft(w) => w.to_string(),
+            };
+            let lits: Vec<String> = c.lits.iter().map(Lit::to_string).collect();
+            format!("c{} {origin} {weight} {}", c.id, lits.join(" ∨ "))
+        });
+        atoms.chain(clauses).collect()
+    }
+
+    #[test]
+    fn rule_chain_arena_is_pinned() {
+        // `rule_chain_fixpoint`'s program over a graph where round one
+        // derives through an asserted `worksFor` and round two through
+        // derived ones: atom ids, kinds and log-odds, and clause ids,
+        // origins, weights and literals are pinned.
+        let (graph, g) = ground_text(
+            "(CR, playsFor, Palermo, [1984,1986]) 0.5\n\
+             (Palermo, locatedIn, Sicily, [1900,2020]) 0.9\n\
+             (GZ, playsFor, Napoli, [1990,1995]) 0.8\n\
+             (Napoli, locatedIn, Campania, [1900,2020]) 0.7\n\
+             (Palermo, locatedIn, Italy, [1950,2020]) 0.8\n\
+             (MV, worksFor, Napoli, [1992,1994]) 0.6\n",
+            "f1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = 2.5\n\
+             f2: quad(x, worksFor, y, t) ^ quad(y, locatedIn, z, t') ^ overlap(t, t') \
+                 -> quad(x, livesIn, z, t ∩ t') w = 1.6\n",
+            &GroundConfig::default(),
+        );
+        // Round one: f1 over both `playsFor` atoms, f2 through the
+        // asserted `worksFor` (c0–c2); round two: f2 through the two
+        // derived ones (c3–c5); round three finds nothing.
+        let expected = [
+            "a0 CR playsFor Palermo [1984,1986] evidence 0",
+            "a1 Palermo locatedIn Sicily [1900,2020] evidence 2.1972245773362196",
+            "a2 GZ playsFor Napoli [1990,1995] evidence 1.3862943611198908",
+            "a3 Napoli locatedIn Campania [1900,2020] evidence 0.8472978603872034",
+            "a4 Palermo locatedIn Italy [1950,2020] evidence 1.3862943611198908",
+            "a5 MV worksFor Napoli [1992,1994] evidence 0.4054651081081642",
+            "a6 CR worksFor Palermo [1984,1986] hidden",
+            "a7 GZ worksFor Napoli [1990,1995] hidden",
+            "a8 MV livesIn Campania [1992,1994] hidden",
+            "a9 CR livesIn Sicily [1984,1986] hidden",
+            "a10 CR livesIn Italy [1984,1986] hidden",
+            "a11 GZ livesIn Campania [1990,1995] hidden",
+            "c0 f0 2.5 ¬a0 ∨ a6",
+            "c1 f0 2.5 ¬a2 ∨ a7",
+            "c2 f1 1.6 ¬a3 ∨ ¬a5 ∨ a8",
+            "c3 f1 1.6 ¬a1 ∨ ¬a6 ∨ a9",
+            "c4 f1 1.6 ¬a4 ∨ ¬a6 ∨ a10",
+            "c5 f1 1.6 ¬a3 ∨ ¬a7 ∨ a11",
+            "c6 evidence 0.2 a0",
+            "c7 evidence 2.1972245773362196 a1",
+            "c8 evidence 1.3862943611198908 a2",
+            "c9 evidence 0.8472978603872034 a3",
+            "c10 evidence 1.3862943611198908 a4",
+            "c11 evidence 0.4054651081081642 a5",
+            "c12 prior 0.05 ¬a6",
+            "c13 prior 0.05 ¬a7",
+            "c14 prior 0.05 ¬a8",
+            "c15 prior 0.05 ¬a9",
+            "c16 prior 0.05 ¬a10",
+            "c17 prior 0.05 ¬a11",
+        ];
+        assert_eq!(arena(&graph, &g), expected);
+        assert_eq!(g.stats.rounds, 3);
+    }
+
+    #[test]
+    fn rounds_after_the_first_follow_the_new_atoms() {
+        // Large extensions of the derived predicate (`worksFor`, 2 000
+        // asserted spells at clubs nothing locates) and of its join
+        // partner (`locatedIn`, 2 000 clubs), and 50 `playsFor` facts
+        // whose `worksFor` is new and locates. A round that re-ran the
+        // cold join would walk both extensions again.
+        let mut text = String::new();
+        for i in 0..2000 {
+            text.push_str(&format!("(w{i}, worksFor, e{i}, [1,9]) 0.9\n"));
+            text.push_str(&format!("(l{i}, locatedIn, r{}, [1,9]) 0.9\n", i % 10));
+        }
+        for i in 0..50 {
+            text.push_str(&format!("(p{i}, playsFor, l{i}, [2,5]) 0.9\n"));
+        }
+        let body = "f2: quad(x, worksFor, y, t) ^ quad(y, locatedIn, z, t') ^ overlap(t, t') \
+                    -> quad(x, livesIn, z, t ∩ t') w = 1.6\n";
+        let chain =
+            format!("f1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = 2.5\n{body}");
+        // The same round one over the same store, but f1's heads feed
+        // no body, so nothing chains.
+        let flat =
+            format!("f1: quad(x, playsFor, y, t) -> quad(x, signedFor, y, t) w = 2.5\n{body}");
+        let config = GroundConfig::default();
+        let (_, g) = ground_text(&text, &chain, &config);
+        let (_, one) = ground_text(&text, &flat, &config);
+        assert_eq!(g.stats.rounds, 3);
+        assert_eq!(g.stats.hidden_atoms, 100, "50 worksFor, 50 livesIn");
+        let extra = g.stats.candidates_examined - one.stats.candidates_examined;
+        assert!(
+            extra <= 4 * g.stats.hidden_atoms,
+            "the rounds after the first examined {extra} candidates for {} new atoms",
+            g.stats.hidden_atoms
+        );
     }
 }

@@ -11,12 +11,13 @@
 //!   clause touching a killed atom is retracted — cascading through
 //!   derived atoms whose last deriving clause disappears;
 //! * **added facts** merge into an existing atom, revive a dead one, or
-//!   create a fresh one; the semi-naive binding search then re-runs as
-//!   *delta rules*: for every formula and body position, that position
-//!   is bound first — from the list of new/revived atoms — and the
-//!   remaining patterns are joined outwards from it through the atom
-//!   store's indexes (`enumerate_seeded` in the grounder), so the work
-//!   follows the delta, not the predicate extensions.
+//!   create a fresh one; the new and revived atoms then seed the
+//!   semi-naive rounds a cold ground runs after its first
+//!   (`Grounding::saturate` in the grounder): for every formula and
+//!   body position, that position is bound first — from the atoms the
+//!   previous round brought to life — and the remaining patterns are
+//!   joined outwards from it through the atom store's indexes, so the
+//!   work follows the delta, not the predicate extensions.
 //!
 //! What the deltas did to the things a resolved result is read from —
 //! which atoms came, went or changed kind, which constraint groundings
@@ -37,13 +38,10 @@ use std::time::{Duration, Instant};
 
 use tecore_kg::fxhash::{FxHashMap, FxHashSet};
 use tecore_kg::{Delta, UtkGraph};
-use tecore_logic::formula::Weight;
 
 use crate::atoms::{AtomId, AtomKind};
-use crate::clause::{ClauseId, ClauseOrigin, ClauseWeight, GroundClause, Lit};
-use crate::grounder::{
-    enumerate_seeded, evidence_unit, prior_unit, GroundConfig, Grounding, Pending, MAX_ROUNDS,
-};
+use crate::clause::{ClauseId, ClauseOrigin, ClauseWeight, Lit};
+use crate::grounder::{evidence_unit, prior_unit, GroundConfig, Grounding};
 use crate::planner;
 
 /// Statistics of one [`Grounding::apply_delta`] run.
@@ -98,7 +96,9 @@ pub struct DeltaChanges {
 
 impl Grounding {
     /// Updates the materialised grounding to reflect `delta`, re-running
-    /// the binding search only around the changed facts.
+    /// the binding search only around the changed facts — the rounds a
+    /// cold ground runs after its first (`Grounding::saturate`), seeded
+    /// from the added facts' new and revived atoms.
     ///
     /// `graph` must be the graph the grounding was built from, now at
     /// `delta.to_epoch`, and `config` the configuration the grounding
@@ -267,67 +267,19 @@ impl Grounding {
         // rounds' derivations): order the joins by what they will walk.
         self.replan();
 
-        // --- 5. Semi-naive rounds of delta rules seeded from the
-        // frontier. A dead atom revived by a second fact of the same
-        // delta was alive by then, so no atom is listed twice. ---
-        let mut rounds = 0;
-        while !frontier.is_empty() && rounds < MAX_ROUNDS {
-            rounds += 1;
-            stats.rounds = rounds;
-            frontier.sort_unstable();
-            let mut pending = Pending::default();
-            for (cf, plan) in self.program.formulas.iter().zip(&mut self.plans) {
-                let mut matches = 0usize;
-                for pos in 0..cf.body.len() {
-                    stats.candidates_examined += enumerate_seeded(
-                        &self.store,
-                        cf,
-                        &frontier,
-                        pos,
-                        &mut |chosen, bindings| {
-                            matches += 1;
-                            pending.collect(cf, chosen, bindings, &self.store);
-                        },
-                    );
-                }
-                plan.actual_matches += matches;
-            }
-            pending.sort(&self.program.formulas);
-            let mut next: Vec<AtomId> = Vec::new();
-            for (fidx, at, head) in pending.matches {
-                let body = &pending.atoms[at..at + self.program.formulas[fidx].body.len()];
-                let mut lits: Vec<Lit> = body.iter().map(|&a| Lit::neg(a)).collect();
-                if let Some(key) = head {
-                    let (head_id, newly_live) = self.store.intern_hidden(
-                        key.subject,
-                        key.predicate,
-                        key.object,
-                        key.interval,
-                    );
-                    if head_id.index() >= self.atom_clauses.len() {
-                        self.atom_clauses.push(Vec::new());
-                        self.support.push(0);
-                    }
-                    if newly_live {
-                        stats.atoms_created += 1;
-                        let (lit, weight) = prior_unit(head_id);
-                        self.emit_unit(lit, weight, ClauseOrigin::Prior, &mut stats);
-                        next.push(head_id);
-                        self.changes.atoms.insert(head_id);
-                    }
-                    lits.push(Lit::pos(head_id));
-                }
-                let weight = match self.program.formulas[fidx].weight {
-                    Weight::Hard => ClauseWeight::Hard,
-                    Weight::Soft(w) => ClauseWeight::Soft(w),
-                };
-                if let Some(clause) = GroundClause::new(lits, weight, ClauseOrigin::Formula(fidx)) {
-                    if self.seen.insert((fidx, clause.lits.clone())) {
-                        self.emit_clause(clause, &mut stats);
-                    }
-                }
-            }
-            frontier = next;
+        // --- 5. Semi-naive rounds seeded from the frontier (see
+        // `Grounding::saturate`). A dead atom revived by a second fact
+        // of the same delta was alive by then, so no atom is listed
+        // twice. The rule heads they bring to life get their priors
+        // after the last round. ---
+        let emitted = self.clauses.len();
+        let born = self.saturate(frontier, &mut stats.rounds, &mut stats.candidates_examined);
+        stats.clauses_emitted += self.clauses.len() - emitted;
+        stats.atoms_created += born.len();
+        for aid in born {
+            self.changes.atoms.insert(aid);
+            let (lit, weight) = prior_unit(aid);
+            self.emit_unit(lit, weight, ClauseOrigin::Prior, &mut stats);
         }
 
         self.epoch = delta.to_epoch;
@@ -417,8 +369,8 @@ impl Grounding {
 
     /// Registers an already-pushed clause with the atom→clause index
     /// and the derivation-support counters, keeping the component index
-    /// (when materialised) in step.
-    fn register_clause(&mut self, id: ClauseId, stats: &mut DeltaStats) {
+    /// (when materialised) and the change account in step.
+    pub(crate) fn register_clause(&mut self, id: ClauseId) {
         let is_formula = matches!(self.clauses.origin(id), ClauseOrigin::Formula(_));
         for lit in self.clauses.lits(id) {
             self.atom_clauses[lit.atom.index()].push(id);
@@ -432,17 +384,10 @@ impl Grounding {
         if let Some(key) = self.constraint_key(id) {
             self.changes.constraints.insert(key, true);
         }
-        stats.clauses_emitted += 1;
     }
 
-    /// Appends a clause to the arena (reviving a tombstoned slot when
-    /// one is free), maintaining the dependency index.
-    fn emit_clause(&mut self, clause: GroundClause, stats: &mut DeltaStats) {
-        let id = self.clauses.push(clause);
-        self.register_clause(id, stats);
-    }
-
-    /// Appends a unit clause without building a `GroundClause`.
+    /// Appends a unit clause (reviving a tombstoned slot when one is
+    /// free), maintaining the dependency index.
     fn emit_unit(
         &mut self,
         lit: Lit,
@@ -451,7 +396,8 @@ impl Grounding {
         stats: &mut DeltaStats,
     ) {
         let id = self.clauses.push_lits(&[lit], weight, origin);
-        self.register_clause(id, stats);
+        self.register_clause(id);
+        stats.clauses_emitted += 1;
     }
 
     /// Retracts clause `j`: tombstones its arena slot (no other clause

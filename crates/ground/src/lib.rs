@@ -19,10 +19,13 @@
 //!   `(a)` with weight `ln(p/(1−p))`;
 //! * every derived (hidden) atom gets a small closed-world prior `(¬a)`.
 //!
-//! Grounding is **semi-naive**: each round only considers body matches
-//! that use at least one atom derived in the previous round, so rule
-//! chains (`playsFor → worksFor → livesIn`) terminate in as many rounds
-//! as the dependency depth.
+//! Grounding is **semi-naive**, with one round loop: a cold ground's
+//! round one matches every formula by its cold join, and every later
+//! round — and every round of a delta — binds an atom the previous
+//! round (or the delta) brought to life at some body position first.
+//! Rule chains (`playsFor → worksFor → livesIn`) terminate in as many
+//! rounds as the dependency depth, and each round's work follows the
+//! new atoms, not the predicate extensions.
 //!
 //! This crate is the only code that grounds a constraint. The grounder
 //! is violation-only — a constraint grounding is emitted only when its

@@ -5,8 +5,9 @@
 //! the graph — [`crate::UtkGraph`] keeps a monotonically increasing
 //! **epoch** and a log of [`FactChange`]s. Consumers (the incremental
 //! grounder in `tecore-ground`) pull a [`Delta`] with
-//! [`crate::UtkGraph::drain_delta`] or [`crate::UtkGraph::since`] and
-//! update their materialised state instead of rebuilding it.
+//! [`crate::UtkGraph::since`] and update their materialised state
+//! instead of rebuilding it; [`crate::UtkGraph::truncate_log`] drops
+//! the history they have synced past.
 
 use crate::fact::FactId;
 

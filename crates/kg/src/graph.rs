@@ -31,9 +31,9 @@ use crate::fact::{Confidence, FactId, TemporalFact};
 ///
 /// The graph also carries a monotonically increasing **epoch** (bumped
 /// by every insert/remove) and a change log, so incremental consumers
-/// can ask "what changed since epoch e?" ([`UtkGraph::since`]) or drain
-/// the accumulated [`Delta`] ([`UtkGraph::drain_delta`]) instead of
-/// re-reading the whole graph.
+/// can ask "what changed since epoch e?" ([`UtkGraph::since`], a net
+/// [`Delta`]) instead of re-reading the whole graph, and drop the
+/// history they have synced past ([`UtkGraph::truncate_log`]).
 #[derive(Debug, Default, Clone)]
 pub struct UtkGraph {
     dict: Dictionary,
@@ -200,9 +200,8 @@ impl UtkGraph {
     }
 
     /// The net changes since `epoch`, or `None` when that part of the
-    /// history has been truncated (by [`UtkGraph::drain_delta`] or
-    /// [`UtkGraph::truncate_log`]) — the caller must then rebuild from
-    /// the full graph.
+    /// history has been truncated ([`UtkGraph::truncate_log`]) — the
+    /// caller must then rebuild from the full graph.
     pub fn since(&self, epoch: u64) -> Option<Delta> {
         if epoch < self.log_start {
             return None;
@@ -213,17 +212,6 @@ impl UtkGraph {
             self.epoch,
             self.log[start..].iter().map(|&(_, c)| c),
         ))
-    }
-
-    /// Drains the retained change log: returns the net [`Delta`] since
-    /// the last drain (or graph creation) and truncates the log.
-    pub fn drain_delta(&mut self) -> Delta {
-        let delta = self
-            .since(self.log_start)
-            .expect("log_start is always retained");
-        self.log.clear();
-        self.log_start = self.epoch;
-        delta
     }
 
     /// Drops retained changes at epochs `<= epoch` (callers that have
@@ -580,9 +568,10 @@ mod tests {
         assert!(d.removed.is_empty());
         assert_eq!((d.from_epoch, d.to_epoch), (0, 5));
 
-        // Drain, then edit: one remove + one insert.
-        let drained = g.drain_delta();
-        assert_eq!(drained.added.len(), 5);
+        // Take it and drop it, then edit: one remove + one insert.
+        let taken = g.since(0).unwrap();
+        g.truncate_log(taken.to_epoch);
+        assert_eq!(taken.added.len(), 5);
         let coach = g.dict().lookup("coach").unwrap();
         let napoli_id = g
             .facts_with_predicate(coach)
@@ -593,12 +582,13 @@ mod tests {
         let new_id = g
             .insert("CR", "coach", "Roma", iv(2019, 2021), 0.8)
             .unwrap();
-        let d = g.drain_delta();
+        let d = g.since(taken.to_epoch).unwrap();
+        g.truncate_log(d.to_epoch);
         assert_eq!(d.added, vec![new_id]);
         assert_eq!(d.removed, vec![napoli_id]);
         assert_eq!(d.to_epoch, g.epoch());
 
-        // History before the drain is gone.
+        // History before the truncation is gone.
         assert!(g.since(0).is_none());
         assert!(g.since(g.epoch()).unwrap().is_empty());
         // The tombstoned fact record is still readable.

@@ -62,7 +62,7 @@ fn cold_grounding_allocates_less_than_once_per_fact() {
     let g = ground(&graph, &program, &config).expect("grounds");
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
-    // Measured: 8 152 allocations for 26 150 facts (0.31 a fact) and
+    // Measured: 7 963 allocations for 26 150 facts (0.30 a fact) and
     // 4 882 matches; the hash-of-`Vec` store took 127 521 (4.88).
     let facts = graph.len() as u64;
     assert!(g.stats.formula_clauses > 1_000, "{}", g.stats);
