@@ -357,12 +357,6 @@ impl ClauseStore {
         self.live -= 1;
     }
 
-    /// Is the slot occupied by a live clause?
-    #[inline]
-    pub fn is_live(&self, id: ClauseId) -> bool {
-        self.alive[id as usize]
-    }
-
     /// The literals of a clause (live or tombstoned — the dependency
     /// index only ever asks about live ids).
     #[inline]
@@ -571,7 +565,6 @@ mod tests {
         store.push(soft(vec![Lit::pos(AtomId(3))], 3.0));
         store.retract(b);
         assert_eq!(store.len(), 2);
-        assert!(!store.is_live(b));
         let ids: Vec<u32> = store.iter().map(|c| c.id).collect();
         assert_eq!(ids, vec![0, 2], "iteration skips the tombstone");
         // Revival reuses the slot (and its literal region: same width).

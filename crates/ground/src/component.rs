@@ -645,11 +645,6 @@ impl<'a> ComponentView<'a> {
         self.atoms.len()
     }
 
-    /// Number of live clauses in the component.
-    pub fn num_clauses(&self) -> usize {
-        self.clause_ids.len()
-    }
-
     /// Member atoms, ascending global id — index `l` is local atom `l`.
     pub fn atoms(&self) -> &'a [AtomId] {
         self.atoms
@@ -1012,7 +1007,6 @@ mod tests {
         let comp = p.component_of(AtomId(5)).unwrap();
         let view = p.view(&s, comp);
         assert_eq!(view.num_atoms(), 2);
-        assert_eq!(view.num_clauses(), 2);
         assert_eq!(view.atoms(), &[AtomId(5), AtomId(9)]);
         assert_eq!(view.local(AtomId(5)), 0);
         assert_eq!(view.local(AtomId(9)), 1);

@@ -31,13 +31,12 @@ const HIDDEN_PRIOR: f64 = 0.05;
 /// Safety valve on semi-naive rounds (rule-chain depth).
 const MAX_ROUNDS: usize = 16;
 
-/// Grounding configuration.
+/// Grounding configuration. It holds no setting: evidence, priors,
+/// join order and round limits are fixed by the grounder. It is still
+/// passed to [`ground`] and [`Grounding::apply_delta`], and carried in
+/// `TecoreConfig`, so that callers written against it keep compiling.
 #[derive(Debug, Clone, Default)]
-pub struct GroundConfig {
-    /// Pin confidence-1 facts as hard evidence (default: `false`, so a
-    /// conflict between two "certain" facts stays resolvable).
-    pub pin_certain: bool,
-}
+pub struct GroundConfig {}
 
 /// Statistics of one grounding run.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -226,9 +225,9 @@ impl Grounding {
 pub fn ground(
     graph: &UtkGraph,
     program: &LogicProgram,
-    config: &GroundConfig,
+    _config: &GroundConfig,
 ) -> Result<Grounding, LogicError> {
-    ground_with(graph, program, config, |compiled, store| {
+    ground_with(graph, program, |compiled, store| {
         planner::plan(compiled, store);
     })
 }
@@ -241,7 +240,6 @@ pub fn ground(
 pub(crate) fn ground_with(
     graph: &UtkGraph,
     program: &LogicProgram,
-    config: &GroundConfig,
     plan: impl FnOnce(&mut CompiledProgram, &AtomStore),
 ) -> Result<Grounding, LogicError> {
     let start = Instant::now();
@@ -308,7 +306,7 @@ pub(crate) fn ground_with(
     // priors on hidden atoms.
     for (id, _) in g.store.iter() {
         if let Some(log_odds) = g.store.log_odds(id) {
-            let (lit, weight) = evidence_unit(id, log_odds, config);
+            let (lit, weight) = evidence_unit(id, log_odds);
             g.clauses.push_lits(&[lit], weight, ClauseOrigin::Evidence);
         }
     }
@@ -325,18 +323,11 @@ pub(crate) fn ground_with(
     Ok(g)
 }
 
-/// The soft (or pinned-hard) unit clause encoding one evidence atom's
-/// combined confidence — shared by the batch grounder and the
-/// incremental delta path. Returned as raw parts so both callers emit
-/// straight into the [`ClauseStore`] arena.
-pub(crate) fn evidence_unit(
-    id: AtomId,
-    log_odds: f64,
-    config: &GroundConfig,
-) -> (Lit, ClauseWeight) {
-    if config.pin_certain && log_odds >= 20.0 {
-        return (Lit::pos(id), ClauseWeight::Hard);
-    }
+/// The soft unit clause encoding one evidence atom's combined
+/// confidence — shared by the batch grounder and the incremental delta
+/// path. Returned as raw parts so both callers emit straight into the
+/// [`ClauseStore`] arena.
+pub(crate) fn evidence_unit(id: AtomId, log_odds: f64) -> (Lit, ClauseWeight) {
     // A confidence of exactly 0.5 has log-odds 0; keep a positive bias
     // strictly larger than the hidden-atom prior so the MAP state never
     // deletes an uninformative fact gratuitously (removed facts are
@@ -962,18 +953,6 @@ mod tests {
         assert_eq!(priors, 1);
         // Total: 2 formula + 5 evidence + 1 prior.
         assert_eq!(g.clauses.len(), 8);
-    }
-
-    #[test]
-    fn pin_certain_makes_birthdate_hard() {
-        let config = GroundConfig { pin_certain: true };
-        let (_, g) = ground_text(RANIERI, PAPER_PROGRAM, &config);
-        let hard_units = g
-            .clauses
-            .iter()
-            .filter(|c| c.origin == ClauseOrigin::Evidence && c.weight.is_hard())
-            .count();
-        assert_eq!(hard_units, 1); // only the birthDate fact has conf 1.0
     }
 
     #[test]

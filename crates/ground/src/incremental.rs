@@ -101,10 +101,10 @@ impl Grounding {
     /// from the added facts' new and revived atoms.
     ///
     /// `graph` must be the graph the grounding was built from, now at
-    /// `delta.to_epoch`, and `config` the configuration the grounding
-    /// was built with. The fact → atom table is keyed by that graph's
-    /// fact ids, and a fact's symbols are the atom's: the grounding
-    /// numbers its terms by that graph's dictionary.
+    /// `delta.to_epoch`; `config` holds no setting ([`GroundConfig`]).
+    /// The fact → atom table is keyed by that graph's fact ids, and a
+    /// fact's symbols are the atom's: the grounding numbers its terms
+    /// by that graph's dictionary.
     ///
     /// # Panics
     ///
@@ -117,7 +117,7 @@ impl Grounding {
         &mut self,
         graph: &UtkGraph,
         delta: &Delta,
-        config: &GroundConfig,
+        _config: &GroundConfig,
     ) -> DeltaStats {
         let start = Instant::now();
         assert_eq!(
@@ -257,7 +257,7 @@ impl Grounding {
             if let Some(j) = self.find_unit(aid, ClauseOrigin::Evidence) {
                 self.retract_clause(j, &mut kills, &mut stats);
             }
-            let (lit, weight) = evidence_unit(aid, log_odds, config);
+            let (lit, weight) = evidence_unit(aid, log_odds);
             self.emit_unit(lit, weight, ClauseOrigin::Evidence, &mut stats);
             self.note_reworded(aid);
         }

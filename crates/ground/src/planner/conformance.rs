@@ -45,7 +45,7 @@ fn assert_conformant(graph: &mut UtkGraph, src: &str) {
     let graph = &*graph;
     let config = GroundConfig::default();
     let planned = ground(graph, &program, &config).unwrap();
-    let reversed = ground_with(graph, &program, &config, reversed).unwrap();
+    let reversed = ground_with(graph, &program, reversed).unwrap();
     // Matches are emitted in body-position order whatever order they
     // were found in, so hidden atoms and clauses get the same ids.
     assert!(

@@ -103,11 +103,6 @@ impl Dictionary {
         Arc::clone(&self.terms[sym.index()])
     }
 
-    /// Resolves a symbol, returning `None` for foreign symbols.
-    pub fn try_resolve(&self, sym: Symbol) -> Option<&str> {
-        self.terms.get(sym.index()).map(|s| s.as_ref())
-    }
-
     /// Number of distinct interned terms.
     pub fn len(&self) -> usize {
         self.terms.len()
@@ -188,7 +183,6 @@ mod tests {
         d.intern("coach");
         assert!(d.lookup("coach").is_some());
         assert!(d.lookup("playsFor").is_none());
-        assert_eq!(d.try_resolve(Symbol(99)), None);
     }
 
     #[test]

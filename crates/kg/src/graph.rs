@@ -296,16 +296,6 @@ impl UtkGraph {
             .map(|id| (*id, &self.facts[id.index()]))
     }
 
-    /// Live facts with predicate `p` whose interval intersects `window`.
-    pub fn facts_overlapping(
-        &self,
-        p: Symbol,
-        window: Interval,
-    ) -> impl Iterator<Item = (FactId, &TemporalFact)> {
-        self.facts_with_predicate(p)
-            .filter(move |(_, f)| f.interval.intersects(window))
-    }
-
     /// All distinct predicates with at least one live fact, sorted by
     /// name (for deterministic reporting and auto-completion).
     pub fn predicates(&self) -> Vec<Symbol> {
@@ -492,11 +482,13 @@ mod tests {
         let g = ranieri();
         let coach = g.dict().lookup("coach").unwrap();
         // Chelsea spell [2000,2004]: overlapping coach facts are Chelsea
-        // itself and Napoli [2001,2003] — the paper's c2 clash.
-        let hits: Vec<String> = g
-            .facts_overlapping(coach, iv(2000, 2004))
-            .map(|(_, f)| g.dict().resolve(f.object).to_string())
+        // itself and Napoli [2001,2003] — the paper's c2 clash — read off
+        // the temporal index the query layer scans.
+        let index = crate::GraphTemporalIndex::build(&g);
+        let mut hits: Vec<&str> = crate::overlapping(index.predicate(coach), iv(2000, 2004))
+            .map(|e| g.dict().resolve(g.fact(e.id).unwrap().object))
             .collect();
+        hits.sort_unstable();
         assert_eq!(hits, vec!["Chelsea", "Napoli"]);
     }
 

@@ -98,11 +98,6 @@ impl Term {
             Term::Const(_) => None,
         }
     }
-
-    /// Is this term a constant?
-    pub fn is_const(&self) -> bool {
-        matches!(self, Term::Const(_))
-    }
 }
 
 /// A term in a temporal position.
@@ -232,6 +227,5 @@ mod tests {
     fn term_accessors() {
         assert_eq!(Term::Var(VarId(3)).as_var(), Some(VarId(3)));
         assert_eq!(Term::Const("Chelsea".into()).as_var(), None);
-        assert!(Term::Const("Chelsea".into()).is_const());
     }
 }

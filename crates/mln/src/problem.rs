@@ -111,16 +111,6 @@ impl<'a> SatProblem<'a> {
     pub fn hard_count(&self) -> usize {
         self.iter().filter(|c| c.weight.is_hard()).count()
     }
-
-    /// Number of soft clauses.
-    pub fn soft_count(&self) -> usize {
-        self.len() - self.hard_count()
-    }
-
-    /// Sum of all soft weights (an upper bound on any solution cost).
-    pub fn total_soft_weight(&self) -> f64 {
-        self.iter().filter_map(|c| c.weight.soft()).sum()
-    }
 }
 
 /// Statistics of one MAP solve.
@@ -201,8 +191,6 @@ mod tests {
         let p = SatProblem::from_clauses(2, &clauses);
         assert_eq!(p.n_vars, 2);
         assert_eq!(p.hard_count(), 1);
-        assert_eq!(p.soft_count(), 2);
-        assert!((p.total_soft_weight() - 2.5).abs() < 1e-12);
 
         // x0=true forces x1=true (hard), violating the ¬x1 soft clause.
         let (cost, hard) = p.evaluate(&[true, true]);

@@ -360,13 +360,6 @@ impl HlMrf {
         }
         total
     }
-
-    /// Maximum constraint violation at `x`.
-    pub fn max_violation(&self, x: &[f64]) -> f64 {
-        (self.n_potentials..self.n_factors())
-            .map(|k| self.factor(k).violation(x).max(0.0))
-            .fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -438,7 +431,6 @@ mod tests {
         assert_eq!(mrf.n_potentials(), 1);
         assert_eq!(mrf.n_constraints(), 1);
         assert!((mrf.objective(&[0.0, 0.0]) - 1.0).abs() < 1e-12);
-        assert!(mrf.max_violation(&[1.0, 1.0]) > 0.9);
     }
 
     #[test]

@@ -823,7 +823,7 @@ impl PendingBatch {
         }
         // Seeded bug: the clients hear "done" before the journal has
         // the bytes.
-        #[cfg(feature = "failpoints")]
+        #[cfg(debug_assertions)]
         if tecore_wal::failpoint::armed("server.ack_before_journal") {
             for ack in self.acks.iter_mut().filter_map(Option::take) {
                 let _ = ack.send(Ok(()));
@@ -976,7 +976,7 @@ fn consume_writer_msg(
             *applied += pending.flush(host, ctx);
             // Seeded bug: the barrier answers before the fsync it
             // promises.
-            #[cfg(feature = "failpoints")]
+            #[cfg(debug_assertions)]
             if tecore_wal::failpoint::armed("server.flush_ack_before_fsync") {
                 let appended = host.engine().wal_stats().map_or(0, |w| w.appended_epoch);
                 let _ = reply.send(Ok(appended));

@@ -17,7 +17,8 @@
 //! cold over the surviving graph, (b) index-backed queries ≡ a scan,
 //! (c) epochs monotone and durable ≤ published, (d) what a kill or a
 //! power cut leaves recovers every edit it was promised to, as a prefix
-//! with no hole, (e) nothing answers `Ok` after a failure, (f)
+//! with no hole, (e) nothing answers `Ok` after a failure and nothing
+//! fails in an incarnation whose restart installed no fault, (f)
 //! `ServerStats` ≡ the simulator's ledger. README "Correctness tooling"
 //! says what each catches, and how to replay the seed a failure prints.
 
@@ -36,7 +37,7 @@ use tecore_datagen::standard::paper_program;
 use tecore_kg::{FactId, TemporalFact, UtkGraph};
 use tecore_stream::StreamTotals;
 use tecore_temporal::Interval;
-use tecore_wal::{FsyncPolicy, MemStorage, Wal, WalConfig, WalStorage};
+use tecore_wal::{FailPlan, FailStorage, FsyncPolicy, MemStorage, Wal, WalConfig, WalStorage};
 
 use super::*;
 
@@ -87,9 +88,8 @@ enum Op {
 }
 
 /// A fault of the log device at its `n`-th append or fsync after the
-/// restart that installs it (ignored without `failpoints`).
+/// restart that installs it.
 #[derive(Debug, Clone, Copy)]
-#[cfg_attr(not(feature = "failpoints"), allow(dead_code))]
 enum Fault {
     FailAppend(u64),
     ShortWrite(u64),
@@ -321,6 +321,9 @@ fn assert_lineage(what: &str, old: &UtkGraph, new: &UtkGraph) {
 /// What the simulator knows of one incarnation of the process.
 #[derive(Default)]
 struct Life {
+    /// Did the restart that began it install a fault? Nothing may fail
+    /// in an incarnation that has none.
+    fault: bool,
     /// Has anything failed, and has the writer said so?
     faulted: bool,
     refused: bool,
@@ -349,26 +352,34 @@ struct Sim {
 }
 
 impl Sim {
-    /// A process start: recover the log, boot the writer's state.
-    fn open(mem: &MemStorage, fault: Option<Fault>, on: (usize, Host)) -> (EngineHost, WriterCtx) {
-        #[cfg_attr(not(feature = "failpoints"), allow(unused_mut))]
-        let mut storage: Box<dyn WalStorage> = Box::new(mem.clone());
-        #[cfg(feature = "failpoints")]
-        if let Some(fault) = fault {
-            let plan = tecore_wal::FailPlan::new();
-            let plan = match fault {
-                Fault::FailAppend(n) => plan.fail_append_at(n),
-                Fault::ShortWrite(n) => plan.short_write_at(n),
-                Fault::FailSync(n) => plan.fail_sync_at(n),
-                Fault::TearAppend(n) => plan.tear_append_at(n),
-            };
-            storage = Box::new(tecore_wal::FailStorage::new(mem.clone(), plan));
-        }
-        let _ = fault;
-        // A device that dies under recovery is replaced by one that works.
-        let (wal, graph) = Wal::open_with(storage, wal_config())
-            .or_else(|_| Wal::open_with(Box::new(mem.clone()), wal_config()))
-            .expect("the log opens");
+    /// A process start: recover the log, boot the writer's state. The
+    /// flag says whether the log runs on the faulty device.
+    fn open(
+        mem: &MemStorage,
+        fault: Option<Fault>,
+        on: (usize, Host),
+    ) -> (EngineHost, WriterCtx, bool) {
+        let storage: Box<dyn WalStorage> = match fault {
+            None => Box::new(mem.clone()),
+            Some(fault) => {
+                let plan = FailPlan::new();
+                let plan = match fault {
+                    Fault::FailAppend(n) => plan.fail_append_at(n),
+                    Fault::ShortWrite(n) => plan.short_write_at(n),
+                    Fault::FailSync(n) => plan.fail_sync_at(n),
+                    Fault::TearAppend(n) => plan.tear_append_at(n),
+                };
+                Box::new(FailStorage::new(mem.clone(), plan))
+            }
+        };
+        let ((wal, graph), fault) = match Wal::open_with(storage, wal_config()) {
+            Ok(opened) => (opened, fault.is_some()),
+            // A device that dies under recovery is replaced by one that works.
+            Err(_) => {
+                let opened = Wal::open_with(Box::new(mem.clone()), wal_config());
+                (opened.expect("the log opens"), false)
+            }
+        };
         let engine = Engine::durable(graph, paper_program(), engine_config(on.0), wal);
         let stream = (on.1 == Host::Stream).then(|| StreamServing {
             window: WindowSpec::sliding(12, 4).expect("valid"),
@@ -378,19 +389,34 @@ impl Sim {
             stream,
             ..ServerConfig::default()
         };
-        boot(engine, &config).expect("boots")
+        let (host, ctx) = boot(engine, &config).expect("boots");
+        (host, ctx, fault)
+    }
+
+    /// A fresh process over an empty log, with no fault installed.
+    fn new(seed: u64, on: (usize, Host)) -> Sim {
+        let mem = MemStorage::new();
+        let (host, ctx, _) = Sim::open(&mem, None, on);
+        Sim {
+            on,
+            mem,
+            host,
+            ctx,
+            rng: StdRng::seed_from_u64(!seed),
+            life: Life::default(),
+        }
     }
 
     /// A restart over `mem`: the recovered graph is held to (d) against
     /// the graph that was being served, then a new incarnation begins.
     fn restart(&mut self, mem: MemStorage, fault: Option<Fault>, cut: bool) {
-        let (host, ctx) = Sim::open(&mem, fault, self.on);
+        let (host, ctx, fault) = Sim::open(&mem, fault, self.on);
         self.assert_recovered(host.engine().graph(), cut);
         let epoch = ctx.cell.load().epoch();
         let kept = cut || self.life.faulted || epoch >= self.life.published;
         assert!(kept, "(c) a kill took the published epoch back to {epoch}");
         (self.mem, self.host, self.ctx, self.life) = (mem, host, ctx, Life::default());
-        (self.life.flushed, self.life.published) = (epoch, epoch);
+        (self.life.fault, self.life.flushed, self.life.published) = (fault, epoch, epoch);
     }
 
     fn graph(&self) -> &UtkGraph {
@@ -405,13 +431,13 @@ impl Sim {
     }
 
     /// (e): an answer of the writer. After the first failure none is
-    /// `Ok`; without `failpoints` none fails.
+    /// `Ok`; in an incarnation with no fault none fails.
     fn answered<T>(&mut self, what: &str, answer: &Receiver<Result<T, &'static str>>) -> bool {
         match answer.try_recv().expect("the writer answers every message") {
             Ok(_) => assert!(!self.life.faulted, "(e) {what} answered Ok after a failure"),
             Err(reason) => {
-                let injected = cfg!(feature = "failpoints");
-                assert!(injected, "{what} failed with no fault injected: {reason}");
+                let fault = self.life.fault;
+                assert!(fault, "(e) {what} failed with no fault installed: {reason}");
                 (self.life.faulted, self.life.refused) = (true, true);
                 return false;
             }
@@ -430,8 +456,8 @@ impl Sim {
     /// writer: it does what the writer does when its own checkpoint
     /// fails, so that the writer knows.
     fn failed_beside_the_writer(&mut self) {
-        let injected = cfg!(feature = "failpoints");
-        assert!(injected, "the log failed with no fault injected");
+        let fault = self.life.fault;
+        assert!(fault, "the log failed with no fault installed");
         self.ctx.stats.read_only.store(true, Relaxed);
         self.life.faulted = true;
     }
@@ -713,8 +739,7 @@ impl Sim {
         }
         let read_only = stats.read_only.load(Relaxed);
         assert!(read_only || !life.refused, "(f) refused and not read-only");
-        let injected = cfg!(feature = "failpoints");
-        assert!(injected || !read_only, "(f) read-only with no fault");
+        assert!(life.fault || !read_only, "(f) read-only with no fault");
         life.faulted |= read_only;
         if std::mem::take(&mut life.gauged) && !life.faulted {
             let log = engine.wal_stats().expect("durable");
@@ -745,16 +770,7 @@ fn run(seed: u64, backend: usize, host: Host, steps: usize) -> Result<(), usize>
     let script = script(seed, backend, host, steps);
     let mut done = 0;
     catch_unwind(AssertUnwindSafe(|| {
-        let (mem, rng) = (MemStorage::new(), StdRng::seed_from_u64(!seed));
-        let (engine, ctx) = Sim::open(&mem, None, (backend, host));
-        let mut sim = Sim {
-            on: (backend, host),
-            mem,
-            host: engine,
-            ctx,
-            rng,
-            life: Life::default(),
-        };
+        let mut sim = Sim::new(seed, (backend, host));
         for step in &script {
             sim.step(step);
             sim.check();
@@ -798,7 +814,7 @@ macro_rules! profiles {
 
         /// 50 000 steps.
         #[test]
-        #[ignore = "long: cargo test --features failpoints -p tecore-server -- --ignored sim"]
+        #[ignore = "long: cargo test -p tecore-server -- --ignored sim"]
         fn $long() {
             episodes($backend, 1000..1250);
         }
@@ -812,10 +828,11 @@ profiles! {
     3 quick_psl_admm long_psl_admm;
 }
 
-/// Each seeded bug, armed, must make some episode fail.
-#[cfg(feature = "failpoints")]
+/// Each seeded bug, armed, must make some episode fail. The bugs are
+/// compiled into debug builds only.
+#[cfg(debug_assertions)]
 #[test]
-#[ignore = "long: cargo test --features failpoints -p tecore-server -- --ignored sim"]
+#[ignore = "long: cargo test -p tecore-server -- --ignored sim"]
 fn seeded_bugs_are_killed() {
     for site in [
         "server.ack_before_journal",
@@ -842,7 +859,6 @@ fn a_flush_after_a_kill_covers_the_replayed_tail() {
 
 /// A log failure inside a window fire left the applied prefix of the
 /// fire's batch in the graph and out of the published snapshot.
-#[cfg(feature = "failpoints")]
 #[test]
 fn a_fire_the_log_refuses_is_still_published() {
     assert_eq!(run(0x9, 0, Host::Stream, 39), Ok(()));
@@ -850,8 +866,26 @@ fn a_fire_the_log_refuses_is_still_published() {
 
 /// One push fires a window whole and fails in the next: the first is
 /// published with the last state, and counted by nobody (see `feed`).
-#[cfg(feature = "failpoints")]
 #[test]
 fn a_window_fired_before_a_refused_one_is_published_with_it() {
     assert_eq!(run(0x4a5, 1, Host::Stream, 60), Ok(()));
+}
+
+/// (e) has teeth: a refusal in an incarnation with no fault fails the
+/// check, the same refusal under an installed fault marks the life
+/// faulted.
+#[test]
+fn a_refusal_without_a_fault_trips_e() {
+    let refuse = |sim: &mut Sim| {
+        let (tx, refused) = mpsc::sync_channel::<Result<(), &'static str>>(1);
+        tx.send(Err("forged")).expect("sends");
+        sim.answered("an edit", &refused)
+    };
+    let mut sim = Sim::new(0, (0, Host::Plain));
+    let tripped = catch_unwind(AssertUnwindSafe(|| refuse(&mut sim)));
+    assert!(tripped.is_err(), "(e) let a refusal with no fault pass");
+    let mut sim = Sim::new(0, (0, Host::Plain));
+    sim.life.fault = true;
+    assert!(!refuse(&mut sim));
+    assert!(sim.life.faulted && sim.life.refused);
 }

@@ -171,7 +171,6 @@ fn graceful_shutdown_persists_every_acked_edit() {
 /// A dead log device mid-serve: the failing edit is refused, the
 /// server degrades to read-only (queries fine, edits ERR), and the
 /// durable prefix still recovers.
-#[cfg(feature = "failpoints")]
 #[test]
 fn log_device_failure_degrades_to_read_only() {
     let mem = MemStorage::new();

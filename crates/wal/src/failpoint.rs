@@ -1,4 +1,4 @@
-//! Deterministic fault injection (behind the `failpoints` feature).
+//! Deterministic fault injection.
 //!
 //! [`FailStorage`] wraps a [`MemStorage`] and fails I/O on a schedule
 //! fixed by a [`FailPlan`]: the Nth append can error or write only
@@ -12,9 +12,10 @@
 //! which acknowledged state survived.
 //!
 //! The module also carries the switch for the **seeded bugs** compiled
-//! into the real writer and log under this feature ([`arm`] /
+//! into the real writer and log of a debug build ([`arm`] /
 //! [`armed`]): a test arms one by name on its own thread and asserts
-//! that its oracle now fails.
+//! that its oracle now fails. A release build compiles no seeded-bug
+//! branch, so arming a site there changes nothing.
 
 use std::cell::Cell;
 use std::io;

@@ -34,23 +34,20 @@
 //! degrade to read-only instead of crashing.
 //!
 //! All I/O flows through the [`WalFile`]/[`WalStorage`] traits
-//! ([`storage`]); with the `failpoints` feature, `FailStorage`
-//! deterministically injects short writes, fsync errors and crash
-//! points, which is how the "crash at every byte offset, then
-//! recover" property tests drive the log.
+//! ([`storage`]); [`FailStorage`] ([`failpoint`]) wraps the in-memory
+//! backend and deterministically injects short writes, fsync errors
+//! and crash points, which is how the crash-and-recover tests and the
+//! server's simulator drive the log.
 
 #![forbid(unsafe_code)]
 
 pub mod crc;
-#[cfg(feature = "failpoints")]
 pub mod failpoint;
 pub mod frame;
 pub mod storage;
 pub mod wal;
 
+pub use failpoint::{FailPlan, FailStorage};
 pub use frame::{InsertRecord, Record};
 pub use storage::{MemStorage, StdStorage, WalFile, WalStorage};
 pub use wal::{FsyncPolicy, RecoveryReport, Wal, WalConfig, WalError, WalStats};
-
-#[cfg(feature = "failpoints")]
-pub use failpoint::{FailPlan, FailStorage};

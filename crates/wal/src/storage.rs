@@ -10,9 +10,9 @@
 //!   would the disk hold after a crash right now?"
 //!   ([`MemStorage::crash_view`]) without the page cache of a real
 //!   filesystem hiding unsynced-but-written data,
-//! * `FailStorage` (behind the `failpoints` feature): a wrapper that
-//!   injects short writes, fsync errors and crash points on a
-//!   deterministic schedule.
+//! * [`FailStorage`](crate::FailStorage): a wrapper over
+//!   [`MemStorage`] that injects short writes, fsync errors and crash
+//!   points on a deterministic schedule.
 
 use std::collections::BTreeMap;
 use std::fmt::Debug;

@@ -384,7 +384,7 @@ impl Wal {
 
     fn io_poison(&mut self, e: std::io::Error) -> WalError {
         // Seeded bug: the error is returned, the sticky flag forgotten.
-        #[cfg(feature = "failpoints")]
+        #[cfg(debug_assertions)]
         if crate::failpoint::armed("wal.flush.forget_poison") {
             return WalError::Io(e.to_string());
         }

@@ -275,7 +275,6 @@ proptest! {
     }
 }
 
-#[cfg(feature = "failpoints")]
 mod failpoints {
     use super::*;
     use tecore_wal::{FailPlan, FailStorage};

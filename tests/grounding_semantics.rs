@@ -2,7 +2,7 @@
 //! level: inclusion dependencies, interval expressions in heads,
 //! numerical conditions at their boundaries, and evidence merging.
 
-use tecore_core::{Engine, TecoreConfig};
+use tecore_core::Engine;
 use tecore_ground::{ground, GroundConfig};
 use tecore_kg::parser::parse_graph;
 use tecore_logic::LogicProgram;
@@ -95,32 +95,6 @@ fn duplicate_evidence_accumulates() {
     assert_eq!(r.consistent.len(), 2);
     let removed_obj = r.consistent.dict().resolve(r.removed[0].fact.object);
     assert_eq!(removed_obj, "B");
-}
-
-/// `pin_certain` makes confidence-1.0 facts unremovable: the conflict
-/// resolves against the uncertain side even when it is "stronger".
-#[test]
-fn pin_certain_protects_certain_facts() {
-    let graph = parse_graph(
-        "(p, coach, A, [2000,2004]) 1.0\n\
-         (p, coach, B, [2001,2003]) 0.99\n",
-    )
-    .unwrap();
-    let program = LogicProgram::parse(
-        "c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf",
-    )
-    .unwrap();
-    let mut config = TecoreConfig {
-        backend: std::sync::Arc::new(tecore_mln::BranchAndBound::new()),
-        ..TecoreConfig::default()
-    };
-    config.ground.pin_certain = true;
-    let r = Engine::with_config(graph, program, config)
-        .resolve()
-        .unwrap();
-    assert!(r.stats.feasible);
-    assert_eq!(r.removed.len(), 1);
-    assert_eq!(r.consistent.dict().resolve(r.removed[0].fact.object), "B");
 }
 
 /// Self-join constraints never pair a fact with itself: a single coach

@@ -1,7 +1,9 @@
-//! Workspace invariant linter (see `rules` for the R1–R6 table).
+//! Workspace invariant linter (see `rules` for the R1–R7 table).
 //!
 //! Dependency-free, like `tools/bench_check`: a token-level pass over
-//! every `src/` tree in the workspace. Run it from the workspace root:
+//! every Rust file of the workspace (`crates/`, `tools/`, `src/`,
+//! `tests/`, `examples/`; most rules look at `src/` trees only). Run it
+//! from the workspace root:
 //!
 //! ```text
 //! cargo run --release -p lint
@@ -54,7 +56,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
 fn main() -> ExitCode {
     let root = workspace_root();
     let mut files = Vec::new();
-    for top in ["crates", "tools", "src"] {
+    for top in ["crates", "tools", "src", "tests", "examples"] {
         collect_rs(&root.join(top), &mut files);
     }
     files.sort();

@@ -8,19 +8,21 @@
 //! | R4 | every `Ordering::{Acquire,Release,AcqRel,SeqCst}` argument carries a `// ordering:` rationale (same line or the comment block above) | every non-shim `src/` tree |
 //! | R5 | no `std::thread::sleep` | library crates (`crates/*/src`) |
 //! | R6 | no `std::env::var` / `var_os`: a library reads no environment | library crates (`crates/*/src`) |
+//! | R7 | no `cfg(feature …)`, `cfg!(feature …)` or `cfg_attr(feature …)`: the workspace has one build | every non-shim file, test code included |
 //!
 //! `#[cfg(test)]` / `#[test]` regions — and a file that opens with
-//! `#![cfg(test)]` — are exempt from every rule. A
+//! `#![cfg(test)]` — are exempt from every rule but R7 (a test that
+//! only one build compiles is the second build R7 rules out). A
 //! finding can be suppressed with `// lint: allow(Rn) <reason>` on the
 //! same line or the line above; suppressed findings are still counted
 //! and reported in the summary so escapes stay visible.
 
-use crate::lexer::{lex, Lexed};
+use crate::lexer::{lex, Lexed, Tok};
 
 /// One rule violation.
 #[derive(Clone, Debug)]
 pub struct Finding {
-    /// Rule id: "R1" … "R6".
+    /// Rule id: "R1" … "R7".
     pub rule: &'static str,
     /// 1-based source line.
     pub line: u32,
@@ -37,12 +39,13 @@ struct Scope {
     r4: bool,
     r5: bool,
     r6: bool,
+    r7: bool,
 }
 
 const HOT_CRATES: [&str; 6] = ["kg", "ground", "mln", "psl", "server", "wal"];
 
-/// Which rules apply to a repo-relative path. Only `src/` trees are
-/// linted at all — tests, benches and examples are free to unwrap.
+/// Which rules apply to a repo-relative path. Outside `src/` trees
+/// only R7 applies — tests, benches and examples are free to unwrap.
 fn scope_for(path: &str) -> Scope {
     let p = path.replace('\\', "/");
     let shim = p.starts_with("crates/shims/");
@@ -55,6 +58,7 @@ fn scope_for(path: &str) -> Scope {
             r4: false,
             r5: false,
             r6: false,
+            r7: !shim,
         };
     }
     let crate_name = p
@@ -68,7 +72,39 @@ fn scope_for(path: &str) -> Scope {
         r4: true,
         r5: p.starts_with("crates/"),
         r6: p.starts_with("crates/"),
+        r7: true,
     }
+}
+
+/// Does the `cfg`, `cfg!` or `cfg_attr` at token `i` test a feature?
+/// The whole parenthesised predicate is searched, so `not(feature …)`
+/// and `any(…, feature …)` count too.
+fn tests_a_feature(t: &[Tok], i: usize) -> bool {
+    if !matches!(t[i].text.as_str(), "cfg" | "cfg_attr") {
+        return false;
+    }
+    let mut j = i + 1;
+    if t.get(j).is_some_and(|t| t.text == "!") {
+        j += 1;
+    }
+    if t.get(j).is_none_or(|t| t.text != "(") {
+        return false;
+    }
+    let mut depth = 0usize;
+    for tok in &t[j..] {
+        match tok.text.as_str() {
+            "(" => depth += 1,
+            ")" => {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            "feature" => return true,
+            _ => {}
+        }
+    }
+    false
 }
 
 /// Mark the token indices covered by `#[cfg(test)]` / `#[test]` items
@@ -193,6 +229,13 @@ pub fn check_source(rel_path: &str, src: &str) -> Vec<Finding> {
     };
     const STRONG: [&str; 4] = ["Acquire", "Release", "AcqRel", "SeqCst"];
     for i in 0..t.len() {
+        if scope.r7 && tests_a_feature(t, i) {
+            push(
+                "R7",
+                t[i].line,
+                "a cargo feature gates code — the workspace has one build".to_string(),
+            );
+        }
         if in_test[i] {
             continue;
         }
@@ -429,6 +472,40 @@ mod tests {
             "// lint: allow(R6) the one documented switch\nstd::env::var(\"X\");",
         );
         assert!(all.len() == 1 && all[0].allowed);
+    }
+
+    #[test]
+    fn r7_fires_on_feature_gates_test_code_included() {
+        for src in [
+            "#[cfg(feature = \"x\")]\nfn f() {}",
+            "#[cfg_attr(feature = \"x\", derive(Debug))]\nstruct S;",
+            "fn f() -> bool { cfg!(feature = \"x\") }",
+            "#[cfg(not(feature = \"x\"))]\nfn f() {}",
+            "#[cfg(test)]\nmod t { #[cfg(feature = \"x\")] #[test] fn u() {} }",
+        ] {
+            let f = active("crates/wal/src/wal.rs", src);
+            assert!(f.len() == 1 && f[0].rule == "R7", "{src}");
+        }
+        // Test files outside `src/` and `#![cfg(test)]` files count.
+        let gated = "#[cfg(feature = \"x\")]\n#[test]\nfn u() {}";
+        assert_eq!(active("crates/wal/tests/recovery.rs", gated).len(), 1);
+        let sim = format!("#![cfg(test)]\n{gated}");
+        assert_eq!(active("crates/server/src/server/sim.rs", &sim).len(), 1);
+        // Other predicates, strings and shims do not.
+        for src in [
+            "#[cfg(debug_assertions)]\nfn f() {}",
+            "#[cfg(test)]\nmod t {}",
+            "#[cfg_attr(test, allow(dead_code))]\nfn f() {}",
+            "let s = \"cfg(feature = x)\";",
+            "let feature = cfg!(test);",
+        ] {
+            assert!(active("crates/wal/src/wal.rs", src).is_empty(), "{src}");
+        }
+        assert!(active(
+            "crates/shims/rand/src/lib.rs",
+            "#[cfg(feature = \"std\")]\nfn f() {}"
+        )
+        .is_empty());
     }
 
     #[test]
