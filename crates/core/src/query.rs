@@ -13,7 +13,8 @@
 //! the planner takes the access path the query's shape names — the
 //! `(subject, predicate)` id list when both are bound, a per-predicate
 //! or per-subject run of the interval index for time-constrained
-//! queries ([`tecore_kg::GraphTemporalIndex`]), the graph's hash
+//! queries ([`tecore_kg::GraphTemporalIndex`]; every predicate's run,
+//! one after the other, for a window alone), the graph's hash
 //! indexes for purely symbolic ones — and streams
 //! candidates through the zero-allocation [`OverlapIter`], which walks
 //! a run latest start first and stops where no earlier entry reaches
@@ -47,8 +48,8 @@
 //! ```
 
 use tecore_kg::{
-    overlapping, reaching, Dictionary, FactId, FxHashMap, OverlapIter, Symbol, TemporalFact,
-    UtkGraph,
+    overlapping, reaching, Dictionary, FactId, FxHashMap, GraphTemporalIndex, OverlapIter, Symbol,
+    TemporalFact, UtkGraph,
 };
 use tecore_temporal::{AllenRelation, AllenSet, Interval, TemporalElement, TimePoint};
 
@@ -247,11 +248,12 @@ impl<'a> TemporalQuery<'a> {
     /// Chooses the access path the query's shape names: the
     /// `(subject, predicate)` id list when both are bound, else an
     /// interval run narrowed by the window when there is one, else the
-    /// hash index or interval run the bound term names, else the whole
-    /// arena. The object filter never picks a path. The residual filter
-    /// in [`QueryIter`] re-checks every constraint, so any
-    /// candidate-superset path is exact; the plan only decides which
-    /// candidates get examined.
+    /// hash index or interval run the bound term names, else — for a
+    /// window alone — every predicate run narrowed by the window, else
+    /// the whole arena. The object filter never picks a path. The
+    /// residual filter in [`QueryIter`] re-checks every constraint, so
+    /// any candidate-superset path is exact; the plan only decides
+    /// which candidates get examined.
     ///
     /// Only the interval paths touch the snapshot's interval index, so
     /// a plan that lands on a hash-index path keeps the index unbuilt.
@@ -275,7 +277,7 @@ impl<'a> TemporalQuery<'a> {
             (_, TermFilter::Is(p), None) => PathChoice::PredicateIds { p },
             (TermFilter::Is(s), _, Some(w)) => PathChoice::SubjectOverlap { s, w },
             (TermFilter::Is(s), _, None) => PathChoice::SubjectEntries { s },
-            (_, _, Some(w)) => PathChoice::AllOverlap { w },
+            (_, _, Some(w)) => PathChoice::PredicatesOverlap { w },
             (_, _, None) => PathChoice::FullScan,
         }
     }
@@ -319,9 +321,14 @@ impl<'a> TemporalQuery<'a> {
                 name(s),
                 visits(index().subject(s), w)
             ),
-            PathChoice::AllOverlap { w } => format!(
-                "global interval index ∩ window {w}, ~{} candidates",
-                visits(index().all(), w)
+            PathChoice::PredicatesOverlap { w } => format!(
+                "every predicate interval sub-index ({} runs) ∩ window {w}, ~{} candidates",
+                index().predicates().len(),
+                index()
+                    .predicates()
+                    .iter()
+                    .map(|&p| visits(index().predicate(p), w))
+                    .sum::<usize>()
             ),
             PathChoice::FullScan => {
                 format!("full arena scan, ~{} candidates", graph.arena_len())
@@ -348,7 +355,9 @@ impl<'a> TemporalQuery<'a> {
             PathChoice::SubjectOverlap { s, w } => {
                 Scan::Overlap(overlapping(index().subject(s), w))
             }
-            PathChoice::AllOverlap { w } => Scan::Overlap(overlapping(index().all(), w)),
+            PathChoice::PredicatesOverlap { w } => {
+                Scan::Runs(overlapping(&[], w), index().predicates().iter(), index(), w)
+            }
             PathChoice::FullScan => Scan::Full(0..graph.arena_len() as u32),
         };
         QueryIter {
@@ -436,8 +445,11 @@ enum PathChoice {
     PredicateOverlap { p: Symbol, w: Interval },
     /// The subject interval sub-index intersected with the window.
     SubjectOverlap { s: Symbol, w: Interval },
-    /// The global interval index intersected with the window.
-    AllOverlap { w: Interval },
+    /// Every predicate's interval sub-index intersected with the
+    /// window, in ascending predicate-symbol order, so what a `limit`
+    /// keeps follows the snapshot's content, not where a patch left
+    /// each run.
+    PredicatesOverlap { w: Interval },
     /// Unconstrained arena walk (only when no filter names an index).
     FullScan,
 }
@@ -449,6 +461,14 @@ enum Scan<'a> {
     Empty,
     /// Interval-index candidates intersecting the compiled window.
     Overlap(OverlapIter<'a, FactId, ()>),
+    /// The same over several runs: the run under way, then the runs of
+    /// the predicates still listed.
+    Runs(
+        OverlapIter<'a, FactId, ()>,
+        std::slice::Iter<'a, Symbol>,
+        &'a GraphTemporalIndex,
+        Interval,
+    ),
     /// Id list from one of the graph's hash indexes.
     Ids(std::slice::Iter<'a, FactId>),
     /// A run of the interval index, whole (no window to narrow by).
@@ -489,6 +509,7 @@ impl<'a> Iterator for QueryIter<'a> {
             let id = match &mut self.scan {
                 Scan::Empty => return None,
                 Scan::Overlap(iter) => iter.next()?.id,
+                Scan::Runs(run, then, index, w) => next_in_runs(run, then, index, *w)?,
                 Scan::Ids(iter) => *iter.next()?,
                 Scan::Entries(iter) => iter.next()?.id,
                 Scan::Full(range) => FactId(range.next()?),
@@ -498,6 +519,25 @@ impl<'a> Iterator for QueryIter<'a> {
                     return Some((id, fact));
                 }
             }
+        }
+    }
+}
+
+/// The next candidate of a [`Scan::Runs`] walk: from the run under way,
+/// else from the first of the predicates still listed whose run meets
+/// `w`. Out of line on purpose: inlined into [`QueryIter::next`], this
+/// loop made the single-run scans a quarter slower.
+#[inline(never)]
+fn next_in_runs<'a>(
+    run: &mut OverlapIter<'a, FactId, ()>,
+    then: &mut std::slice::Iter<'a, Symbol>,
+    index: &'a GraphTemporalIndex,
+    w: Interval,
+) -> Option<FactId> {
+    loop {
+        match run.next() {
+            Some(e) => return Some(e.id),
+            None => *run = overlapping(index.predicate(*then.next()?), w),
         }
     }
 }

@@ -37,7 +37,7 @@ use crate::resolution::Resolution;
 ///   `Resolution::expanded_graph`; when nothing was inferred it *is*
 ///   the consistent graph, shared, not a copy of it;
 /// * [`Snapshot::index`] — a [`GraphTemporalIndex`] over the expanded
-///   graph (global + per-predicate + per-subject interval indexes);
+///   graph (per-predicate and per-subject interval indexes);
 /// * [`Snapshot::query`] — the entry point of the typed temporal query
 ///   layer.
 ///

@@ -234,11 +234,12 @@ fn explain_names_the_chosen_path() {
             q().subject("subj1"),
             "subject interval sub-index (subj1), ~2 candidates",
         ),
-        // The object filter never picks a path. The global run starts
-        // [1,4] [2,4] [5,6] [7,7]: three reach [3,6].
+        // The object filter never picks a path: a window alone walks
+        // every predicate run. pred0's [1,4] [2,4] reach [3,6] and its
+        // walk stops at [7,7]; pred1's [5,6] does and [20,25] stops it.
         (
             q().object("obj0").overlapping(iv(3, 6)),
-            "global interval index ∩ window [3,6], ~3 candidates",
+            "every predicate interval sub-index (2 runs) ∩ window [3,6], ~3 candidates",
         ),
         (q().object("obj1"), "full arena scan, ~6 candidates"),
         (
@@ -248,5 +249,35 @@ fn explain_names_the_chosen_path() {
     ];
     for (query, expected) in cases {
         assert_eq!(query.explain(), expected);
+    }
+}
+
+/// A window alone visits at most its answers plus one entry per
+/// predicate run, however long another predicate's spells are: pred0
+/// holds one spell over all time, pred1 a hundred one-point spells. A
+/// single run of every fact ordered by start would carry pred0's end as
+/// its running maximum past all of pred1's spells and visit every one
+/// that starts before the window ends.
+#[test]
+fn window_alone_visits_its_answers_plus_one_entry_per_run() {
+    let mut facts = vec![(0, 0, 0, 0, 120, 0)];
+    facts.extend((0..100).map(|i| (i, 1, 0, i as i8, 0, 0)));
+    let snap = build_snapshot(&facts);
+    for t in [50, 98, 99, 110] {
+        let query = snap.query().at(t);
+        let explain = query.explain();
+        let visited: usize = explain
+            .rsplit_once('~')
+            .and_then(|(_, n)| n.strip_suffix(" candidates")?.parse().ok())
+            .unwrap_or_else(|| panic!("no candidate count in {explain:?}"));
+        let answers = query.count();
+        assert!(
+            explain.starts_with("every predicate interval sub-index (2 runs)"),
+            "{explain}"
+        );
+        assert!(
+            visited <= answers + 2,
+            "at {t}: {explain}, {answers} answers"
+        );
     }
 }

@@ -115,9 +115,6 @@ pub struct Grounding {
     pub stats: GroundingStats,
     /// Graph epoch this grounding materialises.
     pub(crate) epoch: u64,
-    /// Formula-clause dedup signatures (kept so deltas never re-emit a
-    /// live clause).
-    pub(crate) seen: FxHashSet<(usize, Vec<Lit>)>,
     /// atom id → clause ids of every clause naming it. Built lazily on
     /// the first `apply_delta` (see `Grounding::ensure_dep_index`):
     /// batch resolves never pay for it.
@@ -272,7 +269,6 @@ pub(crate) fn ground_with(
         program: compiled,
         fact_atoms,
         epoch: graph.epoch(),
-        seen: FxHashSet::default(),
         // The atom→clause dependency index (what apply_delta walks to
         // retract exactly the clauses a changed fact touches) is *not*
         // built here: batch resolves never use it, so it materialises
@@ -426,12 +422,23 @@ impl Pending {
 impl Grounding {
     /// Emits a round's matches in canonical order ([`Pending::sort`]):
     /// interns each rule head as a hidden atom, pushing those it brings
-    /// to life onto `born`, and pushes every clause whose signature no
-    /// live clause has. Once the first delta has built the dependency
+    /// to life onto `born`, and pushes every clause the round has not
+    /// pushed already. Once the first delta has built the dependency
     /// index, a clause also enters it, the support counts, the
     /// component index and the change account.
+    ///
+    /// No clause of a round is live before it, so duplicates are
+    /// looked for among the round's own clauses only. Every match of a
+    /// round after a cold ground's first, and of a delta's, binds an
+    /// atom of its frontier, which was not alive when any live clause
+    /// was matched (the store is frozen while a round is matched); a
+    /// live clause names that atom at most as its head, never in its
+    /// body. And an atom that dies retracts every clause naming it. So
+    /// only two matches of one round yield one clause — the (a,b) and
+    /// (b,a) pairs of a symmetric constraint.
     fn emit(&mut self, mut pending: Pending, born: &mut Vec<AtomId>) {
         pending.sort(&self.program.formulas);
+        let mut emitted: FxHashSet<(usize, Vec<Lit>)> = FxHashSet::default();
         for (fidx, at, head) in pending.matches {
             let cf = &self.program.formulas[fidx];
             let body = &pending.atoms[at..at + cf.body.len()];
@@ -457,13 +464,13 @@ impl Grounding {
                 continue;
             };
             let signature = (fidx, clause.lits);
-            if self.seen.contains(&signature) {
+            if emitted.contains(&signature) {
                 continue;
             }
             let id = self
                 .clauses
                 .push_lits(&signature.1, clause.weight, clause.origin);
-            self.seen.insert(signature);
+            emitted.insert(signature);
             if self.dep_built {
                 self.register_clause(id);
             }

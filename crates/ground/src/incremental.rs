@@ -401,9 +401,9 @@ impl Grounding {
     }
 
     /// Retracts clause `j`: tombstones its arena slot (no other clause
-    /// id moves), reversing its index entries, dedup signature and
-    /// support contributions; derivations losing their last support are
-    /// queued on `kills`.
+    /// id moves), reversing its index entries and support
+    /// contributions; derivations losing their last support are queued
+    /// on `kills`.
     fn retract_clause(&mut self, j: ClauseId, kills: &mut Vec<AtomId>, stats: &mut DeltaStats) {
         stats.clauses_retracted += 1;
         if let Some(index) = &mut self.components {
@@ -420,8 +420,7 @@ impl Grounding {
                 .expect("clause index consistent");
             entries.swap_remove(pos);
         }
-        if let ClauseOrigin::Formula(fidx) = self.clauses.origin(j) {
-            self.seen.remove(&(fidx, self.clauses.lits(j).to_vec()));
+        if matches!(self.clauses.origin(j), ClauseOrigin::Formula(_)) {
             for lit in self.clauses.lits(j) {
                 if lit.positive {
                     let support = &mut self.support[lit.atom.index()];

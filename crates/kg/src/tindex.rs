@@ -2,13 +2,12 @@
 //!
 //! The snapshot query layer asks "which facts — of predicate p, of
 //! subject s, or at all — intersect this window?". A
-//! [`GraphTemporalIndex`] answers that in `O(log n + answers)` from
-//! three families of start-sorted [`Postings`] runs over one graph:
-//! one run of every fact, one per predicate, one per subject. A cold
-//! view builds them from one sort; a view carried from one snapshot to
-//! the next is patched ([`GraphTemporalIndex::patch`]), not rebuilt.
-
-use std::hash::Hash;
+//! [`GraphTemporalIndex`] answers that in `O(log n + answers)` per run
+//! from two families of start-sorted [`Postings`] runs over one graph:
+//! one run per predicate, one per subject. A window with no term walks
+//! every predicate run. A cold view builds them from one sort; a view
+//! carried from one snapshot to the next is patched
+//! ([`GraphTemporalIndex::patch`]), not rebuilt.
 
 use crate::dict::Symbol;
 use crate::fact::{FactId, TemporalFact};
@@ -19,40 +18,42 @@ use crate::postings::{Posting, Postings};
 /// An entry of a [`GraphTemporalIndex`] run: a fact and its interval.
 pub type Entry = Posting<FactId, ()>;
 
-/// Temporal secondary indexes over one graph: a run of every fact plus
-/// one per predicate and one per subject — the read-side companion of
+/// Temporal secondary indexes over one graph: one run per predicate and
+/// one per subject — the read-side companion of
 /// [`UtkGraph`]'s id lists, for "facts with predicate p *valid at time
 /// t*". All lookups are `&self`, so any number of reader threads can
 /// share it. Two indexes are equal when the same keys hold the same
 /// runs, wherever the runs lie in their arenas.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GraphTemporalIndex {
-    all: Postings<(), FactId, ()>,
     by_predicate: Postings<Symbol, FactId, ()>,
     by_subject: Postings<Symbol, FactId, ()>,
+    /// The keys of `by_predicate`, ascending.
+    predicates: Vec<Symbol>,
 }
 
 impl GraphTemporalIndex {
-    /// Builds the three families over every live fact of `graph` from
-    /// one sort: the facts in run order are the run of every fact, and
-    /// a stable counting sort by symbol takes them apart into the runs
-    /// of the other two families, each still in run order.
+    /// Builds both families over every live fact of `graph` from one
+    /// sort: the facts in run order, taken apart by a stable counting
+    /// sort by symbol into the runs of each family (each still in run
+    /// order, the runs in key order).
     pub fn build(graph: &UtkGraph) -> Self {
         let mut sorted: Vec<(Entry, [Symbol; 2])> = graph
             .iter()
             .map(|(id, f)| (Posting::new(f.interval, id, ()), [f.predicate, f.subject]))
             .collect();
         sorted.sort_unstable_by_key(|(e, _)| (e.interval, e.id));
-        let [by_predicate, by_subject] = [0, 1].map(|k| {
+        let [(by_predicate, predicates), (by_subject, _)] = [0, 1].map(|k| {
             let symbols = graph.dict().len();
             let mut at = vec![0usize; symbols + 1];
             for (_, keys) in &sorted {
                 at[keys[k].index() + 1] += 1;
             }
-            let runs = (0..symbols)
+            let runs: Vec<(Symbol, usize)> = (0..symbols)
                 .filter(|&s| at[s + 1] > 0)
                 .map(|s| (Symbol(s as u32), at[s + 1]))
                 .collect();
+            let run_keys = runs.iter().map(|&(s, _)| s).collect();
             for s in 1..symbols {
                 at[s] += at[s - 1];
             }
@@ -61,13 +62,12 @@ impl GraphTemporalIndex {
                 arena[at[keys[k].index()]] = e;
                 at[keys[k].index()] += 1;
             }
-            Postings::from_runs(arena, runs)
+            (Postings::from_runs(arena, runs), run_keys)
         });
-        let all = vec![((), sorted.len())];
         GraphTemporalIndex {
-            all: Postings::from_runs(sorted.into_iter().map(|(e, _)| e).collect(), all),
             by_predicate,
             by_subject,
+            predicates,
         }
     }
 
@@ -75,19 +75,26 @@ impl GraphTemporalIndex {
     /// the indexed graph): every run the batch names takes one
     /// [`Postings::patch`].
     pub fn patch(&mut self, removed: &[(FactId, TemporalFact)], added: &[(FactId, TemporalFact)]) {
-        patch_by(&mut self.all, |_| (), [removed, added]);
         patch_by(&mut self.by_predicate, |f| f.predicate, [removed, added]);
         patch_by(&mut self.by_subject, |f| f.subject, [removed, added]);
-    }
-
-    /// The run of every fact.
-    pub fn all(&self) -> &[Entry] {
-        self.all.run(())
+        for p in removed.iter().chain(added).map(|(_, f)| f.predicate) {
+            let has_run = !self.predicate(p).is_empty();
+            match self.predicates.binary_search(&p) {
+                Ok(at) if !has_run => drop(self.predicates.remove(at)),
+                Err(at) if has_run => self.predicates.insert(at, p),
+                _ => {}
+            }
+        }
     }
 
     /// The run of the facts with predicate `p` (empty if there is none).
     pub fn predicate(&self, p: Symbol) -> &[Entry] {
         self.by_predicate.run(p)
+    }
+
+    /// The predicates that have a run, ascending.
+    pub fn predicates(&self) -> &[Symbol] {
+        &self.predicates
     }
 
     /// The run of the facts with subject `s`.
@@ -97,12 +104,12 @@ impl GraphTemporalIndex {
 }
 
 /// Patches a family filed under `key`, one run at a time.
-fn patch_by<K: Copy + Ord + Hash>(
-    family: &mut Postings<K, FactId, ()>,
-    key: fn(&TemporalFact) -> K,
+fn patch_by(
+    family: &mut Postings<Symbol, FactId, ()>,
+    key: fn(&TemporalFact) -> Symbol,
     edits: [&[(FactId, TemporalFact)]; 2],
 ) {
-    let mut runs: FxHashMap<K, [Vec<Entry>; 2]> = FxHashMap::default();
+    let mut runs: FxHashMap<Symbol, [Vec<Entry>; 2]> = FxHashMap::default();
     for (side, edits) in edits.into_iter().enumerate() {
         for (id, f) in edits {
             runs.entry(key(f)).or_default()[side].push(Posting::new(f.interval, *id, ()));
@@ -165,11 +172,17 @@ mod tests {
         assert_eq!(overlapping(run, Interval::at(2011)).count(), 0);
     }
 
+    /// The entries of the predicate runs and of the subject runs: each
+    /// family files every indexed fact once.
+    fn totals(idx: &GraphTemporalIndex) -> [usize; 2] {
+        [&idx.by_predicate, &idx.by_subject].map(|family| family.space().0)
+    }
+
     #[test]
     fn empty_index() {
         let idx = GraphTemporalIndex::build(&UtkGraph::new());
-        assert!(idx.all().is_empty());
-        assert_eq!(overlapping(idx.all(), iv(0, 10)).count(), 0);
+        assert_eq!(totals(&idx), [0, 0]);
+        assert!(idx.predicates().is_empty());
         assert_eq!(idx, GraphTemporalIndex::default());
     }
 
@@ -214,7 +227,7 @@ mod tests {
         g.remove(dead).unwrap();
 
         let idx = GraphTemporalIndex::build(&g);
-        assert_eq!(idx.all().len(), 3, "tombstoned fact not indexed");
+        assert_eq!(totals(&idx), [3, 3], "tombstoned fact not indexed");
         let coach = g.dict().lookup("coach").unwrap();
         let plays = g.dict().lookup("playsFor").unwrap();
         let cr = g.dict().lookup("CR").unwrap();
@@ -225,6 +238,8 @@ mod tests {
         );
         assert_eq!(idx.subject(cr).len(), 2);
         assert!(idx.predicate(Symbol(999)).is_empty());
+        assert!(coach < plays);
+        assert_eq!(idx.predicates(), [coach, plays]);
     }
 
     #[test]
