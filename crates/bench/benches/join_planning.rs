@@ -47,7 +47,7 @@ use tecore_datagen::config::SkewedConfig;
 use tecore_datagen::skewed::{generate_skewed, PLANNING_PROGRAM};
 use tecore_datagen::standard::wikidata_program;
 use tecore_datagen::{generate_wikidata, WikidataConfig};
-use tecore_ground::{ground, intern_constants, GroundConfig};
+use tecore_ground::{ground, intern_constants};
 use tecore_kg::GraphTemporalIndex;
 use tecore_logic::LogicProgram;
 use tecore_temporal::Interval;
@@ -70,7 +70,6 @@ fn skewed(total_facts: usize) -> tecore_kg::UtkGraph {
 }
 
 fn bench_grounding(c: &mut Criterion) {
-    let config = GroundConfig::default();
     let mut group = c.benchmark_group("join_planning");
     group.sample_size(10);
     for size in [10_000usize, 100_000] {
@@ -84,7 +83,7 @@ fn bench_grounding(c: &mut Criterion) {
             // The marker predicates have no facts.
             intern_constants(&program, graph.dict_mut());
             group.bench_with_input(BenchmarkId::new(label, size), &graph, |b, g| {
-                b.iter(|| black_box(ground(g, &program, &config).expect("grounds")))
+                b.iter(|| black_box(ground(g, &program).expect("grounds")))
             });
         }
     }
@@ -101,7 +100,6 @@ const COLD_VIEW_CALLS: usize = 4;
 
 fn bench_ground_scaling(c: &mut Criterion) {
     let program = wikidata_program();
-    let config = GroundConfig::default();
     let graphs = [25_000usize, 400_000].map(|size| {
         let generated = generate_wikidata(&WikidataConfig {
             total_facts: size,
@@ -119,7 +117,7 @@ fn bench_ground_scaling(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("wikidata", size), graph, |b, g| {
             b.iter(|| {
                 for _ in 0..SCALING_FACTS / size {
-                    black_box(ground(g, &program, &config).expect("grounds"));
+                    black_box(ground(g, &program).expect("grounds"));
                 }
             })
         });
@@ -128,12 +126,23 @@ fn bench_ground_scaling(c: &mut Criterion) {
 
     // The stages of a cold view, on the larger of the two graphs.
     let (size, graph) = &graphs[1];
-    let grounding = ground(graph, &program, &config).expect("grounds");
+    let grounding = ground(graph, &program).expect("grounds");
+    // glibc serves an allocation above its mmap threshold with fresh
+    // pages, and raises the threshold (up to 32 MB, the trim threshold
+    // to twice it) whenever such a chunk is freed — so whether a stage's
+    // arrays land on pages the heap already holds depended on which
+    // stages ran before it: `clone` faulted in ≈ 9 600 pages (37 MB) a
+    // call when run on its own (`-- clone`) and none after `ground`,
+    // 1.6x apart. Freeing one chunk just under the ceiling pins both
+    // thresholds there for the rest of the process, so every stage but
+    // `ground` (whose arenas exceed the ceiling) runs on recycled pages
+    // whatever ran first. Other allocators are unaffected.
+    drop(black_box(vec![0u8; (32 << 20) - (16 << 10)]));
     let mut group = c.benchmark_group("cold_view");
     group.sample_size(10);
     let id = |stage| BenchmarkId::new(format!("wikidata/{size}"), stage);
     group.bench_function(id("ground"), |b| {
-        calls(b, || ground(graph, &program, &config).expect("grounds"))
+        calls(b, || ground(graph, &program).expect("grounds"))
     });
     group.bench_function(id("explain"), |b| {
         calls(b, || explain_conflicts(&grounding, graph.dict()))

@@ -25,9 +25,7 @@ fn quality_matched_mln() -> Arc<dyn MapSolver> {
         walksat: WalkSatConfig {
             max_flips: 1_500_000,
             restarts: 6,
-            ..WalkSatConfig::default()
         },
-        ..CpiConfig::default()
     }))
 }
 

@@ -14,8 +14,9 @@
 //! One edit cycle is one insert-edit-resolve plus one
 //! remove-edit-resolve (the insert is undone, so the graph does not
 //! grow across samples and the two variants time identical work). An
-//! iteration is one cycle at 2,000 facts and [`GATED_CYCLES`] cycles in
-//! the gated groups below.
+//! iteration is one cycle at 2,000 facts and, in the gated groups
+//! below, [`FROM_SCRATCH_CYCLES`] from-scratch or
+//! [`INCREMENTAL_CYCLES`] incremental cycles.
 //! Expected shape: incremental wins by a wide margin — grounding cost
 //! drops from O(graph) to O(delta), and warm-started solvers converge
 //! in a handful of steps.
@@ -39,12 +40,19 @@ use tecore_core::{Engine, TecoreConfig};
 use tecore_datagen::standard::wikidata_program;
 use tecore_temporal::Interval;
 
-/// Edit cycles per iteration in the groups CI gates by ratio. CI takes
-/// one sample per benchmark, and one incremental cycle is a tenth of a
-/// millisecond: sixteen of them make a sample a scheduler hiccup does
-/// not double. Every benchmark of those groups runs the same number, so
-/// their ratios read per cycle.
-const GATED_CYCLES: usize = 16;
+/// Edit cycles per iteration of the gated `from_scratch` benchmark. CI
+/// takes one sample per benchmark, and one from-scratch cycle at 50k
+/// facts is a tenth of a second: sixteen make a sample a second or two.
+const FROM_SCRATCH_CYCLES: usize = 16;
+
+/// Edit cycles per iteration of the gated `incremental` benchmarks. One
+/// incremental cycle is 20–30 µs: sixteen made a 0.3 ms sample that
+/// single smoke runs spread by ±30 %; 512 make one of 10–15 ms. Both
+/// sizes run the same number, so the 200k / 50k ratio reads per cycle;
+/// incremental over from-scratch reads
+/// `INCREMENTAL_CYCLES / FROM_SCRATCH_CYCLES` = 32 times the per-cycle
+/// ratio.
+const INCREMENTAL_CYCLES: usize = 512;
 
 /// One "user edit session": insert a clashing spouse fact, resolve,
 /// retract it, resolve again.
@@ -121,14 +129,14 @@ fn bench_streaming_updates(c: &mut Criterion) {
         let generated = harness::wikidata(facts);
         let mut group = c.benchmark_group(group);
         group.sample_size(10);
-        group.throughput(Throughput::Elements(2 * GATED_CYCLES as u64));
         if from_scratch {
+            group.throughput(Throughput::Elements(2 * FROM_SCRATCH_CYCLES as u64));
             let mut scratch =
                 Engine::with_config(generated.graph.clone(), program.clone(), config.clone());
             let mut edit = 0u64;
             group.bench_function(BenchmarkId::new("from_scratch", "mln-walksat"), |b| {
                 b.iter(|| {
-                    for _ in 0..GATED_CYCLES {
+                    for _ in 0..FROM_SCRATCH_CYCLES {
                         black_box(edit_cycle_from_scratch(&mut scratch, &mut edit));
                     }
                 })
@@ -142,9 +150,10 @@ fn bench_streaming_updates(c: &mut Criterion) {
         // iteration); an interactive session pays those once too.
         engine.resolve_incremental().expect("settle");
         let mut edit = 0u64;
+        group.throughput(Throughput::Elements(2 * INCREMENTAL_CYCLES as u64));
         group.bench_function(BenchmarkId::new("incremental", "mln-walksat"), |b| {
             b.iter(|| {
-                for _ in 0..GATED_CYCLES {
+                for _ in 0..INCREMENTAL_CYCLES {
                     black_box(edit_cycle_incremental(&mut engine, &mut edit));
                 }
             })

@@ -22,7 +22,7 @@ use tecore_datagen::skewed::generate_skewed;
 use tecore_datagen::standard::{
     football_program, paper_program, paper_rules, ranieri_utkg, wikidata_program,
 };
-use tecore_ground::{ground, intern_constants, GroundConfig, Partition, MAX_GRADED_ATOMS};
+use tecore_ground::{ground, intern_constants, Partition, MAX_GRADED_ATOMS};
 use tecore_kg::UtkGraph;
 use tecore_logic::LogicProgram;
 use tecore_mln::{CpiConfig, CpiSolver, WalkSatConfig};
@@ -50,7 +50,7 @@ fn main() {
 /// The program's constants are interned into `graph` first.
 fn print_components(label: &str, graph: &mut UtkGraph, program: &LogicProgram) {
     intern_constants(program, graph.dict_mut());
-    let grounding = ground(graph, program, &GroundConfig::default()).expect("grounds");
+    let grounding = ground(graph, program).expect("grounds");
     let partition = Partition::of(&grounding.clauses, grounding.num_atoms());
     let mut by_size: BTreeMap<usize, usize> = BTreeMap::new();
     for comp in 0..partition.len() {
@@ -138,9 +138,7 @@ fn e3_map_performance(quick: bool) {
         walksat: WalkSatConfig {
             max_flips: 1_500_000,
             restarts: 6,
-            ..WalkSatConfig::default()
         },
-        ..CpiConfig::default()
     }));
     let mut results: Vec<(&str, Duration, f64)> = Vec::new();
     for (label, backend) in [

@@ -38,8 +38,8 @@ use std::time::{Duration, Instant};
 
 use tecore_ground::{AtomId, AtomKind, DeltaChanges, Grounding, MapState};
 use tecore_kg::{
-    Confidence, Delta, Dictionary, FactId, FxHashSet, GraphTemporalIndex, Symbol, TemporalFact,
-    UtkGraph,
+    Confidence, Delta, Dictionary, FactId, FactMap, FxHashSet, GraphTemporalIndex, Symbol,
+    TemporalFact, UtkGraph,
 };
 
 use crate::engine::Moved;
@@ -48,59 +48,6 @@ use crate::pipeline::{confidence, inferred_fact, passes, solve_stats, TecoreConf
 use crate::resolution::{InferredFact, RemovedFact, Resolution};
 use crate::snapshot::Snapshot;
 use crate::stats::DebugStats;
-
-/// Engine fact id → id in a resolved graph, for the facts that graph
-/// holds. Dense, but only over the ids that can still occur: it starts
-/// at the smallest id live when it was built (ids are never reused, so
-/// everything below is gone for good), which keeps it the size of a
-/// stream's window rather than of everything the stream ever admitted.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct FactIds {
-    first: usize,
-    /// `ids[f - first]`, [`FactIds::ABSENT`] for facts not in the graph.
-    ids: Vec<u32>,
-}
-
-impl FactIds {
-    const ABSENT: u32 = u32::MAX;
-
-    /// An empty map for the live facts of `graph`.
-    pub(crate) fn spanning(graph: &UtkGraph) -> Self {
-        let first = graph
-            .iter()
-            .next()
-            .map_or(graph.arena_len(), |(id, _)| id.index());
-        FactIds {
-            first,
-            ids: vec![Self::ABSENT; graph.arena_len() - first],
-        }
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    pub(crate) fn get(&self, fact: FactId) -> Option<FactId> {
-        let id = *self.ids.get(fact.index().checked_sub(self.first)?)?;
-        (id != Self::ABSENT).then_some(FactId(id))
-    }
-
-    /// Maps `fact` (at or past the map's first id) to `id`.
-    pub(crate) fn set(&mut self, fact: FactId, id: FactId) {
-        let at = fact.index() - self.first;
-        if self.ids.len() <= at {
-            self.ids.resize(at + 1, Self::ABSENT);
-        }
-        self.ids[at] = id.0;
-    }
-
-    /// Unmaps `fact`, returning the id it had.
-    pub(crate) fn take(&mut self, fact: FactId) -> Option<FactId> {
-        let id = self.get(fact)?;
-        self.ids[fact.index() - self.first] = Self::ABSENT;
-        Some(id)
-    }
-}
 
 /// Rebuild instead of patching when what changed is more than this
 /// fraction of the live facts: past it, re-reading the graph costs less
@@ -117,12 +64,12 @@ const REBUILD_TOMBSTONE_SHARE: usize = 4;
 pub(crate) struct ViewMaps {
     /// Engine fact id → id in the snapshot's `consistent` graph, for
     /// the facts that are kept.
-    pub(crate) kept: FactIds,
+    pub(crate) kept: FactMap<FactId>,
     /// The same for the expanded graph, once that is a graph of its own
     /// whose ids have drifted from `consistent`'s; empty while `kept`
     /// serves both (one shared graph, or a freshly built expansion,
     /// which numbers the kept facts alike).
-    pub(crate) kept_expanded: FactIds,
+    pub(crate) kept_expanded: FactMap<FactId>,
     /// The snapshot's inferred facts, by ascending atom —
     /// `inferred[i].fact` is `snapshot.inferred[i]`.
     pub(crate) inferred: Vec<Inferred>,
@@ -847,35 +794,6 @@ mod tests {
             splice(&mut spliced, &drop, add);
             prop_assert_eq!(spliced, model);
         }
-    }
-
-    /// The map spans from the first live fact to the arena's end, also
-    /// once FIFO expiry has emptied the graph and facts came back.
-    #[test]
-    fn fact_ids_span_from_the_first_live_fact() {
-        let mut graph = UtkGraph::new();
-        let spell = tecore_temporal::Interval::new(2000, 2004).unwrap();
-        let ids: Vec<FactId> = (0..6)
-            .map(|i| {
-                graph
-                    .insert("CR", "coach", &format!("c{i}"), spell, 0.9)
-                    .unwrap()
-            })
-            .collect();
-        for &id in &ids[..3] {
-            graph.remove(id).unwrap();
-        }
-        let span = FactIds::spanning(&graph);
-        assert_eq!((span.first, span.ids.len()), (3, 3));
-        // The first live fact goes after a later one.
-        graph.remove(ids[4]).unwrap();
-        graph.remove(ids[3]).unwrap();
-        assert_eq!(FactIds::spanning(&graph).first, 5);
-        graph.remove(ids[5]).unwrap();
-        assert!(FactIds::spanning(&graph).is_empty());
-        let back = graph.insert("CR", "coach", "c6", spell, 0.9).unwrap();
-        let span = FactIds::spanning(&graph);
-        assert_eq!((span.first, span.ids.len()), (back.index(), 1));
     }
 
     /// A snapshot whose view is built, as the engine publishes them.

@@ -32,8 +32,8 @@ use std::time::Instant;
 use tecore_ground::component::{ComponentView, Partition};
 use tecore_ground::incremental::DeltaStats;
 use tecore_ground::{
-    intern_constants, AtomId, ComponentIndex, ComponentMode, Grounding, MapSolver, MapState,
-    Marginals,
+    intern_constants, AtomId, ComponentIndex, ComponentMode, GroundConfig, Grounding, MapSolver,
+    MapState, Marginals,
 };
 use tecore_kg::{Delta, FactId, TemporalFact, UtkGraph};
 use tecore_logic::LogicProgram;
@@ -688,11 +688,7 @@ impl Engine {
             self.cache = None;
             return None;
         }
-        Some(
-            engine
-                .grounding
-                .apply_delta(&self.graph, delta, &self.config.ground),
-        )
+        Some(engine.grounding.apply_delta(&self.graph, delta))
     }
 
     /// Interns the program's constants into the graph's dictionary. The
@@ -733,7 +729,12 @@ impl Engine {
     pub fn resolve_raw(&self) -> Result<Resolution, TecoreError> {
         let (graph, config) = (&self.graph, &self.config);
         let solver = &*config.backend;
-        let mut grounding = translate(graph, &self.program, &solver.caps(), &config.ground)?;
+        let mut grounding = translate(
+            graph,
+            &self.program,
+            &solver.caps(),
+            &GroundConfig::default(),
+        )?;
         let solve_start = Instant::now();
         let outcome = solve_dispatch(
             solver,
@@ -780,7 +781,12 @@ impl Engine {
         // log truncation below can drop netted churn (insert+remove
         // pairs) instead of re-netting a growing log every resolve.
         let translate = |engine: &Engine| {
-            translate(&engine.graph, &engine.program, &caps, &engine.config.ground)
+            translate(
+                &engine.graph,
+                &engine.program,
+                &caps,
+                &GroundConfig::default(),
+            )
         };
         // The net fact changes since the carried snapshot — read before
         // the log is truncated.
@@ -788,9 +794,7 @@ impl Engine {
         let mut engine = match self.cache.take() {
             Some(mut engine) => match self.graph.since(engine.grounding.epoch()) {
                 Some(delta) => {
-                    engine
-                        .grounding
-                        .apply_delta(&self.graph, &delta, &self.config.ground);
+                    engine.grounding.apply_delta(&self.graph, &delta);
                     // Usually the very same delta; not after a public
                     // `apply_delta` moved the grounding ahead on its own.
                     let carried_at = engine.carried.as_ref().map(|c| c.snapshot.epoch());
@@ -1565,7 +1569,6 @@ mod tests {
                     threshold,
                     confidence,
                     component_mode,
-                    ..TecoreConfig::default()
                 };
                 let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
                 let mut engine = Engine::with_config(wide_graph(), program, config);

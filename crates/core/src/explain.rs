@@ -262,7 +262,7 @@ fn explanation(
 mod tests {
     use super::*;
     use crate::Engine;
-    use tecore_ground::{ground, GroundConfig};
+    use tecore_ground::ground;
     use tecore_kg::parser::parse_graph;
     use tecore_kg::UtkGraph;
     use tecore_logic::LogicProgram;
@@ -284,7 +284,7 @@ mod tests {
     #[test]
     fn explains_the_chelsea_napoli_clash() {
         let (graph, program) = input();
-        let grounding = ground(&graph, &program, &GroundConfig::default()).unwrap();
+        let grounding = ground(&graph, &program).unwrap();
         let off_the_arena = explain_conflicts(&grounding, graph.dict());
         // The default (cutting-plane) engine lists the same conflict.
         let mut engine = Engine::new(graph, program);
@@ -312,7 +312,7 @@ mod tests {
             "c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf",
         )
         .unwrap();
-        let g = ground(&graph, &program, &GroundConfig::default()).unwrap();
+        let g = ground(&graph, &program).unwrap();
         assert!(explain_conflicts(&g, graph.dict()).is_empty());
     }
 }

@@ -11,13 +11,11 @@
 
 use std::sync::Arc;
 
-use tecore_ground::{
-    AtomId, AtomKind, ComponentMode, GroundAtom, GroundConfig, Grounding, MapSolver, MapState,
-};
-use tecore_kg::{Dictionary, FactId, FxHashSet, UtkGraph};
+use tecore_ground::{AtomId, AtomKind, ComponentMode, GroundAtom, Grounding, MapSolver, MapState};
+use tecore_kg::{Dictionary, FactId, FactMap, FxHashSet, UtkGraph};
 use tecore_mln::CpiSolver;
 
-use crate::carry::{FactIds, Inferred, ViewMaps};
+use crate::carry::{Inferred, ViewMaps};
 use crate::error::TecoreError;
 use crate::explain::Conflicts;
 use crate::resolution::{InferredFact, RemovedFact, Resolution};
@@ -51,8 +49,6 @@ pub struct TecoreConfig {
     /// a plugin. Defaults to cutting-plane inference (`mln-cpi`), the
     /// scalable configuration of the paper's MLN reasoner.
     pub backend: Arc<dyn MapSolver>,
-    /// Grounding options, the same for every backend.
-    pub ground: GroundConfig,
     /// Confidence threshold for derived facts ("remove derived facts
     /// below that" — paper §1). `0.0` keeps everything.
     pub threshold: f64,
@@ -70,7 +66,6 @@ impl Default for TecoreConfig {
     fn default() -> Self {
         TecoreConfig {
             backend: Arc::new(CpiSolver::default()),
-            ground: GroundConfig::default(),
             threshold: 0.0,
             confidence: ConfidenceMode::default(),
             component_mode: ComponentMode::default(),
@@ -133,7 +128,7 @@ pub(crate) fn interpret(
     // Partition evidence by the MAP world. Kept facts are numbered in
     // the order `filtered` inserts them.
     let mut removed = Vec::new();
-    let mut kept = FactIds::spanning(graph);
+    let mut kept = FactMap::spanning(graph);
     let mut kept_count = 0u32;
     let consistent = graph.filtered(|id, fact| {
         let atom = grounding
@@ -187,7 +182,7 @@ pub(crate) fn interpret(
     solve_stats(&mut stats, grounding, state, config);
     let maps = ViewMaps {
         kept,
-        kept_expanded: FactIds::default(),
+        kept_expanded: FactMap::default(),
         inferred,
         thresholded,
         ungraded,

@@ -31,7 +31,7 @@ impl SolverRegistry {
             Arc::new(BranchAndBound::new()),
             Arc::new(MaxWalkSat::default()),
             Arc::new(CpiSolver::default()),
-            Arc::new(PslAdmm::default()),
+            Arc::new(PslAdmm),
         ];
         let entries = solvers
             .into_iter()

@@ -23,16 +23,17 @@ use crate::error::TecoreError;
 /// Translates a (graph, program) pair for a backend with `caps`. The
 /// graph's dictionary must hold the program's constants
 /// ([`tecore_ground::intern_constants`]; `Engine` interns them).
+/// [`GroundConfig`] holds no setting.
 pub fn translate(
     graph: &UtkGraph,
     program: &LogicProgram,
     caps: &SolverCaps,
-    config: &GroundConfig,
+    _config: &GroundConfig,
 ) -> Result<Grounding, TecoreError> {
     for f in program.formulas() {
         check_expressivity(f, caps.expressivity)?;
     }
-    Ok(ground(graph, program, config)?)
+    Ok(ground(graph, program)?)
 }
 
 #[cfg(test)]

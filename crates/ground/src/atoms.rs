@@ -1,7 +1,7 @@
 //! Ground atoms and the interning atom store.
 
 use tecore_kg::fxhash::FxHashMap;
-use tecore_kg::{FactId, Postings, Symbol, UtkGraph};
+use tecore_kg::{FactId, FactMap, Postings, Symbol, UtkGraph};
 use tecore_temporal::Interval;
 
 /// Identifier of a ground atom within one [`AtomStore`].
@@ -13,6 +13,18 @@ impl AtomId {
     #[inline]
     pub const fn index(self) -> usize {
         self.0 as usize
+    }
+}
+
+impl From<u32> for AtomId {
+    fn from(id: u32) -> Self {
+        AtomId(id)
+    }
+}
+
+impl From<AtomId> for u32 {
+    fn from(id: AtomId) -> u32 {
+        id.0
     }
 }
 
@@ -53,45 +65,6 @@ pub struct GroundAtom {
 // Two atoms to a cache line: a cold store build writes them back to
 // back, and the evidence-only fields live in side tables.
 const _: () = assert!(std::mem::size_of::<GroundAtom>() == 32);
-
-/// Evidence fact → atom: a table over the graph's fact arena, from the
-/// first fact that was live when the table was made (a graph that only
-/// ever appends and expires — a stream window — has nothing live before
-/// it, and never will) through everything inserted since.
-#[derive(Debug, Clone, Default)]
-pub struct FactAtoms {
-    first: usize,
-    atoms: Vec<AtomId>,
-}
-
-/// The table entry of a fact that is not (or no longer) in the graph.
-const NO_ATOM: AtomId = AtomId(u32::MAX);
-
-impl FactAtoms {
-    /// The evidence atom a live fact of the graph asserts.
-    #[inline]
-    pub fn get(&self, fact: FactId) -> Option<AtomId> {
-        let id = *self.atoms.get(fact.index().checked_sub(self.first)?)?;
-        (id != NO_ATOM).then_some(id)
-    }
-
-    /// Records the atom of a fact (facts only ever arrive with ids
-    /// beyond the ones the table has seen).
-    pub(crate) fn set(&mut self, fact: FactId, atom: AtomId) {
-        let at = fact.index() - self.first;
-        if at >= self.atoms.len() {
-            self.atoms.resize(at + 1, NO_ATOM);
-        }
-        self.atoms[at] = atom;
-    }
-
-    /// Forgets a removed fact; returns the atom it asserted.
-    pub(crate) fn take(&mut self, fact: FactId) -> Option<AtomId> {
-        let id = self.get(fact)?;
-        self.atoms[fact.index() - self.first] = NO_ATOM;
-        Some(id)
-    }
-}
 
 /// One entry of a posting run: the atom's interval, the atom, and the
 /// symbol the run's key leaves open — the object under `(subject,
@@ -184,7 +157,7 @@ impl AtomStore {
     /// and the same sorted entries — one per statement — are the
     /// `(subject, predicate)` runs, laid out back to back. Only that
     /// family is built. Also returns the fact → atom table.
-    pub fn from_graph(graph: &UtkGraph) -> (Self, FactAtoms) {
+    pub fn from_graph(graph: &UtkGraph) -> (Self, FactMap<AtomId>) {
         let mut store = AtomStore {
             by_po: None,
             ..AtomStore::new()
@@ -209,14 +182,7 @@ impl AtomStore {
         store.alive.reserve(n);
         store.log_odds.reserve(n);
         store.first_fact.reserve(n);
-        let first = graph
-            .iter()
-            .next()
-            .map_or(graph.arena_len(), |(fid, _)| fid.index());
-        let mut fact_atoms = FactAtoms {
-            first,
-            atoms: vec![NO_ATOM; graph.arena_len() - first],
-        };
+        let mut fact_atoms = FactMap::spanning(graph);
         let mut atom_at: Vec<AtomId> = Vec::with_capacity(n);
         for ((fid, fact), at) in graph.iter().zip(0..) {
             let log_odds = fact.confidence.log_odds();
@@ -235,7 +201,7 @@ impl AtomStore {
                 id
             };
             atom_at.push(id);
-            fact_atoms.atoms[fid.index() - first] = id;
+            fact_atoms.set(fid, id);
         }
 
         for (atom, id) in store.atoms.iter().zip(0..) {

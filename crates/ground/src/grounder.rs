@@ -8,14 +8,14 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use tecore_kg::fxhash::FxHashSet;
-use tecore_kg::{reaching, Symbol, UtkGraph};
+use tecore_kg::{reaching, FactMap, Symbol, UtkGraph};
 use tecore_logic::atom::CmpOp;
 use tecore_logic::formula::Weight;
 use tecore_logic::term::{TimeTerm, VarId};
 use tecore_logic::{LogicError, LogicProgram};
 use tecore_temporal::Interval;
 
-use crate::atoms::{AtomId, AtomStore, FactAtoms, GroundAtom, Posting};
+use crate::atoms::{AtomId, AtomStore, GroundAtom, Posting};
 use crate::bindings::Bindings;
 use crate::clause::{ClauseOrigin, ClauseStore, ClauseWeight, GroundClause, Lit};
 use crate::compile::{
@@ -33,8 +33,8 @@ const MAX_ROUNDS: usize = 16;
 
 /// Grounding configuration. It holds no setting: evidence, priors,
 /// join order and round limits are fixed by the grounder. It is still
-/// passed to [`ground`] and [`Grounding::apply_delta`], and carried in
-/// `TecoreConfig`, so that callers written against it keep compiling.
+/// passed to `translate` (in `tecore-core`), so that callers written
+/// against it keep compiling.
 #[derive(Debug, Clone, Default)]
 pub struct GroundConfig {}
 
@@ -109,8 +109,9 @@ pub struct Grounding {
     /// The compiled program (what deltas re-match and explanations
     /// name constraints from).
     pub program: CompiledProgram,
-    /// Evidence fact → atom mapping.
-    pub fact_atoms: FactAtoms,
+    /// Evidence fact → the atom it asserts, over the graph's fact
+    /// arena from the first fact live at the cold ground on.
+    pub fact_atoms: FactMap<AtomId>,
     /// Run statistics.
     pub stats: GroundingStats,
     /// Graph epoch this grounding materialises.
@@ -219,11 +220,7 @@ impl Grounding {
 /// Grounds `program` against `graph`, whose dictionary must hold every
 /// constant the program names ([`crate::intern_constants`]); a missing
 /// one is a [`LogicError::Validation`] naming it.
-pub fn ground(
-    graph: &UtkGraph,
-    program: &LogicProgram,
-    _config: &GroundConfig,
-) -> Result<Grounding, LogicError> {
+pub fn ground(graph: &UtkGraph, program: &LogicProgram) -> Result<Grounding, LogicError> {
     ground_with(graph, program, |compiled, store| {
         planner::plan(compiled, store);
     })
@@ -861,16 +858,16 @@ mod tests {
 
     /// `program` grounded against the graph `text` describes, the
     /// program's constants interned into the graph first.
-    fn ground_text(text: &str, program: &str, config: &GroundConfig) -> (UtkGraph, Grounding) {
+    fn ground_text(text: &str, program: &str) -> (UtkGraph, Grounding) {
         let mut graph = parse_graph(text).unwrap();
         let program = LogicProgram::parse(program).unwrap();
         crate::intern_constants(&program, graph.dict_mut());
-        let g = ground(&graph, &program, config).unwrap();
+        let g = ground(&graph, &program).unwrap();
         (graph, g)
     }
 
     fn ground_paper() -> (UtkGraph, Grounding) {
-        ground_text(RANIERI, PAPER_PROGRAM, &GroundConfig::default())
+        ground_text(RANIERI, PAPER_PROGRAM)
     }
 
     #[test]
@@ -886,7 +883,7 @@ mod tests {
             LogicProgram::parse("f1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = 2.5")
                 .unwrap();
         for (program, formula, constant) in [(body, "c1", "deathDate"), (head, "f1", "worksFor")] {
-            let err = ground(&graph, &program, &GroundConfig::default()).unwrap_err();
+            let err = ground(&graph, &program).unwrap_err();
             assert!(matches!(err, LogicError::Validation { .. }));
             let err = err.to_string();
             assert!(
@@ -972,7 +969,6 @@ mod tests {
             "f1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = 2.5\n\
              f2: quad(x, worksFor, y, t) ^ quad(y, locatedIn, z, t') ^ overlap(t, t') \
                  -> quad(x, livesIn, z, t ∩ t') w = 1.6\n",
-            &GroundConfig::default(),
         );
         let lives_in = graph.dict().lookup("livesIn").unwrap();
         let derived: Vec<_> = g
@@ -1023,7 +1019,6 @@ mod tests {
             "(a, relA, b, [10,20]) 0.9\n\
              (a, relB, c, [15,30]) 0.9\n",
             "quad(x, relA, y, t) ^ quad(x, relB, z, t') -> quad(x, both, z) w = 1.0",
-            &GroundConfig::default(),
         );
         let both = graph.dict().lookup("both").unwrap();
         let (_, atom) = g.store.iter().find(|(_, a)| a.predicate == both).unwrap();
@@ -1036,7 +1031,6 @@ mod tests {
             "(a, relA, b, [10,12]) 0.9\n\
              (a, relB, c, [20,22]) 0.9\n",
             "quad(x, relA, y, t) ^ quad(x, relB, z, t') -> quad(x, both, z) w = 1.0",
-            &GroundConfig::default(),
         );
         let both = graph.dict().lookup("both").unwrap();
         let (_, atom) = g.store.iter().find(|(_, a)| a.predicate == both).unwrap();
@@ -1045,7 +1039,7 @@ mod tests {
 
     #[test]
     fn negative_evidence_weight_for_low_confidence() {
-        let (_, g) = ground_text("(a, p, b, [1,2]) 0.2\n", "", &GroundConfig::default());
+        let (_, g) = ground_text("(a, p, b, [1,2]) 0.2\n", "");
         let unit = g
             .clauses
             .iter()
@@ -1061,7 +1055,6 @@ mod tests {
             "(CR, coach, Chelsea, [2000,2004]) 0.9\n\
              (CR, coach, Chelsea, [2000,2005]) 0.9\n",
             "quad(x, coach, y, [2000,2004]) -> quad(x, type, Coach2004) w = 1.0",
-            &GroundConfig::default(),
         );
         assert_eq!(g.stats.formula_clauses, 1);
     }
@@ -1117,7 +1110,6 @@ mod tests {
             "f1: quad(x, playsFor, y, t) -> quad(x, worksFor, y, t) w = 2.5\n\
              f2: quad(x, worksFor, y, t) ^ quad(y, locatedIn, z, t') ^ overlap(t, t') \
                  -> quad(x, livesIn, z, t ∩ t') w = 1.6\n",
-            &GroundConfig::default(),
         );
         // Round one: f1 over both `playsFor` atoms, f2 through the
         // asserted `worksFor` (c0–c2); round two: f2 through the two
@@ -1181,9 +1173,8 @@ mod tests {
         // no body, so nothing chains.
         let flat =
             format!("f1: quad(x, playsFor, y, t) -> quad(x, signedFor, y, t) w = 2.5\n{body}");
-        let config = GroundConfig::default();
-        let (_, g) = ground_text(&text, &chain, &config);
-        let (_, one) = ground_text(&text, &flat, &config);
+        let (_, g) = ground_text(&text, &chain);
+        let (_, one) = ground_text(&text, &flat);
         assert_eq!(g.stats.rounds, 3);
         assert_eq!(g.stats.hidden_atoms, 100, "50 worksFor, 50 livesIn");
         let extra = g.stats.candidates_examined - one.stats.candidates_examined;

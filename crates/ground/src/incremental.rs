@@ -41,7 +41,7 @@ use tecore_kg::{Delta, UtkGraph};
 
 use crate::atoms::{AtomId, AtomKind};
 use crate::clause::{ClauseId, ClauseOrigin, ClauseWeight, Lit};
-use crate::grounder::{evidence_unit, prior_unit, GroundConfig, Grounding};
+use crate::grounder::{evidence_unit, prior_unit, Grounding};
 use crate::planner;
 
 /// Statistics of one [`Grounding::apply_delta`] run.
@@ -101,8 +101,7 @@ impl Grounding {
     /// from the added facts' new and revived atoms.
     ///
     /// `graph` must be the graph the grounding was built from, now at
-    /// `delta.to_epoch`; `config` holds no setting ([`GroundConfig`]).
-    /// The fact → atom table is keyed by that graph's fact ids, and a
+    /// `delta.to_epoch`. The fact → atom table is keyed by that graph's fact ids, and a
     /// fact's symbols are the atom's: the grounding numbers its terms
     /// by that graph's dictionary.
     ///
@@ -113,12 +112,7 @@ impl Grounding {
     /// snapshot, would silently corrupt the materialisation, and the
     /// epoch field exists precisely to catch that (in release builds
     /// too).
-    pub fn apply_delta(
-        &mut self,
-        graph: &UtkGraph,
-        delta: &Delta,
-        _config: &GroundConfig,
-    ) -> DeltaStats {
+    pub fn apply_delta(&mut self, graph: &UtkGraph, delta: &Delta) -> DeltaStats {
         let start = Instant::now();
         assert_eq!(
             self.epoch, delta.from_epoch,
@@ -503,17 +497,17 @@ mod tests {
 
     /// `program` grounded against `graph`, its constants interned into
     /// the graph first.
-    fn grounded(graph: &mut UtkGraph, program: &LogicProgram, config: &GroundConfig) -> Grounding {
+    fn grounded(graph: &mut UtkGraph, program: &LogicProgram) -> Grounding {
         crate::intern_constants(program, graph.dict_mut());
-        ground(graph, program, config).unwrap()
+        ground(graph, program).unwrap()
     }
 
     /// Applies the pending delta of `graph` to `g` and asserts the
     /// result is clause-for-clause equivalent to a cold re-ground.
-    fn assert_matches_cold(g: &mut Grounding, graph: &mut UtkGraph, config: &GroundConfig) {
+    fn assert_matches_cold(g: &mut Grounding, graph: &mut UtkGraph) {
         let delta = graph.since(g.epoch()).expect("history retained");
-        g.apply_delta(graph, &delta, config);
-        let cold = ground(graph, &program(), config).unwrap();
+        g.apply_delta(graph, &delta);
+        let cold = ground(graph, &program()).unwrap();
         let dict = graph.dict();
         assert_eq!(canonical_clauses(g, dict), canonical_clauses(&cold, dict));
         // Live-atom population agrees too.
@@ -528,13 +522,12 @@ mod tests {
     #[test]
     fn add_conflicting_fact_emits_constraint_clause() {
         let mut graph = parse_graph("(CR, coach, Chelsea, [2000,2004]) 0.9\n").unwrap();
-        let config = GroundConfig::default();
-        let mut g = grounded(&mut graph, &program(), &config);
+        let mut g = grounded(&mut graph, &program());
         graph
             .insert("CR", "coach", "Napoli", iv(2001, 2003), 0.6)
             .unwrap();
         let delta = graph.since(g.epoch()).unwrap();
-        let stats = g.apply_delta(&graph, &delta, &config);
+        let stats = g.apply_delta(&graph, &delta);
         assert_eq!(stats.facts_added, 1);
         assert_eq!(stats.atoms_created, 1);
         // One new clash clause + one new evidence unit.
@@ -544,7 +537,7 @@ mod tests {
                 .any(|c| c.origin == ClauseOrigin::Formula(1) && c.weight.is_hard()),
             "clash clause emitted"
         );
-        let cold = ground(&graph, &program(), &config).unwrap();
+        let cold = ground(&graph, &program()).unwrap();
         assert_eq!(
             canonical_clauses(&g, graph.dict()),
             canonical_clauses(&cold, graph.dict())
@@ -559,8 +552,7 @@ mod tests {
              (CR, coach, Napoli, [2001,2003]) 0.6\n",
         )
         .unwrap();
-        let config = GroundConfig::default();
-        let mut g = grounded(&mut graph, &program(), &config);
+        let mut g = grounded(&mut graph, &program());
         assert_eq!(g.store.hidden_count(), 1, "worksFor derived");
 
         // Removing the playsFor fact kills the derived worksFor atom.
@@ -568,10 +560,10 @@ mod tests {
         let fid = graph.facts_with_predicate(plays).next().unwrap().0;
         graph.remove(fid).unwrap();
         let delta = graph.since(g.epoch()).unwrap();
-        let stats = g.apply_delta(&graph, &delta, &config);
+        let stats = g.apply_delta(&graph, &delta);
         assert_eq!(stats.atoms_killed, 2, "evidence atom + derived atom");
         assert_eq!(g.store.hidden_count(), 0);
-        let cold = ground(&graph, &program(), &config).unwrap();
+        let cold = ground(&graph, &program()).unwrap();
         assert_eq!(
             canonical_clauses(&g, graph.dict()),
             canonical_clauses(&cold, graph.dict())
@@ -585,16 +577,15 @@ mod tests {
              (CR, playsFor, Palermo, [1984,1986]) 0.5\n",
         )
         .unwrap();
-        let config = GroundConfig::default();
-        let mut g = grounded(&mut graph, &program(), &config);
+        let mut g = grounded(&mut graph, &program());
         let before = canonical_clauses(&g, graph.dict());
 
         let fid = graph
             .insert("CR", "coach", "Napoli", iv(2001, 2003), 0.6)
             .unwrap();
-        assert_matches_cold(&mut g, &mut graph, &config);
+        assert_matches_cold(&mut g, &mut graph);
         graph.remove(fid).unwrap();
-        assert_matches_cold(&mut g, &mut graph, &config);
+        assert_matches_cold(&mut g, &mut graph);
         assert_eq!(
             canonical_clauses(&g, graph.dict()),
             before,
@@ -605,14 +596,13 @@ mod tests {
     #[test]
     fn duplicate_statement_merges_and_unmerges() {
         let mut graph = parse_graph("(a, coach, b, [1,5]) 0.8\n").unwrap();
-        let config = GroundConfig::default();
-        let mut g = grounded(&mut graph, &program(), &config);
+        let mut g = grounded(&mut graph, &program());
         // Same statement again: merges into the same atom.
         let dup = graph.insert("a", "coach", "b", iv(1, 5), 0.7).unwrap();
-        assert_matches_cold(&mut g, &mut graph, &config);
+        assert_matches_cold(&mut g, &mut graph);
         assert_eq!(g.store.evidence_count(), 1);
         graph.remove(dup).unwrap();
-        assert_matches_cold(&mut g, &mut graph, &config);
+        assert_matches_cold(&mut g, &mut graph);
     }
 
     #[test]
@@ -620,15 +610,14 @@ mod tests {
         // `worksFor` is the graph's before grounding; a post-grounding
         // graph term gets a number of its own.
         let mut graph = parse_graph("(CR, playsFor, Palermo, [1984,1986]) 0.5\n").unwrap();
-        let config = GroundConfig::default();
-        let mut g = grounded(&mut graph, &program(), &config);
+        let mut g = grounded(&mut graph, &program());
         graph
             .insert("Eriksson", "coach", "Lazio", iv(1997, 2001), 0.9)
             .unwrap();
         graph
             .insert("Eriksson", "coach", "England", iv(2001, 2006), 0.8)
             .unwrap();
-        assert_matches_cold(&mut g, &mut graph, &config);
+        assert_matches_cold(&mut g, &mut graph);
     }
 
     #[test]
@@ -638,8 +627,7 @@ mod tests {
         // them, and the grounding reads a delta's facts by the graph's
         // symbols as they are.
         let mut graph = parse_graph("(CR, playsFor, Palermo, [1984,1986]) 0.5\n").unwrap();
-        let config = GroundConfig::default();
-        let mut g = grounded(&mut graph, &program(), &config);
+        let mut g = grounded(&mut graph, &program());
         let grounded_terms = graph.dict().len();
         let works_for = graph.dict().lookup("worksFor").unwrap();
         assert!(works_for.index() < grounded_terms);
@@ -650,7 +638,7 @@ mod tests {
         let eriksson = graph.dict().lookup("Eriksson").unwrap();
         let lazio = graph.dict().lookup("Lazio").unwrap();
         assert!(eriksson.index() >= grounded_terms, "a later term");
-        assert_matches_cold(&mut g, &mut graph, &config);
+        assert_matches_cold(&mut g, &mut graph);
         let derived = g
             .store
             .lookup(eriksson, works_for, lazio, iv(1997, 2001))
@@ -668,7 +656,7 @@ mod tests {
         graph
             .insert("Eriksson", "worksFor", "Lazio", iv(1997, 2001), 0.6)
             .unwrap();
-        assert_matches_cold(&mut g, &mut graph, &config);
+        assert_matches_cold(&mut g, &mut graph);
         let merged = g.store.lookup(eriksson, works_for, lazio, iv(1997, 2001));
         assert_eq!(merged, Some(derived), "one atom for the statement");
         assert!(g.store.atom(derived).kind.is_evidence());
@@ -681,7 +669,7 @@ mod tests {
         graph
             .insert("Mancini", "playsFor", "Lazio", iv(1997, 2001), 0.9)
             .unwrap();
-        assert_matches_cold(&mut g, &mut graph, &config);
+        assert_matches_cold(&mut g, &mut graph);
     }
 
     #[test]
@@ -693,8 +681,7 @@ mod tests {
         )
         .unwrap();
         let mut graph = parse_graph("(Palermo, locatedIn, Sicily, [1900,2020]) 0.9\n").unwrap();
-        let config = GroundConfig::default();
-        let mut g = grounded(&mut graph, &chain, &config);
+        let mut g = grounded(&mut graph, &chain);
         assert_eq!(g.store.hidden_count(), 0);
 
         // One insert triggers two derivation rounds (worksFor, livesIn).
@@ -702,10 +689,10 @@ mod tests {
             .insert("CR", "playsFor", "Palermo", iv(1984, 1986), 0.5)
             .unwrap();
         let delta = graph.since(g.epoch()).unwrap();
-        let stats = g.apply_delta(&graph, &delta, &config);
+        let stats = g.apply_delta(&graph, &delta);
         assert!(stats.rounds >= 2, "chained rounds: {stats:?}");
         assert_eq!(g.store.hidden_count(), 2);
-        let cold = ground(&graph, &chain, &config).unwrap();
+        let cold = ground(&graph, &chain).unwrap();
         assert_eq!(g.store.evidence_count(), cold.store.evidence_count());
         assert_eq!(g.store.hidden_count(), cold.store.hidden_count());
 
@@ -714,19 +701,18 @@ mod tests {
         let fid = graph.facts_with_predicate(plays).next().unwrap().0;
         graph.remove(fid).unwrap();
         let delta = graph.since(g.epoch()).unwrap();
-        g.apply_delta(&graph, &delta, &config);
+        g.apply_delta(&graph, &delta);
         assert_eq!(g.store.hidden_count(), 0);
     }
 
     #[test]
     fn empty_delta_is_a_no_op() {
         let mut graph = parse_graph("(a, coach, b, [1,5]) 0.8\n").unwrap();
-        let config = GroundConfig::default();
-        let mut g = grounded(&mut graph, &program(), &config);
+        let mut g = grounded(&mut graph, &program());
         let before = canonical_clauses(&g, graph.dict());
         let delta = graph.since(g.epoch()).unwrap();
         assert!(delta.is_empty());
-        let stats = g.apply_delta(&graph, &delta, &config);
+        let stats = g.apply_delta(&graph, &delta);
         assert_eq!(stats.clauses_emitted + stats.clauses_retracted, 0);
         assert_eq!(canonical_clauses(&g, graph.dict()), before);
     }

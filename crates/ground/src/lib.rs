@@ -50,7 +50,7 @@ pub mod incremental;
 pub mod planner;
 pub mod solver;
 
-pub use atoms::{AtomId, AtomKind, AtomStore, FactAtoms, GroundAtom, Posting};
+pub use atoms::{AtomId, AtomKind, AtomStore, GroundAtom, Posting};
 pub use bindings::Bindings;
 pub use clause::{ClauseId, ClauseOrigin, ClauseRef, ClauseStore, ClauseWeight, GroundClause, Lit};
 pub use compile::{intern_constants, CompiledFormula, CompiledProgram};

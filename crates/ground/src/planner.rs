@@ -299,8 +299,7 @@ mod tests {
         let program =
             LogicProgram::parse("quad(x, big, y, t) ^ quad(x, small, z, t') -> false w = inf")
                 .unwrap();
-        let config = crate::GroundConfig::default();
-        let mut grounding = crate::ground(&g, &program, &config).unwrap();
+        let mut grounding = crate::ground(&g, &program).unwrap();
         assert_eq!(grounding.plans[0].join_order, vec![1, 0]);
         // `small` grows past `big`: the next delta starts the cold join
         // at `big`, and reports it.
@@ -309,7 +308,7 @@ mod tests {
             g.insert(&format!("n{i}"), "small", "m", t, 0.9).unwrap();
         }
         let delta = g.since(grounding.epoch()).unwrap();
-        grounding.apply_delta(&g, &delta, &config);
+        grounding.apply_delta(&g, &delta);
         let cf = &grounding.program.formulas[0];
         assert_eq!(cf.cold, JoinPlan::new(&cf.body, &cf.checks, &[0, 1]));
         assert_eq!(grounding.plans[0].join_order, vec![0, 1]);

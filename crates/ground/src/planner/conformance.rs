@@ -17,7 +17,7 @@ use tecore_logic::LogicProgram;
 
 use crate::compile::{CompiledProgram, JoinPlan};
 use crate::grounder::ground_with;
-use crate::{ground, AtomStore, ClauseOrigin, GroundConfig};
+use crate::{ground, AtomStore, ClauseOrigin};
 
 /// The planner's orders, each reversed after its first step when
 /// seeded (a delta rule binds its position first) and whole when
@@ -43,8 +43,7 @@ fn assert_conformant(graph: &mut UtkGraph, src: &str) {
     let program = LogicProgram::parse(src).unwrap();
     crate::intern_constants(&program, graph.dict_mut());
     let graph = &*graph;
-    let config = GroundConfig::default();
-    let planned = ground(graph, &program, &config).unwrap();
+    let planned = ground(graph, &program).unwrap();
     let reversed = ground_with(graph, &program, reversed).unwrap();
     // Matches are emitted in body-position order whatever order they
     // were found in, so hidden atoms and clauses get the same ids.
@@ -133,7 +132,7 @@ fn empty_predicate_body_grounds_identically() {
     let src = "quad(x, pred0, y, t) ^ quad(y, ghost, z, t2) -> false w = inf";
     assert_conformant(&mut graph, src);
     let program = LogicProgram::parse(src).unwrap();
-    let g = ground(&graph, &program, &GroundConfig::default()).unwrap();
+    let g = ground(&graph, &program).unwrap();
     assert!(
         !g.clauses
             .iter()
@@ -166,6 +165,6 @@ fn cross_product_body_grounds_identically() {
     let src = "quad(a, pred0, b, t) ^ quad(c, pred1, d, t2) -> false w = inf";
     assert_conformant(&mut graph, src);
     let program = LogicProgram::parse(src).unwrap();
-    let g = ground(&graph, &program, &GroundConfig::default()).unwrap();
+    let g = ground(&graph, &program).unwrap();
     assert_eq!(g.plans[0].actual_matches, 4, "2 × 2 cross product");
 }

@@ -14,7 +14,7 @@ use common::{
     naive_ground, program_text, summary,
 };
 use proptest::prelude::*;
-use tecore_ground::{ground, intern_constants, GroundConfig};
+use tecore_ground::{ground, intern_constants};
 use tecore_kg::FactId;
 use tecore_logic::LogicProgram;
 
@@ -33,7 +33,7 @@ proptest! {
             let mut graph = build_graph(&facts);
             intern_constants(&program, graph.dict_mut());
             let expected = naive_ground(&graph, &program);
-            let g = ground(&graph, &program, &GroundConfig::default()).unwrap();
+            let g = ground(&graph, &program).unwrap();
             prop_assert_eq!(&summary(&g, graph.dict()), &expected, "on\n{}", src);
         }
     }
@@ -48,9 +48,8 @@ proptest! {
     ) {
         let mut graph = build_graph(&facts);
         let program = LogicProgram::parse(&src).unwrap();
-        let config = GroundConfig::default();
         intern_constants(&program, graph.dict_mut());
-        let mut g = ground(&graph, &program, &config).unwrap();
+        let mut g = ground(&graph, &program).unwrap();
         prop_assert_eq!(&summary(&g, graph.dict()), &naive_ground(&graph, &program), "cold on\n{}", src);
         for (i, batch) in more.chunks(4).take(3).enumerate() {
             for &fact in batch {
@@ -59,7 +58,7 @@ proptest! {
             let live: Vec<FactId> = graph.iter().map(|(id, _)| id).collect();
             graph.remove(live[(i * 7) % live.len()]).unwrap();
             let delta = graph.since(g.epoch()).expect("history retained");
-            g.apply_delta(&graph, &delta, &config);
+            g.apply_delta(&graph, &delta);
             prop_assert_eq!(&summary(&g, graph.dict()), &naive_ground(&graph, &program), "delta on\n{}", src);
         }
     }
@@ -79,9 +78,8 @@ proptest! {
         let mut graph = build_graph(&facts);
         let src = program_text(&formulas);
         let program = LogicProgram::parse(&src).unwrap();
-        let config = GroundConfig::default();
         intern_constants(&program, graph.dict_mut());
-        let mut g = ground(&graph, &program, &config).unwrap();
+        let mut g = ground(&graph, &program).unwrap();
         for batch in batches {
             for (inserts, remove) in batch {
                 for fact in inserts.into_iter().take(3) {
@@ -93,7 +91,7 @@ proptest! {
                 }
             }
             let delta = graph.since(g.epoch()).expect("history retained");
-            g.apply_delta(&graph, &delta, &config);
+            g.apply_delta(&graph, &delta);
             prop_assert_eq!(&summary(&g, graph.dict()), &naive_ground(&graph, &program), "on\n{}", src);
         }
     }

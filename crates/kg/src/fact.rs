@@ -20,6 +20,18 @@ impl FactId {
     }
 }
 
+impl From<u32> for FactId {
+    fn from(id: u32) -> Self {
+        FactId(id)
+    }
+}
+
+impl From<FactId> for u32 {
+    fn from(id: FactId) -> u32 {
+        id.0
+    }
+}
+
 impl fmt::Display for FactId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "f{}", self.0)

@@ -724,7 +724,7 @@ mod tests {
         /// oldest fact that leave it for last, and inserts after
         /// everything expired, `iter()` is a brute filter over the
         /// arena after every step, and its first id is the first live
-        /// one — where `FactIds::spanning` and `AtomStore::from_graph`
+        /// one — where `FactMap::spanning` and `AtomStore::from_graph`
         /// start their tables.
         #[test]
         fn iter_starts_at_the_first_live_slot(

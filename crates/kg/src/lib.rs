@@ -22,6 +22,8 @@
 //! * [`UtkGraph`] — the fact store with secondary indexes (by predicate,
 //!   by subject+predicate) and interval-overlap queries, supporting
 //!   tombstone deletion (conflict resolution removes facts);
+//! * [`FactMap`] — a dense fact id → id table from the first live
+//!   fact on (the grounder's fact → atom table, a view's fact ids);
 //! * [`Postings`] — start-sorted interval runs in one arena: the
 //!   grounder's posting families and the [`GraphTemporalIndex`];
 //! * a line-oriented **text format** ([`parser`], [`writer`]) used by the
@@ -36,6 +38,7 @@ pub mod dict;
 pub mod error;
 pub mod event;
 pub mod fact;
+pub mod fact_map;
 pub mod fxhash;
 pub mod graph;
 pub mod parser;
@@ -49,6 +52,7 @@ pub use dict::{Dictionary, Symbol};
 pub use error::KgError;
 pub use event::StreamEvent;
 pub use fact::{Confidence, FactId, TemporalFact};
+pub use fact_map::FactMap;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use graph::UtkGraph;
 pub use postings::{overlapping, reaching, OverlapIter, Posting, Postings};

@@ -13,7 +13,8 @@
 //!
 //! Exponential in the worst case — intended for small instances and as
 //! the exactness oracle for the stochastic solvers (the test-suite
-//! cross-checks it against brute force).
+//! cross-checks it against brute force). There is no node budget: the
+//! search always runs to the optimum, so the backend is `exact`.
 
 use std::time::Instant;
 
@@ -21,20 +22,15 @@ use crate::problem::{MapResult, SatProblem, SolveStats};
 
 /// Exact solver.
 #[derive(Debug, Clone, Default)]
-pub struct BranchAndBound {
-    /// Optional node budget; `None` = unbounded. When exceeded the best
-    /// incumbent so far is returned (may be suboptimal, flagged by
-    /// `stats.rounds == 1`).
-    pub node_budget: Option<u64>,
-}
+pub struct BranchAndBound;
 
 impl BranchAndBound {
-    /// Creates a solver with no node budget.
+    /// Creates a solver.
     pub fn new() -> Self {
-        BranchAndBound::default()
+        BranchAndBound
     }
 
-    /// Solves the problem exactly (or best-effort within the budget).
+    /// Solves the problem exactly.
     pub fn solve(&self, problem: &SatProblem<'_>) -> MapResult {
         let start = Instant::now();
         let n = problem.n_vars;
@@ -84,15 +80,14 @@ impl BranchAndBound {
             best: vec![false; n],
             found: false,
             nodes: 0,
-            budget: self.node_budget,
         };
         search.descend(0, 0.0);
 
         let (cost, feasible) = if search.found {
             (search.best_cost, true)
         } else {
-            // No feasible completion found (hard clauses UNSAT or budget
-            // exhausted before any leaf); report the phase assignment.
+            // No feasible completion (the hard clauses are UNSAT):
+            // report the phase assignment.
             let fallback: Vec<bool> = phase.clone();
             let (c, h) = problem.evaluate(&fallback);
             search.best = fallback;
@@ -104,7 +99,7 @@ impl BranchAndBound {
             feasible,
             stats: SolveStats {
                 steps: search.nodes,
-                rounds: u32::from(search.budget.is_some_and(|b| search.nodes >= b)),
+                rounds: 0,
                 active_clauses: problem.len(),
                 elapsed: start.elapsed(),
             },
@@ -122,7 +117,6 @@ struct Search<'a> {
     best: Vec<bool>,
     found: bool,
     nodes: u64,
-    budget: Option<u64>,
 }
 
 impl Search<'_> {
@@ -207,11 +201,6 @@ impl Search<'_> {
 
     fn descend(&mut self, depth: usize, _parent_bound: f64) {
         self.nodes += 1;
-        if let Some(b) = self.budget {
-            if self.nodes > b {
-                return;
-            }
-        }
         let Some(bound) = self.bound() else {
             return; // hard conflict
         };
@@ -289,7 +278,7 @@ impl tecore_ground::MapSolver for BranchAndBound {
 
     fn caps(&self) -> tecore_ground::SolverCaps {
         tecore_ground::SolverCaps {
-            exact: self.node_budget.is_none(),
+            exact: true,
             ..tecore_ground::SolverCaps::mln()
         }
     }

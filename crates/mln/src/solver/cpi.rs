@@ -20,6 +20,11 @@
 //! lazy is the solver's view: a grounding whose body MAP rejects anyway
 //! (say, one over a hidden atom the relaxed problem leaves false) is
 //! never activated.
+//!
+//! The inner solver is exact branch & bound up to `EXACT_BELOW`
+//! variables — most conflict components — and MaxWalkSAT above, with
+//! the budgets of [`CpiConfig::walksat`]; the loop gives up after
+//! `MAX_ROUNDS` rounds.
 
 use std::time::Instant;
 
@@ -29,25 +34,18 @@ use crate::problem::{MapResult, SatProblem, SolveStats};
 use crate::solver::bnb::BranchAndBound;
 use crate::solver::walksat::{MaxWalkSat, WalkSatConfig};
 
-/// CPI configuration.
-#[derive(Debug, Clone)]
-pub struct CpiConfig {
-    /// Maximum CPI rounds before giving up (returns the best incumbent).
-    pub max_rounds: u32,
-    /// Inner solver: exact below this variable count, MaxWalkSAT above.
-    pub exact_below: usize,
-    /// Inner MaxWalkSAT configuration.
-    pub walksat: WalkSatConfig,
-}
+/// CPI rounds before giving up (the best incumbent is returned).
+const MAX_ROUNDS: u32 = 50;
 
-impl Default for CpiConfig {
-    fn default() -> Self {
-        CpiConfig {
-            max_rounds: 50,
-            exact_below: 24,
-            walksat: WalkSatConfig::default(),
-        }
-    }
+/// The inner solver is exact up to this many variables, MaxWalkSAT
+/// above.
+const EXACT_BELOW: usize = 24;
+
+/// CPI configuration.
+#[derive(Debug, Clone, Default)]
+pub struct CpiConfig {
+    /// Inner MaxWalkSAT budgets.
+    pub walksat: WalkSatConfig,
 }
 
 /// The cutting-plane solver.
@@ -96,7 +94,7 @@ impl CpiSolver {
         let mut steps = result.stats.steps;
         loop {
             rounds += 1;
-            if rounds > self.config.max_rounds {
+            if rounds > MAX_ROUNDS {
                 break;
             }
             let waiting = candidates.len();
@@ -134,7 +132,7 @@ impl CpiSolver {
 
     fn inner_solve(&self, n_vars: usize, clauses: &ClauseStore) -> MapResult {
         let problem = SatProblem::from_store(n_vars, clauses);
-        if n_vars <= self.config.exact_below {
+        if n_vars <= EXACT_BELOW {
             BranchAndBound::new().solve(&problem)
         } else {
             MaxWalkSat::new(self.config.walksat.clone()).solve(&problem)
@@ -166,7 +164,7 @@ impl tecore_ground::MapSolver for CpiSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tecore_ground::{ground, intern_constants, GroundConfig};
+    use tecore_ground::{ground, intern_constants};
     use tecore_kg::parser::parse_graph;
     use tecore_kg::UtkGraph;
     use tecore_logic::LogicProgram;
@@ -189,7 +187,7 @@ mod tests {
         let mut graph = parse_graph(facts).unwrap();
         let program = LogicProgram::parse(program).unwrap();
         intern_constants(&program, graph.dict_mut());
-        let g = ground(&graph, &program, &GroundConfig::default()).unwrap();
+        let g = ground(&graph, &program).unwrap();
         (graph, g)
     }
 

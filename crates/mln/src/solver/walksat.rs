@@ -19,6 +19,12 @@
 //! Hard clauses are prioritised (a random unsatisfied hard clause is
 //! repaired before soft cost is optimised), and the best *feasible*
 //! assignment seen across restarts is returned.
+//!
+//! The search runs at one parameterisation: the noise probability, the
+//! seed and the stall cutoff are constants (`NOISE`, `SEED`,
+//! `MAX_STALL`), so a run is a function of its problem and its two
+//! budgets, the flips per restart and the restarts ([`WalkSatConfig`]),
+//! which E3's quality-matched CPI raises.
 
 use std::time::Instant;
 
@@ -27,55 +33,51 @@ use rand::{RngExt, SeedableRng};
 
 use crate::problem::{MapResult, SatProblem, SolveStats};
 
-/// MaxWalkSAT configuration.
+/// Probability of a random (noise) move instead of a greedy one.
+const NOISE: f64 = 0.2;
+
+/// RNG seed: a run is a function of its problem and budgets.
+const SEED: u64 = 0x7EC0_4E5E;
+
+/// Flips without progress (no new best feasible cost and no reduction
+/// of the restart's hard-violation floor) before a restart gives up
+/// early. On a conflicted KG the optimal soft cost is positive, so
+/// without a stall cutoff every restart burns its whole flip budget
+/// churning on soft clauses it can never satisfy: a restart stuck on a
+/// plateau moves on to the next perturbation instead of grinding.
+const MAX_STALL: u64 = 10_000;
+
+/// MaxWalkSAT budgets.
 #[derive(Debug, Clone)]
 pub struct WalkSatConfig {
     /// Maximum flips per restart.
     pub max_flips: u64,
     /// Number of restarts.
     pub restarts: u32,
-    /// Probability of a random (noise) move instead of a greedy one.
-    pub noise: f64,
-    /// RNG seed (runs are deterministic given the seed).
-    pub seed: u64,
-    /// Flips without progress (no new best feasible cost and no
-    /// reduction of the restart's hard-violation floor) before the
-    /// restart gives up early; `None` always runs the full
-    /// [`WalkSatConfig::max_flips`]. On a conflicted KG the optimal
-    /// soft cost is positive, so without a stall cutoff every restart
-    /// burns its whole flip budget churning on soft clauses it can
-    /// never satisfy.
-    ///
-    /// The default (10 000) trades a little search thoroughness for a
-    /// large wall-clock win: a restart stuck on a plateau moves on to
-    /// the next perturbation instead of grinding. Instances that need
-    /// very long non-improving walks to escape hard-violation plateaus
-    /// should set `None` (the pre-cutoff behaviour) or a larger budget.
-    pub max_stall: Option<u64>,
 }
 
 impl WalkSatConfig {
     /// These budgets scaled to an instance of `atoms` atoms and
-    /// `clauses` clauses, never above the configured ones. The defaults
-    /// assume whole-KG instances; a conflict component is usually tens
-    /// of clauses, and spending the global stall/flip allowance on each
-    /// of thousands of them — or on a five-fact graph — is waste: a few
-    /// multiples of the instance size is ample for a local-conflict
-    /// neighbourhood, and small instances need fewer perturbation
-    /// restarts to cover their basin. From `atoms + clauses` ≥ 6 242
-    /// and `clauses` > 64 on, the defaults come back unchanged.
-    fn for_size(&self, atoms: usize, clauses: usize) -> WalkSatConfig {
+    /// `clauses` clauses, never above the configured ones, with the
+    /// stall cutoff that goes with them. The defaults assume whole-KG
+    /// instances; a conflict component is usually tens of clauses, and
+    /// spending the global stall/flip allowance on each of thousands of
+    /// them — or on a five-fact graph — is waste: a few multiples of
+    /// the instance size is ample for a local-conflict neighbourhood,
+    /// and small instances need fewer perturbation restarts to cover
+    /// their basin. From `atoms + clauses` ≥ 6 242 and `clauses` > 64
+    /// on, the defaults and `MAX_STALL` come back unchanged.
+    fn for_size(&self, atoms: usize, clauses: usize) -> (WalkSatConfig, u64) {
         let size = (atoms + clauses) as u64;
-        WalkSatConfig {
+        let config = WalkSatConfig {
             max_flips: self.max_flips.min(16 * size + 128),
-            max_stall: Some((4 * size + 32).min(self.max_stall.unwrap_or(u64::MAX))),
             restarts: if clauses <= 64 {
                 self.restarts.min(2)
             } else {
                 self.restarts
             },
-            ..self.clone()
-        }
+        };
+        (config, (4 * size + 32).min(MAX_STALL))
     }
 }
 
@@ -84,9 +86,6 @@ impl Default for WalkSatConfig {
         WalkSatConfig {
             max_flips: 100_000,
             restarts: 4,
-            noise: 0.2,
-            seed: 0x7EC0_4E5E,
-            max_stall: Some(10_000),
         }
     }
 }
@@ -105,10 +104,11 @@ impl MaxWalkSat {
 
     /// Runs the search from the evidence-phase initialisation.
     pub fn solve(&self, problem: &SatProblem<'_>) -> MapResult {
-        self.solve_seeded(problem, None)
+        self.search(problem, None, MAX_STALL)
     }
 
-    /// Runs the search, optionally warm-starting from a previous
+    /// Runs the search, giving up a restart after `max_stall` flips
+    /// without progress, and optionally warm-starting from a previous
     /// assignment: the search begins at `warm` (truncated or padded
     /// with the evidence phase when the variable count changed) instead
     /// of the cold evidence phase. A warm start also skips the
@@ -116,10 +116,10 @@ impl MaxWalkSat {
     /// initialisation, and the warm state *is* the good initialisation;
     /// on a small delta the previous MAP state is near-optimal and the
     /// single descent converges in a handful of flips.
-    pub fn solve_seeded(&self, problem: &SatProblem<'_>, warm: Option<&[bool]>) -> MapResult {
+    fn search(&self, problem: &SatProblem<'_>, warm: Option<&[bool]>, max_stall: u64) -> MapResult {
         let start = Instant::now();
         let n = problem.n_vars;
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
 
         if n == 0 {
             return MapResult {
@@ -164,7 +164,6 @@ impl MaxWalkSat {
         } else {
             self.config.restarts.max(1)
         };
-        let stall_limit = self.config.max_stall.unwrap_or(u64::MAX);
 
         // One State for the whole solve: the first restart starts from
         // the (warm-overridden) phase; later ones rewind to a fresh
@@ -189,7 +188,7 @@ impl MaxWalkSat {
                 if state.unsat_hard.is_empty() && state.unsat_soft.is_empty() {
                     break; // perfect assignment
                 }
-                if stall >= stall_limit {
+                if stall >= max_stall {
                     break; // no progress in a while: restart or stop
                 }
                 stall += 1;
@@ -201,7 +200,7 @@ impl MaxWalkSat {
                     state.unsat_soft[rng.random_range(0..state.unsat_soft.len())]
                 };
                 let lits = problem.lits(ci);
-                let var = if rng.random_bool(self.config.noise) {
+                let var = if rng.random_bool(NOISE) {
                     lits[rng.random_range(0..lits.len())].atom.index()
                 } else {
                     // Greedy: flip the literal with the best cost delta.
@@ -492,11 +491,11 @@ impl tecore_ground::MapSolver for MaxWalkSat {
         clauses: &tecore_ground::ClauseStore,
         warm: Option<&tecore_ground::MapState>,
     ) -> Result<tecore_ground::MapState, tecore_ground::SolveError> {
-        let config = self.config.for_size(atoms, clauses.len());
+        let (config, max_stall) = self.config.for_size(atoms, clauses.len());
         let warm = warm.map(|s| s.assignment.as_slice());
         let problem = SatProblem::from_store(atoms, clauses);
         Ok(MaxWalkSat::new(config)
-            .solve_seeded(&problem, warm)
+            .search(&problem, warm, max_stall)
             .into_map_state())
     }
 }
@@ -531,6 +530,7 @@ mod tests {
         assert!((r.cost - 0.405).abs() < 1e-9);
     }
 
+    /// Two runs from `SEED` walk the same path.
     #[test]
     fn deterministic_given_seed() {
         let clauses = vec![
@@ -539,12 +539,8 @@ mod tests {
             hard(vec![Lit::neg(AtomId(0)), Lit::neg(AtomId(2))]),
         ];
         let p = SatProblem::from_clauses(3, &clauses);
-        let cfg = WalkSatConfig {
-            seed: 42,
-            ..WalkSatConfig::default()
-        };
-        let a = MaxWalkSat::new(cfg.clone()).solve(&p);
-        let b = MaxWalkSat::new(cfg).solve(&p);
+        let a = MaxWalkSat::default().solve(&p);
+        let b = MaxWalkSat::default().solve(&p);
         assert_eq!(a.assignment, b.assignment);
         assert_eq!(a.cost, b.cost);
     }
@@ -571,14 +567,13 @@ mod tests {
         let frozen = WalkSatConfig {
             max_flips: 0,
             restarts: 1,
-            ..WalkSatConfig::default()
         };
         // Cold: the evidence phase sets both atoms true → hard clause
         // violated, nothing can move.
         let cold = MaxWalkSat::new(frozen.clone()).solve(&p);
         assert!(!cold.feasible);
         // Warm from the optimum: immediately feasible at optimal cost.
-        let warm = MaxWalkSat::new(frozen).solve_seeded(&p, Some(&[true, false]));
+        let warm = MaxWalkSat::new(frozen).search(&p, Some(&[true, false]), MAX_STALL);
         assert!(warm.feasible);
         assert!((warm.cost - 0.405).abs() < 1e-9);
         assert_eq!(warm.assignment, vec![true, false]);
@@ -596,11 +591,10 @@ mod tests {
         let frozen = WalkSatConfig {
             max_flips: 0,
             restarts: 1,
-            ..WalkSatConfig::default()
         };
         // Warm only covers atom 0 (kept true against its evidence);
         // atom 1 falls back to its evidence phase (true).
-        let r = MaxWalkSat::new(frozen).solve_seeded(&p, Some(&[true]));
+        let r = MaxWalkSat::new(frozen).search(&p, Some(&[true]), MAX_STALL);
         assert_eq!(r.assignment, vec![true, true]);
     }
 
@@ -636,23 +630,22 @@ mod tests {
     #[test]
     fn budgets_follow_the_instance_size() {
         let defaults = WalkSatConfig::default();
-        let large = defaults.for_size(400_000, 800_000);
+        let (large, large_stall) = defaults.for_size(400_000, 800_000);
         assert_eq!(
-            (large.max_flips, large.max_stall, large.restarts),
-            (defaults.max_flips, defaults.max_stall, defaults.restarts)
+            (large.max_flips, large_stall, large.restarts),
+            (defaults.max_flips, MAX_STALL, defaults.restarts)
         );
         // The smallest instance that keeps every default budget.
-        let edge = defaults.for_size(6_242 - 65, 65);
+        let (edge, edge_stall) = defaults.for_size(6_242 - 65, 65);
         assert_eq!(
-            (edge.max_flips, edge.max_stall, edge.restarts),
-            (defaults.max_flips, defaults.max_stall, defaults.restarts)
+            (edge.max_flips, edge_stall, edge.restarts),
+            (defaults.max_flips, MAX_STALL, defaults.restarts)
         );
-        let small = defaults.for_size(6, 10);
+        let (small, small_stall) = defaults.for_size(6, 10);
         assert_eq!(
-            (small.max_flips, small.max_stall, small.restarts),
-            (16 * 16 + 128, Some(4 * 16 + 32), 2)
+            (small.max_flips, small_stall, small.restarts),
+            (16 * 16 + 128, 4 * 16 + 32, 2)
         );
-        assert_eq!((small.noise, small.seed), (defaults.noise, defaults.seed));
     }
 
     fn arb_problem() -> impl Strategy<Value = SatProblem<'static>> {
@@ -697,7 +690,6 @@ mod tests {
             let walk = MaxWalkSat::new(WalkSatConfig {
                 max_flips: 20_000,
                 restarts: 3,
-                ..WalkSatConfig::default()
             }).solve(&p);
             let (cost, hardv) = p.evaluate(&walk.assignment);
             if walk.feasible {

@@ -21,31 +21,29 @@
 //! factors; nearly all stop within a handful of iterations, and the few
 //! near-tied ones that run to the cap no longer hold the others there.
 //! A problem of one block runs the plain global loop, step for step.
+//!
+//! The solver runs at one parameterisation: ρ, the iteration cap and
+//! the tolerance are constants ([`MAX_ITERATIONS`] is exported for the
+//! tests that bound work by it), and [`AdmmConfig`] is empty.
 
 use std::time::{Duration, Instant};
 
 use crate::hlmrf::HlMrf;
 
-/// ADMM configuration.
-#[derive(Debug, Clone)]
-pub struct AdmmConfig {
-    /// Penalty parameter ρ.
-    pub rho: f64,
-    /// Maximum iterations of any one block.
-    pub max_iterations: usize,
-    /// Residual tolerance, applied to each block's own residuals.
-    pub tolerance: f64,
-}
+/// Penalty parameter ρ.
+const RHO: f64 = 1.0;
 
-impl Default for AdmmConfig {
-    fn default() -> Self {
-        AdmmConfig {
-            rho: 1.0,
-            max_iterations: 300,
-            tolerance: 1e-3,
-        }
-    }
-}
+/// Maximum iterations of any one block.
+pub const MAX_ITERATIONS: usize = 300;
+
+/// Residual tolerance, applied to each block's own residuals.
+const TOLERANCE: f64 = 1e-3;
+
+/// ADMM options — none: ρ, the iteration cap and the tolerance are
+/// the constants above. The type stays so that [`AdmmSolver::new`]
+/// keeps its signature: `AdmmConfig::default()` is the one value.
+#[derive(Debug, Clone, Default)]
+pub struct AdmmConfig {}
 
 /// Result of a PSL MAP solve.
 #[derive(Debug, Clone)]
@@ -72,14 +70,12 @@ pub struct PslResult {
 
 /// The consensus-ADMM solver.
 #[derive(Debug, Clone, Default)]
-pub struct AdmmSolver {
-    config: AdmmConfig,
-}
+pub struct AdmmSolver;
 
 impl AdmmSolver {
     /// Creates a solver.
-    pub fn new(config: AdmmConfig) -> Self {
-        AdmmSolver { config }
+    pub fn new(_config: AdmmConfig) -> Self {
+        AdmmSolver
     }
 
     /// Minimises the HL-MRF objective over the `[0,1]` box subject to
@@ -98,7 +94,6 @@ impl AdmmSolver {
     pub fn solve_warm(&self, mrf: &HlMrf, warm: Option<&[f64]>) -> PslResult {
         let start = Instant::now();
         let n = mrf.n_vars;
-        let rho = self.config.rho;
         if n == 0 || mrf.n_factors() == 0 {
             let values = vec![0.0; n];
             return PslResult {
@@ -144,7 +139,7 @@ impl AdmmSolver {
             let scale = (factors.len() as f64).sqrt();
             let mut block_iterations = 0;
             let mut converged = false;
-            while !converged && block_iterations < self.config.max_iterations {
+            while !converged && block_iterations < MAX_ITERATIONS {
                 block_iterations += 1;
                 // 1. Local prox / projection steps (in place over the slots).
                 for &k in factors {
@@ -163,7 +158,6 @@ impl AdmmSolver {
                             factor.constant,
                             mrf.weight(k),
                             mrf.norm2(k),
-                            rho,
                             local,
                         );
                     } else {
@@ -205,8 +199,8 @@ impl AdmmSolver {
                         primal_sq += r * r;
                     }
                 }
-                converged = primal_sq.sqrt() / scale < self.config.tolerance
-                    && rho * dual_sq.sqrt() < self.config.tolerance;
+                converged =
+                    primal_sq.sqrt() / scale < TOLERANCE && RHO * dual_sq.sqrt() < TOLERANCE;
             }
             iterations = iterations.max(block_iterations);
             blocks_capped += usize::from(!converged);
@@ -230,14 +224,7 @@ impl AdmmSolver {
 /// operating in place: `y` holds the anchor `v` on entry and the
 /// minimiser on exit.
 #[inline]
-fn prox_hinge_inplace(
-    a: &[f64],
-    constant: f64,
-    weight: f64,
-    a_norm2: f64,
-    rho: f64,
-    y: &mut [f64],
-) {
+fn prox_hinge_inplace(a: &[f64], constant: f64, weight: f64, a_norm2: f64, y: &mut [f64]) {
     if a_norm2 == 0.0 {
         return;
     }
@@ -246,7 +233,7 @@ fn prox_hinge_inplace(
         return; // anchor already in the flat region
     }
     // Step into the linear region...
-    let step = weight / rho;
+    let step = weight / RHO;
     if d_v - step * a_norm2 >= 0.0 {
         for (yi, &ai) in y.iter_mut().zip(a) {
             *yi -= step * ai;

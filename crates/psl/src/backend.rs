@@ -1,8 +1,9 @@
-//! The PSL substrate as a pluggable [`MapSolver`] backend.
+//! The PSL substrate as a pluggable [`MapSolver`] backend. It has no
+//! parameters: the HL-MRF and ADMM run at their constants.
 
 use tecore_ground::{evaluate_world, ClauseStore, MapSolver, MapState, SolveError, SolverCaps};
 
-use crate::admm::{AdmmConfig, AdmmSolver};
+use crate::admm::AdmmSolver;
 use crate::hlmrf::{HlMrf, PslConfig};
 use crate::rounding::round_assignment;
 
@@ -14,17 +15,7 @@ use crate::rounding::round_assignment;
 /// it is directly comparable with the MLN backends' costs; the solver's
 /// soft truth values are passed through for confidence grading.
 #[derive(Debug, Clone, Default)]
-pub struct PslAdmm {
-    /// ADMM parameters.
-    pub admm: AdmmConfig,
-}
-
-impl PslAdmm {
-    /// A backend with the given ADMM parameters.
-    pub fn new(admm: AdmmConfig) -> Self {
-        PslAdmm { admm }
-    }
-}
+pub struct PslAdmm;
 
 impl MapSolver for PslAdmm {
     fn name(&self) -> &str {
@@ -64,7 +55,7 @@ impl MapSolver for PslAdmm {
             None => None,
         };
         let mrf = HlMrf::from_store(atoms, clauses, &PslConfig::default());
-        let result = AdmmSolver::new(self.admm.clone()).solve_warm(&mrf, warm);
+        let result = AdmmSolver.solve_warm(&mrf, warm);
         let (assignment, _) = round_assignment(&mrf, &result.values);
         let (cost, hard_violations) = evaluate_world(clauses, &assignment);
         Ok(MapState {
@@ -82,7 +73,7 @@ mod tests {
 
     #[test]
     fn caps_and_name() {
-        let backend = PslAdmm::default();
+        let backend = PslAdmm;
         assert_eq!(backend.name(), "psl-admm");
         assert!(backend.caps().soft_values);
     }

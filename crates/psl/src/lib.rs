@@ -44,7 +44,7 @@ pub mod backend;
 pub mod hlmrf;
 pub mod rounding;
 
-pub use admm::{AdmmConfig, AdmmSolver, PslResult};
+pub use admm::{AdmmConfig, AdmmSolver, PslResult, MAX_ITERATIONS};
 pub use backend::PslAdmm;
 pub use hlmrf::{HingePotential, HlMrf, LinearConstraint, PslConfig};
 pub use rounding::round_assignment;

@@ -17,7 +17,7 @@
 //!
 //! **Append** ([`Wal::log_insert`] / [`Wal::log_remove`]) happens
 //! *before* the graph mutation; fsync cadence is a [`FsyncPolicy`]
-//! (`Always`, `EveryN`, `Timed`), and [`Wal::flush`] forces one (the
+//! (`Always`, `EveryN`), and [`Wal::flush`] forces one (the
 //! server's `FLUSH` verb). **Checkpoints** ([`Wal::checkpoint`])
 //! serialize the graph through [`tecore_kg::writer::write_checkpoint`]
 //! — preserving arena slots, so post-checkpoint records replay by id —

@@ -2,7 +2,6 @@
 //! recovery.
 
 use std::fmt;
-use std::time::{Duration, Instant};
 
 use tecore_kg::parser::parse_checkpoint;
 use tecore_kg::writer::write_checkpoint;
@@ -21,9 +20,6 @@ pub enum FsyncPolicy {
     /// every explicit [`Wal::flush`]). The durability window is the
     /// unsynced suffix.
     EveryN(u32),
-    /// Fsync when at least this much time has passed since the last
-    /// one, checked on each append.
-    Timed(Duration),
 }
 
 impl Default for FsyncPolicy {
@@ -167,7 +163,6 @@ pub struct Wal {
     appended_epoch: u64,
     durable_epoch: u64,
     unsynced: u32,
-    last_sync: Instant,
     last_checkpoint_epoch: u64,
     bytes_since_checkpoint: u64,
     poisoned: bool,
@@ -323,7 +318,6 @@ impl Wal {
             appended_epoch: epoch,
             durable_epoch: epoch,
             unsynced: 0,
-            last_sync: Instant::now(),
             last_checkpoint_epoch: recovery.checkpoint_epoch,
             bytes_since_checkpoint: bytes,
             poisoned: false,
@@ -458,13 +452,6 @@ impl Wal {
                     Ok(())
                 }
             }
-            FsyncPolicy::Timed(window) => {
-                if self.last_sync.elapsed() >= window {
-                    self.sync()
-                } else {
-                    Ok(())
-                }
-            }
         }
     }
 
@@ -476,7 +463,6 @@ impl Wal {
         }
         self.durable_epoch = self.appended_epoch;
         self.unsynced = 0;
-        self.last_sync = Instant::now();
         let seq = self.segments.last().map_or(0, |s| s.seq + 1);
         let name = segment_name(seq);
         match self.storage.create(&name) {
@@ -500,7 +486,6 @@ impl Wal {
             Ok(()) => {
                 self.durable_epoch = self.appended_epoch;
                 self.unsynced = 0;
-                self.last_sync = Instant::now();
                 Ok(())
             }
             Err(e) => Err(self.io_poison(e)),
@@ -698,27 +683,6 @@ mod tests {
         assert_eq!(wal.stats().appended_epoch, 10);
         assert_eq!(wal.flush().unwrap(), 10);
         assert_eq!(mem.sync_count(), 3);
-    }
-
-    #[test]
-    fn timed_policy_syncs_after_window() {
-        let mem = MemStorage::new();
-        let config = WalConfig {
-            fsync: FsyncPolicy::Timed(Duration::from_millis(0)),
-            ..WalConfig::default()
-        };
-        let (mut wal, mut graph) = Wal::open_with(Box::new(mem.clone()), config).unwrap();
-        apply_inserts(&mut wal, &mut graph, 3);
-        // A zero window syncs on every append.
-        assert_eq!(mem.sync_count(), 3);
-        let config = WalConfig {
-            fsync: FsyncPolicy::Timed(Duration::from_secs(3600)),
-            ..WalConfig::default()
-        };
-        let mem = MemStorage::new();
-        let (mut wal, mut graph) = Wal::open_with(Box::new(mem.clone()), config).unwrap();
-        apply_inserts(&mut wal, &mut graph, 3);
-        assert_eq!(mem.sync_count(), 0, "hour-long window never fires in-test");
     }
 
     #[test]

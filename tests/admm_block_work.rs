@@ -4,14 +4,14 @@
 //! A TeCoRe grounding is mostly independent conflict blocks of a few
 //! factors. With one stopping rule for the whole factor graph every
 //! factor iterates until the slowest block is done; block by block,
-//! the local steps taken are a small share of `max_iterations ×
+//! the local steps taken are a small share of `MAX_ITERATIONS ×
 //! n_factors`. No clock: the counters are the solver's own.
 
 use tecore_core::translate::translate;
 use tecore_datagen::standard::football_program;
 use tecore_datagen::{generate_football, FootballConfig};
 use tecore_ground::{intern_constants, GroundConfig, SolverCaps};
-use tecore_psl::{AdmmConfig, AdmmSolver, HlMrf, PslConfig};
+use tecore_psl::{AdmmConfig, AdmmSolver, HlMrf, PslConfig, MAX_ITERATIONS};
 
 #[test]
 fn factor_updates_follow_the_blocks() {
@@ -26,8 +26,7 @@ fn factor_updates_follow_the_blocks() {
     )
     .expect("the football program grounds");
     let mrf = HlMrf::from_grounding(&grounding, &PslConfig::default());
-    let config = AdmmConfig::default();
-    let result = AdmmSolver::new(config.clone()).solve(&mrf);
+    let result = AdmmSolver::new(AdmmConfig::default()).solve(&mrf);
 
     assert_eq!(result.blocks, mrf.n_blocks());
     assert!(
@@ -36,10 +35,10 @@ fn factor_updates_follow_the_blocks() {
         result.blocks,
         mrf.n_factors()
     );
-    let one_rule = (config.max_iterations * mrf.n_factors()) as f64;
+    let one_rule = (MAX_ITERATIONS * mrf.n_factors()) as f64;
     assert!(
         result.factor_updates as f64 <= 0.05 * one_rule,
-        "{} factor updates, {:.4} of max_iterations × n_factors",
+        "{} factor updates, {:.4} of MAX_ITERATIONS × n_factors",
         result.factor_updates,
         result.factor_updates as f64 / one_rule
     );
@@ -50,5 +49,5 @@ fn factor_updates_follow_the_blocks() {
         result.blocks
     );
     assert_eq!(result.converged, result.blocks_capped == 0);
-    assert!(result.iterations <= config.max_iterations);
+    assert!(result.iterations <= MAX_ITERATIONS);
 }

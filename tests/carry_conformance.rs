@@ -38,7 +38,7 @@ use tecore_core::{
 };
 use tecore_datagen::standard::{paper_program, ranieri_utkg, wikidata_program};
 use tecore_datagen::{generate_wikidata, WikidataConfig};
-use tecore_ground::ComponentMode;
+use tecore_ground::{ComponentMode, GroundConfig};
 use tecore_kg::{FactId, GraphTemporalIndex, TemporalFact, UtkGraph};
 use tecore_temporal::Interval;
 
@@ -887,7 +887,7 @@ fn a_one_fact_edit_copies_nothing_and_walks_its_component_only() {
         engine.graph(),
         engine.program(),
         &config.backend.caps(),
-        &config.ground,
+        &GroundConfig::default(),
     )
     .expect("grounds");
     let partition = cold.partition_components();

@@ -18,8 +18,8 @@ use tecore_core::registry::SolverRegistry;
 use tecore_core::resolution::Resolution;
 use tecore_core::{Engine, TecoreConfig};
 use tecore_ground::{
-    evaluate_world, ground, AtomId, ClauseId, ClauseStore, ComponentMode, GroundConfig, MapSolver,
-    MapState, Partition, SolveError, SolverCaps,
+    evaluate_world, ground, AtomId, ClauseId, ClauseStore, ComponentMode, MapSolver, MapState,
+    Partition, SolveError, SolverCaps,
 };
 use tecore_kg::{FactId, UtkGraph};
 use tecore_logic::LogicProgram;
@@ -127,7 +127,7 @@ proptest! {
     #[test]
     fn partition_is_a_true_partition(facts in arb_facts()) {
         let graph = build_graph(&facts);
-        let mut grounding = ground(&graph, &program(), &GroundConfig::default())
+        let mut grounding = ground(&graph, &program())
             .expect("grounds");
         let partition = grounding.partition_components();
         prop_assert!(!partition.is_unpartitionable());
@@ -401,9 +401,8 @@ proptest! {
         ),
         seed in 1u64..u64::MAX,
     ) {
-        let config = GroundConfig::default();
         let mut graph = build_graph(&base);
-        let mut grounding = ground(&graph, &program(), &config).expect("grounds");
+        let mut grounding = ground(&graph, &program()).expect("grounds");
         let mut world: Vec<bool> = Vec::new();
         let mut bits = seed;
         let mut serial = 0u32;
@@ -422,7 +421,7 @@ proptest! {
                 graph.remove(id).expect("just inserted");
             }
             let delta = graph.since(grounding.epoch()).expect("log retained");
-            grounding.apply_delta(&graph, &delta, &config);
+            grounding.apply_delta(&graph, &delta);
 
             // Flagged atoms the delta left in no clause (killed ones):
             // the dirty pass looks at each once and finds nothing.
@@ -681,7 +680,7 @@ proptest! {
         let soft_values = |mode: ComponentMode| {
             let soft = Arc::new(Mutex::new(Vec::new()));
             let solver = RecordingPsl {
-                inner: tecore_psl::PslAdmm::default(),
+                inner: tecore_psl::PslAdmm,
                 soft: Arc::clone(&soft),
             };
             let snapshot = Engine::with_config(
@@ -703,7 +702,7 @@ proptest! {
         prop_assert_eq!(no_components, 0);
         prop_assert_eq!(monolithic.len(), 1);
         // The driver solves the components of a cold full pass in order.
-        let mut grounding = ground(&graph, &program(), &GroundConfig::default()).expect("grounds");
+        let mut grounding = ground(&graph, &program()).expect("grounds");
         let partition = grounding.partition_components();
         prop_assert!(components > 0);
         prop_assert_eq!(by_components.len(), partition.len());

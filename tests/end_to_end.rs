@@ -191,7 +191,7 @@ fn a_component_above_the_bound_reads_its_map_value() {
     )
     .unwrap();
     tecore_ground::intern_constants(&program, graph.dict_mut());
-    let g = tecore_ground::ground(&graph, &program, &Default::default()).unwrap();
+    let g = tecore_ground::ground(&graph, &program).unwrap();
     let p = tecore_ground::Partition::of(&g.clauses, g.num_atoms());
     assert_eq!((p.len(), p.atoms(0).len()), (2, 34));
     let w = |cost: f64| (-cost).exp();

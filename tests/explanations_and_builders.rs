@@ -4,7 +4,7 @@
 use tecore_core::explain::explain_conflicts;
 use tecore_core::{Engine, SolverRegistry, TecoreConfig};
 use tecore_datagen::standard::{paper_program, ranieri_utkg};
-use tecore_ground::{ground, intern_constants, GroundConfig};
+use tecore_ground::{ground, intern_constants};
 use tecore_logic::builder;
 use tecore_logic::formula::Weight;
 use tecore_logic::LogicProgram;
@@ -50,7 +50,7 @@ fn explanations_render_the_text_they_did() {
     let unnamed = program.formulas().len() - 1;
     let mut graph = ranieri_utkg();
     intern_constants(&program, graph.dict_mut());
-    let grounding = ground(&graph, &program, &GroundConfig::default()).unwrap();
+    let grounding = ground(&graph, &program).unwrap();
     let explanations = explain_conflicts(&grounding, graph.dict());
     drop(grounding);
 

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use tecore_datagen::standard::wikidata_program;
 use tecore_datagen::{generate_wikidata, WikidataConfig};
-use tecore_ground::{ground, intern_constants, GroundConfig};
+use tecore_ground::{ground, intern_constants};
 
 /// Forwards to the system allocator, counting allocation calls.
 struct CountingAllocator;
@@ -56,10 +56,9 @@ fn cold_grounding_allocates_less_than_once_per_fact() {
     .graph;
     let program = wikidata_program();
     intern_constants(&program, graph.dict_mut());
-    let config = GroundConfig::default();
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let g = ground(&graph, &program, &config).expect("grounds");
+    let g = ground(&graph, &program).expect("grounds");
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
     // Measured: 7 963 allocations for 26 150 facts (0.30 a fact) and

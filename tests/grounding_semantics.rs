@@ -3,7 +3,7 @@
 //! numerical conditions at their boundaries, and evidence merging.
 
 use tecore_core::Engine;
-use tecore_ground::{ground, GroundConfig};
+use tecore_ground::ground;
 use tecore_kg::parser::parse_graph;
 use tecore_logic::LogicProgram;
 use tecore_temporal::Interval;
@@ -131,7 +131,7 @@ fn tombstoned_facts_invisible_to_grounding() {
         "c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf",
     )
     .unwrap();
-    let g = ground(&graph, &program, &GroundConfig::default()).unwrap();
+    let g = ground(&graph, &program).unwrap();
     assert_eq!(g.stats.evidence_atoms, 1);
     assert_eq!(g.stats.formula_clauses, 0);
 }
@@ -157,7 +157,7 @@ fn hub_constraint_examines_what_it_emits_not_all_pairs() {
         "c2: quad(x, rel0, y, t) ^ quad(x, rel0, z, t') ^ y != z -> disjoint(t, t') w = inf",
     )
     .unwrap();
-    let g = ground(&graph, &program, &GroundConfig::default()).unwrap();
+    let g = ground(&graph, &program).unwrap();
 
     let rel0 = graph.dict().lookup("rel0").unwrap();
     let outer = g.store.with_predicate(rel0).len();

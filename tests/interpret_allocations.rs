@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use tecore_core::explain::explain_conflicts;
 use tecore_datagen::standard::wikidata_program;
 use tecore_datagen::{generate_wikidata, WikidataConfig};
-use tecore_ground::{ground, intern_constants, GroundConfig};
+use tecore_ground::{ground, intern_constants};
 
 /// Forwards to the system allocator, counting allocation calls.
 struct CountingAllocator;
@@ -65,7 +65,7 @@ fn a_cold_view_allocates_per_structure() {
     .graph;
     let program = wikidata_program();
     intern_constants(&program, graph.dict_mut());
-    let grounding = ground(&graph, &program, &GroundConfig::default()).expect("grounds");
+    let grounding = ground(&graph, &program).expect("grounds");
 
     // Measured: 7 340 allocations for 2 441 conflicts (3.0 each: the
     // clause key, the participant list, the shared box); rendered

@@ -8,7 +8,7 @@ use tecore_datagen::standard::{football_program, wikidata_program};
 use tecore_datagen::{
     generate_football, generate_wikidata, FootballConfig, SkewedConfig, WikidataConfig,
 };
-use tecore_ground::{ground, intern_constants, GroundConfig, Grounding};
+use tecore_ground::{ground, intern_constants, Grounding};
 use tecore_kg::UtkGraph;
 use tecore_logic::LogicProgram;
 
@@ -22,7 +22,7 @@ type Orders = Vec<(String, Vec<usize>, Vec<Vec<usize>>)>;
 /// predicates of [`PLANNING_PROGRAM`] have no facts — interned first.
 fn orders(graph: &mut UtkGraph, program: &LogicProgram) -> (Orders, Grounding) {
     intern_constants(program, graph.dict_mut());
-    let g = ground(graph, program, &GroundConfig::default()).expect("grounds");
+    let g = ground(graph, program).expect("grounds");
     let orders = g
         .program
         .formulas
