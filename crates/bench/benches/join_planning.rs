@@ -29,13 +29,15 @@
 //! the solver, piece by piece and four calls per iteration — `ground`
 //! (a cold `ground()`), `explain` (`explain_conflicts` over that
 //! grounding: ≈ 39k conflicts kept as terms, not rendered), `filtered`
-//! (`UtkGraph::filtered` keeping every fact: the bulk build of the
-//! consistent graph) and `clone` (`UtkGraph::clone`: the same graph
-//! copied table by table, with no hashing at all — the floor `filtered`
-//! is held against) and `index` (`GraphTemporalIndex::build`: the
-//! three run families a cold view's first reader builds, held against
-//! the same floor). CI holds `explain / ground`, `filtered / clone` and
-//! `index / clone` with `--ratio` rules.
+//! (`UtkGraph::filtered` keeping every fact: the bulk copy that is the
+//! consistent graph), `clone` (`UtkGraph::clone`: the same graph's
+//! arena, flags and dictionary copied whole) and `index`
+//! (`GraphTemporalIndex::build`: the two run families a cold view's
+//! first reader builds). CI holds `explain / ground`, `filtered / index`
+//! and `index / clone` with `--ratio` rules. `filtered` is held against
+//! the index build, not against `clone`: the graph keeps no table per
+//! key, so the two copy the same arrays, and a table per key coming
+//! back into the graph slows both; the index build reads none of it.
 
 use criterion::{criterion_group, criterion_main, Bencher, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -184,8 +186,8 @@ fn bench_query_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("join_planning_query");
     group.sample_size(30);
     group.throughput(Throughput::Elements(size as u64));
-    // Tail predicate + window: the id list is short, the planner takes
-    // the exact hash path instead of the interval index.
+    // Tail predicate + window: the predicate's short run, narrowed by
+    // the window.
     group.bench_with_input(BenchmarkId::new("tail_window", size), &snapshot, |b, s| {
         b.iter(|| {
             black_box(
@@ -196,8 +198,8 @@ fn bench_query_paths(c: &mut Criterion) {
             )
         })
     });
-    // Dominant predicate + window: the interval sub-index halves the
-    // candidates vs the 8k-entry id list.
+    // Dominant predicate + window: the window narrows the 8k-entry run
+    // to about half of it.
     group.bench_with_input(BenchmarkId::new("head_window", size), &snapshot, |b, s| {
         b.iter(|| {
             black_box(

@@ -19,8 +19,6 @@
 //! the data) so a domain expert can review before accepting — the demo
 //! explicitly keeps humans in the loop.
 
-use std::collections::HashMap;
-
 use tecore_kg::{Symbol, UtkGraph};
 use tecore_logic::builder;
 use tecore_logic::formula::Formula;
@@ -62,42 +60,61 @@ impl Default for AdvisorConfig {
     }
 }
 
+/// A live fact as the advisor pairs it: predicate, subject, object,
+/// interval.
+type Row = (Symbol, Symbol, Symbol, Interval);
+
 /// Profiles the graph and proposes constraints.
+///
+/// One walk over the live facts and one sort group them by predicate
+/// and subject; each predicate's suggestions then read its own groups.
 pub fn suggest_constraints(graph: &UtkGraph, config: &AdvisorConfig) -> Vec<SuggestedConstraint> {
+    let mut rows: Vec<Row> = graph
+        .iter()
+        .map(|(_, f)| (f.predicate, f.subject, f.object, f.interval))
+        .collect();
+    rows.sort_unstable_by_key(|&(p, s, ..)| (p, s));
+    let mut runs: Vec<&[Row]> = rows.chunk_by(|a, b| a.0 == b.0).collect();
+    // Predicates in name order, for deterministic reporting.
+    runs.sort_unstable_by_key(|run| graph.dict().resolve(run[0].0));
     let mut out = Vec::new();
-    for p in graph.predicates() {
-        let pname = graph.dict().resolve(p).to_string();
-        if let Some(s) = suggest_disjointness(graph, p, &pname, config) {
+    for run in runs {
+        let pname = graph.dict().resolve(run[0].0);
+        if let Some(s) = suggest_disjointness(run, pname, config) {
             out.push(s);
         }
-        if let Some(s) = suggest_functional(graph, p, &pname, config) {
+        if let Some(s) = suggest_functional(run, pname, config) {
             out.push(s);
         }
     }
     out
 }
 
-/// Same-subject spell pairs of `p`: how often do they intersect?
+/// The same-subject groups of one predicate's rows (sorted by subject).
+fn per_subject(run: &[Row]) -> impl Iterator<Item = &[Row]> {
+    run.chunk_by(|a, b| a.1 == b.1)
+}
+
+/// Same-subject spell pairs of one predicate: how often do they
+/// intersect?
 fn suggest_disjointness(
-    graph: &UtkGraph,
-    p: Symbol,
+    run: &[Row],
     pname: &str,
     config: &AdvisorConfig,
 ) -> Option<SuggestedConstraint> {
-    let mut per_subject: HashMap<Symbol, Vec<Interval>> = HashMap::new();
-    for (_, f) in graph.facts_with_predicate(p) {
-        per_subject.entry(f.subject).or_default().push(f.interval);
-    }
     let mut pairs = 0usize;
     let mut overlapping = 0usize;
-    for spells in per_subject.values_mut() {
-        if spells.len() < 2 {
+    let mut spells = Vec::new();
+    for facts in per_subject(run) {
+        if facts.len() < 2 {
             continue;
         }
-        let n = spells.len();
+        let n = facts.len();
         pairs += n * (n - 1) / 2;
+        spells.clear();
+        spells.extend(facts.iter().map(|&(.., iv)| iv));
         spells.sort_unstable();
-        overlapping += count_overlapping_pairs(spells);
+        overlapping += count_overlapping_pairs(&spells);
     }
     if pairs < config.min_support {
         return None;
@@ -131,29 +148,21 @@ fn count_overlapping_pairs(sorted: &[Interval]) -> usize {
     count
 }
 
-/// Same-subject, time-intersecting facts of `p`: how often do they
-/// disagree on the object?
+/// Same-subject, time-intersecting facts of one predicate: how often
+/// do they disagree on the object?
 fn suggest_functional(
-    graph: &UtkGraph,
-    p: Symbol,
+    run: &[Row],
     pname: &str,
     config: &AdvisorConfig,
 ) -> Option<SuggestedConstraint> {
-    let mut per_subject: HashMap<Symbol, Vec<(Symbol, Interval)>> = HashMap::new();
-    for (_, f) in graph.facts_with_predicate(p) {
-        per_subject
-            .entry(f.subject)
-            .or_default()
-            .push((f.object, f.interval));
-    }
     let mut concurrent_pairs = 0usize;
     let mut disagreeing = 0usize;
-    for facts in per_subject.values() {
-        for i in 0..facts.len() {
-            for j in (i + 1)..facts.len() {
-                if facts[i].1.intersects(facts[j].1) {
+    for facts in per_subject(run) {
+        for (i, &(.., oi, ii)) in facts.iter().enumerate() {
+            for &(.., oj, ij) in &facts[i + 1..] {
+                if ii.intersects(ij) {
                     concurrent_pairs += 1;
-                    if facts[i].0 != facts[j].0 {
+                    if oi != oj {
                         disagreeing += 1;
                     }
                 }
@@ -192,12 +201,27 @@ pub fn suggest_order(
 ) -> Option<SuggestedConstraint> {
     let pa = graph.dict().lookup(pred_a)?;
     let pb = graph.dict().lookup(pred_b)?;
+    // Each fact of `pred_a` as a left row, each of `pred_b` as a right
+    // one (a fact of both, when they are one predicate, as both),
+    // grouped by subject: a group pairs its left rows with its right.
+    let mut rows: Vec<(Symbol, bool, Interval)> = Vec::new();
+    for (_, f) in graph.iter() {
+        for (side, p) in [(false, pa), (true, pb)] {
+            if f.predicate == p {
+                rows.push((f.subject, side, f.interval));
+            }
+        }
+    }
+    rows.sort_unstable_by_key(|&(s, side, _)| (s, side));
     let mut total = 0usize;
     let mut relation_votes = [0usize; 13];
-    for (_, fa) in graph.facts_with_predicate(pa) {
-        for (_, fb) in graph.facts_with_subject_predicate(fa.subject, pb) {
-            total += 1;
-            relation_votes[AllenRelation::between(fa.interval, fb.interval).index()] += 1;
+    for facts in rows.chunk_by(|a, b| a.0 == b.0) {
+        let (left, right) = facts.split_at(facts.partition_point(|&(_, side, _)| !side));
+        for &(_, _, a) in left {
+            for &(_, _, b) in right {
+                total += 1;
+                relation_votes[AllenRelation::between(a, b).index()] += 1;
+            }
         }
     }
     if total == 0 || total < config.min_support {

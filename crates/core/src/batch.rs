@@ -127,7 +127,9 @@ impl EditBatch {
     }
 
     /// Appends an upsert (replace all live facts with the same
-    /// statement, then insert).
+    /// statement, then insert). Finding the facts to replace
+    /// ([`UtkGraph::statement_ids`](tecore_kg::UtkGraph::statement_ids))
+    /// scans the live facts: an upsert costs O(graph) when it applies.
     #[must_use]
     pub fn upsert(
         mut self,

@@ -51,7 +51,7 @@ use crate::stats::DebugStats;
 
 /// Rebuild instead of patching when what changed is more than this
 /// fraction of the live facts: past it, re-reading the graph costs less
-/// than the per-change look-ups and hash-index updates.
+/// than the per-change look-ups and index patches.
 const REBUILD_CHANGE_SHARE: usize = 8;
 
 /// Rebuild instead of patching when tombstones would make up more than

@@ -9,13 +9,12 @@
 //! execute as a lazy iterator, a coalesced per-entity timeline, or a
 //! distinct-objects lookup.
 //!
-//! Queries compile to **index-backed scans**, never full-graph walks:
-//! the planner takes the access path the query's shape names — the
-//! `(subject, predicate)` id list when both are bound, a per-predicate
-//! or per-subject run of the interval index for time-constrained
-//! queries ([`tecore_kg::GraphTemporalIndex`]; every predicate's run,
-//! one after the other, for a window alone), the graph's hash
-//! indexes for purely symbolic ones — and streams
+//! Queries compile to **index-backed scans** of the snapshot's
+//! [`tecore_kg::GraphTemporalIndex`], whatever their shape, and walk the
+//! whole arena only when nothing is bound: the planner takes the run
+//! the query's shape names — a bound subject's run, else a bound
+//! predicate's, each narrowed by the window when there is one, else
+//! every predicate's run narrowed by the window — and streams
 //! candidates through the zero-allocation [`OverlapIter`], which walks
 //! a run latest start first and stops where no earlier entry reaches
 //! the window, applying the exact residual filter per candidate. An
@@ -47,6 +46,7 @@
 //! assert_eq!(names, ["Leicester"]);
 //! ```
 
+use tecore_kg::tindex::Entry;
 use tecore_kg::{
     overlapping, reaching, Dictionary, FactId, FxHashMap, GraphTemporalIndex, OverlapIter, Symbol,
     TemporalFact, UtkGraph,
@@ -245,18 +245,19 @@ impl<'a> TemporalQuery<'a> {
         self
     }
 
-    /// Chooses the access path the query's shape names: the
-    /// `(subject, predicate)` id list when both are bound, else an
-    /// interval run narrowed by the window when there is one, else the
-    /// hash index or interval run the bound term names, else — for a
-    /// window alone — every predicate run narrowed by the window, else
-    /// the whole arena. The object filter never picks a path. The
-    /// residual filter in [`QueryIter`] re-checks every constraint, so
-    /// any candidate-superset path is exact; the plan only decides
-    /// which candidates get examined.
+    /// Chooses the access path the query's shape names, by one rule
+    /// tried in order: a bound subject walks its run of the interval
+    /// index, narrowed by the window when there is one; otherwise a
+    /// bound predicate walks its run the same way; otherwise a window
+    /// walks every predicate run narrowed by it; otherwise the query
+    /// scans the whole arena. Neither the object filter nor, once the
+    /// subject is bound, the predicate picks a path: both are residual
+    /// filters. The residual filter in [`QueryIter`] re-checks every
+    /// constraint, so any candidate-superset path is exact; the plan
+    /// only decides which candidates get examined.
     ///
-    /// Only the interval paths touch the snapshot's interval index, so
-    /// a plan that lands on a hash-index path keeps the index unbuilt.
+    /// Every path but the full scan reads the snapshot's interval
+    /// index, so a cold snapshot builds it on its first such query.
     fn plan(&self) -> PathChoice {
         let unmatchable = self.subject == TermFilter::Unmatchable
             || self.predicate == TermFilter::Unmatchable
@@ -270,13 +271,10 @@ impl<'a> TemporalQuery<'a> {
         if unmatchable || matches!(window, Some(None)) {
             return PathChoice::Empty;
         }
-        let window = window.flatten();
-        match (self.subject, self.predicate, window) {
-            (TermFilter::Is(s), TermFilter::Is(p), _) => PathChoice::SubjectPredicateIds { s, p },
-            (_, TermFilter::Is(p), Some(w)) => PathChoice::PredicateOverlap { p, w },
-            (_, TermFilter::Is(p), None) => PathChoice::PredicateIds { p },
-            (TermFilter::Is(s), _, Some(w)) => PathChoice::SubjectOverlap { s, w },
-            (TermFilter::Is(s), _, None) => PathChoice::SubjectEntries { s },
+        let w = window.flatten();
+        match (self.subject, self.predicate, w) {
+            (TermFilter::Is(s), _, _) => PathChoice::Subject { s, w },
+            (_, TermFilter::Is(p), _) => PathChoice::Predicate { p, w },
             (_, _, Some(w)) => PathChoice::PredicatesOverlap { w },
             (_, _, None) => PathChoice::FullScan,
         }
@@ -289,38 +287,26 @@ impl<'a> TemporalQuery<'a> {
     pub fn explain(&self) -> String {
         let graph = self.snapshot.expanded();
         let index = || self.snapshot.index();
-        let name = |sym: Symbol| graph.dict().resolve(sym).to_string();
-        let visits = |run, w| reaching(run, w).count();
+        let visits = |run: &[Entry], w| reaching(run, w).count();
+        let run = |family: &str, key: Symbol, entries: &[Entry], w: Option<Interval>| {
+            let key = graph.dict().resolve(key);
+            match w {
+                Some(w) => format!(
+                    "{family} interval sub-index ({key}) ∩ window {w}, ~{} candidates",
+                    visits(entries, w)
+                ),
+                None => format!(
+                    "{family} interval sub-index ({key}), ~{} candidates",
+                    entries.len()
+                ),
+            }
+        };
         match self.plan() {
             PathChoice::Empty => {
                 "empty: unsatisfiable (unknown term or impossible Allen window)".to_string()
             }
-            PathChoice::SubjectPredicateIds { s, p } => format!(
-                "hash index (subject={}, predicate={}), ~{} candidates",
-                name(s),
-                name(p),
-                graph.subject_predicate_ids(s, p).len()
-            ),
-            PathChoice::PredicateIds { p } => format!(
-                "hash index (predicate={}), ~{} candidates",
-                name(p),
-                graph.predicate_ids(p).len()
-            ),
-            PathChoice::SubjectEntries { s } => format!(
-                "subject interval sub-index ({}), ~{} candidates",
-                name(s),
-                index().subject(s).len()
-            ),
-            PathChoice::PredicateOverlap { p, w } => format!(
-                "predicate interval sub-index ({}) ∩ window {w}, ~{} candidates",
-                name(p),
-                visits(index().predicate(p), w)
-            ),
-            PathChoice::SubjectOverlap { s, w } => format!(
-                "subject interval sub-index ({}) ∩ window {w}, ~{} candidates",
-                name(s),
-                visits(index().subject(s), w)
-            ),
+            PathChoice::Subject { s, w } => run("subject", s, index().subject(s), w),
+            PathChoice::Predicate { p, w } => run("predicate", p, index().predicate(p), w),
             PathChoice::PredicatesOverlap { w } => format!(
                 "every predicate interval sub-index ({} runs) ∩ window {w}, ~{} candidates",
                 index().predicates().len(),
@@ -342,19 +328,14 @@ impl<'a> TemporalQuery<'a> {
     pub fn iter(&self) -> QueryIter<'a> {
         let graph = self.snapshot.expanded();
         let index = || self.snapshot.index();
+        let run = |entries: &'a [Entry], w| match w {
+            Some(w) => Scan::Overlap(overlapping(entries, w)),
+            None => Scan::Entries(entries.iter()),
+        };
         let scan = match self.plan() {
             PathChoice::Empty => Scan::Empty,
-            PathChoice::SubjectPredicateIds { s, p } => {
-                Scan::Ids(graph.subject_predicate_ids(s, p).iter())
-            }
-            PathChoice::PredicateIds { p } => Scan::Ids(graph.predicate_ids(p).iter()),
-            PathChoice::SubjectEntries { s } => Scan::Entries(index().subject(s).iter()),
-            PathChoice::PredicateOverlap { p, w } => {
-                Scan::Overlap(overlapping(index().predicate(p), w))
-            }
-            PathChoice::SubjectOverlap { s, w } => {
-                Scan::Overlap(overlapping(index().subject(s), w))
-            }
+            PathChoice::Subject { s, w } => run(index().subject(s), w),
+            PathChoice::Predicate { p, w } => run(index().predicate(p), w),
             PathChoice::PredicatesOverlap { w } => {
                 Scan::Runs(overlapping(&[], w), index().predicates().iter(), index(), w)
             }
@@ -435,16 +416,11 @@ impl<'a> TemporalQuery<'a> {
 enum PathChoice {
     /// Statically unsatisfiable (unknown term, impossible Allen window).
     Empty,
-    /// The `(subject, predicate)` hash index id list.
-    SubjectPredicateIds { s: Symbol, p: Symbol },
-    /// The predicate hash index id list.
-    PredicateIds { p: Symbol },
-    /// The subject interval sub-index, walked without a window.
-    SubjectEntries { s: Symbol },
-    /// The predicate interval sub-index intersected with the window.
-    PredicateOverlap { p: Symbol, w: Interval },
-    /// The subject interval sub-index intersected with the window.
-    SubjectOverlap { s: Symbol, w: Interval },
+    /// The subject's interval sub-index, intersected with the window
+    /// when there is one.
+    Subject { s: Symbol, w: Option<Interval> },
+    /// The predicate's interval sub-index, the same way.
+    Predicate { p: Symbol, w: Option<Interval> },
     /// Every predicate's interval sub-index intersected with the
     /// window, in ascending predicate-symbol order, so what a `limit`
     /// keeps follows the snapshot's content, not where a patch left
@@ -469,10 +445,8 @@ enum Scan<'a> {
         &'a GraphTemporalIndex,
         Interval,
     ),
-    /// Id list from one of the graph's hash indexes.
-    Ids(std::slice::Iter<'a, FactId>),
     /// A run of the interval index, whole (no window to narrow by).
-    Entries(std::slice::Iter<'a, tecore_kg::tindex::Entry>),
+    Entries(std::slice::Iter<'a, Entry>),
     /// Unconstrained arena walk (only when no filter names an index).
     Full(std::ops::Range<u32>),
 }
@@ -510,7 +484,6 @@ impl<'a> Iterator for QueryIter<'a> {
                 Scan::Empty => return None,
                 Scan::Overlap(iter) => iter.next()?.id,
                 Scan::Runs(run, then, index, w) => next_in_runs(run, then, index, *w)?,
-                Scan::Ids(iter) => *iter.next()?,
                 Scan::Entries(iter) => iter.next()?.id,
                 Scan::Full(range) => FactId(range.next()?),
             };

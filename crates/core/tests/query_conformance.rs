@@ -6,37 +6,42 @@
 
 use proptest::prelude::*;
 use tecore_core::resolution::{InferredFact, Resolution};
-use tecore_core::{DebugStats, Snapshot};
+use tecore_core::{DebugStats, Engine, Snapshot, SolverRegistry, TecoreConfig};
+use tecore_ground::ComponentMode;
 use tecore_kg::{FactId, UtkGraph};
+use tecore_logic::LogicProgram;
 use tecore_temporal::{AllenRelation, AllenSet, Interval};
 
-/// Builds a snapshot from compact fact tuples
-/// `(subject, predicate, object, start, len, confidence-step)`, routing
-/// a slice of them through the inferred-facts channel so the expanded
-/// graph mixes evidence and inferred statements.
-fn build_snapshot(facts: &[(u8, u8, u8, i8, i8, u8)]) -> Snapshot {
+/// A compact fact: `(subject, predicate, object, start, len,
+/// confidence-step)`.
+type Fact = (u8, u8, u8, i8, i8, u8);
+
+/// A compact fact's terms, interval and confidence.
+fn spell((s, p, o, start, len, conf): Fact) -> ([String; 3], Interval, f64) {
+    let iv = Interval::new(i64::from(start), i64::from(start) + i64::from(len)).unwrap();
+    let terms = [format!("subj{s}"), format!("pred{p}"), format!("obj{o}")];
+    (terms, iv, 0.5 + f64::from(conf) * 0.09)
+}
+
+/// Builds a snapshot from compact facts, routing a slice of them
+/// through the inferred-facts channel so the expanded graph mixes
+/// evidence and inferred statements.
+fn build_snapshot(facts: &[Fact]) -> Snapshot {
     let mut graph = UtkGraph::new();
     let mut inferred = Vec::new();
-    for (i, &(s, p, o, start, len, conf)) in facts.iter().enumerate() {
-        let iv = Interval::new(i64::from(start), i64::from(start) + i64::from(len)).unwrap();
-        let confidence = 0.5 + f64::from(conf) * 0.09;
+    for (i, &fact) in facts.iter().enumerate() {
+        let ([subject, predicate, object], interval, confidence) = spell(fact);
         if i % 5 == 4 {
             inferred.push(std::sync::Arc::new(InferredFact {
-                subject: format!("subj{s}"),
-                predicate: format!("pred{p}"),
-                object: format!("obj{o}"),
-                interval: iv,
+                subject,
+                predicate,
+                object,
+                interval,
                 confidence,
             }));
         } else {
             graph
-                .insert(
-                    &format!("subj{s}"),
-                    &format!("pred{p}"),
-                    &format!("obj{o}"),
-                    iv,
-                    confidence,
-                )
+                .insert(&subject, &predicate, &object, interval, confidence)
                 .unwrap();
         }
     }
@@ -100,8 +105,13 @@ const ALLEN_POOL: [AllenRelation; 6] = [
     AllenRelation::Equals,
 ];
 
-fn run_conformance(facts: &[(u8, u8, u8, i8, i8, u8)], shape: &QueryShape) {
-    let snap = build_snapshot(facts);
+fn run_conformance(facts: &[Fact], shape: &QueryShape) {
+    assert_matches_brute_force(&build_snapshot(facts), shape);
+}
+
+/// The query `shape` describes, run on `snap`, returns exactly what a
+/// walk over the whole arena of its expanded graph admits.
+fn assert_matches_brute_force(snap: &Snapshot, shape: &QueryShape) {
     let graph = snap.expanded();
 
     // Build the query through the public API. Index 6 (subjects) / 4
@@ -188,6 +198,82 @@ proptest! {
     ) {
         run_conformance(&facts, &shape);
     }
+
+    /// The same on views `resolve_incremental` carried forward: each
+    /// step removes a live `pred0` fact (never in a conflict, so always
+    /// in the view) or inserts one, and the patched view keeps the
+    /// removed ones as tombstones. Every shape is also asked with its
+    /// subject and predicate both bound, with and without its window.
+    #[test]
+    fn carried_view_queries_match_brute_force(
+        facts in prop::collection::vec((0u8..6, 0u8..4, 0u8..5, 0i8..20, 0i8..5, 0u8..5), 40..64),
+        steps in prop::collection::vec(
+            (0usize..64, prop::option::of((0u8..6, 0u8..4, 0u8..5, 0i8..20, 0i8..5, 0u8..5))),
+            1..5,
+        ),
+        shapes in prop::collection::vec(arb_shape(), 1..6),
+    ) {
+        let mut graph = UtkGraph::new();
+        for &fact in &facts {
+            let ([s, p, o], iv, confidence) = spell(fact);
+            graph.insert(&s, &p, &o, iv, confidence).unwrap();
+        }
+        // Solved component by component, exactly: a removed `pred0`
+        // fact, in no component, moves no atom, so the view is patched.
+        let config = TecoreConfig {
+            backend: SolverRegistry::with_default_backends().resolve("mln-exact").unwrap(),
+            component_mode: ComponentMode::Components,
+            ..TecoreConfig::default()
+        };
+        let mut engine = Engine::with_config(graph, carry_program(), config);
+        engine.resolve_incremental().unwrap();
+        for (step, &(pick, insert_fact)) in steps.iter().enumerate() {
+            match insert_fact {
+                // The first step always removes, so every view below
+                // holds a tombstone.
+                Some(fact) if step > 0 => {
+                    let ([s, p, o], iv, confidence) = spell(fact);
+                    engine.insert_fact(&s, &p, &o, iv, confidence).unwrap();
+                }
+                _ => {
+                    let pred0 = engine.graph().dict().lookup("pred0");
+                    let live: Vec<FactId> = engine
+                        .graph()
+                        .iter()
+                        .filter(|(_, f)| Some(f.predicate) == pred0)
+                        .map(|(id, _)| id)
+                        .collect();
+                    if !live.is_empty() {
+                        engine.remove_fact(live[pick % live.len()]).unwrap();
+                    }
+                }
+            }
+            let snap = engine.resolve_incremental().unwrap();
+            let view = snap.expanded();
+            prop_assert!(view.arena_len() > view.len(), "a carried view, with tombstones");
+            for shape in &shapes {
+                assert_matches_brute_force(&snap, shape);
+                let bound = QueryShape {
+                    subject: Some(shape.subject.unwrap_or(0)),
+                    predicate: Some(shape.predicate.unwrap_or(0)),
+                    ..shape.clone()
+                };
+                assert_matches_brute_force(&snap, &bound);
+                assert_matches_brute_force(&snap, &QueryShape { time_kind: 0, ..bound });
+            }
+        }
+    }
+}
+
+/// `pred3` spells of one subject must not overlap, and every `pred2`
+/// fact implies a `pred1` one: the carried views drop facts and gain
+/// inferred ones.
+fn carry_program() -> LogicProgram {
+    LogicProgram::parse(
+        "c: quad(x, pred3, y, t) ^ quad(x, pred3, z, t') ^ y != z -> disjoint(t, t') w = inf\n\
+         f: quad(x, pred2, y, t) -> quad(x, pred1, y, t) w = 2.5\n",
+    )
+    .unwrap()
 }
 
 #[test]
@@ -206,14 +292,16 @@ fn explain_names_the_chosen_path() {
     let q = || snap.query();
     // One query per shape: the path it names and the entries it visits.
     let cases = [
-        // Both terms bound: the (s,p) id list, with a window or without.
+        // Both terms bound: the subject's run, the predicate a residual
+        // filter. subj0's run is [1,4] [5,6] [10,12]; at 3 its walk
+        // stops at the first start after 3.
         (
             q().subject("subj0").predicate("pred0"),
-            "hash index (subject=subj0, predicate=pred0), ~2 candidates",
+            "subject interval sub-index (subj0), ~3 candidates",
         ),
         (
             q().subject("subj0").predicate("pred0").at(3),
-            "hash index (subject=subj0, predicate=pred0), ~2 candidates",
+            "subject interval sub-index (subj0) ∩ window [3,3], ~1 candidates",
         ),
         // pred0's run [1,4] [2,4] [7,7] [10,12]: the walk stops at the
         // first start after 8.
@@ -223,7 +311,7 @@ fn explain_names_the_chosen_path() {
         ),
         (
             q().predicate("pred0"),
-            "hash index (predicate=pred0), ~4 candidates",
+            "predicate interval sub-index (pred0), ~4 candidates",
         ),
         // subj0's run [1,4] [5,6] [10,12]: [1,4] ends before 5.
         (

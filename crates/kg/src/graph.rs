@@ -1,6 +1,6 @@
 //! The uTKG store.
 
-use crate::fxhash::FxHashMap;
+use crate::fxhash::FxHashSet;
 
 use tecore_temporal::Interval;
 
@@ -13,21 +13,14 @@ use crate::fact::{Confidence, FactId, TemporalFact};
 ///
 /// Facts live in an append-only arena addressed by [`FactId`]; deletion
 /// (conflict resolution removes noisy facts) tombstones the slot so ids
-/// stay stable. Two secondary indexes serve the access paths that read
-/// the graph itself (the query planner's exact paths, upserts, the
-/// constraint advisor):
-///
-/// * predicate → facts,
-/// * (subject, predicate) → facts.
-///
-/// Both keep their fact lists in insertion order. (The grounder joins
-/// over its own atom postings, which also cover a bound object; nothing
-/// reads the graph by `(predicate, object)`, so it keeps no such index.)
-///
-/// Indexing an inserted fact costs two hash probes, one per index.
-/// Removing one costs none: the id lists keep its tombstone. The graph
-/// keeps no statistics beside the indexes; [`crate::GraphStats`]
-/// counts in one walk when asked.
+/// stay stable. The graph keeps no table per key: an insert is a push,
+/// a removal clears a flag. Whoever reads by key builds the index for
+/// it — the grounder its atom postings, a resolved view its
+/// [`crate::GraphTemporalIndex`] — and the few by-term reads the graph
+/// still answers itself ([`UtkGraph::facts_with_predicate`],
+/// [`UtkGraph::statement_ids`], [`UtkGraph::predicates`]) walk the live
+/// facts. Nor does it keep statistics; [`crate::GraphStats`] counts in
+/// one walk when asked.
 ///
 /// The graph also carries a monotonically increasing **epoch** (bumped
 /// by every insert/remove) and a change log, so incremental consumers
@@ -46,8 +39,6 @@ pub struct UtkGraph {
     /// window's graph, whose arena is mostly expired facts, is walked
     /// in the size of its window.
     first_live: usize,
-    by_predicate: FxHashMap<Symbol, Vec<FactId>>,
-    by_subject_predicate: FxHashMap<(Symbol, Symbol), Vec<FactId>>,
     /// Bumped on every mutation; `0` for a fresh graph.
     epoch: u64,
     /// Retained change log: `(epoch, change)` pairs, ascending.
@@ -117,14 +108,6 @@ impl UtkGraph {
     /// dictionary).
     pub fn insert_fact(&mut self, fact: TemporalFact) -> FactId {
         let id = FactId(self.facts.len() as u32);
-        self.by_predicate
-            .entry(fact.predicate)
-            .or_default()
-            .push(id);
-        self.by_subject_predicate
-            .entry((fact.subject, fact.predicate))
-            .or_default()
-            .push(id);
         self.facts.push(fact);
         self.alive.push(true);
         self.live_count += 1;
@@ -238,24 +221,17 @@ impl UtkGraph {
             .map(|((f, _), i)| (FactId(i as u32), f))
     }
 
-    /// Live facts with the given predicate.
+    /// Live facts with the given predicate, in id order. A walk over
+    /// the live facts: O(live facts), whatever the predicate's share.
     pub fn facts_with_predicate(&self, p: Symbol) -> impl Iterator<Item = (FactId, &TemporalFact)> {
-        self.index_iter(self.by_predicate.get(&p))
-    }
-
-    /// Live facts with the given subject and predicate.
-    pub fn facts_with_subject_predicate(
-        &self,
-        s: Symbol,
-        p: Symbol,
-    ) -> impl Iterator<Item = (FactId, &TemporalFact)> {
-        self.index_iter(self.by_subject_predicate.get(&(s, p)))
+        self.iter().filter(move |(_, f)| f.predicate == p)
     }
 
     /// Ids of live facts asserting the statement `(subject, predicate,
     /// object)`, regardless of interval or confidence — the upsert
-    /// target set. Unknown terms yield an empty list (nothing to
-    /// replace) without interning them.
+    /// target set. A walk over the live facts: O(live facts). Unknown
+    /// terms yield an empty list (nothing to replace) without interning
+    /// them, and without the walk.
     pub fn statement_ids(&self, subject: &str, predicate: &str, object: &str) -> Vec<FactId> {
         let (Some(s), Some(p), Some(o)) = (
             self.dict.lookup(subject),
@@ -264,47 +240,18 @@ impl UtkGraph {
         ) else {
             return Vec::new();
         };
-        self.facts_with_subject_predicate(s, p)
-            .filter(|(_, f)| f.object == o)
+        self.iter()
+            .filter(|(_, f)| f.triple() == (s, p, o))
             .map(|(id, _)| id)
             .collect()
     }
 
-    /// Raw id list of the predicate index (may include tombstoned ids;
-    /// callers filter with [`UtkGraph::is_alive`]). Exposed so query
-    /// planners can iterate an index without boxing the graph's
-    /// `impl Iterator` types.
-    pub fn predicate_ids(&self, p: Symbol) -> &[FactId] {
-        self.by_predicate.get(&p).map_or(&[], Vec::as_slice)
-    }
-
-    /// Raw id list of the (subject, predicate) index (may include
-    /// tombstoned ids).
-    pub fn subject_predicate_ids(&self, s: Symbol, p: Symbol) -> &[FactId] {
-        self.by_subject_predicate
-            .get(&(s, p))
-            .map_or(&[], Vec::as_slice)
-    }
-
-    fn index_iter<'a>(
-        &'a self,
-        ids: Option<&'a Vec<FactId>>,
-    ) -> impl Iterator<Item = (FactId, &'a TemporalFact)> {
-        ids.into_iter()
-            .flatten()
-            .filter(|id| self.alive[id.index()])
-            .map(|id| (*id, &self.facts[id.index()]))
-    }
-
     /// All distinct predicates with at least one live fact, sorted by
-    /// name (for deterministic reporting and auto-completion).
+    /// name (for deterministic reporting and auto-completion). A walk
+    /// over the live facts: O(live facts).
     pub fn predicates(&self) -> Vec<Symbol> {
-        let mut preds: Vec<Symbol> = self
-            .by_predicate
-            .iter()
-            .filter(|(_, ids)| ids.iter().any(|id| self.alive[id.index()]))
-            .map(|(p, _)| *p)
-            .collect();
+        let preds: FxHashSet<Symbol> = self.iter().map(|(_, f)| f.predicate).collect();
+        let mut preds: Vec<Symbol> = preds.into_iter().collect();
         preds.sort_unstable_by(|a, b| self.dict.resolve(*a).cmp(self.dict.resolve(*b)));
         preds
     }
@@ -358,7 +305,7 @@ impl UtkGraph {
     }
 
     /// Pads the arena with dead placeholder slots up to `upto`
-    /// (restore-only: the placeholders are unindexed and never live).
+    /// (restore-only: the placeholders are never live).
     fn fill_tombstones(&mut self, upto: usize) {
         if self.facts.len() >= upto {
             return;
@@ -385,48 +332,17 @@ impl UtkGraph {
     ///
     /// The copy equals the graph that inserting the kept facts one by
     /// one into an empty graph over the same dictionary would give —
-    /// ids, index lists, epoch — but is built in one pass: the arena and
-    /// the indexes are sized from this graph (a predicate's id list
-    /// from its list here, tombstones included, but never past the live
-    /// count), so a kept fact costs the two index probes
-    /// and nothing else. The work follows the live facts, not the
-    /// arena: a graph that is mostly tombstones (a stream window's)
-    /// copies as fast as its live part, which is why the index tables
-    /// are filled by probe rather than cloned and renumbered.
+    /// facts, ids, epoch — but is a plain copy of the kept facts into
+    /// an arena sized for the live ones. The work follows the live
+    /// facts, not the arena: a graph that is mostly tombstones (a
+    /// stream window's) copies as fast as its live part.
     ///
     /// The copy is a result, not an edit history: its change log starts
     /// empty at its own epoch, so [`UtkGraph::since`] on it answers
     /// `None` for anything earlier and building it records nothing.
     pub fn filtered(&self, mut keep: impl FnMut(FactId, &TemporalFact) -> bool) -> UtkGraph {
-        // A key of the copy is a key of this graph with a live fact.
-        let live = self.live_count;
-        let mut facts = Vec::with_capacity(live);
-        let mut by_predicate: FxHashMap<Symbol, Vec<FactId>> = FxHashMap::with_capacity_and_hasher(
-            self.by_predicate.len().min(live),
-            Default::default(),
-        );
-        let mut by_subject_predicate: FxHashMap<(Symbol, Symbol), Vec<FactId>> =
-            FxHashMap::with_capacity_and_hasher(
-                self.by_subject_predicate.len().min(live),
-                Default::default(),
-            );
-        for (id, f) in self.iter() {
-            if !keep(id, f) {
-                continue;
-            }
-            let new = FactId(facts.len() as u32);
-            by_predicate
-                .entry(f.predicate)
-                .or_insert_with(|| {
-                    Vec::with_capacity(self.predicate_ids(f.predicate).len().min(live))
-                })
-                .push(new);
-            by_subject_predicate
-                .entry((f.subject, f.predicate))
-                .or_default()
-                .push(new);
-            facts.push(*f);
-        }
+        let mut facts = Vec::with_capacity(self.live_count);
+        facts.extend(self.iter().filter(|&(id, f)| keep(id, f)).map(|(_, f)| *f));
         let kept = facts.len();
         UtkGraph {
             dict: self.dict.clone(),
@@ -434,8 +350,6 @@ impl UtkGraph {
             live_count: kept,
             first_live: 0,
             facts,
-            by_predicate,
-            by_subject_predicate,
             epoch: kept as u64,
             log: Vec::new(),
             log_start: kept as u64,
@@ -473,8 +387,8 @@ mod tests {
         assert_eq!(g.len(), 5);
         let coach = g.dict().lookup("coach").unwrap();
         assert_eq!(g.facts_with_predicate(coach).count(), 3);
-        let cr = g.dict().lookup("CR").unwrap();
-        assert_eq!(g.facts_with_subject_predicate(cr, coach).count(), 3);
+        assert_eq!(g.statement_ids("CR", "coach", "Chelsea"), [FactId(0)]);
+        assert!(g.statement_ids("CR", "coach", "Roma").is_empty());
     }
 
     #[test]
@@ -695,22 +609,6 @@ mod tests {
             prop_assert_eq!(copy.arena_len(), reference.arena_len());
             prop_assert_eq!(copy.epoch(), reference.epoch());
             prop_assert_eq!(copy.predicates(), reference.predicates());
-            let symbols: Vec<Symbol> = g.dict.iter().map(|(sym, _)| sym).collect();
-            for &p in &symbols {
-                prop_assert_eq!(copy.predicate_ids(p), reference.predicate_ids(p));
-                for &s in &symbols {
-                    prop_assert_eq!(
-                        copy.subject_predicate_ids(s, p),
-                        reference.subject_predicate_ids(s, p)
-                    );
-                }
-            }
-            // No list is kept for a key that lost every fact.
-            prop_assert_eq!(copy.by_predicate.len(), reference.by_predicate.len());
-            prop_assert_eq!(
-                copy.by_subject_predicate.len(),
-                reference.by_subject_predicate.len()
-            );
             // A result, not an edit history.
             prop_assert!(copy.log.is_empty());
             prop_assert!(copy.since(copy.epoch()).unwrap().is_empty());
@@ -770,54 +668,6 @@ mod tests {
                 let first = brute.first().map_or(g.arena_len(), |(id, _)| id.index());
                 prop_assert_eq!(g.first_live, first);
                 prop_assert_eq!(g.iter().next().map(|(id, _)| id.index()), brute.first().map(|(id, _)| id.index()));
-            }
-        }
-
-        /// Index consistency: every fact reachable by full scan is
-        /// reachable through each index, and vice versa.
-        #[test]
-        fn index_consistency(
-            facts in prop::collection::vec(
-                (0u8..6, 0u8..4, 0u8..6, -20i64..20, 0i64..10, 1u8..=10),
-                1..60
-            ),
-            removals in prop::collection::vec(0usize..60, 0..20),
-        ) {
-            let mut g = UtkGraph::new();
-            let mut ids = Vec::new();
-            for (s, p, o, start, len, conf) in &facts {
-                let id = g.insert(
-                    &format!("s{s}"),
-                    &format!("p{p}"),
-                    &format!("o{o}"),
-                    iv(*start, *start + *len),
-                    f64::from(*conf) / 10.0,
-                ).unwrap();
-                ids.push(id);
-            }
-            for r in removals {
-                if r < ids.len() {
-                    let _ = g.remove(ids[r]);
-                }
-            }
-            let scan: std::collections::HashSet<FactId> =
-                g.iter().map(|(id, _)| id).collect();
-            prop_assert_eq!(scan.len(), g.len());
-            let mut via_pred = std::collections::HashSet::new();
-            for p in g.predicates() {
-                for (id, f) in g.facts_with_predicate(p) {
-                    prop_assert_eq!(f.predicate, p);
-                    via_pred.insert(id);
-                }
-            }
-            prop_assert_eq!(&via_pred, &scan);
-            // subject-predicate index agrees
-            for &id in &scan {
-                let f = *g.fact(id).unwrap();
-                prop_assert!(
-                    g.facts_with_subject_predicate(f.subject, f.predicate)
-                        .any(|(i, _)| i == id)
-                );
             }
         }
     }

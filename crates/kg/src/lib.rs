@@ -19,9 +19,9 @@
 //! * [`Dictionary`] — string interning for IRIs/literals, so the rest of
 //!   the system works with dense `u32` symbols;
 //! * [`TemporalFact`] — the quad + confidence record;
-//! * [`UtkGraph`] — the fact store with secondary indexes (by predicate,
-//!   by subject+predicate) and interval-overlap queries, supporting
-//!   tombstone deletion (conflict resolution removes facts);
+//! * [`UtkGraph`] — the fact store: a fact arena with tombstone
+//!   deletion (conflict resolution removes facts), an epoch and a
+//!   change log, and no table per key;
 //! * [`FactMap`] — a dense fact id → id table from the first live
 //!   fact on (the grounder's fact → atom table, a view's fact ids);
 //! * [`Postings`] — start-sorted interval runs in one arena: the

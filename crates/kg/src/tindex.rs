@@ -1,13 +1,14 @@
 //! The temporal index of a resolved view.
 //!
 //! The snapshot query layer asks "which facts — of predicate p, of
-//! subject s, or at all — intersect this window?". A
-//! [`GraphTemporalIndex`] answers that in `O(log n + answers)` per run
-//! from two families of start-sorted [`Postings`] runs over one graph:
-//! one run per predicate, one per subject. A window with no term walks
-//! every predicate run. A cold view builds them from one sort; a view
-//! carried from one snapshot to the next is patched
-//! ([`GraphTemporalIndex::patch`]), not rebuilt.
+//! subject s, or at all — intersect this window?", and "which facts of
+//! subject s, or of predicate p, are there?". A [`GraphTemporalIndex`]
+//! answers the first in `O(log n + answers)` per run and the second in
+//! the run's length, from two families of start-sorted [`Postings`]
+//! runs over one graph: one run per predicate, one per subject. A
+//! window with no term walks every predicate run. A cold view builds
+//! them from one sort; a view carried from one snapshot to the next is
+//! patched ([`GraphTemporalIndex::patch`]), not rebuilt.
 
 use crate::dict::Symbol;
 use crate::fact::{FactId, TemporalFact};
@@ -19,9 +20,9 @@ use crate::postings::{Posting, Postings};
 pub type Entry = Posting<FactId, ()>;
 
 /// Temporal secondary indexes over one graph: one run per predicate and
-/// one per subject — the read-side companion of
-/// [`UtkGraph`]'s id lists, for "facts with predicate p *valid at time
-/// t*". All lookups are `&self`, so any number of reader threads can
+/// one per subject — the only by-term index of a resolved view, for
+/// "facts of subject s or predicate p, *valid at time t*" or at any
+/// time. All lookups are `&self`, so any number of reader threads can
 /// share it. Two indexes are equal when the same keys hold the same
 /// runs, wherever the runs lie in their arenas.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

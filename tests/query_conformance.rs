@@ -238,7 +238,7 @@ proptest! {
     }
 
     /// Purely symbolic queries (no time filter) match the scan through
-    /// the hash-index access paths.
+    /// the whole runs of the interval index.
     #[test]
     fn symbolic_matches_brute_force(facts in arb_facts(), s in 0u8..5, p in 0u8..4) {
         let snap = snapshot_from(&facts);
