@@ -1,190 +1,20 @@
 //! Query-planner conformance: whatever access path the query's shape
-//! names, a [`TemporalQuery`] must return exactly the facts a
-//! brute-force scan over the expanded graph returns. The plan only
-//! decides how many candidates get examined; the residual filter keeps
-//! every path exact.
+//! names, a [`TemporalQuery`](tecore_core::TemporalQuery) must return
+//! exactly the facts a brute-force scan over the expanded graph returns
+//! (`tecore_testkit::assert_queries_match_scan`, over its query shapes
+//! and compact facts). The plan only decides how many candidates get
+//! examined; the residual filter keeps every path exact.
 
 use proptest::prelude::*;
-use tecore_core::resolution::{InferredFact, Resolution};
-use tecore_core::{DebugStats, Engine, Snapshot, SolverRegistry, TecoreConfig};
+use tecore_core::{Engine, TecoreConfig};
 use tecore_ground::ComponentMode;
 use tecore_kg::{FactId, UtkGraph};
 use tecore_logic::LogicProgram;
-use tecore_temporal::{AllenRelation, AllenSet, Interval};
-
-/// A compact fact: `(subject, predicate, object, start, len,
-/// confidence-step)`.
-type Fact = (u8, u8, u8, i8, i8, u8);
-
-/// A compact fact's terms, interval and confidence.
-fn spell((s, p, o, start, len, conf): Fact) -> ([String; 3], Interval, f64) {
-    let iv = Interval::new(i64::from(start), i64::from(start) + i64::from(len)).unwrap();
-    let terms = [format!("subj{s}"), format!("pred{p}"), format!("obj{o}")];
-    (terms, iv, 0.5 + f64::from(conf) * 0.09)
-}
-
-/// Builds a snapshot from compact facts, routing a slice of them
-/// through the inferred-facts channel so the expanded graph mixes
-/// evidence and inferred statements.
-fn build_snapshot(facts: &[Fact]) -> Snapshot {
-    let mut graph = UtkGraph::new();
-    let mut inferred = Vec::new();
-    for (i, &fact) in facts.iter().enumerate() {
-        let ([subject, predicate, object], interval, confidence) = spell(fact);
-        if i % 5 == 4 {
-            inferred.push(std::sync::Arc::new(InferredFact {
-                subject,
-                predicate,
-                object,
-                interval,
-                confidence,
-            }));
-        } else {
-            graph
-                .insert(&subject, &predicate, &object, interval, confidence)
-                .unwrap();
-        }
-    }
-    let resolution = Resolution {
-        consistent: graph.into(),
-        removed: Vec::new(),
-        inferred,
-        conflicts: Vec::new(),
-        stats: DebugStats::default(),
-    };
-    Snapshot::from_resolution(resolution, 1)
-}
-
-/// One random query shape: optional term filters (sometimes naming a
-/// term absent from the snapshot), one of the four time-filter kinds,
-/// and an optional confidence floor.
-#[derive(Debug, Clone)]
-struct QueryShape {
-    subject: Option<u8>,
-    predicate: Option<u8>,
-    object: Option<u8>,
-    /// 0 = none, 1 = at, 2 = overlapping, 3 = allen, 4 = allen-set.
-    time_kind: u8,
-    time_a: i8,
-    time_b: i8,
-    allen: u8,
-    min_conf: bool,
-}
-
-fn arb_shape() -> impl Strategy<Value = QueryShape> {
-    (
-        prop::option::of(0u8..7),
-        prop::option::of(0u8..5),
-        prop::option::of(0u8..6),
-        0u8..5,
-        0i8..20,
-        0i8..6,
-        0u8..6,
-        prop::bool::ANY,
-    )
-        .prop_map(
-            |(subject, predicate, object, time_kind, time_a, time_b, allen, min_conf)| QueryShape {
-                subject,
-                predicate,
-                object,
-                time_kind,
-                time_a,
-                time_b,
-                allen,
-                min_conf,
-            },
-        )
-}
-
-const ALLEN_POOL: [AllenRelation; 6] = [
-    AllenRelation::Before,
-    AllenRelation::After,
-    AllenRelation::During,
-    AllenRelation::Contains,
-    AllenRelation::Overlaps,
-    AllenRelation::Equals,
-];
-
-fn run_conformance(facts: &[Fact], shape: &QueryShape) {
-    assert_matches_brute_force(&build_snapshot(facts), shape);
-}
-
-/// The query `shape` describes, run on `snap`, returns exactly what a
-/// walk over the whole arena of its expanded graph admits.
-fn assert_matches_brute_force(snap: &Snapshot, shape: &QueryShape) {
-    let graph = snap.expanded();
-
-    // Build the query through the public API. Index 6 (subjects) / 4
-    // (predicates) / 5 (objects) never occurs in `build_snapshot`'s
-    // pools, so those filters exercise the unmatchable path.
-    let mut q = snap.query();
-    if let Some(s) = shape.subject {
-        q = q.subject(&format!("subj{s}"));
-    }
-    if let Some(p) = shape.predicate {
-        q = q.predicate(&format!("pred{p}"));
-    }
-    if let Some(o) = shape.object {
-        q = q.object(&format!("obj{o}"));
-    }
-    let window = Interval::new(
-        i64::from(shape.time_a),
-        i64::from(shape.time_a) + i64::from(shape.time_b),
-    )
-    .unwrap();
-    let rel = ALLEN_POOL[shape.allen as usize];
-    match shape.time_kind {
-        1 => q = q.at(i64::from(shape.time_a)),
-        2 => q = q.overlapping(window),
-        3 => q = q.allen(rel, window),
-        4 => q = q.allen_set(AllenSet::DISJOINT, window),
-        _ => {}
-    }
-    if shape.min_conf {
-        q = q.min_confidence(0.6);
-    }
-
-    // Brute force: walk the whole arena, re-apply every filter by hand.
-    let dict = graph.dict();
-    let admits_term = |filter: Option<u8>, prefix: &str, sym| match filter {
-        None => true,
-        Some(i) => dict.lookup(&format!("{prefix}{i}")) == Some(sym),
-    };
-    let mut expected: Vec<FactId> = Vec::new();
-    for raw in 0..graph.arena_len() as u32 {
-        let id = FactId(raw);
-        let Some(fact) = graph.fact(id) else {
-            continue;
-        };
-        let time_ok = match shape.time_kind {
-            1 => fact
-                .interval
-                .intersects(Interval::at(i64::from(shape.time_a))),
-            2 => fact.interval.intersects(window),
-            3 => AllenSet::from_relation(rel).holds(fact.interval, window),
-            4 => AllenSet::DISJOINT.holds(fact.interval, window),
-            _ => true,
-        };
-        if admits_term(shape.subject, "subj", fact.subject)
-            && admits_term(shape.predicate, "pred", fact.predicate)
-            && admits_term(shape.object, "obj", fact.object)
-            && time_ok
-            && (!shape.min_conf || fact.confidence.value() >= 0.6)
-        {
-            expected.push(id);
-        }
-    }
-
-    let mut got: Vec<FactId> = q.iter().map(|(id, _)| id).collect();
-    got.sort_unstable_by_key(|id| id.0);
-    expected.sort_unstable_by_key(|id| id.0);
-    assert_eq!(
-        got,
-        expected,
-        "planned path diverged from brute force\nshape: {shape:?}\nplan: {}",
-        q.explain()
-    );
-}
+use tecore_temporal::Interval;
+use tecore_testkit::grounding::insert_fact;
+use tecore_testkit::{
+    arb_fact, arb_shape, assert_queries_match_scan, config, snapshot_of, Shape, Time,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -193,10 +23,10 @@ proptest! {
     /// result set, whatever access path the planner picked.
     #[test]
     fn planned_query_matches_brute_force(
-        facts in prop::collection::vec((0u8..6, 0u8..4, 0u8..5, 0i8..20, 0i8..5, 0u8..5), 0..40),
+        facts in prop::collection::vec(arb_fact(), 0..40),
         shape in arb_shape(),
     ) {
-        run_conformance(&facts, &shape);
+        assert_queries_match_scan(&snapshot_of(&facts), &[shape]);
     }
 
     /// The same on views `resolve_incremental` carried forward: each
@@ -206,33 +36,28 @@ proptest! {
     /// subject and predicate both bound, with and without its window.
     #[test]
     fn carried_view_queries_match_brute_force(
-        facts in prop::collection::vec((0u8..6, 0u8..4, 0u8..5, 0i8..20, 0i8..5, 0u8..5), 40..64),
-        steps in prop::collection::vec(
-            (0usize..64, prop::option::of((0u8..6, 0u8..4, 0u8..5, 0i8..20, 0i8..5, 0u8..5))),
-            1..5,
-        ),
+        facts in prop::collection::vec(arb_fact(), 40..64),
+        steps in prop::collection::vec((0usize..64, prop::option::of(arb_fact())), 1..5),
         shapes in prop::collection::vec(arb_shape(), 1..6),
     ) {
         let mut graph = UtkGraph::new();
         for &fact in &facts {
-            let ([s, p, o], iv, confidence) = spell(fact);
-            graph.insert(&s, &p, &o, iv, confidence).unwrap();
+            insert_fact(&mut graph, fact);
         }
         // Solved component by component, exactly: a removed `pred0`
         // fact, in no component, moves no atom, so the view is patched.
         let config = TecoreConfig {
-            backend: SolverRegistry::with_default_backends().resolve("mln-exact").unwrap(),
             component_mode: ComponentMode::Components,
-            ..TecoreConfig::default()
+            ..config("mln-exact")
         };
         let mut engine = Engine::with_config(graph, carry_program(), config);
         engine.resolve_incremental().unwrap();
-        for (step, &(pick, insert_fact)) in steps.iter().enumerate() {
-            match insert_fact {
+        for (step, &(pick, insert)) in steps.iter().enumerate() {
+            match insert {
                 // The first step always removes, so every view below
                 // holds a tombstone.
                 Some(fact) if step > 0 => {
-                    let ([s, p, o], iv, confidence) = spell(fact);
+                    let ([s, p, o], iv, confidence) = tecore_testkit::spell(fact);
                     engine.insert_fact(&s, &p, &o, iv, confidence).unwrap();
                 }
                 _ => {
@@ -251,16 +76,18 @@ proptest! {
             let snap = engine.resolve_incremental().unwrap();
             let view = snap.expanded();
             prop_assert!(view.arena_len() > view.len(), "a carried view, with tombstones");
-            for shape in &shapes {
-                assert_matches_brute_force(&snap, shape);
-                let bound = QueryShape {
-                    subject: Some(shape.subject.unwrap_or(0)),
-                    predicate: Some(shape.predicate.unwrap_or(0)),
-                    ..shape.clone()
-                };
-                assert_matches_brute_force(&snap, &bound);
-                assert_matches_brute_force(&snap, &QueryShape { time_kind: 0, ..bound });
-            }
+            let all: Vec<Shape> = shapes
+                .iter()
+                .flat_map(|&shape| {
+                    let bound = Shape {
+                        subject: Some(shape.subject.unwrap_or(0)),
+                        predicate: Some(shape.predicate.unwrap_or(0)),
+                        ..shape
+                    };
+                    [shape, bound, Shape { time: Time::Any, ..bound }]
+                })
+                .collect();
+            assert_queries_match_scan(&snap, &all);
         }
     }
 }
@@ -280,13 +107,13 @@ fn carry_program() -> LogicProgram {
 fn explain_names_the_chosen_path() {
     // subj0: pred0 [1,4], pred0 [10,12], pred1 [5,6]; subj1: pred0
     // [2,4], pred1 [20,25] (inferred); subj2: pred0 [7,7].
-    let snap = build_snapshot(&[
-        (0, 0, 0, 1, 3, 4),
-        (0, 0, 1, 10, 2, 3),
-        (0, 1, 0, 5, 1, 2),
-        (1, 0, 0, 2, 2, 1),
-        (1, 1, 1, 20, 5, 0),
-        (2, 0, 2, 7, 0, 5),
+    let snap = snapshot_of(&[
+        (0, 0, 0, 1, 3, 9),
+        (0, 0, 1, 10, 2, 8),
+        (0, 1, 0, 5, 1, 7),
+        (1, 0, 0, 2, 2, 6),
+        (1, 1, 1, 20, 5, 5),
+        (2, 0, 2, 7, 0, 10),
     ]);
     let iv = |a, b| Interval::new(a, b).unwrap();
     let q = || snap.query();
@@ -348,9 +175,9 @@ fn explain_names_the_chosen_path() {
 /// that starts before the window ends.
 #[test]
 fn window_alone_visits_its_answers_plus_one_entry_per_run() {
-    let mut facts = vec![(0, 0, 0, 0, 120, 0)];
-    facts.extend((0..100).map(|i| (i, 1, 0, i as i8, 0, 0)));
-    let snap = build_snapshot(&facts);
+    let mut facts = vec![(0, 0, 0, 0, 120, 5)];
+    facts.extend((0..100).map(|i| (i, 1, 0, i as i8, 0, 5)));
+    let snap = snapshot_of(&facts);
     for t in [50, 98, 99, 110] {
         let query = snap.query().at(t);
         let explain = query.explain();

@@ -35,8 +35,8 @@
 
 #![forbid(unsafe_code)]
 
-// The planner's conformance suite shares `tests/common` with the
-// integration suites, which name this crate by its package name.
+// The planner's conformance suite includes `tecore-testkit`'s
+// grounding module by path, which names this crate by its package name.
 #[cfg(test)]
 extern crate self as tecore_ground;
 

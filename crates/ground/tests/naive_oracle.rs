@@ -1,22 +1,20 @@
 //! The grounding oracle: a deliberately naive re-grounder (nested loops
 //! over all atoms, every condition evaluated on complete groundings and
-//! the consequent last — `common::naive_ground`) against the planned,
+//! the consequent last — `tecore_testkit::grounding::naive_ground`) against the planned,
 //! windowed, semi-naive one. Cold `ground()` and
 //! `apply_delta` after any edit sequence must produce the oracle's
 //! formula clauses and its evidence / hidden atoms, on random programs
 //! with Allen and entity conditions in bodies and denial, temporal,
 //! entity and deriving consequents.
 
-mod common;
-
-use common::{
-    arb_dense_facts, arb_facts, arb_formula, arb_join_program, build_graph, insert_fact,
-    naive_ground, program_text, summary,
-};
 use proptest::prelude::*;
 use tecore_ground::{ground, intern_constants};
 use tecore_kg::FactId;
 use tecore_logic::LogicProgram;
+use tecore_testkit::grounding::{
+    arb_dense_facts, arb_facts, arb_formula, arb_join_program, build_graph, insert_fact,
+    naive_ground, program_text, summary,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -104,7 +102,10 @@ fn the_generator_reaches_every_consequent_kind_and_windows() {
     let mut rng = proptest::test_rng("generator coverage");
     let (mut temporal, mut entity, mut deriving, mut denial, mut allen_body) = (0, 0, 0, 0, 0);
     for _ in 0..400 {
-        let text = common::formula_text(0, &Strategy::generate(&arb_formula(), &mut rng));
+        let text = tecore_testkit::grounding::formula_text(
+            0,
+            &Strategy::generate(&arb_formula(), &mut rng),
+        );
         let program = LogicProgram::parse(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
         use tecore_logic::formula::Consequent;
         let f = &program.formulas()[0];

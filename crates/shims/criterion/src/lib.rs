@@ -251,7 +251,9 @@ fn run_one<F: FnMut(&mut Bencher)>(
 /// [`criterion_main!`] after every group has run).
 ///
 /// The target directory is `TECORE_BENCH_DIR` when set, else the
-/// current directory. The format is intentionally flat:
+/// current directory. A report that cannot be written (a missing
+/// directory) ends the run with exit status 1, so that no caller reads
+/// a stale baseline as this run's. The format is intentionally flat:
 ///
 /// ```json
 /// {"bench": "map_footballdb", "results": [
@@ -309,7 +311,10 @@ pub fn write_json_report() {
     json.push_str("\n]}\n");
     match std::fs::write(&path, json) {
         Ok(()) => println!("bench report: {}", path.display()),
-        Err(e) => eprintln!("bench report: failed to write {}: {e}", path.display()),
+        Err(e) => {
+            eprintln!("bench report: failed to write {}: {e}", path.display());
+            std::process::exit(1);
+        }
     }
 }
 
@@ -472,6 +477,36 @@ mod tests {
         assert!(text.contains("median_ns"), "{text}");
         assert!(text.contains("stddev_ns"), "{text}");
         std::fs::remove_file(report.path()).ok();
+    }
+
+    /// Run again as a child with `TECORE_BENCH_DIR` naming a missing
+    /// directory, the run must fail: the child records a bench and
+    /// writes its report, which exits 1 instead of returning. The child
+    /// is the run that names this test `--exact`ly and whose report
+    /// directory is missing.
+    #[test]
+    fn a_report_into_a_missing_directory_fails_the_run() {
+        let exact = std::env::args().any(|arg| arg == "--exact");
+        let dir = std::env::var_os("TECORE_BENCH_DIR");
+        if exact && dir.is_some_and(|dir| !std::path::Path::new(&dir).exists()) {
+            let mut c = Criterion {
+                filter: None,
+                default_sample_size: 1,
+            };
+            c.bench_function("lost", |b| b.iter(|| 1 + 1));
+            write_json_report();
+            return;
+        }
+        let missing = std::env::temp_dir().join("tecore_bench_shim_test_missing/none");
+        let name = "tests::a_report_into_a_missing_directory_fails_the_run";
+        let status = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", name, "--test-threads", "1"])
+            .env("TECORE_BENCH_DIR", &missing)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .status()
+            .unwrap();
+        assert_eq!(status.code(), Some(1), "a lost report must fail the run");
     }
 
     #[test]

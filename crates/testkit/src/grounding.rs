@@ -1,11 +1,18 @@
-//! Shared by the grounding conformance suites: random graphs, random
-//! programs (bodies with Allen and entity conditions; denial, temporal,
-//! entity and deriving consequents), a canonical clause rendering, and
-//! a deliberately naive re-grounder to hold the real one against.
+//! The compact fact tuple and the grounding oracle: random graphs,
+//! random programs (bodies with Allen and entity conditions; denial,
+//! temporal, entity and deriving consequents), a canonical clause
+//! rendering, and a deliberately naive re-grounder to hold the real one
+//! against.
+//!
+//! The file names no crate but `tecore-ground`'s own dependencies, so
+//! that the planner's unit suite (`tecore-ground`'s
+//! `planner::conformance`) can include it by path: a unit test cannot
+//! link this crate without a second copy of the crate under test.
 
-#![allow(dead_code)] // each suite uses its own part
+#![allow(dead_code)] // the planner's suite uses a part
 
 use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 
 use proptest::prelude::*;
 use tecore_ground::{AtomId, ClauseOrigin, ClauseWeight, Grounding};
@@ -17,31 +24,48 @@ use tecore_logic::LogicProgram;
 use tecore_temporal::Interval;
 
 /// Compact fact tuple `(subject, predicate, object, start, len,
-/// confidence-step)`.
+/// confidence in tenths)`.
 pub type Fact = (u8, u8, u8, i8, i8, u8);
 
+/// Six subjects, four predicates, five objects, starts in `0..20`,
+/// confidences 0.5–0.9: small pools, so indexes collide and statements
+/// repeat.
+pub fn arb_fact() -> impl Strategy<Value = Fact> {
+    arb_fact_in(0..20, 0..5, 5..10)
+}
+
+/// [`arb_fact`] over these starts, lengths and confidences (in
+/// tenths).
+pub fn arb_fact_in(
+    starts: Range<i8>,
+    lens: Range<i8>,
+    tenths: Range<u8>,
+) -> impl Strategy<Value = Fact> {
+    (0u8..6, 0u8..4, 0u8..5, starts, lens, tenths)
+}
+
 pub fn arb_facts() -> impl Strategy<Value = Vec<Fact>> {
-    prop::collection::vec((0u8..6, 0u8..4, 0u8..5, 0i8..20, 0i8..5, 0u8..5), 0..20)
+    prop::collection::vec(arb_fact(), 0..20)
 }
 
 /// Few subjects, predicates and objects, many facts: bodies find many
 /// groundings, so the order they are found in matters.
 pub fn arb_dense_facts() -> impl Strategy<Value = Vec<Fact>> {
-    prop::collection::vec((0u8..3, 0u8..3, 0u8..3, 0i8..10, 0i8..5, 0u8..5), 12..30)
+    prop::collection::vec((0u8..3, 0u8..3, 0u8..3, 0i8..10, 0i8..5, 5u8..10), 12..30)
+}
+
+/// A compact fact's terms (`subj{s}`, `pred{p}`, `obj{o}`), interval
+/// and confidence.
+pub fn spell((s, p, o, start, len, conf): Fact) -> ([String; 3], Interval, f64) {
+    let iv = Interval::new(i64::from(start), i64::from(start) + i64::from(len)).unwrap();
+    let terms = [format!("subj{s}"), format!("pred{p}"), format!("obj{o}")];
+    (terms, iv, f64::from(conf) / 10.0)
 }
 
 /// Inserts one compact fact; returns its id.
-pub fn insert_fact(graph: &mut UtkGraph, (s, p, o, start, len, conf): Fact) -> tecore_kg::FactId {
-    let iv = Interval::new(i64::from(start), i64::from(start) + i64::from(len)).unwrap();
-    graph
-        .insert(
-            &format!("subj{s}"),
-            &format!("pred{p}"),
-            &format!("obj{o}"),
-            iv,
-            0.5 + f64::from(conf) * 0.09,
-        )
-        .unwrap()
+pub fn insert_fact(graph: &mut UtkGraph, fact: Fact) -> tecore_kg::FactId {
+    let ([s, p, o], iv, confidence) = spell(fact);
+    graph.insert(&s, &p, &o, iv, confidence).unwrap()
 }
 
 pub fn build_graph(facts: &[Fact]) -> UtkGraph {

@@ -1,272 +1,84 @@
 //! Query-layer conformance: every `TemporalQuery` operator must agree
-//! with a brute-force scan over the snapshot's facts, and snapshots
-//! must stay stable under concurrent engine mutation.
+//! with a brute-force scan over the snapshot's facts
+//! (`tecore_testkit::assert_queries_match_scan`: every term filter,
+//! stabbing, window overlap, each of the thirteen Allen relations, the
+//! disjoint / intersects / full Allen sets and confidence floors), its
+//! timelines with coalescing by hand, and snapshots must stay stable
+//! under concurrent engine mutation.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use tecore::prelude::*;
-use tecore_core::resolution::InferredFact;
-use tecore_core::{DebugStats, Resolution, Snapshot};
-use tecore_kg::{FactId, UtkGraph};
-use tecore_temporal::{AllenSet, TemporalElement};
+use tecore_core::Snapshot;
+use tecore_temporal::TemporalElement;
+use tecore_testkit::{
+    arb_fact_in, arb_shape, assert_queries_match_scan, snapshot_of, Fact, Shape, Time,
+};
 
-fn iv(a: i64, b: i64) -> Interval {
-    Interval::new(a, b).unwrap()
+/// Up to fifty compact facts: small symbol spaces force index
+/// collisions and shared (s, p, o) statements worth coalescing; starts
+/// on both sides of zero and spells up to eleven long reach across many
+/// run starts, and confidences run from 0.1 to 1.0.
+fn arb_facts() -> impl Strategy<Value = Vec<Fact>> {
+    prop::collection::vec(arb_fact_in(-30..30, 0..12, 1..11), 0..50)
 }
 
-/// A raw generated fact: small symbol spaces force index collisions and
-/// shared (s, p, o) statements worth coalescing.
-#[derive(Debug, Clone)]
-struct RawFact {
-    s: u8,
-    p: u8,
-    o: u8,
-    start: i64,
-    len: i64,
-    conf: u8,
+/// Four query shapes with the time filter `time` draws.
+fn shapes(time: impl Strategy<Value = Time>) -> impl Strategy<Value = Vec<Shape>> {
+    let shape = (arb_shape(), time).prop_map(|(shape, time)| Shape { time, ..shape });
+    prop::collection::vec(shape, 4..5)
 }
 
-fn arb_facts() -> impl Strategy<Value = Vec<RawFact>> {
-    prop::collection::vec(
-        (0u8..5, 0u8..4, 0u8..5, -30i64..30, 0i64..12, 1u8..=10).prop_map(
-            |(s, p, o, start, len, conf)| RawFact {
-                s,
-                p,
-                o,
-                start,
-                len,
-                conf,
-            },
-        ),
-        0..50,
-    )
-}
-
-/// Builds a snapshot straight from a resolution: a consistent graph of
-/// the generated facts, the last few doubling as "inferred" statements
-/// so the expanded graph mixes both sources.
-fn snapshot_from(facts: &[RawFact]) -> Snapshot {
-    let split = facts.len() - facts.len() / 4;
-    let (evidence, inferred_raw) = facts.split_at(split);
-    let mut graph = UtkGraph::new();
-    for f in evidence {
-        graph
-            .insert(
-                &format!("s{}", f.s),
-                &format!("p{}", f.p),
-                &format!("o{}", f.o),
-                iv(f.start, f.start + f.len),
-                f64::from(f.conf) / 10.0,
-            )
-            .unwrap();
-    }
-    let inferred = inferred_raw
-        .iter()
-        .map(|f| {
-            std::sync::Arc::new(InferredFact {
-                subject: format!("s{}", f.s),
-                predicate: format!("p{}", f.p),
-                object: format!("o{}", f.o),
-                interval: iv(f.start, f.start + f.len),
-                confidence: f64::from(f.conf) / 10.0,
-            })
-        })
-        .collect();
-    Snapshot::from_resolution(
-        Resolution {
-            consistent: graph.into(),
-            removed: Vec::new(),
-            inferred,
-            conflicts: Vec::new(),
-            stats: DebugStats::default(),
-        },
-        0,
-    )
-}
-
-/// The reference implementation: an unindexed scan over every expanded
-/// fact with the query's semantics applied literally.
-#[allow(clippy::too_many_arguments)]
-fn brute_force(
-    snap: &Snapshot,
-    subject: Option<&str>,
-    predicate: Option<&str>,
-    object: Option<&str>,
-    time: Option<TimeCheck>,
-    min_conf: f64,
-) -> Vec<FactId> {
-    let graph = snap.expanded();
-    let dict = graph.dict();
-    let mut out: Vec<FactId> = graph
-        .iter()
-        .filter(|(_, f)| subject.is_none_or(|s| dict.resolve(f.subject) == s))
-        .filter(|(_, f)| predicate.is_none_or(|p| dict.resolve(f.predicate) == p))
-        .filter(|(_, f)| object.is_none_or(|o| dict.resolve(f.object) == o))
-        .filter(|(_, f)| match time {
-            None => true,
-            Some(TimeCheck::Window(w)) => f.interval.intersects(w),
-            Some(TimeCheck::Allen(set, anchor)) => set.holds(f.interval, anchor),
-        })
-        .filter(|(_, f)| f.confidence.value() >= min_conf)
-        .map(|(id, _)| id)
-        .collect();
-    out.sort();
-    out
-}
-
-#[derive(Debug, Clone, Copy)]
-enum TimeCheck {
-    Window(Interval),
-    Allen(AllenSet, Interval),
-}
-
-fn sorted_ids(query: &TemporalQuery<'_>) -> Vec<FactId> {
-    let mut ids: Vec<FactId> = query.iter().map(|(id, _)| id).collect();
-    ids.sort();
-    ids
+fn assert_match(facts: &[Fact], shapes: &[Shape]) {
+    assert_queries_match_scan(&snapshot_of(facts), shapes);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Stabbing queries (with and without term filters) match the scan.
+    /// Stabbing queries, with and without term filters.
     #[test]
-    fn stab_matches_brute_force(
-        facts in arb_facts(),
-        t in -40i64..40,
-        p in 0u8..5,
-        s in 0u8..6,
-    ) {
-        let snap = snapshot_from(&facts);
-        let w = Interval::at(t);
-
-        let plain = snap.at(t);
-        prop_assert_eq!(
-            sorted_ids(&plain),
-            brute_force(&snap, None, None, None, Some(TimeCheck::Window(w)), 0.0)
-        );
-
-        let pred = format!("p{p}");
-        let by_pred = snap.at(t).predicate(&pred);
-        prop_assert_eq!(
-            sorted_ids(&by_pred),
-            brute_force(&snap, None, Some(&pred), None, Some(TimeCheck::Window(w)), 0.0)
-        );
-
-        // s5 never occurs: exercises the unmatchable-term path too.
-        let subj = format!("s{s}");
-        let by_subj = snap.at(t).subject(&subj);
-        prop_assert_eq!(
-            sorted_ids(&by_subj),
-            brute_force(&snap, Some(&subj), None, None, Some(TimeCheck::Window(w)), 0.0)
-        );
-
-        // Subject + predicate + time: the planner picks the smaller of
-        // the two sub-indexes; the answer must not depend on which.
-        let both = snap.at(t).subject(&subj).predicate(&pred);
-        prop_assert_eq!(
-            sorted_ids(&both),
-            brute_force(&snap, Some(&subj), Some(&pred), None, Some(TimeCheck::Window(w)), 0.0)
-        );
+    fn stab_matches_brute_force(facts in arb_facts(), shapes in shapes((-8i8..80).prop_map(Time::At))) {
+        assert_match(&facts, &shapes);
     }
 
-    /// Window-overlap queries with confidence projection match the scan.
+    /// Window-overlap queries.
     #[test]
     fn overlap_matches_brute_force(
         facts in arb_facts(),
-        ws in -40i64..40,
-        wl in 0i64..20,
-        p in 0u8..4,
-        o in 0u8..5,
-        conf_bar in 0u8..=10,
+        shapes in shapes((-8i8..80, 0u8..20).prop_map(|(a, len)| Time::Over(a, len))),
     ) {
-        let snap = snapshot_from(&facts);
-        let w = iv(ws, ws + wl);
-        let min_conf = f64::from(conf_bar) / 10.0;
-
-        let q = snap.query().overlapping(w).min_confidence(min_conf);
-        prop_assert_eq!(
-            sorted_ids(&q),
-            brute_force(&snap, None, None, None, Some(TimeCheck::Window(w)), min_conf)
-        );
-
-        let pred = format!("p{p}");
-        let obj = format!("o{o}");
-        let q = snap
-            .query()
-            .predicate(&pred)
-            .object(&obj)
-            .overlapping(w);
-        prop_assert_eq!(
-            sorted_ids(&q),
-            brute_force(&snap, None, Some(&pred), Some(&obj), Some(TimeCheck::Window(w)), 0.0)
-        );
+        assert_match(&facts, &shapes);
     }
 
-    /// Every basic Allen relation (and the disjoint/intersects unions)
-    /// filters exactly like the definition applied fact by fact.
+    /// Every basic Allen relation, and the disjoint / intersects / full
+    /// sets.
     #[test]
     fn allen_matches_brute_force(
         facts in arb_facts(),
-        anchor_start in -35i64..35,
-        anchor_len in 0i64..15,
-        rel_idx in 0usize..13,
-        p in 0u8..4,
+        shapes in shapes((0u8..16, -8i8..80, 0u8..15).prop_map(|(k, a, len)| match k {
+            0..=12 => Time::Allen(k, a, len),
+            _ => Time::AllenSet(k - 13, a, len),
+        })),
     ) {
-        let snap = snapshot_from(&facts);
-        let anchor = iv(anchor_start, anchor_start + anchor_len);
-        let rel = AllenRelation::from_index(rel_idx).unwrap();
-
-        let single = snap.query().allen(rel, anchor);
-        prop_assert_eq!(
-            sorted_ids(&single),
-            brute_force(
-                &snap, None, None, None,
-                Some(TimeCheck::Allen(AllenSet::from_relation(rel), anchor)), 0.0
-            )
-        );
-
-        let pred = format!("p{p}");
-        for set in [AllenSet::DISJOINT, AllenSet::INTERSECTS, AllenSet::FULL] {
-            let q = snap.query().predicate(&pred).allen_set(set, anchor);
-            prop_assert_eq!(
-                sorted_ids(&q),
-                brute_force(&snap, None, Some(&pred), None, Some(TimeCheck::Allen(set, anchor)), 0.0)
-            );
-        }
+        assert_match(&facts, &shapes);
     }
 
-    /// Purely symbolic queries (no time filter) match the scan through
-    /// the whole runs of the interval index.
+    /// Purely symbolic queries (no time filter), through the whole
+    /// runs of the interval index.
     #[test]
-    fn symbolic_matches_brute_force(facts in arb_facts(), s in 0u8..5, p in 0u8..4) {
-        let snap = snapshot_from(&facts);
-        let subj = format!("s{s}");
-        let pred = format!("p{p}");
-        let q = snap.query().subject(&subj).predicate(&pred);
-        prop_assert_eq!(
-            sorted_ids(&q),
-            brute_force(&snap, Some(&subj), Some(&pred), None, None, 0.0)
-        );
-        let q = snap.query().subject(&subj);
-        prop_assert_eq!(
-            sorted_ids(&q),
-            brute_force(&snap, Some(&subj), None, None, None, 0.0)
-        );
-        prop_assert_eq!(
-            sorted_ids(&snap.query()),
-            brute_force(&snap, None, None, None, None, 0.0)
-        );
+    fn symbolic_matches_brute_force(facts in arb_facts(), shapes in shapes(Just(Time::Any))) {
+        assert_match(&facts, &shapes);
     }
 
     /// Timeline coalescing equals grouping matches by triple and
     /// feeding each group to `TemporalElement::from_intervals`; the
     /// blanket coalesced validity equals the union over all matches.
     #[test]
-    fn timeline_matches_brute_force(facts in arb_facts(), s in 0u8..5) {
-        let snap = snapshot_from(&facts);
-        let subj = format!("s{s}");
+    fn timeline_matches_brute_force(facts in arb_facts(), s in 0u8..7) {
+        let snap = snapshot_of(&facts);
+        let subj = format!("subj{s}");
         let q = snap.query().subject(&subj);
 
         let mut groups: Vec<((String, String, String), Vec<Interval>)> = Vec::new();
