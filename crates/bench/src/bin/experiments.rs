@@ -4,8 +4,9 @@
 //! Run with: `cargo run --release -p tecore-bench --bin experiments`
 //! Pass `--quick` to shrink E2/E6 (CI-sized run).
 //! Every input E2, E5 and E6 resolve (and a skewed one) also prints its
-//! component sizes. Exits non-zero when a backend misses Figure 7 (E1)
-//! or E5's exact grading is off.
+//! component sizes, and the cold inputs of the end-to-end benchmark
+//! print the grounder's work per clause. Exits non-zero when a backend
+//! misses Figure 7 (E1) or E5's exact grading is off.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -15,8 +16,9 @@ use tecore_bench::harness;
 use tecore_core::registry::SolverRegistry;
 use tecore_core::resolution::InferredFact;
 use tecore_core::{ConfidenceMode, Engine, MapSolver, TecoreConfig};
-use tecore_datagen::config::{FootballConfig, SkewedConfig};
+use tecore_datagen::config::{FootballConfig, SkewedConfig, WikidataConfig};
 use tecore_datagen::football::generate_football;
+use tecore_datagen::generate_wikidata;
 use tecore_datagen::noise::repair_metrics;
 use tecore_datagen::skewed::generate_skewed;
 use tecore_datagen::standard::{
@@ -36,6 +38,7 @@ fn main() {
     let e5_graded = e5_threshold();
     e6_wikidata_scaling(quick);
     skewed_components();
+    ground_work(quick);
     println!("\nAll experiments completed.");
     if !e1_matches {
         eprintln!("E1: a backend does not reproduce Figure 7 (MISMATCH above)");
@@ -282,6 +285,43 @@ fn e6_wikidata_scaling(quick: bool) {
                 r.stats.conflicting_facts
             );
         }
+    }
+}
+
+/// The grounder's work on the cold inputs of the end-to-end benchmark
+/// (`cold_cpi_fb243k` and `cold_walksat_wd400k` at its default seed;
+/// 1/20 of the scale with `--quick`): candidates the joins examined per
+/// formula clause of one cold `ground()`.
+fn ground_work(quick: bool) {
+    line();
+    println!("Ground work on the cold benchmark inputs (no paper number)");
+    let (scale, seed) = (if quick { 20 } else { 1 }, 0x7ec0_2017);
+    let note = if quick { " at 1/20 of the scale" } else { "" };
+    let football = generate_football(&FootballConfig::with_target_facts(
+        243_157 / scale,
+        0.0883,
+        seed,
+    ));
+    let wikidata = generate_wikidata(&WikidataConfig {
+        total_facts: 400_000 / scale,
+        noise_ratio: 0.1,
+        seed,
+    });
+    let inputs = [
+        ("fb243k", football.graph, football_program()),
+        ("wd400k", wikidata.graph, wikidata_program()),
+    ];
+    for (label, mut graph, program) in inputs {
+        intern_constants(&program, graph.dict_mut());
+        let stats = ground(&graph, &program).expect("grounds").stats;
+        println!(
+            "    {label}{note}: {} candidates examined for {} formula clauses \
+             ({:.2} a clause), {} matches",
+            stats.candidates_examined,
+            stats.formula_clauses,
+            stats.candidates_examined as f64 / stats.formula_clauses.max(1) as f64,
+            stats.body_matches
+        );
     }
 }
 

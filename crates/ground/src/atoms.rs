@@ -475,6 +475,17 @@ impl AtomStore {
         self.by_sp.run((s, p))
     }
 
+    /// The `(subject, predicate)` runs of predicate `p`, each with its
+    /// subject, in no particular order.
+    pub(crate) fn subject_predicate_runs(
+        &self,
+        p: Symbol,
+    ) -> impl Iterator<Item = (Symbol, &[Posting])> {
+        self.by_sp
+            .runs()
+            .filter_map(move |((s, q), run)| (q == p).then_some((s, run)))
+    }
+
     /// The posting run of a predicate and object; `third` is the
     /// subject.
     ///

@@ -107,18 +107,20 @@ impl GroundClause {
     /// Builds a clause, normalising literal order and dropping duplicate
     /// literals. Returns `None` for tautologies (`a ∨ ¬a`).
     pub fn new(mut lits: Vec<Lit>, weight: ClauseWeight, origin: ClauseOrigin) -> Option<Self> {
-        lits.sort_unstable();
-        lits.dedup();
-        for w in lits.windows(2) {
-            if w[0].atom == w[1].atom {
-                return None; // contains both a and ¬a
-            }
-        }
-        Some(GroundClause {
+        Self::normalize(&mut lits).then_some(GroundClause {
             lits,
             weight,
             origin,
         })
+    }
+
+    /// Sorts `lits` and drops duplicate literals in place, as
+    /// [`GroundClause::new`] does; false for a tautology (`a ∨ ¬a`).
+    pub(crate) fn normalize(lits: &mut Vec<Lit>) -> bool {
+        lits.sort_unstable();
+        lits.dedup();
+        // A tautology holds both a and ¬a.
+        lits.windows(2).all(|w| w[0].atom != w[1].atom)
     }
 
     /// Is the clause satisfied by `assignment` (indexed by atom id)?

@@ -206,6 +206,42 @@ pub struct CompiledFormula {
     pub consequent: CConsequent,
     /// Total number of variables in the formula.
     pub n_vars: usize,
+    /// Is this a two-atom formula that derives nothing and that stays
+    /// the same when its atoms swap — one variable bijection maps each
+    /// pattern onto the other and every check onto an equal one? Its
+    /// matches then come in pairs, (a, b) and (b, a), that yield one
+    /// clause.
+    pub symmetric: bool,
+    /// Can two matches of this formula in one round yield one clause
+    /// only by binding the same atoms at every position? True when the
+    /// formula is symmetric (a match is recorded lower atom id first),
+    /// or when its patterns have pairwise distinct constant predicates
+    /// (no atom fits two positions). Such a formula's duplicates are
+    /// adjacent once a round's matches are sorted.
+    pub(crate) duplicate_free: bool,
+}
+
+impl CompiledFormula {
+    /// The predicate whose `(subject, predicate)` runs hold every match
+    /// of this formula, when it is symmetric, its two patterns share a
+    /// subject variable and a predicate constant, and its cold join
+    /// starts with the predicate's atoms: each match is then a pair of
+    /// entries of one run, and round one sweeps the runs instead.
+    pub(crate) fn swept_predicate(&self) -> Option<Symbol> {
+        let [a, b] = &self.body[..] else {
+            return None;
+        };
+        match (a.subject, a.predicate) {
+            (CTerm::Var(_), CTerm::Sym(p))
+                if self.symmetric
+                    && (b.subject, b.predicate) == (a.subject, a.predicate)
+                    && self.cold.steps[0].access == Access::Predicate =>
+            {
+                Some(p)
+            }
+            _ => None,
+        }
+    }
 }
 
 /// How a join step finds its candidates in the atom store: through the
@@ -524,6 +560,18 @@ fn compile_formula(
     checks.extend(consequent.violated());
 
     let (cold, seeded) = crate::planner::unplanned(&body, &checks);
+    let symmetric = !consequent.derives() && symmetric(&body, &checks);
+    let predicates: Vec<Option<Symbol>> = body
+        .iter()
+        .map(|p| match p.predicate {
+            CTerm::Sym(s) => Some(s),
+            CTerm::Var(_) => None,
+        })
+        .collect();
+    let distinct_predicates = predicates
+        .iter()
+        .enumerate()
+        .all(|(i, p)| p.is_some() && !predicates[..i].contains(p));
 
     Ok(CompiledFormula {
         index,
@@ -535,7 +583,128 @@ fn compile_formula(
         seeded,
         consequent,
         n_vars: f.vars.len(),
+        symmetric,
+        duplicate_free: symmetric || distinct_predicates,
     })
+}
+
+/// A variable renaming, as `(variable, image)` pairs; a variable it
+/// does not list maps to itself.
+type Swap = Vec<(VarId, VarId)>;
+
+/// Does swapping the two atoms of `body` leave the formula unchanged?
+/// It does when one variable bijection maps each pattern onto the other
+/// (slot by slot: a variable onto a variable, a constant onto itself)
+/// and maps every check onto a check that is equal to one of `checks`
+/// — itself, or one with its operands exchanged, such as `y != z`
+/// against `z != y`, or `disjoint(t, t')` against `disjoint(t', t)` (an
+/// Allen set equal to its converse). A numeric test passes only when
+/// the swap leaves its variables alone.
+fn symmetric(body: &[CPattern], checks: &[Check]) -> bool {
+    let [a, b] = body else {
+        return false;
+    };
+    let mut swap = Swap::new();
+    let same_slots = [a.subject, a.predicate, a.object]
+        .into_iter()
+        .zip([b.subject, b.predicate, b.object])
+        .all(|pair| match pair {
+            (CTerm::Var(u), CTerm::Var(v)) => pair_up(&mut swap, u, v),
+            (left, right) => left == right,
+        })
+        && match (a.time, b.time) {
+            (Some(CTime::Var(u)), Some(CTime::Var(v))) => pair_up(&mut swap, u, v),
+            (left, right) => left == right,
+        };
+    same_slots
+        && checks.iter().all(|check| {
+            let Some(image) = swap_condition(&check.cond, &swap) else {
+                return false;
+            };
+            let flipped = flip(&image);
+            checks.iter().any(|c| {
+                c.holds == check.holds && (c.cond == image || flipped.as_ref() == Some(&c.cond))
+            })
+        })
+}
+
+/// Adds `u ↦ v` and `v ↦ u` to `swap`; false when either variable
+/// already maps elsewhere.
+fn pair_up(swap: &mut Swap, u: VarId, v: VarId) -> bool {
+    for (from, to) in [(u, v), (v, u)] {
+        match swap.iter().find(|&&(k, _)| k == from) {
+            Some(&(_, image)) if image != to => return false,
+            Some(_) => {}
+            None => swap.push((from, to)),
+        }
+    }
+    true
+}
+
+fn swap_var(v: VarId, swap: &Swap) -> VarId {
+    swap.iter().find(|&&(k, _)| k == v).map_or(v, |&(_, to)| to)
+}
+
+fn swap_time(t: &TimeTerm, swap: &Swap) -> TimeTerm {
+    match t {
+        TimeTerm::Var(v) => TimeTerm::Var(swap_var(*v, swap)),
+        TimeTerm::Lit(iv) => TimeTerm::Lit(*iv),
+        TimeTerm::Intersect(l, r) => {
+            TimeTerm::Intersect(Box::new(swap_time(l, swap)), Box::new(swap_time(r, swap)))
+        }
+        TimeTerm::Hull(l, r) => {
+            TimeTerm::Hull(Box::new(swap_time(l, swap)), Box::new(swap_time(r, swap)))
+        }
+    }
+}
+
+/// `cond` with its variables renamed by `swap`. A numeric test is
+/// renamed only when the swap moves none of its variables (`None`
+/// otherwise), which is all the symmetry test needs.
+fn swap_condition(cond: &CCondition, swap: &Swap) -> Option<CCondition> {
+    let term = |t: &CTerm| match t {
+        CTerm::Var(v) => CTerm::Var(swap_var(*v, swap)),
+        CTerm::Sym(s) => CTerm::Sym(*s),
+    };
+    Some(match cond {
+        CCondition::Temporal(tc) => CCondition::Temporal(TemporalCond {
+            relation: tc.relation,
+            left: swap_time(&tc.left, swap),
+            right: swap_time(&tc.right, swap),
+        }),
+        CCondition::Numeric(_) => {
+            return cond
+                .vars()
+                .iter()
+                .all(|&v| swap_var(v, swap) == v)
+                .then(|| cond.clone())
+        }
+        CCondition::EntityCmp { left, op, right } => CCondition::EntityCmp {
+            left: term(left),
+            op: *op,
+            right: term(right),
+        },
+    })
+}
+
+/// The same condition with its operands exchanged, where there is one:
+/// an Allen relation becomes its converse, and `=` / `!=` stay.
+fn flip(cond: &CCondition) -> Option<CCondition> {
+    match cond {
+        CCondition::Temporal(tc) => Some(CCondition::Temporal(TemporalCond {
+            relation: tc.relation.converse(),
+            left: tc.right.clone(),
+            right: tc.left.clone(),
+        })),
+        CCondition::EntityCmp { left, op, right } if matches!(op, CmpOp::Eq | CmpOp::Ne) => {
+            Some(CCondition::EntityCmp {
+                left: *right,
+                op: *op,
+                right: *left,
+            })
+        }
+        _ => None,
+    }
 }
 
 fn compile_pattern(
@@ -714,6 +883,73 @@ mod tests {
         assert_eq!(Some(window.anchor), cf.body[1].time);
         // A denial has no consequent check.
         assert_eq!(cf.checks.len(), 1);
+    }
+
+    #[test]
+    fn the_shipped_pair_constraints_are_marked_symmetric() {
+        for src in [
+            "cSpell: quad(x, playsFor, y, t) ^ quad(x, playsFor, z, t') ^ y != z \
+             -> disjoint(t, t') w = inf",
+            "cCoach: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z \
+             -> disjoint(t, t') w = inf",
+            "cBirth: quad(x, birthDate, y, t) ^ quad(x, birthDate, z, t') ^ overlap(t, t') \
+             -> y = z w = inf",
+            "wSpouse: quad(x, spouse, y, t) ^ quad(x, spouse, z, t') ^ y != z \
+             -> disjoint(t, t') w = inf",
+            "wPlays: quad(x, playsFor, y, t) ^ quad(x, playsFor, z, t') ^ y != z \
+             -> disjoint(t, t') w = inf",
+            "wBirth: quad(x, birthDate, y, t) ^ quad(x, birthDate, z, t') ^ overlap(t, t') \
+             -> y = z w = inf",
+            // Operands written the other way round, and no condition.
+            "quad(x, rel, y, t) ^ quad(x, rel, z, t') ^ z != y ^ overlap(t', t) -> false",
+            "quad(x, rel, y, t) ^ quad(x, rel, z, t') -> disjoint(t, t')",
+        ] {
+            let (cf, _) = compile_one(src);
+            assert!(cf.symmetric && cf.duplicate_free, "{src}");
+            let CTerm::Sym(p) = cf.body[0].predicate else {
+                panic!("a constant predicate");
+            };
+            assert_eq!(cf.swept_predicate(), Some(p), "{src}");
+        }
+    }
+
+    #[test]
+    fn asymmetric_formulas_are_not_marked() {
+        for src in [
+            // Two predicates: nothing to swap, but no atom fits both
+            // positions either.
+            "cLife: quad(x, birthDate, y, t) ^ quad(x, deathDate, z, t') ^ before(t', t) \
+             -> false w = inf",
+            // `before` is not its own converse.
+            "quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> before(t, t') w = inf",
+            // The head tells the atoms apart — and a rule derives.
+            "quad(x, coach, y, t) ^ quad(x, coach, z, t') -> quad(y, succeeds, z, t') w = 1",
+            // A numeric test over the swapped intervals.
+            "quad(x, rel, y, t) ^ quad(x, rel, z, t') ^ t - t' < 5 -> false",
+            // A constant against a variable, and one variable against two.
+            "quad(x, rel, Chelsea, t) ^ quad(x, rel, z, t') -> false",
+            "quad(x, rel, x, t) ^ quad(x, rel, z, t') -> false",
+        ] {
+            let (cf, _) = compile_one(src);
+            assert!(!cf.symmetric, "{src}");
+            assert_eq!(cf.swept_predicate(), None, "{src}");
+        }
+        let (life, _) = compile_one(
+            "quad(x, birthDate, y, t) ^ quad(x, deathDate, z, t') ^ before(t', t) -> false",
+        );
+        assert!(life.duplicate_free, "distinct constant predicates");
+        let (rule, _) =
+            compile_one("quad(x, rel, y, t) ^ quad(x, rel, z, t') -> quad(y, derived, z, t)");
+        assert!(!rule.duplicate_free, "one predicate twice");
+    }
+
+    #[test]
+    fn a_pair_over_two_subjects_is_symmetric_but_not_swept() {
+        // x and y swap places: the swap maps each pattern onto the
+        // other, but the second atom is not in the first one's run.
+        let (cf, _) = compile_one("quad(x, knows, y, t) ^ quad(y, knows, x, t') -> false");
+        assert!(cf.symmetric);
+        assert_eq!(cf.swept_predicate(), None);
     }
 
     #[test]

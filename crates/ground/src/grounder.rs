@@ -44,8 +44,11 @@ pub struct GroundingStats {
     /// Semi-naive rounds executed.
     pub rounds: usize,
     /// Matches found: body groundings that passed every condition
-    /// and, for a formula that derives nothing, violate its consequent
-    /// — the same number under any join order.
+    /// and, for a formula that derives nothing, violate its consequent.
+    /// Round one finds a symmetric self-join's pair once, by its sweep
+    /// of the `(subject, predicate)` runs; every other join, and
+    /// every seeded round, finds (a, b) and (b, a) both. The same number
+    /// under any join order.
     pub body_matches: usize,
     /// Candidates the joins examined: the atoms a join step tried
     /// (admission, liveness, unification, checks) and the run entries a
@@ -402,6 +405,14 @@ impl Pending {
         };
         self.matches.push((cf.index, self.atoms.len(), head));
         self.atoms.extend_from_slice(chosen);
+        // (a, b) and (b, a) are one match: recorded lower id first,
+        // they sort side by side.
+        if cf.symmetric {
+            let n = self.atoms.len();
+            if self.atoms[n - 2] > self.atoms[n - 1] {
+                self.atoms.swap(n - 2, n - 1);
+            }
+        }
     }
 
     /// Puts the matches in canonical order — by formula, then by body
@@ -431,15 +442,22 @@ impl Grounding {
     /// was matched (the store is frozen while a round is matched); a
     /// live clause names that atom at most as its head, never in its
     /// body. And an atom that dies retracts every clause naming it. So
-    /// only two matches of one round yield one clause — the (a,b) and
-    /// (b,a) pairs of a symmetric constraint.
+    /// only two matches of one round yield one clause. For a formula
+    /// the compiler proves duplicate-free
+    /// ([`CompiledFormula::duplicate_free`]) they bind the same atoms —
+    /// a symmetric constraint's (a, b) and (b, a), both recorded as
+    /// (a, b) — and sort side by side, so each clause is compared with
+    /// the one before it. Only the other formulas keep a set of the
+    /// clauses emitted.
     fn emit(&mut self, mut pending: Pending, born: &mut Vec<AtomId>) {
         pending.sort(&self.program.formulas);
-        let mut emitted: FxHashSet<(usize, Vec<Lit>)> = FxHashSet::default();
+        let mut emitted: Option<FxHashSet<(usize, Vec<Lit>)>> = None;
+        let (mut lits, mut previous) = (Vec::new(), (usize::MAX, Vec::new()));
         for (fidx, at, head) in pending.matches {
             let cf = &self.program.formulas[fidx];
             let body = &pending.atoms[at..at + cf.body.len()];
-            let mut lits: Vec<Lit> = body.iter().map(|&a| Lit::neg(a)).collect();
+            lits.clear();
+            lits.extend(body.iter().map(|&a| Lit::neg(a)));
             let weight = match cf.weight {
                 Weight::Hard => ClauseWeight::Hard,
                 Weight::Soft(w) => ClauseWeight::Soft(w),
@@ -457,17 +475,24 @@ impl Grounding {
                 }
                 lits.push(Lit::pos(id));
             }
-            let Some(clause) = GroundClause::new(lits, weight, ClauseOrigin::Formula(fidx)) else {
+            if !GroundClause::normalize(&mut lits) {
                 continue;
-            };
-            let signature = (fidx, clause.lits);
-            if emitted.contains(&signature) {
+            }
+            if cf.duplicate_free {
+                if previous.0 == fidx && previous.1 == lits {
+                    continue;
+                }
+                previous.0 = fidx;
+                previous.1.clone_from(&lits);
+            } else if !emitted
+                .get_or_insert_with(FxHashSet::default)
+                .insert((fidx, lits.clone()))
+            {
                 continue;
             }
             let id = self
                 .clauses
-                .push_lits(&signature.1, clause.weight, clause.origin);
-            emitted.insert(signature);
+                .push_lits(&lits, weight, ClauseOrigin::Formula(fidx));
             if self.dep_built {
                 self.register_clause(id);
             }
@@ -568,9 +593,11 @@ impl Check {
 }
 
 /// Enumerates the matches of `cf` against `store` by the formula's
-/// cold join, every atom admitted at every position. (The store is
-/// frozen while a round is matched.) Returns the number of candidate
-/// atoms examined.
+/// cold join, every atom admitted at every position — or, for a
+/// symmetric self-join ([`CompiledFormula::swept_predicate`]), by
+/// [`Join::sweep`], which finds each pair once. (The store is frozen
+/// while a round is matched.) Returns the number of candidate atoms
+/// examined.
 fn enumerate_matches(
     store: &AtomStore,
     cf: &CompiledFormula,
@@ -578,7 +605,10 @@ fn enumerate_matches(
 ) -> usize {
     let join = Join::new(store, cf, &cf.cold, None);
     let mut search = Search::new(cf);
-    join.descend(0, &mut search, on_match);
+    match cf.swept_predicate() {
+        Some(predicate) => join.sweep(predicate, &mut search, on_match),
+        None => join.descend(0, &mut search, on_match),
+    }
     search.examined
 }
 
@@ -736,6 +766,41 @@ impl<'a> Join<'a> {
         }
     }
 
+    /// The cold join of a symmetric self-join on `predicate`: one pass
+    /// over each `(subject, predicate)` run. Entry `i` binds the first
+    /// step, and the second probes only the entries after it — and `i`
+    /// itself when the step keeps no atoms apart, so that an atom
+    /// matched with itself is found — so each pair of entries is tried
+    /// once, from its earlier one. The swap of a match is a match too
+    /// (the formula is symmetric), so nothing is lost. The last entry
+    /// of a run, with nothing after it, is not bound when the step
+    /// keeps atoms apart.
+    fn sweep(
+        &self,
+        predicate: Symbol,
+        search: &mut Search,
+        on_match: &mut dyn FnMut(&[AtomId], &Bindings),
+    ) {
+        let from = usize::from(!self.plan.steps[1].apart.is_empty());
+        for (subject, run) in self.store.subject_predicate_runs(predicate) {
+            let candidate = |e: &Posting| Candidate {
+                id: e.id,
+                subject,
+                predicate,
+                object: e.third,
+                interval: e.interval,
+            };
+            // An entry with nothing after it to pair with is not bound
+            // at all: a run of one such atom costs nothing.
+            for (i, e) in run[..run.len() - from].iter().enumerate() {
+                if self.enter(0, candidate(e), search) {
+                    self.probe(1, &run[i + from..], search, on_match, candidate);
+                }
+                self.leave(0, search);
+            }
+        }
+    }
+
     /// Visits the entries of a posting run — those that can meet the
     /// step's time window, when it has one.
     fn probe(
@@ -782,31 +847,47 @@ impl<'a> Join<'a> {
         search: &mut Search,
         on_match: &mut dyn FnMut(&[AtomId], &Bindings),
     ) {
+        if self.enter(k, candidate, search) {
+            self.descend(k + 1, search, on_match);
+        }
+        self.leave(k, search);
+    }
+
+    /// Binds an atom at join step `k`: whether it is admitted, matches
+    /// the pattern and passes the step's checks. [`Join::leave`] undoes
+    /// what it bound, whatever the outcome.
+    #[inline]
+    fn enter(&self, k: usize, candidate: Candidate, search: &mut Search) -> bool {
         let step = &self.plan.steps[k];
         if step.apart.iter().any(|&p| search.chosen[p] == candidate.id) {
-            return;
+            return false;
         }
         search.examined += 1;
         if self.seeded.is_some_and(|(new, pos)| {
             step.pattern < pos && new.binary_search(&candidate.id).is_ok()
         }) || (self.skip_dead && !self.store.is_alive(candidate.id))
         {
-            return;
+            return false;
         }
-        if try_match(
+        let bound = try_match(
             &self.cf.body[step.pattern],
             &candidate,
             &mut search.bindings,
         ) && step
             .checks
             .iter()
-            .all(|&ci| self.cf.checks[ci].passes(&search.bindings))
-        {
+            .all(|&ci| self.cf.checks[ci].passes(&search.bindings));
+        if bound {
             search.chosen[step.pattern] = candidate.id;
-            self.descend(k + 1, search, on_match);
         }
+        bound
+    }
+
+    /// Unbinds what join step `k` binds.
+    #[inline]
+    fn leave(&self, k: usize, search: &mut Search) {
         // Whatever the attempt bound, it bound among these.
-        for &(v, is_entity) in &step.binds {
+        for &(v, is_entity) in &self.plan.steps[k].binds {
             if is_entity {
                 search.bindings.unbind_entity(v);
             } else {
@@ -1148,6 +1229,52 @@ mod tests {
         ];
         assert_eq!(arena(&graph, &g), expected);
         assert_eq!(g.stats.rounds, 3);
+    }
+
+    #[test]
+    fn symmetric_constraint_arena_is_pinned() {
+        // One `(CR, coach)` run whose start order (a1, a2, a3, a0) is
+        // not its id order: the sweep finds Leicester–Roma from Roma,
+        // whose spell starts first, and records it as (a0, a3). `c2` keeps an
+        // atom apart from itself; `c9`, with no condition, pairs each
+        // atom with itself too (a spell intersects itself).
+        let (graph, g) = ground_text(
+            "(CR, coach, Leicester, [2015,2017]) 0.7\n\
+             (CR, coach, Chelsea, [2000,2004]) 0.9\n\
+             (CR, coach, Napoli, [2001,2003]) 0.6\n\
+             (CR, coach, Roma, [2003,2016]) 0.8\n\
+             (GZ, coach, Roma, [1990,1995]) 0.8\n",
+            "c2: quad(x, coach, y, t) ^ quad(x, coach, z, t') ^ y != z -> disjoint(t, t') w = inf\n\
+             c9: quad(x, coach, y, t) ^ quad(x, coach, z, t') -> disjoint(t, t') w = 1.5\n",
+        );
+        let expected = [
+            "a0 CR coach Leicester [2015,2017] evidence 0.8472978603872034",
+            "a1 CR coach Chelsea [2000,2004] evidence 2.1972245773362196",
+            "a2 CR coach Napoli [2001,2003] evidence 0.4054651081081642",
+            "a3 CR coach Roma [2003,2016] evidence 1.3862943611198908",
+            "a4 GZ coach Roma [1990,1995] evidence 1.3862943611198908",
+            "c0 f0 hard ¬a0 ∨ ¬a3",
+            "c1 f0 hard ¬a1 ∨ ¬a2",
+            "c2 f0 hard ¬a1 ∨ ¬a3",
+            "c3 f0 hard ¬a2 ∨ ¬a3",
+            "c4 f1 1.5 ¬a0",
+            "c5 f1 1.5 ¬a0 ∨ ¬a3",
+            "c6 f1 1.5 ¬a1",
+            "c7 f1 1.5 ¬a1 ∨ ¬a2",
+            "c8 f1 1.5 ¬a1 ∨ ¬a3",
+            "c9 f1 1.5 ¬a2",
+            "c10 f1 1.5 ¬a2 ∨ ¬a3",
+            "c11 f1 1.5 ¬a3",
+            "c12 f1 1.5 ¬a4",
+            "c13 evidence 0.8472978603872034 a0",
+            "c14 evidence 2.1972245773362196 a1",
+            "c15 evidence 0.4054651081081642 a2",
+            "c16 evidence 1.3862943611198908 a3",
+            "c17 evidence 1.3862943611198908 a4",
+        ];
+        assert_eq!(arena(&graph, &g), expected);
+        // Each pair, and each atom paired with itself, is matched once.
+        assert_eq!(g.stats.body_matches, 4 + 9);
     }
 
     #[test]

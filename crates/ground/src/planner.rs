@@ -15,8 +15,9 @@
 //!
 //! Correctness does not depend on the order: the match enumerator's
 //! semi-naive frontier, the clause dedup signature and the order
-//! matches are emitted in are all keyed on body *positions*, so any
-//! permutation grounds the same clause arena. Planning only moves
+//! matches are emitted in are all keyed on body *positions*, and a
+//! symmetric self-join's cold round sweeps its runs whatever its order,
+//! so any permutation grounds the same clause arena. Planning only moves
 //! work, never results.
 //!
 //! Whatever order is chosen, its [`JoinPlan`] then gives each step its
@@ -44,7 +45,9 @@ pub struct FormulaPlan {
     pub join_order: Vec<usize>,
     /// Matches observed while grounding: body groundings that passed
     /// every condition and, for a formula that derives nothing,
-    /// violate its consequent. The same number under any join order.
+    /// violate its consequent. A symmetric self-join's cold round finds
+    /// each pair once (see `GroundingStats::body_matches`). The same
+    /// number under any join order.
     pub actual_matches: usize,
 }
 

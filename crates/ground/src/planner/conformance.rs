@@ -4,6 +4,10 @@
 //! the same *arena* — the same atoms under the same ids, the same
 //! clauses with the same literals under the same ids — and observe
 //! the same number of matches: planning moves work, never answers.
+//! A symmetric self-join's cold round sweeps its runs under either
+//! order, so for it the two groundings agree by construction; its ids
+//! are held by `grounder::tests::symmetric_constraint_arena_is_pinned`
+//! instead.
 
 #[path = "../../../testkit/src/grounding.rs"]
 mod grounding;

@@ -8,7 +8,7 @@
 //! entity and deriving consequents.
 
 use proptest::prelude::*;
-use tecore_ground::{ground, intern_constants};
+use tecore_ground::{ground, intern_constants, CompiledProgram};
 use tecore_kg::FactId;
 use tecore_logic::LogicProgram;
 use tecore_testkit::grounding::{
@@ -129,5 +129,29 @@ fn the_generator_reaches_every_consequent_kind_and_windows() {
         ("Allen conditions in bodies", allen_body),
     ] {
         assert!(n >= 30, "only {n} {what} in 400 draws");
+    }
+
+    // The two-sided joins: self-joins over one predicate, and among
+    // them the symmetric ones round one sweeps and the asymmetric ones
+    // it joins.
+    let (mut same_predicate, mut swept) = (0, 0);
+    for _ in 0..400 {
+        let text = Strategy::generate(&arb_join_program(), &mut rng);
+        let program = LogicProgram::parse(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+        let body = &program.formulas()[0].body;
+        if body[0].predicate != body[1].predicate {
+            continue;
+        }
+        same_predicate += 1;
+        let mut dict = tecore_kg::Dictionary::new();
+        intern_constants(&program, &mut dict);
+        let compiled = CompiledProgram::compile(&program, &dict).unwrap();
+        swept += usize::from(compiled.formulas[0].symmetric);
+    }
+    for (what, n) in [
+        ("symmetric self-joins", swept),
+        ("asymmetric self-joins", same_predicate - swept),
+    ] {
+        assert!(n >= 20, "only {n} {what} in 400 join programs");
     }
 }

@@ -207,6 +207,13 @@ impl<K: Copy + Ord + Hash, I: Copy + Ord, T: Copy> Postings<K, I, T> {
             .map_or(&[], |run| &self.arena[run.live()])
     }
 
+    /// Every run with its key, in no particular order.
+    pub fn runs(&self) -> impl Iterator<Item = (K, &[Posting<I, T>])> {
+        self.runs
+            .iter()
+            .map(|(&key, run)| (key, &self.arena[run.live()]))
+    }
+
     /// Takes `gone` out of the run of `key` and puts `new` in, in run
     /// order: one forward pass closes the removals' gaps, one backward
     /// merge opens the insertions' slots (neither moves an entry of the

@@ -243,9 +243,14 @@ pub fn formula_text(index: usize, (body, conds, consequent, hard): &FormulaDraw)
 /// in the consequent: where join orders part ways (two predicates of
 /// unequal size: the planner starts at the smaller, the reversed order
 /// at the other) and where windows are probed with a converse or a
-/// complement. A second rule reads what the first may derive.
-/// `draw` is `(first predicate 0..2, condition 0..6, consequent 0..7)`.
-pub fn join_program((first, condition, consequent): (u8, usize, usize)) -> String {
+/// complement. Over one predicate twice it is a self-join: symmetric
+/// (and swept) under no condition (an atom then pairs with itself),
+/// `y != z` or `overlap` and a symmetric consequent; asymmetric, and
+/// joined, under `before` or an asymmetric consequent. A second rule
+/// reads what the first may derive. `draw` is `(predicates 0..3 —
+/// pred0 then pred1, pred1 then pred0, or pred0 twice — condition
+/// 0..6, consequent 0..7)`.
+pub fn join_program((predicates, condition, consequent): (u8, usize, usize)) -> String {
     const CONDITIONS: [&str; 6] = [
         "",
         " ^ y != z",
@@ -263,17 +268,20 @@ pub fn join_program((first, condition, consequent): (u8, usize, usize)) -> Strin
         "after(t, t2)",
         "meets(t2, t)",
     ];
+    let (first, second) = match predicates {
+        0 => (0, 1),
+        1 => (1, 0),
+        _ => (0, 0),
+    };
     format!(
-        "quad(x, pred{first}, y, t) ^ quad(x, pred{}, z, t2){} -> {} w = inf\n\
+        "quad(x, pred{first}, y, t) ^ quad(x, pred{second}, z, t2){} -> {} w = inf\n\
          quad(x, derived0, y, t) ^ quad(x, pred0, z, t2) -> before(t, t2) w = 1.5",
-        1 - first,
-        CONDITIONS[condition],
-        CONSEQUENTS[consequent],
+        CONDITIONS[condition], CONSEQUENTS[consequent],
     )
 }
 
 pub fn arb_join_program() -> impl Strategy<Value = String> {
-    (0u8..2, 0usize..6, 0usize..7).prop_map(join_program)
+    (0u8..3, 0usize..6, 0usize..7).prop_map(join_program)
 }
 
 pub fn program_text(formulas: &[FormulaDraw]) -> String {

@@ -2,11 +2,12 @@
 //!
 //! The atom store is a handful of flat tables and two posting arenas
 //! built in bulk, an atom's evidence lives in side tables, and the join
-//! keeps its undo information in the plan. What still allocates per
-//! item is the per-match clause (its literal vector, kept as the dedup
-//! signature) — a fraction of a block per fact, where the hash-of-`Vec`
-//! postings, the per-atom fact lists and the per-candidate undo logs
-//! took more than three.
+//! keeps its undo information in the plan. A clause's literals are
+//! built in one reused buffer, and the shipped constraints' duplicates
+//! are dropped by comparing neighbours, so no match allocates — where a
+//! literal vector per match took 0.30 blocks a fact, and the
+//! hash-of-`Vec` postings, the per-atom fact lists and the
+//! per-candidate undo logs more than three.
 //!
 //! Counted with a forwarding global allocator, like
 //! `crates/server/tests/alloc_steady_state.rs`: this file holds a
@@ -61,12 +62,15 @@ fn cold_grounding_allocates_less_than_once_per_fact() {
     let g = ground(&graph, &program).expect("grounds");
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
-    // Measured: 7 963 allocations for 26 150 facts (0.30 a fact) and
-    // 4 882 matches; the hash-of-`Vec` store took 127 521 (4.88).
+    // Measured: 3 079 allocations for 26 150 facts (0.12 a fact) and
+    // 2 441 matches. A literal vector per match took 7 963 (0.30, when
+    // each pair was matched twice: 4 882 matches); the hash-of-`Vec`
+    // store 127 521 (4.88). One vector per match coming back would
+    // cross the bound.
     let facts = graph.len() as u64;
     assert!(g.stats.formula_clauses > 1_000, "{}", g.stats);
     assert!(
-        allocations <= facts,
+        allocations * 5 <= facts,
         "{allocations} allocations for {facts} facts ({} matches)",
         g.stats.body_matches
     );
