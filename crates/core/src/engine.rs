@@ -8,23 +8,21 @@
 //! out are never touched, so readers on old snapshots see stable
 //! results for as long as they hold the `Arc`.
 //!
-//! Two solve paths share one interpretation:
-//!
-//! * [`Engine::resolve`] — the batch path: translate, ground, solve
-//!   from scratch;
-//! * [`Engine::resolve_incremental`] — the interactive path: the first
-//!   call grounds cold and caches the materialisation; afterwards
-//!   [`Engine::insert_fact`]/[`Engine::remove_fact`] (or any edit
-//!   through [`Engine::graph_mut`]) accumulate a [`Delta`] in the
-//!   graph's change log, and the next `resolve_incremental` applies
-//!   just that delta to the cached grounding, warm-starts the solver
-//!   from the previous MAP state, and derives the new snapshot from the
-//!   previous one by difference (`carry`), patching a spare copy of the
-//!   resolved view that it keeps in circulation — work proportional to
-//!   the edit, not the graph. The components the delta touched are
-//!   found by a walk from the flagged atoms, and cost and feasibility
-//!   are summed from a per-component ledger, so nothing on this path
-//!   reads the whole arena either.
+//! There is one solve path, [`Engine::resolve_incremental`]: the first
+//! call grounds cold and caches the materialisation; afterwards
+//! [`Engine::insert_fact`]/[`Engine::remove_fact`] (or any edit through
+//! [`Engine::graph_mut`]) accumulate a [`Delta`] in the graph's change
+//! log, and the next `resolve_incremental` applies just that delta to
+//! the cached grounding, warm-starts the solver from the previous MAP
+//! state, and derives the new snapshot from the previous one by
+//! difference (`carry`), patching a spare copy of the resolved view
+//! that it keeps in circulation — work proportional to the edit, not
+//! the graph. The components the delta touched are found by a walk from
+//! the flagged atoms, and cost and feasibility are summed from a
+//! per-component ledger, so nothing on this path reads the whole arena
+//! either. [`Engine::resolve`], the batch call, is its cold case: it
+//! resolves from an empty cache and keeps none, so the batch answer and
+//! the incremental one come out of the same code.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -481,10 +479,11 @@ impl Engine {
     }
 
     /// Mutable access to the graph. Edits are picked up by the next
-    /// [`Engine::resolve_incremental`] through the graph's change log;
-    /// if the log was truncated past the cached epoch the engine falls
-    /// back to a full re-ground, and so does a graph put in whole that
-    /// lacks one of the program's constants. On a durable engine these
+    /// [`Engine::resolve_incremental`] through the graph's change log
+    /// (the next [`Engine::resolve`] grounds cold anyway); if the log
+    /// was truncated past the cached epoch the engine falls back to a
+    /// full re-ground, and so does a graph put in whole that lacks one
+    /// of the program's constants. On a durable engine these
     /// edits are **not** journaled, so recovery will not replay them:
     /// route edits that must survive a restart through
     /// [`Engine::apply`].
@@ -704,61 +703,39 @@ impl Engine {
         }
     }
 
-    /// Stamps a resolution with the current graph epoch and publishes
-    /// it as the latest snapshot.
-    fn publish(&mut self, resolution: Resolution) -> Arc<Snapshot> {
-        let snapshot = Arc::new(Snapshot::from_resolution(resolution, self.graph.epoch()));
-        self.latest = Some(Arc::clone(&snapshot));
+    /// Runs `map(θ(G), F ∪ C)` from scratch and returns the resolved
+    /// [`Snapshot`]: [`Engine::resolve_incremental`] from an empty
+    /// cache. The engine holds no grounding before the call or after
+    /// it, so the next resolve of either kind grounds cold. A batch
+    /// caller's next `resolve` would drop a kept grounding unused, and
+    /// keeping it while the caller reads the snapshot (its first query
+    /// builds the index) adds a whole grounding to peak memory (85 MB
+    /// of allocations on the 400k-fact Wikidata mix). Call
+    /// `resolve_incremental` from the start to keep the
+    /// materialisation for the next edit. The snapshot's reground
+    /// counters are the engine's; this call adds to neither.
+    pub fn resolve(&mut self) -> Result<Arc<Snapshot>, TecoreError> {
+        self.cache = None;
+        let snapshot = self.resolve_incremental();
+        self.cache = None;
         snapshot
     }
 
-    /// Runs `map(θ(G), F ∪ C)` from scratch and returns the resolved
-    /// [`Snapshot`].
-    pub fn resolve(&mut self) -> Result<Arc<Snapshot>, TecoreError> {
-        self.intern_constants();
-        let resolution = self.resolve_raw()?;
-        Ok(self.publish(resolution))
-    }
-
-    /// The batch path without snapshot wrapping: translate, ground and
-    /// solve from scratch, returning the bare [`Resolution`]. Prefer
-    /// [`Engine::resolve`]; this exists for callers that only consume
-    /// the resolution once and want to skip the `Arc`. It interns
-    /// nothing: a constant missing from a graph put in through
-    /// [`Engine::graph_mut`] is a validation error.
-    pub fn resolve_raw(&self) -> Result<Resolution, TecoreError> {
-        let (graph, config) = (&self.graph, &self.config);
-        let solver = &*config.backend;
-        let mut grounding = translate(
-            graph,
-            &self.program,
-            &solver.caps(),
-            &GroundConfig::default(),
-        )?;
-        let solve_start = Instant::now();
-        let outcome = solve_dispatch(
-            solver,
-            &mut grounding,
-            None,
-            config.component_mode,
-            config.confidence,
-        )?;
-        let solve_time = solve_start.elapsed();
-        let (mut resolution, _) = interpret(graph, &grounding, &outcome.state, config);
-        resolution.stats.grounding_time = grounding.stats.elapsed;
-        resolution.stats.solve_time = solve_time;
-        resolution.stats.components = outcome.components;
-        resolution.stats.components_solved = outcome.components_solved;
-        resolution.stats.partition_atoms_visited = outcome.atoms_visited;
-        Ok(resolution)
+    /// [`Engine::resolve`]'s resolution, cloned out of its snapshot.
+    /// Its only caller is the end-to-end benchmark (`benchmark/`),
+    /// which times it as a span of its own; it goes with the next
+    /// change to that benchmark (ROADMAP item 2).
+    pub fn resolve_raw(&mut self) -> Result<Resolution, TecoreError> {
+        Ok(self.resolve()?.resolution().clone())
     }
 
     /// Runs conflict resolution incrementally: syncs the cached
-    /// grounding with the graph's change log (cold-grounding on the
-    /// first call or after log truncation), warm-starts the solver
-    /// from the previous MAP state, and returns the result as a fresh
-    /// [`Snapshot`] — exactly like [`Engine::resolve`] would on the
-    /// same graph.
+    /// grounding with the graph's change log (cold-grounding when there
+    /// is none — on the first call and after an [`Engine::resolve`] —
+    /// after log truncation, or to compact dead atoms), warm-starts the
+    /// solver from the previous MAP state, and returns the result as a
+    /// fresh [`Snapshot`]. A cold call is [`Engine::resolve`] itself,
+    /// except that it keeps the materialisation for the next edit.
     ///
     /// The snapshot itself is derived from the one this method returned
     /// last: its graphs, index and result lists are an earlier
@@ -773,25 +750,16 @@ impl Engine {
     pub fn resolve_incremental(&mut self) -> Result<Arc<Snapshot>, TecoreError> {
         self.intern_constants();
         let solver = self.config.backend.clone();
-        let caps = solver.caps();
 
         // 1. Sync the materialised grounding with the graph. Note that
         // an empty *net* delta still goes through apply_delta (a no-op
         // except for advancing the epoch): the epoch must move so the
         // log truncation below can drop netted churn (insert+remove
         // pairs) instead of re-netting a growing log every resolve.
-        let translate = |engine: &Engine| {
-            translate(
-                &engine.graph,
-                &engine.program,
-                &caps,
-                &GroundConfig::default(),
-            )
-        };
         // The net fact changes since the carried snapshot — read before
         // the log is truncated.
         let mut since_carried: Option<Delta> = None;
-        let mut engine = match self.cache.take() {
+        let mut cached = match self.cache.take() {
             Some(mut engine) => match self.graph.since(engine.grounding.epoch()) {
                 Some(delta) => {
                     engine.grounding.apply_delta(&self.graph, &delta);
@@ -803,27 +771,39 @@ impl Engine {
                     } else {
                         carried_at.and_then(|epoch| self.graph.since(epoch))
                     };
-                    engine
+                    Some(engine)
                 }
                 None => {
                     // The change log no longer reaches back to the
                     // cached epoch: re-ground from scratch.
                     self.fallback_regrounds += 1;
-                    EngineState::cold(translate(self)?)
+                    None
                 }
             },
-            None => EngineState::cold(translate(self)?),
+            None => None,
         };
         // Long churny sessions accumulate dead atom slots (ids are
         // never reused so solver vectors stay index-stable); once the
         // graveyard dominates, a compacting re-ground is cheaper than
         // dragging it through every solve. Atom ids change, so the warm
         // state and the carried snapshot's maps are void.
-        let dead = engine.grounding.store.dead_count();
-        if dead > 64 && dead * 2 > engine.grounding.num_atoms() {
+        let worn = |engine: &EngineState| {
+            let dead = engine.grounding.store.dead_count();
+            dead > 64 && dead * 2 > engine.grounding.num_atoms()
+        };
+        if cached.as_ref().is_some_and(worn) {
             self.compaction_regrounds += 1;
-            engine = EngineState::cold(translate(self)?);
+            cached = None;
         }
+        let mut engine = match cached {
+            Some(engine) => engine,
+            None => EngineState::cold(translate(
+                &self.graph,
+                &self.program,
+                &solver.caps(),
+                &GroundConfig::default(),
+            )?),
+        };
         // The cache has consumed the history; keep the log bounded.
         self.graph.truncate_log(engine.grounding.epoch());
 
@@ -1319,10 +1299,11 @@ mod tests {
         assert_eq!(clean.stats.fallback_regrounds, 1);
     }
 
-    /// The reground counters belong to the incremental path: a batch
-    /// resolve reads `0` for both, whatever the engine counted before.
+    /// The reground counters are the engine's: a batch resolve reports
+    /// what the engine counted before it, and its own cold ground is
+    /// not a fallback.
     #[test]
-    fn batch_resolve_reports_no_regrounds() {
+    fn resolve_reports_the_engines_reground_counters() {
         let graph = parse_graph(RANIERI).unwrap();
         let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
         let mut engine = Engine::new(graph, program);
@@ -1343,14 +1324,54 @@ mod tests {
             engine.resolve_incremental().unwrap();
             engine.remove_fact(id).unwrap();
         }
-        let incremental = engine.resolve_incremental().unwrap();
-        assert_eq!(incremental.stats.fallback_regrounds, 1);
-        assert!(incremental.stats.compaction_regrounds >= 1);
-
         let batch = engine.resolve().unwrap();
-        assert_eq!(batch.stats.fallback_regrounds, 0);
-        assert_eq!(batch.stats.compaction_regrounds, 0);
-        assert_eq!(engine.fallback_regrounds(), 1, "the engine keeps counting");
+        assert_eq!(batch.stats.fallback_regrounds, 1);
+        assert!(batch.stats.compaction_regrounds >= 1);
+        assert_eq!(engine.fallback_regrounds(), 1, "resolve is no fallback");
+    }
+
+    /// `resolve` is `resolve_incremental` from an empty cache, and
+    /// leaves none behind: on a warm engine it solves every component
+    /// and drops the cache, so the next `resolve_incremental` grounds
+    /// cold too — every answer the fresh engine's.
+    #[test]
+    fn a_resolve_leaves_the_engine_cold() {
+        let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
+        let config = TecoreConfig {
+            backend: solver("mln-exact"),
+            ..TecoreConfig::default()
+        };
+        let fresh = |engine: &Engine| {
+            Engine::with_config(engine.graph().clone(), program.clone(), config.clone())
+                .resolve()
+                .unwrap()
+        };
+        let every_component = |s: &Snapshot| {
+            assert!(s.stats.components > 1);
+            assert_eq!(s.stats.components_solved, s.stats.components);
+        };
+        let mut engine = Engine::with_config(wide_graph(), program.clone(), config.clone());
+        engine.resolve_incremental().unwrap();
+        engine
+            .insert_fact("p1", "coach", "c9", iv(2001, 2003), 0.58)
+            .unwrap();
+        let batch = engine.resolve().unwrap();
+        every_component(&batch);
+        assert!(engine.cache.is_none(), "resolve holds no grounding");
+        assert_eq!(
+            canonical(batch.resolution()),
+            canonical(fresh(&engine).resolution())
+        );
+
+        engine
+            .insert_fact("p2", "coach", "c9", iv(2002, 2004), 0.61)
+            .unwrap();
+        let next = engine.resolve_incremental().unwrap();
+        every_component(&next);
+        assert_eq!(
+            canonical(next.resolution()),
+            canonical(fresh(&engine).resolution())
+        );
     }
 
     /// ~120 facts over thirty independent subjects: coaching spells
@@ -1707,8 +1728,8 @@ mod tests {
                 ..TecoreConfig::default()
             };
             let (graph, program) = (parse_graph(RANIERI), LogicProgram::parse(PAPER_PROGRAM));
-            let engine = Engine::with_config(graph.unwrap(), program.unwrap(), config);
-            let r = engine.resolve_raw().unwrap();
+            let mut engine = Engine::with_config(graph.unwrap(), program.unwrap(), config);
+            let r = engine.resolve().unwrap();
             let [fact] = &r.inferred[..] else {
                 panic!("one derived fact: {:?}", r.inferred);
             };

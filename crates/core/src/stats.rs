@@ -58,17 +58,18 @@ pub struct DebugStats {
     /// first publishes after a cold resolve or a rebuild, or a spare
     /// still held elsewhere) or built one from the graph.
     pub view_facts_copied: usize,
-    /// Times this engine's incremental path fell back to a full
-    /// re-ground because the graph's change log had been truncated
-    /// past the cached epoch (cumulative over the engine's lifetime;
-    /// `0` on the batch path). A non-zero value means some consumer
-    /// truncates the log faster than the engine resolves — correct but
-    /// silently expensive, which is why it is surfaced here.
+    /// Times this engine fell back to a full re-ground because the
+    /// graph's change log had been truncated past the cached epoch
+    /// (cumulative over the engine's lifetime, whichever resolve
+    /// reports it; `Engine::resolve`'s own cold ground is not one). A
+    /// non-zero value means some consumer truncates the log faster than
+    /// the engine resolves — correct but silently expensive, which is
+    /// why it is surfaced here.
     pub fallback_regrounds: u64,
-    /// Times this engine's incremental path re-grounded from scratch to
-    /// compact its grounding, once dead atoms (facts retracted since
-    /// the last cold grounding) made up more than half of it
-    /// (cumulative over the engine's lifetime; `0` on the batch path).
+    /// Times this engine re-grounded from scratch to compact its
+    /// grounding, once dead atoms (facts retracted since the last cold
+    /// grounding) made up more than half of it (cumulative over the
+    /// engine's lifetime, whichever resolve reports it).
     /// The resolve after each one solves every component again.
     pub compaction_regrounds: u64,
     /// Violated-constraint groundings observed per constraint name.

@@ -20,7 +20,6 @@
 //! The cell keeps exactly one snapshot alive; an older one lives only
 //! as long as the readers still holding its `Arc`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
 use tecore_core::snapshot::Snapshot;
@@ -41,8 +40,6 @@ use tecore_core::snapshot::Snapshot;
 #[derive(Debug)]
 pub struct SnapshotCell {
     current: RwLock<Arc<Snapshot>>,
-    /// Statistic only: publishes no data, hence `Relaxed` throughout.
-    publications: AtomicU64,
 }
 
 impl SnapshotCell {
@@ -50,7 +47,6 @@ impl SnapshotCell {
     pub fn new(initial: Arc<Snapshot>) -> Self {
         SnapshotCell {
             current: RwLock::new(initial),
-            publications: AtomicU64::new(0),
         }
     }
 
@@ -67,18 +63,12 @@ impl SnapshotCell {
         self.load().epoch()
     }
 
-    /// Number of publications since the cell was created.
-    pub fn publications(&self) -> u64 {
-        self.publications.load(Ordering::Relaxed)
-    }
-
     /// Publishes `snapshot` as the new current snapshot.
     pub fn publish(&self, snapshot: Arc<Snapshot>) {
         let replaced = {
             let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
             std::mem::replace(&mut *current, snapshot)
         };
-        self.publications.fetch_add(1, Ordering::Relaxed);
         // Letting go of a snapshot nobody else holds sends its view
         // home or tears it down (milliseconds); no reader may wait on
         // either, so it happens outside the guard.
@@ -89,7 +79,7 @@ impl SnapshotCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use tecore_core::Engine;
     use tecore_kg::UtkGraph;
     use tecore_logic::LogicProgram;
@@ -112,7 +102,6 @@ mod tests {
         assert_eq!(before.epoch(), 0);
         cell.publish(snapshot_at_epoch(3));
         assert_eq!(cell.load().epoch(), 3);
-        assert_eq!(cell.publications(), 1);
         // Publishing replaces what the cell points at, never what a
         // reader's `Arc` points at.
         assert_eq!(before.epoch(), 0);

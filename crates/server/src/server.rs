@@ -925,10 +925,13 @@ fn writer_tick(
     }
     applied += pending.flush(host, ctx);
     if applied > 0 {
-        publish_resolved(host.engine_mut(), ctx);
+        // Counted before the publish: the cell's lock orders these
+        // bumps before any load that returns the snapshot, so a client
+        // that sees it reads counters at least those of its epoch.
         ctx.stats
             .edits_applied
             .fetch_add(applied, Ordering::Relaxed);
+        publish_resolved(host.engine_mut(), ctx);
         // A log grown past its threshold is compacted between
         // batches, never between a journal append and its ack.
         if host.engine_mut().maybe_checkpoint().is_err() {
@@ -938,12 +941,12 @@ fn writer_tick(
     }
 }
 
-/// One incremental resolve of what the graph holds, published and
-/// counted.
+/// One incremental resolve of what the graph holds, counted and
+/// published.
 fn publish_resolved(engine: &mut Engine, ctx: &WriterCtx) {
     if let Ok(snapshot) = engine.resolve_incremental() {
-        ctx.cell.publish(snapshot);
         ctx.stats.publishes.fetch_add(1, Ordering::Relaxed);
+        ctx.cell.publish(snapshot);
     }
 }
 
@@ -1036,11 +1039,10 @@ fn handle_feed(host: &mut EngineHost, ctx: &WriterCtx, event: StreamEvent, ack: 
     }
 }
 
-/// Publishes fired windows: snapshot hand-off, stream counters, and
+/// Publishes fired windows: stream counters, snapshot hand-off, and
 /// `W` frames at every subscriber.
 fn publish_fires(session: &StreamSession, ctx: &WriterCtx, fires: &[WindowFire]) {
     for fire in fires {
-        ctx.cell.publish(Arc::clone(&fire.snapshot));
         ctx.stats.publishes.fetch_add(1, Ordering::Relaxed);
         ctx.stats.stream_windows.fetch_add(1, Ordering::Relaxed);
         ctx.stats
@@ -1052,6 +1054,7 @@ fn publish_fires(session: &StreamSession, ctx: &WriterCtx, fires: &[WindowFire])
         ctx.stats
             .stream_lag_ms
             .store(fire.stats.resolve_micros / 1000, Ordering::Relaxed);
+        ctx.cell.publish(Arc::clone(&fire.snapshot));
         ctx.subs.deliver(fire);
     }
     if !fires.is_empty() {

@@ -19,16 +19,15 @@ use crate::grounding::{spell, Fact};
 /// What a fresh engine over the surviving graph resolves from scratch,
 /// under `engine`'s program and configuration, stamped with the graph's
 /// epoch.
-pub fn cold(engine: &Engine) -> Snapshot {
+pub fn cold(engine: &Engine) -> Arc<Snapshot> {
     cold_with(engine, engine.config().clone())
 }
 
 /// [`cold`] under another configuration.
-pub fn cold_with(engine: &Engine, config: TecoreConfig) -> Snapshot {
-    let graph = engine.graph();
-    let fresh = Engine::with_config(graph.clone(), engine.program().clone(), config);
-    let resolution = fresh.resolve_raw().expect("a cold resolve");
-    Snapshot::from_resolution(resolution, graph.epoch())
+pub fn cold_with(engine: &Engine, config: TecoreConfig) -> Arc<Snapshot> {
+    let graph = engine.graph().clone();
+    let mut fresh = Engine::with_config(graph, engine.program().clone(), config);
+    fresh.resolve().expect("a cold resolve")
 }
 
 /// What a backend is held to: every place a check or a drawn script
