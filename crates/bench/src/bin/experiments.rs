@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use tecore_bench::harness;
 use tecore_core::registry::SolverRegistry;
 use tecore_core::resolution::InferredFact;
-use tecore_core::{ConfidenceMode, Engine, MapSolver, TecoreConfig};
+use tecore_core::{Engine, MapSolver, TecoreConfig};
 use tecore_datagen::config::{FootballConfig, SkewedConfig, WikidataConfig};
 use tecore_datagen::football::generate_football;
 use tecore_datagen::generate_wikidata;
@@ -215,11 +215,7 @@ fn e5_threshold() -> bool {
             .unwrap();
     }
     print_components("e5", &mut graph, &paper_rules());
-    let config = TecoreConfig {
-        confidence: ConfidenceMode::Marginal,
-        ..TecoreConfig::default()
-    };
-    let r = Engine::with_config(graph, paper_rules(), config)
+    let r = Engine::new(graph, paper_rules())
         .resolve()
         .expect("resolves");
     let thresholds: Vec<f64> = (0..=9).map(|i| f64::from(i) / 10.0).collect();

@@ -515,10 +515,7 @@ pub(crate) fn carry_forward(prev: Carried, now: Resolved<'_>) -> Option<Forwarde
             atoms.extend(flipped);
             atoms.extend(regraded.into_iter().filter(derived));
         }
-        Moved::Anywhere(Some(before))
-            if before.assignment.len() <= after.assignment.len()
-                && before.soft_values.is_some() == after.soft_values.is_some() =>
-        {
+        Moved::Anywhere(Some(before)) if before.assignment.len() <= after.assignment.len() => {
             atoms.extend(differing(&before.assignment, &after.assignment, bool::eq));
             if let (Some(old), Some(new)) = (&before.soft_values, &after.soft_values) {
                 // By bits: an ungraded atom's NaN is its own equal.

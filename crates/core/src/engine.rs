@@ -41,7 +41,7 @@ use tecore_wal::{InsertRecord, RecoveryReport, Wal, WalConfig, WalStats};
 use crate::batch::{self, ApplyReport, EditBatch, EditOutcome, PlannedOp};
 use crate::carry::{carry_forward, Carried, Forwarded, Reclaim, Resolved};
 use crate::error::TecoreError;
-use crate::pipeline::{check_solver_contract, interpret, ConfidenceMode, TecoreConfig};
+use crate::pipeline::{check_solver_contract, interpret, TecoreConfig};
 use crate::resolution::Resolution;
 use crate::snapshot::Snapshot;
 use crate::translate::translate;
@@ -84,7 +84,7 @@ struct SolveOutcome {
 /// Where a solve's state may differ from the state it started from.
 pub(crate) enum Moved {
     /// Anywhere (a monolithic solve): here is that state, to compare
-    /// with. `None` when there was none, or none to compare with.
+    /// with. `None` when there was none.
     Anywhere(Option<MapState>),
     /// In the components that were solved, whose solutions were written
     /// over the previous state in place.
@@ -120,11 +120,14 @@ pub(crate) enum Moved {
 /// `Auto`, an unpartitionable arena) is one [`MapSolver::solve`] over
 /// the grounding's whole arena.
 ///
-/// Under [`ConfidenceMode::Marginal`] a discrete backend's state gets
-/// the exact marginals of the components solved — of every component
-/// of the arena after a monolithic solve — as its `soft_values`,
-/// spliced like the assignment, [`f64::NAN`] where a component was not
-/// graded ([`Marginals`]). The solve itself never reads the mode.
+/// When the program derives (a formula with a quad consequent), a
+/// discrete backend's state gets the exact marginals of the components
+/// solved — of every component of the arena after a monolithic solve —
+/// as its `soft_values`, spliced like the assignment, [`f64::NAN`]
+/// where a component was not graded ([`Marginals`]); a program of
+/// constraints alone has no derived fact to grade, and its discrete
+/// states carry none. The grounding's program is fixed for as long as
+/// it is cached, so every state of one cache is graded or none is.
 ///
 /// [`MapSolver::solve`]: tecore_ground::MapSolver::solve
 fn solve_dispatch(
@@ -132,11 +135,11 @@ fn solve_dispatch(
     grounding: &mut Grounding,
     warm: Option<MapState>,
     mode: ComponentMode,
-    confidence: ConfidenceMode,
 ) -> Result<SolveOutcome, TecoreError> {
     let caps = solver.caps();
     // A soft-valued backend grades its atoms itself.
-    let marginal = confidence == ConfidenceMode::Marginal && !caps.soft_values;
+    let derives = (grounding.program.formulas.iter()).any(|f| f.consequent.derives());
+    let marginal = derives && !caps.soft_values;
     let graded = caps.soft_values || marginal;
     let use_components = match mode {
         ComponentMode::Monolithic => false,
@@ -166,10 +169,7 @@ fn solve_dispatch(
     // covers every atom, the problem is byte-identical to the one that
     // state solved — it is the answer, without partitioning anything.
     let clean = |state: &MapState, index: &ComponentIndex| {
-        !index.any_dirty()
-            && index.num_atoms() == n
-            && state.assignment.len() == n
-            && state.soft_values.is_some() == graded
+        !index.any_dirty() && index.num_atoms() == n && state.assignment.len() == n
     };
     let warm = match (warm, grounding.component_index()) {
         (Some(state), Some(index)) if clean(&state, index) => {
@@ -212,9 +212,6 @@ fn solve_dispatch(
         Some(w) => (w.assignment.len(), w.assignment, w.soft_values),
         None => (0, Vec::new(), None),
     };
-    // A previous state without the grades this one must have gives
-    // none to compare with.
-    let comparable = known == 0 || warm_soft.is_some() == graded;
     assignment.resize(n, false);
     let mut soft: Option<Vec<f64>> = graded.then(|| {
         let mut base = warm_soft.unwrap_or_default();
@@ -260,11 +257,7 @@ fn solve_dispatch(
         components,
         components_solved: partition.len(),
         atoms_visited: partition.atoms_visited(),
-        moved: if comparable {
-            Moved::Atoms { flipped, regraded }
-        } else {
-            Moved::Anywhere(None)
-        },
+        moved: Moved::Atoms { flipped, regraded },
     })
 }
 
@@ -818,7 +811,6 @@ impl Engine {
             &mut engine.grounding,
             warm,
             self.config.component_mode,
-            self.config.confidence,
         )?;
         let solve_time = solve_start.elapsed();
         let state = outcome.state;
@@ -956,7 +948,6 @@ fn journal_planned(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::ConfidenceMode;
     use crate::registry::SolverRegistry;
     use tecore_ground::ClauseStore;
     use tecore_kg::parser::parse_graph;
@@ -1562,33 +1553,27 @@ mod tests {
     /// snapshots were carried forward (rather than rebuilt). Every
     /// sequence runs twice: with each snapshot dropped before the next
     /// publish, which then lands on the spare view, and with all of
-    /// them kept, which makes every publish copy the latest one. A
-    /// discrete backend runs it once more with exact grading, which
-    /// must carry forward the same steps, and `mln-walksat` once graded
-    /// and monolithic, where a solve may move any atom's grade.
+    /// them kept, which makes every publish copy the latest one. The
+    /// program derives, so a discrete backend grades by exact marginals;
+    /// `mln-walksat` runs once more monolithic, where a solve may move
+    /// any atom's grade.
     fn check_carried_forward(
         steps: &[Vec<Edit>],
         threshold: f64,
     ) -> Vec<(&'static str, Vec<bool>)> {
         use ComponentMode::{Auto, Monolithic};
-        use ConfidenceMode::{Constant, Marginal};
         let mut runs = Vec::new();
         for name in BACKENDS {
             let backend = solver(name);
-            // (grading, component mode, keep every snapshot)
-            let mut variants = vec![(Constant, Auto, false), (Constant, Auto, true)];
-            if name != "psl-admm" {
-                variants.push((Marginal, Auto, false));
-            }
+            // (component mode, keep every snapshot)
+            let mut variants = vec![(Auto, false), (Auto, true)];
             if name == "mln-walksat" {
-                variants.push((Marginal, Monolithic, false));
+                variants.push((Monolithic, false));
             }
-            let mut ungraded = Vec::new();
-            for (confidence, component_mode, keep_all) in variants {
+            for (component_mode, keep_all) in variants {
                 let config = TecoreConfig {
                     backend: backend.clone(),
                     threshold,
-                    confidence,
                     component_mode,
                 };
                 let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
@@ -1602,7 +1587,7 @@ mod tests {
                     let snapshot = engine.resolve_incremental().unwrap();
                     carried.push(snapshot.built_index().is_some());
                     let what = format!(
-                        "{name}, {confidence:?}, {component_mode:?}, keep_all {keep_all}, step {i} {edits:?}"
+                        "{name}, {component_mode:?}, keep_all {keep_all}, step {i} {edits:?}"
                     );
                     assert_equals_full_interpretation(&engine, &snapshot, &what);
                     if keep_all {
@@ -1610,12 +1595,7 @@ mod tests {
                         kept.push(snapshot);
                     }
                 }
-                match (confidence, component_mode, keep_all) {
-                    (Constant, _, false) => ungraded.clone_from(&carried),
-                    (Marginal, Auto, _) => assert_eq!(carried, ungraded, "{name}: graded"),
-                    _ => {}
-                }
-                if confidence == Constant {
+                if component_mode == Auto {
                     runs.push((name, carried));
                 }
             }
@@ -1665,8 +1645,8 @@ mod tests {
                 assert_eq!(carried, [true, true, true, true, false, true]);
             }
         }
-        // PSL and exact grading grade derived facts: a bar between
-        // their values hides some.
+        // Every backend grades derived facts: a bar between their
+        // values hides some.
         check_carried_forward(&steps, 0.9);
     }
 
@@ -1711,25 +1691,18 @@ mod tests {
         assert_eq!(expanded.len(), 5); // 4 kept + 1 inferred
         let works_for = expanded.dict().lookup("worksFor").unwrap();
         assert_eq!(expanded.facts_with_predicate(works_for).count(), 1);
-        // Same materialisation every access — the old per-call clone of
-        // `Resolution::expanded_graph` is gone from this path.
+        // Same materialisation every access.
         assert!(std::ptr::eq(expanded, r.expanded()));
     }
 
     /// `worksFor(CR, Palermo)` reads its exact marginal on every
-    /// discrete backend: the component solve of `mln-exact` and the
-    /// monolithic one of the other two, graded over `Partition::of`.
+    /// discrete backend, with only the backend set: the component solve
+    /// of `mln-exact` and the monolithic one of the other two, graded
+    /// over `Partition::of`.
     #[test]
     fn gibbs_confidence_grades_inferred() {
         for name in &BACKENDS[..3] {
-            let config = TecoreConfig {
-                backend: solver(name),
-                confidence: ConfidenceMode::Marginal,
-                ..TecoreConfig::default()
-            };
-            let (graph, program) = (parse_graph(RANIERI), LogicProgram::parse(PAPER_PROGRAM));
-            let mut engine = Engine::with_config(graph.unwrap(), program.unwrap(), config);
-            let r = engine.resolve().unwrap();
+            let r = run(solver(name));
             let [fact] = &r.inferred[..] else {
                 panic!("one derived fact: {:?}", r.inferred);
             };
@@ -1738,6 +1711,52 @@ mod tests {
                 "{fact}"
             );
             assert_eq!(r.stats.ungraded_facts, 0);
+        }
+    }
+
+    /// A program of constraints alone derives nothing to grade, so a
+    /// discrete solve of it leaves its states without soft values,
+    /// cold and warm.
+    #[test]
+    fn constraint_programs_are_not_graded() {
+        use tecore_datagen::standard::{football_program, wikidata_program};
+        use tecore_datagen::{generate_football, generate_wikidata};
+        use tecore_datagen::{FootballConfig, WikidataConfig};
+        let football = FootballConfig::with_target_facts(2_000, 0.25, 1);
+        let wikidata = WikidataConfig {
+            total_facts: 2_000,
+            noise_ratio: 0.1,
+            seed: 1,
+        };
+        let inputs = [
+            (generate_football(&football).graph, football_program()),
+            (generate_wikidata(&wikidata).graph, wikidata_program()),
+        ];
+        for (graph, program) in inputs {
+            for name in &BACKENDS[..3] {
+                let config = TecoreConfig {
+                    backend: solver(name),
+                    ..TecoreConfig::default()
+                };
+                let mut engine = Engine::with_config(graph.clone(), program.clone(), config);
+                let graded = |engine: &Engine| {
+                    let cache = engine.cache.as_ref().expect("cached");
+                    let state = cache.last_state.as_ref().expect("solved");
+                    state.soft_values.is_some()
+                };
+                engine.resolve_incremental().unwrap();
+                assert!(!graded(&engine), "{name}: cold");
+                // A second spell of the first fact's subject, elsewhere.
+                let (_, first) = engine.graph().iter().next().expect("a fact");
+                let dict = engine.graph().dict();
+                let [s, p] = [first.subject, first.predicate].map(|t| dict.resolve(t).to_string());
+                engine
+                    .insert_fact(&s, &p, "Elsewhere", first.interval, 0.4)
+                    .unwrap();
+                let warm = engine.resolve_incremental().unwrap();
+                assert!(warm.stats.components_solved > 0, "{name}: a warm solve");
+                assert!(!graded(&engine), "{name}: warm");
+            }
         }
     }
 
@@ -1889,6 +1908,11 @@ mod tests {
             cold.len() > 1 && cold.iter().all(Option::is_none),
             "{cold:?}"
         );
+        // The program derives, so the state carries exact marginals.
+        let cache = engine.cache.as_ref().unwrap();
+        let at = cache.grounding.fact_atoms.get(FactId(1)).unwrap();
+        let grades = cache.last_state.as_ref().unwrap().soft_values.as_ref();
+        let grade = grades.expect("graded")[at.index()];
         engine
             .insert_fact("CR", "coach", "Roma", iv(2016, 2018), 0.95)
             .unwrap();
@@ -1898,7 +1922,7 @@ mod tests {
             assignment: vec![true],
             cost: 0.0,
             feasible: true,
-            soft_values: None,
+            soft_values: Some(vec![grade]),
         };
         assert_eq!(recording.take(), [Some(leicester)]);
 

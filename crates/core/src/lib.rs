@@ -67,7 +67,7 @@ pub use batch::{ApplyReport, EditBatch, EditOp, EditOutcome};
 pub use engine::Engine;
 pub use error::TecoreError;
 pub use explain::{ConflictExplanation, Participant};
-pub use pipeline::{ConfidenceMode, TecoreConfig};
+pub use pipeline::TecoreConfig;
 pub use query::{QueryIter, TemporalQuery, TimelineEntry};
 pub use registry::SolverRegistry;
 pub use resolution::{InferredFact, RemovedFact, Resolution};
@@ -83,7 +83,7 @@ pub mod prelude {
     pub use crate::batch::{ApplyReport, EditBatch, EditOp, EditOutcome};
     pub use crate::engine::Engine;
     pub use crate::error::TecoreError;
-    pub use crate::pipeline::{ConfidenceMode, TecoreConfig};
+    pub use crate::pipeline::TecoreConfig;
     pub use crate::query::{TemporalQuery, TimelineEntry};
     pub use crate::registry::SolverRegistry;
     pub use crate::resolution::Resolution;

@@ -21,26 +21,6 @@ use crate::explain::Conflicts;
 use crate::resolution::{InferredFact, RemovedFact, Resolution};
 use crate::stats::DebugStats;
 
-/// How inferred facts are graded with a confidence value.
-///
-/// Backends that produce per-atom soft truth values (see
-/// [`SolverCaps::soft_values`](tecore_ground::SolverCaps)) always use
-/// those; this mode only governs grading when the solver is discrete.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ConfidenceMode {
-    /// Report `1.0` for every accepted derived fact (no extra cost).
-    #[default]
-    Constant,
-    /// Grade each derived fact with its exact marginal `P(atom = 1)`
-    /// over its conflict component's worlds
-    /// ([`Marginals`](tecore_ground::Marginals)). A component of more
-    /// than [`MAX_GRADED_ATOMS`](tecore_ground::MAX_GRADED_ATOMS) atoms
-    /// is not graded: its accepted derived facts read their MAP value,
-    /// `1.0`, and are counted in
-    /// [`DebugStats::ungraded_facts`](crate::stats::DebugStats).
-    Marginal,
-}
-
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
 pub struct TecoreConfig {
@@ -50,10 +30,11 @@ pub struct TecoreConfig {
     /// scalable configuration of the paper's MLN reasoner.
     pub backend: Arc<dyn MapSolver>,
     /// Confidence threshold for derived facts ("remove derived facts
-    /// below that" — paper §1). `0.0` keeps everything.
+    /// below that" — paper §1), on every backend: a derived fact's
+    /// confidence is its PSL soft truth value or, on a discrete
+    /// backend, its exact marginal ([`InferredFact::confidence`]).
+    /// `0.0` keeps everything.
     pub threshold: f64,
-    /// Confidence grading for derived facts.
-    pub confidence: ConfidenceMode,
     /// Conflict-component treatment for the solve step: partition the
     /// ground problem into independent components and solve them
     /// separately (default [`ComponentMode::Auto`]), or force one
@@ -67,7 +48,6 @@ impl Default for TecoreConfig {
         TecoreConfig {
             backend: Arc::new(CpiSolver::default()),
             threshold: 0.0,
-            confidence: ConfidenceMode::default(),
             component_mode: ComponentMode::default(),
         }
     }
@@ -208,8 +188,8 @@ pub(crate) fn passes(confidence: f64, threshold: f64) -> bool {
 }
 
 /// The confidence of an accepted derived atom: the solver's soft value,
-/// or the exact marginal the solve driver put in its place
-/// (`ConfidenceMode::Marginal`), or `1.0` when there is neither.
+/// or the exact marginal the solve driver put in its place for a
+/// discrete backend, or `1.0` when there is neither.
 /// `None` when the atom's component was not graded ([`f64::NAN`] in
 /// the state); the caller takes the MAP value, `1.0`, and counts it.
 pub(crate) fn confidence(state: &MapState, atom: AtomId) -> Option<f64> {

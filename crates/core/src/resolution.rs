@@ -30,10 +30,10 @@ pub struct InferredFact {
     pub object: String,
     /// Validity interval.
     pub interval: Interval,
-    /// Confidence: PSL soft truth value, or under
-    /// [`ConfidenceMode::Marginal`](crate::ConfidenceMode) the exact
-    /// marginal `P(atom = 1)` over the fact's conflict component; `1.0`
-    /// otherwise, and for a component too large to grade.
+    /// Confidence: the PSL soft truth value, or on a discrete (MLN)
+    /// backend the exact marginal `P(atom = 1)` over the fact's
+    /// conflict component; `1.0` for a component too large to grade
+    /// ([`DebugStats::ungraded_facts`]).
     pub confidence: f64,
 }
 
@@ -74,36 +74,6 @@ pub struct Resolution {
     pub conflicts: Vec<Arc<ConflictExplanation>>,
     /// Statistics (Figure 8).
     pub stats: DebugStats,
-}
-
-impl Resolution {
-    /// Builds the expanded KG: consistent evidence plus inferred facts
-    /// materialised as graph facts (confidence = inferred confidence,
-    /// floored at a minimum positive value).
-    ///
-    /// **This clones the whole consistent graph on every call.** Unless
-    /// you need an owned graph, go through
-    /// [`Snapshot::expanded`](crate::snapshot::Snapshot::expanded),
-    /// which materialises the expansion at most once per resolution and
-    /// hands it out by reference (and carries the temporal indexes the
-    /// query layer needs).
-    pub fn expanded_graph(&self) -> UtkGraph {
-        let mut g = UtkGraph::clone(&self.consistent);
-        for inf in &self.inferred {
-            let conf = inf.confidence.clamp(0.001, 1.0);
-            g.insert(
-                &inf.subject,
-                &inf.predicate,
-                &inf.object,
-                inf.interval,
-                conf,
-            )
-            .expect("clamped confidence is valid");
-        }
-        // Like `consistent`, the expansion carries no edit history.
-        g.truncate_log(g.epoch());
-        g
-    }
 }
 
 #[cfg(test)]

@@ -33,9 +33,8 @@ use crate::resolution::Resolution;
 /// is mechanical. On top of that it owns:
 ///
 /// * [`Snapshot::expanded`] — the expanded KG, built **once** per
-///   snapshot instead of re-cloned per call like the old
-///   `Resolution::expanded_graph`; when nothing was inferred it *is*
-///   the consistent graph, shared, not a copy of it;
+///   snapshot; when nothing was inferred it *is* the consistent graph,
+///   shared, not a copy of it;
 /// * [`Snapshot::index`] — a [`GraphTemporalIndex`] over the expanded
 ///   graph (per-predicate and per-subject interval indexes);
 /// * [`Snapshot::query`] — the entry point of the typed temporal query
@@ -147,7 +146,7 @@ impl Snapshot {
             if self.resolution.inferred.is_empty() {
                 Arc::clone(&self.resolution.consistent)
             } else {
-                Arc::new(self.resolution.expanded_graph())
+                Arc::new(expanded_graph(&self.resolution))
             }
         })
     }
@@ -176,6 +175,27 @@ impl Snapshot {
     pub fn at(&self, t: impl Into<TimePoint>) -> TemporalQuery<'_> {
         self.query().at(t)
     }
+}
+
+/// Builds the expanded KG: a copy of the consistent evidence plus the
+/// inferred facts materialised as graph facts (confidence = inferred
+/// confidence, floored at a minimum positive value).
+fn expanded_graph(resolution: &Resolution) -> UtkGraph {
+    let mut g = UtkGraph::clone(&resolution.consistent);
+    for inf in &resolution.inferred {
+        let conf = inf.confidence.clamp(0.001, 1.0);
+        g.insert(
+            &inf.subject,
+            &inf.predicate,
+            &inf.object,
+            inf.interval,
+            conf,
+        )
+        .expect("clamped confidence is valid");
+    }
+    // Like `consistent`, the expansion carries no edit history.
+    g.truncate_log(g.epoch());
+    g
 }
 
 impl Drop for Snapshot {

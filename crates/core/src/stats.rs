@@ -22,8 +22,8 @@ pub struct DebugStats {
     /// Derived facts dropped by the confidence threshold.
     pub thresholded_facts: usize,
     /// Accepted derived facts that read their MAP value, `1.0`, for a
-    /// confidence because their conflict component was not graded under
-    /// [`ConfidenceMode::Marginal`](crate::ConfidenceMode): it has more
+    /// confidence because a discrete backend's solve could not grade
+    /// their conflict component by its exact marginals: it has more
     /// than [`MAX_GRADED_ATOMS`](tecore_ground::MAX_GRADED_ATOMS)
     /// atoms, or no world that satisfies its hard clauses.
     pub ungraded_facts: usize,

@@ -208,19 +208,30 @@ impl AtomStore {
             let with_predicate = store.by_pred.entry(atom.predicate).or_default();
             with_predicate.push(AtomId(id));
         }
-        let mut keyed: Vec<(RunKey, Posting)> = sorted
-            .iter()
-            .filter(|&&(.., at)| earliest[at as usize] == at)
-            .map(|&(key, interval, third, at)| {
-                (key, Posting::new(interval, atom_at[at as usize], third))
-            })
-            .collect();
+        // The `(subject, predicate)` runs, one entry per atom, straight
+        // into an arena of the atoms' size.
+        let mut arena: Vec<Posting> = Vec::with_capacity(store.len());
+        let mut runs: Vec<(RunKey, usize)> = Vec::new();
+        for &(key, interval, third, at) in &sorted {
+            if earliest[at as usize] != at {
+                continue;
+            }
+            match runs.last_mut() {
+                Some((last, len)) if *last == key => *len += 1,
+                _ => runs.push((key, 1)),
+            }
+            arena.push(Posting::new(interval, atom_at[at as usize], third));
+        }
         // Statements of one key and interval came out in object order;
         // a run has them in id order.
-        for tied in keyed.chunk_by_mut(|a, b| (a.0, a.1.interval) == (b.0, b.1.interval)) {
-            tied.sort_unstable_by_key(|&(_, e)| e.id);
+        let mut at = 0;
+        for &(_, len) in &runs {
+            for tied in arena[at..at + len].chunk_by_mut(|a, b| a.interval == b.interval) {
+                tied.sort_unstable_by_key(|e| e.id);
+            }
+            at += len;
         }
-        store.by_sp = Family::from_sorted(keyed);
+        store.by_sp = Family::from_runs(arena, runs);
         (store, fact_atoms)
     }
 
@@ -595,6 +606,36 @@ mod tests {
         assert!(store.with_subject_predicate(s2, Symbol(99)).is_empty());
         assert_eq!(store.lookup(s1, p, o1, iv(3, 4)), Some(AtomId(0)));
         assert_eq!(store.lookup(s1, p, o1, iv(9, 9)), None);
+    }
+
+    /// The cold store's `(subject, predicate)` arena holds its entries
+    /// and little more: no slack from a buffer grown by doubling.
+    #[test]
+    fn cold_subject_predicate_arena_is_sized_to_its_entries() {
+        let mut graph = UtkGraph::new();
+        let fact = |j: i64| {
+            let p = if j % 3 == 0 { "p" } else { "q" };
+            (
+                format!("s{}", j % 97),
+                p,
+                format!("o{}", j % 13),
+                iv(j, j + 3),
+            )
+        };
+        for i in 0..1_000 {
+            // Every fifth fact restates the one before it: one atom for
+            // both.
+            let (s, p, o, interval) = fact(if i % 5 == 4 { i - 1 } else { i });
+            graph.insert(&s, p, &o, interval, 0.8).unwrap();
+        }
+        let (store, _) = AtomStore::from_graph(&graph);
+        let (entries, slots, holes) = store.by_sp.space();
+        assert_eq!((entries, slots, holes), (store.len(), store.len(), 0));
+        assert!(
+            store.by_sp.capacity() * 4 <= entries * 5,
+            "capacity {} for {entries} entries",
+            store.by_sp.capacity()
+        );
     }
 
     #[test]

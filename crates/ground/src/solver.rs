@@ -44,10 +44,9 @@ pub struct SolverCaps {
     pub expressivity: Expressivity,
     /// `true` if [`MapState::soft_values`] is populated with per-atom
     /// soft truth values (PSL); the pipeline uses them as confidences
-    /// for derived facts. A discrete backend's derived facts read `1.0`,
-    /// or their component's exact marginal
-    /// ([`Marginals`](crate::Marginals)) when the pipeline is asked for
-    /// one.
+    /// for derived facts. A discrete backend's derived facts read their
+    /// component's exact marginal ([`Marginals`](crate::Marginals)),
+    /// which the solve driver computes whenever the program derives.
     pub soft_values: bool,
     /// `true` if the solver is exact (its cost is the true MAP optimum).
     pub exact: bool,
@@ -101,9 +100,10 @@ pub struct MapState {
     /// All hard clauses satisfied?
     pub feasible: bool,
     /// Per-atom soft truth values in `[0, 1]`, when the backend computes
-    /// them (see [`SolverCaps::soft_values`]). A solve driver may put
-    /// exact component marginals here for a discrete backend, with
-    /// `NaN` for the atoms of a component it could not grade.
+    /// them (see [`SolverCaps::soft_values`]). For a discrete backend
+    /// the solve driver puts exact component marginals here when the
+    /// program derives, with `NaN` for the atoms of a component it
+    /// could not grade; a backend itself leaves them out.
     pub soft_values: Option<Vec<f64>>,
 }
 

@@ -299,6 +299,11 @@ impl<K: Copy + Ord + Hash, I: Copy + Ord, T: Copy> Postings<K, I, T> {
         (self.entries, self.arena.len(), self.holes)
     }
 
+    /// Arena slots allocated, in use or not.
+    pub fn capacity(&self) -> usize {
+        self.arena.capacity()
+    }
+
     /// Rewrites the arena without holes, runs in their present order,
     /// every capacity cut to at most twice its run.
     fn compact(&mut self) {

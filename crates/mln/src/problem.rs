@@ -94,17 +94,7 @@ impl<'a> SatProblem<'a> {
     /// Total weight of violated soft clauses, and the number of violated
     /// hard clauses, under `assignment`.
     pub fn evaluate(&self, assignment: &[bool]) -> (f64, usize) {
-        let mut cost = 0.0;
-        let mut hard_violations = 0;
-        for c in self.iter() {
-            if !c.satisfied_by(assignment) {
-                match c.weight {
-                    tecore_ground::ClauseWeight::Hard => hard_violations += 1,
-                    tecore_ground::ClauseWeight::Soft(w) => cost += w,
-                }
-            }
-        }
-        (cost, hard_violations)
+        tecore_ground::evaluate_world(&self.clauses, assignment)
     }
 
     /// Number of hard clauses.

@@ -242,9 +242,12 @@ impl MaxWalkSat {
             }
         }
 
+        // The running sum the search compares by drifts from the sum
+        // over the clauses; the world returned is costed afresh.
+        let (cost, _) = problem.evaluate(&best);
         MapResult {
             assignment: best,
-            cost: best_cost,
+            cost,
             feasible: best_feasible,
             stats: SolveStats {
                 steps: total_flips,

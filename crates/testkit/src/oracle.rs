@@ -54,9 +54,6 @@ pub struct Expect {
     /// solving by components. Elsewhere a drawn script leaves floods
     /// out.
     pub floods: bool,
-    /// Grades derived facts by their exact marginals
-    /// (`ConfidenceMode::Marginal`): the MLN backends.
-    pub graded: bool,
 }
 
 impl Expect {
@@ -69,7 +66,6 @@ impl Expect {
             exact,
             apart: name == "mln-walksat" || name == "psl-admm",
             floods: exact || by_components,
-            graded: name.starts_with("mln-"),
         }
     }
 

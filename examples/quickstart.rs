@@ -4,11 +4,14 @@
 //! the inference rules of Figure 4 and the constraints of Figure 6 are
 //! fed through MAP inference; the expected output is Figure 7 — fact (5)
 //! `(CR, coach, Napoli, [2001,2003]) 0.6` is removed because it clashes
-//! with fact (1) under constraint c2 and has the inferior weight.
+//! with fact (1) under constraint c2 and has the inferior weight. The
+//! one derived fact, `worksFor(CR, Palermo, [1984,1986])`, is graded by
+//! default: its exact marginal on the MLN backend, its soft truth value
+//! on PSL. The example asserts both, so it fails if grading regresses.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use tecore_core::{ConfidenceMode, Engine, SolverRegistry, TecoreConfig};
+use tecore_core::{Engine, SolverRegistry, TecoreConfig};
 use tecore_datagen::standard::{paper_program, ranieri_utkg};
 
 fn main() {
@@ -28,7 +31,6 @@ fn main() {
     for name in ["mln-cpi", "psl-admm"] {
         let config = TecoreConfig {
             backend: registry.resolve(name).expect("registered backend"),
-            confidence: ConfidenceMode::Marginal,
             ..TecoreConfig::default()
         };
         let resolution = Engine::with_config(graph.clone(), program.clone(), config)
@@ -49,5 +51,15 @@ fn main() {
             println!("  {inferred}");
         }
         println!("\n{}", resolution.stats);
+
+        let [worksfor] = &resolution.inferred[..] else {
+            panic!("{name}: one derived fact, got {:?}", resolution.inferred);
+        };
+        let graded = match name {
+            // P(worksFor(CR, Palermo) = 1) over its component's worlds.
+            "mln-cpi" => (worksfor.confidence - 0.657_594_642_314_038_3).abs() < 1e-12,
+            _ => worksfor.confidence > 0.9,
+        };
+        assert!(graded, "{name}: {worksfor} is not graded as it should be");
     }
 }

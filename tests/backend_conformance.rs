@@ -10,7 +10,8 @@
 //! * remove exactly fact (5) `(CR, coach, Napoli, [2001,2003])`,
 //! * keep facts (1)–(4) verbatim,
 //! * derive exactly `worksFor(CR, Palermo, [1984,1986])`, with a
-//!   confidence within tolerance of 1 for PSL-style soft backends.
+//!   confidence within tolerance of 1 for PSL-style soft backends and
+//!   the exact marginal of its component for discrete ones.
 
 use tecore_core::registry::SolverRegistry;
 use tecore_core::{Engine, TecoreConfig};
@@ -63,8 +64,8 @@ fn all_registered_backends_agree_on_running_example() {
             ("CR", "worksFor", "Palermo"),
             "{name}"
         );
-        // Discrete backends report exact confidence 1.0; PSL reports a
-        // soft truth value that must agree within tolerance.
+        // Discrete backends report the exact marginal of the derived
+        // fact's component; PSL reports a soft truth value near 1.
         if soft {
             assert!(
                 inferred.confidence > 0.9,
@@ -72,7 +73,12 @@ fn all_registered_backends_agree_on_running_example() {
                 inferred.confidence
             );
         } else {
-            assert_eq!(inferred.confidence, 1.0, "{name}");
+            let marginal = 0.657_594_642_314_038_3;
+            assert!(
+                (inferred.confidence - marginal).abs() < 1e-12,
+                "{name}: {}",
+                inferred.confidence
+            );
         }
 
         // The surviving KG is identical across substrates.

@@ -21,11 +21,11 @@
 //! buffer a patch lands on: with each snapshot dropped before the next
 //! publish, so that the spare view comes home and is reused, and with
 //! every snapshot kept, so that each publish copies the latest one. The
-//! backends that grade (`Expect::graded`) run it once more with derived
-//! facts graded by their exact marginals: the carried confidences must
-//! be the cold ones, and the repair and the steps carried forward those
-//! of the ungraded run. The work counters at the end hold the publish
-//! path to what the edit names, by count rather than by the clock.
+//! paper program derives, so every backend grades its derived facts —
+//! the MLN backends by their exact marginals — and the carried
+//! confidences must be the cold ones. The work counters at the end hold
+//! the publish path to what the edit names, by count rather than by the
+//! clock.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -33,7 +33,7 @@ use std::thread;
 
 use proptest::prelude::*;
 use tecore_core::translate::translate;
-use tecore_core::{ConfidenceMode, Engine, RemovedFact, Snapshot, TecoreConfig};
+use tecore_core::{Engine, Snapshot, TecoreConfig};
 use tecore_datagen::standard::{ranieri_utkg, wikidata_program};
 use tecore_datagen::{generate_wikidata, WikidataConfig};
 use tecore_ground::{ComponentMode, GroundConfig};
@@ -55,12 +55,6 @@ enum Hold {
     All,
 }
 
-/// What one step published, to compare two runs of the same steps by:
-/// the view facts its publish copied (the whole view on a rebuild,
-/// nothing when it was carried onto the spare), the removed facts and
-/// the inferred statements.
-type Published = (usize, Vec<RemovedFact>, Vec<String>);
-
 fn by_components(name: &str) -> TecoreConfig {
     TecoreConfig {
         component_mode: ComponentMode::Components,
@@ -68,20 +62,12 @@ fn by_components(name: &str) -> TecoreConfig {
     }
 }
 
-/// Runs `steps` through `script` on backend `name` under `hold`,
-/// grading derived facts by `confidence`, and holds every snapshot to
-/// the oracle.
-fn run(
-    steps: &[Vec<Edit>],
-    name: &str,
-    mut script: Script,
-    hold: Hold,
-    confidence: ConfidenceMode,
-) -> Vec<Published> {
-    let config = TecoreConfig {
-        confidence,
-        ..by_components(name)
-    };
+/// Runs `steps` through `script` on backend `name` under `hold`, holds
+/// every snapshot to the oracle, and returns the view facts each
+/// publish copied (the whole view on a rebuild, nothing when it was
+/// carried onto the spare).
+fn run(steps: &[Vec<Edit>], name: &str, mut script: Script, hold: Hold) -> Vec<usize> {
+    let config = by_components(name);
     let mut engine = tecore_testkit::engine(graph(&clusters(40)), paper_program(), config);
     let mut held = vec![engine.resolve_incremental().expect("prime")];
     let mut published = Vec::new();
@@ -91,54 +77,37 @@ fn run(
         }
         script.apply(&mut engine, edits);
         let carried = engine.resolve_incremental().expect("incremental");
-        let what = format!("{name}, {hold:?}, {confidence:?}, step {i} {edits:?}");
+        let what = format!("{name}, {hold:?}, step {i} {edits:?}");
         assert_same(&what, &carried, &cold(&engine));
         assert_queries_match_scan(&carried, &drawn_shapes(i as u64, 32));
-        let inferred = (carried.inferred.iter()).map(|f| {
-            format!(
-                "({}, {}, {}, {})",
-                f.subject, f.predicate, f.object, f.interval
-            )
-        });
-        let copied = carried.stats.view_facts_copied;
-        published.push((copied, carried.removed.clone(), inferred.collect()));
+        published.push(carried.stats.view_facts_copied);
         held.push(carried);
     }
     published
 }
 
-/// Both ways, and graded where the backend grades; returns what the
-/// publishes copied while each snapshot was let go in time. `drawn`
-/// steps run within what each backend is held to (`Script::within`),
-/// fixed ones as written.
+/// Both ways; returns what the publishes copied while each snapshot
+/// was let go in time. `drawn` steps run within what each backend is
+/// held to (`Script::within`), fixed ones as written.
 fn check_sequence(
     steps: &[Vec<Edit>],
     backends: &[&'static str],
     drawn: bool,
 ) -> Vec<(&'static str, Vec<usize>)> {
-    let constant = ConfidenceMode::Constant;
     let mut copied = Vec::new();
     for &name in backends {
-        let expect = Expect::for_backend(&by_components(name));
         let script = match drawn {
-            true => Script::within(expect),
+            true => Script::within(Expect::for_backend(&by_components(name))),
             false => Script::default(),
         };
-        let reusing = run(steps, name, script.clone(), Hold::Latest, constant);
-        let holding = run(steps, name, script.clone(), Hold::All, constant);
-        let holding: Vec<usize> = holding.iter().map(|p| p.0).collect();
+        let reusing = run(steps, name, script.clone(), Hold::Latest);
+        let holding = run(steps, name, script, Hold::All);
         let all_copy = holding.iter().all(|&facts| facts > 0);
         assert!(
             all_copy,
             "{name}: no spare comes home while every snapshot is held: {holding:?}"
         );
-        // Grading decides nothing: the same repair, carried forward (and
-        // copied) at the same steps.
-        if expect.graded {
-            let graded = run(steps, name, script, Hold::Latest, ConfidenceMode::Marginal);
-            assert_eq!(graded, reusing, "{name}: Marginal against Constant");
-        }
-        copied.push((name, reusing.iter().map(|p| p.0).collect()));
+        copied.push((name, reusing));
     }
     copied
 }

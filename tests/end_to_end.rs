@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use tecore::prelude::*;
 
-use tecore_core::pipeline::{ConfidenceMode, TecoreConfig};
+use tecore_core::pipeline::TecoreConfig;
 use tecore_datagen::standard::{paper_constraints, paper_program, paper_rules, ranieri_utkg};
 use tecore_temporal::Interval as Iv;
 
@@ -142,7 +142,6 @@ const RUNNING_EXAMPLE_MARGINAL: f64 = 0.657_594_642_314_038_3;
 fn graded(backend: &str, threshold: f64) -> TecoreConfig {
     TecoreConfig {
         backend: solver(backend),
-        confidence: ConfidenceMode::Marginal,
         threshold,
         ..TecoreConfig::default()
     }
