@@ -27,7 +27,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use tecore_bench::harness;
-use tecore_core::{Engine, TecoreConfig};
+use tecore_core::{EditBatch, Engine, TecoreConfig};
 use tecore_datagen::standard::wikidata_program;
 use tecore_ground::ComponentMode;
 use tecore_temporal::Interval;
@@ -84,11 +84,12 @@ fn edit_cycle(engine: &mut Engine, edit: &mut u64) -> usize {
     let year = 1980 + (*edit % 30) as i64;
     *edit += 1;
     let interval = Interval::new(year, year + 4).unwrap();
-    let id = engine
-        .insert_fact("Q1", "spouse", "QStream", interval, 0.62)
-        .expect("insert");
+    let insert = EditBatch::new().insert("Q1", "spouse", "QStream", interval, 0.62);
+    let report = engine.apply(&insert).into_result().expect("insert");
+    let id = report.inserted_ids().next().expect("one insert");
     let after_insert = engine.resolve_incremental().expect("resolve");
-    engine.remove_fact(id).expect("remove");
+    let remove = EditBatch::new().remove(id);
+    engine.apply(&remove).into_result().expect("remove");
     let after_remove = engine.resolve_incremental().expect("resolve");
     after_insert.stats.conflicting_facts + after_remove.stats.conflicting_facts
 }

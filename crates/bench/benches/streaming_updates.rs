@@ -6,8 +6,8 @@
 //!
 //! * `from_scratch/*` — the batch path: every edit rebuilds the whole
 //!   pipeline (`Engine::resolve`: translate → ground → cold solve);
-//! * `incremental/*` — the delta path: `Engine::insert_fact` /
-//!   `remove_fact` feed the change log, `resolve_incremental` applies
+//! * `incremental/*` — the delta path: one-op `Engine::apply` batches
+//!   feed the change log, `resolve_incremental` applies
 //!   just the delta to the cached grounding and warm-starts the solver
 //!   from the previous MAP state.
 //!
@@ -36,7 +36,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use tecore_bench::harness;
-use tecore_core::{Engine, TecoreConfig};
+use tecore_core::{EditBatch, Engine, TecoreConfig};
 use tecore_datagen::standard::wikidata_program;
 use tecore_temporal::Interval;
 
@@ -60,11 +60,12 @@ fn edit_cycle_incremental(engine: &mut Engine, edit: &mut u64) -> usize {
     let year = 1980 + (*edit % 30) as i64;
     *edit += 1;
     let interval = Interval::new(year, year + 4).unwrap();
-    let id = engine
-        .insert_fact("Q1", "spouse", "QStream", interval, 0.62)
-        .expect("insert");
+    let insert = EditBatch::new().insert("Q1", "spouse", "QStream", interval, 0.62);
+    let report = engine.apply(&insert).into_result().expect("insert");
+    let id = report.inserted_ids().next().expect("one insert");
     let after_insert = engine.resolve_incremental().expect("resolve");
-    engine.remove_fact(id).expect("remove");
+    let remove = EditBatch::new().remove(id);
+    engine.apply(&remove).into_result().expect("remove");
     let after_remove = engine.resolve_incremental().expect("resolve");
     after_insert.stats.conflicting_facts + after_remove.stats.conflicting_facts
 }
@@ -74,12 +75,12 @@ fn edit_cycle_from_scratch(pipeline: &mut Engine, edit: &mut u64) -> usize {
     let year = 1980 + (*edit % 30) as i64;
     *edit += 1;
     let interval = Interval::new(year, year + 4).unwrap();
-    let id = pipeline
-        .graph_mut()
-        .insert("Q1", "spouse", "QStream", interval, 0.62)
-        .expect("insert");
+    let insert = EditBatch::new().insert("Q1", "spouse", "QStream", interval, 0.62);
+    let report = pipeline.apply(&insert).into_result().expect("insert");
+    let id = report.inserted_ids().next().expect("one insert");
     let after_insert = pipeline.resolve().expect("resolve");
-    pipeline.graph_mut().remove(id).expect("remove");
+    let remove = EditBatch::new().remove(id);
+    pipeline.apply(&remove).into_result().expect("remove");
     let after_remove = pipeline.resolve().expect("resolve");
     after_insert.stats.conflicting_facts + after_remove.stats.conflicting_facts
 }

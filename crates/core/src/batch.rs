@@ -1,7 +1,8 @@
 //! The unified edit surface: [`EditBatch`] → [`Engine::apply`].
 //!
-//! [`EditBatch`] is the one builder every edit path (per-fact methods,
-//! server writer loop, stream windows) goes through: a group of
+//! [`EditBatch`] is the one builder every edit goes through (a single
+//! edit is a one-op batch; the server writer loop and the stream
+//! windows build larger ones): a group of
 //! inserts, removes and upserts that [`Engine::apply`] validates and
 //! applies **as one delta** — the ops land in consecutive epochs of the
 //! graph's change log, so the next `resolve_incremental` sees them
@@ -10,12 +11,12 @@
 //!
 //! Semantics are **sequential**: ops apply in builder order, each
 //! against the graph state left by its predecessors, so
-//! `apply(batch)` is observationally identical to issuing the same ops
-//! through the per-fact methods one at a time (the conformance tests
-//! pin this on all four backends). A semantically invalid op (bad
-//! confidence, unknown fact id) is [`EditOutcome::Rejected`] — nothing
-//! journaled, nothing applied, later ops continue — matching a
-//! per-fact caller that ignores an `Err` and moves on. Only a
+//! `apply(batch)` is observationally identical to applying the same
+//! ops as one-op batches one at a time (the conformance tests pin this
+//! on all four backends). A semantically invalid op (bad confidence,
+//! unknown fact id) is [`EditOutcome::Rejected`] — nothing journaled,
+//! nothing applied, later ops continue — matching a caller of one-op
+//! batches that ignores a rejection and moves on. Only a
 //! write-ahead-log failure aborts the batch: the failing op reports
 //! [`EditOutcome::Failed`] and the rest [`EditOutcome::Skipped`],
 //! leaving the applied prefix journaled and consistent.

@@ -60,7 +60,7 @@ const REBUILD_TOMBSTONE_SHARE: usize = 4;
 
 /// How the engine's ids map onto a published snapshot — what the next
 /// snapshot needs besides the previous one to be derived from it.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct ViewMaps {
     /// Engine fact id → id in the snapshot's `consistent` graph, for
     /// the facts that are kept.
@@ -381,7 +381,7 @@ pub(crate) struct Spare {
 }
 
 /// What the engine has learnt about getting its spare back.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Reclaim {
     /// What the last flat copy of the view took. Waiting longer than
     /// that for a spare somebody still holds costs more than the copy
@@ -435,18 +435,6 @@ pub(crate) struct Carried {
     pub(crate) maps: ViewMaps,
     pub(crate) spare: Option<Spare>,
     pub(crate) reclaim: Reclaim,
-}
-
-impl Clone for Carried {
-    /// A spare comes home to one engine: the clone starts without.
-    fn clone(&self) -> Self {
-        Carried {
-            snapshot: Arc::clone(&self.snapshot),
-            maps: self.maps.clone(),
-            spare: None,
-            reclaim: self.reclaim.clone(),
-        }
-    }
 }
 
 /// The next snapshot's parts: the resolution (statistics still missing

@@ -8,16 +8,18 @@
 //! out are never touched, so readers on old snapshots see stable
 //! results for as long as they hold the `Arc`.
 //!
+//! There is one edit surface, [`Engine::apply`]: the engine is its
+//! graph's only writer, and a durable engine journals every edit.
+//!
 //! There is one solve path, [`Engine::resolve_incremental`]: the first
-//! call grounds cold and caches the materialisation; afterwards
-//! [`Engine::insert_fact`]/[`Engine::remove_fact`] (or any edit through
-//! [`Engine::graph_mut`]) accumulate a [`Delta`] in the graph's change
-//! log, and the next `resolve_incremental` applies just that delta to
-//! the cached grounding, warm-starts the solver from the previous MAP
-//! state, and derives the new snapshot from the previous one by
-//! difference (`carry`), patching a spare copy of the resolved view
-//! that it keeps in circulation — work proportional to the edit, not
-//! the graph. The components the delta touched are found by a walk from
+//! call grounds cold and caches the materialisation; afterwards the
+//! [`EditBatch`]es given to [`Engine::apply`] accumulate a [`Delta`] in
+//! the graph's change log, and the next `resolve_incremental` applies
+//! just that delta to the cached grounding, warm-starts the solver from
+//! the previous MAP state, and derives the new snapshot from the
+//! previous one by difference (`carry`), patching a spare copy of the
+//! resolved view that it keeps in circulation — work proportional to
+//! the edit, not the graph. The components the delta touched are found by a walk from
 //! the flagged atoms, and cost and feasibility are summed from a
 //! per-component ledger, so nothing on this path reads the whole arena
 //! either. [`Engine::resolve`], the batch call, is its cold case: it
@@ -33,9 +35,8 @@ use tecore_ground::{
     intern_constants, AtomId, ComponentIndex, ComponentMode, GroundConfig, Grounding, MapSolver,
     MapState, Marginals,
 };
-use tecore_kg::{Delta, FactId, TemporalFact, UtkGraph};
+use tecore_kg::{Delta, FactId, Symbol, UtkGraph};
 use tecore_logic::LogicProgram;
-use tecore_temporal::Interval;
 use tecore_wal::{InsertRecord, RecoveryReport, Wal, WalConfig, WalStats};
 
 use crate::batch::{self, ApplyReport, EditBatch, EditOutcome, PlannedOp};
@@ -49,7 +50,7 @@ use crate::translate::translate;
 /// The cached state of the incremental engine: the materialised
 /// grounding, the last MAP state (the warm start for the next solve)
 /// and the snapshot read from it (what the next one is derived from).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct EngineState {
     grounding: Grounding,
     last_state: Option<MapState>,
@@ -369,32 +370,10 @@ pub struct Engine {
     /// Write-ahead log, when this engine is durable: every
     /// insert/remove is journaled *before* the graph mutation.
     wal: Option<Wal>,
-    /// Times the incremental path re-grounded because the change log
-    /// was truncated past the cached epoch (surfaced in
-    /// [`DebugStats::fallback_regrounds`](crate::stats::DebugStats)).
-    fallback_regrounds: u64,
     /// Times the incremental path re-grounded to compact dead atoms
     /// (surfaced in
     /// [`DebugStats::compaction_regrounds`](crate::stats::DebugStats)).
     compaction_regrounds: u64,
-}
-
-impl Clone for Engine {
-    /// Clones the in-memory engine. The WAL handle is deliberately
-    /// **not** cloned — two engines appending to one log would
-    /// interleave epochs — so the clone is a plain in-memory engine.
-    fn clone(&self) -> Self {
-        Engine {
-            graph: self.graph.clone(),
-            program: self.program.clone(),
-            config: self.config.clone(),
-            cache: self.cache.clone(),
-            latest: self.latest.clone(),
-            wal: None,
-            fallback_regrounds: self.fallback_regrounds,
-            compaction_regrounds: self.compaction_regrounds,
-        }
-    }
 }
 
 impl Engine {
@@ -415,17 +394,14 @@ impl Engine {
             cache: None,
             latest: None,
             wal: None,
-            fallback_regrounds: 0,
             compaction_regrounds: 0,
         }
     }
 
     /// Creates a **durable** engine over a graph that was recovered
     /// from `wal` (i.e. the pair returned by [`Wal::open`]): every
-    /// subsequent op through [`Engine::apply`] — and so through the
-    /// per-fact wrappers [`Engine::insert_fact`] and
-    /// [`Engine::remove_fact`] — is journaled before it is applied.
-    /// Edits through [`Engine::graph_mut`] are not.
+    /// subsequent edit, each an op of an [`Engine::apply`] batch, is
+    /// journaled before it is applied.
     pub fn durable(graph: UtkGraph, program: LogicProgram, config: TecoreConfig, wal: Wal) -> Self {
         let mut engine = Engine::with_config(graph, program, config);
         engine.wal = Some(wal);
@@ -435,8 +411,7 @@ impl Engine {
     /// Opens (or creates) the write-ahead log in `dir` with default
     /// configurations, recovers the graph it describes, and returns a
     /// durable engine serving it: every op through [`Engine::apply`]
-    /// (the per-fact wrappers included) is journaled before it is
-    /// applied.
+    /// is journaled before it is applied.
     pub fn open_durable(
         dir: impl Into<std::path::PathBuf>,
         program: LogicProgram,
@@ -471,17 +446,10 @@ impl Engine {
         &self.graph
     }
 
-    /// Mutable access to the graph. Edits are picked up by the next
-    /// [`Engine::resolve_incremental`] through the graph's change log
-    /// (the next [`Engine::resolve`] grounds cold anyway); if the log
-    /// was truncated past the cached epoch the engine falls back to a
-    /// full re-ground, and so does a graph put in whole that lacks one
-    /// of the program's constants. On a durable engine these
-    /// edits are **not** journaled, so recovery will not replay them:
-    /// route edits that must survive a restart through
-    /// [`Engine::apply`].
-    pub fn graph_mut(&mut self) -> &mut UtkGraph {
-        &mut self.graph
+    /// The graph dictionary's symbol for `term`, interned if new. The
+    /// graph's facts and change log do not move: a symbol is no edit.
+    pub fn intern(&mut self, term: &str) -> Symbol {
+        self.graph.dict_mut().intern(term)
     }
 
     /// The logic program.
@@ -513,14 +481,14 @@ impl Engine {
         self.latest = None;
     }
 
-    /// Applies an [`EditBatch`] — the unified edit surface every other
-    /// mutation path (per-fact methods, the server writer loop, the
-    /// stream window admitter) routes through.
+    /// Applies an [`EditBatch`] — the one way to change the engine's
+    /// graph, which the server writer loop and the stream window
+    /// admitter route through too.
     ///
     /// Ops apply **sequentially, in builder order**, each validated
     /// against the graph state its predecessors left: `apply(batch)`
-    /// is observationally identical to issuing the same ops through
-    /// the per-fact methods one at a time. The whole batch lands in
+    /// is observationally identical to applying the same ops as
+    /// one-op batches one at a time. The whole batch lands in
     /// consecutive epochs of the change log, so the next
     /// [`Engine::resolve_incremental`] consumes it as **one netted
     /// delta** — one grounding sync, one warm-started solve.
@@ -565,51 +533,6 @@ impl Engine {
                 .push(batch::execute_op(&mut self.graph, planned));
         }
         report
-    }
-
-    /// Inserts a fact (interning as needed); the change feeds the next
-    /// incremental resolve. On a durable engine the edit is journaled
-    /// *before* the graph mutation — a failed journal append leaves
-    /// the graph untouched, so in-memory state never runs ahead of
-    /// what recovery can rebuild.
-    ///
-    /// Thin wrapper over [`Engine::apply`] with a one-op batch, kept
-    /// for convenience and compatibility; prefer building an
-    /// [`EditBatch`] when issuing more than one edit per resolve.
-    pub fn insert_fact(
-        &mut self,
-        subject: &str,
-        predicate: &str,
-        object: &str,
-        interval: Interval,
-        confidence: f64,
-    ) -> Result<FactId, TecoreError> {
-        let batch = EditBatch::new().insert(subject, predicate, object, interval, confidence);
-        match self.apply(&batch).outcomes.pop() {
-            Some(EditOutcome::Inserted(id)) => Ok(id),
-            Some(EditOutcome::Rejected(e) | EditOutcome::Failed(e)) => Err(e),
-            _ => Err(TecoreError::Session(
-                "single-op batch produced no outcome".into(),
-            )),
-        }
-    }
-
-    /// Removes (tombstones) a fact; the change feeds the next
-    /// incremental resolve. Durable engines journal first, exactly as
-    /// in [`Engine::insert_fact`].
-    ///
-    /// Thin wrapper over [`Engine::apply`] with a one-op batch, kept
-    /// for convenience and compatibility; prefer building an
-    /// [`EditBatch`] when issuing more than one edit per resolve.
-    pub fn remove_fact(&mut self, id: FactId) -> Result<TemporalFact, TecoreError> {
-        let batch = EditBatch::new().remove(id);
-        match self.apply(&batch).outcomes.pop() {
-            Some(EditOutcome::Removed(fact)) => Ok(fact),
-            Some(EditOutcome::Rejected(e) | EditOutcome::Failed(e)) => Err(e),
-            _ => Err(TecoreError::Session(
-                "single-op batch produced no outcome".into(),
-            )),
-        }
     }
 
     /// Is this engine journaling edits to a write-ahead log?
@@ -662,38 +585,24 @@ impl Engine {
         Ok(false)
     }
 
-    /// Times the incremental path fell back to a full re-ground on a
-    /// truncated change log (see
-    /// [`DebugStats::fallback_regrounds`](crate::stats::DebugStats)).
+    /// Always `0`: the engine is its graph's only writer, so its change
+    /// log always reaches the cached epoch and no resolve falls back to
+    /// a full re-ground. Its only reader is the end-to-end benchmark
+    /// (`benchmark/`), whose `core.fallback_regrounds` probe it keeps;
+    /// it goes with the next change to that benchmark.
     pub fn fallback_regrounds(&self) -> u64 {
-        self.fallback_regrounds
+        0
     }
 
     /// Applies a delta to the cached grounding, if one exists and the
     /// delta starts at its epoch. Returns the delta statistics, or
-    /// `None` when there is no cached materialisation to update (or
-    /// the epochs don't line up — the cache is then invalidated and
-    /// the next resolve re-grounds).
+    /// `None` when there is no cached materialisation to update or the
+    /// delta does not start at its epoch; the cache is kept either way,
+    /// and the next resolve syncs it from the graph's change log.
     pub fn apply_delta(&mut self, delta: &Delta) -> Option<DeltaStats> {
         let engine = self.cache.as_mut()?;
-        if engine.grounding.epoch() != delta.from_epoch {
-            self.cache = None;
-            return None;
-        }
-        Some(engine.grounding.apply_delta(&self.graph, delta))
-    }
-
-    /// Interns the program's constants into the graph's dictionary. The
-    /// engine's graph holds them from the moment it takes a program, so
-    /// a graph that lacks one was put in through [`Engine::graph_mut`]:
-    /// the cached grounding numbers its terms by another dictionary and
-    /// goes. One hash probe per constant when the graph has them.
-    fn intern_constants(&mut self) {
-        let terms = self.graph.dict().len();
-        intern_constants(&self.program, self.graph.dict_mut());
-        if self.graph.dict().len() > terms {
-            self.cache = None;
-        }
+        (engine.grounding.epoch() == delta.from_epoch)
+            .then(|| engine.grounding.apply_delta(&self.graph, delta))
     }
 
     /// Runs `map(θ(G), F ∪ C)` from scratch and returns the resolved
@@ -724,8 +633,8 @@ impl Engine {
 
     /// Runs conflict resolution incrementally: syncs the cached
     /// grounding with the graph's change log (cold-grounding when there
-    /// is none — on the first call and after an [`Engine::resolve`] —
-    /// after log truncation, or to compact dead atoms), warm-starts the
+    /// is none — on the first call, after an [`Engine::resolve`] or a
+    /// [`Engine::reconfigure`] — or to compact dead atoms), warm-starts the
     /// solver from the previous MAP state, and returns the result as a
     /// fresh [`Snapshot`]. A cold call is [`Engine::resolve`] itself,
     /// except that it keeps the materialisation for the next edit.
@@ -741,7 +650,6 @@ impl Engine {
     /// off the whole graph again and the view left to build lazily, as
     /// on a cold resolve.
     pub fn resolve_incremental(&mut self) -> Result<Arc<Snapshot>, TecoreError> {
-        self.intern_constants();
         let solver = self.config.backend.clone();
 
         // 1. Sync the materialised grounding with the graph. Note that
@@ -752,29 +660,22 @@ impl Engine {
         // The net fact changes since the carried snapshot — read before
         // the log is truncated.
         let mut since_carried: Option<Delta> = None;
-        let mut cached = match self.cache.take() {
-            Some(mut engine) => match self.graph.since(engine.grounding.epoch()) {
-                Some(delta) => {
-                    engine.grounding.apply_delta(&self.graph, &delta);
-                    // Usually the very same delta; not after a public
-                    // `apply_delta` moved the grounding ahead on its own.
-                    let carried_at = engine.carried.as_ref().map(|c| c.snapshot.epoch());
-                    since_carried = if carried_at == Some(delta.from_epoch) {
-                        Some(delta)
-                    } else {
-                        carried_at.and_then(|epoch| self.graph.since(epoch))
-                    };
-                    Some(engine)
-                }
-                None => {
-                    // The change log no longer reaches back to the
-                    // cached epoch: re-ground from scratch.
-                    self.fallback_regrounds += 1;
-                    None
-                }
-            },
-            None => None,
-        };
+        let mut cached = self.cache.take();
+        if let Some(engine) = cached.as_mut() {
+            // The engine is its graph's only writer and truncates the
+            // log only up to the epoch it has grounded (below).
+            let delta = self.graph.since(engine.grounding.epoch());
+            let delta = delta.expect("the change log reaches the grounded epoch");
+            engine.grounding.apply_delta(&self.graph, &delta);
+            // Usually the very same delta; not after a public
+            // `apply_delta` moved the grounding ahead on its own.
+            let carried_at = engine.carried.as_ref().map(|c| c.snapshot.epoch());
+            since_carried = if carried_at == Some(delta.from_epoch) {
+                Some(delta)
+            } else {
+                carried_at.and_then(|epoch| self.graph.since(epoch))
+            };
+        }
         // Long churny sessions accumulate dead atom slots (ids are
         // never reused so solver vectors stay index-stable); once the
         // graveyard dominates, a compacting re-ground is cheaper than
@@ -863,7 +764,6 @@ impl Engine {
         resolution.stats.components = outcome.components;
         resolution.stats.components_solved = outcome.components_solved;
         resolution.stats.partition_atoms_visited = outcome.atoms_visited;
-        resolution.stats.fallback_regrounds = self.fallback_regrounds;
         resolution.stats.compaction_regrounds = self.compaction_regrounds;
         let epoch = self.graph.epoch();
         let snapshot = Arc::new(match view {
@@ -951,6 +851,7 @@ mod tests {
     use crate::registry::SolverRegistry;
     use tecore_ground::ClauseStore;
     use tecore_kg::parser::parse_graph;
+    use tecore_temporal::Interval;
 
     const RANIERI: &str = "\
         (CR, coach, Chelsea, [2000,2004]) 0.9\n\
@@ -1025,8 +926,22 @@ mod tests {
         }
     }
 
-    fn iv(a: i64, b: i64) -> tecore_temporal::Interval {
-        tecore_temporal::Interval::new(a, b).unwrap()
+    fn iv(a: i64, b: i64) -> Interval {
+        Interval::new(a, b).unwrap()
+    }
+
+    /// Inserts one fact through a one-op batch; returns the minted id.
+    fn insert(engine: &mut Engine, s: &str, p: &str, o: &str, at: Interval, c: f64) -> FactId {
+        let batch = EditBatch::new().insert(s, p, o, at, c);
+        let report = engine.apply(&batch).into_result();
+        let id = report.expect("a valid insert").inserted_ids().next();
+        id.expect("one insert")
+    }
+
+    /// Removes one live fact through a one-op batch.
+    fn remove(engine: &mut Engine, id: FactId) {
+        let batch = EditBatch::new().remove(id);
+        engine.apply(&batch).into_result().expect("a live fact");
     }
 
     /// Sorted display strings of a resolution's surviving facts.
@@ -1072,9 +987,7 @@ mod tests {
 
             // Edit burst: a fresh clash with Leicester, and the Palermo
             // spell (the worksFor derivation's support) goes away.
-            engine
-                .insert_fact("CR", "coach", "Roma", iv(2016, 2018), 0.95)
-                .unwrap();
+            insert(&mut engine, "CR", "coach", "Roma", iv(2016, 2018), 0.95);
             let plays = engine.graph().dict().lookup("playsFor").unwrap();
             let palermo_fact = engine
                 .graph()
@@ -1082,7 +995,7 @@ mod tests {
                 .next()
                 .map(|(id, _)| id)
                 .unwrap();
-            engine.remove_fact(palermo_fact).unwrap();
+            remove(&mut engine, palermo_fact);
 
             let incremental = engine.resolve_incremental().unwrap();
             let cold = Engine::with_config(engine.graph().clone(), program, config)
@@ -1120,10 +1033,8 @@ mod tests {
 
         // Churn that nets to nothing: the cache must still catch up to
         // the graph's epoch (otherwise the log accumulates forever).
-        let id = engine
-            .insert_fact("CR", "coach", "Churn", iv(1990, 1991), 0.8)
-            .unwrap();
-        engine.remove_fact(id).unwrap();
+        let id = insert(&mut engine, "CR", "coach", "Churn", iv(1990, 1991), 0.8);
+        remove(&mut engine, id);
         let after_churn = engine.resolve_incremental().unwrap();
         assert_eq!(
             canonical(first.resolution()),
@@ -1150,9 +1061,7 @@ mod tests {
         assert_eq!(first.epoch(), 5, "five inserts built the graph");
         assert_eq!(first.at(2016).predicate("coach").count(), 1);
 
-        engine
-            .insert_fact("CR", "coach", "Roma", iv(2016, 2018), 0.95)
-            .unwrap();
+        insert(&mut engine, "CR", "coach", "Roma", iv(2016, 2018), 0.95);
         let second = engine.resolve_incremental().unwrap();
         assert!(second.epoch() > first.epoch());
         assert!(Arc::ptr_eq(&engine.latest().unwrap(), &second));
@@ -1175,17 +1084,16 @@ mod tests {
         engine.resolve_incremental().unwrap();
         // Each round materialises a fresh atom, then kills it.
         for i in 0..70 {
-            let id = engine
-                .insert_fact(
-                    &format!("p{i}"),
-                    "coach",
-                    &format!("c{i}"),
-                    iv(2000, 2001),
-                    0.8,
-                )
-                .unwrap();
+            let id = insert(
+                &mut engine,
+                &format!("p{i}"),
+                "coach",
+                &format!("c{i}"),
+                iv(2000, 2001),
+                0.8,
+            );
             engine.resolve_incremental().unwrap();
-            engine.remove_fact(id).unwrap();
+            remove(&mut engine, id);
         }
         let r = engine.resolve_incremental().unwrap();
         assert_eq!(r.stats.conflicting_facts, 1);
@@ -1194,13 +1102,10 @@ mod tests {
     }
 
     /// The program's constants need not be the graph's: the engine
-    /// interns them into its graph whenever it takes a program or
-    /// resolves. On the graph it was built with (no fact states
-    /// `worksFor`), batch and incremental, on every backend; on a graph
-    /// put in whole through `graph_mut` after a resolve — its change log
-    /// reaches the cached epoch, its dictionary is not the one the
-    /// cache was grounded in — and before one; and after `reconfigure`
-    /// to a program with a head constant of its own, carried forward.
+    /// interns them into its graph whenever it takes a program. On the
+    /// graph it was built with (no fact states `worksFor`), batch and
+    /// incremental, on every backend; and after `reconfigure` to a
+    /// program with a head constant of its own, carried forward.
     #[test]
     fn constants_the_graph_lacks_are_interned_by_the_engine() {
         let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
@@ -1221,18 +1126,7 @@ mod tests {
             figure_7(&engine.resolve_incremental().unwrap(), name);
         }
 
-        let mut engine = Engine::new(UtkGraph::new(), program.clone());
-        engine.resolve_incremental().unwrap();
-        *engine.graph_mut() = ranieri.clone();
-        figure_7(
-            &engine.resolve_incremental().unwrap(),
-            "replaced, incremental",
-        );
-        figure_7(&engine.resolve().unwrap(), "replaced, batch");
-        let mut engine = Engine::new(UtkGraph::new(), program.clone());
-        *engine.graph_mut() = ranieri;
-        figure_7(&engine.resolve().unwrap(), "replaced before a resolve");
-
+        let mut engine = Engine::new(ranieri, program.clone());
         let mut managed = program;
         managed.extend(
             LogicProgram::parse("f4: quad(x, coach, y, t) -> quad(x, managed, y, t) w = 0.5")
@@ -1241,9 +1135,7 @@ mod tests {
         engine.reconfigure(managed, TecoreConfig::default());
         assert!(engine.graph().dict().lookup("managed").is_some());
         engine.resolve_incremental().unwrap();
-        engine
-            .insert_fact("CR", "coach", "Roma", iv(2016, 2018), 0.95)
-            .unwrap();
+        insert(&mut engine, "CR", "coach", "Roma", iv(2016, 2018), 0.95);
         let carried = engine.resolve_incremental().unwrap();
         assert!(carried.inferred.iter().any(|f| f.predicate == "managed"));
         let cold = engine.resolve().unwrap();
@@ -1253,72 +1145,29 @@ mod tests {
         );
     }
 
-    /// Edits through `graph_mut` (bypassing the convenience methods)
-    /// are picked up via the change log; a truncated log falls back to
-    /// a full re-ground instead of returning stale results.
-    #[test]
-    fn graph_mut_edits_and_log_truncation_are_handled() {
-        let graph = parse_graph(RANIERI).unwrap();
-        let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
-        let mut engine = Engine::new(graph, program);
-        engine.resolve_incremental().unwrap();
-
-        engine
-            .graph_mut()
-            .insert("CR", "coach", "Roma", iv(2016, 2018), 0.95)
-            .unwrap();
-        let via_log = engine.resolve_incremental().unwrap();
-        assert_eq!(via_log.stats.conflicting_facts, 2);
-        assert_eq!(via_log.stats.fallback_regrounds, 0);
-        assert_eq!(engine.fallback_regrounds(), 0);
-
-        // Sever the history: the engine must rebuild, not misbehave —
-        // and the silent full re-ground must be counted, not silent.
-        engine
-            .graph_mut()
-            .insert("X", "coach", "A", iv(1, 2), 0.9)
-            .unwrap();
-        let epoch = engine.graph().epoch();
-        engine.graph_mut().truncate_log(epoch);
-        let rebuilt = engine.resolve_incremental().unwrap();
-        assert_eq!(rebuilt.stats.conflicting_facts, 2);
-        assert_eq!(rebuilt.stats.fallback_regrounds, 1);
-        assert_eq!(engine.fallback_regrounds(), 1);
-
-        // The counter is cumulative, not reset by a clean resolve.
-        let clean = engine.resolve_incremental().unwrap();
-        assert_eq!(clean.stats.fallback_regrounds, 1);
-    }
-
-    /// The reground counters are the engine's: a batch resolve reports
-    /// what the engine counted before it, and its own cold ground is
-    /// not a fallback.
+    /// The reground counter is the engine's: a batch resolve reports
+    /// the compactions the engine counted before it.
     #[test]
     fn resolve_reports_the_engines_reground_counters() {
         let graph = parse_graph(RANIERI).unwrap();
         let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
         let mut engine = Engine::new(graph, program);
         engine.resolve_incremental().unwrap();
-        // A fallback: the log no longer reaches the cached epoch.
-        engine
-            .graph_mut()
-            .insert("X", "coach", "A", iv(1, 2), 0.9)
-            .unwrap();
-        let epoch = engine.graph().epoch();
-        engine.graph_mut().truncate_log(epoch);
-        engine.resolve_incremental().unwrap();
         // A compaction: dead atoms come to outnumber the live ones.
         for i in 0..70 {
-            let id = engine
-                .insert_fact(&format!("p{i}"), "coach", "c", iv(2000, 2001), 0.8)
-                .unwrap();
+            let id = insert(
+                &mut engine,
+                &format!("p{i}"),
+                "coach",
+                "c",
+                iv(2000, 2001),
+                0.8,
+            );
             engine.resolve_incremental().unwrap();
-            engine.remove_fact(id).unwrap();
+            remove(&mut engine, id);
         }
         let batch = engine.resolve().unwrap();
-        assert_eq!(batch.stats.fallback_regrounds, 1);
         assert!(batch.stats.compaction_regrounds >= 1);
-        assert_eq!(engine.fallback_regrounds(), 1, "resolve is no fallback");
     }
 
     /// `resolve` is `resolve_incremental` from an empty cache, and
@@ -1343,9 +1192,7 @@ mod tests {
         };
         let mut engine = Engine::with_config(wide_graph(), program.clone(), config.clone());
         engine.resolve_incremental().unwrap();
-        engine
-            .insert_fact("p1", "coach", "c9", iv(2001, 2003), 0.58)
-            .unwrap();
+        insert(&mut engine, "p1", "coach", "c9", iv(2001, 2003), 0.58);
         let batch = engine.resolve().unwrap();
         every_component(&batch);
         assert!(engine.cache.is_none(), "resolve holds no grounding");
@@ -1354,9 +1201,7 @@ mod tests {
             canonical(fresh(&engine).resolution())
         );
 
-        engine
-            .insert_fact("p2", "coach", "c9", iv(2002, 2004), 0.61)
-            .unwrap();
+        insert(&mut engine, "p2", "coach", "c9", iv(2002, 2004), 0.61);
         let next = engine.resolve_incremental().unwrap();
         every_component(&next);
         assert_eq!(
@@ -1664,9 +1509,7 @@ mod tests {
         // the component path, every component solved once; from the
         // second on an edit re-solves what it touched.
         let primed = engine.resolve_incremental().unwrap();
-        engine
-            .insert_fact("p1", "coach", "c9", iv(2001, 2003), 0.58)
-            .unwrap();
+        insert(&mut engine, "p1", "coach", "c9", iv(2001, 2003), 0.58);
         let delta = engine.graph().since(primed.epoch()).unwrap();
         let applied = engine.apply_delta(&delta).expect("cached grounding");
         assert_eq!(applied.facts_added, 1);
@@ -1682,6 +1525,27 @@ mod tests {
             snapshot.stats.grounding_time,
             applied.elapsed
         );
+    }
+
+    /// A delta that does not start at the cached epoch is not applied,
+    /// and the cache stays: the next resolve syncs it from the change
+    /// log and carries its snapshot forward.
+    #[test]
+    fn apply_delta_off_the_cached_epoch_keeps_the_cache() {
+        let program = LogicProgram::parse(PAPER_PROGRAM).unwrap();
+        let mut engine = Engine::new(wide_graph(), program);
+        engine.resolve_incremental().unwrap();
+        let primed = engine.resolve_incremental().unwrap();
+        insert(&mut engine, "p1", "coach", "c9", iv(2001, 2003), 0.58);
+        insert(&mut engine, "p2", "coach", "c9", iv(2002, 2004), 0.61);
+        let ahead = engine.graph().since(primed.epoch() + 1).unwrap();
+        assert!(engine.apply_delta(&ahead).is_none());
+        let cache = engine.cache.as_ref().expect("the cache stays");
+        assert_eq!(cache.grounding.epoch(), primed.epoch());
+        let snapshot = engine.resolve_incremental().unwrap();
+        assert!(snapshot.built_index().is_some(), "carried forward");
+        assert_eq!(snapshot.stats.compaction_regrounds, 0);
+        assert_equals_full_interpretation(&engine, &snapshot, "a stale delta");
     }
 
     #[test]
@@ -1747,12 +1611,10 @@ mod tests {
                 engine.resolve_incremental().unwrap();
                 assert!(!graded(&engine), "{name}: cold");
                 // A second spell of the first fact's subject, elsewhere.
-                let (_, first) = engine.graph().iter().next().expect("a fact");
+                let (_, &first) = engine.graph().iter().next().expect("a fact");
                 let dict = engine.graph().dict();
                 let [s, p] = [first.subject, first.predicate].map(|t| dict.resolve(t).to_string());
-                engine
-                    .insert_fact(&s, &p, "Elsewhere", first.interval, 0.4)
-                    .unwrap();
+                insert(&mut engine, &s, &p, "Elsewhere", first.interval, 0.4);
                 let warm = engine.resolve_incremental().unwrap();
                 assert!(warm.stats.components_solved > 0, "{name}: a warm solve");
                 assert!(!graded(&engine), "{name}: warm");
@@ -1913,9 +1775,7 @@ mod tests {
         let at = cache.grounding.fact_atoms.get(FactId(1)).unwrap();
         let grades = cache.last_state.as_ref().unwrap().soft_values.as_ref();
         let grade = grades.expect("graded")[at.index()];
-        engine
-            .insert_fact("CR", "coach", "Roma", iv(2016, 2018), 0.95)
-            .unwrap();
+        insert(&mut engine, "CR", "coach", "Roma", iv(2016, 2018), 0.95);
         let warm = engine.resolve_incremental().unwrap();
         assert_eq!(warm.stats.components_solved, 1);
         let leicester = MapState {
@@ -1933,9 +1793,7 @@ mod tests {
         engine.resolve_incremental().unwrap();
         assert_eq!(recording.take(), [None]);
         let previous = engine.cache.as_ref().unwrap().last_state.clone();
-        engine
-            .insert_fact("CR", "coach", "Roma", iv(2002, 2003), 0.7)
-            .unwrap();
+        insert(&mut engine, "CR", "coach", "Roma", iv(2002, 2003), 0.7);
         let warm = engine.resolve_incremental().unwrap();
         assert_eq!(warm.stats.components, 0, "solved as a whole");
         assert_eq!(recording.take(), [previous]);
@@ -1957,9 +1815,7 @@ mod tests {
         let live = |engine: &Engine| engine.cache.as_ref().unwrap().grounding.clauses.len();
         let cold = engine.resolve_incremental().unwrap();
         assert_eq!(cold.stats.clauses, live(&engine));
-        engine
-            .insert_fact("d", "coach", "e", iv(1, 2), 0.9)
-            .unwrap();
+        insert(&mut engine, "d", "coach", "e", iv(1, 2), 0.9);
         let warm = engine.resolve_incremental().unwrap();
         assert_eq!(warm.stats.clauses, live(&engine));
         assert!(warm.stats.clauses > cold.stats.clauses);

@@ -120,14 +120,6 @@ impl Snapshot {
         &self.resolution
     }
 
-    /// Unwraps into the resolution, discarding the indexes. No view
-    /// goes home without its resolution: the engine finds the channel
-    /// closed and copies its latest view instead.
-    pub fn into_resolution(mut self) -> Resolution {
-        self.home.take();
-        std::mem::take(&mut self.resolution)
-    }
-
     /// The expanded KG — consistent evidence plus inferred facts
     /// materialised as graph facts — by reference.
     ///
@@ -229,13 +221,13 @@ mod tests {
     use super::*;
     use tecore_kg::parser::parse_graph;
 
-    fn snapshot() -> Snapshot {
+    fn resolution() -> Resolution {
         let graph = parse_graph(
             "(CR, coach, Chelsea, [2000,2004]) 0.9\n\
              (CR, coach, Leicester, [2015,2017]) 0.7\n",
         )
         .unwrap();
-        let resolution = Resolution {
+        Resolution {
             consistent: Arc::new(graph),
             removed: Vec::new(),
             inferred: vec![Arc::new(crate::resolution::InferredFact {
@@ -247,8 +239,11 @@ mod tests {
             })],
             conflicts: Vec::new(),
             stats: crate::stats::DebugStats::default(),
-        };
-        Snapshot::from_resolution(resolution, 7)
+        }
+    }
+
+    fn snapshot() -> Snapshot {
+        Snapshot::from_resolution(resolution(), 7)
     }
 
     #[test]
@@ -270,7 +265,7 @@ mod tests {
 
     #[test]
     fn nothing_inferred_shares_the_consistent_graph() {
-        let mut resolution = snapshot().into_resolution();
+        let mut resolution = resolution();
         resolution.inferred.clear();
         let snap = Snapshot::from_resolution(resolution, 7);
         assert!(std::ptr::eq(snap.expanded(), &*snap.consistent));

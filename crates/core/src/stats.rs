@@ -58,14 +58,6 @@ pub struct DebugStats {
     /// first publishes after a cold resolve or a rebuild, or a spare
     /// still held elsewhere) or built one from the graph.
     pub view_facts_copied: usize,
-    /// Times this engine fell back to a full re-ground because the
-    /// graph's change log had been truncated past the cached epoch
-    /// (cumulative over the engine's lifetime, whichever resolve
-    /// reports it; `Engine::resolve`'s own cold ground is not one). A
-    /// non-zero value means some consumer truncates the log faster than
-    /// the engine resolves — correct but silently expensive, which is
-    /// why it is surfaced here.
-    pub fallback_regrounds: u64,
     /// Times this engine re-grounded from scratch to compact its
     /// grounding, once dead atoms (facts retracted since the last cold
     /// grounding) made up more than half of it (cumulative over the
@@ -140,9 +132,6 @@ impl fmt::Display for DebugStats {
                 self.components_solved,
                 self.components - self.components_solved
             )?;
-        }
-        if self.fallback_regrounds > 0 {
-            writeln!(f, "fallback regrounds : {}", self.fallback_regrounds)?;
         }
         if self.compaction_regrounds > 0 {
             writeln!(f, "compact regrounds  : {}", self.compaction_regrounds)?;

@@ -10,10 +10,11 @@
 //!    WAL round trip must not perturb MAP inference.
 
 use proptest::prelude::*;
-use tecore_core::{Engine, TecoreConfig};
+use tecore_core::{EditBatch, Engine, TecoreConfig};
 use tecore_kg::{FactId, UtkGraph};
 use tecore_logic::LogicProgram;
 use tecore_temporal::Interval;
+use tecore_testkit::{fingerprint, insert};
 use tecore_wal::{FsyncPolicy, MemStorage, Wal, WalConfig};
 
 const PROGRAM: &str = "\
@@ -41,17 +42,6 @@ fn wal_config(fsync: FsyncPolicy) -> WalConfig {
 fn mem_engine(mem: &MemStorage, fsync: FsyncPolicy) -> Engine {
     let (wal, graph) = Wal::open_with(Box::new(mem.clone()), wal_config(fsync)).unwrap();
     Engine::durable(graph, program(), config(), wal)
-}
-
-/// Order-insensitive digest of graph state (epoch, arena length,
-/// id-tagged live fact lines).
-fn fingerprint(graph: &UtkGraph) -> (u64, usize, Vec<String>) {
-    let mut facts: Vec<String> = graph
-        .iter()
-        .map(|(id, f)| format!("{} {}", id.0, f.display(graph.dict())))
-        .collect();
-    facts.sort();
-    (graph.epoch(), graph.arena_len(), facts)
 }
 
 /// Sorted removed-fact ids — the behavioural signature of a resolve.
@@ -84,15 +74,16 @@ fn arb_op() -> impl Strategy<Value = Op> {
 fn apply_engine(op: &Op, engine: &mut Engine) -> bool {
     match op {
         Op::Insert(s, o, c) => {
-            engine
-                .insert_fact(
-                    &format!("person{s}"),
-                    "coach",
-                    &format!("club{o}"),
-                    Interval::new(2000, 2010).unwrap(),
-                    f64::from(*c) / 100.0,
-                )
-                .unwrap();
+            let (person, club) = (format!("person{s}"), format!("club{o}"));
+            let spell = Interval::new(2000, 2010).unwrap();
+            insert(
+                engine,
+                &person,
+                "coach",
+                &club,
+                spell,
+                f64::from(*c) / 100.0,
+            );
             true
         }
         Op::Remove(i) => {
@@ -100,7 +91,8 @@ fn apply_engine(op: &Op, engine: &mut Engine) -> bool {
             if live.is_empty() {
                 return false;
             }
-            engine.remove_fact(live[*i as usize % live.len()]).unwrap();
+            let batch = EditBatch::new().remove(live[*i as usize % live.len()]);
+            engine.apply(&batch).into_result().unwrap();
             true
         }
     }
@@ -153,13 +145,19 @@ fn reopened_engine_matches_in_memory_twin() {
         ("JM", "Porto", 0.8),
     ];
     for (s, o, c) in script {
-        engine
-            .insert_fact(s, "coach", o, Interval::new(2000, 2004).unwrap(), c)
-            .unwrap();
+        insert(
+            &mut engine,
+            s,
+            "coach",
+            o,
+            Interval::new(2000, 2004).unwrap(),
+            c,
+        );
         twin.insert(s, "coach", o, Interval::new(2000, 2004).unwrap(), c)
             .unwrap();
     }
-    engine.remove_fact(FactId(3)).unwrap();
+    let batch = EditBatch::new().remove(FactId(3));
+    engine.apply(&batch).into_result().unwrap();
     twin.remove(FactId(3)).unwrap();
 
     let durable = engine.flush_wal().unwrap();
@@ -189,18 +187,17 @@ fn reopened_engine_matches_in_memory_twin() {
 fn refused_edits_do_not_mutate_the_graph() {
     let mem = MemStorage::new();
     let mut engine = mem_engine(&mem, FsyncPolicy::Always);
-    engine
-        .insert_fact("a", "coach", "b", Interval::new(1, 2).unwrap(), 0.5)
-        .unwrap();
+    let spell = Interval::new(1, 2).unwrap();
+    insert(&mut engine, "a", "coach", "b", spell, 0.5);
 
     // Invalid confidence is rejected before it reaches either log or
     // graph.
-    let err = engine
-        .insert_fact("a", "coach", "c", Interval::new(1, 2).unwrap(), 7.0)
-        .unwrap_err();
+    let invalid = EditBatch::new().insert("a", "coach", "c", spell, 7.0);
+    let err = engine.apply(&invalid).into_result().unwrap_err();
     assert!(err.to_string().contains("confidence"), "{err}");
     // Removing a dead/unknown id likewise journals nothing.
-    assert!(engine.remove_fact(FactId(99)).is_err());
+    let dead = EditBatch::new().remove(FactId(99));
+    assert!(engine.apply(&dead).into_result().is_err());
     assert_eq!(engine.graph().epoch(), 1);
 
     // And the log agrees: replaying it yields exactly the one fact.

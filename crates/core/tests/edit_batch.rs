@@ -1,5 +1,5 @@
 //! EditBatch conformance: `Engine::apply(batch)` must be observationally
-//! identical to the legacy per-fact edit sequence — same graph state,
+//! identical to the same ops applied one per batch — same graph state,
 //! same fact ids, same epoch, and the same conflict-resolution answer
 //! on every MAP backend. The batch path nets the ops into one delta and
 //! one WAL journal group; none of that may leak into semantics.
@@ -10,6 +10,7 @@ use tecore_core::{EditBatch, EditOp, EditOutcome, Engine, SolverRegistry, Tecore
 use tecore_kg::{FactId, UtkGraph};
 use tecore_logic::LogicProgram;
 use tecore_temporal::Interval;
+use tecore_testkit::fingerprint;
 use tecore_wal::{FsyncPolicy, MemStorage, Wal, WalConfig};
 
 const PROGRAM: &str = "\
@@ -30,17 +31,6 @@ fn config(backend: &str) -> TecoreConfig {
 
 /// The four registered backends.
 const BACKENDS: [&str; 4] = ["mln-exact", "mln-walksat", "mln-cpi", "psl-admm"];
-
-/// Order-insensitive digest of graph state (epoch, arena length,
-/// id-tagged live fact lines).
-fn fingerprint(graph: &UtkGraph) -> (u64, usize, Vec<String>) {
-    let mut facts: Vec<String> = graph
-        .iter()
-        .map(|(id, f)| format!("{} {}", id.0, f.display(graph.dict())))
-        .collect();
-    facts.sort();
-    (graph.epoch(), graph.arena_len(), facts)
-}
 
 /// Sorted removed-fact ids — the behavioural signature of a resolve.
 fn removed_ids(snapshot: &tecore_core::Snapshot) -> Vec<u32> {
@@ -108,23 +98,10 @@ fn concretize(scratch: &mut UtkGraph, ops: &[Op]) -> Vec<EditOp> {
     out
 }
 
-/// Replays one concrete op through the legacy per-fact engine API (an
-/// upsert is its documented desugaring: remove every statement match,
-/// then insert).
+/// Replays one concrete op as one-op batches (an upsert as its
+/// documented desugaring: remove every statement match, then insert).
 fn apply_per_fact(engine: &mut Engine, op: &EditOp) {
-    match op {
-        EditOp::Insert {
-            subject,
-            predicate,
-            object,
-            interval,
-            confidence,
-        } => {
-            let _ = engine.insert_fact(subject, predicate, object, *interval, *confidence);
-        }
-        EditOp::Remove(id) => {
-            let _ = engine.remove_fact(*id);
-        }
+    let ops = match op {
         EditOp::Upsert {
             subject,
             predicate,
@@ -132,19 +109,31 @@ fn apply_per_fact(engine: &mut Engine, op: &EditOp) {
             interval,
             confidence,
         } => {
-            for id in engine.graph().statement_ids(subject, predicate, object) {
-                engine.remove_fact(id).expect("statement id is live");
-            }
-            let _ = engine.insert_fact(subject, predicate, object, *interval, *confidence);
+            let ids = engine.graph().statement_ids(subject, predicate, object);
+            let mut ops: Vec<EditOp> = ids.into_iter().map(EditOp::Remove).collect();
+            ops.push(EditOp::Insert {
+                subject: subject.clone(),
+                predicate: predicate.clone(),
+                object: object.clone(),
+                interval: *interval,
+                confidence: *confidence,
+            });
+            ops
         }
+        op => vec![op.clone()],
+    };
+    for op in ops {
+        let mut one = EditBatch::new();
+        one.push(op);
+        engine.apply(&one);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// One `apply(batch)` call versus the same ops as individual
-    /// per-fact edits, on all four backends: identical graph
+    /// One `apply(batch)` call versus the same ops as one-op batches,
+    /// on all four backends: identical graph
     /// fingerprints (ids, epoch, arena) and identical resolutions.
     #[test]
     fn batch_equals_per_fact_on_all_backends(

@@ -6,7 +6,7 @@
 //! examined; the residual filter keeps every path exact.
 
 use proptest::prelude::*;
-use tecore_core::{Engine, TecoreConfig};
+use tecore_core::{EditBatch, Engine, TecoreConfig};
 use tecore_ground::ComponentMode;
 use tecore_kg::{FactId, UtkGraph};
 use tecore_logic::LogicProgram;
@@ -58,7 +58,7 @@ proptest! {
                 // holds a tombstone.
                 Some(fact) if step > 0 => {
                     let ([s, p, o], iv, confidence) = tecore_testkit::spell(fact);
-                    engine.insert_fact(&s, &p, &o, iv, confidence).unwrap();
+                    tecore_testkit::insert(&mut engine, &s, &p, &o, iv, confidence);
                 }
                 _ => {
                     let pred0 = engine.graph().dict().lookup("pred0");
@@ -69,7 +69,8 @@ proptest! {
                         .map(|(id, _)| id)
                         .collect();
                     if !live.is_empty() {
-                        engine.remove_fact(live[pick % live.len()]).unwrap();
+                        let batch = EditBatch::new().remove(live[pick % live.len()]);
+                        engine.apply(&batch).into_result().unwrap();
                     }
                 }
             }

@@ -80,7 +80,7 @@ impl SnapshotCell {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use tecore_core::Engine;
+    use tecore_core::{EditBatch, Engine};
     use tecore_kg::UtkGraph;
     use tecore_logic::LogicProgram;
     use tecore_temporal::Interval;
@@ -88,10 +88,10 @@ mod tests {
     fn snapshot_at_epoch(n: u64) -> Arc<Snapshot> {
         let mut engine = Engine::new(UtkGraph::new(), LogicProgram::new());
         let year = Interval::new(0, 1).unwrap();
-        for i in 0..n {
-            let object = format!("o{i}");
-            engine.insert_fact("s", "p", &object, year, 0.9).unwrap();
-        }
+        let batch = (0..n).fold(EditBatch::new(), |batch, i| {
+            batch.insert("s", "p", format!("o{i}"), year, 0.9)
+        });
+        engine.apply(&batch).into_result().unwrap();
         engine.resolve().unwrap()
     }
 

@@ -3,9 +3,9 @@
 //! A *step* is one scripted event against a served, durable engine: a
 //! tick of per-fact edits (each with its ack channel, optionally closed
 //! by a `FLUSH`), a tick of `FEED`s, a lone `FLUSH`, an act on the
-//! engine beside the writer (a backend switch, a change log cut off)
-//! followed by an edit, a forced checkpoint, a process kill or a power
-//! cut. Every message goes through [`writer_tick`] — the function the
+//! engine beside the writer (a backend switch, an edit) followed by an
+//! edit, a forced checkpoint, a process kill or a power cut. Every
+//! message goes through [`writer_tick`] — the function the
 //! run loop and the shutdown drain call — from a `VecDeque` where the
 //! socket-fed channel was; the engine is booted by [`boot`] over a real
 //! [`Wal`] on [`MemStorage`], plain or inside a stream session. No
@@ -108,9 +108,9 @@ enum Step {
     Flush,
     /// `Engine::reconfigure` onto another backend (or back), then an edit.
     Reconfigure(usize, Statement),
-    /// An edit beside the writer and a change log cut off behind it,
-    /// then an edit through the writer: its resolve must re-ground.
-    Truncate(Statement, Statement),
+    /// An edit beside the writer through `Engine::apply`, then an edit
+    /// through the writer, whose tick publishes both.
+    Beside(Statement, Statement),
     Checkpoint,
     /// Reopen over everything written.
     Kill(Option<Fault>),
@@ -215,7 +215,7 @@ impl Script {
             0..=1 => Step::Feed(vec![self.event()]),
             20..=26 => Step::Flush,
             27..=31 => Step::Reconfigure(self.rng.random_range(0..backends), self.statement()),
-            32..=36 => Step::Truncate(self.statement(), self.statement()),
+            32..=36 => Step::Beside(self.statement(), self.statement()),
             37..=41 => Step::Checkpoint,
             42..=46 => Step::Kill(self.fault()),
             47..=51 => Step::PowerCut(self.fault()),
@@ -575,11 +575,9 @@ impl Sim {
                 engine.reconfigure(paper_program(), engine_config(next));
                 self.burst(&[Op::Insert(then.clone())], false);
             }
-            Step::Truncate((s, p, o, interval, confidence), then) => {
-                let engine = self.host.engine_mut();
-                let aside = engine.insert_fact(s, p, o, *interval, *confidence);
-                engine.graph_mut().truncate_log(u64::MAX);
-                let regrounds = engine.fallback_regrounds() + 1;
+            Step::Beside((s, p, o, interval, confidence), then) => {
+                let aside = EditBatch::new().insert(s, p, o, *interval, *confidence);
+                let aside = self.host.engine_mut().apply(&aside).into_result();
                 if aside.is_err() {
                     self.failed_beside_the_writer();
                 }
@@ -589,9 +587,6 @@ impl Sim {
                     // The log refused the edit whose tick would have
                     // published the one beside the writer.
                     self.life.beside += u64::from(aside.is_ok());
-                } else if aside.is_ok() {
-                    let regrounded = self.host.engine().fallback_regrounds();
-                    assert_eq!(regrounded, regrounds, "a cut-off log forces a re-ground");
                 }
             }
             Step::Checkpoint => {

@@ -123,15 +123,8 @@ fn steady_state_queries_do_not_allocate() {
 
     // Sanity: the counter is actually live (publishing a fresh
     // snapshot allocates plenty).
-    engine
-        .insert_fact(
-            "player/0",
-            "playsFor",
-            "club/new",
-            Interval::new(2016, 2019).unwrap(),
-            0.9,
-        )
-        .unwrap();
+    let spell = Interval::new(2016, 2019).unwrap();
+    tecore_testkit::insert(&mut engine, "player/0", "playsFor", "club/new", spell, 0.9);
     cell.publish(engine.resolve_incremental().unwrap());
     assert!(allocations() > after, "counting allocator inactive");
     drop(Arc::clone(&cell.load()));

@@ -295,12 +295,12 @@ impl StreamSession {
                 return Ok(Vec::new());
             }
         }
-        let dict = self.engine.graph_mut().dict_mut();
+        let engine = &mut self.engine;
         let key = (
             event.time,
-            dict.intern(&event.subject),
-            dict.intern(&event.predicate),
-            dict.intern(&event.object),
+            engine.intern(&event.subject),
+            engine.intern(&event.predicate),
+            engine.intern(&event.object),
             event.interval.start().value(),
             event.interval.end().value(),
             event.confidence.to_bits(),
@@ -507,7 +507,8 @@ mod tests {
             .engine()
             .graph()
             .statement_ids("CR", "coach", "Napoli")[0];
-        session.engine_mut().remove_fact(napoli).unwrap();
+        let batch = EditBatch::new().remove(napoli);
+        session.engine_mut().apply(&batch).into_result().unwrap();
         session.push(event(12, "Roma")).unwrap();
         session.advance_watermark(20).unwrap();
         assert_eq!(session.seen.len(), 1, "both expired keys released");

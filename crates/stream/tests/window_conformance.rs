@@ -10,7 +10,7 @@
 //! promise itself: steady-state slides re-solve only dirty components.
 
 use proptest::prelude::*;
-use tecore_core::{Engine, SolverRegistry, TecoreConfig};
+use tecore_core::{EditBatch, Engine, SolverRegistry, TecoreConfig};
 use tecore_kg::{StreamEvent, UtkGraph};
 use tecore_logic::LogicProgram;
 use tecore_stream::{StreamSession, WindowFire, WindowSpec};
@@ -509,7 +509,8 @@ fn a_fact_removed_out_of_band_expires_quietly() {
         .engine()
         .graph()
         .statement_ids("CR", "coach", "Napoli")[0];
-    session.engine_mut().remove_fact(napoli).unwrap();
+    let batch = EditBatch::new().remove(napoli);
+    session.engine_mut().apply(&batch).into_result().unwrap();
     session
         .push(spell(12, "CR", "coach", "Roma", (2019, 2021), 0.8))
         .unwrap();

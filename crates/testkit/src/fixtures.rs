@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use tecore_core::{Engine, MapSolver, SolverRegistry, TecoreConfig};
-use tecore_kg::UtkGraph;
+use tecore_core::{EditBatch, Engine, MapSolver, SolverRegistry, TecoreConfig};
+use tecore_kg::{FactId, UtkGraph};
 use tecore_logic::LogicProgram;
 use tecore_temporal::Interval;
 use tecore_wal::{MemStorage, Wal, WalConfig};
@@ -153,11 +153,33 @@ pub fn config(name: &str) -> TecoreConfig {
 }
 
 /// An engine whose edits are journaled to an in-memory log, so that a
-/// script's checkpoint writes one.
-pub fn engine(graph: UtkGraph, program: LogicProgram, config: TecoreConfig) -> Engine {
-    let storage = Box::new(MemStorage::new());
-    let (wal, _) = Wal::open_with(storage, WalConfig::default()).expect("an empty log opens");
+/// script's checkpoint writes one, and a handle on that log's bytes
+/// ([`assert_journaled`](crate::assert_journaled) recovers from it).
+pub fn engine(
+    graph: UtkGraph,
+    program: LogicProgram,
+    config: TecoreConfig,
+) -> (Engine, MemStorage) {
+    let log = MemStorage::new();
+    let (wal, _) =
+        Wal::open_with(Box::new(log.clone()), WalConfig::default()).expect("an empty log opens");
     let mut engine = Engine::with_config(graph, program, config);
     engine.attach_wal(wal).expect("the base graph checkpoints");
-    engine
+    (engine, log)
+}
+
+/// Inserts one statement through a one-op [`EditBatch`]; returns the id
+/// it minted.
+pub fn insert(
+    engine: &mut Engine,
+    subject: &str,
+    predicate: &str,
+    object: &str,
+    interval: Interval,
+    confidence: f64,
+) -> FactId {
+    let batch = EditBatch::new().insert(subject, predicate, object, interval, confidence);
+    let report = engine.apply(&batch).into_result();
+    let id = report.expect("a valid insert").inserted_ids().next();
+    id.expect("one insert")
 }

@@ -13,9 +13,9 @@
 //!   naive re-grounder the grounder is held against.
 //! - **One edit script** ([`script`]): inserts, removes, upserts,
 //!   same-batch churn and floods past the carry path's rebuild share,
-//!   as batches, plus checkpoints and log cuts.
-//! - **One oracle** ([`oracle`]): [`cold`], [`assert_same`] and
-//!   [`assert_queries_match_scan`].
+//!   as batches, plus checkpoints.
+//! - **One oracle** ([`oracle`]): [`cold`], [`assert_same`],
+//!   [`assert_journaled`] and [`assert_queries_match_scan`].
 //! - **The heuristic bends, in one place** ([`Expect::for_backend`]):
 //!   a cost equal to or only never below the exact optimum, which
 //!   backends grade, and the data a drawn script gives a heuristic
@@ -31,12 +31,12 @@ pub mod oracle;
 pub mod script;
 
 pub use fixtures::{
-    arb_insert, clusters, config, engine, f1_c2, graph, iv, paper_program, solver, Insert,
+    arb_insert, clusters, config, engine, f1_c2, graph, insert, iv, paper_program, solver, Insert,
     Statement, BACKENDS,
 };
 pub use grounding::{arb_fact, arb_fact_in, spell, Fact};
 pub use oracle::{
-    arb_shape, assert_queries_match_scan, assert_same, cold, cold_with, drawn_shapes, snapshot_of,
-    Expect, Shape, Time,
+    arb_shape, assert_journaled, assert_queries_match_scan, assert_same, cold, cold_with,
+    drawn_shapes, fingerprint, snapshot_of, Expect, Shape, Time,
 };
 pub use script::{arb_edit, arb_steps, Edit, Script};

@@ -1,7 +1,8 @@
 //! The one oracle. A resolved snapshot equals what a fresh engine
 //! resolves cold from the surviving facts ([`cold`], [`assert_same`]),
-//! and a query equals a brute-force walk of the snapshot's expanded
-//! graph ([`assert_queries_match_scan`]).
+//! the graph a durable engine's log recovers is the engine's
+//! ([`assert_journaled`]), and a query equals a brute-force walk of the
+//! snapshot's expanded graph ([`assert_queries_match_scan`]).
 
 use std::sync::Arc;
 
@@ -13,6 +14,7 @@ use tecore_core::{
 use tecore_ground::ComponentMode;
 use tecore_kg::{FactId, GraphTemporalIndex, Symbol, TemporalFact, UtkGraph};
 use tecore_temporal::{AllenRelation, AllenSet, Interval};
+use tecore_wal::{MemStorage, Wal, WalConfig};
 
 use crate::grounding::{spell, Fact};
 
@@ -28,6 +30,31 @@ pub fn cold_with(engine: &Engine, config: TecoreConfig) -> Arc<Snapshot> {
     let graph = engine.graph().clone();
     let mut fresh = Engine::with_config(graph, engine.program().clone(), config);
     fresh.resolve().expect("a cold resolve")
+}
+
+/// Order-insensitive digest of a graph's state: its epoch, its arena
+/// length and every live fact with its id.
+pub fn fingerprint(graph: &UtkGraph) -> (u64, usize, Vec<String>) {
+    let mut facts: Vec<String> = graph
+        .iter()
+        .map(|(id, f)| format!("{} {}", id.0, f.display(graph.dict())))
+        .collect();
+    facts.sort();
+    (graph.epoch(), graph.arena_len(), facts)
+}
+
+/// Every edit reached the log: recovery from `log`, the bytes of
+/// `engine`'s write-ahead log, rebuilds the engine's graph, ids and
+/// epoch included. Recovery reads the shared bytes; besides syncing
+/// the tail segment it writes nothing to a log without faults.
+pub fn assert_journaled(what: &str, engine: &Engine, log: &MemStorage) {
+    let (_, recovered) =
+        Wal::open_with(Box::new(log.clone()), WalConfig::default()).expect("the log reopens");
+    assert_eq!(
+        fingerprint(&recovered),
+        fingerprint(engine.graph()),
+        "{what}: the recovered graph"
+    );
 }
 
 /// What a backend is held to: every place a check or a drawn script

@@ -1,6 +1,6 @@
 //! The one edit script: what a step of a conformance run does to the
 //! engine. A step is a list of [`Edit`]s; its data edits go in as one
-//! [`EditBatch`], its checkpoint and log cut follow it. What an edit
+//! [`EditBatch`], its checkpoints follow it. What an edit
 //! means ("the 17th live fact") is read off the graph when it runs, so
 //! any prefix of a script is itself a script.
 //!
@@ -40,9 +40,6 @@ pub enum Edit {
     Flood(u32),
     /// Checkpoint the engine's log.
     Checkpoint,
-    /// Cut the graph's change log off at its epoch: the next
-    /// incremental resolve falls back to a full re-ground.
-    Truncate,
 }
 
 impl Edit {
@@ -86,7 +83,7 @@ pub const FLOOD: u32 = 40;
 const APART: u32 = 1000;
 
 /// One edit on `subjects` subjects; inserts are the most common,
-/// checkpoints and log cuts the rarest.
+/// checkpoints the rarest.
 pub fn arb_edit(subjects: u32) -> impl Strategy<Value = Edit> {
     (0u8..20, arb_insert(subjects), 0usize..512).prop_map(|(kind, insert, n)| match kind {
         0..=7 => Edit::Insert(insert),
@@ -100,7 +97,6 @@ pub fn arb_edit(subjects: u32) -> impl Strategy<Value = Edit> {
         14 => Edit::Churn(n),
         15 => Edit::Flood(n as u32),
         16 => Edit::Checkpoint,
-        17 => Edit::Truncate,
         _ => Edit::Insert(insert),
     })
 }
@@ -148,18 +144,13 @@ impl Script {
     }
 
     /// Applies one step to `engine`: the data edits as one batch, then
-    /// the checkpoint and the log cut.
+    /// the checkpoints.
     pub fn apply(&mut self, engine: &mut Engine, edits: &[Edit]) {
         let batch = self.batch(engine.graph(), edits);
         engine.apply(&batch).into_result().expect("valid batch");
         for edit in edits {
-            match edit {
-                Edit::Checkpoint => engine.checkpoint().expect("the log checkpoints"),
-                Edit::Truncate => {
-                    let epoch = engine.graph().epoch();
-                    engine.graph_mut().truncate_log(epoch);
-                }
-                _ => {}
+            if *edit == Edit::Checkpoint {
+                engine.checkpoint().expect("the log checkpoints");
             }
         }
     }
@@ -248,7 +239,7 @@ impl Script {
                         next_id += 1;
                     }
                 }
-                Edit::Checkpoint | Edit::Truncate => {}
+                Edit::Checkpoint => {}
             }
         }
         batch

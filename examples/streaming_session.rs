@@ -2,15 +2,16 @@
 //!
 //! The paper demonstrates TeCoRe as an *interactive* system — the user
 //! edits the uTKG and re-runs the reasoner. This example drives that
-//! loop through `Engine::insert_fact` → `Engine::resolve_incremental`:
-//! the first resolve grounds from scratch and primes the engine; every
+//! loop through `Engine::apply` → `Engine::resolve_incremental`: every
+//! edit is an `EditBatch`, here of one op each. The first resolve
+//! grounds from scratch and primes the engine; every
 //! later resolve consumes only the delta (the incremental grounder
 //! retracts/emits just the touched clauses) and warm-starts the solver
 //! from the previous MAP state.
 //!
 //! Run with: `cargo run --release --example streaming_session`
 
-use tecore_core::{Engine, SolverRegistry, TecoreConfig};
+use tecore_core::{EditBatch, Engine, SolverRegistry, TecoreConfig};
 use tecore_datagen::standard::ranieri_utkg;
 use tecore_logic::LogicProgram;
 use tecore_temporal::Interval;
@@ -38,22 +39,18 @@ fn main() {
     // 2. Streaming edit: a strong Roma spell that clashes with the
     //    Leicester one. Only the delta is re-ground; WalkSAT restarts
     //    from the previous MAP assignment.
-    let roma = engine
-        .insert_fact(
-            "CR",
-            "coach",
-            "Roma",
-            Interval::new(2016, 2018).expect("valid"),
-            0.95,
-        )
-        .expect("insert");
+    let spell = Interval::new(2016, 2018).expect("valid");
+    let insert = EditBatch::new().insert("CR", "coach", "Roma", spell, 0.95);
+    let applied = engine.apply(&insert).into_result().expect("insert");
+    let roma = applied.inserted_ids().next().expect("the minted id");
     let r = engine.resolve_incremental().expect("resolves");
     println!("\n== after insert (CR, coach, Roma, [2016,2018]) 0.95 ==");
     report(&r);
 
     // 3. Undo the edit: the engine unwinds the delta and lands back on
     //    the original repair.
-    engine.remove_fact(roma).expect("remove");
+    let remove = EditBatch::new().remove(roma);
+    engine.apply(&remove).into_result().expect("remove");
     let r = engine.resolve_incremental().expect("resolves");
     println!("\n== after removing the Roma fact again ==");
     report(&r);

@@ -100,13 +100,14 @@ fn main() {
         snapshot.at(year).min_confidence(0.9).count()
     );
 
-    // 6. Snapshots are versioned: editing and re-resolving produces a
-    //    new snapshot at a later epoch; the one above is untouched.
+    // 6. Snapshots are versioned: editing (an `EditBatch` through
+    //    `Engine::apply`) and re-resolving produces a new snapshot at a
+    //    later epoch; the one above is untouched.
     //    `QNew` is a fresh subject, so no constraint can fire on it.
     let in_year = playing.count();
-    engine
-        .insert_fact("QNew", "playsFor", "TimeTravelFC", Interval::at(year), 0.99)
-        .expect("insert");
+    let edit =
+        EditBatch::new().insert("QNew", "playsFor", "TimeTravelFC", Interval::at(year), 0.99);
+    engine.apply(&edit).into_result().expect("insert");
     let newer = engine.resolve_incremental().expect("re-resolves");
     let (old, new) = (
         snapshot.at(year).predicate("playsFor").count(),

@@ -6,12 +6,13 @@
 //! resolution, and the resolved view (expanded graph + temporal index)
 //! is the previous one copied and patched. The property drives
 //! `tecore_testkit`'s edit script — inserts, removes, upserts, net-zero
-//! churn, floods past the rebuild share, checkpoints and log cuts —
+//! churn, floods past the rebuild share, checkpoints —
 //! over the 40-subject clusters and the paper program (so that inferred
 //! facts appear, change and disappear: two graphs to patch, not one)
 //! through every backend, and after every step holds the snapshot to
 //! the testkit oracle: `assert_same` against a cold resolve of the
-//! surviving facts, and index-backed queries against a scan. A drawn
+//! surviving facts, `assert_journaled` against what its log recovers,
+//! and index-backed queries against a scan. A drawn
 //! script runs within what its backend is held to (`Script::within`:
 //! `mln-walksat`'s and `psl-admm`'s statements each on a subject of
 //! their own); the directed sequences and the named repros run as
@@ -33,14 +34,14 @@ use std::thread;
 
 use proptest::prelude::*;
 use tecore_core::translate::translate;
-use tecore_core::{Engine, Snapshot, TecoreConfig};
+use tecore_core::{EditBatch, Engine, Snapshot, TecoreConfig};
 use tecore_datagen::standard::{ranieri_utkg, wikidata_program};
 use tecore_datagen::{generate_wikidata, WikidataConfig};
 use tecore_ground::{ComponentMode, GroundConfig};
 use tecore_kg::{FactId, GraphTemporalIndex};
 use tecore_testkit::{
-    arb_steps, assert_queries_match_scan, assert_same, clusters, cold, config, drawn_shapes, graph,
-    iv, paper_program, Edit, Expect, Script, BACKENDS,
+    arb_steps, assert_journaled, assert_queries_match_scan, assert_same, clusters, cold, config,
+    drawn_shapes, graph, insert, iv, paper_program, Edit, Expect, Script, BACKENDS,
 };
 
 /// The forty clusters' subjects and four more.
@@ -68,7 +69,7 @@ fn by_components(name: &str) -> TecoreConfig {
 /// carried onto the spare).
 fn run(steps: &[Vec<Edit>], name: &str, mut script: Script, hold: Hold) -> Vec<usize> {
     let config = by_components(name);
-    let mut engine = tecore_testkit::engine(graph(&clusters(40)), paper_program(), config);
+    let (mut engine, log) = tecore_testkit::engine(graph(&clusters(40)), paper_program(), config);
     let mut held = vec![engine.resolve_incremental().expect("prime")];
     let mut published = Vec::new();
     for (i, edits) in steps.iter().enumerate() {
@@ -79,6 +80,7 @@ fn run(steps: &[Vec<Edit>], name: &str, mut script: Script, hold: Hold) -> Vec<u
         let carried = engine.resolve_incremental().expect("incremental");
         let what = format!("{name}, {hold:?}, step {i} {edits:?}");
         assert_same(&what, &carried, &cold(&engine));
+        assert_journaled(&what, &engine, &log);
         assert_queries_match_scan(&carried, &drawn_shapes(i as u64, 32));
         published.push(carried.stats.view_facts_copied);
         held.push(carried);
@@ -256,10 +258,10 @@ fn a_reasserted_fact_redescribes_its_conflict() {
     let [id] = ids[..] else {
         panic!("one fact asserts the spell: {ids:?}");
     };
-    let spell = engine.remove_fact(id).expect("live");
-    engine
-        .insert_fact("p0", "coach", "club1", spell.interval, 0.93)
-        .expect("valid insert");
+    let spell = *engine.graph().fact(id).expect("live");
+    let batch = EditBatch::new().remove(id);
+    engine.apply(&batch).into_result().expect("live");
+    insert(&mut engine, "p0", "coach", "club1", spell.interval, 0.93);
     let after = engine.resolve_incremental().expect("incremental");
 
     let (shared, described): (Vec<_>, Vec<_>) = after
@@ -285,9 +287,10 @@ fn a_reasserted_fact_redescribes_its_conflict() {
     assert_same("after the re-assertion", &after, &cold(&engine));
 }
 
-/// A caller that unwraps the spare into its resolution keeps the
-/// resolution; the view does not come home without it, and the next
-/// publish copies the latest one instead of patching a gutted spare.
+/// A caller that keeps part of the spare's view — its consistent graph
+/// — past the snapshot: the view does not come home without it, and
+/// the next publish copies the latest one instead of patching a gutted
+/// spare.
 #[test]
 fn unwrapping_the_spare_sends_no_view_home() {
     let mut graph = ranieri_utkg();
@@ -305,15 +308,13 @@ fn unwrapping_the_spare_sends_no_view_home() {
     let mut engine = Engine::with_config(graph, paper_program(), config("mln-exact"));
     let first = engine.resolve_incremental().expect("cold");
     first.index();
-    engine
-        .insert_fact("q0", "coach", "club3", iv(2005, 2), 0.8)
-        .expect("valid insert");
+    insert(&mut engine, "q0", "coach", "club3", iv(2005, 2), 0.8);
     let second = engine.resolve_incremental().expect("incremental");
-    let resolution = Arc::try_unwrap(first)
-        .expect("the engine moved on")
-        .into_resolution();
-    assert!(!resolution.inferred.is_empty(), "the view is split");
-    assert!(!resolution.consistent.is_empty(), "the caller keeps it");
+    let first = Arc::try_unwrap(first).expect("the engine moved on");
+    assert!(!first.inferred.is_empty(), "the view is split");
+    let consistent = Arc::clone(&first.consistent);
+    drop(first);
+    assert!(!consistent.is_empty(), "the caller keeps it");
 
     let kept = second.consistent.dict().lookup("coach").expect("interned");
     let (_, spell) = second
@@ -327,7 +328,8 @@ fn unwrapping_the_spare_sends_no_view_home() {
         "coach",
         dict.resolve(spell.object),
     );
-    engine.remove_fact(ids[0]).expect("live");
+    let batch = EditBatch::new().remove(ids[0]);
+    engine.apply(&batch).into_result().expect("live");
     let last = engine.resolve_incremental().expect("incremental");
     assert!(last.stats.view_facts_copied > 0, "no spare came home");
     assert_same("after the unwrap", &last, &cold(&engine));
@@ -361,15 +363,14 @@ fn insert_clash(engine: &mut Engine, n: usize) -> FactId {
         graph.dict().resolve(spell.subject).to_string(),
         spell.interval,
     );
-    engine
-        .insert_fact(
-            &subject,
-            "playsFor",
-            &format!("Elsewhere{n}"),
-            interval,
-            0.4,
-        )
-        .expect("valid insert")
+    insert(
+        engine,
+        &subject,
+        "playsFor",
+        &format!("Elsewhere{n}"),
+        interval,
+        0.4,
+    )
 }
 
 /// The first publishes after a cold resolve copy the view (the cold
@@ -423,9 +424,7 @@ fn a_fresh_subject_insert_costs_the_same_walk_at_any_size() {
             let mut engine = wikidata_engine(facts);
             warm_up(&mut engine);
             // The serving workload's marker: it joins nothing.
-            engine
-                .insert_fact("QB7", "memberOf", "Mark7", iv(2000, 1), 0.9)
-                .expect("valid insert");
+            insert(&mut engine, "QB7", "memberOf", "Mark7", iv(2000, 1), 0.9);
             let snapshot = engine.resolve_incremental().expect("incremental");
             assert_eq!(snapshot.stats.view_facts_copied, 0, "at {facts} facts");
             snapshot.stats.partition_atoms_visited

@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use tecore_core::batch::apply_to_graph;
-use tecore_core::{Engine, TecoreConfig};
+use tecore_core::{EditBatch, Engine, TecoreConfig};
 use tecore_ground::ComponentMode::{self, Components, Monolithic};
 use tecore_ground::{
     evaluate_world, ground, AtomId, ClauseId, ClauseStore, MapSolver, MapState, Partition,
@@ -29,8 +29,8 @@ use tecore_kg::UtkGraph;
 use tecore_logic::LogicProgram;
 use tecore_temporal::Interval;
 use tecore_testkit::{
-    arb_insert, arb_steps, assert_same, clusters, cold, cold_with, config, f1_c2, graph, Edit,
-    Expect, Insert, Script, Statement, BACKENDS,
+    arb_insert, arb_steps, assert_journaled, assert_same, clusters, cold, cold_with, config, f1_c2,
+    graph, insert, Edit, Expect, Insert, Script, Statement, BACKENDS,
 };
 
 /// One to thirteen statements on four subjects: distinct subjects
@@ -137,13 +137,14 @@ proptest! {
 /// of `backends`: after every step the result equals a cold resolve of
 /// the surviving graph, that one equals a cold monolithic resolve, and
 /// the engine never re-solves more components than the partition holds
-/// (the dirty set bounds the work). `drawn` steps run within what the
+/// (the dirty set bounds the work), and the engine's log recovers its
+/// graph. `drawn` steps run within what the
 /// monolithic solve is held to (`Script::within`), fixed ones as
 /// written.
 fn check_component_sequence(base: &[Insert], steps: &[Vec<Edit>], backends: &[&str], drawn: bool) {
     for &name in backends {
         let config = with_mode(name, Components);
-        let mut engine = tecore_testkit::engine(drawn_graph(base), f1_c2(), config);
+        let (mut engine, log) = tecore_testkit::engine(drawn_graph(base), f1_c2(), config);
         engine.resolve_incremental().expect("prime");
         let mut script = match drawn {
             true => Script::within(Expect::for_backend(&with_mode(name, Monolithic))),
@@ -163,6 +164,7 @@ fn check_component_sequence(base: &[Insert], steps: &[Vec<Edit>], backends: &[&s
             assert_same(&what, &incremental, &by_components);
             let monolithic = cold_with(&engine, with_mode(name, Monolithic));
             assert_same(&format!("{what}, monolithic"), &by_components, &monolithic);
+            assert_journaled(&what, &engine, &log);
         }
     }
 }
@@ -238,7 +240,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Whatever the script's batches emitted, retracted and churned
-    /// (checkpoints and log cuts have no part here): the dirty-only
+    /// (checkpoints have no part here): the dirty-only
     /// pass returns exactly the components a fresh full pass marks
     /// dirty — same atoms, same clause ids, same order —, the labels in
     /// use number the components of the full pass, and after the dirty
@@ -357,15 +359,8 @@ fn only_dirty_components_are_resolved_on_deltas() {
     );
 
     // A third coach spell for cluster 0 dirties exactly that cluster.
-    engine
-        .insert_fact(
-            "p0",
-            "coach",
-            "c0",
-            Interval::new(2001, 2003).unwrap(),
-            0.71,
-        )
-        .expect("insert");
+    let spell = Interval::new(2001, 2003).unwrap();
+    insert(&mut engine, "p0", "coach", "c0", spell, 0.71);
     let after_edit = engine.resolve_incremental().expect("incremental");
     assert!(
         after_edit.stats.components_solved < after_edit.stats.components,
@@ -400,16 +395,10 @@ fn same_batch_churn_dirties_the_aliased_component() {
 
     // Re-assert cluster 3's existing statement, then retract it again:
     // the net delta is empty, but the statement revived a live atom.
-    let id = engine
-        .insert_fact(
-            "p3",
-            "coach",
-            "a3",
-            Interval::new(2000, 2006).unwrap(),
-            0.87,
-        )
-        .expect("insert");
-    engine.remove_fact(id).expect("remove");
+    let spell = Interval::new(2000, 2006).unwrap();
+    let id = insert(&mut engine, "p3", "coach", "a3", spell, 0.87);
+    let batch = EditBatch::new().remove(id);
+    engine.apply(&batch).into_result().expect("remove");
     let after_churn = engine.resolve_incremental().expect("churn resolve");
     assert_eq!(
         after_churn.stats.components, total,

@@ -18,15 +18,17 @@
 use proptest::prelude::*;
 use tecore_core::Engine;
 use tecore_testkit::{
-    arb_steps, assert_same, clusters, cold, config, f1_c2, graph, Edit, Expect, Script, BACKENDS,
+    arb_steps, assert_journaled, assert_same, clusters, cold, config, f1_c2, graph, insert, Edit,
+    Expect, Script, BACKENDS,
 };
 
 /// Runs the steps through each of `backends`, resolving after each and
-/// holding the result to the cold oracle. `drawn` steps run within what
+/// holding the result to the cold oracle and the engine's graph to what
+/// its log recovers. `drawn` steps run within what
 /// each backend is held to (`Script::within`), fixed ones as written.
 fn check_sequence(steps: &[Vec<Edit>], backends: &[&str], drawn: bool) {
     for &name in backends {
-        let mut engine = tecore_testkit::engine(graph(&clusters(1)), f1_c2(), config(name));
+        let (mut engine, log) = tecore_testkit::engine(graph(&clusters(1)), f1_c2(), config(name));
         // Prime the incremental cache before the edits start.
         engine.resolve_incremental().expect("prime");
         let mut script = match drawn {
@@ -36,11 +38,9 @@ fn check_sequence(steps: &[Vec<Edit>], backends: &[&str], drawn: bool) {
         for (i, edits) in steps.iter().enumerate() {
             script.apply(&mut engine, edits);
             let warm = engine.resolve_incremental().expect("incremental resolve");
-            assert_same(
-                &format!("{name}, step {i} {edits:?}"),
-                &warm,
-                &cold(&engine),
-            );
+            let what = format!("{name}, step {i} {edits:?}");
+            assert_same(&what, &warm, &cold(&engine));
+            assert_journaled(&what, &engine, &log);
         }
     }
 }
@@ -115,40 +115,6 @@ fn a_flood_under_auto_on_mln_cpi_and_mln_walksat() {
     check_sequence(&flood_under_auto(), &["mln-cpi", "mln-walksat"], false);
 }
 
-/// A truncated change log must force the incremental path onto its
-/// full-reground fallback — and that fallback must (a) produce exactly
-/// the cold-resolve result and (b) be *counted*, not silent: the
-/// resolution's `fallback_regrounds` stat records it.
-#[test]
-fn truncated_log_fallback_matches_cold_resolve_and_is_counted() {
-    for name in BACKENDS {
-        let mut engine = tecore_testkit::engine(graph(&clusters(1)), f1_c2(), config(name));
-        let primed = engine.resolve_incremental().expect("prime");
-        assert_eq!(primed.stats.fallback_regrounds, 0, "{name}");
-
-        // Edits the cached grounding never hears about: the log is
-        // truncated past the cached epoch before the next resolve.
-        let cut = [
-            Edit::insert(2, 0, 3, 2001, 4, 12),
-            Edit::Remove(1),
-            Edit::Truncate,
-        ];
-        Script::default().apply(&mut engine, &cut);
-        let incremental = engine.resolve_incremental().expect("fallback resolve");
-        assert_same(name, &incremental, &cold(&engine));
-        assert_eq!(
-            incremental.stats.fallback_regrounds, 1,
-            "{name}: the silent reground must be counted"
-        );
-        assert_eq!(engine.fallback_regrounds(), 1, "{name}");
-
-        // The next (clean) incremental resolve still reports the
-        // cumulative count without bumping it.
-        let clean = engine.resolve_incremental().expect("clean resolve");
-        assert_eq!(clean.stats.fallback_regrounds, 1, "{name}");
-    }
-}
-
 /// Work, not time: a one-fact delta binds its new atom first and joins
 /// outwards from it, so on a 20k-fact graph whose dominant predicate
 /// holds ~12k atoms it looks at the new atom (once per formula and body
@@ -177,9 +143,14 @@ fn one_fact_delta_examines_a_handful_of_candidates() {
     let mut engine = Engine::with_config(graph, wikidata_program(), config("mln-walksat"));
     let primed = engine.resolve_incremental().expect("prime");
     // A second club over the same years: one new atom, one new clash.
-    engine
-        .insert_fact(&subject, "playsFor", "QRivalClub", interval, 0.61)
-        .expect("valid insert");
+    insert(
+        &mut engine,
+        &subject,
+        "playsFor",
+        "QRivalClub",
+        interval,
+        0.61,
+    );
     let delta = engine.graph().since(primed.epoch()).expect("log retained");
     let stats = engine.apply_delta(&delta).expect("cached grounding");
     assert_eq!((stats.facts_added, stats.atoms_created), (1, 1));
@@ -230,9 +201,14 @@ fn cpi_edit_shares_untouched_explanations_with_the_previous_snapshot() {
     let before = engine.resolve_incremental().expect("settle");
     assert!(before.conflicts.len() > 10, "{}", before.conflicts.len());
     // A second club over the same years: one new clash.
-    engine
-        .insert_fact(&subject, "playsFor", "QRivalClub", interval, 0.61)
-        .expect("valid insert");
+    insert(
+        &mut engine,
+        &subject,
+        "playsFor",
+        "QRivalClub",
+        interval,
+        0.61,
+    );
     let after = engine.resolve_incremental().expect("incremental");
 
     let shared = after
@@ -257,7 +233,7 @@ fn cpi_edit_shares_untouched_explanations_with_the_previous_snapshot() {
 #[test]
 fn drain_the_graph_completely() {
     for name in BACKENDS {
-        let mut engine = tecore_testkit::engine(graph(&clusters(1)), f1_c2(), config(name));
+        let (mut engine, _) = tecore_testkit::engine(graph(&clusters(1)), f1_c2(), config(name));
         engine.resolve_incremental().expect("prime");
         let all: Vec<Edit> = (0..engine.graph().len()).map(Edit::Remove).collect();
         Script::default().apply(&mut engine, &all);

@@ -170,18 +170,13 @@ fn readers_unaffected_by_engine_mutation() {
 
         // Meanwhile the writer keeps editing and re-resolving.
         for i in 0..12 {
-            let id = engine
-                .insert_fact(
-                    "CR",
-                    "coach",
-                    &format!("Club{i}"),
-                    Interval::new(2016 + i, 2018 + i).unwrap(),
-                    0.95,
-                )
-                .unwrap();
+            let spell = Interval::new(2016 + i, 2018 + i).unwrap();
+            let club = format!("Club{i}");
+            let id = tecore_testkit::insert(&mut engine, "CR", "coach", &club, spell, 0.95);
             let newer = engine.resolve_incremental().unwrap();
             assert!(newer.epoch() > epoch, "snapshots are versioned forward");
-            engine.remove_fact(id).unwrap();
+            let batch = EditBatch::new().remove(id);
+            engine.apply(&batch).into_result().unwrap();
         }
 
         for reader in readers {

@@ -87,10 +87,8 @@ fn cold_then_clash(graph: UtkGraph, program: LogicProgram) -> [SolveCounts; 2] {
     let (_, spell) = (engine.graph().iter())
         .find(|(_, f)| f.predicate == plays)
         .expect("a playsFor fact");
-    let player = dict.resolve(spell.subject).to_string();
-    engine
-        .insert_fact(&player, "playsFor", "ClashClub", spell.interval, 0.5)
-        .expect("inserts");
+    let (player, spell) = (dict.resolve(spell.subject).to_string(), spell.interval);
+    tecore_testkit::insert(&mut engine, &player, "playsFor", "ClashClub", spell, 0.5);
     [cold, counts(&mut engine)]
 }
 

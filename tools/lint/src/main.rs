@@ -1,4 +1,4 @@
-//! Workspace invariant linter (see `rules` for the R1–R7 table).
+//! Workspace invariant linter (see `rules` for the R1–R8 table).
 //!
 //! Dependency-free, like `tools/bench_check`: a token-level pass over
 //! every Rust file of the workspace (`crates/`, `tools/`, `src/`,

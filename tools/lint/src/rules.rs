@@ -9,6 +9,7 @@
 //! | R5 | no `std::thread::sleep` | library crates (`crates/*/src`) |
 //! | R6 | no `std::env::var` / `var_os`: a library reads no environment | library crates (`crates/*/src`) |
 //! | R7 | no `cfg(feature …)`, `cfg!(feature …)` or `cfg_attr(feature …)`: the workspace has one build | every non-shim file, test code included |
+//! | R8 | no function returns `&mut UtkGraph`: the engine is its graph's only writer, and its incremental resolve relies on that | `crates/core/src` |
 //!
 //! `#[cfg(test)]` / `#[test]` regions — and a file that opens with
 //! `#![cfg(test)]` — are exempt from every rule but R7 (a test that
@@ -22,7 +23,7 @@ use crate::lexer::{lex, Lexed, Tok};
 /// One rule violation.
 #[derive(Clone, Debug)]
 pub struct Finding {
-    /// Rule id: "R1" … "R7".
+    /// Rule id: "R1" … "R8".
     pub rule: &'static str,
     /// 1-based source line.
     pub line: u32,
@@ -40,6 +41,7 @@ struct Scope {
     r5: bool,
     r6: bool,
     r7: bool,
+    r8: bool,
 }
 
 const HOT_CRATES: [&str; 6] = ["kg", "ground", "mln", "psl", "server", "wal"];
@@ -59,6 +61,7 @@ fn scope_for(path: &str) -> Scope {
             r5: false,
             r6: false,
             r7: !shim,
+            r8: false,
         };
     }
     let crate_name = p
@@ -73,7 +76,58 @@ fn scope_for(path: &str) -> Scope {
         r5: p.starts_with("crates/"),
         r6: p.starts_with("crates/"),
         r7: true,
+        r8: p.starts_with("crates/core/src/"),
     }
+}
+
+/// Does the `fn` at token `i` return a `&mut UtkGraph`, bare or inside
+/// another type? The return type runs from the `->` after the argument
+/// list and generics to the body, the `;` or the `where` clause.
+fn returns_mutable_graph(t: &[Tok], i: usize) -> bool {
+    if t[i].text != "fn" {
+        return false;
+    }
+    let (mut parens, mut angles) = (0usize, 0usize);
+    let mut j = i + 1;
+    let arrow = loop {
+        let Some(tok) = t.get(j) else { return false };
+        match tok.text.as_str() {
+            "-" if t.get(j + 1).is_some_and(|t| t.text == ">") => {
+                if parens == 0 && angles == 0 {
+                    break j;
+                }
+                j += 1;
+            }
+            "(" => parens += 1,
+            ")" => parens = parens.saturating_sub(1),
+            "<" => angles += 1,
+            ">" => angles = angles.saturating_sub(1),
+            "{" | ";" if parens == 0 => return false,
+            _ => {}
+        }
+        j += 1;
+    };
+    let ret: Vec<&str> = t[arrow + 2..]
+        .iter()
+        .map(|t| t.text.as_str())
+        .take_while(|t| !matches!(*t, "{" | ";" | "where"))
+        .collect();
+    // The last segment of the path that starts at `from`.
+    let path_end = |from: usize| {
+        let path = ret[from.min(ret.len())..]
+            .iter()
+            .take_while(|t| **t == "::" || t.starts_with(|c: char| c.is_alphabetic() || c == '_'));
+        path.filter(|t| **t != "::").last().copied()
+    };
+    (0..ret.len()).any(|k| {
+        // `&mut` or `&'a mut` (the lexer drops a lifetime's quote).
+        let after = match (ret[k], ret.get(k + 1), ret.get(k + 2)) {
+            ("&", Some(&"mut"), _) => k + 2,
+            ("&", Some(_), Some(&"mut")) => k + 3,
+            _ => return false,
+        };
+        path_end(after) == Some("UtkGraph")
+    })
 }
 
 /// Does the `cfg`, `cfg!` or `cfg_attr` at token `i` test a feature?
@@ -241,6 +295,14 @@ pub fn check_source(rel_path: &str, src: &str) -> Vec<Finding> {
         }
         let tx = t[i].text.as_str();
         let line = t[i].line;
+        if scope.r8 && returns_mutable_graph(t, i) {
+            push(
+                "R8",
+                line,
+                "a function hands out `&mut UtkGraph` — edit the engine's graph through `Engine::apply`"
+                    .to_string(),
+            );
+        }
         if scope.r1 && tx == "unsafe" {
             push("R1", line, "`unsafe` outside crates/shims".to_string());
         }
@@ -506,6 +568,32 @@ mod tests {
             "#[cfg(feature = \"std\")]\nfn f() {}"
         )
         .is_empty());
+    }
+
+    #[test]
+    fn r8_fires_on_a_mutable_graph_handed_out_of_core() {
+        for src in [
+            "pub fn graph_handle(&mut self) -> &mut UtkGraph { &mut self.graph }",
+            "fn view<'a>(&'a mut self) -> &'a mut tecore_kg::UtkGraph { &mut self.g }",
+            "fn spare(&mut self) -> Option<&mut UtkGraph> where Self: Sized { None }",
+            "fn pick<F: Fn() -> u32>(&mut self, f: F) -> &mut UtkGraph { todo() }",
+        ] {
+            let f = active("crates/core/src/engine.rs", src);
+            assert!(f.len() == 1 && f[0].rule == "R8", "{src}");
+        }
+        for src in [
+            "fn graph(&self) -> &UtkGraph { &self.graph }",
+            "fn edit(g: &mut UtkGraph) -> usize { g.len() }",
+            "fn dict_mut(&mut self) -> &mut Dictionary { &mut self.dict }",
+            "fn f(x: impl Fn(&mut UtkGraph) -> u32) {}",
+            "fn g(&mut self) -> &mut UtkGraphs { &mut self.gs }",
+            "#[cfg(test)]\nmod t { fn g(e: &mut E) -> &mut UtkGraph { &mut e.graph } }",
+        ] {
+            assert!(active("crates/core/src/engine.rs", src).is_empty(), "{src}");
+        }
+        // Other crates may hand out their own graphs.
+        let src = "fn graph_handle(&mut self) -> &mut UtkGraph { &mut self.graph }";
+        assert!(active("crates/stream/src/session.rs", src).is_empty());
     }
 
     #[test]
